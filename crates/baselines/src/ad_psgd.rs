@@ -12,14 +12,12 @@
 //! weight stays at 1/2 instead of NetMax's `αργ_{i,m}` compensation —
 //! this implementation reproduces exactly that difference.
 
-use netmax_core::engine::session::{matrix_from_json, matrix_to_json};
 use netmax_core::engine::{
     Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver,
 };
 use netmax_core::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
+use netmax_core::SparsePolicy;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use netmax_linalg::Matrix;
-use rand::Rng;
 
 /// AD-PSGD, optionally steered by a Network Monitor.
 pub struct AdPsgd {
@@ -27,7 +25,7 @@ pub struct AdPsgd {
     monitor_cfg: Option<MonitorConfig>,
     monitor: Option<NetworkMonitor>,
     tracker: Option<EmaTimeTracker>,
-    policy: Option<Matrix>,
+    policy: Option<SparsePolicy>,
     policies_applied: u64,
 }
 
@@ -70,7 +68,7 @@ impl AdPsgd {
     fn reset(&mut self, n: usize) {
         if self.monitored {
             let cfg = self.monitor_cfg.clone().expect("monitored without config");
-            self.tracker = Some(EmaTimeTracker::new(n, cfg.beta));
+            self.tracker = Some(EmaTimeTracker::for_fleet(n, cfg.beta));
             self.monitor = Some(NetworkMonitor::new(cfg));
         }
         self.policy = None;
@@ -91,22 +89,8 @@ impl GossipBehavior for AdPsgd {
 
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
         if let Some(policy) = &self.policy {
-            // Monitor-steered selection (same sampling as NetMax); mass a
-            // stale policy still assigns to crashed peers is skipped.
-            let n = env.num_nodes();
-            let u: f64 = env.node_rng(i).gen();
-            let mut acc = 0.0;
-            for m in 0..n {
-                let p = policy[(i, m)];
-                if p <= 0.0 || (m != i && !env.is_active(m)) {
-                    continue;
-                }
-                acc += p;
-                if u < acc {
-                    return if m == i { PeerChoice::SelfStep } else { PeerChoice::Peer(m) };
-                }
-            }
-            PeerChoice::SelfStep
+            // Monitor-steered selection: the sampler NetMax uses.
+            policy.sample_peer(env, i)
         } else {
             match env.sample_active_neighbor(i) {
                 Some(m) => PeerChoice::Peer(m),
@@ -168,7 +152,7 @@ impl GossipBehavior for AdPsgd {
             (
                 "policy",
                 match &self.policy {
-                    Some(p) => matrix_to_json(p),
+                    Some(p) => p.checkpoint(),
                     None => Json::Null,
                 },
             ),
@@ -187,7 +171,7 @@ impl GossipBehavior for AdPsgd {
         }
         self.policy = match state.field("policy")? {
             Json::Null => None,
-            p => Some(matrix_from_json(p)?),
+            p => Some(SparsePolicy::restore(p)?),
         };
         self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
         Ok(())

@@ -3,11 +3,11 @@
 //!
 //! This group exists to demonstrate (and regression-guard) that every
 //! per-step and per-monitor-round cost scales with the topology's edge
-//! set, not n²: beyond
+//! set, not n²: the control plane is edge-list code throughout (edge-map
+//! trackers, per-row Eq. 14 LPs, sparse `Y_P`), beyond
 //! [`DENSE_CONTROL_THRESHOLD`](netmax_core::DENSE_CONTROL_THRESHOLD)
-//! nodes NetMax runs the sparse control plane (edge-map trackers,
-//! per-row Eq. 14 LPs, power-iteration λ₂), and the engine's calendar
-//! event queue keeps dispatch O(1) per step.
+//! nodes λ₂ comes from power iteration instead of Jacobi, and the
+//! engine's calendar event queue keeps dispatch O(1) per step.
 //!
 //! Unlike the figure reproductions, the sweep is **step-budgeted**: each
 //! run executes a fixed number of global steps *per node* instead of a

@@ -1,7 +1,8 @@
-//! Satellite suite: the edge-set LP must be *indistinguishable* from the
-//! dense LP of Eq. (14) on every topology the benchmark registry can
-//! produce — including the mid-churn masked subgraphs the fault plans of
-//! the faults experiments create.
+//! Satellite suite: the edge-list control plane must be
+//! *indistinguishable* from the dense reference formulation of Algorithm 3
+//! on every topology the benchmark registry can produce — including the
+//! mid-churn masked subgraphs the fault plans of the faults experiments
+//! create.
 //!
 //! The row-wise solver (`solve_policy_lp_rowwise`) exploits the LP's
 //! block structure, so under the deterministic Bland's-rule simplex the
@@ -9,15 +10,24 @@
 //! not merely close. Same for the candidate-sweep bound helpers: the
 //! edge-list folds visit the same values in the same order as the dense
 //! row scans (absent entries contribute exact zeros), so ρ and t̄ grids
-//! are float-identical. These tests pin both claims across the whole
-//! registry so `scale/*` fleets select exactly the policies the dense
-//! oracle would.
+//! are float-identical. And up to `DENSE_CONTROL_THRESHOLD` nodes the
+//! whole search is: the production generator (`generate_sparse`: edge
+//! lists, block LP template, sparse `Y_P`, Jacobi on its densification)
+//! must return the dense reference generator's `(P, ρ, t̄, λ₂)` to the
+//! last bit. Above the threshold exactly one thing changes — the
+//! eigensolver — and the last test pins that.
 
 use netmax_bench::{registry, Mode};
 use netmax_core::policy::{rho_upper_bound, solve_policy_lp, t_bar_bounds};
-use netmax_core::sparse_policy::{rho_upper_bound_sparse, t_bar_bounds_sparse};
-use netmax_core::{solve_policy_lp_rowwise, EdgeTimes};
-use netmax_linalg::Matrix;
+use netmax_core::sparse_policy::{
+    rho_upper_bound_sparse, t_bar_bounds_sparse, DENSE_CONTROL_THRESHOLD,
+};
+use netmax_core::{
+    build_y, solve_policy_lp_rowwise, EdgeTimes, PolicyGenerator, PolicySearchConfig,
+};
+use netmax_linalg::{
+    second_largest_eigenvalue, second_largest_eigenvalue_sparse, Matrix, SparseSymmetric,
+};
 use netmax_net::Topology;
 
 /// Deterministic heterogeneous iteration times over the topology's edges:
@@ -34,15 +44,40 @@ fn synthetic_times(topo: &Topology) -> Matrix {
     t
 }
 
+/// A coarse search: the equivalence is per candidate, so a 3×3 grid
+/// exercises everything the default 10×10 does.
+fn coarse_search(alpha: f64) -> PolicySearchConfig {
+    PolicySearchConfig { outer_k: 3, inner_r: 3, ..PolicySearchConfig::new(alpha) }
+}
+
 /// Asserts dense and row-wise LP agree (feasibility *and* bytes) over a
-/// small candidate grid derived from the shared sweep-bound helpers, and
-/// that the sparse bound helpers are float-identical to the dense ones.
+/// small candidate grid derived from the shared sweep-bound helpers, that
+/// the sparse bound helpers are float-identical to the dense ones, and —
+/// up to the eigensolver threshold — that the production generator
+/// selects the dense reference generator's result bit for bit.
 /// Returns the number of feasible candidates exercised.
 fn assert_lp_equivalent(topo: &Topology, label: &str) -> usize {
     let times = synthetic_times(topo);
     let edge_times = EdgeTimes::from_dense(&times, topo);
     let mut feasible = 0usize;
     for &alpha in &[0.05, 0.1] {
+        if topo.len() <= DENSE_CONTROL_THRESHOLD {
+            let generator = PolicyGenerator::new(coarse_search(alpha));
+            let reference = generator.generate(&times, topo);
+            let production = generator.generate_sparse(&edge_times, topo);
+            assert_eq!(
+                production.as_ref().map(|r| (r.rho, r.t_bar, r.lambda2)),
+                reference.as_ref().map(|r| (r.rho, r.t_bar, r.lambda2)),
+                "{label}: selected (ρ, t̄, λ₂) diverged (α = {alpha})"
+            );
+            if let (Some(p), Some(r)) = (&production, &reference) {
+                assert_eq!(
+                    p.policy.to_dense().as_slice(),
+                    r.policy.as_slice(),
+                    "{label}: selected policy diverged (α = {alpha})"
+                );
+            }
+        }
         let u_rho = rho_upper_bound(alpha, &times, topo);
         assert_eq!(
             u_rho,
@@ -200,4 +235,78 @@ fn rowwise_lp_matches_dense_on_synthetic_crash_masks() {
         }
     }
     assert!(feasible > 0, "no synthetic masked candidate was feasible");
+}
+
+/// Algorithm 3 walked over the dense reference functions with the λ₂
+/// solver injected: `(P, ρ, t̄, λ₂)` of the first minimal-`T_convergence`
+/// candidate, as both generators select it.
+fn reference_search(
+    cfg: &PolicySearchConfig,
+    times: &Matrix,
+    topo: &Topology,
+    lambda2_of: impl Fn(&Matrix) -> f64,
+) -> Option<(Matrix, f64, f64, f64)> {
+    let n = topo.len();
+    let p_node = vec![1.0 / n as f64; n];
+    let u_rho = rho_upper_bound(cfg.alpha, times, topo)?;
+    let mut best: Option<(f64, (Matrix, f64, f64, f64))> = None;
+    for k in 1..=cfg.outer_k {
+        let rho = k as f64 * (u_rho / cfg.outer_k as f64);
+        let Some((lower, upper)) = t_bar_bounds(cfg.alpha, rho, times, topo) else { continue };
+        let delta = (upper - lower) / cfg.inner_r as f64;
+        for r in 1..=cfg.inner_r {
+            let t_bar = lower + r as f64 * delta;
+            let Some(policy) = solve_policy_lp(cfg.alpha, rho, t_bar, times, topo) else {
+                continue;
+            };
+            let lambda2 = lambda2_of(&build_y(&policy, topo, &p_node, cfg.alpha, rho));
+            if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
+                continue;
+            }
+            let t_conv = t_bar * cfg.epsilon.ln() / lambda2.ln();
+            if best.as_ref().is_none_or(|(b, _)| t_conv < *b) {
+                best = Some((t_conv, (policy, rho, t_bar, lambda2)));
+            }
+        }
+    }
+    best.map(|(_, selected)| selected)
+}
+
+#[test]
+fn only_the_eigensolver_changes_across_the_threshold() {
+    // The 8×8 torus sits on the threshold, the 8×9 torus just past it.
+    // Walking the dense reference functions with Jacobi must reproduce
+    // production at n = 64, and with the power iteration (the settings
+    // `generate_sparse` uses) at n = 72: bounds, LP and Y_P assembly are
+    // therefore untouched by the switch. The solvers themselves disagree
+    // in the low bits, so swapping them would fail one of the two.
+    let jacobi = |y: &Matrix| second_largest_eigenvalue(y);
+    let power = |y: &Matrix| {
+        second_largest_eigenvalue_sparse(&SparseSymmetric::from_dense(y), 5_000, 1e-12).eigenvalue
+    };
+    let cfg = coarse_search(0.05);
+    let production = |topo: &Topology, times: &Matrix| {
+        let res = PolicyGenerator::new(cfg.clone())
+            .generate_sparse(&EdgeTimes::from_dense(times, topo), topo)
+            .expect("torus search is feasible");
+        (res.policy.to_dense(), res.rho, res.t_bar, res.lambda2)
+    };
+
+    let at = Topology::torus(8, 8);
+    assert_eq!(at.len(), DENSE_CONTROL_THRESHOLD);
+    let times = synthetic_times(&at);
+    let selected = production(&at, &times);
+    assert_eq!(Some(&selected), reference_search(&cfg, &times, &at, jacobi).as_ref());
+    assert_ne!(Some(selected.3), reference_search(&cfg, &times, &at, power).map(|s| s.3));
+
+    let past = Topology::torus(8, 9);
+    let times = synthetic_times(&past);
+    let selected = production(&past, &times);
+    assert_eq!(Some(&selected), reference_search(&cfg, &times, &past, power).as_ref());
+    // The estimate is bounded-effort (the iteration cap binds on a torus
+    // this size): near the exact λ₂ of the selected Y_P, not equal to it.
+    let p_node = vec![1.0 / past.len() as f64; past.len()];
+    let exact = jacobi(&build_y(&selected.0, &past, &p_node, cfg.alpha, selected.1));
+    assert_ne!(selected.3, exact);
+    assert!((selected.3 - exact).abs() < 1e-3, "{} vs {exact}", selected.3);
 }

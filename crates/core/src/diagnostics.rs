@@ -1,16 +1,16 @@
 //! Policy diagnostics: the observability layer an operator of a NetMax
 //! deployment would want.
 //!
-//! Given a policy `P` and the iteration-time matrix it was optimised for,
+//! Given a policy `P` and the iteration times it was optimised for,
 //! [`PolicyAudit`] reports the quantities that explain *why* the policy
 //! looks the way it does: the predicted mean iteration time versus
 //! uniform selection, the mixing rate (spectral gap of `Y_P`), the
 //! slowest-mixing worker partition (the communication bottleneck, from
 //! the sign cut of the second eigenvector), and per-link usage shares.
 
-use crate::gossip_matrix::build_y;
-use crate::policy::PolicyResult;
-use netmax_linalg::{symmetric_eigen, Matrix};
+use crate::gossip_matrix::build_y_sparse;
+use crate::sparse_policy::{EdgeTimes, SparsePolicyResult};
+use netmax_linalg::symmetric_eigen;
 use netmax_net::Topology;
 
 /// A structured audit of one communication policy.
@@ -46,70 +46,56 @@ impl PolicyAudit {
     }
 }
 
-/// Audits a generated policy against the time matrix it was built from.
+/// Audits a generated policy against the iteration times it was built
+/// from. The bottleneck cut needs `Y_P`'s second eigen*vector*, which only
+/// the dense Jacobi decomposition provides, so this is a tool for fleets
+/// small enough to densify one `M × M` matrix.
 ///
 /// # Panics
 /// Panics on shape mismatches.
 pub fn audit_policy(
-    res: &PolicyResult,
-    times: &Matrix,
+    res: &SparsePolicyResult,
+    times: &EdgeTimes,
     topo: &Topology,
     alpha: f64,
 ) -> PolicyAudit {
     let m = topo.len();
-    assert_eq!(times.rows(), m, "times shape mismatch");
-    assert_eq!(res.policy.rows(), m, "policy shape mismatch");
+    assert_eq!(times.len(), m, "times shape mismatch");
+    assert_eq!(res.policy.len(), m, "policy shape mismatch");
     let p = &res.policy;
 
     // Expected per-iteration comm time, averaged over nodes.
     let expected = (0..m)
-        .map(|i| {
-            (0..m)
-                .filter(|&j| j != i)
-                .map(|j| times[(i, j)] * p[(i, j)])
-                .sum::<f64>()
-        })
+        .map(|i| times.row(i).iter().map(|&(j, t)| t * p.get(i, j)).sum::<f64>())
         .sum::<f64>()
         / m as f64;
     let uniform = (0..m)
         .map(|i| {
             let nbrs = topo.degree(i).max(1) as f64;
-            (0..m)
-                .filter(|&j| topo.is_edge(i, j))
-                .map(|j| times[(i, j)] / nbrs)
-                .sum::<f64>()
+            times.row(i).iter().map(|&(_, t)| t / nbrs).sum::<f64>()
         })
         .sum::<f64>()
         / m as f64;
 
     let p_node = vec![1.0 / m as f64; m];
-    let y = build_y(p, topo, &p_node, alpha, res.rho);
-    let eig = symmetric_eigen(&y);
+    let eig = symmetric_eigen(&build_y_sparse(p, topo, &p_node, alpha, res.rho).to_dense());
     let lambda2 = eig.values.get(1).copied().unwrap_or(0.0);
     let bottleneck = eig.bottleneck_cut();
 
-    let self_selection: Vec<f64> = (0..m).map(|i| p[(i, i)]).collect();
+    let self_selection: Vec<f64> = (0..m).map(|i| p.self_p(i)).collect();
 
     // Mass on outlier links: strictly slower than the 75th percentile.
-    let mut link_times: Vec<f64> = Vec::new();
-    for i in 0..m {
-        for j in 0..m {
-            if i != j && topo.is_edge(i, j) {
-                link_times.push(times[(i, j)]);
-            }
-        }
-    }
+    let mut link_times: Vec<f64> =
+        (0..m).flat_map(|i| times.row(i).iter().map(|&(_, t)| t)).collect();
     link_times.sort_by(f64::total_cmp);
     let cut = link_times[(link_times.len() * 3) / 4];
     let mut slow_mass = 0.0;
     let mut total_mass = 0.0;
     for i in 0..m {
-        for j in 0..m {
-            if i != j && topo.is_edge(i, j) {
-                total_mass += p[(i, j)];
-                if times[(i, j)] > cut {
-                    slow_mass += p[(i, j)];
-                }
+        for &(j, t) in times.row(i) {
+            total_mass += p.get(i, j);
+            if t > cut {
+                slow_mass += p.get(i, j);
             }
         }
     }
@@ -130,19 +116,16 @@ mod tests {
     use super::*;
     use crate::policy::{PolicyGenerator, PolicySearchConfig};
 
-    /// Two-island time matrix with one severely slowed cross link.
-    fn slowed_times(m: usize, per: usize, factor: f64) -> Matrix {
-        let mut t = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                if i != j {
-                    t[(i, j)] = if (i / per) == (j / per) { 0.2 } else { 0.94 };
-                }
+    /// Two-island times with one severely slowed cross link.
+    fn slowed_times(m: usize, per: usize, factor: f64) -> EdgeTimes {
+        EdgeTimes::from_fn(&Topology::fully_connected(m), |i, j| {
+            let base = if (i / per) == (j / per) { 0.2 } else { 0.94 };
+            if (i, j) == (0, per) || (i, j) == (per, 0) {
+                base * factor
+            } else {
+                base
             }
-        }
-        t[(0, per)] *= factor;
-        t[(per, 0)] *= factor;
-        t
+        })
     }
 
     #[test]
@@ -151,7 +134,7 @@ mod tests {
         let times = slowed_times(8, 4, 50.0);
         let alpha = 0.1;
         let gen = PolicyGenerator::new(PolicySearchConfig::new(alpha));
-        let res = gen.generate(&times, &topo).expect("feasible");
+        let res = gen.generate_sparse(&times, &topo).expect("feasible");
         let audit = audit_policy(&res, &times, &topo, alpha);
 
         assert!(
@@ -173,17 +156,10 @@ mod tests {
     #[test]
     fn bottleneck_cut_splits_the_islands() {
         let topo = Topology::fully_connected(6);
-        let mut times = Matrix::zeros(6, 6);
-        for i in 0..6 {
-            for j in 0..6 {
-                if i != j {
-                    // Strong island structure: cross links 30× slower.
-                    times[(i, j)] = if (i / 3) == (j / 3) { 0.1 } else { 3.0 };
-                }
-            }
-        }
+        // Strong island structure: cross links 30× slower.
+        let times = EdgeTimes::from_fn(&topo, |i, j| if (i / 3) == (j / 3) { 0.1 } else { 3.0 });
         let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
-        let res = gen.generate(&times, &topo).expect("feasible");
+        let res = gen.generate_sparse(&times, &topo).expect("feasible");
         let audit = audit_policy(&res, &times, &topo, 0.1);
         let (mut a, mut b) = audit.bottleneck;
         a.sort_unstable();
@@ -198,12 +174,12 @@ mod tests {
         let topo = Topology::fully_connected(4);
         let times = slowed_times(4, 2, 1.0);
         let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
-        let res = gen.generate(&times, &topo).expect("feasible");
+        let res = gen.generate_sparse(&times, &topo).expect("feasible");
         let audit = audit_policy(&res, &times, &topo, 0.1);
         assert_eq!(audit.self_selection.len(), 4);
         for (i, &s) in audit.self_selection.iter().enumerate() {
             assert!((0.0..=1.0).contains(&s), "node {i} self prob {s}");
-            assert!((s - res.policy[(i, i)]).abs() < 1e-12);
+            assert!((s - res.policy.self_p(i)).abs() < 1e-12);
         }
     }
 }

@@ -725,37 +725,6 @@ impl<'a> Session<'a> {
     }
 }
 
-/// Serializes a `netmax_linalg::Matrix` for checkpoints (module-internal
-/// helper shared by the monitor-bearing behaviors; the orphan rule keeps
-/// this out of `netmax-linalg` itself).
-pub fn matrix_to_json(m: &netmax_linalg::Matrix) -> Json {
-    Json::obj([
-        ("rows", m.rows().to_json()),
-        ("cols", m.cols().to_json()),
-        ("data", m.as_slice().to_json()),
-    ])
-}
-
-/// Inverse of [`matrix_to_json`].
-pub fn matrix_from_json(v: &Json) -> Result<netmax_linalg::Matrix, JsonError> {
-    let rows = usize::from_json(v.field("rows")?)?;
-    let cols = usize::from_json(v.field("cols")?)?;
-    let data: Vec<f64> = Vec::from_json(v.field("data")?)?;
-    if data.len() != rows * cols {
-        return Err(JsonError::schema(format!(
-            "matrix data length {} does not match {rows}x{cols}",
-            data.len()
-        )));
-    }
-    let mut m = netmax_linalg::Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            m[(r, c)] = data[r * cols + c];
-        }
-    }
-    Ok(m)
-}
-
 /// Serializes an RNG stream's raw state.
 pub(crate) fn rng_to_json(rng: &rand::rngs::StdRng) -> Json {
     rng.state().to_vec().to_json()

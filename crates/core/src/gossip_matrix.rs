@@ -6,14 +6,15 @@
 //! `D^k = I + αρ γ_{i,m} e_i (e_m − e_i)^T` (Eq. 18–19), where worker `i`
 //! fires with probability `p_i` and picks neighbour `m` with probability
 //! `p_{i,m}`. The expectation over both random indices gives the entries
-//! of Eq. (22), reproduced verbatim by [`build_y`].
+//! of Eq. (22), assembled over the edge set by [`build_y_sparse`] and
+//! reproduced verbatim over dense matrices by the reference [`build_y`].
 //!
 //! For any **feasible** policy (rows of equal expected iteration time and
 //! `p_{i,m} > αρ(d_{i,m}+d_{m,i})`), Lemmas 1–3 guarantee `Y_P` is
 //! symmetric, doubly stochastic, non-negative, and irreducible, so its
 //! second eigenvalue λ₂ < 1 bounds the convergence rate via Eq. (23).
 
-use crate::sparse_policy::{EdgeTimes, SparsePolicy};
+use crate::sparse_policy::SparsePolicy;
 use netmax_linalg::{Matrix, SparseSymmetric};
 use netmax_net::Topology;
 
@@ -45,7 +46,8 @@ pub fn node_probabilities(times: &Matrix, policy: &Matrix, topo: &Topology) -> V
     inv_t.iter().map(|&x| x / z).collect()
 }
 
-/// Builds `Y_P` from a policy matrix per Eq. (22).
+/// Builds `Y_P` from a dense policy matrix per Eq. (22) — the reference
+/// [`build_y_sparse`] is held to, entry for entry.
 ///
 /// * `policy` — `p_{i,m}`, an `M × M` row-stochastic matrix whose diagonal
 ///   holds the self-selection probability.
@@ -106,44 +108,12 @@ pub fn build_y(
     y
 }
 
-/// Edge-set counterpart of [`node_probabilities`]: `p_i` from sparse
-/// iteration times and a sparse policy, never materialising an `M × M`
-/// object. Entries are float-identical to the dense version's (absent
-/// pairs contribute exactly `+0.0` to each row reduction).
-///
-/// # Panics
-/// Panics if shapes disagree or a node has zero expected iteration time.
-pub fn node_probabilities_sparse(
-    times: &EdgeTimes,
-    policy: &SparsePolicy,
-    topo: &Topology,
-) -> Vec<f64> {
-    let m = topo.len();
-    assert_eq!(times.len(), m, "times shape mismatch");
-    assert_eq!(policy.len(), m, "policy shape mismatch");
-    let mut inv_t = Vec::with_capacity(m);
-    for i in 0..m {
-        let ti: f64 = times
-            .row(i)
-            .iter()
-            .map(|&(j, t)| t * policy.get(i, j) * topo.d(i, j))
-            .sum();
-        assert!(
-            ti > 0.0,
-            "node {i} has zero expected iteration time — policy gives it no neighbours"
-        );
-        inv_t.push(1.0 / ti);
-    }
-    let z: f64 = inv_t.iter().sum();
-    inv_t.iter().map(|&x| x / z).collect()
-}
-
-/// Edge-set counterpart of [`build_y`]: assembles `Y_P` (Eq. 22) as a
+/// Assembles `Y_P` (Eq. 22) for the policy generator as a
 /// [`SparseSymmetric`] whose pattern is the topology's edges plus the
 /// diagonal. Every stored entry is float-identical to the dense
 /// [`build_y`] output (both iterate the support in ascending column
-/// order; absent pairs are exactly zero), so the sparse λ₂ solver sees
-/// the same matrix the dense Jacobi path would.
+/// order; absent pairs are exactly zero), so either eigensolver sees the
+/// matrix the dense formulation defines.
 ///
 /// # Panics
 /// Panics if shapes disagree.
@@ -365,28 +335,6 @@ mod tests {
                 assert_eq!(sparse.get(i, j), dense[(i, j)], "Y[{i},{j}] differs");
             }
         }
-    }
-
-    #[test]
-    fn sparse_node_probabilities_match_dense() {
-        let m = 6;
-        let topo = Topology::fully_connected(m);
-        let policy = uniform_policy(m, 0.15);
-        let mut times = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in 0..m {
-                if i != j {
-                    times[(i, j)] = 0.5 + 0.1 * ((i * m + j) % 5) as f64;
-                }
-            }
-        }
-        let dense = node_probabilities(&times, &policy, &topo);
-        let sparse = node_probabilities_sparse(
-            &crate::sparse_policy::EdgeTimes::from_dense(&times, &topo),
-            &crate::sparse_policy::SparsePolicy::from_dense(&policy),
-            &topo,
-        );
-        assert_eq!(dense, sparse);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! * [`gossip_matrix`] — construction of the expected gossip matrix
 //!   `Y_P = E[(D^k)^T D^k]` from a communication policy (Eq. 19–22) and
 //!   the convergence-bound arithmetic of Theorems 1–2.
-//! * [`policy`] — the communication-policy generation of Algorithm 3: the
-//!   nested (ρ, t̄) search, the LP of Eq. (14) solved with `netmax-lp`,
-//!   and λ₂ evaluation with `netmax-linalg`.
-//! * [`sparse_policy`] — the edge-set control plane for fleets beyond
-//!   [`sparse_policy::DENSE_CONTROL_THRESHOLD`] nodes: per-row Eq. (14)
-//!   LPs (bit-identical to the joint dense solve), sparse `Y_P`
-//!   assembly, and the power-iteration λ₂ of `netmax-linalg`, so every
-//!   monitor round costs O(edges), not O(n²)–O(n³).
+//! * [`sparse_policy`] — the communication-policy generation of
+//!   Algorithm 3 as every session runs it: the nested (ρ, t̄) search over
+//!   an edge list, per-row Eq. (14) LPs solved with `netmax-lp`, sparse
+//!   `Y_P` assembly, and λ₂ from `netmax-linalg` — Jacobi up to
+//!   [`sparse_policy::DENSE_CONTROL_THRESHOLD`] nodes, power iteration
+//!   above, the control plane's one size-dependent choice.
+//! * [`policy`] — the search configuration and generator type, plus the
+//!   dense-matrix formulation of the same search, kept as the reference
+//!   the equivalence suites compare the edge-list code against.
 //! * [`monitor`] — the Network Monitor of Algorithm 1: periodic iteration-
 //!   time collection and policy dissemination.
 //! * [`netmax`] — the consensus SGD worker algorithm of Algorithm 2: the
@@ -46,10 +47,9 @@ pub use engine::{
     Algorithm, AlgorithmKind, Environment, ExecutionMode, Recorder, RunReport, Sample, Scenario,
     ScenarioBuilder, TrainConfig,
 };
-pub use gossip_matrix::{build_y, build_y_sparse, convergence_bound, node_probabilities,
-    node_probabilities_sparse};
+pub use gossip_matrix::{build_y, build_y_sparse, convergence_bound, node_probabilities};
 pub use monitor::{MonitorConfig, NetworkMonitor};
-pub use netmax::{MergeWeighting, NetMax, NetMaxConfig, PolicyView};
+pub use netmax::{MergeWeighting, NetMax, NetMaxConfig};
 pub use policy::{PolicyGenerator, PolicyResult, PolicySearchConfig};
 pub use sparse_policy::{
     solve_policy_lp_rowwise, EdgeTimes, SparsePolicy, SparsePolicyResult,

@@ -12,63 +12,34 @@
 //! (node, neighbour) pair whose smoothing factor β trades recency against
 //! stability.
 
-use crate::engine::session::{matrix_from_json, matrix_to_json};
-use crate::policy::{PolicyGenerator, PolicyResult, PolicySearchConfig};
-use crate::sparse_policy::{EdgeTimes, SparsePolicy, SparsePolicyResult, DENSE_CONTROL_THRESHOLD};
+use crate::policy::{PolicyGenerator, PolicySearchConfig};
+use crate::sparse_policy::{EdgeTimes, SparsePolicyResult};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::Matrix;
 use netmax_net::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Backing storage for the EMA estimates: a dense `n × n` matrix for
-/// small fleets (byte-for-byte the historical layout), or a map keyed by
-/// ordered pair for fleets whose `n²` would dwarf the edge count — EMA
-/// entries only ever exist for pairs that actually gossiped, so the map
-/// holds O(edges) entries.
-#[derive(Debug, Clone)]
-enum TimeStore {
-    Dense { times: Matrix, observed: Vec<bool> },
-    Sparse(BTreeMap<(usize, usize), f64>),
-}
-
 /// Worker-side EMA iteration-time state for the whole fleet (the
 /// simulation keeps all workers' vectors in one place; on a real
 /// deployment each row lives on its worker).
+///
+/// Estimates live in a map keyed by ordered pair: entries only ever exist
+/// for pairs that actually gossiped, so the tracker holds O(edges)
+/// entries at any fleet size.
 #[derive(Debug, Clone)]
 pub struct EmaTimeTracker {
-    store: TimeStore,
+    times: BTreeMap<(usize, usize), f64>,
     beta: f64,
     n: usize,
 }
 
 impl EmaTimeTracker {
-    /// Creates a dense tracker for `n` workers with smoothing factor
+    /// Creates a tracker for a fleet of `n` workers with smoothing factor
     /// `beta` (`T[m] ← β·T[m] + (1−β)·t`; smaller β forgets faster).
-    pub fn new(n: usize, beta: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta), "β must be in [0, 1)");
-        Self {
-            store: TimeStore::Dense { times: Matrix::zeros(n, n), observed: vec![false; n * n] },
-            beta,
-            n,
-        }
-    }
-
-    /// Creates a sparse (edge-map) tracker: O(observed pairs) memory.
-    pub fn new_sparse(n: usize, beta: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta), "β must be in [0, 1)");
-        Self { store: TimeStore::Sparse(BTreeMap::new()), beta, n }
-    }
-
-    /// Dense below [`DENSE_CONTROL_THRESHOLD`] nodes, sparse above — the
-    /// constructor the NetMax behavior uses so small fleets keep the
-    /// historical store bit for bit.
     pub fn for_fleet(n: usize, beta: f64) -> Self {
-        if n > DENSE_CONTROL_THRESHOLD {
-            Self::new_sparse(n, beta)
-        } else {
-            Self::new(n, beta)
-        }
+        assert!((0.0..1.0).contains(&beta), "β must be in [0, 1)");
+        Self { times: BTreeMap::new(), beta, n }
     }
 
     /// Records a completed iteration of worker `i` with neighbour `m`
@@ -76,176 +47,101 @@ impl EmaTimeTracker {
     pub fn record(&mut self, i: usize, m: usize, t: f64) {
         assert!(i < self.n && m < self.n && i != m, "bad record indices");
         assert!(t.is_finite() && t >= 0.0, "bad iteration time");
-        match &mut self.store {
-            TimeStore::Dense { times, observed } => {
-                let idx = i * self.n + m;
-                if observed[idx] {
-                    times[(i, m)] = self.beta * times[(i, m)] + (1.0 - self.beta) * t;
-                } else {
-                    times[(i, m)] = t;
-                    observed[idx] = true;
-                }
-            }
-            TimeStore::Sparse(map) => {
-                if let Some(v) = map.get_mut(&(i, m)) {
-                    *v = self.beta * *v + (1.0 - self.beta) * t;
-                } else {
-                    map.insert((i, m), t);
-                }
-            }
+        if let Some(v) = self.times.get_mut(&(i, m)) {
+            *v = self.beta * *v + (1.0 - self.beta) * t;
+        } else {
+            self.times.insert((i, m), t);
         }
     }
 
     /// Current EMA estimate for the pair, if any observation exists.
     pub fn get(&self, i: usize, m: usize) -> Option<f64> {
-        match &self.store {
-            TimeStore::Dense { times, observed } => {
-                if observed[i * self.n + m] {
-                    Some(times[(i, m)])
-                } else {
-                    None
-                }
-            }
-            TimeStore::Sparse(map) => map.get(&(i, m)).copied(),
+        self.times.get(&(i, m)).copied()
+    }
+
+    /// The estimate for edge `(i, m)` as the policy generator sees it: a
+    /// pair observed in one direction only borrows the reverse direction's
+    /// estimate, and a never-observed pair takes the worst time observed
+    /// anywhere (1.0 before the first observation) — a pessimistic prior
+    /// keeps the LP from over-committing to links nobody has measured.
+    fn filled(&self, fallback: f64, i: usize, m: usize) -> f64 {
+        self.get(i, m).or_else(|| self.get(m, i)).unwrap_or(fallback)
+    }
+
+    /// The worst (largest) estimate observed anywhere, or 1.0 before the
+    /// first positive observation.
+    fn fallback(&self) -> f64 {
+        let worst = self.times.values().copied().fold(0.0f64, f64::max);
+        if worst > 0.0 {
+            worst
+        } else {
+            1.0
         }
     }
 
-    /// The worst (largest) estimate observed anywhere, or `None` before
-    /// the first observation.
-    fn worst_observed(&self) -> Option<f64> {
-        match &self.store {
-            TimeStore::Dense { times, observed } => {
-                let n = self.n;
-                let worst = (0..n * n)
-                    .filter(|&k| observed[k])
-                    .map(|k| times[(k / n, k % n)])
-                    .fold(0.0f64, f64::max);
-                if worst > 0.0 {
-                    Some(worst)
-                } else {
-                    None
-                }
-            }
-            TimeStore::Sparse(map) => {
-                let worst = map.values().copied().fold(0.0f64, f64::max);
-                if worst > 0.0 {
-                    Some(worst)
-                } else {
-                    None
-                }
-            }
-        }
+    /// Assembles the iteration-time edge list for the policy generator
+    /// over the topology's live edges (O(edges) work and memory), with the
+    /// reverse-borrow and pessimistic-fill rules applied.
+    pub fn edge_times_for(&self, topo: &Topology) -> EdgeTimes {
+        let fallback = self.fallback();
+        EdgeTimes::from_fn(topo, |i, m| self.filled(fallback, i, m))
     }
 
-    /// Assembles the full iteration-time matrix for the policy generator,
-    /// filling never-observed neighbour pairs with the worst time observed
-    /// anywhere (a pessimistic prior keeps the LP from over-committing to
-    /// links nobody has measured); pairs observed in one direction borrow
-    /// the reverse direction's estimate first.
+    /// Dense reference for [`EmaTimeTracker::edge_times_for`]: the same
+    /// estimates as a full `n × n` matrix (zero off the topology's edges),
+    /// the input of the dense reference generator.
     pub fn matrix_for(&self, topo: &Topology) -> Matrix {
         let n = self.n;
-        let fallback = self.worst_observed().unwrap_or(1.0);
+        let fallback = self.fallback();
         let mut out = Matrix::zeros(n, n);
         for i in 0..n {
             for m in 0..n {
-                if i == m || !topo.is_edge(i, m) {
-                    continue;
+                if i != m && topo.is_edge(i, m) {
+                    out[(i, m)] = self.filled(fallback, i, m);
                 }
-                out[(i, m)] = self
-                    .get(i, m)
-                    .or_else(|| self.get(m, i))
-                    .unwrap_or(fallback);
             }
         }
         out
     }
 
-    /// Edge-set counterpart of [`EmaTimeTracker::matrix_for`]: the same
-    /// pessimistic-fill and reverse-borrow rules, materialised only over
-    /// the topology's live edges (O(edges) work and memory).
-    pub fn edge_times_for(&self, topo: &Topology) -> EdgeTimes {
-        let n = self.n;
-        let fallback = self.worst_observed().unwrap_or(1.0);
-        let rows = (0..n)
-            .map(|i| {
-                topo.neighbors(i)
-                    .iter()
-                    .map(|&m| {
-                        (m, self.get(i, m).or_else(|| self.get(m, i)).unwrap_or(fallback))
-                    })
-                    .collect()
-            })
-            .collect();
-        EdgeTimes::from_rows(n, rows)
-    }
-
-    /// Serializes the tracker's full state for checkpoint/resume. Dense
-    /// trackers keep the historical `{times, observed}` shape; sparse
-    /// trackers write an `entries` list of `[i, m, t]` triples.
+    /// Serializes the tracker's full state for checkpoint/resume: β, `n`
+    /// and an `entries` list of `[i, m, t]` triples.
     pub fn checkpoint(&self) -> Json {
-        match &self.store {
-            TimeStore::Dense { times, observed } => Json::obj([
-                ("beta", self.beta.to_json()),
-                ("n", self.n.to_json()),
-                ("times", matrix_to_json(times)),
-                ("observed", observed.to_json()),
-            ]),
-            TimeStore::Sparse(map) => Json::obj([
-                ("beta", self.beta.to_json()),
-                ("n", self.n.to_json()),
-                (
-                    "entries",
-                    Json::Arr(
-                        map.iter()
-                            .map(|(&(i, m), &t)| {
-                                Json::Arr(vec![i.to_json(), m.to_json(), t.to_json()])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        }
+        let entry = |(&(i, m), &t): (&(usize, usize), &f64)| {
+            Json::Arr(vec![i.to_json(), m.to_json(), t.to_json()])
+        };
+        Json::obj([
+            ("beta", self.beta.to_json()),
+            ("n", self.n.to_json()),
+            ("entries", Json::Arr(self.times.iter().map(entry).collect())),
+        ])
     }
 
-    /// Rebuilds a tracker from [`EmaTimeTracker::checkpoint`] state
-    /// (either store shape).
+    /// Rebuilds a tracker from [`EmaTimeTracker::checkpoint`] state.
+    /// Values [`EmaTimeTracker::record`] could never have produced — and
+    /// the retired `{times, observed}` matrix layout, which has no
+    /// `entries` — are schema errors.
     pub fn restore(state: &Json) -> Result<Self, JsonError> {
         let n = usize::from_json(state.field("n")?)?;
         let beta = f64::from_json(state.field("beta")?)?;
-        if state.get("times").is_some() {
-            let observed: Vec<bool> = Vec::from_json(state.field("observed")?)?;
-            if observed.len() != n * n {
-                return Err(JsonError::schema("tracker observed-flag length mismatch".into()));
-            }
-            let times = matrix_from_json(state.field("times")?)?;
-            if times.rows() != n || times.cols() != n {
-                return Err(JsonError::schema(format!(
-                    "tracker time matrix is {}x{}, expected {n}x{n}",
-                    times.rows(),
-                    times.cols()
-                )));
-            }
-            return Ok(Self { store: TimeStore::Dense { times, observed }, beta, n });
+        if !(0.0..1.0).contains(&beta) {
+            return Err(JsonError::schema(format!("tracker β {beta} outside [0, 1)")));
         }
-        let Json::Arr(entries) = state.field("entries")? else {
-            return Err(JsonError::schema("tracker entries must be an array".into()));
-        };
-        let mut map = BTreeMap::new();
-        for e in entries {
-            let Json::Arr(triple) = e else {
+        let mut times = BTreeMap::new();
+        for e in state.field("entries")?.as_arr()? {
+            let [i, m, t] = e.as_arr()? else {
                 return Err(JsonError::schema("tracker entry must be [i, m, t]".into()));
             };
-            if triple.len() != 3 {
-                return Err(JsonError::schema("tracker entry must be [i, m, t]".into()));
-            }
-            let i = usize::from_json(&triple[0])?;
-            let m = usize::from_json(&triple[1])?;
+            let (i, m, t) = (usize::from_json(i)?, usize::from_json(m)?, f64::from_json(t)?);
             if i >= n || m >= n || i == m {
                 return Err(JsonError::schema(format!("bad tracker entry ({i}, {m})")));
             }
-            map.insert((i, m), f64::from_json(&triple[2])?);
+            if !(t.is_finite() && t >= 0.0) {
+                return Err(JsonError::schema(format!("bad tracker time {t} for ({i}, {m})")));
+            }
+            times.insert((i, m), t);
         }
-        Ok(Self { store: TimeStore::Sparse(map), beta, n })
+        Ok(Self { times, beta, n })
     }
 
     /// Fraction of (ordered, adjacent) pairs with at least one observation.
@@ -305,14 +201,13 @@ impl MonitorConfig {
 pub struct NetworkMonitor {
     cfg: MonitorConfig,
     rounds: u64,
-    last: Option<PolicyResult>,
-    last_sparse: Option<SparsePolicyResult>,
+    last: Option<SparsePolicyResult>,
 }
 
 impl NetworkMonitor {
     /// Creates a monitor.
     pub fn new(cfg: MonitorConfig) -> Self {
-        Self { cfg, rounds: 0, last: None, last_sparse: None }
+        Self { cfg, rounds: 0, last: None }
     }
 
     /// The configured period `Ts`.
@@ -330,15 +225,9 @@ impl NetworkMonitor {
         self.rounds
     }
 
-    /// The most recent successful dense policy, if any.
-    pub fn last_policy(&self) -> Option<&PolicyResult> {
+    /// The most recent successful policy, if any.
+    pub fn last_policy(&self) -> Option<&SparsePolicyResult> {
         self.last.as_ref()
-    }
-
-    /// The most recent successful edge-set policy, if any (fleets beyond
-    /// [`DENSE_CONTROL_THRESHOLD`] nodes run [`NetworkMonitor::round_sparse`]).
-    pub fn last_sparse_policy(&self) -> Option<&SparsePolicyResult> {
-        self.last_sparse.as_ref()
     }
 
     /// Serializes the monitor's mutable counters for checkpoint/resume
@@ -353,16 +242,19 @@ impl NetworkMonitor {
         Ok(())
     }
 
-    /// One monitor round (Algorithm 1 lines 3–6): collect the time matrix
-    /// from the tracker, regenerate the policy at the given current
+    /// One monitor round (Algorithm 1 lines 3–6): collect the iteration
+    /// times from the tracker, regenerate the policy at the given current
     /// learning rate α, and return the new `(P, ρ)` for dissemination.
+    /// Every step is O(edges): the times are an edge list, the LP is
+    /// solved row by row, and the masked path compacts live nodes by
+    /// walking neighbour lists.
     ///
     /// `active` masks dead workers out of the optimisation: the LP of
     /// Eq. 14 is solved over the *live* subgraph only, and the returned
     /// policy assigns exactly zero probability to every link touching a
-    /// dead node (dead rows are identity) — the policy layer routes
-    /// around outages. With everyone active this is exactly the classic
-    /// full-fleet round.
+    /// dead node (dead rows are identity, with no off-diagonal entries) —
+    /// the policy layer routes around outages. With everyone active this
+    /// is exactly the classic full-fleet round.
     ///
     /// Returns `None` (keeping the previous policy) when coverage is too
     /// poor, fewer than two live nodes remain, the live subgraph is
@@ -373,7 +265,7 @@ impl NetworkMonitor {
         topo: &Topology,
         current_alpha: f64,
         active: &[bool],
-    ) -> Option<PolicyResult> {
+    ) -> Option<SparsePolicyResult> {
         self.rounds += 1;
         let search = PolicySearchConfig { alpha: current_alpha, ..self.cfg.search.clone() };
         if active.iter().all(|&a| a) {
@@ -382,84 +274,9 @@ impl NetworkMonitor {
             if tracker.coverage(topo) < 0.5 {
                 return None;
             }
-            let times = tracker.matrix_for(topo);
-            let result = PolicyGenerator::new(search).generate(&times, topo)?;
-            self.last = Some(result.clone());
-            return Some(result);
-        }
-
-        // Masked round: compact the live nodes, optimise over their
-        // subgraph, and expand the result back to fleet indices.
-        let n = topo.len();
-        assert_eq!(active.len(), n, "active mask/topology node count mismatch");
-        let idx: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
-        if idx.len() < 2 {
-            return None;
-        }
-        let mut sub = Topology::empty(idx.len());
-        for a in 0..idx.len() {
-            for b in (a + 1)..idx.len() {
-                if topo.is_edge(idx[a], idx[b]) {
-                    sub.set_edge(a, b, true);
-                }
-            }
-        }
-        if !sub.is_connected() {
-            return None;
-        }
-        if tracker.coverage_over(topo, Some(active)) < 0.5 {
-            return None;
-        }
-        let full = tracker.matrix_for(topo);
-        let mut times = Matrix::zeros(idx.len(), idx.len());
-        for a in 0..idx.len() {
-            for b in 0..idx.len() {
-                times[(a, b)] = full[(idx[a], idx[b])];
-            }
-        }
-        let result = PolicyGenerator::new(search).generate(&times, &sub)?;
-        let mut policy = Matrix::zeros(n, n);
-        for i in 0..n {
-            if !active[i] {
-                // Dead rows are identity: no live node is ever steered to
-                // them, and they steer nowhere.
-                policy[(i, i)] = 1.0;
-            }
-        }
-        for a in 0..idx.len() {
-            for b in 0..idx.len() {
-                policy[(idx[a], idx[b])] = result.policy[(a, b)];
-            }
-        }
-        let expanded = PolicyResult { policy, ..result };
-        self.last = Some(expanded.clone());
-        Some(expanded)
-    }
-
-    /// Edge-set counterpart of [`NetworkMonitor::round`] for fleets
-    /// beyond [`DENSE_CONTROL_THRESHOLD`] nodes: the time matrix is never
-    /// materialised densely, the LP is solved row by row, λ₂ comes from
-    /// the sparse power iteration, and the masked-subgraph path compacts
-    /// live nodes by walking neighbour lists — every step is O(edges).
-    ///
-    /// Skip conditions (coverage, live count, connectivity) are the exact
-    /// rules of the dense round.
-    pub fn round_sparse(
-        &mut self,
-        tracker: &EmaTimeTracker,
-        topo: &Topology,
-        current_alpha: f64,
-        active: &[bool],
-    ) -> Option<SparsePolicyResult> {
-        self.rounds += 1;
-        let search = PolicySearchConfig { alpha: current_alpha, ..self.cfg.search.clone() };
-        if active.iter().all(|&a| a) {
-            if tracker.coverage(topo) < 0.5 {
-                return None;
-            }
             let times = tracker.edge_times_for(topo);
             let result = PolicyGenerator::new(search).generate_sparse(&times, topo)?;
-            self.last_sparse = Some(result.clone());
+            self.last = Some(result.clone());
             return Some(result);
         }
 
@@ -503,16 +320,9 @@ impl NetworkMonitor {
             .collect();
         let times = EdgeTimes::from_rows(idx.len(), rows);
         let result = PolicyGenerator::new(search).generate_sparse(&times, &sub)?;
-        let mut rows: Vec<Vec<(usize, f64)>> =
-            (0..n).map(|i| if active[i] { Vec::new() } else { vec![(i, 1.0)] }).collect();
-        for (a, &i) in idx.iter().enumerate() {
-            // `idx` is ascending, so mapping compact columns back keeps
-            // each row strictly ascending.
-            rows[i] = result.policy.row(a).iter().map(|&(b, p)| (idx[b], p)).collect();
-        }
         let expanded =
-            SparsePolicyResult { policy: SparsePolicy::from_rows(n, rows), ..result };
-        self.last_sparse = Some(expanded.clone());
+            SparsePolicyResult { policy: result.policy.expanded(&idx, n), ..result };
+        self.last = Some(expanded.clone());
         Some(expanded)
     }
 }
@@ -523,7 +333,7 @@ mod tests {
 
     #[test]
     fn ema_first_observation_is_exact() {
-        let mut t = EmaTimeTracker::new(3, 0.5);
+        let mut t = EmaTimeTracker::for_fleet(3, 0.5);
         assert_eq!(t.get(0, 1), None);
         t.record(0, 1, 2.0);
         assert_eq!(t.get(0, 1), Some(2.0));
@@ -531,7 +341,7 @@ mod tests {
 
     #[test]
     fn ema_smooths_subsequent_observations() {
-        let mut t = EmaTimeTracker::new(3, 0.5);
+        let mut t = EmaTimeTracker::for_fleet(3, 0.5);
         t.record(0, 1, 2.0);
         t.record(0, 1, 4.0);
         // 0.5·2 + 0.5·4 = 3.
@@ -541,7 +351,7 @@ mod tests {
     #[test]
     fn low_beta_tracks_changes_faster() {
         let run = |beta: f64| {
-            let mut t = EmaTimeTracker::new(2, beta);
+            let mut t = EmaTimeTracker::for_fleet(2, beta);
             t.record(0, 1, 1.0);
             for _ in 0..5 {
                 t.record(0, 1, 10.0);
@@ -553,9 +363,9 @@ mod tests {
     }
 
     #[test]
-    fn matrix_fills_unobserved_pessimistically() {
+    fn unobserved_pairs_are_filled_pessimistically_in_both_views() {
         let topo = Topology::fully_connected(3);
-        let mut t = EmaTimeTracker::new(3, 0.5);
+        let mut t = EmaTimeTracker::for_fleet(3, 0.5);
         t.record(0, 1, 1.0);
         t.record(0, 2, 5.0);
         let m = t.matrix_for(&topo);
@@ -565,124 +375,28 @@ mod tests {
         // (1, 2) never observed in either direction → worst observed (5.0).
         assert_eq!(m[(1, 2)], 5.0);
         assert_eq!(m[(1, 1)], 0.0);
+        // The edge list the monitor runs on is the matrix on every edge.
+        let e = t.edge_times_for(&topo);
+        for i in 0..3 {
+            assert_eq!(e.row(i).len(), topo.neighbors(i).len());
+            for &(j, time) in e.row(i) {
+                assert_eq!(time, m[(i, j)], "edge ({i}, {j})");
+            }
+        }
     }
 
     #[test]
     fn coverage_counts_ordered_pairs() {
         let topo = Topology::fully_connected(3);
-        let mut t = EmaTimeTracker::new(3, 0.5);
+        let mut t = EmaTimeTracker::for_fleet(3, 0.5);
         assert_eq!(t.coverage(&topo), 0.0);
         t.record(0, 1, 1.0);
         assert!((t.coverage(&topo) - 1.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
-    fn monitor_skips_round_on_poor_coverage() {
-        let topo = Topology::fully_connected(4);
-        let tracker = EmaTimeTracker::new(4, 0.5);
-        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        assert!(mon.round(&tracker, &topo, 0.1, &[true; 4]).is_none());
-        assert_eq!(mon.rounds(), 1);
-    }
-
-    #[test]
-    fn monitor_generates_policy_with_coverage() {
-        // Two-server cluster shape: {0,1,2} and {3,4,5} are fast triads,
-        // the nine cross links are slow. Every node then has fast options
-        // and the optimised policy must favour them (slow links sit at or
-        // near their Eq. 11 floor; fast links get the surplus mass).
-        let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
-                }
-            }
-        }
-        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let res = mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("policy expected");
-        // Aggregate preference per node (simplex optima are vertices, so
-        // per-link comparisons are not meaningful).
-        for i in 0..6 {
-            let (mut fast_sum, mut slow_sum) = (0.0, 0.0);
-            for m in 0..6 {
-                if i == m {
-                    continue;
-                }
-                if fast(i, m) {
-                    fast_sum += res.policy[(i, m)];
-                } else {
-                    slow_sum += res.policy[(i, m)];
-                }
-            }
-            assert!(fast_sum / 2.0 > slow_sum / 3.0, "node {i}: {:?}", res.policy);
-        }
-        assert!(mon.last_policy().is_some());
-    }
-
-    #[test]
-    fn masked_round_zeroes_dead_links_and_keeps_live_rows_stochastic() {
-        // Same two-triad fleet, but node 5 is down: the policy must solve
-        // the LP over {0..4} only, give node 5 an identity row, and
-        // assign exactly zero mass to every link touching it.
-        let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
-                }
-            }
-        }
-        let mut active = [true; 6];
-        active[5] = false;
-        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let res = mon.round(&tracker, &topo, 0.1, &active).expect("masked policy expected");
-        for i in 0..5 {
-            assert_eq!(res.policy[(i, 5)], 0.0, "live node {i} steered to the dead node");
-            assert_eq!(res.policy[(5, i)], 0.0);
-            assert!((res.policy.row_sum(i) - 1.0).abs() < 1e-6, "row {i} not stochastic");
-        }
-        assert_eq!(res.policy[(5, 5)], 1.0, "dead row must be identity");
-        assert!(res.lambda2 < 1.0 && res.lambda2 > 0.0);
-    }
-
-    #[test]
-    fn sparse_tracker_matches_dense_tracker() {
-        let topo = Topology::ring(6);
-        let mut dense = EmaTimeTracker::new(6, 0.5);
-        let mut sparse = EmaTimeTracker::new_sparse(6, 0.5);
-        let obs = [(0usize, 1usize, 2.0), (1, 0, 1.5), (0, 1, 4.0), (2, 3, 0.7), (5, 0, 3.0)];
-        for &(i, m, t) in &obs {
-            dense.record(i, m, t);
-            sparse.record(i, m, t);
-        }
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    assert_eq!(dense.get(i, m), sparse.get(i, m), "pair ({i}, {m})");
-                }
-            }
-        }
-        assert_eq!(dense.coverage(&topo), sparse.coverage(&topo));
-        // The edge-set view must equal the dense matrix on every live edge
-        // (same pessimistic fill, same reverse borrowing) — bit for bit.
-        let m = dense.matrix_for(&topo);
-        let e = sparse.edge_times_for(&topo);
-        for i in 0..6 {
-            for &(j, t) in e.row(i) {
-                assert_eq!(t, m[(i, j)], "edge ({i}, {j})");
-            }
-            assert_eq!(e.row(i).len(), topo.neighbors(i).len());
-        }
-    }
-
-    #[test]
-    fn sparse_tracker_checkpoint_round_trips() {
-        let mut t = EmaTimeTracker::new_sparse(80, 0.5);
+    fn tracker_checkpoint_round_trips() {
+        let mut t = EmaTimeTracker::for_fleet(80, 0.5);
         t.record(0, 1, 2.0);
         t.record(0, 1, 4.0);
         t.record(79, 3, 0.25);
@@ -697,14 +411,39 @@ mod tests {
     }
 
     #[test]
-    fn round_sparse_matches_dense_round_when_all_active() {
-        // Same two-triad fleet as `monitor_generates_policy_with_coverage`.
-        // The candidate bounds are float-identical and the per-row LP is
-        // bit-identical to the joint dense solve, so the selected policy
-        // must match the dense round entry for entry.
-        let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
+    fn tracker_restore_rejects_malformed_and_retired_documents() {
+        // Each of these used to restore "successfully" and then trip an
+        // assert inside the next monitor round (or, for the retired
+        // layout, select a second store implementation).
+        let bad = [
+            (r#"{"beta": 0.5, "n": 3, "entries": [[0, 1, -1.0]]}"#, "bad tracker time"),
+            (r#"{"beta": 0.5, "n": 3, "entries": [[0, 1, 1e999]]}"#, "bad tracker time"),
+            (r#"{"beta": 1.0, "n": 3, "entries": []}"#, "outside [0, 1)"),
+            (r#"{"beta": -0.1, "n": 3, "entries": []}"#, "outside [0, 1)"),
+            (r#"{"beta": 0.5, "n": 3, "entries": [[0, 3, 1.0]]}"#, "bad tracker entry"),
+            (r#"{"beta": 0.5, "n": 3, "entries": [[1, 1, 1.0]]}"#, "bad tracker entry"),
+            (r#"{"beta": 0.5, "n": 3, "entries": [[0, 1]]}"#, "[i, m, t]"),
+            (
+                r#"{"beta": 0.5, "n": 2, "times": {"rows": 2, "cols": 2, "data": [0, 1, 1, 0]},
+                    "observed": [false, true, true, false]}"#,
+                "missing field `entries`",
+            ),
+        ];
+        for (doc, needle) in bad {
+            let state = Json::parse(doc).expect("test document parses");
+            let err = EmaTimeTracker::restore(&state).expect_err(doc).to_string();
+            assert!(err.contains(needle), "{doc}: {err}");
+        }
+    }
+
+    /// Two-server cluster shape: {0,1,2} and {3,4,5} are fast triads, the
+    /// nine cross links are slow.
+    fn fast(i: usize, m: usize) -> bool {
+        (i / 3) == (m / 3)
+    }
+
+    fn two_triad_tracker() -> EmaTimeTracker {
+        let mut tracker = EmaTimeTracker::for_fleet(6, 0.5);
         for i in 0..6 {
             for m in 0..6 {
                 if i != m {
@@ -712,81 +451,106 @@ mod tests {
                 }
             }
         }
-        let mut dense_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let mut sparse_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let d = dense_mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("dense policy");
-        let s = sparse_mon.round_sparse(&tracker, &topo, 0.1, &[true; 6]).expect("sparse policy");
-        assert_eq!(s.rho, d.rho, "selected ρ diverged");
-        assert_eq!(s.t_bar, d.t_bar, "selected t̄ diverged");
-        assert_eq!(s.policy.to_dense().as_slice(), d.policy.as_slice(), "policy diverged");
-        // λ₂ itself comes from a different solver (power iteration vs
-        // Jacobi), so it is close, not bit-equal.
-        assert!((s.lambda2 - d.lambda2).abs() < 1e-6, "{} vs {}", s.lambda2, d.lambda2);
-        assert!(sparse_mon.last_sparse_policy().is_some());
+        tracker
     }
 
     #[test]
-    fn round_sparse_masked_zeroes_dead_links_and_matches_dense_masked_round() {
+    fn monitor_skips_round_on_poor_coverage() {
+        let topo = Topology::fully_connected(4);
+        let tracker = EmaTimeTracker::for_fleet(4, 0.5);
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        assert!(mon.round(&tracker, &topo, 0.1, &[true; 4]).is_none());
+        assert_eq!(mon.rounds(), 1);
+    }
+
+    #[test]
+    fn monitor_generates_policy_with_coverage() {
+        // Every node has fast options and the optimised policy must favour
+        // them (slow links sit at or near their Eq. 11 floor; fast links
+        // get the surplus mass).
         let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
+        let tracker = two_triad_tracker();
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        let res = mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("policy expected");
+        // Aggregate preference per node (simplex optima are vertices, so
+        // per-link comparisons are not meaningful).
         for i in 0..6 {
+            let (mut fast_sum, mut slow_sum) = (0.0, 0.0);
             for m in 0..6 {
-                if i != m {
-                    tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
+                if i == m {
+                    continue;
+                }
+                if fast(i, m) {
+                    fast_sum += res.policy.get(i, m);
+                } else {
+                    slow_sum += res.policy.get(i, m);
                 }
             }
+            assert!(fast_sum / 2.0 > slow_sum / 3.0, "node {i}: {:?}", res.policy);
         }
+        assert!(mon.last_policy().is_some());
+    }
+
+    #[test]
+    fn masked_round_zeroes_dead_links_and_keeps_live_rows_stochastic() {
+        // Node 5 is down: the policy must solve the LP over {0..4} only,
+        // give node 5 an identity row, and assign exactly zero mass to
+        // every link touching it.
+        let topo = Topology::fully_connected(6);
+        let tracker = two_triad_tracker();
         let mut active = [true; 6];
         active[5] = false;
-        let mut dense_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let mut sparse_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let d = dense_mon.round(&tracker, &topo, 0.1, &active).expect("dense masked policy");
-        let s =
-            sparse_mon.round_sparse(&tracker, &topo, 0.1, &active).expect("sparse masked policy");
-        assert_eq!(s.rho, d.rho);
-        assert_eq!(s.policy.to_dense().as_slice(), d.policy.as_slice());
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        let res = mon.round(&tracker, &topo, 0.1, &active).expect("masked policy expected");
         for i in 0..5 {
-            assert_eq!(s.policy.get(i, 5), 0.0, "live node {i} steered to the dead node");
-            assert_eq!(s.policy.get(5, i), 0.0);
-            assert!((s.policy.row_sum(i) - 1.0).abs() < 1e-6, "row {i} not stochastic");
+            assert_eq!(res.policy.get(i, 5), 0.0, "live node {i} steered to the dead node");
+            assert_eq!(res.policy.get(5, i), 0.0);
+            assert!((res.policy.row_sum(i) - 1.0).abs() < 1e-6, "row {i} not stochastic");
         }
-        assert_eq!(s.policy.get(5, 5), 1.0, "dead row must be identity");
-        // Dead row carries no off-diagonal entries at all in the sparse
-        // representation — the structural guarantee the n = 4096 fleet
-        // relies on for O(edges) memory.
-        assert_eq!(s.policy.row(5), &[(5, 1.0)]);
+        // The dead row carries no off-diagonal entries at all — the
+        // structural guarantee the n = 4096 fleet relies on for O(edges)
+        // memory.
+        assert_eq!(res.policy.row(5), &[(5, 1.0)], "dead row must be identity");
+        assert!(res.lambda2 < 1.0 && res.lambda2 > 0.0);
     }
 
     #[test]
-    fn round_sparse_applies_the_same_skip_rules_as_the_dense_round() {
-        let topo = Topology::fully_connected(4);
+    fn masked_round_equals_the_dense_reference_on_the_live_subgraph() {
+        // The masked round is compaction → production generator →
+        // expansion. Compacting by hand and running the dense reference
+        // generator on the live subgraph must give the same bits.
+        let topo = Topology::fully_connected(6);
+        let tracker = two_triad_tracker();
+        let mut active = [true; 6];
+        active[5] = false;
         let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        // Poor coverage → skip (but the round still counts).
-        let empty = EmaTimeTracker::new_sparse(4, 0.5);
-        assert!(mon.round_sparse(&empty, &topo, 0.1, &[true; 4]).is_none());
-        assert_eq!(mon.rounds(), 1);
-        let mut tracker = EmaTimeTracker::new_sparse(4, 0.5);
-        for i in 0..4 {
-            for m in 0..4 {
-                if i != m {
-                    tracker.record(i, m, 1.0);
-                }
+        let res = mon.round(&tracker, &topo, 0.1, &active).expect("masked policy expected");
+
+        let sub = Topology::fully_connected(5);
+        let full = tracker.matrix_for(&topo);
+        let mut times = Matrix::zeros(5, 5);
+        for a in 0..5 {
+            for b in 0..5 {
+                times[(a, b)] = full[(a, b)];
             }
         }
-        // One live node: nothing to optimise.
-        assert!(mon
-            .round_sparse(&tracker, &topo, 0.1, &[true, false, false, false])
-            .is_none());
-        // Live nodes 0 and 2 on the 4-ring are not adjacent: disconnected.
-        assert!(mon
-            .round_sparse(&tracker, &Topology::ring(4), 0.1, &[true, false, true, false])
-            .is_none());
+        let reference = PolicyGenerator::new(PolicySearchConfig::new(0.1))
+            .generate(&times, &sub)
+            .expect("reference policy");
+        assert_eq!(
+            (res.rho, res.t_bar, res.lambda2),
+            (reference.rho, reference.t_bar, reference.lambda2)
+        );
+        for a in 0..5 {
+            for b in 0..5 {
+                assert_eq!(res.policy.get(a, b), reference.policy[(a, b)], "P[{a},{b}]");
+            }
+        }
     }
 
     #[test]
     fn masked_round_needs_two_live_nodes_and_a_connected_live_subgraph() {
-        let mut tracker = EmaTimeTracker::new(4, 0.5);
+        let mut tracker = EmaTimeTracker::for_fleet(4, 0.5);
         for i in 0..4 {
             for m in 0..4 {
                 if i != m {

@@ -1,4 +1,6 @@
-//! Communication policy generation — Algorithm 3 of the paper.
+//! Communication policy generation — Algorithm 3 of the paper: the search
+//! configuration, the generator type, and the **dense reference**
+//! formulation.
 //!
 //! Given the iteration-time matrix `T = [t_{i,m}]` collected by the
 //! Network Monitor, the generator searches for the policy `P` (and
@@ -15,10 +17,19 @@
 //! * for each (ρ, t̄) the LP of Eq. (14) is solved with `netmax-lp`, the
 //!   resulting `Y_P`'s λ₂ is computed with `netmax-linalg`, and the
 //!   candidate with minimal `T_convergence` wins.
+//!
+//! Sessions run [`PolicyGenerator::generate_sparse`] (in
+//! [`crate::sparse_policy`]) at every fleet size. The `M × M`-matrix
+//! functions here — the sweep bounds, [`solve_policy_lp`],
+//! [`PolicyGenerator::generate`] — spell the same search out over dense
+//! rows with the Jacobi eigensolver; no session calls them. They are the
+//! oracle the equivalence suites hold the edge-list code to, bit for bit
+//! up to [`DENSE_CONTROL_THRESHOLD`](crate::sparse_policy::DENSE_CONTROL_THRESHOLD)
+//! nodes.
 
 use crate::gossip_matrix::build_y;
+use crate::sparse_policy::{solve_policy_lp_rowwise, EdgeTimes};
 use netmax_linalg::{second_largest_eigenvalue, Matrix};
-use netmax_lp::{solve_with, LpProblem, LpWorkspace, Relation};
 use netmax_net::Topology;
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +59,7 @@ impl PolicySearchConfig {
     }
 }
 
-/// A feasible policy produced by the search.
+/// A feasible policy produced by the dense reference search.
 #[derive(Debug, Clone)]
 pub struct PolicyResult {
     /// The communication policy matrix `P` (row-stochastic, diagonal =
@@ -70,18 +81,9 @@ pub struct PolicyGenerator {
     pub(crate) cfg: PolicySearchConfig,
 }
 
-/// Upper bound of the feasible ρ interval swept by the outer loop.
-///
-/// Appendix A bounds ρ by 0.5/α. Two further caps keep every outer
-/// candidate *feasible* (the paper sweeps [0, 0.5/α] blindly, which under
-/// a severely slowed link makes L(ρ) ≥ U for every candidate and stalls
-/// the policy exactly when adaptation matters most):
-///
-/// 1. Eq. 26 vs Eq. 28 — L(ρ) = ρ · maxᵢ (α/M) Σₘ t_{i,m}(d+d) must
-///    stay below U, giving ρ < U / maxᵢ (α/M) Σₘ t_{i,m}(d+d).
-/// 2. Eq. 11 row mass — Σₘ αρ(d+d) ≤ 1 needs ρ ≤ 1/(2α·deg).
-///
-/// Returns `None` when the interval is empty or ill-defined.
+/// Dense reference for
+/// [`rho_upper_bound_sparse`](crate::sparse_policy::rho_upper_bound_sparse):
+/// the same bound read off full matrix rows.
 pub fn rho_upper_bound(alpha: f64, times: &Matrix, topo: &Topology) -> Option<f64> {
     let m = topo.len();
     let mf = m as f64;
@@ -114,9 +116,9 @@ pub fn rho_upper_bound(alpha: f64, times: &Matrix, topo: &Topology) -> Option<f6
     }
 }
 
-/// The `[L, U]` interval the inner loop sweeps t̄ over for a fixed ρ:
-/// `L = maxᵢ (αρ/M) Σₘ t_{i,m}(d_{i,m}+d_{m,i})` (Eq. 26) and
-/// `U = minᵢ (1/M) maxₘ t_{i,m} d_{i,m}` (Eq. 28). `None` when empty.
+/// Dense reference for
+/// [`t_bar_bounds_sparse`](crate::sparse_policy::t_bar_bounds_sparse):
+/// the same `[L, U]` interval read off full matrix rows.
 pub fn t_bar_bounds(alpha: f64, rho: f64, times: &Matrix, topo: &Topology) -> Option<(f64, f64)> {
     let m = topo.len();
     let mf = m as f64;
@@ -152,10 +154,9 @@ impl PolicyGenerator {
         Self { cfg }
     }
 
-    /// Runs `GENERATEPOLICYMATRIX(α, K, R, T)` (Algorithm 3 lines 1–12).
-    ///
-    /// Returns `None` when no (ρ, t̄) pair admits a feasible LP — the
-    /// caller (Network Monitor) then keeps the previous policy.
+    /// Dense reference for [`PolicyGenerator::generate_sparse`]: the same
+    /// K×R sweep with every step taken over `M × M` matrices — dense
+    /// bounds, [`solve_policy_lp`], [`build_y`], Jacobi λ₂.
     ///
     /// # Panics
     /// Panics if `times` is not `M × M` for the topology's `M`.
@@ -168,168 +169,43 @@ impl PolicyGenerator {
         let alpha = self.cfg.alpha;
         let u_rho = rho_upper_bound(alpha, times, topo)?;
         let delta_rho = u_rho / self.cfg.outer_k as f64;
-
-        // The K·R candidate LPs share every coefficient row — only the
-        // Eq. 11 lower bounds (per ρ) and the Eq. 10 rhs (per t̄) move —
-        // so the template and solver workspace are built once and
-        // re-stamped per candidate. Solutions are bit-identical to
-        // per-candidate construction.
-        let mut template = PolicyLpTemplate::build(times, topo);
-        let mut ws = LpWorkspace::new();
+        let p_node = vec![1.0 / m as f64; m];
 
         let mut best: Option<PolicyResult> = None;
         for k in 1..=self.cfg.outer_k {
             let rho = k as f64 * delta_rho;
-            if let Some(cand) = self.inner_loop(alpha, rho, times, topo, &mut template, &mut ws)
-            {
-                if best.as_ref().is_none_or(|b| cand.t_convergence < b.t_convergence) {
-                    best = Some(cand);
+            let Some((lower, upper)) = t_bar_bounds(alpha, rho, times, topo) else {
+                continue;
+            };
+            let delta = (upper - lower) / self.cfg.inner_r as f64;
+            for r in 1..=self.cfg.inner_r {
+                let t_bar = lower + r as f64 * delta;
+                let Some(policy) = solve_policy_lp(alpha, rho, t_bar, times, topo) else {
+                    continue;
+                };
+                let y = build_y(&policy, topo, &p_node, alpha, rho);
+                debug_assert!(
+                    netmax_linalg::is_doubly_stochastic(&y, 1e-6),
+                    "feasible policy must give doubly stochastic Y (Lemma 1)"
+                );
+                let lambda2 = second_largest_eigenvalue(&y);
+                if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
+                    continue;
+                }
+                let t_convergence = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
+                if best.as_ref().is_none_or(|b| t_convergence < b.t_convergence) {
+                    best = Some(PolicyResult { policy, rho, lambda2, t_bar, t_convergence });
                 }
             }
         }
         best
     }
-
-    /// Algorithm 3 lines 13–25: sweep t̄ over `[L, U]` for a fixed ρ.
-    fn inner_loop(
-        &self,
-        alpha: f64,
-        rho: f64,
-        times: &Matrix,
-        topo: &Topology,
-        template: &mut PolicyLpTemplate,
-        ws: &mut LpWorkspace,
-    ) -> Option<PolicyResult> {
-        let m = topo.len();
-        let mf = m as f64;
-        let (lower, upper) = t_bar_bounds(alpha, rho, times, topo)?;
-        let delta = (upper - lower) / self.cfg.inner_r as f64;
-        let mut best: Option<PolicyResult> = None;
-        for r in 1..=self.cfg.inner_r {
-            let t_bar = lower + r as f64 * delta;
-            template.stamp(alpha, rho, t_bar, times, topo);
-            let Some(policy) = template.solve(topo, ws) else {
-                continue;
-            };
-            let p_node = vec![1.0 / mf; m];
-            let y = build_y(&policy, topo, &p_node, alpha, rho);
-            debug_assert!(
-                netmax_linalg::is_doubly_stochastic(&y, 1e-6),
-                "feasible policy must give doubly stochastic Y (Lemma 1)"
-            );
-            let lambda2 = second_largest_eigenvalue(&y);
-            if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
-                continue;
-            }
-            // T_convergence = t̄ · ln ε / ln λ₂  (both logs negative).
-            let t_conv = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
-            if best.as_ref().is_none_or(|b| t_conv < b.t_convergence) {
-                best = Some(PolicyResult { policy, rho, lambda2, t_bar, t_convergence: t_conv });
-            }
-        }
-        best
-    }
 }
 
-/// The reusable shape of the Eq. (14) LP for one `(times, topology)`
-/// pair, decomposed into its independent per-node blocks.
-///
-/// The joint LP is block diagonal — row `i`'s variables (its out-edges
-/// plus its diagonal) appear in exactly row `i`'s two constraints and
-/// nowhere else — and under the two-phase Bland's-rule simplex the
-/// per-block solves are **bit identical** to the joint solve (the full
-/// argument lives on
-/// [`solve_policy_lp_rowwise`](crate::sparse_policy::solve_policy_lp_rowwise),
-/// whose test suite asserts exact `==` against the joint formulation).
-/// Solving M tiny 2-row tableaus instead of one `2M`-row tableau cuts
-/// every pivot from `O(M · M·deg)` to `O(deg)` work.
-///
-/// Every coefficient row is fixed across the policy search's `(ρ, t̄)`
-/// grid, so the blocks are built once and only the Eq. 11 lower bounds
-/// and Eq. 10 right-hand sides are re-stamped per candidate — stamping
-/// writes exactly the values per-candidate construction would.
-struct PolicyLpTemplate {
-    /// Block `i`: variables are node `i`'s out-edges in ascending
-    /// neighbour order, then its diagonal (self-selection) variable.
-    blocks: Vec<LpProblem>,
-}
-
-impl PolicyLpTemplate {
-    /// Builds the per-node constraint structure: in each block, row 0 is
-    /// the Eq. 13 stochasticity row and row 1 the Eq. 10 time row.
-    fn build(times: &Matrix, topo: &Topology) -> Self {
-        let m = topo.len();
-        let mut blocks = Vec::with_capacity(m);
-        for i in 0..m {
-            let nbrs = topo.neighbors(i);
-            let deg = nbrs.len();
-            let diag = deg;
-            let mut lp = LpProblem::new(deg + 1);
-            // Objective: minimize p_{i,i} (the joint objective Σᵢ p_{i,i}
-            // separates into these per-block terms).
-            lp.set_objective(diag, 1.0);
-            let mut sum_row = vec![(diag, 1.0)];
-            let mut time_row = Vec::with_capacity(deg);
-            for (v, &j) in nbrs.iter().enumerate() {
-                sum_row.push((v, 1.0));
-                time_row.push((v, times[(i, j)]));
-            }
-            // Eq. (13): Σₘ p_{i,m} = 1.
-            lp.add_constraint(sum_row, Relation::Eq, 1.0);
-            // Eq. (10): Σₘ t_{i,m} p_{i,m} d_{i,m} = M t̄ (rhs stamped).
-            lp.add_constraint(time_row, Relation::Eq, 0.0);
-            blocks.push(lp);
-        }
-        Self { blocks }
-    }
-
-    /// Stamps one `(α, ρ, t̄)` candidate's lower bounds and right-hand
-    /// sides into every block.
-    fn stamp(&mut self, alpha: f64, rho: f64, t_bar: f64, _times: &Matrix, topo: &Topology) {
-        let m = topo.len();
-        for (i, lp) in self.blocks.iter_mut().enumerate() {
-            for (v, &j) in topo.neighbors(i).iter().enumerate() {
-                // Eq. (11): p_{i,m} > αρ (d_{i,m} + d_{m,i}).
-                lp.set_lower_bound(
-                    v,
-                    alpha * rho * (topo.d(i, j) + topo.d(j, i)) + POLICY_MARGIN,
-                );
-            }
-            lp.set_constraint_rhs(1, m as f64 * t_bar);
-        }
-    }
-
-    /// Solves the stamped candidate and extracts the policy matrix.
-    /// Returns `None` on the first infeasible block — exactly when the
-    /// joint LP is infeasible.
-    fn solve(&self, topo: &Topology, ws: &mut LpWorkspace) -> Option<Matrix> {
-        let m = topo.len();
-        let mut p = Matrix::zeros(m, m);
-        for i in 0..m {
-            let sol = solve_with(&self.blocks[i], ws).optimal()?;
-            let nbrs = topo.neighbors(i);
-            p[(i, i)] = sol.x[nbrs.len()].max(0.0);
-            for (v, &j) in nbrs.iter().enumerate() {
-                p[(i, j)] = sol.x[v].max(0.0);
-            }
-            // Normalise away solver round-off so rows are exactly
-            // stochastic (the dense row sum walks ascending columns;
-            // absent edges contribute exactly +0.0).
-            let s = p.row_sum(i);
-            debug_assert!((s - 1.0).abs() < 1e-6, "row {i} sums to {s}");
-            for j in 0..m {
-                p[(i, j)] /= s;
-            }
-        }
-        Some(p)
-    }
-}
-
-/// Solves the LP of Eq. (14) for a fixed `(α, ρ, t̄)`.
-///
-/// Variables are the policy entries `p_{i,m}` for every directed edge of
-/// the topology plus the self-selection probabilities `p_{i,i}`. Returns
-/// the policy matrix if feasible.
+/// Solves the LP of Eq. (14) for a fixed `(α, ρ, t̄)` from a dense time
+/// matrix, returning the dense policy matrix if feasible — the
+/// matrix-signature face of [`solve_policy_lp_rowwise`], which holds the
+/// one Eq. 14 formulation.
 pub fn solve_policy_lp(
     alpha: f64,
     rho: f64,
@@ -337,9 +213,9 @@ pub fn solve_policy_lp(
     times: &Matrix,
     topo: &Topology,
 ) -> Option<Matrix> {
-    let mut template = PolicyLpTemplate::build(times, topo);
-    template.stamp(alpha, rho, t_bar, times, topo);
-    template.solve(topo, &mut LpWorkspace::new())
+    let policy =
+        solve_policy_lp_rowwise(alpha, rho, t_bar, &EdgeTimes::from_dense(times, topo), topo)?;
+    Some(policy.to_dense())
 }
 
 #[cfg(test)]

@@ -1,45 +1,49 @@
-//! Edge-set (sparse) policy generation — Algorithm 3 at fleet scale.
+//! The control plane's policy generation — Algorithm 3 over the edge set.
 //!
-//! The dense generator in [`crate::policy`] carries a variable per ordered
-//! node pair and evaluates λ₂ with a dense Jacobi sweep: O(M²) LP
-//! variables and O(M³) eigensolver work per candidate, fine at the paper's
-//! M ≤ 16 but hopeless at M = 4096. This module is the scale path:
+//! This is the only generator any [`Session`](crate::engine::Session)
+//! runs, at every fleet size:
 //!
-//! * iteration times live in an [`EdgeTimes`] edge list, not an M×M
-//!   matrix;
-//! * the Eq. (14) LP is solved **row by row** — each row of `P` has its
-//!   own variables and exactly two constraints, so the joint LP is block
-//!   diagonal and [`solve_policy_lp_rowwise`] reproduces the dense
-//!   solution *bit for bit* (the equivalence suite asserts exact
-//!   equality; see the function docs for why Bland's rule makes the
-//!   per-block pivot sequences identical);
-//! * λ₂ comes from the deflated sparse power iteration of
-//!   `netmax-linalg`, whose per-iteration cost is the edge count.
+//! * iteration times live in an [`EdgeTimes`] edge list and policies in a
+//!   [`SparsePolicy`], never an M×M matrix;
+//! * the Eq. (14) LP is block diagonal — each row of `P` has its own
+//!   variables and exactly two constraints — so it is solved **row by
+//!   row** from one per-node block template that is built once per search
+//!   and re-stamped per `(ρ, t̄)` candidate (see
+//!   [`solve_policy_lp_rowwise`] for why this is the joint solution bit
+//!   for bit);
+//! * λ₂ of the candidate's `Y_P` comes from one of two eigensolvers,
+//!   chosen from the node count alone: see [`DENSE_CONTROL_THRESHOLD`].
 //!
-//! The dense path stays the oracle below [`DENSE_CONTROL_THRESHOLD`]
-//! nodes; nothing in the existing small-fleet world routes through this
-//! module.
+//! [`crate::policy`] keeps the dense-matrix formulation as the reference
+//! the equivalence suites compare this module against.
 
+use crate::engine::{Environment, PeerChoice};
 use crate::gossip_matrix::build_y_sparse;
 use crate::policy::{PolicyGenerator, POLICY_MARGIN};
-use netmax_linalg::{second_largest_eigenvalue_sparse, Matrix};
-use netmax_lp::{solve, LpProblem, Relation};
+use netmax_json::{FromJson, Json, JsonError, ToJson};
+use netmax_linalg::{second_largest_eigenvalue, second_largest_eigenvalue_sparse, Matrix};
+use netmax_lp::{solve_with, LpProblem, LpWorkspace, Relation};
 use netmax_net::Topology;
+use rand::Rng;
 
-/// Fleet sizes up to this many nodes use the dense control plane
-/// (Jacobi λ₂, joint LP, dense `T` matrix) — it is faster there and it is
-/// the reference the sparse machinery is pinned against. Strictly larger
-/// fleets switch to the edge-set path.
+/// The eigensolver switch, and the only size-dependent decision in the
+/// control plane: fleets of up to this many nodes score each candidate
+/// with the cyclic Jacobi solver on the densified `Y_P` (exact, O(M³),
+/// and the solver `BENCH_sanity.json`'s bytes were recorded with);
+/// strictly larger fleets use the deflated power iteration, whose
+/// per-iteration cost is the edge count. Everything else — tracker,
+/// sweep bounds, LP, `Y_P` assembly, the policy workers sample from — is
+/// the same edge-list code at every size.
 pub const DENSE_CONTROL_THRESHOLD: usize = 64;
 
-/// Iteration cap for the sparse λ₂ evaluation inside the candidate sweep.
+/// Iteration cap for the power-iteration λ₂ inside the candidate sweep.
 /// Power iteration's convergence rate degrades as the spectral gap closes
 /// (large diameters push λ₂ → 1), so at scale the sweep ranks candidates
 /// by a bounded-effort estimate rather than a fully converged eigenvalue —
 /// the ranking, not the tenth digit, is what the search consumes.
 const SPARSE_L2_MAX_ITERS: usize = 5_000;
 
-/// Convergence tolerance for the sparse λ₂ evaluation.
+/// Convergence tolerance for the power-iteration λ₂.
 const SPARSE_L2_TOL: f64 = 1e-12;
 
 /// Directed iteration times `t_{i,m}` stored per live topology edge.
@@ -74,15 +78,19 @@ impl EdgeTimes {
         Self { n, rows }
     }
 
-    /// Extracts the topology's edge entries from a dense time matrix
-    /// (equivalence tests and the dense→sparse conversion path).
-    pub fn from_dense(times: &Matrix, topo: &Topology) -> Self {
-        let n = topo.len();
-        assert_eq!(times.rows(), n, "times shape mismatch");
-        let rows = (0..n)
-            .map(|i| topo.neighbors(i).iter().map(|&j| (j, times[(i, j)])).collect())
+    /// Evaluates `time(i, m)` on every directed edge of the topology.
+    pub fn from_fn(topo: &Topology, time: impl Fn(usize, usize) -> f64) -> Self {
+        let rows = (0..topo.len())
+            .map(|i| topo.neighbors(i).iter().map(|&m| (m, time(i, m))).collect())
             .collect();
-        Self { n, rows }
+        Self::from_rows(topo.len(), rows)
+    }
+
+    /// Extracts the topology's edge entries from a dense time matrix (the
+    /// dense-signature reference functions and the equivalence tests).
+    pub fn from_dense(times: &Matrix, topo: &Topology) -> Self {
+        assert_eq!(times.rows(), topo.len(), "times shape mismatch");
+        Self::from_fn(topo, |i, j| times[(i, j)])
     }
 
     /// Number of nodes.
@@ -109,7 +117,8 @@ impl EdgeTimes {
     }
 }
 
-/// A row-stochastic communication policy stored over the edge set.
+/// A row-stochastic communication policy stored over the edge set — the
+/// policy NetMax and AD-PSGD+Monitor hold, sample from and checkpoint.
 ///
 /// Each row holds ascending `(column, probability)` pairs and **always
 /// contains its diagonal** (the self-selection probability), mirroring the
@@ -127,25 +136,99 @@ impl SparsePolicy {
         Self { n, rows: (0..n).map(|i| vec![(i, 1.0)]).collect() }
     }
 
-    /// Builds from per-row ascending `(column, probability)` lists.
-    ///
-    /// # Panics
-    /// Panics unless each row is strictly ascending, in range, and
-    /// contains its diagonal entry.
-    pub fn from_rows(n: usize, rows: Vec<Vec<(usize, f64)>>) -> Self {
-        assert_eq!(rows.len(), n, "row count mismatch");
+    /// Builds from per-row ascending `(column, probability)` lists, or
+    /// says which row breaks the invariants: strictly ascending in-range
+    /// columns, the diagonal present, finite non-negative probabilities.
+    pub fn from_rows(n: usize, rows: Vec<Vec<(usize, f64)>>) -> Result<Self, String> {
+        if rows.len() != n {
+            return Err(format!("policy has {} rows, expected {n}", rows.len()));
+        }
         for (i, row) in rows.iter().enumerate() {
             let mut prev = None;
             let mut has_diag = false;
-            for &(j, _) in row {
-                assert!(j < n, "row {i}: column {j} out of range");
-                assert!(prev.is_none_or(|p| p < j), "row {i} not strictly ascending");
+            for &(j, p) in row {
+                if j >= n {
+                    return Err(format!("policy row {i}: column {j} out of range"));
+                }
+                if prev.is_some_and(|q| q >= j) {
+                    return Err(format!("policy row {i} not strictly ascending"));
+                }
+                if !(p.is_finite() && p >= 0.0) {
+                    return Err(format!("policy row {i}: bad probability {p}"));
+                }
                 has_diag |= j == i;
                 prev = Some(j);
             }
-            assert!(has_diag, "row {i} is missing its diagonal entry");
+            if !has_diag {
+                return Err(format!("policy row {i} is missing its diagonal entry"));
+            }
         }
-        Self { n, rows }
+        Ok(Self { n, rows })
+    }
+
+    /// Re-indexes a policy over a compacted sub-fleet back to the `n`-node
+    /// fleet: compact node `a` is fleet node `live[a]` (`live` ascending,
+    /// so mapped rows stay ascending); every node outside `live` gets an
+    /// identity row with no off-diagonal entries.
+    pub fn expanded(&self, live: &[usize], n: usize) -> Self {
+        let mut fleet = Self::identity(n);
+        for (row, &i) in self.rows.iter().zip(live) {
+            fleet.rows[i] = row.iter().map(|&(b, p)| (live[b], p)).collect();
+        }
+        fleet
+    }
+
+    /// Checkpoint form: `{n, rows: [[[j, p], ...], ...]}`.
+    pub fn checkpoint(&self) -> Json {
+        let row_json = |row: &Vec<(usize, f64)>| {
+            Json::Arr(row.iter().map(|&(j, p)| Json::Arr(vec![j.to_json(), p.to_json()])).collect())
+        };
+        Json::obj([
+            ("n", self.n.to_json()),
+            ("rows", Json::Arr(self.rows.iter().map(row_json).collect())),
+        ])
+    }
+
+    /// Rebuilds a policy from [`SparsePolicy::checkpoint`] state. Rows
+    /// that break the invariants — and the retired dense-matrix layout,
+    /// which has no `n` — are schema errors.
+    pub fn restore(state: &Json) -> Result<Self, JsonError> {
+        let n = usize::from_json(state.field("n")?)?;
+        let mut rows = Vec::new();
+        for row_json in state.field("rows")?.as_arr()? {
+            let mut row = Vec::new();
+            for entry in row_json.as_arr()? {
+                let [j, p] = entry.as_arr()? else {
+                    return Err(JsonError::schema("policy entry must be [j, p]".into()));
+                };
+                row.push((usize::from_json(j)?, f64::from_json(p)?));
+            }
+            rows.push(row);
+        }
+        Self::from_rows(n, rows).map_err(JsonError::schema)
+    }
+
+    /// Draws node `i`'s choice for one iteration from its policy row
+    /// (neighbours + self), walking the support in ascending column order.
+    /// Mass a *stale* policy still assigns to a since-crashed peer is
+    /// skipped — those draws fall through to the self-step tail, so no
+    /// worker ever commits an iteration to a dead node (the next masked
+    /// monitor round removes the mass entirely).
+    pub fn sample_peer(&self, env: &mut Environment, i: usize) -> PeerChoice {
+        let u: f64 = env.node_rng(i).gen();
+        let mut acc = 0.0;
+        for &(m, p) in &self.rows[i] {
+            if p <= 0.0 || (m != i && !env.is_active(m)) {
+                continue;
+            }
+            acc += p;
+            if u < acc {
+                return if m == i { PeerChoice::SelfStep } else { PeerChoice::Peer(m) };
+            }
+        }
+        // Round-off tail (or mass stranded on dead peers): fall back to
+        // self.
+        PeerChoice::SelfStep
     }
 
     /// Converts a dense policy, keeping the topology-supported pattern:
@@ -164,7 +247,7 @@ impl SparsePolicy {
         Self { n, rows }
     }
 
-    /// Expands to a dense matrix (tests and diagnostics).
+    /// Expands to a dense matrix (reference comparisons and printing).
     pub fn to_dense(&self) -> Matrix {
         let mut m = Matrix::zeros(self.n, self.n);
         for (i, row) in self.rows.iter().enumerate() {
@@ -216,17 +299,16 @@ impl SparsePolicy {
     }
 }
 
-/// A feasible policy produced by the sparse search — the edge-set
-/// counterpart of [`crate::policy::PolicyResult`].
+/// A feasible policy produced by [`PolicyGenerator::generate_sparse`].
 #[derive(Debug, Clone)]
 pub struct SparsePolicyResult {
     /// The communication policy over the edge set.
     pub policy: SparsePolicy,
     /// The disagreement weight ρ to run consensus SGD with.
     pub rho: f64,
-    /// Second-largest eigenvalue estimate of `Y_P` for the chosen policy
-    /// (bounded-effort power iteration; see [`SparsePolicyResult`]'s
-    /// module docs).
+    /// Second-largest eigenvalue of `Y_P` for the chosen policy: exact
+    /// (Jacobi) up to [`DENSE_CONTROL_THRESHOLD`] nodes, a bounded-effort
+    /// power-iteration estimate above.
     pub lambda2: f64,
     /// The target mean iteration time t̄ the LP was solved for.
     pub t_bar: f64,
@@ -234,13 +316,100 @@ pub struct SparsePolicyResult {
     pub t_convergence: f64,
 }
 
-/// Solves the LP of Eq. (14) row by row over the edge set.
+/// The Eq. (14) LP for one `(times, topology)` pair as its independent
+/// per-node blocks — the one place the LP is written down.
 ///
-/// The joint LP of [`crate::policy::solve_policy_lp`] is block diagonal:
-/// row `i`'s variables (its out-edges plus its diagonal) appear in
-/// exactly row `i`'s two constraints and nowhere else. Under the
-/// two-phase Bland's-rule simplex this makes the per-row solves **bit
-/// identical** to the joint solve:
+/// Every coefficient row is fixed across the policy search's `(ρ, t̄)`
+/// grid, so the blocks are built once and only the Eq. 11 lower bounds
+/// and Eq. 10 right-hand sides are re-stamped per candidate — stamping
+/// writes exactly the values per-candidate construction would.
+struct PolicyLpTemplate {
+    /// Block `i`: variables are node `i`'s out-edges in ascending
+    /// neighbour order, then its diagonal (self-selection) variable — the
+    /// same relative order as the joint LP's (edge block, then diag).
+    blocks: Vec<LpProblem>,
+}
+
+impl PolicyLpTemplate {
+    /// Builds the per-node constraint structure: in each block, row 0 is
+    /// the Eq. 13 stochasticity row and row 1 the Eq. 10 time row.
+    fn build(times: &EdgeTimes, topo: &Topology) -> Self {
+        let blocks = (0..topo.len())
+            .map(|i| {
+                let nbrs = topo.neighbors(i);
+                let diag = nbrs.len();
+                let mut lp = LpProblem::new(diag + 1);
+                // Objective: minimize p_{i,i} (the joint objective Σᵢ p_{i,i}
+                // separates into these per-block terms).
+                lp.set_objective(diag, 1.0);
+                let mut sum_row = Vec::with_capacity(diag + 1);
+                sum_row.push((diag, 1.0));
+                let mut time_row = Vec::with_capacity(diag);
+                for (v, &j) in nbrs.iter().enumerate() {
+                    sum_row.push((v, 1.0));
+                    time_row.push((v, times.get(i, j)));
+                }
+                // Eq. (13): Σₘ p_{i,m} = 1.
+                lp.add_constraint(sum_row, Relation::Eq, 1.0);
+                // Eq. (10): Σₘ t_{i,m} p_{i,m} d_{i,m} = M t̄ (rhs stamped).
+                lp.add_constraint(time_row, Relation::Eq, 0.0);
+                lp
+            })
+            .collect();
+        Self { blocks }
+    }
+
+    /// Stamps one `(α, ρ, t̄)` candidate's lower bounds and right-hand
+    /// sides into every block.
+    fn stamp(&mut self, alpha: f64, rho: f64, t_bar: f64, topo: &Topology) {
+        let m = topo.len();
+        for (i, lp) in self.blocks.iter_mut().enumerate() {
+            for (v, &j) in topo.neighbors(i).iter().enumerate() {
+                // Eq. (11): p_{i,m} > αρ (d_{i,m} + d_{m,i}).
+                lp.set_lower_bound(v, alpha * rho * (topo.d(i, j) + topo.d(j, i)) + POLICY_MARGIN);
+            }
+            lp.set_constraint_rhs(1, m as f64 * t_bar);
+        }
+    }
+
+    /// Solves the stamped candidate. Returns `None` on the first
+    /// infeasible block — exactly when the joint LP is infeasible.
+    fn solve(&self, topo: &Topology, ws: &mut LpWorkspace) -> Option<SparsePolicy> {
+        let m = topo.len();
+        let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+        for (i, lp) in self.blocks.iter().enumerate() {
+            let sol = solve_with(lp, ws).optimal()?;
+            let nbrs = topo.neighbors(i);
+            // Assemble the merged ascending row (diagonal in sorted
+            // position) and normalise away solver round-off in the dense
+            // column order, so rows are exactly stochastic and divide by
+            // the sum a dense row scan would produce.
+            let mut row: Vec<(usize, f64)> = Vec::with_capacity(nbrs.len() + 1);
+            for (v, &j) in nbrs.iter().enumerate() {
+                row.push((j, sol.x[v].max(0.0)));
+            }
+            let at = row.partition_point(|&(j, _)| j < i);
+            row.insert(at, (i, sol.x[nbrs.len()].max(0.0)));
+            let s: f64 = row.iter().map(|&(_, p)| p).sum();
+            debug_assert!((s - 1.0).abs() < 1e-6, "row {i} sums to {s}");
+            for e in &mut row {
+                e.1 /= s;
+            }
+            rows.push(row);
+        }
+        Some(SparsePolicy { n: m, rows })
+    }
+}
+
+/// Solves the LP of Eq. (14) for a fixed `(α, ρ, t̄)`, row by row over
+/// the edge set.
+///
+/// The joint LP — variables `p_{i,m}` for every directed edge plus the
+/// self-selection probabilities `p_{i,i}` — is block diagonal: row `i`'s
+/// variables (its out-edges plus its diagonal) appear in exactly row
+/// `i`'s two constraints and nowhere else. Under the two-phase
+/// Bland's-rule simplex this makes the per-row solves **bit identical**
+/// to the joint solve:
 ///
 /// * reduced costs never couple across blocks, so a block's eligible
 ///   entering set is independent of other blocks' pivots;
@@ -253,8 +422,8 @@ pub struct SparsePolicyResult {
 /// * the phase-2 artificial price is `1 + max|c|·10⁶` with `max|c| = 1`
 ///   in both formulations.
 ///
-/// The equivalence suite asserts exact `==` between the two solvers on
-/// every registry topology, including mid-churn masked subgraphs.
+/// Solving M tiny 2-row tableaus instead of one `2M`-row tableau cuts
+/// every pivot from `O(M · M·deg)` to `O(deg)` work.
 pub fn solve_policy_lp_rowwise(
     alpha: f64,
     rho: f64,
@@ -262,76 +431,50 @@ pub fn solve_policy_lp_rowwise(
     times: &EdgeTimes,
     topo: &Topology,
 ) -> Option<SparsePolicy> {
-    let m = topo.len();
-    assert_eq!(times.len(), m, "times/topology node count mismatch");
-
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-    for i in 0..m {
-        let nbrs = topo.neighbors(i);
-        let deg = nbrs.len();
-        // Variables: out-edges ascending (0..deg), diagonal last — the
-        // same relative order as the joint LP's (edge block, then diag).
-        let diag = deg;
-        let mut lp = LpProblem::new(deg + 1);
-        lp.set_objective(diag, 1.0);
-        let mut sum_row = vec![(diag, 1.0)];
-        let mut time_row = Vec::with_capacity(deg);
-        for (v, &j) in nbrs.iter().enumerate() {
-            sum_row.push((v, 1.0));
-            time_row.push((v, times.get(i, j)));
-            // Eq. (11): p_{i,m} > αρ (d_{i,m} + d_{m,i}).
-            lp.set_lower_bound(v, alpha * rho * (topo.d(i, j) + topo.d(j, i)) + POLICY_MARGIN);
-        }
-        // Eq. (13): Σₘ p_{i,m} = 1.
-        lp.add_constraint(sum_row, Relation::Eq, 1.0);
-        // Eq. (10): Σₘ t_{i,m} p_{i,m} d_{i,m} = M t̄.
-        lp.add_constraint(time_row, Relation::Eq, m as f64 * t_bar);
-
-        let sol = solve(&lp).optimal()?;
-        // Assemble the merged ascending row (diagonal in sorted position)
-        // and normalise in the dense column order so round-off cleanup
-        // divides by the identical sum.
-        let mut row: Vec<(usize, f64)> = Vec::with_capacity(deg + 1);
-        for (v, &j) in nbrs.iter().enumerate() {
-            row.push((j, sol.x[v].max(0.0)));
-        }
-        let at = row.partition_point(|&(j, _)| j < i);
-        row.insert(at, (i, sol.x[diag].max(0.0)));
-        let s: f64 = row.iter().map(|&(_, p)| p).sum();
-        debug_assert!((s - 1.0).abs() < 1e-6, "row {i} sums to {s}");
-        for e in &mut row {
-            e.1 /= s;
-        }
-        rows.push(row);
-    }
-    Some(SparsePolicy { n: m, rows })
+    assert_eq!(times.len(), topo.len(), "times/topology node count mismatch");
+    let mut template = PolicyLpTemplate::build(times, topo);
+    template.stamp(alpha, rho, t_bar, topo);
+    template.solve(topo, &mut LpWorkspace::new())
 }
 
-/// ρ sweep upper bound over the edge set — float-identical to
+/// `Σₘ t_{i,m} (d_{i,m} + d_{m,i})` over row `i`'s edges — the Eq. 26
+/// row term both sweep bounds scale.
+fn row_exchange_time(times: &EdgeTimes, topo: &Topology, i: usize) -> f64 {
+    times.row(i).iter().map(|&(j, t)| t * (topo.d(i, j) + topo.d(j, i))).sum()
+}
+
+/// `U = minᵢ (1/M) maxₘ t_{i,m} d_{i,m}` (Eq. 28).
+fn t_bar_upper(times: &EdgeTimes, topo: &Topology) -> f64 {
+    let mf = topo.len() as f64;
+    (0..topo.len())
+        .map(|i| {
+            (1.0 / mf)
+                * times.row(i).iter().map(|&(j, t)| t * topo.d(i, j)).fold(0.0f64, f64::max)
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Upper bound of the feasible ρ interval swept by the outer loop.
+///
+/// Appendix A bounds ρ by 0.5/α. Two further caps keep every outer
+/// candidate *feasible* (the paper sweeps [0, 0.5/α] blindly, which under
+/// a severely slowed link makes L(ρ) ≥ U for every candidate and stalls
+/// the policy exactly when adaptation matters most):
+///
+/// 1. Eq. 26 vs Eq. 28 — L(ρ) = ρ · maxᵢ (α/M) Σₘ t_{i,m}(d+d) must
+///    stay below U, giving ρ < U / maxᵢ (α/M) Σₘ t_{i,m}(d+d).
+/// 2. Eq. 11 row mass — Σₘ αρ(d+d) ≤ 1 needs ρ ≤ 1/(2α·deg).
+///
+/// Returns `None` when the interval is empty or ill-defined.
+/// Float-identical to the dense reference
 /// [`crate::policy::rho_upper_bound`] (absent pairs contribute exactly
 /// `+0.0` to the row reductions).
 pub fn rho_upper_bound_sparse(alpha: f64, times: &EdgeTimes, topo: &Topology) -> Option<f64> {
     let m = topo.len();
     let mf = m as f64;
-    let u_time = (0..m)
-        .map(|i| {
-            (1.0 / mf)
-                * times
-                    .row(i)
-                    .iter()
-                    .map(|&(j, t)| t * topo.d(i, j))
-                    .fold(0.0f64, f64::max)
-        })
-        .fold(f64::INFINITY, f64::min);
+    let u_time = t_bar_upper(times, topo);
     let l_coef = (0..m)
-        .map(|i| {
-            (alpha / mf)
-                * times
-                    .row(i)
-                    .iter()
-                    .map(|&(j, t)| t * (topo.d(i, j) + topo.d(j, i)))
-                    .sum::<f64>()
-        })
+        .map(|i| (alpha / mf) * row_exchange_time(times, topo, i))
         .fold(0.0f64, f64::max);
     let max_deg = (0..m).map(|i| topo.degree(i)).max().unwrap_or(1) as f64;
     let mut u_rho = 0.5 / alpha;
@@ -346,8 +489,10 @@ pub fn rho_upper_bound_sparse(alpha: f64, times: &EdgeTimes, topo: &Topology) ->
     }
 }
 
-/// t̄ sweep interval over the edge set — float-identical to
-/// [`crate::policy::t_bar_bounds`].
+/// The `[L, U]` interval the inner loop sweeps t̄ over for a fixed ρ:
+/// `L = maxᵢ (αρ/M) Σₘ t_{i,m}(d_{i,m}+d_{m,i})` (Eq. 26) and
+/// `U = minᵢ (1/M) maxₘ t_{i,m} d_{i,m}` (Eq. 28). `None` when empty.
+/// Float-identical to the dense reference [`crate::policy::t_bar_bounds`].
 pub fn t_bar_bounds_sparse(
     alpha: f64,
     rho: f64,
@@ -357,25 +502,9 @@ pub fn t_bar_bounds_sparse(
     let m = topo.len();
     let mf = m as f64;
     let lower = (0..m)
-        .map(|i| {
-            (alpha * rho / mf)
-                * times
-                    .row(i)
-                    .iter()
-                    .map(|&(j, t)| t * (topo.d(i, j) + topo.d(j, i)))
-                    .sum::<f64>()
-        })
+        .map(|i| (alpha * rho / mf) * row_exchange_time(times, topo, i))
         .fold(f64::NEG_INFINITY, f64::max);
-    let upper = (0..m)
-        .map(|i| {
-            (1.0 / mf)
-                * times
-                    .row(i)
-                    .iter()
-                    .map(|&(j, t)| t * topo.d(i, j))
-                    .fold(0.0f64, f64::max)
-        })
-        .fold(f64::INFINITY, f64::min);
+    let upper = t_bar_upper(times, topo);
     if lower.is_finite() && upper.is_finite() && upper > lower {
         Some((lower, upper))
     } else {
@@ -384,18 +513,19 @@ pub fn t_bar_bounds_sparse(
 }
 
 impl PolicyGenerator {
-    /// Runs Algorithm 3 over the edge set: the same K×R (ρ, t̄) candidate
-    /// grid as [`PolicyGenerator::generate`] (the grid endpoints are
-    /// float-identical), each candidate solved row-wise and scored with
-    /// the sparse λ₂ estimate.
+    /// Runs `GENERATEPOLICYMATRIX(α, K, R, T)` (Algorithm 3) over the edge
+    /// set: the outer loop sweeps K values of ρ over `(0, U_ρ]`, the inner
+    /// loop R values of t̄ over `(L, U]`; each candidate's LP is solved
+    /// row-wise, its `Y_P` scored by λ₂, and the candidate with minimal
+    /// `T_convergence = t̄ · ln ε / ln λ₂` wins (the first such in sweep
+    /// order).
     ///
-    /// Candidate *selection* can differ from the dense path when two
-    /// candidates' convergence estimates sit within the eigensolvers'
-    /// disagreement (≲ 10⁻⁶); both picks are then equally good. The LP
-    /// solutions themselves are bit-identical per candidate.
+    /// Returns `None` when no (ρ, t̄) pair admits a feasible LP — the
+    /// caller (Network Monitor) then keeps the previous policy.
     ///
     /// # Panics
-    /// Panics if `times` does not match the topology's node count.
+    /// Panics if `times` does not match the topology's node count or the
+    /// topology is disconnected.
     pub fn generate_sparse(
         &self,
         times: &EdgeTimes,
@@ -409,58 +539,47 @@ impl PolicyGenerator {
         let u_rho = rho_upper_bound_sparse(alpha, times, topo)?;
         let delta_rho = u_rho / self.cfg.outer_k as f64;
 
+        // The K·R candidate LPs share every coefficient row, so the
+        // template and solver workspace are built once and re-stamped per
+        // candidate; feasible policies fire uniformly (Lemma 1).
+        let mut template = PolicyLpTemplate::build(times, topo);
+        let mut ws = LpWorkspace::new();
+        let p_node = vec![1.0 / m as f64; m];
+
         let mut best: Option<SparsePolicyResult> = None;
         for k in 1..=self.cfg.outer_k {
             let rho = k as f64 * delta_rho;
-            if let Some(cand) = self.inner_loop_sparse(alpha, rho, times, topo) {
-                if best.as_ref().is_none_or(|b| cand.t_convergence < b.t_convergence) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best
-    }
-
-    fn inner_loop_sparse(
-        &self,
-        alpha: f64,
-        rho: f64,
-        times: &EdgeTimes,
-        topo: &Topology,
-    ) -> Option<SparsePolicyResult> {
-        let m = topo.len();
-        let mf = m as f64;
-        let (lower, upper) = t_bar_bounds_sparse(alpha, rho, times, topo)?;
-        let delta = (upper - lower) / self.cfg.inner_r as f64;
-        let mut best: Option<SparsePolicyResult> = None;
-        for r in 1..=self.cfg.inner_r {
-            let t_bar = lower + r as f64 * delta;
-            let Some(policy) = solve_policy_lp_rowwise(alpha, rho, t_bar, times, topo) else {
+            let Some((lower, upper)) = t_bar_bounds_sparse(alpha, rho, times, topo) else {
                 continue;
             };
-            let p_node = vec![1.0 / mf; m];
-            let y = build_y_sparse(&policy, topo, &p_node, alpha, rho);
-            debug_assert!(
-                (0..m).all(|i| {
-                    (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
-                }),
-                "feasible policy must give doubly stochastic Y (Lemma 1)"
-            );
-            let lambda2 =
-                second_largest_eigenvalue_sparse(&y, SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL)
-                    .eigenvalue;
-            if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
-                continue;
-            }
-            let t_conv = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
-            if best.as_ref().is_none_or(|b| t_conv < b.t_convergence) {
-                best = Some(SparsePolicyResult {
-                    policy,
-                    rho,
-                    lambda2,
-                    t_bar,
-                    t_convergence: t_conv,
-                });
+            let delta = (upper - lower) / self.cfg.inner_r as f64;
+            for r in 1..=self.cfg.inner_r {
+                let t_bar = lower + r as f64 * delta;
+                template.stamp(alpha, rho, t_bar, topo);
+                let Some(policy) = template.solve(topo, &mut ws) else {
+                    continue;
+                };
+                let y = build_y_sparse(&policy, topo, &p_node, alpha, rho);
+                debug_assert!(
+                    (0..m).all(|i| {
+                        (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
+                    }),
+                    "feasible policy must give doubly stochastic Y (Lemma 1)"
+                );
+                let lambda2 = if m <= DENSE_CONTROL_THRESHOLD {
+                    second_largest_eigenvalue(&y.to_dense())
+                } else {
+                    second_largest_eigenvalue_sparse(&y, SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL)
+                        .eigenvalue
+                };
+                if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
+                    continue;
+                }
+                // T_convergence = t̄ · ln ε / ln λ₂  (both logs negative).
+                let t_convergence = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
+                if best.as_ref().is_none_or(|b| t_convergence < b.t_convergence) {
+                    best = Some(SparsePolicyResult { policy, rho, lambda2, t_bar, t_convergence });
+                }
             }
         }
         best
@@ -484,17 +603,77 @@ mod tests {
         t
     }
 
+    /// Eq. (14) written as the paper states it: **one** LP over every
+    /// directed edge variable (row-major) followed by the M diagonal
+    /// variables, with each node's Eq. 13 and Eq. 10 rows. Test-only
+    /// oracle for the block decomposition.
+    fn solve_joint_lp(
+        alpha: f64,
+        rho: f64,
+        t_bar: f64,
+        times: &Matrix,
+        topo: &Topology,
+    ) -> Option<Matrix> {
+        let m = topo.len();
+        let edges: Vec<(usize, usize)> =
+            (0..m).flat_map(|i| topo.neighbors(i).iter().map(move |&j| (i, j))).collect();
+        let mut lp = LpProblem::new(edges.len() + m);
+        for (v, &(i, j)) in edges.iter().enumerate() {
+            lp.set_lower_bound(v, alpha * rho * (topo.d(i, j) + topo.d(j, i)) + POLICY_MARGIN);
+        }
+        for i in 0..m {
+            let diag = edges.len() + i;
+            lp.set_objective(diag, 1.0);
+            let mut sum_row = vec![(diag, 1.0)];
+            let mut time_row = Vec::new();
+            for (v, &(a, j)) in edges.iter().enumerate() {
+                if a == i {
+                    sum_row.push((v, 1.0));
+                    time_row.push((v, times[(i, j)]));
+                }
+            }
+            lp.add_constraint(sum_row, Relation::Eq, 1.0);
+            lp.add_constraint(time_row, Relation::Eq, m as f64 * t_bar);
+        }
+        let sol = netmax_lp::solve(&lp).optimal()?;
+        let mut p = Matrix::zeros(m, m);
+        for (v, &(i, j)) in edges.iter().enumerate() {
+            p[(i, j)] = sol.x[v].max(0.0);
+        }
+        for i in 0..m {
+            p[(i, i)] = sol.x[edges.len() + i].max(0.0);
+            let s = p.row_sum(i);
+            for j in 0..m {
+                p[(i, j)] /= s;
+            }
+        }
+        Some(p)
+    }
+
     #[test]
-    fn rowwise_lp_matches_dense_exactly() {
-        let topo = Topology::fully_connected(5);
-        let dense_times = hetero_times_dense(5, 0.2, 1.5);
-        let times = EdgeTimes::from_dense(&dense_times, &topo);
-        let (alpha, rho, t_bar) = (0.05, 1.0, 0.22);
-        let dense = solve_policy_lp(alpha, rho, t_bar, &dense_times, &topo)
-            .expect("dense feasible");
-        let sparse = solve_policy_lp_rowwise(alpha, rho, t_bar, &times, &topo)
-            .expect("rowwise feasible");
-        assert_eq!(sparse.to_dense().as_slice(), dense.as_slice(), "bit-exact equivalence");
+    fn rowwise_lp_matches_the_joint_lp_exactly() {
+        let (alpha, rho) = (0.05, 1.0);
+        let full = Topology::fully_connected(5);
+        let ring = Topology::ring(6);
+        let mut ring_times = Matrix::zeros(6, 6);
+        for i in 0..6 {
+            for &j in ring.neighbors(i) {
+                ring_times[(i, j)] = 0.5 + 0.1 * i as f64 + 0.05 * j as f64;
+            }
+        }
+        for (topo, dense_times) in [(&full, hetero_times_dense(5, 0.2, 1.5)), (&ring, ring_times)] {
+            let times = EdgeTimes::from_dense(&dense_times, topo);
+            let (lower, upper) = t_bar_bounds_sparse(alpha, rho, &times, topo).expect("bounds");
+            let t_bar = 0.5 * (lower + upper);
+            let joint =
+                solve_joint_lp(alpha, rho, t_bar, &dense_times, topo).expect("joint feasible");
+            let rowwise = solve_policy_lp_rowwise(alpha, rho, t_bar, &times, topo)
+                .expect("rowwise feasible");
+            assert_eq!(rowwise.to_dense().as_slice(), joint.as_slice(), "bit-exact equivalence");
+            // The dense-signature face is the same solve.
+            let dense = solve_policy_lp(alpha, rho, t_bar, &dense_times, topo).expect("feasible");
+            assert_eq!(dense.as_slice(), joint.as_slice());
+        }
     }
 
     #[test]
@@ -534,11 +713,11 @@ mod tests {
     }
 
     #[test]
-    fn generate_sparse_close_to_dense_generate() {
-        // The two paths share the candidate grid and the LP bit for bit;
-        // only λ₂ evaluation differs (Jacobi vs power iteration), so the
-        // chosen candidates' convergence estimates must be near-equal even
-        // if a near-tie flips which candidate wins.
+    fn generate_sparse_equals_the_dense_reference_exactly() {
+        // Below the eigensolver threshold the two formulations share no
+        // approximation: same grid, same LP, same Y_P, same Jacobi — so
+        // the selected candidate and its λ₂ must agree to the last bit.
+        // (The registry-wide version lives in `lp_equivalence.rs`.)
         let topo = Topology::fully_connected(6);
         let mut dense_times = Matrix::zeros(6, 6);
         for i in 0..6 {
@@ -552,9 +731,43 @@ mod tests {
         let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
         let dense = gen.generate(&dense_times, &topo).expect("dense feasible");
         let sparse = gen.generate_sparse(&times, &topo).expect("sparse feasible");
-        let rel = (dense.t_convergence - sparse.t_convergence).abs() / dense.t_convergence;
-        assert!(rel < 1e-2, "t_conv diverged: dense {} sparse {}", dense.t_convergence,
-            sparse.t_convergence);
+        assert_eq!(sparse.policy.to_dense().as_slice(), dense.policy.as_slice());
+        assert_eq!(
+            (sparse.rho, sparse.t_bar, sparse.lambda2, sparse.t_convergence),
+            (dense.rho, dense.t_bar, dense.lambda2, dense.t_convergence)
+        );
+    }
+
+    #[test]
+    fn policy_checkpoint_round_trips() {
+        let topo = Topology::ring(5);
+        let times = EdgeTimes::from_fn(&topo, |i, _| 1.0 + 0.1 * i as f64);
+        let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
+        let p = gen.generate_sparse(&times, &topo).expect("feasible").policy;
+        assert_eq!(SparsePolicy::restore(&p.checkpoint()).expect("restore"), p);
+    }
+
+    #[test]
+    fn policy_restore_rejects_malformed_and_retired_documents() {
+        // Each malformed row used to reach `from_rows`' asserts and abort
+        // the restoring process.
+        let bad = [
+            (r#"{"n": 2, "rows": [[[0, 1.0]], [[1, 0.5], [2, 0.5]]]}"#, "out of range"),
+            (r#"{"n": 2, "rows": [[[1, 0.5], [0, 0.5]], [[1, 1.0]]]}"#, "not strictly ascending"),
+            (r#"{"n": 2, "rows": [[[0, 0.5], [0, 0.5]], [[1, 1.0]]]}"#, "not strictly ascending"),
+            (r#"{"n": 2, "rows": [[[1, 1.0]], [[1, 1.0]]]}"#, "missing its diagonal"),
+            (r#"{"n": 2, "rows": [[[0, -0.5], [1, 1.5]], [[1, 1.0]]]}"#, "bad probability"),
+            (r#"{"n": 3, "rows": [[[0, 1.0]], [[1, 1.0]]]}"#, "expected 3"),
+            (r#"{"n": 1, "rows": [[[0]]]}"#, "[j, p]"),
+            // The dense-matrix layout NetMax and AD-PSGD+Monitor used to
+            // write at n ≤ 64.
+            (r#"{"rows": 2, "cols": 2, "data": [0.5, 0.5, 0.5, 0.5]}"#, "missing field `n`"),
+        ];
+        for (doc, needle) in bad {
+            let state = Json::parse(doc).expect("test document parses");
+            let err = SparsePolicy::restore(&state).expect_err(doc).to_string();
+            assert!(err.contains(needle), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -594,19 +807,12 @@ mod tests {
 
     #[test]
     fn scale_smoke_generate_on_large_ring() {
-        // A coarse search on a 128-ring completes quickly and yields a
-        // stochastic policy — the edge-set path never touches an n² object.
+        // A coarse search on a 128-ring — past the eigensolver threshold,
+        // so nothing n² is ever built — completes quickly and yields a
+        // stochastic policy.
         let n = 128;
         let topo = Topology::ring(n);
-        let rows: Vec<Vec<(usize, f64)>> = (0..n)
-            .map(|i| {
-                topo.neighbors(i)
-                    .iter()
-                    .map(|&j| (j, 0.5 + 0.01 * ((i + j) % 7) as f64))
-                    .collect()
-            })
-            .collect();
-        let times = EdgeTimes::from_rows(n, rows);
+        let times = EdgeTimes::from_fn(&topo, |i, j| 0.5 + 0.01 * ((i + j) % 7) as f64);
         let gen = PolicyGenerator::new(PolicySearchConfig {
             alpha: 0.05,
             outer_k: 3,

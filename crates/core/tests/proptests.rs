@@ -119,7 +119,7 @@ proptest! {
         beta in 0.0f64..0.99,
         obs in proptest::collection::vec(0.01f64..100.0, 1..30),
     ) {
-        let mut t = EmaTimeTracker::new(2, beta);
+        let mut t = EmaTimeTracker::for_fleet(2, beta);
         for &o in &obs {
             t.record(0, 1, o);
         }
@@ -132,7 +132,7 @@ proptest! {
     /// With β = 0 the tracker reports exactly the latest observation.
     #[test]
     fn beta_zero_tracks_latest(obs in proptest::collection::vec(0.01f64..100.0, 1..20)) {
-        let mut t = EmaTimeTracker::new(2, 0.0);
+        let mut t = EmaTimeTracker::for_fleet(2, 0.0);
         for &o in &obs {
             t.record(0, 1, o);
         }

@@ -12,7 +12,7 @@
 
 use netmax::core::diagnostics::audit_policy;
 use netmax::core::policy::{PolicyGenerator, PolicySearchConfig};
-use netmax::linalg::Matrix;
+use netmax::core::EdgeTimes;
 use netmax::net::{Network, Topology, WanNetwork};
 use netmax::prelude::*;
 
@@ -74,17 +74,10 @@ fn main() {
     // region-to-region times.
     let wan = WanNetwork::paper_default();
     let bytes = ModelProfile::mobilenet().param_bytes();
-    let mut times = Matrix::zeros(6, 6);
-    for i in 0..6 {
-        for j in 0..6 {
-            if i != j {
-                times[(i, j)] = wan.comm_time(i, j, bytes, 0.0);
-            }
-        }
-    }
     let topo = Topology::fully_connected(6);
+    let times = EdgeTimes::from_fn(&topo, |i, j| wan.comm_time(i, j, bytes, 0.0));
     let gen = PolicyGenerator::new(PolicySearchConfig::new(alpha));
-    if let Some(res) = gen.generate(&times, &topo) {
+    if let Some(res) = gen.generate_sparse(&times, &topo) {
         let audit = audit_policy(&res, &times, &topo, alpha);
         let name_side = |side: &[usize]| {
             side.iter().map(|&i| REGIONS[i]).collect::<Vec<_>>().join("+")

@@ -11,7 +11,7 @@
 
 use netmax::core::diagnostics::audit_policy;
 use netmax::core::policy::{PolicyGenerator, PolicySearchConfig};
-use netmax::linalg::Matrix;
+use netmax::core::EdgeTimes;
 use netmax::net::Topology;
 use netmax::prelude::*;
 use std::process::ExitCode;
@@ -200,22 +200,18 @@ fn policy(o: &Options) -> ExitCode {
     let m = o.workers.max(2);
     let per = m.div_ceil(2);
     let topo = Topology::fully_connected(m);
-    let mut times = Matrix::zeros(m, m);
-    for i in 0..m {
-        for j in 0..m {
-            if i != j {
-                times[(i, j)] = if (i / per) == (j / per) { o.fast } else { o.slow };
-            }
+    let times = EdgeTimes::from_fn(&topo, |i, j| {
+        let base = if (i / per) == (j / per) { o.fast } else { o.slow };
+        // Slow one cross link by the requested factor.
+        if (i, j) == (0, per) || (i, j) == (per, 0) {
+            base * o.slowdown
+        } else {
+            base
         }
-    }
-    // Slow one cross link by the requested factor.
-    if per < m {
-        times[(0, per)] *= o.slowdown;
-        times[(per, 0)] *= o.slowdown;
-    }
+    });
 
     let gen = PolicyGenerator::new(PolicySearchConfig::new(o.alpha));
-    match gen.generate(&times, &topo) {
+    match gen.generate_sparse(&times, &topo) {
         Some(res) => {
             let audit = audit_policy(&res, &times, &topo, o.alpha);
             println!("policy for {m} workers (fast {}s / slow {}s / one link ×{}):", o.fast, o.slow, o.slowdown);
@@ -226,7 +222,7 @@ fn policy(o: &Options) -> ExitCode {
                 audit.expected_iteration_s, audit.uniform_iteration_s, audit.iteration_speedup());
             println!("  slow-link mass = {:.4}", audit.slow_link_mass);
             println!("  bottleneck cut = {:?} | {:?}", audit.bottleneck.0, audit.bottleneck.1);
-            println!("{:?}", res.policy);
+            println!("{:?}", res.policy.to_dense());
             ExitCode::SUCCESS
         }
         None => {
