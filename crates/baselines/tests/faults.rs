@@ -7,8 +7,10 @@
 use netmax_baselines::{
     AdPsgd, AllreduceSgd, BoundedStaleness, ParameterServer, Prague, SapsPsgd,
 };
-use netmax_core::engine::{Algorithm, Scenario, Session, StepEvent, TrainConfig};
-use netmax_json::{Json, ToJson};
+use netmax_core::engine::{
+    Algorithm, CheckpointScratch, Scenario, Session, StepEvent, TrainConfig,
+};
+use netmax_json::ToJson;
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::{FaultPlan, NetworkKind, NodeFault, Straggler};
 
@@ -260,7 +262,7 @@ fn faulted_checkpoint_resume_is_byte_identical_for_every_driver_family() {
             let mut session = Session::new(&mut env, algo.driver()).unwrap();
             session.run()
         };
-        let text = {
+        let bytes = {
             let mut env = sc.build_env();
             let mut algo = make();
             let mut session = Session::new(&mut env, algo.driver()).unwrap();
@@ -277,14 +279,15 @@ fn faulted_checkpoint_resume_is_byte_identical_for_every_driver_family() {
                     _ => {}
                 }
             }
-            session.checkpoint().pretty()
+            let mut bytes = Vec::new();
+            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
+            bytes
         };
         let resumed = {
             let mut env = sc.build_env();
             let mut algo = make();
-            let mut session =
-                Session::restore(&mut env, algo.driver(), &Json::parse(&text).unwrap())
-                    .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
+            let mut session = Session::restore_bytes(&mut env, algo.driver(), &bytes)
+                .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
             session.run()
         };
         assert_eq!(

@@ -2,14 +2,14 @@
 //! every algorithm variant the paper evaluates: *checkpoint at step `k`,
 //! restore into a fresh session, run to completion* must produce a
 //! [`RunReport`] byte-identical (as serialized JSON) to an uninterrupted
-//! run.
+//! run. Checkpoints travel as NMXB bytes — what the CLI writes to disk is
+//! what must restore.
 
 use netmax_baselines::algorithm_for;
 use netmax_core::engine::{
-    AlgorithmKind, CheckpointFormat, CheckpointScratch, Scenario, Session, StepEvent,
-    StopCondition, TrainConfig,
+    AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent, StopCondition, TrainConfig,
 };
-use netmax_json::{Json, ToJson};
+use netmax_json::ToJson;
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -31,6 +31,13 @@ fn scenario(kind: AlgorithmKind) -> Scenario {
         .build()
 }
 
+/// The session's checkpoint in its serialized form.
+fn snapshot(session: &Session<'_>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).expect("binary encode");
+    bytes
+}
+
 /// Runs `kind` uninterrupted, then re-runs with a checkpoint/restore split
 /// after `k` global steps, and compares the serialized reports.
 fn assert_resume_identical(kind: AlgorithmKind, k: u64) {
@@ -43,24 +50,20 @@ fn assert_resume_identical(kind: AlgorithmKind, k: u64) {
     // Interrupted run: step to >= k global steps, checkpoint, drop.
     let mut algo1 = algorithm_for(kind, ALPHA);
     let mut env1 = sc.build_env();
-    let checkpoint = {
+    let bytes = {
         let mut session = Session::new(&mut env1, algo1.driver()).expect("valid session");
         while session.env().global_step < k {
             if let StepEvent::Finished { .. } = session.step() {
                 break;
             }
         }
-        session.checkpoint()
+        snapshot(&session)
     };
-    // Serialize through text: what the CLI writes to disk is what must
-    // restore.
-    let text = checkpoint.pretty();
 
     let mut algo2 = algorithm_for(kind, ALPHA);
     let mut env2 = sc.build_env();
     let mut resumed =
-        Session::restore(&mut env2, algo2.driver(), &Json::parse(&text).unwrap())
-            .expect("checkpoint restores");
+        Session::restore_bytes(&mut env2, algo2.driver(), &bytes).expect("checkpoint restores");
     let report = resumed.run();
 
     assert_eq!(
@@ -77,53 +80,6 @@ fn every_variant_resumes_byte_identically() {
     }
 }
 
-/// The same determinism guarantee through the binary
-/// (`session-checkpoint/v3`) on-disk path: suspend at step `k` into
-/// binary bytes, restore via the magic-sniffing entry point, and the
-/// finished report is byte-identical to the uninterrupted run. Covers
-/// every algorithm variant, i.e. all four driver families (gossip,
-/// round-structured, parameter-server, monitor-bearing).
-fn assert_binary_resume_identical(kind: AlgorithmKind, k: u64) {
-    let sc = scenario(kind);
-
-    let mut algo = algorithm_for(kind, ALPHA);
-    let mut env = sc.build_env();
-    let full = algo.run(&mut env);
-
-    let mut algo1 = algorithm_for(kind, ALPHA);
-    let mut env1 = sc.build_env();
-    let bytes = {
-        let mut session = Session::new(&mut env1, algo1.driver()).expect("valid session");
-        while session.env().global_step < k {
-            if let StepEvent::Finished { .. } = session.step() {
-                break;
-            }
-        }
-        // What the CLI writes with `--format binary` is what must restore.
-        let mut scratch = CheckpointScratch::new();
-        session.checkpoint_bytes(CheckpointFormat::Binary, &mut scratch).expect("binary encode")
-    };
-
-    let mut algo2 = algorithm_for(kind, ALPHA);
-    let mut env2 = sc.build_env();
-    let mut resumed = Session::restore_bytes(&mut env2, algo2.driver(), &bytes)
-        .expect("binary checkpoint restores");
-    let report = resumed.run();
-
-    assert_eq!(
-        report.to_json().to_string(),
-        full.to_json().to_string(),
-        "{kind:?}: binary resume after {k} steps must match the uninterrupted run"
-    );
-}
-
-#[test]
-fn every_variant_resumes_byte_identically_through_binary_checkpoints() {
-    for kind in AlgorithmKind::all() {
-        assert_binary_resume_identical(kind, 60);
-    }
-}
-
 #[test]
 fn resume_immediately_after_start_matches() {
     // k = 1 exercises the checkpoint with warm-up state barely populated.
@@ -137,15 +93,14 @@ fn resume_of_finished_session_is_the_final_report() {
     let sc = scenario(AlgorithmKind::AdPsgd);
     let mut algo = algorithm_for(AlgorithmKind::AdPsgd, ALPHA);
     let mut env = sc.build_env();
-    let (full, text) = {
+    let (full, bytes) = {
         let mut session = Session::new(&mut env, algo.driver()).unwrap();
         let report = session.run();
-        (report, session.checkpoint().pretty())
+        (report, snapshot(&session))
     };
     let mut algo2 = algorithm_for(AlgorithmKind::AdPsgd, ALPHA);
     let mut env2 = sc.build_env();
-    let mut resumed =
-        Session::restore(&mut env2, algo2.driver(), &Json::parse(&text).unwrap()).unwrap();
+    let mut resumed = Session::restore_bytes(&mut env2, algo2.driver(), &bytes).unwrap();
     assert!(resumed.is_finished());
     let report = resumed.run();
     assert_eq!(report.to_json().to_string(), full.to_json().to_string());

@@ -5,7 +5,7 @@
 //! netmax-bench run <name|group|all> [--quick|--tiny] [--seeds N|a,b,c]
 //!                  [--json out.json] [--threads N] [--sequential]
 //!                  [--progress] [--deadline-s S]
-//!                  [--checkpoint-dir DIR [--suspend-steps K] [--format F]]
+//!                  [--checkpoint-dir DIR [--suspend-steps K]]
 //!                  [--resume DIR] [--tier strict|fast]
 //! netmax-bench throughput [--quick] [--steps N] [--repeats R] [--out path]
 //!                  [--tier strict|fast]
@@ -20,23 +20,21 @@
 //! one summary table per experiment, and with `--json` writes the
 //! versioned `netmax-bench/run-report/v1` artifact. With
 //! `--checkpoint-dir` each cell is *suspended* after `--suspend-steps`
-//! global steps and the experiment is written as a versioned
-//! `netmax-bench/checkpoint/v1` document instead — as pretty JSON by
-//! default, or as the binary container (same schema tag, sniffed by
-//! magic) with `--format binary`; `--resume` picks either kind up and
+//! global steps and the experiment is written as one
+//! `netmax-bench/checkpoint/v1` NMXB container
+//! (`<name>.checkpoint.bin`) instead; `--resume` picks those up and
 //! finishes them — byte-identical to an uninterrupted run. `show` parses
 //! a run artifact back and re-prints its summaries, or summarizes a
-//! checkpoint document (JSON or binary) per cell (algorithm, seed, global
-//! step, tier; the embedded session schema may be v1, v2, or binary v3);
+//! checkpoint container per cell (algorithm, seed, global step, tier);
 //! any other schema is a typed "unknown schema" error — it doubles as a
 //! schema check in CI. `checkpoint` benchmarks the encode/decode paths
-//! (JSON vs binary vs delta) and writes `BENCH_checkpoint.json`.
+//! (logical JSON document vs NMXB vs delta) and writes
+//! `BENCH_checkpoint.json`.
 
 use netmax_bench::registry::{find, registry, registry_json};
 use netmax_bench::runner::{CellProgress, RunOptions};
 use netmax_bench::{common, runner, Mode};
-use netmax_core::engine::{AlgorithmKind, CheckpointFormat};
-use netmax_json::{codec, Json};
+use netmax_core::engine::AlgorithmKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -60,7 +58,6 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
         "--suspend-steps",
         "--resume",
         "--tier",
-        "--format",
     ],
     boolean: &["--sequential", "--quick", "--tiny", "--progress"],
 };
@@ -122,7 +119,6 @@ fn main() -> ExitCode {
         "--repeats",
         "--out",
         "--tier",
-        "--format",
     ];
     let cmd = args.iter().enumerate().find_map(|(i, a)| {
         let shielded = i > 0 && always_value.contains(&args[i - 1].as_str());
@@ -180,9 +176,9 @@ fn usage() {
 commands:
   list                      all registered experiments (name, scenario, arms)
   run <name|group|all>      execute matching experiments over (arm, seed) cells
-  show <artifact.json>      parse a run artifact (re-printing its summaries)
-                            or a checkpoint document (per-cell algorithm,
-                            seed, global step); unknown schemas fail
+  show <path>               parse a run artifact (re-printing its summaries)
+                            or a checkpoint container (per-cell algorithm,
+                            seed, global step, tier); unknown schemas fail
   throughput                measure real global-steps/sec and samples/sec per
                             algorithm on the sanity workload (pipeline and
                             engine modes) and write BENCH_throughput.json
@@ -190,9 +186,9 @@ commands:
                             32-4096 workers; tiny: 32/256) measuring
                             convergence, steps/sec, and peak RSS, and write
                             BENCH_scale.json
-  checkpoint                benchmark checkpoint encode/decode (JSON vs binary
-                            vs incremental delta) over fleet sizes and write
-                            BENCH_checkpoint.json
+  checkpoint                benchmark checkpoint encode/decode (logical JSON
+                            document vs NMXB vs incremental delta) over
+                            fleet sizes and write BENCH_checkpoint.json
 
 options:
   --quick / --tiny          compressed experiment scale (default: full; also
@@ -206,11 +202,9 @@ options:
   --deadline-s <S>          real-time budget per cell; expiry finishes the
                             cell early (partial report; non-deterministic)
   --checkpoint-dir <DIR>    suspend each cell mid-run and write one
-                            netmax-bench/checkpoint/v1 document per experiment
+                            <name>.checkpoint.bin container per experiment
   --suspend-steps <K>       global steps before suspension (default 100)
-  --format <json|binary>    checkpoint file format for --checkpoint-dir
-                            (default json; --resume sniffs the format)
-  --resume <DIR>            resume checkpoint documents written by
+  --resume <DIR>            resume the containers written by
                             --checkpoint-dir and run them to completion
   --tier <strict|fast>      run: numerics tier for every matching experiment;
                             throughput: restrict the grid to one tier
@@ -284,14 +278,9 @@ fn parse_seeds(text: &str, base: &[u64]) -> Option<Vec<u64>> {
     text.split(',').map(|t| t.trim().parse::<u64>().ok()).collect()
 }
 
-/// One experiment's checkpoint path inside a checkpoint directory; the
-/// extension names the on-disk format.
-fn checkpoint_path(dir: &Path, experiment: &str, format: CheckpointFormat) -> PathBuf {
-    let ext = match format {
-        CheckpointFormat::Json => "json",
-        CheckpointFormat::Binary => "bin",
-    };
-    dir.join(format!("{}.checkpoint.{ext}", experiment.replace('/', "__")))
+/// One experiment's checkpoint path inside a checkpoint directory.
+fn checkpoint_path(dir: &Path, experiment: &str) -> PathBuf {
+    dir.join(format!("{}.checkpoint.bin", experiment.replace('/', "__")))
 }
 
 fn run(args: &[String], query: Option<&str>) -> ExitCode {
@@ -313,25 +302,6 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
         eprintln!("--seeds cannot be combined with --resume (seeds come from the checkpoint)");
         return ExitCode::from(2);
     }
-    let format = match flag_value(args, "--format") {
-        None => CheckpointFormat::Json,
-        Some(name) => {
-            if checkpoint_dir.is_none() {
-                eprintln!(
-                    "--format only makes sense with --checkpoint-dir \
-                     (--resume sniffs the format from the file)"
-                );
-                return ExitCode::from(2);
-            }
-            match CheckpointFormat::from_name(name) {
-                Some(f) => f,
-                None => {
-                    eprintln!("unknown checkpoint format `{name}` (want `json` or `binary`)");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
     let tier = match parse_tier(args) {
         Ok(t) => t,
         Err(code) => return code,
@@ -424,7 +394,7 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
             },
             None => 100,
         };
-        return suspend(&specs, &dir, threads, suspend_steps, format);
+        return suspend(&specs, &dir, threads, suspend_steps);
     }
 
     let results = if let Some(dir) = resume_dir {
@@ -472,14 +442,12 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
 }
 
 /// `run --checkpoint-dir`: suspend every matching experiment mid-run and
-/// write one checkpoint document per experiment, as pretty JSON or the
-/// binary container depending on `--format`.
+/// write one checkpoint container per experiment.
 fn suspend(
     specs: &[netmax_bench::ExperimentSpec],
     dir: &Path,
     threads: usize,
     suspend_steps: u64,
-    format: CheckpointFormat,
 ) -> ExitCode {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("could not create {}: {e}", dir.display());
@@ -497,18 +465,15 @@ fn suspend(
                 return ExitCode::from(2);
             }
         };
-        let bytes = match format {
-            CheckpointFormat::Json => runner::checkpoint_doc(&suspended).pretty().into_bytes(),
-            CheckpointFormat::Binary => match runner::checkpoint_bytes(&suspended) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("{}: {e}", spec.name);
-                    return ExitCode::from(2);
-                }
-            },
+        let bytes = match runner::checkpoint_bytes(&suspended) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("{}: {e}", spec.name);
+                return ExitCode::from(2);
+            }
         };
-        let path = checkpoint_path(dir, &spec.name, format);
-        match std::fs::write(&path, bytes) {
+        let path = checkpoint_path(dir, &spec.name);
+        match runner::write_atomic(&path, &bytes) {
             Ok(()) => eprintln!("wrote {}", path.display()),
             Err(e) => {
                 eprintln!("could not write {}: {e}", path.display());
@@ -520,9 +485,8 @@ fn suspend(
     ExitCode::SUCCESS
 }
 
-/// `run --resume`: load each matching experiment's checkpoint document —
-/// trying the `.json` then the `.bin` filename, sniffing the actual
-/// format from the bytes — and run it to completion.
+/// `run --resume`: load each matching experiment's checkpoint container
+/// and run it to completion.
 fn resume_from(
     specs: &[netmax_bench::ExperimentSpec],
     dir: &Path,
@@ -530,29 +494,18 @@ fn resume_from(
 ) -> Result<Vec<runner::ExperimentResult>, ExitCode> {
     let mut results = Vec::new();
     for spec in specs {
-        let candidates = [
-            checkpoint_path(dir, &spec.name, CheckpointFormat::Json),
-            checkpoint_path(dir, &spec.name, CheckpointFormat::Binary),
-        ];
-        let (path, bytes) = match candidates.iter().find_map(|p| {
-            std::fs::read(p).ok().map(|b| (p, b))
-        }) {
-            Some(found) => found,
-            None => {
-                eprintln!(
-                    "no checkpoint for {} in {} (looked for {} and {})",
-                    spec.name,
-                    dir.display(),
-                    candidates[0].display(),
-                    candidates[1].display()
-                );
+        let path = checkpoint_path(dir, &spec.name);
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
+            Err(e) => {
+                eprintln!("no checkpoint for {}: could not read {}: {e}", spec.name, path.display());
                 return Err(ExitCode::FAILURE);
             }
         };
         // The checkpoint embeds the exact spec that produced it; resuming
         // uses that spec, not the registry's (they normally agree, but the
         // checkpoint is the ground truth for determinism).
-        let suspended = match parse_checkpoint_auto(&bytes) {
+        let suspended = match runner::parse_checkpoint_bytes(&bytes) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("{}: {e}", path.display());
@@ -573,18 +526,6 @@ fn resume_from(
         results.push(result);
     }
     Ok(results)
-}
-
-/// Parses checkpoint bytes in whichever format they turn out to be:
-/// binary containers by magic, anything else as UTF-8 JSON.
-fn parse_checkpoint_auto(bytes: &[u8]) -> Result<runner::SuspendedExperiment, String> {
-    if codec::is_binary(bytes) {
-        return runner::parse_checkpoint_bytes(bytes).map_err(|e| e.to_string());
-    }
-    let text =
-        std::str::from_utf8(bytes).map_err(|_| "checkpoint is not UTF-8 JSON".to_string())?;
-    let doc = Json::parse(text).map_err(|e| e.to_string())?;
-    runner::parse_checkpoint(&doc).map_err(|e| e.to_string())
 }
 
 fn print_result(result: &runner::ExperimentResult) {
@@ -635,7 +576,6 @@ fn show(path: Option<&str>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let kind = if codec::is_binary(&bytes) { "binary" } else { "JSON" };
     match runner::summarize_bytes(&bytes) {
         Ok(runner::ShownDoc::RunReport(results)) => {
             println!(
@@ -648,27 +588,25 @@ fn show(path: Option<&str>) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Ok(runner::ShownDoc::Checkpoint(summary)) => {
+        Ok(runner::ShownDoc::Checkpoint(suspended)) => {
             println!(
-                "{path}: valid {} document ({kind}) — suspended experiment [{}], {} cell(s)",
+                "{path}: valid {} container — suspended experiment [{}], {} cell(s)",
                 runner::CHECKPOINT_SCHEMA,
-                summary.experiment,
-                summary.cells.len()
+                suspended.spec.name,
+                suspended.cells.len()
             );
-            let schema_heading = "session schema";
             println!(
-                "{:<28} {:>18} {:>12} {:>12} {:>7}  {schema_heading}",
+                "{:<28} {:>18} {:>12} {:>12} {:>7}",
                 "arm", "algorithm", "seed", "step", "tier"
             );
-            for c in &summary.cells {
+            for c in &suspended.cells {
                 println!(
-                    "{:<28} {:>18} {:>12} {:>12} {:>7}  {}",
+                    "{:<28} {:>18} {:>12} {:>12} {:>7}",
                     c.label,
                     c.algorithm.name(),
                     c.seed,
                     c.global_step,
-                    c.tier,
-                    c.session_schema
+                    c.tier.tier_name()
                 );
             }
             ExitCode::SUCCESS

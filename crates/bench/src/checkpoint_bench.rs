@@ -1,13 +1,16 @@
 //! `checkpoint` — the checkpoint I/O benchmark behind
 //! `BENCH_checkpoint.json`.
 //!
-//! Measures, per fleet size, the cost of suspending a live session three
-//! ways: the pretty-JSON `session-checkpoint/v2` document (encode =
-//! build + render, decode = parse), the binary `session-checkpoint/v3`
-//! fast path (encode = [`Session::checkpoint_binary`] on a warm scratch,
-//! decode = [`decode_session_v3`]), and a node-granular incremental
-//! delta taken a few training steps after the previous full snapshot —
-//! on a gossip arm only the nodes that actually stepped re-serialize.
+//! Measures, per fleet size, the cost of snapshotting a live session
+//! three ways: the in-memory logical `session-checkpoint/v2` document
+//! rendered as pretty JSON (encode = build + render, decode = parse),
+//! the NMXB `session-checkpoint/v3` container (encode =
+//! [`Session::checkpoint_binary`] on a warm scratch, decode =
+//! [`decode_session_v3`]), and a node-granular incremental delta taken a
+//! few training steps after the previous full snapshot — on a gossip arm
+//! only the nodes that actually stepped re-serialize. NMXB is the only
+//! format anything writes or restores; the JSON columns stay so the
+//! numbers that retired the JSON file format remain reproducible.
 //! Timings are best-of-`repeats`; sizes come from the best-timed
 //! repetition. The fixture mirrors the `scale/*` group: AD-PSGD on a
 //! torus over the heterogeneous dynamic network, ridge workload.

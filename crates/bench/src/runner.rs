@@ -18,19 +18,23 @@
 //!   cell early (with a truthful partial report) when its real wall-clock
 //!   budget expires;
 //! * **suspend/resume** — [`execute_suspended`] checkpoints every cell
-//!   mid-run into a versioned `netmax-bench/checkpoint/v1` document and
-//!   [`resume`] continues it, byte-identical to an uninterrupted run.
+//!   mid-run into NMXB bytes, [`checkpoint_bytes`] packs them into one
+//!   `netmax-bench/checkpoint/v1` container, and [`resume`] continues
+//!   it, byte-identical to an uninterrupted run.
 //!
 //! [`Environment`]: netmax_core::engine::Environment
 
 use crate::spec::{ExperimentSpec, MetricKind};
 use netmax_core::engine::{
-    decode_session_v3, encode_session_v3, AlgorithmKind, ExecutionMode, RunReport, Session,
-    SessionError, StepEvent,
+    AlgorithmKind, CheckpointScratch, ExecutionMode, RunReport, Session, SessionError, StepEvent,
 };
 use netmax_json::{codec, CodecError, FromJson, Json, JsonError, ToJson};
 use netmax_ml::profile::ModelProfile;
+use netmax_ml::NumericsTier;
 use netmax_net::LinkQuality;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -38,7 +42,7 @@ use std::time::{Duration, Instant};
 /// Schema tag written into every artifact; bump on breaking changes.
 pub const ARTIFACT_SCHEMA: &str = "netmax-bench/run-report/v1";
 
-/// Schema tag of suspended-experiment checkpoint documents.
+/// Schema tag of suspended-experiment checkpoint containers.
 pub const CHECKPOINT_SCHEMA: &str = "netmax-bench/checkpoint/v1";
 
 /// One `(arm, seed)` cell's outcome.
@@ -463,9 +467,9 @@ fn validate_cells(
     Ok(())
 }
 
-/// One cell of a suspended experiment: its grid coordinates plus the full
-/// session checkpoint.
-#[derive(Debug, Clone)]
+/// One cell of a suspended experiment: its grid coordinates, how far it
+/// got, and the session's serialized checkpoint.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuspendedCell {
     /// Index into the spec's arm list.
     pub arm: usize,
@@ -475,13 +479,18 @@ pub struct SuspendedCell {
     pub algorithm: AlgorithmKind,
     /// The training seed this cell ran with.
     pub seed: u64,
-    /// The `netmax-core/session-checkpoint/v1` document.
-    pub session: Json,
+    /// Global steps completed at suspension.
+    pub global_step: u64,
+    /// The numerics tier the cell was running under.
+    pub tier: NumericsTier,
+    /// The session's `netmax-core/session-checkpoint/v3` NMXB bytes,
+    /// exactly as [`Session::checkpoint_binary`] wrote them.
+    pub session: Vec<u8>,
 }
 
 /// An experiment checkpointed mid-run: the exact spec plus one suspended
 /// session per cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuspendedExperiment {
     /// The spec that produced these cells.
     pub spec: ExperimentSpec,
@@ -491,8 +500,8 @@ pub struct SuspendedExperiment {
 
 /// Runs every cell until it has taken at least `suspend_after_steps`
 /// global steps (or finished first), then checkpoints it. The returned
-/// document, resumed with [`resume`], yields reports byte-identical to an
-/// uninterrupted [`execute_with_threads`] run.
+/// experiment, resumed with [`resume`], yields reports byte-identical to
+/// an uninterrupted [`execute_with_threads`] run.
 pub fn execute_suspended(
     spec: &ExperimentSpec,
     threads: usize,
@@ -515,12 +524,16 @@ pub fn execute_suspended(
             while session.env().global_step < suspend_after_steps && !session.is_finished() {
                 session.step();
             }
+            let mut bytes = Vec::new();
+            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes)?;
             Ok(SuspendedCell {
                 arm: arm_idx,
                 label: arm.label(),
                 algorithm: arm.algorithm,
                 seed,
-                session: session.checkpoint(),
+                global_step: session.env().global_step,
+                tier: session.env().cfg.tier,
+                session: bytes,
             })
         });
     let cells = suspended.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -554,7 +567,7 @@ pub fn resume(
             scenario.cfg_mut().seed = cell.seed;
             let mut algo = arm.instantiate(alpha);
             let mut env = scenario.build_env_with(workload.clone());
-            let mut session = Session::restore(&mut env, algo.driver(), &cell.session)?;
+            let mut session = Session::restore_bytes(&mut env, algo.driver(), &cell.session)?;
             let report = drive_session(&mut session, &spec.name, &cell.label, cell.seed, opts);
             Ok(CellResult {
                 arm: cell.arm,
@@ -569,136 +582,58 @@ pub fn resume(
     Ok(ExperimentResult { spec: spec.clone(), cells })
 }
 
-/// Assembles the versioned `netmax-bench/checkpoint/v1` document for one
-/// suspended experiment.
-pub fn checkpoint_doc(suspended: &SuspendedExperiment) -> Json {
-    Json::obj([
-        ("schema", Json::Str(CHECKPOINT_SCHEMA.into())),
-        ("spec", suspended.spec.to_json()),
-        (
-            "cells",
-            Json::Arr(
-                suspended
-                    .cells
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("arm", c.arm.to_json()),
-                            ("label", c.label.to_json()),
-                            ("algorithm", c.algorithm.to_json()),
-                            ("seed", c.seed.to_json()),
-                            ("session", c.session.clone()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Parses a `netmax-bench/checkpoint/v1` document, verifying the schema
-/// tag.
-pub fn parse_checkpoint(doc: &Json) -> Result<SuspendedExperiment, JsonError> {
-    let schema = doc.field("schema")?.as_str()?;
-    if schema != CHECKPOINT_SCHEMA {
-        return Err(JsonError::schema(format!(
-            "unsupported checkpoint schema `{schema}` (expected `{CHECKPOINT_SCHEMA}`)"
-        )));
-    }
-    Ok(SuspendedExperiment {
-        spec: ExperimentSpec::from_json(doc.field("spec")?)?,
-        cells: doc
-            .field("cells")?
-            .as_arr()?
-            .iter()
-            .map(|c| {
-                Ok(SuspendedCell {
-                    arm: usize::from_json(c.field("arm")?)?,
-                    label: String::from_json(c.field("label")?)?,
-                    algorithm: AlgorithmKind::from_json(c.field("algorithm")?)?,
-                    seed: u64::from_json(c.field("seed")?)?,
-                    session: c.field("session")?.clone(),
-                })
-            })
-            .collect::<Result<_, JsonError>>()?,
-    })
-}
-
 /// Renders a binary-codec failure as the schema-error type the rest of
 /// the checkpoint plumbing speaks.
 fn codec_err(e: CodecError) -> JsonError {
     JsonError::schema(format!("binary container: {e}"))
 }
 
-/// The numerics tier recorded in an embedded session document
-/// (pre-tier documents were all strict).
-fn session_tier(session: &Json) -> String {
-    match session.get("tier") {
-        None | Some(Json::Null) => "strict".to_string(),
-        Some(Json::Str(s)) => s.clone(),
-        Some(other) => other.to_string(),
-    }
-}
-
-/// Builds one cell's summary row for the binary container's `meta`
-/// section (everything `show` reports, so summarizing never has to
-/// decode the node payloads).
-fn cell_meta(c: &SuspendedCell) -> Result<Json, JsonError> {
-    Ok(Json::obj([
-        ("arm", c.arm.to_json()),
-        ("label", c.label.to_json()),
-        ("algorithm", c.algorithm.to_json()),
-        ("seed", c.seed.to_json()),
-        ("global_step", c.session.field("env")?.field("global_step")?.clone()),
-        ("tier", Json::Str(session_tier(&c.session))),
-        ("session_schema", Json::Str(c.session.field("schema")?.as_str()?.to_string())),
-    ]))
-}
-
-/// Serializes a suspended experiment as a binary container: the
+/// Serializes a suspended experiment as one NMXB container: the
 /// `netmax-bench/checkpoint/v1` schema tag, a `meta` section carrying the
-/// spec plus per-cell summary rows, and one `session.N` section per cell
-/// holding the cell's session as `session-checkpoint/v3` bytes. The same
-/// logical document as [`checkpoint_doc`] — [`parse_checkpoint_bytes`]
-/// reconstructs an identical [`SuspendedExperiment`].
+/// spec plus one row per cell (everything in [`SuspendedCell`] but the
+/// session), and one `session.N` section per cell holding the cell's
+/// session bytes untouched.
 pub fn checkpoint_bytes(suspended: &SuspendedExperiment) -> Result<Vec<u8>, JsonError> {
+    let rows = suspended.cells.iter().map(|c| {
+        Json::obj([
+            ("arm", c.arm.to_json()),
+            ("label", c.label.to_json()),
+            ("algorithm", c.algorithm.to_json()),
+            ("seed", c.seed.to_json()),
+            ("global_step", c.global_step.to_json()),
+            ("tier", c.tier.to_json()),
+        ])
+    });
     let meta = Json::obj([
         ("schema", Json::Str(CHECKPOINT_SCHEMA.into())),
         ("spec", suspended.spec.to_json()),
-        (
-            "cells",
-            Json::Arr(
-                suspended.cells.iter().map(cell_meta).collect::<Result<Vec<_>, JsonError>>()?,
-            ),
-        ),
+        ("cells", Json::Arr(rows.collect())),
     ]);
     let mut meta_bytes = Vec::new();
     codec::encode_value(&mut meta_bytes, &meta).map_err(codec_err)?;
-    let sessions = suspended
-        .cells
-        .iter()
-        .map(|c| encode_session_v3(&c.session).map_err(codec_err))
-        .collect::<Result<Vec<_>, JsonError>>()?;
-    let names: Vec<String> = (0..sessions.len()).map(|i| format!("session.{i}")).collect();
+    let names: Vec<String> = (0..suspended.cells.len()).map(|i| format!("session.{i}")).collect();
     let mut sections: Vec<(&str, &[u8])> = vec![("meta", &meta_bytes)];
-    sections
-        .extend(names.iter().map(String::as_str).zip(sessions.iter().map(Vec::as_slice)));
+    sections.extend(
+        names.iter().map(String::as_str).zip(suspended.cells.iter().map(|c| c.session.as_slice())),
+    );
     let mut out = Vec::new();
     codec::write_document(&mut out, CHECKPOINT_SCHEMA, &sections).map_err(codec_err)?;
     Ok(out)
 }
 
-/// Parses a binary checkpoint container written by [`checkpoint_bytes`],
-/// verifying the schema tag; every cell's session decodes back to its v2
-/// logical document.
+/// Parses a container written by [`checkpoint_bytes`]. Session payloads
+/// are copied out undecoded — [`resume`] hands them to
+/// [`Session::restore_bytes`], which owns their validation. Anything that
+/// is not an NMXB container under [`CHECKPOINT_SCHEMA`] is a typed error.
 pub fn parse_checkpoint_bytes(bytes: &[u8]) -> Result<SuspendedExperiment, JsonError> {
     let doc = codec::read_document(bytes).map_err(codec_err)?;
-    if doc.schema != CHECKPOINT_SCHEMA {
-        return Err(JsonError::schema(format!(
-            "unsupported checkpoint schema `{}` (expected `{CHECKPOINT_SCHEMA}`)",
-            doc.schema
-        )));
-    }
+    doc.check_schema(CHECKPOINT_SCHEMA).map_err(codec_err)?;
+    suspended_from(&doc)
+}
+
+/// The sections of a [`CHECKPOINT_SCHEMA`] container as a
+/// [`SuspendedExperiment`].
+fn suspended_from(doc: &codec::BinaryDocument<'_>) -> Result<SuspendedExperiment, JsonError> {
     let meta = codec::decode_value(doc.require("meta").map_err(codec_err)?).map_err(codec_err)?;
     let cells = meta
         .field("cells")?
@@ -706,17 +641,45 @@ pub fn parse_checkpoint_bytes(bytes: &[u8]) -> Result<SuspendedExperiment, JsonE
         .iter()
         .enumerate()
         .map(|(i, c)| {
-            let payload = doc.require(&format!("session.{i}")).map_err(codec_err)?;
             Ok(SuspendedCell {
                 arm: usize::from_json(c.field("arm")?)?,
                 label: String::from_json(c.field("label")?)?,
                 algorithm: AlgorithmKind::from_json(c.field("algorithm")?)?,
                 seed: u64::from_json(c.field("seed")?)?,
-                session: decode_session_v3(payload).map_err(codec_err)?,
+                global_step: u64::from_json(c.field("global_step")?)?,
+                tier: NumericsTier::from_json(c.field("tier")?)?,
+                session: doc.require(&format!("session.{i}")).map_err(codec_err)?.to_vec(),
             })
         })
         .collect::<Result<_, JsonError>>()?;
     Ok(SuspendedExperiment { spec: ExperimentSpec::from_json(meta.field("spec")?)?, cells })
+}
+
+/// Writes `bytes` to `path` through `<path>.tmp` in the same directory —
+/// write, `sync_all`, rename — so a crash or a full disk mid-write can
+/// never leave a truncated file at `path` shadowing the previous good one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|mut f| {
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        // Best effort: the write error is what the caller needs to see.
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    // Make the rename itself durable. Not every platform can open or
+    // sync a directory, so this half is best effort.
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        if let Ok(d) = File::open(dir) {
+            let _ = d.sync_all();
+        }
+    }
+    Ok(())
 }
 
 /// Typed outcome of `netmax-bench show` document dispatch: either a run
@@ -725,39 +688,12 @@ pub fn parse_checkpoint_bytes(bytes: &[u8]) -> Result<SuspendedExperiment, JsonE
 pub enum ShownDoc {
     /// A `netmax-bench/run-report/v1` artifact.
     RunReport(Vec<ExperimentResult>),
-    /// A `netmax-bench/checkpoint/v1` document, summarized per cell.
-    Checkpoint(CheckpointSummary),
+    /// A `netmax-bench/checkpoint/v1` container; every per-cell fact
+    /// `show` prints lives in its `meta` rows, so no session is decoded.
+    Checkpoint(Box<SuspendedExperiment>),
 }
 
-/// Summary of one suspended experiment's checkpoint document.
-#[derive(Debug, Clone)]
-pub struct CheckpointSummary {
-    /// The suspended experiment's name.
-    pub experiment: String,
-    /// One row per suspended cell.
-    pub cells: Vec<CheckpointCellSummary>,
-}
-
-/// One suspended cell: who was training, how far it got, and which
-/// session-checkpoint schema its state is stored under (v1 documents
-/// from pre-fault runs remain loadable alongside v2).
-#[derive(Debug, Clone)]
-pub struct CheckpointCellSummary {
-    /// The arm's display label.
-    pub label: String,
-    /// The cell's algorithm.
-    pub algorithm: AlgorithmKind,
-    /// The cell's training seed.
-    pub seed: u64,
-    /// Global steps completed at suspension.
-    pub global_step: u64,
-    /// The numerics tier the cell was running under.
-    pub tier: String,
-    /// The embedded session document's schema tag.
-    pub session_schema: String,
-}
-
-/// Typed errors from [`summarize_doc`]: a document whose schema tag is
+/// Typed errors from [`summarize_bytes`]: a document whose schema tag is
 /// not one this tool understands is distinguished from one that is
 /// structurally broken.
 #[derive(Debug, Clone)]
@@ -773,7 +709,8 @@ impl std::fmt::Display for ShowError {
         match self {
             ShowError::UnknownSchema(s) => write!(
                 f,
-                "unknown schema `{s}` (expected `{ARTIFACT_SCHEMA}` or `{CHECKPOINT_SCHEMA}`)"
+                "unknown schema `{s}` (expected a `{ARTIFACT_SCHEMA}` JSON artifact or a \
+                 `{CHECKPOINT_SCHEMA}` NMXB container)"
             ),
             ShowError::Malformed(e) => write!(f, "malformed document: {e}"),
         }
@@ -789,77 +726,29 @@ impl From<JsonError> for ShowError {
 }
 
 /// Dispatches a JSON document by its `schema` tag: run artifacts parse
-/// fully, checkpoint documents are summarized per cell (algorithm, seed,
-/// global step), anything else is a typed
-/// [`ShowError::UnknownSchema`].
+/// fully, anything else is a typed [`ShowError::UnknownSchema`].
 pub fn summarize_doc(doc: &Json) -> Result<ShownDoc, ShowError> {
-    let schema = doc.field("schema")?.as_str()?;
-    match schema {
+    match doc.field("schema")?.as_str()? {
         ARTIFACT_SCHEMA => Ok(ShownDoc::RunReport(parse_artifact(doc)?)),
-        CHECKPOINT_SCHEMA => {
-            let suspended = parse_checkpoint(doc)?;
-            let cells = suspended
-                .cells
-                .iter()
-                .map(|c| {
-                    Ok(CheckpointCellSummary {
-                        label: c.label.clone(),
-                        algorithm: c.algorithm,
-                        seed: c.seed,
-                        global_step: u64::from_json(
-                            c.session.field("env")?.field("global_step")?,
-                        )?,
-                        tier: session_tier(&c.session),
-                        session_schema: c.session.field("schema")?.as_str()?.to_string(),
-                    })
-                })
-                .collect::<Result<_, JsonError>>()?;
-            Ok(ShownDoc::Checkpoint(CheckpointSummary {
-                experiment: suspended.spec.name.clone(),
-                cells,
-            }))
-        }
         other => Err(ShowError::UnknownSchema(other.to_string())),
     }
 }
 
-/// Dispatches raw on-disk bytes for `netmax-bench show`: binary
-/// containers (sniffed by magic) are summarized from their `meta`
-/// section alone — the per-cell session payloads stay undecoded — and
-/// anything else is treated as UTF-8 JSON and routed through
-/// [`summarize_doc`]. A binary document under an unrecognized schema tag
-/// is a typed [`ShowError::UnknownSchema`], exactly like its JSON twin.
+/// Dispatches raw on-disk bytes for `netmax-bench show`: NMXB containers
+/// (by magic) must be checkpoints, anything else must be a UTF-8 JSON run
+/// artifact ([`summarize_doc`]). A document under an unrecognized schema
+/// tag is a typed [`ShowError::UnknownSchema`] in either encoding.
 pub fn summarize_bytes(bytes: &[u8]) -> Result<ShownDoc, ShowError> {
     if !codec::is_binary(bytes) {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| ShowError::Malformed(JsonError::schema("not UTF-8 JSON".to_string())))?;
         return summarize_doc(&Json::parse(text)?);
     }
-    let doc = codec::read_document(bytes).map_err(|e| ShowError::Malformed(codec_err(e)))?;
+    let doc = codec::read_document(bytes).map_err(codec_err)?;
     if doc.schema != CHECKPOINT_SCHEMA {
         return Err(ShowError::UnknownSchema(doc.schema.to_string()));
     }
-    let meta = codec::decode_value(doc.require("meta").map_err(|e| ShowError::Malformed(codec_err(e)))?)
-        .map_err(|e| ShowError::Malformed(codec_err(e)))?;
-    let cells = meta
-        .field("cells")?
-        .as_arr()?
-        .iter()
-        .map(|c| {
-            Ok(CheckpointCellSummary {
-                label: String::from_json(c.field("label")?)?,
-                algorithm: AlgorithmKind::from_json(c.field("algorithm")?)?,
-                seed: u64::from_json(c.field("seed")?)?,
-                global_step: u64::from_json(c.field("global_step")?)?,
-                tier: String::from_json(c.field("tier")?)?,
-                session_schema: String::from_json(c.field("session_schema")?)?,
-            })
-        })
-        .collect::<Result<_, JsonError>>()?;
-    Ok(ShownDoc::Checkpoint(CheckpointSummary {
-        experiment: String::from_json(meta.field("spec")?.field("name")?)?,
-        cells,
-    }))
+    Ok(ShownDoc::Checkpoint(Box::new(suspended_from(&doc)?)))
 }
 
 /// Assembles the versioned artifact document for a set of executed
@@ -919,6 +808,15 @@ mod tests {
             seeds: vec![9, 10],
             metrics: vec![MetricKind::TimeToTarget, MetricKind::Accuracy],
         }
+    }
+
+    /// A fresh per-test directory (tests run on parallel threads).
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("netmax-bench-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
@@ -996,9 +894,13 @@ mod tests {
         let direct = execute_with_threads(&spec, 2);
 
         let suspended = execute_suspended(&spec, 2, 40).unwrap();
-        let doc = checkpoint_doc(&suspended);
-        let text = doc.pretty();
-        let parsed = parse_checkpoint(&Json::parse(&text).unwrap()).unwrap();
+        let dir = scratch_dir("resume");
+        let path = dir.join("test__parallel.checkpoint.bin");
+        write_atomic(&path, &checkpoint_bytes(&suspended).unwrap()).unwrap();
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(left, std::slice::from_ref(&path), "the temp file must not outlive the write");
+        let parsed = parse_checkpoint_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
         assert_eq!(parsed.spec, spec);
         assert_eq!(parsed.cells.len(), 6);
         let resumed = resume(&parsed, &RunOptions { threads: 2, ..Default::default() }).unwrap();
@@ -1009,6 +911,19 @@ mod tests {
             b.to_string(),
             "suspend + resume must reproduce the uninterrupted artifact byte-for-byte"
         );
+    }
+
+    #[test]
+    fn failed_checkpoint_write_leaves_the_previous_file_intact() {
+        let dir = scratch_dir("atomic");
+        let path = dir.join("x.checkpoint.bin");
+        write_atomic(&path, b"good").unwrap();
+        // The temp path is occupied by a directory, so the write cannot
+        // even start: the error surfaces and the old bytes stay put.
+        std::fs::create_dir(dir.join("x.checkpoint.bin.tmp")).unwrap();
+        assert!(write_atomic(&path, b"newer").is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), b"good");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1024,15 +939,10 @@ mod tests {
         let suspended = execute_suspended(&spec, 2, 40).unwrap();
         let bytes = checkpoint_bytes(&suspended).unwrap();
         let parsed = parse_checkpoint_bytes(&bytes).unwrap();
-        assert_eq!(parsed.spec, spec);
+        // The container is lossless: spec, per-cell rows and every
+        // session's bytes come back exactly.
+        assert_eq!(parsed, suspended);
         assert_eq!(parsed.cells.len(), 4);
-        // The binary container carries the same logical document as the
-        // JSON file: decoding reproduces it field-for-field.
-        assert_eq!(
-            checkpoint_doc(&parsed).to_string(),
-            checkpoint_doc(&suspended).to_string(),
-            "binary round trip must preserve the logical checkpoint document"
-        );
         let resumed = resume(&parsed, &RunOptions { threads: 2, ..Default::default() }).unwrap();
 
         let (a, b) = (artifact(&[direct]), artifact(&[resumed]));
@@ -1052,25 +962,17 @@ mod tests {
         let bytes = checkpoint_bytes(&suspended).unwrap();
 
         match summarize_bytes(&bytes).unwrap() {
-            ShownDoc::Checkpoint(summary) => {
-                assert_eq!(summary.experiment, spec.name);
-                assert_eq!(summary.cells.len(), 1);
-                let cell = &summary.cells[0];
+            ShownDoc::Checkpoint(shown) => {
+                assert_eq!(shown.spec.name, spec.name);
+                assert_eq!(shown.cells.len(), 1);
+                let cell = &shown.cells[0];
                 assert_eq!(cell.algorithm, AlgorithmKind::NetMax);
                 assert_eq!(cell.seed, 9);
                 assert!(cell.global_step >= 30, "{}", cell.global_step);
-                assert_eq!(cell.tier, "strict");
-                assert_eq!(cell.session_schema, netmax_core::engine::SESSION_CHECKPOINT_SCHEMA);
+                assert_eq!(cell.tier, NumericsTier::Strict);
             }
-            other => panic!("expected a checkpoint summary, got {other:?}"),
+            other => panic!("expected a checkpoint, got {other:?}"),
         }
-
-        // JSON bytes route through the text path unchanged.
-        let text = checkpoint_doc(&suspended).pretty();
-        assert!(matches!(
-            summarize_bytes(text.as_bytes()).unwrap(),
-            ShownDoc::Checkpoint(_)
-        ));
 
         // A binary document under a foreign schema tag is the same typed
         // error as its JSON twin; truncated bytes are Malformed.
@@ -1088,8 +990,19 @@ mod tests {
 
     #[test]
     fn checkpoint_schema_is_enforced() {
-        let doc = Json::parse(r#"{"schema":"netmax-bench/run-report/v1","cells":[]}"#).unwrap();
-        assert!(parse_checkpoint(&doc).is_err());
+        // The one parser accepts an NMXB container under CHECKPOINT_SCHEMA
+        // and nothing else: not a foreign container, not a bare session
+        // snapshot, not JSON text.
+        let mut alien = Vec::new();
+        codec::write_document(&mut alien, ARTIFACT_SCHEMA, &[]).unwrap();
+        assert!(parse_checkpoint_bytes(&alien).is_err());
+        let mut spec = small_spec();
+        spec.arms.truncate(1);
+        spec.seeds.truncate(1);
+        let suspended = execute_suspended(&spec, 1, 5).unwrap();
+        assert!(parse_checkpoint_bytes(&suspended.cells[0].session).is_err());
+        let err = parse_checkpoint_bytes(br#"{"schema":"netmax-bench/checkpoint/v1"}"#).unwrap_err();
+        assert!(err.to_string().contains("NMXB"), "{err}");
     }
 
     #[test]
@@ -1101,31 +1014,26 @@ mod tests {
         // A run artifact dispatches to RunReport.
         let result = execute(&spec);
         let doc = artifact(std::slice::from_ref(&result));
-        match summarize_doc(&Json::parse(&doc.pretty()).unwrap()).unwrap() {
+        match summarize_bytes(doc.pretty().as_bytes()).unwrap() {
             ShownDoc::RunReport(results) => assert_eq!(results.len(), 1),
             other => panic!("expected a run report, got {other:?}"),
         }
 
-        // A checkpoint document dispatches to a per-cell summary carrying
-        // algorithm, seed, global step, and the session schema tag.
+        // A checkpoint container dispatches to its per-cell rows:
+        // algorithm, seed, global step and tier, no session decoded.
         let suspended = execute_suspended(&spec, 1, 30).unwrap();
-        let doc = checkpoint_doc(&suspended);
-        match summarize_doc(&Json::parse(&doc.pretty()).unwrap()).unwrap() {
-            ShownDoc::Checkpoint(summary) => {
-                assert_eq!(summary.experiment, spec.name);
-                assert_eq!(summary.cells.len(), 2);
-                for cell in &summary.cells {
+        match summarize_bytes(&checkpoint_bytes(&suspended).unwrap()).unwrap() {
+            ShownDoc::Checkpoint(shown) => {
+                assert_eq!(shown.spec.name, spec.name);
+                assert_eq!(shown.cells.len(), 2);
+                for cell in &shown.cells {
                     assert!(cell.global_step >= 30, "{}: {}", cell.label, cell.global_step);
-                    assert_eq!(cell.tier, "strict");
-                    assert_eq!(
-                        cell.session_schema,
-                        netmax_core::engine::SESSION_CHECKPOINT_SCHEMA
-                    );
+                    assert_eq!(cell.tier, NumericsTier::Strict);
                 }
-                assert_eq!(summary.cells[0].algorithm, AlgorithmKind::NetMax);
-                assert_eq!(summary.cells[0].seed, 9);
+                assert_eq!(shown.cells[0].algorithm, AlgorithmKind::NetMax);
+                assert_eq!(shown.cells[0].seed, 9);
             }
-            other => panic!("expected a checkpoint summary, got {other:?}"),
+            other => panic!("expected a checkpoint, got {other:?}"),
         }
     }
 

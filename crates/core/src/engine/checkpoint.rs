@@ -1,4 +1,4 @@
-//! Binary checkpoint fast path: `session-checkpoint/v3` containers and
+//! The serialized checkpoint form: `session-checkpoint/v3` containers and
 //! node-granular incremental deltas.
 //!
 //! A v3 document is a [`netmax_json::codec`] container
@@ -9,17 +9,12 @@
 //! ([`decode_session_v3`]) yields exactly the v2 [`Json`] that
 //! [`Session::checkpoint`](super::Session::checkpoint) would have
 //! produced, so [`Session::restore`](super::Session::restore) — with all
-//! its schema/tier/membership validation — is the single restore path
-//! for every format.
+//! its schema/tier/membership validation — is the single restore path.
 //!
-//! Two encoders produce v3 bytes, provably identical:
-//!
-//! * [`encode_session_v3`] transcodes an existing v2 `Json` document
-//!   (what `netmax-bench` uses on its suspended-cell documents), and
-//! * the [`CheckpointScratch`] fast path streams node state straight
-//!   from the [`Environment`] through the codec's typed writers —
-//!   no per-node `Json`, no per-node allocation once the scratch
-//!   buffers are warm.
+//! There is one encoder: the [`CheckpointScratch`] streams node state
+//! straight from the [`Environment`] through the codec's typed writers —
+//! no per-node `Json`, no per-node allocation once the scratch buffers
+//! are warm.
 //!
 //! Incremental snapshots (`session-delta/v1`) re-serialize only the
 //! nodes whose encoded bytes changed since the previous snapshot taken
@@ -38,34 +33,14 @@ pub const SESSION_CHECKPOINT_SCHEMA_V3: &str = "netmax-core/session-checkpoint/v
 /// Schema tag of binary incremental (delta) checkpoint containers.
 pub const SESSION_DELTA_SCHEMA: &str = "netmax-core/session-delta/v1";
 
-/// The on-disk form a session checkpoint is written in. Both formats
-/// carry the same logical document; JSON stays the debug/interop form,
-/// binary is the compact fast path.
+/// The serialized form of a session checkpoint. NMXB is the only one;
+/// the enum survives solely because the frozen `benchmark/` package
+/// passes `CheckpointFormat::Binary` to
+/// [`Session::checkpoint_bytes`](super::Session::checkpoint_bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointFormat {
-    /// Pretty-printed `session-checkpoint/v2` JSON text.
-    Json,
     /// `session-checkpoint/v3` binary container.
     Binary,
-}
-
-impl CheckpointFormat {
-    /// The CLI name (`json` / `binary`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckpointFormat::Json => "json",
-            CheckpointFormat::Binary => "binary",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "json" => Some(CheckpointFormat::Json),
-            "binary" => Some(CheckpointFormat::Binary),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -122,8 +97,8 @@ fn fingerprint<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> u64 {
 }
 
 /// Assembles a `nodes` section payload: element count, then one
-/// length-prefixed blob per node. Shared by both encoders and by
-/// [`reconstruct_chain`], so every path frames nodes identically.
+/// length-prefixed blob per node. Shared by the encoder and
+/// [`reconstruct_chain`], so both frame nodes identically.
 fn write_nodes_payload<'a>(
     out: &mut Vec<u8>,
     count: usize,
@@ -323,73 +298,8 @@ impl CheckpointScratch {
 }
 
 // ---------------------------------------------------------------------
-// Json-level transcoding (the bench / interop path).
+// Decoding and chain replay.
 // ---------------------------------------------------------------------
-
-/// Splits a v2 session document into `(meta, nodes)`: the document with
-/// `env.nodes` removed, and the node array itself.
-fn split_v2(doc: &Json) -> Result<(Json, &[Json]), CodecError> {
-    let bad = |msg: &str| CodecError::Schema(msg.to_string(), "session-checkpoint/v2".to_string());
-    let schema = doc.field("schema").ok().and_then(|s| s.as_str().ok()).unwrap_or("?");
-    if schema != super::session::SESSION_CHECKPOINT_SCHEMA {
-        return Err(CodecError::Schema(
-            schema.to_string(),
-            super::session::SESSION_CHECKPOINT_SCHEMA.to_string(),
-        ));
-    }
-    let Json::Obj(entries) = doc else {
-        return Err(bad("non-object session document"));
-    };
-    let mut nodes: Option<&[Json]> = None;
-    let mut meta_entries = Vec::with_capacity(entries.len());
-    for (key, val) in entries {
-        if key == "env" {
-            let Json::Obj(env_entries) = val else {
-                return Err(bad("non-object env state"));
-            };
-            let mut env_meta = Vec::with_capacity(env_entries.len());
-            for (ek, ev) in env_entries {
-                if ek == "nodes" {
-                    let Json::Arr(items) = ev else {
-                        return Err(bad("env.nodes is not an array"));
-                    };
-                    nodes = Some(items.as_slice());
-                } else {
-                    env_meta.push((ek.clone(), ev.clone()));
-                }
-            }
-            meta_entries.push((key.clone(), Json::Obj(env_meta)));
-        } else {
-            meta_entries.push((key.clone(), val.clone()));
-        }
-    }
-    let nodes = nodes.ok_or_else(|| bad("session document has no env.nodes"))?;
-    Ok((Json::Obj(meta_entries), nodes))
-}
-
-/// Transcodes a `session-checkpoint/v2` [`Json`] document into v3 binary
-/// bytes. Byte-identical to the [`CheckpointScratch`] fast path on the
-/// session that produced the document (asserted in tests).
-pub fn encode_session_v3(doc: &Json) -> Result<Vec<u8>, CodecError> {
-    let (meta_doc, nodes) = split_v2(doc)?;
-    let mut meta = Vec::new();
-    codec::encode_value(&mut meta, &meta_doc)?;
-    let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let mut blob = Vec::new();
-        codec::encode_value(&mut blob, node)?;
-        blobs.push(blob);
-    }
-    let mut payload = Vec::new();
-    write_nodes_payload(&mut payload, blobs.len(), blobs.iter().map(|b| b.as_slice()))?;
-    let mut out = Vec::new();
-    codec::write_document(
-        &mut out,
-        SESSION_CHECKPOINT_SCHEMA_V3,
-        &[("meta", &meta), ("nodes", &payload)],
-    )?;
-    Ok(out)
-}
 
 /// Decodes v3 binary bytes back into the wrapped v2 logical [`Json`]
 /// document (node objects spliced back into `env.nodes`). Never panics;

@@ -4,7 +4,6 @@ use super::session::SessionError;
 use super::stop::StopCondition;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_ml::NumericsTier;
-use serde::{Deserialize, Serialize};
 
 /// Whether gradient computation and parameter communication overlap.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// two run concurrently and the iteration time is `max(C_i, N_{i,m})`
 /// (§II-B). The serial mode (`C_i + N_{i,m}`) exists for the Fig. 7
 /// ablation, which quantifies how much that overlap buys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Overlapped compute/communication: `t = max(C, N)` (NetMax default).
     Parallel,
@@ -58,7 +57,7 @@ impl FromJson for ExecutionMode {
 }
 
 /// Stop conditions and recording cadence for one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Stop when the mean per-node epoch count reaches this.
     pub max_epochs: f64,

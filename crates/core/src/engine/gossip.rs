@@ -704,16 +704,18 @@ mod tests {
                 steps += 1;
             }
         }
-        let ckpt = session.checkpoint();
-        let text = ckpt.pretty();
+        let mut bytes = Vec::new();
+        session
+            .checkpoint_binary(&mut crate::engine::CheckpointScratch::new(), &mut bytes)
+            .unwrap();
         drop(session);
 
         let mut e2 = env(19);
         let mut b2 = UniformAveraging;
-        let mut resumed = Session::restore(
+        let mut resumed = Session::restore_bytes(
             &mut e2,
             Box::new(GossipDriver::new(&mut b2, "uniform-avg")),
-            &netmax_json::Json::parse(&text).unwrap(),
+            &bytes,
         )
         .unwrap();
         let report = resumed.run();

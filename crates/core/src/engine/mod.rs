@@ -6,8 +6,8 @@
 //! completes its iteration first. One dispatch = one global step `k`.
 //!
 //! Layout:
-//! * [`checkpoint`] — binary snapshot containers and incremental deltas
-//!   ([`CheckpointFormat`], [`CheckpointScratch`]).
+//! * [`checkpoint`] — the serialized checkpoint form: NMXB snapshot
+//!   containers and incremental deltas ([`CheckpointScratch`]).
 //! * [`config`] — run-level knobs ([`TrainConfig`], [`ExecutionMode`]).
 //! * [`environment`] — per-node state and the shared [`Environment`]
 //!   (models, shards, network, clocks).
@@ -30,7 +30,7 @@ pub mod session;
 pub mod stop;
 
 pub use checkpoint::{
-    decode_session_v3, encode_session_v3, reconstruct_chain, CheckpointFormat, CheckpointScratch,
+    decode_session_v3, reconstruct_chain, CheckpointFormat, CheckpointScratch,
     SESSION_CHECKPOINT_SCHEMA_V3, SESSION_DELTA_SCHEMA,
 };
 pub use config::{ExecutionMode, TrainConfig};
@@ -48,7 +48,6 @@ pub use session::{
 pub use stop::StopCondition;
 
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// A distributed training algorithm executable by the engine.
 ///
@@ -81,7 +80,7 @@ pub trait Algorithm {
 /// harnesses and configs. Constructors live in `netmax-core` (NetMax) and
 /// `netmax-baselines` (everything else — see
 /// `netmax_baselines::algorithm_for`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// The paper's contribution (Algorithms 1–3).
     NetMax,

@@ -3,10 +3,9 @@
 use super::environment::Environment;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_ml::metrics;
-use serde::{Deserialize, Serialize};
 
 /// One recorded point of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sample {
     /// Simulated wall-clock seconds.
     pub time_s: f64,
@@ -23,7 +22,7 @@ pub struct Sample {
 }
 
 /// Per-node cost accounting of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeCost {
     /// The node's final virtual clock (s).
     pub clock_s: f64,
@@ -36,7 +35,7 @@ pub struct NodeCost {
 }
 
 /// Full record of one training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Algorithm identifier.
     pub algorithm: String,

@@ -23,10 +23,9 @@ use netmax_net::{
     ElasticNetwork, FaultPlan, HomogeneousNetwork, LinkDynamics, LinkQuality, Network,
     NetworkKind, SlowdownConfig, Topology, WanNetwork,
 };
-use serde::{Deserialize, Serialize};
 
 /// Which communication graph shape connects the workers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TopologyKind {
     /// Complete graph (the paper's default; Appendix B assumes it).
     FullyConnected,
@@ -85,7 +84,7 @@ impl FromJson for TopologyKind {
 }
 
 /// Which data partitioning scheme to apply (§V-A vs §V-F).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionKind {
     /// Even split (§V-B–E).
     Uniform,

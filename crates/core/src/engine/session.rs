@@ -13,7 +13,7 @@
 //!   [`Observer`]s for callback-style streaming),
 //! * **stop** it on any serializable [`StopCondition`] — or imperatively
 //!   via [`Session::finish_now`],
-//! * **checkpoint** the full mid-run state to JSON and **resume** it later
+//! * **checkpoint** the full mid-run state to NMXB bytes and **resume** it later
 //!   with the guarantee that *checkpoint-at-step-k then resume* produces a
 //!   [`RunReport`] byte-identical to an uninterrupted run.
 //!
@@ -34,16 +34,10 @@ use netmax_ml::NumericsTier;
 use netmax_net::MembershipEvent;
 use std::fmt;
 
-/// Schema tag of [`Session::checkpoint`] documents; bump on breaking
-/// changes. v2 added the active-membership state (fault-capable
-/// sessions); v1 documents ([`SESSION_CHECKPOINT_SCHEMA_V1`]) still
-/// restore.
+/// Schema tag of the logical [`Session::checkpoint`] document — the one
+/// [`Session::restore`] accepts and every NMXB `session-checkpoint/v3`
+/// container wraps; bump on breaking changes.
 pub const SESSION_CHECKPOINT_SCHEMA: &str = "netmax-core/session-checkpoint/v2";
-
-/// The pre-fault checkpoint schema; still restorable into fault-free
-/// scenarios (restoring into a scenario with a non-empty fault plan is
-/// rejected — such a plan could only postdate the document).
-pub const SESSION_CHECKPOINT_SCHEMA_V1: &str = "netmax-core/session-checkpoint/v1";
 
 /// Typed errors surfaced at session construction or restore — before any
 /// training work is done.
@@ -507,7 +501,9 @@ impl<'a> Session<'a> {
         report
     }
 
-    /// Serializes the complete mid-run state as a versioned JSON document.
+    /// The complete mid-run state as the versioned *logical* document —
+    /// what [`Session::restore`] validates and what a v3 container decodes
+    /// to. The serialized form is [`Session::checkpoint_binary`].
     ///
     /// The checkpoint holds only *mutable* state — everything derivable
     /// from the scenario (datasets, topology, network timing, config) is
@@ -518,8 +514,8 @@ impl<'a> Session<'a> {
     }
 
     /// The single home of the v2 field order: builds the session document
-    /// around a caller-supplied `env` value, so the full JSON checkpoint
-    /// and the binary fast path's `meta` section can never drift apart.
+    /// around a caller-supplied `env` value, so the logical document and
+    /// the binary `meta` section can never drift apart.
     fn checkpoint_with_env(&self, env_state: Json) -> Json {
         Json::obj([
             ("schema", Json::Str(SESSION_CHECKPOINT_SCHEMA.into())),
@@ -553,9 +549,7 @@ impl<'a> Session<'a> {
     /// `out` (cleared first). Node state streams straight from the
     /// environment through `scratch`'s reusable buffers — zero
     /// steady-state allocations on the per-node path — and the scratch's
-    /// delta chain is (re)seeded at this snapshot. The bytes are
-    /// identical to [`checkpoint::encode_session_v3`] applied to
-    /// [`Session::checkpoint`].
+    /// delta chain is (re)seeded at this snapshot.
     pub fn checkpoint_binary(
         &self,
         scratch: &mut CheckpointScratch,
@@ -587,45 +581,29 @@ impl<'a> Session<'a> {
         scratch.encode_delta(&meta, self.env, out).map_err(SessionError::from)
     }
 
-    /// Serializes a checkpoint in the requested on-disk format: pretty
-    /// v2 JSON text or a v3 binary container (both carry the same
-    /// logical document).
+    /// [`Session::checkpoint_binary`] into a fresh buffer.
     pub fn checkpoint_bytes(
         &self,
         format: CheckpointFormat,
         scratch: &mut CheckpointScratch,
     ) -> Result<Vec<u8>, SessionError> {
-        match format {
-            CheckpointFormat::Json => Ok(self.checkpoint().pretty().into_bytes()),
-            CheckpointFormat::Binary => {
-                let mut out = Vec::new();
-                self.checkpoint_binary(scratch, &mut out)?;
-                Ok(out)
-            }
-        }
+        let CheckpointFormat::Binary = format;
+        let mut out = Vec::new();
+        self.checkpoint_binary(scratch, &mut out)?;
+        Ok(out)
     }
 
-    /// Restores a session from checkpoint bytes in either format,
-    /// sniffing the binary magic: v3 containers decode to the wrapped v2
-    /// document, anything else must be UTF-8 JSON text (v1 or v2). All
-    /// validation happens in [`Session::restore`] regardless of format.
+    /// Restores a session from a `session-checkpoint/v3` NMXB container —
+    /// the only serialized form. Anything else (text, a delta, a foreign
+    /// container) is a typed [`SessionError::BadCheckpoint`]; the decoded
+    /// logical document is validated by [`Session::restore`].
     pub fn restore_bytes(
         env: &'a mut Environment,
         driver: Box<dyn SessionDriver + 'a>,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
-        if netmax_json::codec::is_binary(bytes) {
-            let doc = checkpoint::decode_session_v3(bytes)?;
-            Session::restore(env, driver, &doc)
-        } else {
-            let text = std::str::from_utf8(bytes).map_err(|_| {
-                SessionError::BadCheckpoint(
-                    "checkpoint bytes are neither a binary container nor UTF-8 JSON".into(),
-                )
-            })?;
-            let doc = Json::parse(text)?;
-            Session::restore(env, driver, &doc)
-        }
+        let doc = checkpoint::decode_session_v3(bytes)?;
+        Session::restore(env, driver, &doc)
     }
 
     /// Rebuilds a session from a [`Session::checkpoint`] document.
@@ -641,11 +619,9 @@ impl<'a> Session<'a> {
         checkpoint: &Json,
     ) -> Result<Self, SessionError> {
         let schema = checkpoint.field("schema")?.as_str()?;
-        let v1 = schema == SESSION_CHECKPOINT_SCHEMA_V1;
-        if schema != SESSION_CHECKPOINT_SCHEMA && !v1 {
+        if schema != SESSION_CHECKPOINT_SCHEMA {
             return Err(SessionError::BadCheckpoint(format!(
-                "unsupported checkpoint schema `{schema}` (expected `{SESSION_CHECKPOINT_SCHEMA}` \
-                 or `{SESSION_CHECKPOINT_SCHEMA_V1}`)"
+                "unsupported checkpoint schema `{schema}` (expected `{SESSION_CHECKPOINT_SCHEMA}`)"
             )));
         }
         let algorithm = String::from_json(checkpoint.field("algorithm")?)?;
@@ -657,11 +633,7 @@ impl<'a> Session<'a> {
         }
         // A resume must never silently cross numerics tiers: the restored
         // trajectory would be neither the strict nor the fast one.
-        // Pre-tier documents (no `tier` key) were all strict.
-        let ckpt_tier = match checkpoint.get("tier") {
-            None | Some(Json::Null) => NumericsTier::Strict,
-            Some(t) => NumericsTier::from_json(t)?,
-        };
+        let ckpt_tier = NumericsTier::from_json(checkpoint.field("tier")?)?;
         if ckpt_tier != env.cfg.tier {
             return Err(SessionError::BadCheckpoint(format!(
                 "checkpoint was recorded under the `{}` numerics tier, session is configured \
@@ -675,42 +647,25 @@ impl<'a> Session<'a> {
         stop.validate()?;
         session.stop = stop;
         session.env.restore(checkpoint.field("env")?)?;
-        // Membership state: v2 documents carry it explicitly. v1
-        // documents predate fault-capable sessions — restoring one into
-        // a *faulted* scenario is rejected outright (a flag-only replay
-        // could not purge the restored driver queue of a crashed node's
-        // in-flight events, re-creating the duplicated-chain bug the
-        // eager purge exists to prevent); with an empty plan there is
-        // nothing to reconstruct.
-        if v1 {
-            if !session.env.fault_plan().is_empty() {
-                return Err(SessionError::BadCheckpoint(
-                    "v1 checkpoints predate fault-capable sessions and cannot be restored \
-                     into a scenario with a non-empty fault plan"
-                        .into(),
-                ));
-            }
-        } else {
-            let active: Vec<bool> = Vec::from_json(checkpoint.field("active")?)?;
-            if active.len() != session.env.num_nodes() {
-                return Err(SessionError::BadCheckpoint(format!(
-                    "checkpoint has {} membership flags, environment has {} nodes",
-                    active.len(),
-                    session.env.num_nodes()
-                )));
-            }
-            for (i, a) in active.into_iter().enumerate() {
-                session.env.set_active(i, a);
-            }
-            let next = usize::from_json(checkpoint.field("membership_next")?)?;
-            if next > session.membership.len() {
-                return Err(SessionError::BadCheckpoint(format!(
-                    "checkpoint applied {next} membership events, plan has {}",
-                    session.membership.len()
-                )));
-            }
-            session.membership_next = next;
+        let active: Vec<bool> = Vec::from_json(checkpoint.field("active")?)?;
+        if active.len() != session.env.num_nodes() {
+            return Err(SessionError::BadCheckpoint(format!(
+                "checkpoint has {} membership flags, environment has {} nodes",
+                active.len(),
+                session.env.num_nodes()
+            )));
         }
+        for (i, a) in active.into_iter().enumerate() {
+            session.env.set_active(i, a);
+        }
+        let next = usize::from_json(checkpoint.field("membership_next")?)?;
+        if next > session.membership.len() {
+            return Err(SessionError::BadCheckpoint(format!(
+                "checkpoint applied {next} membership events, plan has {}",
+                session.membership.len()
+            )));
+        }
+        session.membership_next = next;
         session.recorder.restore(checkpoint.field("recorder")?)?;
         session
             .driver

@@ -13,7 +13,6 @@ use super::environment::Environment;
 use super::recorder::Sample;
 use super::session::SessionError;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// When a training session should stop.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// recent recorded [`Sample`], so they take effect at the recording cadence
 /// of [`TrainConfig`](super::config::TrainConfig) (and, for accuracy, at
 /// the test-evaluation cadence within it).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StopCondition {
     /// Stop when the mean per-node epoch count reaches the bound.
     MaxEpochs(f64),

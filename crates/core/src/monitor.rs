@@ -17,7 +17,6 @@ use crate::sparse_policy::{EdgeTimes, SparsePolicyResult};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::Matrix;
 use netmax_net::Topology;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Worker-side EMA iteration-time state for the whole fleet (the
@@ -178,7 +177,7 @@ impl EmaTimeTracker {
 }
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Collection/scheduling period `Ts` in simulated seconds (paper: the
     /// policy is recomputed every 2 minutes).

@@ -19,10 +19,9 @@ use crate::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
 use crate::sparse_policy::SparsePolicy;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the second-step update weights the pulled model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergeWeighting {
     /// The paper's rule: `w = αρ(d_{i,m}+d_{m,i}) / (2 p_{i,m})` —
     /// rarely-selected neighbours merge strongly (Algorithm 2 line 13).
@@ -34,7 +33,7 @@ pub enum MergeWeighting {
 }
 
 /// NetMax configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetMaxConfig {
     /// Network Monitor settings (period `Ts`, EMA β, search resolution).
     pub monitor: MonitorConfig,

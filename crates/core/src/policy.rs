@@ -31,14 +31,13 @@ use crate::gossip_matrix::build_y;
 use crate::sparse_policy::{solve_policy_lp_rowwise, EdgeTimes};
 use netmax_linalg::{second_largest_eigenvalue, Matrix};
 use netmax_net::Topology;
-use serde::{Deserialize, Serialize};
 
 /// Slack added to the strict inequality of Eq. (11) so LP solutions stay
 /// strictly feasible (`p_{i,m} ≥ αρ(d+d) + margin`).
 pub const POLICY_MARGIN: f64 = 1e-6;
 
 /// Search configuration for Algorithm 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicySearchConfig {
     /// Learning rate α currently in use by the workers.
     pub alpha: f64,

@@ -1,9 +1,10 @@
 //! Engine-level fault injection: membership events on the virtual clock,
 //! warm-started rejoins, typed peer errors, masked NetMax policies, and
-//! fault-capable checkpoint/resume (v2 schema, v1 still restorable).
+//! fault-capable checkpoint/resume.
 
 use netmax_core::engine::{
-    Algorithm, Scenario, Session, SessionError, StepEvent, StopCondition, TrainConfig,
+    Algorithm, CheckpointScratch, Scenario, Session, SessionError, StepEvent, StopCondition,
+    TrainConfig,
 };
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_json::{FromJson, Json, ToJson};
@@ -207,14 +208,13 @@ fn faulted_checkpoint_resume_is_byte_identical_mid_churn() {
             _ => {}
         }
     }
-    let text = session.checkpoint().pretty();
-    assert!(text.contains("session-checkpoint/v2"));
+    let mut bytes = Vec::new();
+    session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
     drop(session);
 
     let mut env2 = sc.build_env();
     let mut algo2 = netmax();
-    let mut resumed =
-        Session::restore(&mut env2, algo2.driver(), &Json::parse(&text).unwrap()).unwrap();
+    let mut resumed = Session::restore_bytes(&mut env2, algo2.driver(), &bytes).unwrap();
     assert!(!resumed.env().is_active(2), "restored session must carry the down state");
     let report = resumed.run();
     assert_eq!(
@@ -222,90 +222,6 @@ fn faulted_checkpoint_resume_is_byte_identical_mid_churn() {
         full.to_json().to_string(),
         "checkpoint mid-churn + resume must equal the uninterrupted run"
     );
-}
-
-#[test]
-fn v1_checkpoints_still_restore() {
-    // Emulate a pre-PR checkpoint: take a fault-free v2 document, strip
-    // the membership fields, and tag it v1 — exactly the shape old
-    // documents have.
-    let sc = scenario(8, FaultPlan::none());
-    let full = {
-        let mut env = sc.build_env();
-        let mut algo = netmax();
-        let mut session = Session::new(&mut env, algo.driver()).unwrap();
-        session.run()
-    };
-
-    let mut env = sc.build_env();
-    let mut algo = netmax();
-    let mut session = Session::new(&mut env, algo.driver()).unwrap();
-    let mut steps = 0;
-    while steps < 20 {
-        if let StepEvent::GlobalStep { .. } = session.step() {
-            steps += 1;
-        }
-    }
-    let mut doc = session.checkpoint();
-    drop(session);
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.retain(|(k, _)| k != "active" && k != "membership_next");
-        for (k, v) in pairs.iter_mut() {
-            if k == "schema" {
-                *v = Json::Str("netmax-core/session-checkpoint/v1".into());
-            }
-        }
-    }
-    let text = doc.pretty();
-    assert!(text.contains("session-checkpoint/v1"));
-
-    let mut env2 = sc.build_env();
-    let mut algo2 = netmax();
-    let mut resumed =
-        Session::restore(&mut env2, algo2.driver(), &Json::parse(&text).unwrap()).unwrap();
-    let report = resumed.run();
-    assert_eq!(
-        report.to_json().to_string(),
-        full.to_json().to_string(),
-        "a v1 checkpoint must resume byte-identically"
-    );
-}
-
-#[test]
-fn v1_checkpoints_are_rejected_under_a_nonempty_fault_plan() {
-    // A v1 document predates fault-capable sessions; restoring one into
-    // a faulted scenario cannot reconstruct membership safely (the
-    // restored driver queue could carry a crashed node's in-flight
-    // events), so it must fail with a typed error instead.
-    let plain = scenario(23, FaultPlan::none());
-    let mut env = plain.build_env();
-    let mut algo = netmax();
-    let mut session = Session::new(&mut env, algo.driver()).unwrap();
-    let mut steps = 0;
-    while steps < 10 {
-        if let StepEvent::GlobalStep { .. } = session.step() {
-            steps += 1;
-        }
-    }
-    let mut doc = session.checkpoint();
-    drop(session);
-    if let Json::Obj(pairs) = &mut doc {
-        pairs.retain(|(k, _)| k != "active" && k != "membership_next");
-        for (k, v) in pairs.iter_mut() {
-            if k == "schema" {
-                *v = Json::Str("netmax-core/session-checkpoint/v1".into());
-            }
-        }
-    }
-    let faulted = scenario(23, crash_plan(1, 5.0, None));
-    let mut env2 = faulted.build_env();
-    let mut algo2 = netmax();
-    let err = match Session::restore(&mut env2, algo2.driver(), &doc) {
-        Err(e) => e,
-        Ok(_) => panic!("v1 + fault plan must be rejected"),
-    };
-    assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
-    assert!(err.to_string().contains("fault plan"), "{err}");
 }
 
 #[test]
@@ -340,8 +256,8 @@ fn cross_tier_resume_is_rejected() {
     assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
     assert!(err.to_string().contains("strict") && err.to_string().contains("fast"), "{err}");
 
-    // A fast-tier checkpoint resumes fine into a fast session, and a
-    // pre-tier (stripped) document still restores as strict.
+    // A fast-tier checkpoint resumes fine into a fast session; a
+    // document with no `tier` at all is rejected, never assumed strict.
     let mut env3 = fast_sc.build_env();
     let mut algo3 = netmax();
     let mut session = Session::new(&mut env3, algo3.driver()).unwrap();
@@ -357,33 +273,18 @@ fn cross_tier_resume_is_rejected() {
     let mut algo4 = netmax();
     assert!(Session::restore(&mut env4, algo4.driver(), &fast_doc).is_ok());
 
-    let mut legacy = doc.clone();
-    if let Json::Obj(pairs) = &mut legacy {
+    let mut untiered = doc.clone();
+    if let Json::Obj(pairs) = &mut untiered {
         pairs.retain(|(k, _)| k != "tier");
     }
     let mut env5 = strict_sc.build_env();
     let mut algo5 = netmax();
-    assert!(
-        Session::restore(&mut env5, algo5.driver(), &legacy).is_ok(),
-        "pre-tier checkpoints restore as strict"
-    );
-}
-
-#[test]
-fn unknown_checkpoint_schema_is_a_typed_error() {
-    let sc = scenario(9, FaultPlan::none());
-    let mut env = sc.build_env();
-    let mut algo = netmax();
-    let doc = Json::parse(
-        r#"{"schema":"netmax-core/session-checkpoint/v99","algorithm":"netmax"}"#,
-    )
-    .unwrap();
-    let err = match Session::restore(&mut env, algo.driver(), &doc) {
+    let err = match Session::restore(&mut env5, algo5.driver(), &untiered) {
         Err(e) => e,
-        Ok(_) => panic!("v99 must be rejected"),
+        Ok(_) => panic!("a document without `tier` must be rejected"),
     };
     assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
-    assert!(err.to_string().contains("v99"), "{err}");
+    assert!(err.to_string().contains("tier"), "{err}");
 }
 
 #[test]

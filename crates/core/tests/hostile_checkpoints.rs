@@ -1,0 +1,270 @@
+//! Hostile serialized checkpoints at the session level: every broken
+//! NMXB document fed to [`Session::restore_bytes`] or
+//! [`reconstruct_chain`] must come back as a typed error — never a
+//! panic, never a silently wrong session. (`netmax-json`'s
+//! `codec_props.rs` fuzzes the container codec itself; this table pins
+//! what the engine does with containers that are well-formed but wrong.)
+
+use netmax_core::engine::{
+    decode_session_v3, reconstruct_chain, Algorithm, CheckpointScratch, Scenario, Session,
+    SessionError, StepEvent, TrainConfig, SESSION_CHECKPOINT_SCHEMA_V3, SESSION_DELTA_SCHEMA,
+};
+use netmax_core::netmax::NetMax;
+use netmax_json::{codec, Json};
+use netmax_ml::workload::WorkloadSpec;
+use netmax_net::NetworkKind;
+
+const WORKERS: usize = 4;
+
+fn scenario(seed: u64) -> Scenario {
+    Scenario::builder()
+        .workers(WORKERS)
+        .network(NetworkKind::Homogeneous)
+        .workload(WorkloadSpec::convex_ridge(7))
+        .train_config(TrainConfig {
+            seed,
+            max_epochs: 4.0,
+            ..TrainConfig::quick_test()
+        })
+        .build()
+}
+
+fn step(session: &mut Session<'_>, global_steps: usize) {
+    let mut done = 0;
+    while done < global_steps {
+        if let StepEvent::GlobalStep { .. } = session.step() {
+            done += 1;
+        }
+    }
+}
+
+/// A full snapshot after 20 steps plus two deltas, 5 steps apart.
+fn chain(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+    let sc = scenario(seed);
+    let mut env = sc.build_env();
+    let mut algo = NetMax::paper_default(0.05);
+    let mut session = Session::new(&mut env, algo.driver()).unwrap();
+    let mut scratch = CheckpointScratch::new();
+    step(&mut session, 20);
+    let mut base = Vec::new();
+    session.checkpoint_binary(&mut scratch, &mut base).unwrap();
+    let deltas = (0..2)
+        .map(|_| {
+            step(&mut session, 5);
+            let mut d = Vec::new();
+            session.checkpoint_delta(&mut scratch, &mut d).unwrap();
+            d
+        })
+        .collect();
+    (base, deltas)
+}
+
+/// Where `section`'s payload sits inside `bytes`.
+fn payload_range(bytes: &[u8], section: &str) -> std::ops::Range<usize> {
+    let payload = codec::read_document(bytes)
+        .unwrap()
+        .require(section)
+        .unwrap();
+    let start = payload.as_ptr() as usize - bytes.as_ptr() as usize;
+    start..start + payload.len()
+}
+
+fn flipped(bytes: &[u8], at: usize) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[at] ^= 0x01;
+    out
+}
+
+/// Cuts at the header, at both edges of every section payload, and in the
+/// middle of the `nodes` blobs.
+fn truncations(bytes: &[u8], sections: &[&str]) -> Vec<(String, Vec<u8>)> {
+    let mut cuts = vec![("empty".to_string(), 0), ("mid-magic".to_string(), 3)];
+    for name in sections {
+        let r = payload_range(bytes, name);
+        cuts.push((format!("before `{name}`"), r.start));
+        cuts.push((format!("after `{name}`"), r.end));
+    }
+    let nodes = payload_range(bytes, "nodes");
+    cuts.push(("mid-blob".to_string(), nodes.start + nodes.len() / 2));
+    cuts.retain(|(_, at)| *at < bytes.len());
+    cuts.into_iter()
+        .map(|(what, at)| (what, bytes[..at].to_vec()))
+        .collect()
+}
+
+/// `base` with `key` dropped from its `meta` object.
+fn without_meta_key(base: &[u8], key: &str) -> Vec<u8> {
+    let doc = codec::read_document(base).unwrap();
+    let mut meta = codec::decode_value(doc.require("meta").unwrap()).unwrap();
+    let Json::Obj(pairs) = &mut meta else {
+        panic!("meta is an object")
+    };
+    let before = pairs.len();
+    pairs.retain(|(k, _)| k != key);
+    assert_eq!(pairs.len(), before - 1, "fixture has no `{key}`");
+    let mut meta_bytes = Vec::new();
+    codec::encode_value(&mut meta_bytes, &meta).unwrap();
+    let mut out = Vec::new();
+    codec::write_document(
+        &mut out,
+        SESSION_CHECKPOINT_SCHEMA_V3,
+        &[
+            ("meta", &meta_bytes),
+            ("nodes", doc.require("nodes").unwrap()),
+        ],
+    )
+    .unwrap();
+    out
+}
+
+/// One hostile input and the entry point it is fed to.
+enum Row {
+    Restore(Vec<u8>),
+    Chain(Vec<u8>, Vec<Vec<u8>>),
+}
+
+#[test]
+fn hostile_nmxb_is_always_a_typed_error() {
+    // The on-disk tag is part of the format: pin its spelling.
+    assert_eq!(
+        SESSION_CHECKPOINT_SCHEMA_V3,
+        "netmax-core/session-checkpoint/v3"
+    );
+    let (base, deltas) = chain(5);
+    let (other_base, other_deltas) = chain(6);
+    assert_eq!(
+        codec::read_document(&base).unwrap().schema,
+        SESSION_CHECKPOINT_SCHEMA_V3
+    );
+    assert_eq!(
+        codec::read_document(&deltas[0]).unwrap().schema,
+        SESSION_DELTA_SCHEMA
+    );
+
+    let sc = scenario(5);
+    let restore = |bytes: &[u8]| {
+        let mut env = sc.build_env();
+        let mut algo = NetMax::paper_default(0.05);
+        Session::restore_bytes(&mut env, algo.driver(), bytes).map(|_| ())
+    };
+    // The fixture itself is sound, so every failure below is the row's.
+    restore(&base).expect("intact snapshot restores");
+    let rebuilt = reconstruct_chain(&base, &deltas).expect("intact chain replays");
+    restore(&rebuilt).expect("replayed chain restores");
+
+    let mut rows: Vec<(String, Row)> = Vec::new();
+    for (what, cut) in truncations(&base, &["meta", "nodes"]) {
+        rows.push((format!("snapshot truncated {what}"), Row::Restore(cut)));
+    }
+    for (what, cut) in truncations(&deltas[0], &["meta", "parent", "result", "nodes"]) {
+        rows.push((
+            format!("delta truncated {what}"),
+            Row::Chain(base.clone(), vec![cut]),
+        ));
+    }
+
+    let nodes_len_field = payload_range(&base, "nodes").start - 8;
+    for (what, at) in [
+        ("magic", 0),
+        ("version", 4),
+        ("schema tag", 6 + 4 + 3),
+        ("`nodes` section length", nodes_len_field),
+    ] {
+        rows.push((
+            format!("snapshot with a flipped byte in the {what}"),
+            Row::Restore(flipped(&base, at)),
+        ));
+    }
+    let delta_nodes = payload_range(&deltas[0], "nodes");
+    rows.push((
+        "delta with a flipped byte inside a node blob".into(),
+        Row::Chain(base.clone(), vec![flipped(&deltas[0], delta_nodes.end - 1)]),
+    ));
+
+    rows.push((
+        "deltas out of order".into(),
+        Row::Chain(base.clone(), vec![deltas[1].clone(), deltas[0].clone()]),
+    ));
+    rows.push((
+        "a delta replayed twice".into(),
+        Row::Chain(base.clone(), vec![deltas[0].clone(), deltas[0].clone()]),
+    ));
+    rows.push((
+        "a delta from a different chain".into(),
+        Row::Chain(base.clone(), vec![other_deltas[0].clone()]),
+    ));
+    rows.push((
+        "a chain on a different base".into(),
+        Row::Chain(other_base.clone(), deltas.clone()),
+    ));
+    // First changed-node index sits right after the u32 change count.
+    let mut out_of_fleet = deltas[0].clone();
+    out_of_fleet[delta_nodes.start + 4..delta_nodes.start + 8]
+        .copy_from_slice(&(WORKERS as u32).to_le_bytes());
+    rows.push((
+        "a delta naming a node index outside the fleet".into(),
+        Row::Chain(base.clone(), vec![out_of_fleet]),
+    ));
+    rows.push((
+        "a delta passed as the base".into(),
+        Row::Chain(deltas[0].clone(), Vec::new()),
+    ));
+    rows.push((
+        "a full snapshot passed as a delta".into(),
+        Row::Chain(base.clone(), vec![base.clone()]),
+    ));
+
+    rows.push((
+        "a delta passed to restore_bytes".into(),
+        Row::Restore(deltas[0].clone()),
+    ));
+    let logical = decode_session_v3(&base).unwrap();
+    rows.push((
+        "JSON text passed to restore_bytes".into(),
+        Row::Restore(logical.pretty().into_bytes()),
+    ));
+    for key in ["tier", "active", "env"] {
+        rows.push((
+            format!("a v3 whose meta lacks `{key}`"),
+            Row::Restore(without_meta_key(&base, key)),
+        ));
+    }
+
+    for (what, row) in rows {
+        match row {
+            Row::Restore(bytes) => match restore(&bytes) {
+                Err(SessionError::BadCheckpoint(_)) => {}
+                other => panic!("{what}: expected BadCheckpoint, got {other:?}"),
+            },
+            Row::Chain(base, deltas) => {
+                if let Ok(bytes) = reconstruct_chain(&base, &deltas) {
+                    panic!(
+                        "{what}: replayed into {} bytes instead of failing",
+                        bytes.len()
+                    );
+                }
+            }
+        }
+    }
+
+    // The logical document is only accepted under the v2 tag — the v3 tag
+    // names the container, not the document inside it.
+    let mut retagged = logical.clone();
+    let Json::Obj(pairs) = &mut retagged else {
+        panic!("logical document is an object")
+    };
+    for (k, v) in pairs.iter_mut() {
+        if k == "schema" {
+            *v = Json::Str(SESSION_CHECKPOINT_SCHEMA_V3.into());
+        }
+    }
+    let mut env = sc.build_env();
+    let mut algo = NetMax::paper_default(0.05);
+    let outcome = Session::restore(&mut env, algo.driver(), &retagged).map(|_| ());
+    match outcome {
+        Err(SessionError::BadCheckpoint(msg)) => {
+            assert!(msg.contains(SESSION_CHECKPOINT_SCHEMA_V3), "{msg}")
+        }
+        other => panic!("retagged logical document: expected BadCheckpoint, got {other:?}"),
+    }
+}

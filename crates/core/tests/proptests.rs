@@ -4,14 +4,14 @@
 //! determinism guarantee over random scenarios.
 
 use netmax_core::engine::{
-    decode_session_v3, encode_session_v3, reconstruct_chain, Algorithm, CheckpointScratch,
+    decode_session_v3, reconstruct_chain, Algorithm, CheckpointScratch,
     Scenario, Session, StepEvent, TrainConfig,
 };
 use netmax_core::gossip_matrix::{build_y, node_probabilities};
 use netmax_core::monitor::EmaTimeTracker;
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_core::policy::{PolicyGenerator, PolicySearchConfig};
-use netmax_json::{Json, ToJson};
+use netmax_json::ToJson;
 use netmax_linalg::{
     is_doubly_stochastic, is_irreducible, is_nonnegative, is_symmetric,
     second_largest_eigenvalue, Matrix,
@@ -168,9 +168,9 @@ fn netmax_algo() -> NetMax {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The checkpoint JSON round-trip guarantee over random scenarios:
-    /// `Session::restore(checkpoint-at-step-k)` resumes to a `RunReport`
-    /// byte-identical to the uninterrupted run, for arbitrary k.
+    /// The checkpoint round-trip guarantee over random scenarios:
+    /// `Session::restore_bytes(checkpoint-at-step-k)` resumes to a
+    /// `RunReport` byte-identical to the uninterrupted run, for arbitrary k.
     #[test]
     fn checkpoint_round_trip_resumes_byte_identically(
         sc in small_scenario(),
@@ -185,27 +185,24 @@ proptest! {
         };
 
         // Interrupted: step to >= k global steps (or completion),
-        // checkpoint through serialized text, restore, finish.
+        // checkpoint through the serialized form, restore, finish.
         let mut algo1 = netmax_algo();
         let mut env1 = sc.build_env();
-        let text = {
+        let bytes = {
             let mut session = Session::new(&mut env1, algo1.driver()).unwrap();
             while session.env().global_step < k {
                 if let StepEvent::Finished { .. } = session.step() {
                     break;
                 }
             }
-            session.checkpoint().pretty()
+            let mut bytes = Vec::new();
+            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
+            bytes
         };
 
         let mut algo2 = netmax_algo();
         let mut env2 = sc.build_env();
-        let mut resumed = Session::restore(
-            &mut env2,
-            algo2.driver(),
-            &Json::parse(&text).unwrap(),
-        )
-        .unwrap();
+        let mut resumed = Session::restore_bytes(&mut env2, algo2.driver(), &bytes).unwrap();
         let report = resumed.run();
         prop_assert_eq!(
             report.to_json().to_string(),
@@ -220,12 +217,10 @@ proptest! {
 
     /// The binary checkpoint guarantees, over random scenarios and
     /// suspend points:
-    /// 1. the direct-from-environment fast path emits bytes identical to
-    ///    the `Json`-level v3 transcoder,
-    /// 2. decoding yields exactly the v2 logical document,
-    /// 3. a base + delta chain reconstructs **bit-identically** to a
+    /// 1. decoding yields exactly the v2 logical document,
+    /// 2. a base + delta chain reconstructs **bit-identically** to a
     ///    fresh full snapshot taken at the chain's end, and
-    /// 4. restoring from the reconstructed bytes resumes to a report
+    /// 3. restoring from the reconstructed bytes resumes to a report
     ///    byte-identical to the uninterrupted run.
     #[test]
     fn binary_checkpoints_and_delta_chains_are_bit_exact(
@@ -241,18 +236,16 @@ proptest! {
             }
         }
 
-        // (1) fast path ≡ transcoder, (2) decode ≡ logical v2 document.
+        // (1) decode ≡ logical v2 document.
         let mut scratch = CheckpointScratch::new();
         let mut base = Vec::new();
         session.checkpoint_binary(&mut scratch, &mut base).unwrap();
-        let v2 = session.checkpoint();
-        prop_assert_eq!(&base, &encode_session_v3(&v2).unwrap());
         prop_assert_eq!(
             decode_session_v3(&base).unwrap().to_string(),
-            v2.to_string()
+            session.checkpoint().to_string()
         );
 
-        // (3) run on, emitting a delta every few steps; the replayed
+        // (2) run on, emitting a delta every few steps; the replayed
         // chain must equal a fresh full snapshot bit-for-bit.
         let mut deltas = Vec::new();
         let mut done = false;
@@ -274,7 +267,7 @@ proptest! {
         let rebuilt = reconstruct_chain(&base, &deltas).unwrap();
         prop_assert_eq!(&rebuilt, &fresh);
 
-        // (4) the reconstructed bytes restore and finish identically to
+        // (3) the reconstructed bytes restore and finish identically to
         // the uninterrupted run.
         let full_report = session.run();
         let mut algo2 = netmax_algo();

@@ -5,13 +5,10 @@
 //! pretty writers, and the [`ToJson`] / [`FromJson`] conversion traits
 //! every serializable experiment type implements.
 //!
-//! The build environment has no registry access, so the workspace's
-//! `serde` dependency is an API-shim whose derives expand to nothing (see
-//! `shims/README.md`). Experiment specs and run artifacts still need real
-//! on-disk JSON — `netmax-bench run --json`, the spec registry, and the
-//! `BENCH_*.json` performance baselines all round-trip through this crate.
-//! When registry access becomes available the `ToJson`/`FromJson` impls
-//! can be swapped for `serde_json` without touching the schema.
+//! This crate is the workspace's only serialization backend:
+//! `netmax-bench run --json`, the spec registry, the `BENCH_*.json`
+//! performance baselines and (through [`codec`]) every checkpoint
+//! round-trip through it.
 //!
 //! Integers are kept in an [`i128`] variant so `u64` seeds survive the
 //! round-trip exactly instead of being squeezed through an `f64`.
@@ -158,16 +155,14 @@ impl fmt::Display for Json {
 
 /// Conversion into a [`Json`] value.
 ///
-/// The offline stand-in for `serde::Serialize`: implemented by hand for
-/// each spec/report type so the schema is explicit and reviewable.
+/// Implemented by hand for each spec/report type so the schema is
+/// explicit and reviewable.
 pub trait ToJson {
     /// Converts `self` to a JSON value.
     fn to_json(&self) -> Json;
 }
 
 /// Conversion from a [`Json`] value.
-///
-/// The offline stand-in for `serde::Deserialize`.
 pub trait FromJson: Sized {
     /// Reconstructs `Self`, reporting schema mismatches as errors.
     fn from_json(v: &Json) -> Result<Self, JsonError>;

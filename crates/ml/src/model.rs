@@ -22,7 +22,6 @@ use crate::fast::{softmax_xent_grad_fast, transpose_block_fast};
 use crate::tier::{KernelTable, NumericsTier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Reusable workspace for the gradient hot path.
 ///
@@ -258,7 +257,7 @@ impl Clone for Box<dyn Model> {
 }
 
 /// Which model a workload trains; a cheap, serialisable factory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ModelKind {
     /// Multinomial logistic regression.
     Softmax,

@@ -7,10 +7,9 @@
 //! milestones, as the paper itself does in §V-F: "decays by a factor of 10
 //! at epoch 80").
 
-use serde::{Deserialize, Serialize};
 
 /// SGD hyper-parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SgdConfig {
     /// Initial learning rate α.
     pub lr: f64,

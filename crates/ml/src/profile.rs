@@ -13,10 +13,9 @@
 //! several-fold on slow links.
 
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Timing profile of a training model: message size and per-batch compute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Human-readable name ("resnet18", …).
     pub name: String,

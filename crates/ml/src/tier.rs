@@ -20,10 +20,9 @@
 
 use crate::{fast, params};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// Which numerics contract the training hot path runs under.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NumericsTier {
     /// Bit-stable reference numerics: scalar `exp`/`ln`, strictly
     /// sequential accumulation order. Re-runs the committed baselines

@@ -12,7 +12,6 @@ use crate::model::{Model, ModelKind};
 use crate::optim::SgdConfig;
 use crate::profile::ModelProfile;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A *reference* to one of the named workloads — pure data, no datasets.
@@ -21,7 +20,7 @@ use std::sync::Arc;
 /// therefore neither cheap to clone deeply nor serializable; scenario
 /// specs store a `WorkloadKind` (inside a [`WorkloadSpec`]) instead and
 /// instantiate the real thing at environment-build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
     /// ResNet18 on CIFAR10 (§V-B–E headline workload).
     Resnet18Cifar10,
@@ -113,7 +112,7 @@ impl FromJson for WorkloadKind {
 /// dataset seed, an optional epoch-schedule compression, an optional
 /// learning-rate scale, and an optional communication-profile override.
 /// Identical specs instantiate byte-identical [`Workload`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Which named workload.
     pub kind: WorkloadKind,

@@ -7,9 +7,9 @@
 //! * [`ElasticNetwork`] — a base fabric (uniform link, cluster placement
 //!   with intra/inter links, or the WAN matrix) composed with per-link
 //!   [`LinkDynamics`] and an optional [`FaultPlan`]. The paper's three
-//!   regimes are special cases: the historical
-//!   [`HeterogeneousDynamicNetwork`] is now the cluster fabric with
-//!   [`LinkDynamics::PeriodicRedraw`] — bit-for-bit the same schedule.
+//!   regimes are special cases: the heterogeneous-dynamic regime is the
+//!   cluster fabric with [`LinkDynamics::PeriodicRedraw`]
+//!   ([`ElasticNetwork::new`]).
 //! * [`WanNetwork`] — a wide-area latency/bandwidth matrix reproducing the
 //!   6-region EC2 deployment of Appendix G.
 //!
@@ -23,7 +23,6 @@ use crate::faults::FaultPlan;
 use crate::link::LinkQuality;
 use crate::topology::Placement;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// A network: the ground-truth communication cost between worker nodes.
 pub trait Network: Send + Sync {
@@ -41,7 +40,7 @@ pub trait Network: Send + Sync {
 
 /// Which of the paper's network regimes to instantiate (used by the
 /// scenario builder and the figure harnesses).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetworkKind {
     /// §V-A homogeneous: single server, 10 Gbps virtual switch.
     Homogeneous,
@@ -94,7 +93,7 @@ impl FromJson for NetworkKind {
 
 /// Physical cluster description: how many workers per server and the two
 /// link classes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Workers hosted by each server, e.g. `\[4, 4\]` for the paper's
     /// two-server, 8-worker deployments.
@@ -165,7 +164,7 @@ impl Network for HomogeneousNetwork {
 }
 
 /// Configuration of the paper's dynamic slow-link regime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlowdownConfig {
     /// Minimum slowdown factor (paper: 2).
     pub min_factor: f64,
@@ -259,9 +258,8 @@ impl BaseFabric {
 /// all pure functions of `(seed, link, t)`.
 ///
 /// The paper's dynamic regime is the cluster fabric with
-/// [`LinkDynamics::PeriodicRedraw`]; [`HeterogeneousDynamicNetwork`] is
-/// now an alias constructing exactly that, with an identical slow-link
-/// schedule.
+/// [`LinkDynamics::PeriodicRedraw`], which [`ElasticNetwork::new`]
+/// constructs.
 #[derive(Debug, Clone)]
 pub struct ElasticNetwork {
     base: BaseFabric,
@@ -270,14 +268,10 @@ pub struct ElasticNetwork {
     seed: u64,
 }
 
-/// The paper's heterogeneous-dynamic regime, now expressed as an
-/// [`ElasticNetwork`] (cluster fabric + periodic slow-link redraw).
-pub type HeterogeneousDynamicNetwork = ElasticNetwork;
-
 impl ElasticNetwork {
-    /// Cluster fabric with the paper's periodic slow-link redraw —
-    /// the historical `HeterogeneousDynamicNetwork::new`. `seed` drives
-    /// the slow-link schedule.
+    /// Cluster fabric with the paper's periodic slow-link redraw (the
+    /// heterogeneous-dynamic regime). `seed` drives the slow-link
+    /// schedule.
     pub fn new(spec: ClusterSpec, slowdown: SlowdownConfig, seed: u64) -> Self {
         Self::cluster(spec, LinkDynamics::PeriodicRedraw(slowdown), seed)
     }
@@ -511,7 +505,7 @@ mod tests {
 
     #[test]
     fn hetero_intra_faster_than_inter() {
-        let net = HeterogeneousDynamicNetwork::paper_default(8, 2, 7);
+        let net = ElasticNetwork::paper_default(8, 2, 7);
         // Workers 0..3 on server 0, 4..7 on server 1.
         let intra = net.comm_time(0, 1, 40 * MB, 0.0);
         let inter = net.comm_time(0, 4, 40 * MB, 0.0);
@@ -553,26 +547,26 @@ mod tests {
         // And the network built from it serves identical links across
         // windows.
         let spec = ClusterSpec::paper_default(vec![4, 4]);
-        let net = HeterogeneousDynamicNetwork::new(spec, sd, 42);
+        let net = ElasticNetwork::new(spec, sd, 42);
         let t0 = net.comm_time(0, 4, 40 * MB, 0.0);
         assert_eq!(net.comm_time(0, 4, 40 * MB, 10_000.0), t0);
     }
 
     #[test]
-    fn elastic_cluster_with_periodic_redraw_matches_legacy_regime() {
-        // The decomposed dynamics must reproduce the historical
-        // HeterogeneousDynamicNetwork schedule bit-for-bit: same base
-        // links, same slowed pair, same factor, at every time.
+    fn new_is_the_cluster_fabric_with_periodic_redraw_bit_for_bit() {
+        // The paper-regime constructor and the decomposed dynamics must
+        // serve the same schedule bit-for-bit: same base links, same
+        // slowed pair, same factor, at every time.
         let spec = ClusterSpec::paper_default(vec![3, 3, 2]);
         let sd = SlowdownConfig { change_period_s: 120.0, ..SlowdownConfig::default() };
-        let legacy = HeterogeneousDynamicNetwork::new(spec.clone(), sd, 7);
+        let regime = ElasticNetwork::new(spec.clone(), sd, 7);
         let composed =
             ElasticNetwork::cluster(spec, LinkDynamics::PeriodicRedraw(sd), 7);
         for t in [0.0, 55.5, 119.9, 120.0, 3600.0, 12345.6] {
             for i in 0..8 {
                 for j in 0..8 {
                     assert_eq!(
-                        legacy.comm_time(i, j, 40 * MB, t).to_bits(),
+                        regime.comm_time(i, j, 40 * MB, t).to_bits(),
                         composed.comm_time(i, j, 40 * MB, t).to_bits(),
                         "({i},{j}) at t={t}"
                     );
@@ -654,7 +648,7 @@ mod tests {
 
     #[test]
     fn dynamics_are_pure_in_time() {
-        let net = HeterogeneousDynamicNetwork::paper_default(8, 2, 3);
+        let net = ElasticNetwork::paper_default(8, 2, 3);
         let t1 = net.comm_time(0, 5, 40 * MB, 100.0);
         // Query other times in between; then re-query.
         let _ = net.comm_time(0, 5, 40 * MB, 900.0);

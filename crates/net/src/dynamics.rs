@@ -9,8 +9,7 @@
 //!
 //! * [`LinkDynamics::Static`] — links never change.
 //! * [`LinkDynamics::PeriodicRedraw`] — the paper's §V-A regime (one
-//!   random link slowed 2×–100×, re-drawn every window), bit-for-bit
-//!   identical to the historical `HeterogeneousDynamicNetwork` behaviour.
+//!   random link slowed 2×–100×, re-drawn every window).
 //! * [`LinkDynamics::MarkovModulated`] — every link walks its own Markov
 //!   chain over a set of slowdown states; short dwell times produce
 //!   fast-drifting links that stress the Monitor → LP → policy loop far
@@ -27,7 +26,6 @@
 
 use crate::conditions::SlowdownConfig;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: deterministic, platform-independent hash step (shared by
 /// every dynamics variant so schedules are identical across platforms).
@@ -69,7 +67,7 @@ pub fn periodic_slowed_pair(
 /// walks a Markov chain over `factors`, holding each state for `dwell_s`
 /// virtual seconds and transitioning with probability `change_prob` at
 /// each window boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarkovConfig {
     /// The slowdown states (each ≥ 1; include 1.0 for a healthy state).
     pub factors: Vec<f64>,
@@ -162,7 +160,7 @@ impl FromJson for MarkovConfig {
 
 /// One window of a trace schedule: the unordered link `{a, b}` is slowed
 /// by `factor` during `[start_s, end_s)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceWindow {
     /// One endpoint of the affected link.
     pub a: usize,
@@ -202,7 +200,7 @@ impl FromJson for TraceWindow {
 
 /// How every link's quality evolves over virtual time. See the module
 /// docs for the variants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LinkDynamics {
     /// Links never change.
     Static,

@@ -16,7 +16,6 @@
 //!   the virtual clock and scale per-node gradient-compute times.
 
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use serde::{Deserialize, Serialize};
 
 /// The cost multiplier standing in for a link that is *down*: large
 /// enough that any traffic committed to the link dominates the sender's
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 pub const OUTAGE_FACTOR: f64 = 1.0e3;
 
 /// What happens to a link during a fault window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkFaultKind {
     /// The link is slowed by the given factor (≥ 1).
     Degrade(f64),
@@ -63,7 +62,7 @@ impl FromJson for LinkFaultKind {
 
 /// One link fault: the unordered link `{a, b}` suffers `kind` during
 /// `[start_s, end_s)` of virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFault {
     /// One endpoint of the affected link.
     pub a: usize,
@@ -103,7 +102,7 @@ impl FromJson for LinkFault {
 
 /// One node fault: the node crashes at `crash_s` and, if `rejoin_s` is
 /// set, rejoins at that time (warm-starting from a live peer's replica).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeFault {
     /// The crashing worker.
     pub node: usize,
@@ -136,7 +135,7 @@ impl FromJson for NodeFault {
 /// A permanent per-node compute slowdown (straggler hardware, noisy
 /// co-tenant): the node's gradient-compute times are multiplied by
 /// `factor` for the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Straggler {
     /// The slowed worker.
     pub node: usize,
@@ -173,7 +172,7 @@ pub struct MembershipEvent {
 
 /// The full declarative fault schedule of one scenario. Empty by default;
 /// see the module docs for who interprets which part.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Link degradation/outage windows.
     pub link_faults: Vec<LinkFault>,

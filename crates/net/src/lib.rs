@@ -46,8 +46,8 @@ pub mod link;
 pub mod topology;
 
 pub use conditions::{
-    ClusterSpec, ElasticNetwork, HeterogeneousDynamicNetwork, HomogeneousNetwork, Network,
-    NetworkKind, SlowdownConfig, WanNetwork,
+    ClusterSpec, ElasticNetwork, HomogeneousNetwork, Network, NetworkKind, SlowdownConfig,
+    WanNetwork,
 };
 pub use dynamics::{LinkDynamics, MarkovConfig, TraceWindow};
 pub use event::EventQueue;

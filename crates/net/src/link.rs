@@ -6,10 +6,9 @@
 //! them from iteration times (§III-A) — but the *simulator* needs ground
 //! truth to generate those iteration times.
 
-use serde::{Deserialize, Serialize};
 
 /// Quality of a (directed) link: propagation latency plus bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkQuality {
     /// One-way propagation latency in seconds.
     pub latency_s: f64,

@@ -7,10 +7,9 @@
 //! Prague collectives), and the placement helper that maps worker nodes to
 //! physical servers (intra- vs inter-machine links of Fig. 3).
 
-use serde::{Deserialize, Serialize};
 
 /// An undirected communication graph over `n` worker nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     n: usize,
     /// Row-major adjacency, `adj[i * n + m] == true` iff `d_{i,m} = 1`.
@@ -213,7 +212,7 @@ impl Topology {
 /// Maps worker nodes to physical servers, reproducing the paper's
 /// deployments ("8 worker nodes instantiated in two GPU servers. Each
 /// server hosts 4 worker nodes", §V-F).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// `server_of[i]` = index of the server hosting worker `i`.
     pub server_of: Vec<usize>,

@@ -4,8 +4,7 @@
 //! JSON round-trips, topology invariants, and event-queue ordering.
 
 use netmax_net::{
-    ClusterSpec, ElasticNetwork, EventQueue, FaultPlan, HeterogeneousDynamicNetwork,
-    HomogeneousNetwork, LinkDynamics, LinkFault, LinkFaultKind, LinkQuality, MarkovConfig,
+    ClusterSpec, ElasticNetwork, EventQueue, FaultPlan, HomogeneousNetwork, LinkDynamics, LinkFault, LinkFaultKind, LinkQuality, MarkovConfig,
     Network, NodeFault, SlowdownConfig, Straggler, Topology, TraceWindow, WanNetwork,
 };
 use netmax_json::{FromJson, Json, ToJson};
@@ -22,7 +21,7 @@ fn all_networks(seed: u64, faults: FaultPlan) -> Vec<(&'static str, Box<dyn Netw
         ("wan", Box::new(WanNetwork::new((0..8).map(|i| i % 6).collect()))),
         (
             "periodic-redraw",
-            Box::new(with(HeterogeneousDynamicNetwork::new(
+            Box::new(with(ElasticNetwork::new(
                 spec(),
                 SlowdownConfig::default(),
                 seed,
@@ -133,7 +132,7 @@ proptest! {
         seed in 0u64..1000,
         queries in proptest::collection::vec((0usize..8, 0usize..8, 0.0f64..5000.0), 1..20),
     ) {
-        let net = HeterogeneousDynamicNetwork::paper_default(8, 3, seed);
+        let net = ElasticNetwork::paper_default(8, 3, seed);
         let bytes = 10_000_000;
         let first: Vec<f64> = queries
             .iter()
@@ -154,7 +153,7 @@ proptest! {
     /// times and for all links.
     #[test]
     fn slowdown_factors_bounded(seed in 0u64..500, t in 0.0f64..100_000.0) {
-        let net = HeterogeneousDynamicNetwork::paper_default(8, 2, seed);
+        let net = ElasticNetwork::paper_default(8, 2, seed);
         let bytes = 46_800_000; // resnet18
         let base_inter = LinkQuality::gbit_ethernet().transfer_time(bytes);
         for i in 0..8usize {

@@ -78,12 +78,12 @@
 //! };
 //! assert_eq!(report.global_steps, 150);
 //!
-//! // The checkpoint is a versioned JSON document; restoring it into a
-//! // fresh session resumes byte-identically (see ARCHITECTURE.md §3).
-//! // The v2 schema added the active-membership state; v1 documents from
-//! // older runs still restore.
-//! let checkpoint = session.checkpoint();
-//! assert!(checkpoint.to_string().contains("session-checkpoint/v2"));
+//! // The checkpoint is one NMXB container; `Session::restore_bytes` into
+//! // a fresh session resumes byte-identically (see ARCHITECTURE.md §3).
+//! let mut checkpoint = Vec::new();
+//! let mut scratch = netmax::core::engine::CheckpointScratch::new();
+//! session.checkpoint_binary(&mut scratch, &mut checkpoint)?;
+//! assert!(checkpoint.starts_with(b"NMXB"));
 //! # Ok::<(), netmax::core::engine::SessionError>(())
 //! ```
 //!
