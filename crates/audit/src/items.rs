@@ -277,11 +277,14 @@ impl Parser<'_> {
         let owner = self.ctx.last().map(|(t, _)| t.clone());
         let line = self.scan.tokens[kw].line;
         // The body is the first `{` after the signature; a `;` first is a
-        // bodyless trait method. Braces cannot occur in the signature
-        // itself (const generic defaults would, but the workspace has
-        // none and the failure mode is a shorter body, not a panic).
+        // bodyless trait method — unless it sits inside the brackets of
+        // an array type (`-> [f64; L]`). Braces cannot occur in the
+        // signature itself (const generic defaults would, but the
+        // workspace has none and the failure mode is a shorter body, not
+        // a panic).
         let mut j = kw + 2;
         let mut body = None;
+        let mut brackets = 0usize;
         while j < self.scan.tokens.len() {
             match self.punct(j) {
                 Some('{') => {
@@ -290,9 +293,12 @@ impl Parser<'_> {
                     }
                     break;
                 }
-                Some(';') => break,
-                _ => j += 1,
+                Some(';') if brackets == 0 => break,
+                Some('[') => brackets += 1,
+                Some(']') => brackets = brackets.saturating_sub(1),
+                _ => {}
             }
+            j += 1;
         }
         FnItem { file: self.scan.path.clone(), name, owner, line, body, calls: Vec::new() }
     }
@@ -404,6 +410,18 @@ mod tests {
         assert_eq!(its.len(), 1);
         assert!(its[0].body.is_none());
         assert!(its[0].calls.is_empty());
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_it() {
+        // The `;` of `[f64; L]` is not the `;` of a bodyless declaration:
+        // these bodies, their calls and their panic sites used to vanish.
+        let its = items(
+            "fn fold<const L: usize>(acc: [f64; L], x: &mut [[f64; L]]) -> [f64; L] { mix(acc) }
+             trait T { fn decl(&self, a: [u8; 4]); }",
+        );
+        assert_eq!(shapes(&its[0]), [Call::Free("mix".to_string())]);
+        assert!(its[1].body.is_none());
     }
 
     #[test]

@@ -20,10 +20,12 @@
 use netmax_bench::{registry, Mode};
 use netmax_core::policy::{rho_upper_bound, solve_policy_lp, t_bar_bounds};
 use netmax_core::sparse_policy::{
-    rho_upper_bound_sparse, t_bar_bounds_sparse, DENSE_CONTROL_THRESHOLD,
+    rho_upper_bound_sparse, t_bar_bounds_sparse, DENSE_CONTROL_THRESHOLD, SPARSE_L2_MAX_ITERS,
+    SPARSE_L2_TOL,
 };
 use netmax_core::{
     build_y, solve_policy_lp_rowwise, EdgeTimes, PolicyGenerator, PolicySearchConfig,
+    SparsePolicyResult,
 };
 use netmax_linalg::{
     second_largest_eigenvalue, second_largest_eigenvalue_sparse, Matrix, SparseSymmetric,
@@ -237,19 +239,25 @@ fn rowwise_lp_matches_dense_on_synthetic_crash_masks() {
     assert!(feasible > 0, "no synthetic masked candidate was feasible");
 }
 
+/// What Algorithm 3 selects: `(P, ρ, t̄, λ₂)`.
+type Selection = (Matrix, f64, f64, f64);
+
 /// Algorithm 3 walked over the dense reference functions with the λ₂
-/// solver injected: `(P, ρ, t̄, λ₂)` of the first minimal-`T_convergence`
-/// candidate, as both generators select it.
+/// solver injected and **every** candidate scored to the end: the first
+/// minimal-`T_convergence` candidate, as both generators select it, with
+/// its position among the feasible candidates in sweep order and their
+/// number.
 fn reference_search(
     cfg: &PolicySearchConfig,
     times: &Matrix,
     topo: &Topology,
     lambda2_of: impl Fn(&Matrix) -> f64,
-) -> Option<(Matrix, f64, f64, f64)> {
+) -> Option<(usize, usize, Selection)> {
     let n = topo.len();
     let p_node = vec![1.0 / n as f64; n];
     let u_rho = rho_upper_bound(cfg.alpha, times, topo)?;
-    let mut best: Option<(f64, (Matrix, f64, f64, f64))> = None;
+    let mut best: Option<(f64, usize, Selection)> = None;
+    let mut feasible = 0;
     for k in 1..=cfg.outer_k {
         let rho = k as f64 * (u_rho / cfg.outer_k as f64);
         let Some((lower, upper)) = t_bar_bounds(cfg.alpha, rho, times, topo) else { continue };
@@ -259,17 +267,39 @@ fn reference_search(
             let Some(policy) = solve_policy_lp(cfg.alpha, rho, t_bar, times, topo) else {
                 continue;
             };
+            feasible += 1;
             let lambda2 = lambda2_of(&build_y(&policy, topo, &p_node, cfg.alpha, rho));
             if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
                 continue;
             }
             let t_conv = t_bar * cfg.epsilon.ln() / lambda2.ln();
-            if best.as_ref().is_none_or(|(b, _)| t_conv < *b) {
-                best = Some((t_conv, (policy, rho, t_bar, lambda2)));
+            if best.as_ref().is_none_or(|(b, ..)| t_conv < *b) {
+                best = Some((t_conv, feasible - 1, (policy, rho, t_bar, lambda2)));
             }
         }
     }
-    best.map(|(_, selected)| selected)
+    best.map(|(_, position, selected)| (position, feasible, selected))
+}
+
+fn jacobi(y: &Matrix) -> f64 {
+    second_largest_eigenvalue(y)
+}
+
+/// The power iteration with the settings `generate_sparse` runs it with,
+/// through the single-matrix entry point: no lanes, no ceilings.
+fn power(y: &Matrix) -> f64 {
+    let y = SparseSymmetric::from_dense(y);
+    second_largest_eigenvalue_sparse(&y, SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL).eigenvalue
+}
+
+fn production(cfg: &PolicySearchConfig, topo: &Topology, times: &Matrix) -> SparsePolicyResult {
+    PolicyGenerator::new(cfg.clone())
+        .generate_sparse(&EdgeTimes::from_dense(times, topo), topo)
+        .expect("the search is feasible")
+}
+
+fn selection(res: &SparsePolicyResult) -> Selection {
+    (res.policy.to_dense(), res.rho, res.t_bar, res.lambda2)
 }
 
 #[test]
@@ -280,33 +310,135 @@ fn only_the_eigensolver_changes_across_the_threshold() {
     // `generate_sparse` uses) at n = 72: bounds, LP and Y_P assembly are
     // therefore untouched by the switch. The solvers themselves disagree
     // in the low bits, so swapping them would fail one of the two.
-    let jacobi = |y: &Matrix| second_largest_eigenvalue(y);
-    let power = |y: &Matrix| {
-        second_largest_eigenvalue_sparse(&SparseSymmetric::from_dense(y), 5_000, 1e-12).eigenvalue
-    };
     let cfg = coarse_search(0.05);
-    let production = |topo: &Topology, times: &Matrix| {
-        let res = PolicyGenerator::new(cfg.clone())
-            .generate_sparse(&EdgeTimes::from_dense(times, topo), topo)
-            .expect("torus search is feasible");
-        (res.policy.to_dense(), res.rho, res.t_bar, res.lambda2)
-    };
 
     let at = Topology::torus(8, 8);
     assert_eq!(at.len(), DENSE_CONTROL_THRESHOLD);
     let times = synthetic_times(&at);
-    let selected = production(&at, &times);
-    assert_eq!(Some(&selected), reference_search(&cfg, &times, &at, jacobi).as_ref());
-    assert_ne!(Some(selected.3), reference_search(&cfg, &times, &at, power).map(|s| s.3));
+    let res = production(&cfg, &at, &times);
+    let selected = selection(&res);
+    assert_eq!(Some(&selected), reference_search(&cfg, &times, &at, jacobi).map(|s| s.2).as_ref());
+    assert_ne!(Some(selected.3), reference_search(&cfg, &times, &at, power).map(|s| s.2 .3));
+    assert_eq!(res.lambda2_iterations, 0, "Jacobi takes no power-iteration steps");
 
     let past = Topology::torus(8, 9);
     let times = synthetic_times(&past);
-    let selected = production(&past, &times);
-    assert_eq!(Some(&selected), reference_search(&cfg, &times, &past, power).as_ref());
+    let res = production(&cfg, &past, &times);
+    let selected = selection(&res);
+    assert_eq!(Some(&selected), reference_search(&cfg, &times, &past, power).map(|s| s.2).as_ref());
     // The estimate is bounded-effort (the iteration cap binds on a torus
     // this size): near the exact λ₂ of the selected Y_P, not equal to it.
     let p_node = vec![1.0 / past.len() as f64; past.len()];
     let exact = jacobi(&build_y(&selected.0, &past, &p_node, cfg.alpha, selected.1));
     assert_ne!(selected.3, exact);
     assert!((selected.3 - exact).abs() < 1e-3, "{} vs {exact}", selected.3);
+
+    // What the sweep cost, as a count: candidates that had already lost
+    // were dropped before the cap, and the count is a function of the
+    // inputs alone.
+    let candidates = (cfg.outer_k * cfg.inner_r) as u64;
+    assert!(res.lambda2_iterations >= SPARSE_L2_MAX_ITERS as u64, "the winner ran to the cap");
+    assert!(
+        res.lambda2_iterations < candidates * SPARSE_L2_MAX_ITERS as u64,
+        "{} steps for {candidates} candidates: nothing was abandoned",
+        res.lambda2_iterations
+    );
+    assert_eq!(production(&cfg, &past, &times).lambda2_iterations, res.lambda2_iterations);
+}
+
+/// Heterogeneous iteration times drawn from `seed`: a slow tier on about
+/// a fifth of the directed edges, jitter on all of them.
+fn seeded_times(topo: &Topology, seed: u64) -> Matrix {
+    let n = topo.len();
+    let mut t = Matrix::zeros(n, n);
+    for i in 0..n {
+        for &j in topo.neighbors(i) {
+            let mut z = (seed << 32 | (i * n + j) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let u = (z >> 11) as f64 / (1u64 << 53) as f64;
+            t[(i, j)] = if z.is_multiple_of(5) { 1.0 + 2.0 * u } else { 0.1 + 0.3 * u };
+        }
+    }
+    t
+}
+
+fn ring_with_chords(n: usize, stride: usize) -> Topology {
+    let mut topo = Topology::ring(n);
+    for i in (0..n).step_by(stride) {
+        topo.set_edge(i, (i + n / 2) % n, true);
+    }
+    topo
+}
+
+#[test]
+fn lanes_and_early_abandon_select_what_the_exhaustive_sweep_selects() {
+    // Past the threshold production scores candidates a batch at a time
+    // and drops a lane once its estimate shows it has lost; the reference
+    // scores every candidate to the cap, alone. Same selection, bit for
+    // bit, on the fabric shapes the scale experiments and the fault plans
+    // produce between n = 65 and n = 160, under seeded link times.
+    let fabrics: Vec<(&str, Topology)> = vec![
+        ("torus 5x13", Topology::torus(5, 13)),
+        ("torus 9x9", Topology::torus(9, 9)),
+        ("torus 10x16", Topology::torus(10, 16)),
+        ("ring 70 + chords", ring_with_chords(70, 7)),
+        ("ring 128 + chords", ring_with_chords(128, 4)),
+        ("random 65", Topology::random_connected(65, 0.04, 5)),
+        ("random 96", Topology::random_connected(96, 0.03, 9)),
+        ("random 150", Topology::random_connected(150, 0.02, 2)),
+    ];
+    // Two landscapes: on the first the winner comes early in the sweep,
+    // on the second (a lax ε, a fine ρ grid) late.
+    let searches = [
+        coarse_search(0.05),
+        PolicySearchConfig {
+            outer_k: 6,
+            inner_r: 2,
+            epsilon: 0.5,
+            ..PolicySearchConfig::new(0.02)
+        },
+    ];
+    let mut winners = Vec::new();
+    let (mut steps, mut exhaustive_steps) = (0u64, 0u64);
+    for (label, topo) in &fabrics {
+        assert!(topo.is_connected() && (65..=160).contains(&topo.len()), "{label}");
+        for seed in 0..3u64 {
+            let times = seeded_times(topo, seed);
+            for cfg in &searches {
+                let res = production(cfg, topo, &times);
+                let (position, feasible, reference) =
+                    reference_search(cfg, &times, topo, power).expect("reference feasible");
+                assert_eq!(selection(&res), reference, "{label}, seed {seed}, K = {}", cfg.outer_k);
+                winners.push((position, feasible));
+                steps += res.lambda2_iterations;
+                exhaustive_steps += (feasible * SPARSE_L2_MAX_ITERS) as u64;
+            }
+        }
+    }
+    // The table must exercise what the lanes add. A winner that is not
+    // the first candidate but comes early: it ran beside the incumbent it
+    // replaced, in a batch with no ceiling at all. A winner in the last
+    // third of the sweep: every ceiling before it came from an incumbent
+    // that lost, and its own lane had to survive one. And candidates were
+    // in fact abandoned, or none of this was tested.
+    assert!(winners.iter().any(|&(at, _)| at == 0));
+    assert!(winners.iter().any(|&(at, _)| (1..4).contains(&at)), "{winners:?}");
+    assert!(winners.iter().any(|&(at, of)| 3 * at >= 2 * of), "{winners:?}");
+    assert!(steps < exhaustive_steps, "{steps} of {exhaustive_steps} steps");
+
+    // The grid sessions run (10 × 10): two dozen batches, the incumbent
+    // replaced several times over, most of the sweep abandoned.
+    let (cfg, topo) = (PolicySearchConfig::new(0.05), Topology::torus(8, 9));
+    let times = synthetic_times(&topo);
+    let res = production(&cfg, &topo, &times);
+    let (_, feasible, reference) =
+        reference_search(&cfg, &times, &topo, power).expect("reference feasible");
+    assert_eq!(selection(&res), reference, "default grid");
+    assert!(
+        2 * res.lambda2_iterations < (feasible * SPARSE_L2_MAX_ITERS) as u64,
+        "{} steps for {feasible} candidates",
+        res.lambda2_iterations
+    );
 }

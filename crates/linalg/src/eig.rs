@@ -144,6 +144,17 @@ pub struct PowerIterationResult {
     pub converged: bool,
 }
 
+/// Component `i` of the power iterations' deterministic start vector:
+/// the SplitMix64 finaliser of `i`, mapped to (0.5, 1.5). The dense and
+/// the sparse solver both start here, so they are paired draws in tests.
+pub(crate) fn splitmix_start(i: u64) -> f64 {
+    let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    0.5 + (z as f64 / u64::MAX as f64)
+}
+
 /// Power iteration for the dominant eigenvalue of a symmetric matrix,
 /// optionally deflated against a fixed vector.
 ///
@@ -165,16 +176,7 @@ pub fn power_iteration(
     // Deterministic start vector. A nonlinear (hashed) sequence is used
     // instead of an affine one: affine sequences can be exactly orthogonal
     // to structured eigenvectors (e.g. of block-diagonal gossip matrices).
-    let mut v: Vec<f64> = (0..n as u64)
-        .map(|i| {
-            // SplitMix64 finaliser, mapped to (0.5, 1.5).
-            let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            0.5 + (z as f64 / u64::MAX as f64)
-        })
-        .collect();
+    let mut v: Vec<f64> = (0..n as u64).map(splitmix_start).collect();
     orthogonalize(&mut v, deflate);
     normalize(&mut v);
 
