@@ -460,7 +460,7 @@ mod tests {
             },
             hot_paths: vec![HotPathEntry {
                 file: "crates/ml/src/model.rs".into(),
-                functions: vec!["loss_scratch".into()],
+                functions: vec!["loss_block".into()],
             }],
             hot_path_banned: vec![".collect".into(), "vec!".into(), "Vec::new".into()],
             panic_budgets: vec![PanicBudget {
@@ -482,7 +482,7 @@ mod tests {
                 name: "hot_path".into(),
                 roots: vec![RootEntry {
                     file: "crates/ml/src/model.rs".into(),
-                    functions: vec!["loss_scratch".into()],
+                    functions: vec!["loss_block".into()],
                 }],
                 prune: vec![RootEntry {
                     file: "crates/core/src/engine/gossip.rs".into(),

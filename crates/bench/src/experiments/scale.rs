@@ -19,7 +19,9 @@
 
 use crate::common::{self, ExpCtx, Mode};
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, Scenario, StopCondition, TopologyKind};
+use netmax_core::engine::{
+    AlgorithmKind, PairCount, Scenario, Session, StopCondition, TopologyKind,
+};
 use netmax_json::{Json, ToJson};
 use netmax_ml::profile::ModelProfile;
 use netmax_ml::workload::WorkloadSpec;
@@ -208,19 +210,21 @@ pub fn run(p: &Params) -> Vec<Row> {
         let alpha = workload.optim.lr;
         for arm in &spec.arms {
             let mut edges = 0;
-            let mut best: Option<(f64, netmax_core::engine::RunReport)> = None;
+            let mut best: Option<(f64, netmax_core::engine::RunReport, PairCount)> = None;
             for _ in 0..p.repeats {
                 let mut algo = arm.instantiate(alpha);
                 let mut env = spec.scenario.build_env_with(workload.clone());
                 edges = env.topology.num_edges();
                 let t0 = Instant::now();
-                let report = algo.run(&mut env);
+                let mut session = Session::new(&mut env, algo.driver())
+                    .unwrap_or_else(|e| panic!("invalid session: {e}"));
+                let report = session.run();
                 let dt = t0.elapsed().as_secs_f64().max(1e-9);
-                if best.as_ref().is_none_or(|(b, _)| dt < *b) {
-                    best = Some((dt, report));
+                if best.as_ref().is_none_or(|(b, ..)| dt < *b) {
+                    best = Some((dt, report, session.recorder().pairs_total()));
                 }
             }
-            let (dt, report) = best.expect("at least one repetition");
+            let (dt, report, pairs) = best.expect("at least one repetition");
             let row = Row {
                 algorithm: arm.label(),
                 nodes: n,
@@ -232,10 +236,13 @@ pub fn run(p: &Params) -> Vec<Row> {
                 steps_per_sec: report.global_steps as f64 / dt,
                 peak_rss_kb: peak_rss_kb().unwrap_or(0),
             };
+            // The recorder's pruning count goes to the log line only: the
+            // report's columns are a contract.
             eprintln!(
-                "  {} n={} [{}]: {} steps in {:.2}s real ({:.0} steps/s), loss {:.4}",
+                "  {} n={} [{}]: {} steps in {:.2}s real ({:.0} steps/s), loss {:.4}, \
+                 pairs_evaluated {} of {} ({:.2} %)",
                 spec.name, n, row.algorithm, row.global_steps, dt, row.steps_per_sec,
-                row.final_train_loss
+                row.final_train_loss, pairs.evaluated, pairs.all_pairs, 100.0 * pairs.share()
             );
             rows.push(row);
         }

@@ -39,7 +39,7 @@ pub use gossip::{
     check_node_index, purge_events, queue_from_json, queue_to_json, run_gossip, GossipBehavior,
     GossipDriver, PeerChoice,
 };
-pub use recorder::{Recorder, RunReport, Sample};
+pub use recorder::{reference_sample, PairCount, Recorder, RunReport, Sample};
 pub use scenario::{PartitionKind, Scenario, ScenarioBuilder, TopologyKind};
 pub use session::{
     DriverEvent, Observer, Session, SessionDriver, SessionError, StepEvent,

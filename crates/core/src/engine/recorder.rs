@@ -1,11 +1,35 @@
 //! Metric recording and the final run report.
+//!
+//! A [`Sample`] reads the whole live fleet — mean training loss over the
+//! replicas, their consensus diameter, now and then the test accuracy of
+//! their average — and a run takes about a hundred of them whatever the
+//! fleet size, so at a thousand nodes the sample, not the step, is where
+//! real time goes. [`Recorder::force_record`] therefore makes **one pass
+//! per sample** over two shared blocks it owns, instead of one
+//! evaluation per replica and one distance per pair:
+//!
+//! * the `loss_sample_size` stride-subsample is gathered once into a
+//!   feature-major [`EvalBlock`] and every live replica streams over it
+//!   ([`Model::loss_block`]);
+//! * a [`ConsensusBlock`] reads the live replicas' parameters in place
+//!   and returns the maximum pairwise distance as an exact pruned maximum
+//!   (the rule and its guard band are stated in [`netmax_ml::metrics`]).
+//!
+//! Every [`Sample`] field is the same float the plain reference functions
+//! (`mean_loss_across_replicas`, `consensus_diameter`, `accuracy`) return
+//! — those bytes are the contract of the committed artifacts. After the
+//! first sample has sized the blocks a sample allocates nothing but the
+//! growth of the sample list. How much the pruning skipped is a
+//! deterministic count ([`Recorder::pairs_total`]); it is an observation
+//! about the run, not part of a [`Sample`], the report or a checkpoint.
 
 use super::environment::Environment;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use netmax_ml::metrics;
+use netmax_ml::metrics::{self, ConsensusBlock};
+use netmax_ml::model::{EvalBlock, Model, Scratch};
 
 /// One recorded point of a training run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// Simulated wall-clock seconds.
     pub time_s: f64,
@@ -193,33 +217,70 @@ impl FromJson for RunReport {
     }
 }
 
-/// Collects samples during a run and assembles the [`RunReport`].
+/// Squared distances the consensus readout evaluated, beside the
+/// `n(n−1)/2` of the all-pairs loop it replaces.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PairCount {
+    /// Pairs whose distance was computed.
+    pub evaluated: u64,
+    /// Pairs among the replicas read: `n(n−1)/2` per sample.
+    pub all_pairs: u64,
+}
+
+impl PairCount {
+    /// `evaluated / all_pairs` (0 when there was no pair).
+    pub fn share(&self) -> f64 {
+        safe_div(self.evaluated as f64, self.all_pairs as f64)
+    }
+}
+
+/// The recorder's evaluation workspaces: sized by the first sample,
+/// reused by every later one, handed back when the run finishes.
+/// Transient — never checkpointed.
+#[derive(Default)]
+struct Workspaces {
+    /// Workspace of the models' batched kernels.
+    eval: Scratch,
+    /// The loss subsample, gathered once per sample for all replicas.
+    loss_block: EvalBlock,
+    /// The pruned-diameter workspace.
+    consensus: ConsensusBlock,
+    /// The nodes the sample being taken reads: the active ones, or all
+    /// of them when none is.
+    live: Vec<usize>,
+    /// The replica-averaged model of the test evaluation (cloned from
+    /// node 0 at the first one, overwritten at each).
+    averaged: Option<Box<dyn Model>>,
+}
+
+/// Collects samples during a run and assembles the [`RunReport`]. A
+/// recorder serves one environment for one run.
+#[derive(Default)]
 pub struct Recorder {
     samples: Vec<Sample>,
     records_taken: usize,
     last_recorded_step: u64,
-    /// Reusable evaluation workspace — loss curves are sampled thousands
-    /// of times per run, so the recorder evaluates through the models'
-    /// scratch kernels (bitwise identical to the plain metric functions).
-    /// Transient; never checkpointed.
-    eval: netmax_ml::model::Scratch,
-}
-
-impl Default for Recorder {
-    fn default() -> Self {
-        Self::new()
-    }
+    work: Workspaces,
+    pairs_last: PairCount,
+    pairs_total: PairCount,
 }
 
 impl Recorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        Self {
-            samples: Vec::new(),
-            records_taken: 0,
-            last_recorded_step: 0,
-            eval: netmax_ml::model::Scratch::new(),
-        }
+        Self::default()
+    }
+
+    /// Pairs the most recent sample's consensus diameter evaluated.
+    pub fn pairs_last(&self) -> PairCount {
+        self.pairs_last
+    }
+
+    /// Pairs evaluated over every sample this recorder took — a
+    /// deterministic function of the run (it restarts from zero in a
+    /// session restored from a checkpoint).
+    pub fn pairs_total(&self) -> PairCount {
+        self.pairs_total
     }
 
     /// `true` when the configured cadence calls for a sample at the
@@ -243,8 +304,8 @@ impl Recorder {
         self.force_record(env)
     }
 
-    /// Records a sample unconditionally. Replicas are evaluated in place
-    /// (no cloning) through the recorder's scratch workspace; every
+    /// Records a sample unconditionally: one pass over the live fleet
+    /// through the recorder's two shared blocks (module docs). Every
     /// recorded value is bitwise identical to the plain
     /// `mean_loss_across_replicas`/`consensus_diameter`/`accuracy` path.
     pub fn force_record(&mut self, env: &Environment) -> Sample {
@@ -256,33 +317,26 @@ impl Recorder {
         // honest readout — an empty filter would report loss 0.0, a
         // perfect score for a fleet that entirely crashed.
         let any_active = env.num_active() > 0;
-        let alive = |i: usize| !any_active || env.is_active(i);
-        let counted = if any_active { env.num_active() } else { env.num_nodes() };
-        let train_loss = env
-            .nodes
+        let Workspaces { eval, loss_block, consensus, live, .. } = &mut self.work;
+        live.clear();
+        live.extend((0..env.num_nodes()).filter(|&i| !any_active || env.is_active(i)));
+        metrics::gather_subsample(&env.workload.train, env.cfg.loss_sample_size, loss_block);
+        let train_loss = live
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| alive(i))
-            .map(|(_, n)| {
-                metrics::subsampled_loss_scratch(
-                    n.model.as_ref(),
-                    &env.workload.train,
-                    env.cfg.loss_sample_size,
-                    &mut self.eval,
-                )
-            })
+            .map(|&i| f64::from(env.nodes[i].model.loss_block(loss_block, eval)))
             .sum::<f64>()
-            / counted as f64;
-        let params: Vec<&[f32]> = env
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| alive(i))
-            .map(|(_, n)| n.model.params())
-            .collect();
-        let consensus = metrics::consensus_diameter_params(&params);
+            / live.len() as f64;
+        let consensus_diameter =
+            consensus.diameter(live.len(), |k| env.nodes[live[k]].model.params());
+        let read = live.len() as u64;
+        self.pairs_last = PairCount {
+            evaluated: consensus.pairs_evaluated(),
+            all_pairs: read * read.saturating_sub(1) / 2,
+        };
+        self.pairs_total.evaluated += self.pairs_last.evaluated;
+        self.pairs_total.all_pairs += self.pairs_last.all_pairs;
         let test_accuracy = if self.records_taken.is_multiple_of(env.cfg.test_eval_every_records) {
-            Some(evaluate_averaged(env, &mut self.eval))
+            Some(self.evaluate_averaged(env))
         } else {
             None
         };
@@ -292,11 +346,30 @@ impl Recorder {
             global_step: env.global_step,
             epoch: env.mean_epoch(),
             train_loss,
-            consensus_diameter: consensus,
+            consensus_diameter,
             test_accuracy,
         };
-        self.samples.push(sample.clone());
+        self.samples.push(sample);
         sample
+    }
+
+    /// Test accuracy of the parameter-averaged model — the paper evaluates
+    /// "the trained model"; at consensus all replicas agree, and averaging
+    /// is the standard readout. Only the live replicas of the sample
+    /// being taken enter the average (with everyone active this is the
+    /// historic all-nodes mean), accumulated in node order straight into
+    /// the recorder's averaged replica.
+    fn evaluate_averaged(&mut self, env: &Environment) -> f64 {
+        let Workspaces { eval, live, averaged, .. } = &mut self.work;
+        let n = live.len() as f32;
+        let avg = averaged.get_or_insert_with(|| env.nodes[0].model.clone_box());
+        avg.params_mut().fill(0.0);
+        for &i in live.iter() {
+            for (a, p) in avg.params_mut().iter_mut().zip(env.nodes[i].model.params()) {
+                *a += p / n;
+            }
+        }
+        metrics::accuracy_scratch(avg.as_ref(), &env.workload.test, eval)
     }
 
     /// Serializes the recorder's state (samples taken so far and cadence
@@ -322,6 +395,9 @@ impl Recorder {
         // Always end with a fully evaluated sample.
         self.records_taken = 0; // forces test eval below
         self.force_record(env);
+        // The run is over; a finished session is kept for its report,
+        // not for hundreds of kilobytes of evaluation blocks.
+        self.work = Workspaces::default();
         let final_acc = self
             .samples
             .last()
@@ -353,6 +429,45 @@ impl Recorder {
     }
 }
 
+/// The sample [`Recorder::force_record`] must produce for `env`, computed
+/// the slow, obvious way — every live replica cloned and scored by the
+/// plain [`metrics`] functions, every pair's distance taken. It defines
+/// what a [`Sample`] means and is what the tests hold the recorder's
+/// one-pass path to, bit for bit; nothing on a run's path calls it.
+pub fn reference_sample(env: &Environment, evaluate_test: bool) -> Sample {
+    let any_active = env.num_active() > 0;
+    let live: Vec<Box<dyn Model>> = env
+        .nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !any_active || env.is_active(i))
+        .map(|(_, n)| n.model.clone_box())
+        .collect();
+    let test_accuracy = live.first().filter(|_| evaluate_test).map(|first| {
+        let mut avg = first.clone_box();
+        let mut acc = vec![0.0f32; avg.num_params()];
+        for m in &live {
+            for (a, p) in acc.iter_mut().zip(m.params()) {
+                *a += p / live.len() as f32;
+            }
+        }
+        avg.params_mut().copy_from_slice(&acc);
+        metrics::accuracy(avg.as_ref(), &env.workload.test)
+    });
+    Sample {
+        time_s: env.wall_clock(),
+        global_step: env.global_step,
+        epoch: env.mean_epoch(),
+        train_loss: metrics::mean_loss_across_replicas(
+            &live,
+            &env.workload.train,
+            env.cfg.loss_sample_size,
+        ),
+        consensus_diameter: metrics::consensus_diameter(&live),
+        test_accuracy,
+    }
+}
+
 fn mean(it: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
     for x in it {
@@ -372,28 +487,6 @@ fn safe_div(a: f64, b: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Test accuracy of the parameter-averaged model — the paper evaluates
-/// "the trained model"; at consensus all replicas agree, and averaging is
-/// the standard readout. Only live replicas enter the average (with
-/// everyone active this is the historic all-nodes mean).
-fn evaluate_averaged(env: &Environment, scratch: &mut netmax_ml::model::Scratch) -> f64 {
-    let mut avg = env.nodes[0].model.clone_box();
-    let any_active = env.num_active() > 0;
-    let n = if any_active { env.num_active() } else { env.num_nodes() } as f32;
-    let dim = avg.num_params();
-    let mut acc = vec![0.0f32; dim];
-    for (i, node) in env.nodes.iter().enumerate() {
-        if any_active && !env.is_active(i) {
-            continue;
-        }
-        for (a, p) in acc.iter_mut().zip(node.model.params()) {
-            *a += p / n;
-        }
-    }
-    avg.params_mut().copy_from_slice(&acc);
-    metrics::accuracy_scratch(avg.as_ref(), &env.workload.test, scratch)
 }
 
 #[cfg(test)]

@@ -364,6 +364,12 @@ impl<'a> Session<'a> {
         self.env
     }
 
+    /// The metric recorder — for what it observed beyond the report, such
+    /// as [`Recorder::pairs_total`].
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
     /// `true` once the session has produced its final report.
     pub fn is_finished(&self) -> bool {
         self.finished.is_some()
@@ -392,7 +398,7 @@ impl<'a> Session<'a> {
             for obs in &mut self.observers {
                 obs.on_sample(self.env, &sample);
             }
-            self.latest = Some(sample.clone());
+            self.latest = Some(sample);
             return StepEvent::Sampled { sample };
         }
         // Membership transitions fire once the virtual clock has reached

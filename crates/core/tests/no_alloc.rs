@@ -9,11 +9,14 @@
 //! capacity reached) a window of pure `GlobalStep` events must perform
 //! **zero** heap allocations. Metric samples and monitor rounds are
 //! excluded by construction (their cadences are pushed past the window)
-//! — they are allowed to allocate, bounded per round, not per step.
+//! — monitor rounds are allowed to allocate, bounded per round, not per
+//! step. The metric sample has its own proof below: once the first
+//! sample has sized the recorder's two shared blocks, a sample allocates
+//! nothing but the growth of the sample list.
 
 use netmax_core::engine::{
-    CheckpointScratch, Environment, GossipBehavior, GossipDriver, PeerChoice, Session, StepEvent,
-    StopCondition, TrainConfig,
+    CheckpointScratch, Environment, GossipBehavior, GossipDriver, PeerChoice, Sample, Session,
+    StepEvent, StopCondition, TrainConfig,
 };
 use netmax_json::Json;
 use netmax_ml::partition::Partition;
@@ -74,12 +77,16 @@ impl GossipBehavior for UniformAveraging {
 }
 
 fn build_env(workload: Workload) -> Environment {
+    // Push sampling far past the measurement window; steps 100..600
+    // must be pure GlobalStep events.
+    build_env_sampling(workload, u64::MAX / 2)
+}
+
+fn build_env_sampling(workload: Workload, record_every_steps: u64) -> Environment {
     let n = 4;
     let partition = Partition::uniform(&workload.train, n, 7);
     let cfg = TrainConfig {
-        // Push sampling far past the measurement window; steps 100..600
-        // must be pure GlobalStep events.
-        record_every_steps: u64::MAX / 2,
+        record_every_steps,
         stop: Some(StopCondition::MaxGlobalSteps(10_000)),
         ..TrainConfig::quick_test()
     };
@@ -139,6 +146,68 @@ fn gossip_steady_state_is_allocation_free_softmax() {
 fn gossip_steady_state_is_allocation_free_mlp() {
     // MLP: exercises the hidden-layer scratch buffers.
     assert_steady_state_alloc_free(Workload::mobilenet_cifar100(12), "mlp");
+}
+
+/// The sample path in steady state. The first samples size the
+/// recorder's loss block, consensus block and averaged replica (the test
+/// evaluation runs on records 0, 5, 10, …); after that a window of steps
+/// and samples may allocate only where the recorder's sample list grows.
+/// That growth is counted exactly by a mirror list fed the same samples
+/// from the session's start: equal push sequences grow at equal pushes, so
+/// the window must show two allocations per mirror growth and no other.
+fn assert_sample_path_alloc_free(workload: Workload, label: &str) {
+    let mut env = build_env_sampling(workload, 10);
+    let mut behavior = UniformAveraging;
+    let mut session =
+        Session::new(&mut env, Box::new(GossipDriver::new(&mut behavior, "no-alloc"))).unwrap();
+    let mut mirror: Vec<Sample> = Vec::new();
+
+    while mirror.len() < 7 {
+        if let StepEvent::Sampled { sample } = session.step() {
+            mirror.push(sample);
+        }
+    }
+
+    let before = alloc_count();
+    let mut growths = 0;
+    while mirror.len() < 47 {
+        match session.step() {
+            StepEvent::GlobalStep { .. } => {}
+            StepEvent::Sampled { sample } => {
+                let capacity = mirror.capacity();
+                mirror.push(sample);
+                growths += u64::from(mirror.capacity() != capacity);
+            }
+            other => panic!("{label}: unexpected event in the sampling window: {other:?}"),
+        }
+    }
+    let allocs = alloc_count() - before;
+    assert!(growths > 0, "{label}: the window should cross a growth of the sample list");
+    assert_eq!(
+        allocs,
+        2 * growths,
+        "{label}: {allocs} allocation(s) across 40 samples, of which the sample list and its \
+         mirror account for {}",
+        2 * growths
+    );
+    assert!(session.recorder().pairs_total().evaluated > 0);
+}
+
+#[test]
+fn sample_path_is_allocation_free_after_the_first_samples_ridge() {
+    // LeastSquares: the lane-across-samples dot kernel.
+    assert_sample_path_alloc_free(Workload::convex_ridge(3), "ridge");
+}
+
+#[test]
+fn sample_path_is_allocation_free_after_the_first_samples_softmax() {
+    assert_sample_path_alloc_free(Workload::resnet18_cifar10(11), "softmax");
+}
+
+#[test]
+fn sample_path_is_allocation_free_after_the_first_samples_mlp() {
+    // MLP: both layers through the batched kernel, hidden block included.
+    assert_sample_path_alloc_free(Workload::mobilenet_cifar100(12), "mlp");
 }
 
 /// The checkpoint fast path in steady state: once the scratch buffers are

@@ -1,14 +1,69 @@
-//! Evaluation metrics: loss and accuracy over datasets or subsamples.
+//! Evaluation metrics: loss and accuracy over datasets or subsamples, and
+//! the consensus diameter of a fleet of replicas.
 //!
-//! The `_scratch` variants route through a reusable
-//! [`Scratch`] workspace: numerically **bitwise
-//! identical** to their plain counterparts, but free of per-sample
-//! temporaries and running the models' transposed batch kernels — the
-//! metric recorder samples loss curves thousands of times per run, so
-//! this path is as hot as training itself.
+//! The plain functions ([`subsampled_loss`], [`mean_loss_across_replicas`],
+//! [`consensus_diameter`], [`accuracy`]) are the definitions — and the
+//! independent references the tests compare against. The metric recorder
+//! samples a whole fleet a hundred times a run, so it goes through two
+//! shared, caller-owned blocks instead, each built **once per sample** and
+//! each returning the *same float* as the plain function:
+//!
+//! * **Loss** — [`gather_subsample`] gathers the `max_n` stride-subsample
+//!   into a feature-major [`EvalBlock`] once; every replica then streams
+//!   over it through [`Model::loss_block`]. Nothing is gathered,
+//!   transposed or allocated per replica.
+//! * **Consensus** — [`ConsensusBlock`] reads the live replicas' flat
+//!   parameters in place and returns the maximum pairwise [`distance`] as an exact
+//!   *pruned* maximum: most of the `n(n−1)/2` pairs are proved unable to
+//!   beat the incumbent and never evaluated; the survivors are computed
+//!   by a lane-across-pairs kernel whose every lane is the float
+//!   `distance` returns.
+//!
+//! # The pruning rule and its guard band
+//!
+//! With a pivot `c` (the f32 centroid of the replicas — any vector works)
+//! and radii `rᵢ = distance(xᵢ, c)`, the triangle inequality gives
+//! `‖xᵢ − xⱼ‖ ≤ rᵢ + rⱼ` for the exact norms of the stored f32 vectors.
+//! The comparison is made between *computed* values, so the bound carries
+//! a guard band: a pair is skipped only if
+//!
+//! ```text
+//! (r̂ᵢ + r̂ⱼ)·(1 + g) + η  <  the incumbent (a computed distance)
+//! ```
+//!
+//! * One [`distance`] rounds each `(a − b)²` term (two roundings), adds
+//!   them in sequential runs of at most `k = min(d, 4096)` terms and
+//!   `t ≤ 64` tree levels, and takes one square root: its relative error
+//!   is at most `(k + t + 2)·2⁻²⁴` to first order. Three computed
+//!   distances enter the comparison (`r̂ᵢ`, `r̂ⱼ` and the pair's own), so
+//!   `3·(k + t + 2)·2⁻²⁴` would do; `g = 8·(k + 64 + 8)·2⁻²³` is more
+//!   than five times that, and also absorbs the f64 arithmetic of the
+//!   bound itself.
+//! * A squared term below the f32 subnormal range rounds by up to
+//!   `2⁻¹⁵⁰` absolutely rather than relatively; over `d` terms and three
+//!   distances that is at most `4·√d·2⁻⁷⁵` in distance, which is `η`.
+//! * A pair that is skipped cannot have overflowed either: its exact
+//!   distance is below the incumbent by the factor `1 + g`, the incumbent
+//!   is a finite f32, and the rounding of a sum of squares is far smaller
+//!   than `g`.
+//! * A radius that is NaN or infinite makes the bound meaningless: then
+//!   **every** pair is evaluated, which keeps the NaN-skipping semantics
+//!   of the `f64::max` fold in [`consensus_diameter`].
+//!
+//! Replicas are visited in (radius descending, index) order — an exact
+//! copy of the replica before it dropped, since ties at the maximum are
+//! the one thing a bound cannot skip — so for each
+//! `x` the pairs that can still matter are a contiguous prefix of the
+//! `y` after it, and the first `x` whose own bound `2·r̂ₓ·(1 + g) + η`
+//! falls below the incumbent ends the search. The incumbent is seeded by
+//! a double sweep: the farthest replica's whole row, then the whole row
+//! of the replica farthest from *it*. Correctly rounded `sqrt` is
+//! monotone, so the maximum is taken over squared distances and rooted
+//! once.
 
 use crate::dataset::Dataset;
-use crate::model::{Model, Scratch};
+use crate::model::{EvalBlock, Model, Scratch};
+use crate::params::{self, dist_sq_lanes, distance, gather_feature_major};
 
 /// Classification accuracy of `model` over the whole `data` set.
 pub fn accuracy(model: &dyn Model, data: &Dataset) -> f64 {
@@ -44,28 +99,15 @@ pub fn subsampled_loss(model: &dyn Model, data: &Dataset, max_n: usize) -> f64 {
     model.loss(data, &idx) as f64
 }
 
-/// [`subsampled_loss`] through a reusable workspace (bitwise identical,
-/// allocation-free once warm).
-pub fn subsampled_loss_scratch(
-    model: &dyn Model,
-    data: &Dataset,
-    max_n: usize,
-    scratch: &mut Scratch,
-) -> f64 {
+/// Gathers the examples [`subsampled_loss`] evaluates — all of `data`, or
+/// `max_n` of them at an even stride — into `block`, once for every
+/// replica that will be scored on them. `model.loss_block(block, …) as
+/// f64` is then the same float as `subsampled_loss(model, data, max_n)`.
+pub fn gather_subsample(data: &Dataset, max_n: usize, block: &mut EvalBlock) {
     assert!(max_n > 0);
-    // The index buffer lives in the scratch; take it out so the batch
-    // slice and the workspace can be borrowed simultaneously.
-    let mut idx = std::mem::take(&mut scratch.idx);
-    idx.clear();
-    if data.len() <= max_n {
-        idx.extend(0..data.len());
-    } else {
-        let stride = data.len() / max_n;
-        idx.extend((0..max_n).map(|k| k * stride));
-    }
-    let loss = model.loss_scratch(data, &idx, scratch) as f64;
-    scratch.idx = idx;
-    loss
+    let (count, stride) =
+        if data.len() <= max_n { (data.len(), 1) } else { (max_n, data.len() / max_n) };
+    block.gather(data, (0..count).map(|k| k * stride));
 }
 
 /// Mean of per-node losses — the global objective `F` of Eq. (1) without
@@ -89,17 +131,175 @@ pub fn consensus_diameter(models: &[Box<dyn Model>]) -> f64 {
     worst
 }
 
-/// [`consensus_diameter`] over raw parameter views — same pair order and
-/// arithmetic, usable without cloning replicas behind trait objects.
-pub fn consensus_diameter_params(params: &[&[f32]]) -> f64 {
-    let mut worst = 0.0f64;
-    for i in 0..params.len() {
-        for j in (i + 1)..params.len() {
-            let d = crate::params::distance(params[i], params[j]) as f64;
-            worst = worst.max(d);
+/// The guard band of the pruning rule (module docs): what turns the
+/// triangle inequality on exact norms into one that holds between
+/// *computed* [`distance`]s of `dim`-element vectors.
+#[derive(Debug, Clone, Copy)]
+pub struct GuardBand {
+    /// Relative part `g`.
+    guard: f64,
+    /// Absolute part `η` (squares that underflow).
+    slack: f64,
+}
+
+impl GuardBand {
+    /// The band for vectors of `dim` elements.
+    pub fn new(dim: usize) -> Self {
+        Self {
+            guard: 8.0 * (dim.min(4096) + 72) as f64 / (1u64 << 23) as f64,
+            slack: (dim as f64).sqrt() * 2.0f64.powi(-73),
         }
     }
-    worst
+
+    /// Upper bound on the computed distance between two vectors whose
+    /// computed distances to a common pivot are the finite `r_x` and
+    /// `r_y`.
+    pub fn pair_bound(&self, r_x: f32, r_y: f32) -> f64 {
+        (f64::from(r_x) + f64::from(r_y)) * (1.0 + self.guard) + self.slack
+    }
+}
+
+/// The consensus diameter of a fleet as an exact pruned maximum — the
+/// same float as [`consensus_diameter`] over the same replicas, for a
+/// fraction of its `n(n−1)/2` distance evaluations (see the module docs
+/// for the rule and its guard band).
+///
+/// One block serves a whole run: its buffers only ever grow, so a call
+/// allocates nothing once the first one has sized them.
+#[derive(Debug, Clone, Default)]
+pub struct ConsensusBlock {
+    /// The pivot.
+    centroid: Vec<f32>,
+    /// `radii[i]` = distance of replica `i` to the pivot.
+    radii: Vec<f32>,
+    /// Position → replica index, by (radius descending, index), exact
+    /// copies of the position before dropped; `m` positions.
+    order: Vec<usize>,
+    /// The replicas feature-major in `order`:
+    /// `cols[k·m + pos] = replica(order[pos])[k]`.
+    cols: Vec<f32>,
+    /// One squared distance per lane of the current row, and the tree
+    /// workspace of [`dist_sq_lanes`].
+    lanes: Vec<f32>,
+    spare: Vec<f32>,
+    pairs_evaluated: u64,
+}
+
+impl ConsensusBlock {
+    /// Creates an empty block.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Squared distances the last [`diameter`](Self::diameter) call
+    /// evaluated — of the `n(n−1)/2` an all-pairs loop would have. A
+    /// deterministic function of the replicas' values.
+    pub fn pairs_evaluated(&self) -> u64 {
+        self.pairs_evaluated
+    }
+
+    /// Maximum pairwise [`distance`] among the `n` flat parameter vectors
+    /// `replica(0) … replica(n − 1)` (0 for fewer than two) — bit for bit
+    /// what [`consensus_diameter`] returns. The replicas are read in
+    /// place; nothing but the feature-major layout copies them.
+    ///
+    /// # Panics
+    /// Panics if the replicas differ in length.
+    pub fn diameter<'a>(&mut self, n: usize, replica: impl Fn(usize) -> &'a [f32]) -> f64 {
+        self.pairs_evaluated = 0;
+        if n < 2 {
+            return 0.0;
+        }
+        let dim = replica(0).len();
+
+        // Pivot and radii.
+        self.centroid.clear();
+        self.centroid.resize(dim, 0.0);
+        for i in 0..n {
+            assert_eq!(replica(i).len(), dim, "replica parameter count mismatch");
+            for (c, &v) in self.centroid.iter_mut().zip(replica(i)) {
+                *c += v;
+            }
+        }
+        params::scale(1.0 / n as f32, &mut self.centroid);
+        self.radii.clear();
+        let mut prune = true;
+        for i in 0..n {
+            let r = distance(replica(i), &self.centroid);
+            prune &= r.is_finite();
+            self.radii.push(r);
+        }
+
+        // Visit order, and the feature-major layout in that order.
+        self.order.clear();
+        self.order.extend(0..n);
+        let radii = &self.radii;
+        self.order.sort_unstable_by(|&a, &b| radii[b].total_cmp(&radii[a]).then(a.cmp(&b)));
+        // An exact copy of the replica before it in the visit order adds
+        // nothing: it is at distance 0 from that one and at that one's
+        // distance from every other. Left in, copies tie at the maximum —
+        // a fleet that has just averaged is n copies of one vector with
+        // incumbent 0, and no bound is *below* 0, so every pair would be
+        // evaluated to learn that the diameter is 0.
+        self.order.dedup_by(|this, kept| replica(*this) == replica(*kept));
+        let m = self.order.len();
+        if m < 2 {
+            return 0.0;
+        }
+        self.cols.resize(dim * m, 0.0);
+        let order = &self.order;
+        gather_feature_major(m, dim, |pos| replica(order[pos]), &mut self.cols);
+
+        let band = GuardBand::new(dim);
+        let mut best_sq = 0.0f32;
+        // Positions `x + 1..end` can still beat the incumbent against `x`.
+        let mut end = m;
+        for x in 0..m - 1 {
+            if prune {
+                let incumbent = f64::from(best_sq.sqrt());
+                while end > x + 1
+                    && band.pair_bound(self.radius(x), self.radius(end - 1)) < incumbent
+                {
+                    end -= 1;
+                }
+                if end == x + 1 {
+                    break;
+                }
+            }
+            let farthest = self.row_max(replica(self.order[x]), x + 1, end, &mut best_sq);
+            if prune && x == 0 {
+                // Second sweep, from the replica farthest from the
+                // farthest one (its own lane reads 0 and changes nothing).
+                self.row_max(replica(self.order[farthest]), 1, m, &mut best_sq);
+            }
+        }
+        f64::from(best_sq.sqrt())
+    }
+
+    /// Radius of the replica at position `pos` of the visit order.
+    fn radius(&self, pos: usize) -> f32 {
+        self.radii[self.order[pos]]
+    }
+
+    /// Evaluates the replica `x` against positions `lo..hi`, folds their
+    /// squared distances into `best_sq` (NaNs skipped, as `f64::max`
+    /// skips them) and returns the position of the row's largest.
+    fn row_max(&mut self, x: &[f32], lo: usize, hi: usize, best_sq: &mut f32) -> usize {
+        let m = self.order.len();
+        self.lanes.resize(hi - lo, 0.0);
+        dist_sq_lanes(x, &self.cols, m, lo, &mut self.lanes, &mut self.spare);
+        self.pairs_evaluated += (hi - lo) as u64;
+        let (mut row_best, mut farthest) = (f32::NEG_INFINITY, lo);
+        for (s, &sq) in self.lanes.iter().enumerate() {
+            if sq > row_best {
+                (row_best, farthest) = (sq, lo + s);
+            }
+        }
+        if row_best > *best_sq {
+            *best_sq = row_best;
+        }
+        farthest
+    }
 }
 
 #[cfg(test)]

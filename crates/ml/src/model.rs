@@ -19,6 +19,7 @@
 
 use crate::dataset::Dataset;
 use crate::fast::{softmax_xent_grad_fast, transpose_block_fast};
+use crate::params::{dot_lanes, gather_feature_major};
 use crate::tier::{KernelTable, NumericsTier};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,7 +37,7 @@ use rand::{Rng, SeedableRng};
 /// points branch **once** on [`KernelTable::tier`] and dispatch either to
 /// the strict cores (bit-stable, the default) or to the fast-tier cores,
 /// which reach every reassociated kernel through the table. Evaluation
-/// entry points (`loss_scratch`, `count_correct_scratch`, `predict`) stay
+/// entry points (`loss_block`, `count_correct_scratch`, `predict`) stay
 /// strict under both tiers, so recorded metric curves differ between
 /// tiers only through the trained parameters.
 #[derive(Debug, Clone)]
@@ -58,9 +59,12 @@ pub struct Scratch {
     maxs: Vec<f32>,
     /// Per-sample exp-sums for [`softmax_block`].
     sums: Vec<f32>,
-    /// Example-index buffer for evaluation subsampling
-    /// ([`crate::metrics::subsampled_loss_scratch`]).
-    pub(crate) idx: Vec<usize>,
+    /// Example-index buffer of the batched accuracy kernel.
+    idx: Vec<usize>,
+    /// Hidden-activation block of the MLP's batched forward
+    /// (`hidden × chunk`), and the tree workspace of
+    /// [`dot_lanes`].
+    hb: Vec<f32>,
     /// Per-sample coefficient row for the fast-tier backward
     /// ([`softmax_xent_grad_fast`]).
     coefs: Vec<f32>,
@@ -95,6 +99,7 @@ impl Scratch {
             maxs: Vec::new(),
             sums: Vec::new(),
             idx: Vec::new(),
+            hb: Vec::new(),
             coefs: Vec::new(),
             labels: Vec::new(),
             kernels: tier.kernels(),
@@ -110,13 +115,73 @@ const BATCH_CHUNK: usize = 256;
 /// Writes the feature-major transpose of a batch block into `xb`:
 /// `xb[d·B + s] = feature(batch[s])[d]`.
 fn transpose_batch(data: &Dataset, batch: &[usize], dim: usize, xb: &mut Vec<f32>) {
-    let nb = batch.len();
-    xb.clear();
-    xb.resize(dim * nb, 0.0);
-    for (s, &i) in batch.iter().enumerate() {
-        for (d, &v) in data.feature(i).iter().enumerate() {
-            xb[d * nb + s] = v;
+    xb.resize(dim * batch.len(), 0.0);
+    gather_feature_major(batch.len(), dim, |s| data.feature(batch[s]), xb);
+}
+
+/// An evaluation batch gathered once and shared by every replica that is
+/// scored on it: the examples' features in the feature-major layout of
+/// `batch_logits`, cut into chunks of at most `BATCH_CHUNK` columns,
+/// with their labels.
+///
+/// The metric recorder scores every live replica on the same
+/// `loss_sample_size` subsample: the block is filled once a sample by
+/// [`EvalBlock::gather`] and streamed by every replica's
+/// [`Model::loss_block`], instead of each replica re-reading the same
+/// strided dataset rows.
+#[derive(Debug, Clone, Default)]
+pub struct EvalBlock {
+    dim: usize,
+    /// Chunk after chunk; the chunk of `nb` columns starting at example
+    /// `s0` occupies `xb[s0·dim .. (s0 + nb)·dim]`, and inside it
+    /// `[d·nb + s]` is feature `d` of its `s`-th example.
+    xb: Vec<f32>,
+    labels: Vec<u32>,
+    /// Example indices of the current gather.
+    idx: Vec<usize>,
+}
+
+impl EvalBlock {
+    /// Creates an empty block; buffers are sized by the first gather and
+    /// only ever grow.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of gathered examples.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// `true` when nothing is gathered.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Feature dimensionality of the gathered examples.
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// Replaces the block's contents by `examples` (indices into `data`,
+    /// in evaluation order).
+    pub fn gather(&mut self, data: &Dataset, examples: impl Iterator<Item = usize>) {
+        let dim = data.dim();
+        self.dim = dim;
+        self.idx.clear();
+        self.idx.extend(examples);
+        self.labels.clear();
+        self.labels.extend(self.idx.iter().map(|&i| data.label(i)));
+        self.xb.resize(self.idx.len() * dim, 0.0);
+        for (chunk, out) in self.idx.chunks(BATCH_CHUNK).zip(self.xb.chunks_mut(BATCH_CHUNK * dim)) {
+            gather_feature_major(chunk.len(), dim, |s| data.feature(chunk[s]), out);
         }
+    }
+
+    /// The chunks in evaluation order: each chunk's feature-major block
+    /// (`dim × nb`) and its `nb` labels.
+    fn blocks(&self) -> impl Iterator<Item = (&[f32], &[u32])> {
+        self.xb.chunks(BATCH_CHUNK * self.dim.max(1)).zip(self.labels.chunks(BATCH_CHUNK))
     }
 }
 
@@ -223,14 +288,17 @@ pub trait Model: Send {
     /// Mean loss over `batch` without computing gradients.
     fn loss(&self, data: &Dataset, batch: &[usize]) -> f32;
 
-    /// [`Model::loss`] through the reusable workspace — bitwise identical
-    /// result, but the provided implementations allocate nothing once the
-    /// scratch is warm and run the transposed batch kernel. The metric
-    /// recorder evaluates loss curves through this entry point.
-    fn loss_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        let _ = scratch;
-        self.loss(data, batch)
-    }
+    /// Mean loss over a gathered [`EvalBlock`] — the **same float** as
+    /// [`Model::loss`] over the block's examples, computed by the batched
+    /// kernels straight off the shared feature-major block: nothing is
+    /// gathered or transposed per replica, and nothing allocates once the
+    /// scratch is warm. The metric recorder evaluates loss curves through
+    /// this entry point, one call per live replica per sample.
+    ///
+    /// # Panics
+    /// Implementations panic on an empty block or one whose feature
+    /// dimension does not match the model.
+    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32;
 
     /// Number of correctly classified examples over the whole `data` set,
     /// through the reusable workspace — bitwise identical to counting
@@ -390,31 +458,29 @@ impl SoftmaxRegression {
         loss * inv
     }
 
-    /// The loss kernel behind [`Model::loss_scratch`]; bitwise identical
-    /// to [`Model::loss`].
+    /// The loss kernel behind [`Model::loss_block`]; bitwise identical to
+    /// [`Model::loss`] over the block's examples.
     fn loss_core(
         &self,
-        data: &Dataset,
-        batch: &[usize],
-        xb: &mut Vec<f32>,
+        block: &EvalBlock,
         logits_all: &mut Vec<f32>,
         maxs: &mut Vec<f32>,
         sums: &mut Vec<f32>,
     ) -> f32 {
-        assert!(!batch.is_empty(), "empty batch");
+        assert!(!block.is_empty(), "empty batch");
+        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
         let (w, b) = self.params.split_at(self.dim * self.classes);
         let mut loss = 0.0f32;
-        for chunk in batch.chunks(BATCH_CHUNK) {
-            let nb = chunk.len();
-            transpose_batch(data, chunk, self.dim, xb);
+        for (xb, labels) in block.blocks() {
+            let nb = labels.len();
             logits_all.resize(self.classes * nb, 0.0);
             batch_logits(w, b, xb, self.dim, nb, logits_all);
             softmax_block(logits_all, nb, maxs, sums);
-            for (s, &i) in chunk.iter().enumerate() {
-                loss -= (logits_all[data.label(i) as usize * nb + s].max(1e-12)).ln();
+            for (s, &y) in labels.iter().enumerate() {
+                loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
             }
         }
-        loss / batch.len() as f32
+        loss / block.len() as f32
     }
 
     /// Fast-tier gradient core: same chunking as [`Self::loss_grad_core`],
@@ -534,9 +600,9 @@ impl Model for SoftmaxRegression {
         loss / batch.len() as f32
     }
 
-    fn loss_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        let Scratch { xb, logits_all, maxs, sums, .. } = scratch;
-        self.loss_core(data, batch, xb, logits_all, maxs, sums)
+    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
+        let Scratch { logits_all, maxs, sums, .. } = scratch;
+        self.loss_core(block, logits_all, maxs, sums)
     }
 
     fn count_correct_scratch(&self, data: &Dataset, scratch: &mut Scratch) -> usize {
@@ -818,18 +884,29 @@ impl Model for Mlp {
         loss / batch.len() as f32
     }
 
-    fn loss_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        assert!(!batch.is_empty(), "empty batch");
-        let Scratch { h, logits, .. } = scratch;
-        h.resize(self.hidden, 0.0);
-        logits.resize(self.classes, 0.0);
+    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
+        assert!(!block.is_empty(), "empty batch");
+        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
+        let Scratch { hb, logits_all, maxs, sums, .. } = scratch;
+        let (w1, b1, w2, b2) = self.split();
         let mut loss = 0.0f32;
-        for &i in batch {
-            self.forward_into(data.feature(i), h, logits);
-            softmax_inplace(logits);
-            loss -= (logits[data.label(i) as usize].max(1e-12)).ln();
+        for (xb, labels) in block.blocks() {
+            let nb = labels.len();
+            // Both layers through the batched kernel: every hidden unit
+            // and logit accumulates in the order of `forward_into`.
+            hb.resize(self.hidden * nb, 0.0);
+            batch_logits(w1, b1, xb, self.dim, nb, hb);
+            for h in hb.iter_mut() {
+                *h = h.max(0.0);
+            }
+            logits_all.resize(self.classes * nb, 0.0);
+            batch_logits(w2, b2, hb, self.hidden, nb, logits_all);
+            softmax_block(logits_all, nb, maxs, sums);
+            for (s, &y) in labels.iter().enumerate() {
+                loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
+            }
         }
-        loss / batch.len() as f32
+        loss / block.len() as f32
     }
 
     fn count_correct_scratch(&self, data: &Dataset, scratch: &mut Scratch) -> usize {
@@ -962,6 +1039,25 @@ impl Model for LeastSquares {
         }
         loss / batch.len() as f32
             + 0.5 * self.l2 * crate::params::norm_sq(&self.params[..self.dim])
+    }
+
+    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
+        assert!(!block.is_empty(), "empty batch");
+        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
+        let Scratch { logits_all, hb, .. } = scratch;
+        let (w, b) = (&self.params[..self.dim], self.params[self.dim]);
+        let mut loss = 0.0f32;
+        for (xb, labels) in block.blocks() {
+            // All of the chunk's `w·x` at once (each the float `value`
+            // computes), then the residual chain in example order.
+            logits_all.resize(labels.len(), 0.0);
+            dot_lanes(w, xb, logits_all, hb);
+            for (&wx, &y) in logits_all.iter().zip(labels) {
+                let r = wx + b - y as f32;
+                loss += 0.5 * r * r;
+            }
+        }
+        loss / block.len() as f32 + 0.5 * self.l2 * crate::params::norm_sq(w)
     }
 
     fn predict(&self, x: &[f32]) -> u32 {
@@ -1129,13 +1225,23 @@ mod tests {
                         "trial {trial}, param {k}: {a} vs {b}"
                     );
                 }
-                // Evaluation entry points are bitwise identical too.
+            }
+            // The shared evaluation block gives the same float as the
+            // plain loss: one column, a ragged tile, and batches just
+            // below, at, past and well past one `BATCH_CHUNK` (384 is the
+            // recorder's `loss_sample_size`).
+            let mut block = EvalBlock::new();
+            for len in [1usize, 2, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 5, 384] {
+                let batch: Vec<usize> =
+                    (0..len).map(|_| rng.gen_range(0..data.len())).collect();
+                block.gather(&data, batch.iter().copied());
+                assert_eq!((block.len(), block.dim()), (len, data.dim()));
                 let eval = m.loss(&data, &batch);
-                let eval_s = m.loss_scratch(&data, &batch, &mut scratch);
+                let eval_b = m.loss_block(&block, &mut scratch);
                 assert_eq!(
                     eval.to_bits(),
-                    eval_s.to_bits(),
-                    "trial {trial}: eval loss mismatch {eval} vs {eval_s}"
+                    eval_b.to_bits(),
+                    "batch of {len}: eval loss mismatch {eval} vs {eval_b}"
                 );
             }
             let correct = (0..data.len())
@@ -1162,16 +1268,26 @@ mod tests {
             },
             5,
         );
-        let m = SoftmaxRegression::new(4100, 3, 7);
         let batch: Vec<usize> = (0..data.len()).collect();
+        let mut block = EvalBlock::new();
+        block.gather(&data, batch.iter().copied());
         let mut scratch = Scratch::new();
-        let plain = m.loss(&data, &batch);
-        let scratched = m.loss_scratch(&data, &batch, &mut scratch);
-        assert_eq!(plain.to_bits(), scratched.to_bits(), "{plain} vs {scratched}");
-        let correct = (0..data.len())
-            .filter(|&i| m.predict(data.feature(i)) == data.label(i))
-            .count();
-        assert_eq!(m.count_correct_scratch(&data, &mut scratch), correct);
+        // `LeastSquares` is the one model whose forward *is* the pairwise
+        // `dot`: its block kernel reproduces the tree instead.
+        let models: Vec<Box<dyn Model>> = vec![
+            Box::new(SoftmaxRegression::new(4100, 3, 7)),
+            Box::new(Mlp::new(4100, 5, 3, 7)),
+            Box::new(LeastSquares::new(4100, 0.01, 7)),
+        ];
+        for m in &models {
+            let plain = m.loss(&data, &batch);
+            let blocked = m.loss_block(&block, &mut scratch);
+            assert_eq!(plain.to_bits(), blocked.to_bits(), "{plain} vs {blocked}");
+            let correct = (0..data.len())
+                .filter(|&i| m.predict(data.feature(i)) == data.label(i))
+                .count();
+            assert_eq!(m.count_correct_scratch(&data, &mut scratch), correct);
+        }
     }
 
     #[test]
@@ -1215,8 +1331,10 @@ mod tests {
             }
             // Evaluation stays strict under both tiers: bit-equal curves
             // for identical parameters.
-            let es = m.loss_scratch(&data, &batch, &mut strict);
-            let ef = m.loss_scratch(&data, &batch, &mut fast);
+            let mut block = EvalBlock::new();
+            block.gather(&data, batch.iter().copied());
+            let es = m.loss_block(&block, &mut strict);
+            let ef = m.loss_block(&block, &mut fast);
             assert_eq!(es.to_bits(), ef.to_bits());
         }
     }

@@ -151,6 +151,153 @@ pub fn distance(x: &[f32], y: &[f32]) -> f32 {
     dist_sq_pairwise(x, y).sqrt()
 }
 
+/// Rows per tile of [`gather_feature_major`]: one cache line of `f32`.
+const GATHER_TILE: usize = 16;
+
+/// Lays `n` equally long vectors out feature-major — the layout the lane
+/// kernels below read: `out[k·n + s] = row(s)[k]`.
+///
+/// The transpose runs in tiles of `GATHER_TILE` vectors so that each
+/// feature row is written a cache line at a time: writing one vector
+/// down a column strides by `n`, and a few hundred such columns evict
+/// each other from their cache sets.
+///
+/// # Panics
+/// Panics if `out.len() != dim * n` or a vector is shorter than `dim`.
+pub fn gather_feature_major<'a>(
+    n: usize,
+    dim: usize,
+    row: impl Fn(usize) -> &'a [f32],
+    out: &mut [f32],
+) {
+    assert_eq!(out.len(), dim * n, "gather_feature_major: block size mismatch");
+    for s0 in (0..n).step_by(GATHER_TILE) {
+        let width = GATHER_TILE.min(n - s0);
+        let mut rows: [&[f32]; GATHER_TILE] = [&[]; GATHER_TILE];
+        for (t, r) in rows.iter_mut().enumerate().take(width) {
+            *r = row(s0 + t);
+        }
+        for k in 0..dim {
+            for (o, r) in out[k * n + s0..k * n + s0 + width].iter_mut().zip(&rows) {
+                *o = r[k];
+            }
+        }
+    }
+}
+
+/// The value an `f32` `Iterator::sum` chain starts from (`-0.0` in
+/// current std). The lane kernels below seed their accumulators with it
+/// so a lane is the same float as [`dot_seq`]/[`dist_sq_seq`] even when
+/// every term is a negative zero.
+#[inline]
+fn sum_start() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// Splits of the pairwise tree on its deepest path for vectors of `len`
+/// elements: 0 at or below [`PAIRWISE_BLOCK`], where reductions are
+/// sequential. The right half (`len − len/2`) is never the shorter one.
+fn pairwise_depth(mut len: usize) -> usize {
+    let mut depth = 0;
+    while len > PAIRWISE_BLOCK {
+        len -= len / 2;
+        depth += 1;
+    }
+    depth
+}
+
+/// One reduction per lane over the element range `lo..hi`, combined by
+/// the split-at-mid tree of [`dot_pairwise`]/[`dist_sq_pairwise`]:
+/// `leaf(lo, hi, out)` writes each lane's sequential sum over a block,
+/// sibling blocks add left + right. `spare` holds one lane row per tree
+/// level below this call.
+fn pairwise_lanes(
+    lo: usize,
+    hi: usize,
+    out: &mut [f32],
+    spare: &mut [f32],
+    leaf: &mut impl FnMut(usize, usize, &mut [f32]),
+) {
+    if hi - lo <= PAIRWISE_BLOCK {
+        return leaf(lo, hi, out);
+    }
+    let mid = lo + (hi - lo) / 2;
+    pairwise_lanes(lo, mid, out, spare, leaf);
+    let (right, deeper) = spare.split_at_mut(out.len());
+    pairwise_lanes(mid, hi, right, deeper, leaf);
+    for (o, r) in out.iter_mut().zip(right.iter()) {
+        *o += r;
+    }
+}
+
+/// [`dot`] of `w` against every column of a feature-major block at once:
+/// `out[s] = dot(w, column s)` where column `s` is `xb[k·nb + s]` over
+/// `k`, and `nb = out.len()`.
+///
+/// Each lane accumulates its terms in ascending `k` from the start value
+/// of `dot_seq` and combines blocks by the same tree as
+/// `dot_pairwise`, so every output is the **same float** as the
+/// per-column `dot` — the columns are contiguous and their accumulators
+/// independent, so the inner loop vectorises across columns instead of
+/// serialising one latency-bound add chain per dot product. `spare` is
+/// caller-owned workspace (sized here; nothing allocates once warm).
+///
+/// # Panics
+/// Panics if `xb.len() != w.len() * out.len()`.
+pub fn dot_lanes(w: &[f32], xb: &[f32], out: &mut [f32], spare: &mut Vec<f32>) {
+    let nb = out.len();
+    assert_eq!(xb.len(), w.len() * nb, "dot_lanes: block size mismatch");
+    spare.resize(pairwise_depth(w.len()) * nb, 0.0);
+    let start = sum_start();
+    pairwise_lanes(0, w.len(), out, spare, &mut |lo, hi, acc: &mut [f32]| {
+        acc.fill(start);
+        for (&wk, col) in w[lo..hi].iter().zip(xb[lo * nb..hi * nb].chunks_exact(nb)) {
+            for (a, &xv) in acc.iter_mut().zip(col) {
+                *a += wk * xv;
+            }
+        }
+    });
+}
+
+/// Squared distances from `x` to a run of vectors stored feature-major:
+/// `out[s] = Σ_k (x[k] − cols[k·stride + first + s])²`, one lane per
+/// vector, `out.len()` lanes.
+///
+/// Each lane accumulates `(a − b)²` in ascending `k` from the start
+/// value of `dist_sq_seq` and reproduces `dist_sq_pairwise`'s
+/// split-at-mid tree above `PAIRWISE_BLOCK`, so `out[s].sqrt()` is the
+/// **same float** as [`distance`] between the two vectors in either
+/// argument order (`(a − b)²` and `(b − a)²` are the same float).
+/// `spare` is caller-owned workspace, sized here.
+///
+/// # Panics
+/// Panics if the lanes reach past a row: `first + out.len() > stride`,
+/// or `cols.len() != x.len() * stride`.
+pub fn dist_sq_lanes(
+    x: &[f32],
+    cols: &[f32],
+    stride: usize,
+    first: usize,
+    out: &mut [f32],
+    spare: &mut Vec<f32>,
+) {
+    let lanes = out.len();
+    assert!(first + lanes <= stride, "dist_sq_lanes: lanes past the row");
+    assert_eq!(cols.len(), x.len() * stride, "dist_sq_lanes: block size mismatch");
+    spare.resize(pairwise_depth(x.len()) * lanes, 0.0);
+    let start = sum_start();
+    pairwise_lanes(0, x.len(), out, spare, &mut |lo, hi, acc: &mut [f32]| {
+        acc.fill(start);
+        for (&xk, row) in x[lo..hi].iter().zip(cols[lo * stride..hi * stride].chunks_exact(stride))
+        {
+            for (a, &c) in acc.iter_mut().zip(&row[first..first + lanes]) {
+                let d = xk - c;
+                *a += d * d;
+            }
+        }
+    });
+}
+
 /// In-place convex blend `x = (1 - w) * x + w * y` — the gossip averaging
 /// step used by AD-PSGD/GoSGD and NetMax's second update.
 ///
@@ -332,6 +479,66 @@ mod tests {
             .sqrt();
         let err = (f64::from(distance(&x, &y)) - reference).abs() / reference;
         assert!(err < 1e-6, "chunked distance drifted: rel err {err:e}");
+    }
+
+    /// The dims the lane kernels are pinned at: below, at and just past
+    /// one block, and past two (a three-leaf tree with uneven halves).
+    const LANE_DIMS: [usize; 5] = [1, 33, PAIRWISE_BLOCK, PAIRWISE_BLOCK + 1, 2 * PAIRWISE_BLOCK + 3];
+
+    #[test]
+    fn dot_lanes_is_the_same_float_as_dot_per_column() {
+        let mut spare = Vec::new();
+        for dim in LANE_DIMS {
+            let nb = 5;
+            let w = pseudo(dim, 7);
+            let vectors: Vec<Vec<f32>> = (0..nb).map(|s| pseudo(dim, 20 + s as u64)).collect();
+            let mut xb = vec![0.0f32; dim * nb];
+            for (s, v) in vectors.iter().enumerate() {
+                for (k, &x) in v.iter().enumerate() {
+                    xb[k * nb + s] = x - 0.5;
+                }
+            }
+            let mut out = vec![f32::NAN; nb];
+            dot_lanes(&w, &xb, &mut out, &mut spare);
+            for (s, v) in vectors.iter().enumerate() {
+                let col: Vec<f32> = v.iter().map(|x| x - 0.5).collect();
+                assert_eq!(out[s].to_bits(), dot(&w, &col).to_bits(), "dim {dim}, column {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn dist_sq_lanes_is_the_same_float_as_distance_per_vector() {
+        let mut spare = Vec::new();
+        for dim in LANE_DIMS {
+            let (stride, first, lanes) = (7, 2, 4);
+            let x = pseudo(dim, 9);
+            let vectors: Vec<Vec<f32>> = (0..stride).map(|s| pseudo(dim, 40 + s as u64)).collect();
+            let mut cols = vec![0.0f32; dim * stride];
+            for (s, v) in vectors.iter().enumerate() {
+                for (k, &c) in v.iter().enumerate() {
+                    cols[k * stride + s] = c;
+                }
+            }
+            let mut out = vec![f32::NAN; lanes];
+            dist_sq_lanes(&x, &cols, stride, first, &mut out, &mut spare);
+            for s in 0..lanes {
+                let y = &vectors[first + s];
+                assert_eq!(out[s].sqrt().to_bits(), distance(&x, y).to_bits(), "dim {dim}, lane {s}");
+                assert_eq!(out[s].sqrt().to_bits(), distance(y, &x).to_bits(), "dim {dim}, lane {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernels_keep_the_sign_of_an_all_negative_zero_sum() {
+        // `Iterator::sum` starts from -0.0, so a dot whose every term is
+        // -0.0 is -0.0; a lane seeded with +0.0 would return +0.0.
+        let mut spare = Vec::new();
+        let (w, x) = ([-0.0f32, -0.0], [1.0f32, 2.0]);
+        let mut out = [f32::NAN];
+        dot_lanes(&w, &x, &mut out, &mut spare);
+        assert_eq!(out[0].to_bits(), dot(&w, &x).to_bits());
     }
 
     #[test]
