@@ -13,8 +13,8 @@
 //! * **determinism** — `Instant`/`SystemTime` only in allowlisted bench
 //!   timing code; `HashMap`/`HashSet` nowhere in library sources (iteration
 //!   order leaks into artifacts);
-//! * **hot-path hygiene** — functions registered in the hot-path manifest
-//!   must not contain allocation patterns (`vec!`, `.collect`, `.clone`,
+//! * **hot-path hygiene** — nothing reachable from the `hot_path` root
+//!   set may contain allocation patterns (`vec!`, `.collect`, `.clone`,
 //!   `format!`, …);
 //! * **panic-freedom ratchet** — per-crate counts of `unwrap`/`expect`/
 //!   `panic!`/`unreachable!`/indexing may never exceed the committed
@@ -158,7 +158,7 @@ pub struct AuditOutcome {
     /// The violation report.
     pub report: AuditReport,
     /// The computed closures (empty when the policy declares no root
-    /// sets, i.e. for v1 documents).
+    /// sets).
     pub closures: ClosureReport,
     /// The workspace call graph.
     pub graph: CallGraph,
@@ -173,12 +173,7 @@ pub fn run_audit(root: &Path, policy: &Policy) -> Result<AuditReport, AuditError
 
 /// Runs the full audit of the workspace at `root` under `policy`.
 pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, AuditError> {
-    let banned_patterns: Vec<BannedPattern> = policy
-        .hot_path_banned
-        .iter()
-        .filter_map(|s| BannedPattern::parse(s))
-        .collect();
-    if banned_patterns.len() != policy.hot_path_banned.len() {
+    if policy.hot_path_banned.iter().any(|s| BannedPattern::parse(s).is_none()) {
         return Err(err("policy hot_path_banned contains an unparseable pattern"));
     }
     let time_banned: Vec<&str> =
@@ -233,25 +228,6 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
                 ));
             }
         }
-        for entry in policy.hot_paths.iter().filter(|e| &e.file == path) {
-            let (hits, stale) = scan::scan_hot_paths(scan, &entry.functions, &banned_patterns);
-            for (line, func, pat) in hits {
-                candidates.push((
-                    rules::HOT_PATH_ALLOC,
-                    line,
-                    format!("`{pat}` inside registered hot path `{func}`"),
-                ));
-            }
-            for func in stale {
-                rep.violations.push(Violation {
-                    rule: rules::HOT_PATH_MANIFEST,
-                    file: path.clone(),
-                    line: 0,
-                    message: format!("manifest names `{func}` but the file defines no such fn"),
-                });
-            }
-        }
-
         if let Some(flags) = used.get_mut(path.as_str()) {
             for (rule, line, message) in candidates {
                 let matched = scan
@@ -280,8 +256,8 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
     }
 
     // The call-graph layer: parse items out of every library source
-    // file, resolve calls, and (for v2 policies) enforce the per-closure
-    // rules over everything reachable from the declared root sets.
+    // file, resolve calls, and enforce the per-closure rules over
+    // everything reachable from the declared root sets.
     let mut fns = Vec::new();
     for (path, scan) in &scans {
         if is_source(path) {
@@ -355,13 +331,7 @@ fn closure_checks<'a>(
     let mut fast_closure: Option<BTreeSet<usize>> = None;
 
     for set in &policy.root_sets {
-        // The legacy v1 manifest rides along as extra hot_path roots, so
-        // a half-migrated policy loses no coverage.
-        let mut root_entries = set.roots.clone();
-        if set.name == "hot_path" {
-            root_entries.extend(policy.hot_paths.iter().cloned());
-        }
-        let (roots, missing) = graph.select(&root_entries);
+        let (roots, missing) = graph.select(&set.roots);
         let (pruned, missing_prune) = graph.select(&set.prune);
         for (kind, misses) in [("root", missing), ("prune", missing_prune)] {
             for (file, func) in misses {
@@ -436,14 +406,10 @@ fn closure_checks<'a>(
             }
         }
 
-        // Rule 3 — the panic ratchet over a closure. Any set may carry a
-        // `budget`; `step_loop` falls back to the legacy top-level
-        // `step_loop_budget`. Sites are keyed by token index so nested
+        // Rule 3 — the panic ratchet over the closure of any set that
+        // carries a `budget`. Sites are keyed by token index so nested
         // bodies never double-count.
-        let budget = set.budget.as_ref().or_else(|| {
-            (set.name == "step_loop").then_some(policy.step_loop_budget.as_ref()).flatten()
-        });
-        if let Some(budget) = budget {
+        if let Some(budget) = &set.budget {
             let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
             let mut actual = PanicCounts::default();
             for &i in &closure {

@@ -6,12 +6,12 @@
 //! document — and so the ratchet (budgets that may only decrease) is a
 //! one-line diff when a panic site is removed.
 //!
-//! v2 adds the call-graph layer: named **root sets** from which the
-//! analyzer computes reachability closures, an optional panic budget
-//! over the `step_loop` closure, and the `reassociation` boundary
-//! configuration for the `strict_numerics` closure. v1 documents still
-//! parse — the new fields default to empty, and the legacy `hot_paths`
-//! manifest is honored as extra `hot_path` roots either way.
+//! The call-graph layer is declared as named **root sets** from which
+//! the analyzer computes reachability closures, each with an optional
+//! panic budget over its closure, plus the `reassociation` boundary
+//! configuration for the `strict_numerics` closure. This is the only
+//! schema: a document with another tag, or with a top-level field this
+//! module does not define, is rejected.
 
 use crate::scan::PanicCounts;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
@@ -19,8 +19,19 @@ use netmax_json::{FromJson, Json, JsonError, ToJson};
 /// Schema tag of the current policy document.
 pub const POLICY_SCHEMA: &str = "netmax-audit/policy/v2";
 
-/// The previous schema tag, still accepted on input.
-pub const POLICY_SCHEMA_V1: &str = "netmax-audit/policy/v1";
+/// Every top-level field of a policy document; anything else is an
+/// error, so a retired or misspelled key is never silently ignored.
+const POLICY_FIELDS: &[&str] = &[
+    "schema",
+    "exclude",
+    "determinism",
+    "hot_path_banned",
+    "panic_budgets",
+    "enums",
+    "required_text",
+    "root_sets",
+    "reassociation",
+];
 
 /// The determinism rule's configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,14 +47,13 @@ pub struct DeterminismPolicy {
     pub hash_allowlist: Vec<String>,
 }
 
-/// One hot-path manifest entry: functions in one file whose bodies must
-/// stay free of the banned allocation patterns.
+/// One root-set (or prune-set) entry: functions named by file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotPathEntry {
+pub struct RootEntry {
     /// Workspace-relative file path.
     pub file: String,
-    /// Function names registered as hot (every same-named `fn` in the
-    /// file is scanned — trait defaults and impls alike).
+    /// Bare function names: every `fn` in the file with that name is
+    /// selected — trait defaults and impls alike.
     pub functions: Vec<String>,
 }
 
@@ -79,11 +89,6 @@ pub struct EnumCheck {
     pub union: Vec<String>,
 }
 
-/// One root-set (or prune-set) entry: functions named by file, with the
-/// same matching rules as the legacy hot-path manifest — every `fn` in
-/// the file with that bare name, trait defaults and impls alike.
-pub type RootEntry = HotPathEntry;
-
 /// One named closure root set. The closure is everything reachable from
 /// `roots` through the call graph, never entering `prune` — prunes are
 /// the policy-visible escape hatch for conservative false edges (a cold
@@ -101,9 +106,10 @@ pub struct RootSet {
     pub roots: Vec<RootEntry>,
     /// Functions the traversal must never enter.
     pub prune: Vec<RootEntry>,
-    /// Panic budget ratcheted over this set's closure. Any set may carry
-    /// one; for `step_loop` the legacy top-level `step_loop_budget` is
-    /// the fallback when this is absent.
+    /// Panic budget ratcheted over this set's closure; any set may carry
+    /// one. The `step_loop` set's is the ratchet on everything
+    /// `Session::step` can reach, finer than the per-crate budgets
+    /// because cold code does not dilute it.
     pub budget: Option<PanicCounts>,
 }
 
@@ -125,7 +131,7 @@ pub struct Reassociation {
 
 /// A raw-text requirement: `needle` must appear somewhere in `file`
 /// (string literals included — this is how schema-tag coverage is
-/// pinned, e.g. the v1 checkpoint compat test).
+/// pinned).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequiredText {
     /// Workspace-relative file path.
@@ -141,21 +147,13 @@ pub struct Policy {
     pub exclude: Vec<String>,
     /// Determinism rule configuration.
     pub determinism: DeterminismPolicy,
-    /// The legacy hot-path manifest (v1) — still honored as extra
-    /// `hot_path` roots in v2 documents.
-    pub hot_paths: Vec<HotPathEntry>,
-    /// Banned patterns in hot-path bodies (`.collect`, `vec!`,
-    /// `Vec::new` spellings). Also enforced over the whole `hot_path`
-    /// closure.
+    /// Allocation patterns (`.collect`, `vec!`, `Vec::new` spellings)
+    /// banned in every body of the `hot_path` closure.
     pub hot_path_banned: Vec<String>,
     /// Per-crate panic budgets.
     pub panic_budgets: Vec<PanicBudget>,
-    /// Named closure root sets (v2; empty for v1 documents).
+    /// Named closure root sets.
     pub root_sets: Vec<RootSet>,
-    /// Panic budget over the `step_loop` closure — the ratchet on
-    /// everything `Session::step` can reach, finer than the per-crate
-    /// budgets because cold code does not dilute it.
-    pub step_loop_budget: Option<PanicCounts>,
     /// Reassociation-boundary configuration for `strict_numerics`.
     pub reassociation: Option<Reassociation>,
     /// Enum exhaustiveness checks.
@@ -209,10 +207,15 @@ fn counts_from(v: &Json) -> Result<PanicCounts, JsonError> {
 impl FromJson for Policy {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let schema = v.field("schema")?.as_str()?;
-        if schema != POLICY_SCHEMA && schema != POLICY_SCHEMA_V1 {
+        if schema != POLICY_SCHEMA {
             return Err(JsonError::schema(format!(
                 "unsupported policy schema `{schema}` (expected `{POLICY_SCHEMA}`)"
             )));
+        }
+        if let Json::Obj(pairs) = v {
+            if let Some((key, _)) = pairs.iter().find(|(k, _)| !POLICY_FIELDS.contains(&k.as_str())) {
+                return Err(JsonError::schema(format!("unknown field `{key}` in policy")));
+            }
         }
         let det = v.field("determinism")?;
         Ok(Policy {
@@ -223,17 +226,6 @@ impl FromJson for Policy {
                 hash_banned: string_vec(det, "hash_banned")?,
                 hash_allowlist: string_vec(det, "hash_allowlist")?,
             },
-            hot_paths: v
-                .field("hot_paths")?
-                .as_arr()?
-                .iter()
-                .map(|e| {
-                    Ok(HotPathEntry {
-                        file: String::from_json(e.field("file")?)?,
-                        functions: string_vec(e, "functions")?,
-                    })
-                })
-                .collect::<Result<_, JsonError>>()?,
             hot_path_banned: string_vec(v, "hot_path_banned")?,
             panic_budgets: v
                 .field("panic_budgets")?
@@ -250,29 +242,19 @@ impl FromJson for Policy {
                     })
                 })
                 .collect::<Result<_, JsonError>>()?,
-            // v2 extensions — all optional so v1 documents keep parsing.
-            root_sets: match v.get("root_sets") {
-                None => Vec::new(),
-                Some(arr) => arr
-                    .as_arr()?
-                    .iter()
-                    .map(|e| {
-                        Ok(RootSet {
-                            name: String::from_json(e.field("name")?)?,
-                            roots: entry_vec(e, "roots")?,
-                            prune: entry_vec(e, "prune")?,
-                            budget: match e.get("budget") {
-                                None => None,
-                                Some(b) => Some(counts_from(b)?),
-                            },
-                        })
+            root_sets: v
+                .field("root_sets")?
+                .as_arr()?
+                .iter()
+                .map(|e| {
+                    Ok(RootSet {
+                        name: String::from_json(e.field("name")?)?,
+                        roots: entry_vec(e, "roots")?,
+                        prune: entry_vec(e, "prune")?,
+                        budget: e.get("budget").map(counts_from).transpose()?,
                     })
-                    .collect::<Result<_, JsonError>>()?,
-            },
-            step_loop_budget: match v.get("step_loop_budget") {
-                None => None,
-                Some(b) => Some(counts_from(b)?),
-            },
+                })
+                .collect::<Result<_, JsonError>>()?,
             reassociation: match v.get("reassociation") {
                 None => None,
                 Some(r) => Some(Reassociation {
@@ -344,20 +326,6 @@ impl ToJson for Policy {
                     ("hash_allowlist", self.determinism.hash_allowlist.to_json()),
                 ]),
             ),
-            (
-                "hot_paths",
-                Json::Arr(
-                    self.hot_paths
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("file", e.file.to_json()),
-                                ("functions", e.functions.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
             ("hot_path_banned", self.hot_path_banned.to_json()),
             (
                 "panic_budgets",
@@ -427,9 +395,6 @@ impl ToJson for Policy {
                 ),
             ),
         ];
-        if let Some(b) = &self.step_loop_budget {
-            fields.push(("step_loop_budget", counts_to(b)));
-        }
         if let Some(r) = &self.reassociation {
             fields.push((
                 "reassociation",
@@ -458,10 +423,6 @@ mod tests {
                 hash_banned: vec!["HashMap".into(), "HashSet".into()],
                 hash_allowlist: vec![],
             },
-            hot_paths: vec![HotPathEntry {
-                file: "crates/ml/src/model.rs".into(),
-                functions: vec!["loss_block".into()],
-            }],
             hot_path_banned: vec![".collect".into(), "vec!".into(), "Vec::new".into()],
             panic_budgets: vec![PanicBudget {
                 crate_dir: "crates/json".into(),
@@ -490,7 +451,6 @@ mod tests {
                 }],
                 budget: Some(PanicCounts { unwrap: 1, ..PanicCounts::default() }),
             }],
-            step_loop_budget: Some(PanicCounts { expect: 1, index: 4, ..PanicCounts::default() }),
             reassociation: Some(Reassociation {
                 modules: vec!["crates/ml/src/params.rs".into()],
                 intrinsics: vec!["exp".into(), "mul_add".into()],
@@ -508,52 +468,46 @@ mod tests {
         assert!(Policy::from_json(&doc).is_err());
     }
 
-    #[test]
-    fn v1_documents_still_parse_with_defaults() {
-        let doc = Json::parse(
-            r#"{
-                "schema": "netmax-audit/policy/v1",
+    /// A minimal current-schema document with `extra` spliced in as one
+    /// more top-level field.
+    fn minimal_doc(schema: &str, extra: &str) -> Json {
+        Json::parse(&format!(
+            r#"{{
+                "schema": "{schema}",
                 "exclude": [],
-                "determinism": {
-                    "time_banned": ["Instant"], "time_allowlist": [],
-                    "hash_banned": ["HashMap"], "hash_allowlist": []
-                },
-                "hot_paths": [{"file": "src/a.rs", "functions": ["hot"]}],
-                "hot_path_banned": ["vec!"],
-                "panic_budgets": [],
-                "enums": [],
-                "required_text": []
-            }"#,
-        )
-        .unwrap();
-        let p = Policy::from_json(&doc).unwrap();
-        assert!(p.root_sets.is_empty());
-        assert!(p.step_loop_budget.is_none());
-        assert!(p.reassociation.is_none());
-        assert_eq!(p.hot_paths.len(), 1, "the v1 manifest still loads (as extra roots)");
-    }
-
-    #[test]
-    fn prune_may_be_omitted_from_a_root_set() {
-        let doc = Json::parse(
-            r#"{
-                "schema": "netmax-audit/policy/v2",
-                "exclude": [],
-                "determinism": {
+                "determinism": {{
                     "time_banned": [], "time_allowlist": [],
                     "hash_banned": [], "hash_allowlist": []
-                },
-                "hot_paths": [],
+                }},
                 "hot_path_banned": [],
                 "panic_budgets": [],
                 "enums": [],
                 "required_text": [],
-                "root_sets": [{"name": "hot_path",
-                               "roots": [{"file": "src/a.rs", "functions": ["hot"]}]}]
-            }"#,
-        )
-        .unwrap();
-        let p = Policy::from_json(&doc).unwrap();
+                "root_sets": [{{"name": "hot_path",
+                               "roots": [{{"file": "src/a.rs", "functions": ["hot"]}}]}}]
+                {extra}
+            }}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn v1_documents_are_an_unsupported_schema() {
+        // The previous tag is a typed error, and so is any top-level key
+        // this schema does not define (which is what the keys only v1
+        // defined now are) — nothing loads with defaults or is ignored.
+        let v1 = POLICY_SCHEMA.replace("/v2", "/v1");
+        let e = Policy::from_json(&minimal_doc(&v1, "")).unwrap_err();
+        assert!(e.to_string().contains("unsupported policy schema"), "{e}");
+        let e = Policy::from_json(&minimal_doc(POLICY_SCHEMA, r#", "retired_key": []"#))
+            .unwrap_err();
+        assert!(e.to_string().contains("unknown field `retired_key`"), "{e}");
+        assert!(Policy::from_json(&minimal_doc(POLICY_SCHEMA, "")).is_ok());
+    }
+
+    #[test]
+    fn prune_may_be_omitted_from_a_root_set() {
+        let p = Policy::from_json(&minimal_doc(POLICY_SCHEMA, "")).unwrap();
         assert_eq!(p.root_sets.len(), 1);
         assert!(p.root_sets[0].prune.is_empty());
     }
@@ -561,7 +515,7 @@ mod tests {
     #[test]
     fn allowlist_matches_exact_and_prefix() {
         let list = vec!["crates/bench/src/bin/".to_string(), "src/lib.rs".to_string()];
-        assert!(Policy::allowlisted(&list, "crates/bench/src/bin/sanity.rs"));
+        assert!(Policy::allowlisted(&list, "crates/bench/src/bin/netmax-bench.rs"));
         assert!(Policy::allowlisted(&list, "src/lib.rs"));
         assert!(!Policy::allowlisted(&list, "crates/bench/src/binary.rs"));
         assert!(!Policy::allowlisted(&list, "src/lib.rs.bak"));

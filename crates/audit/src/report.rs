@@ -14,10 +14,9 @@ pub mod rules {
     pub const DETERMINISM_TIME: &str = "determinism-time";
     /// Iteration-order-nondeterministic container outside the allowlist.
     pub const DETERMINISM_HASH: &str = "determinism-hash";
-    /// Banned allocation pattern inside a registered hot-path body.
+    /// The second name a suppression of [`CLOSURE_ALLOC`] may use; no
+    /// finding is reported under it.
     pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
-    /// Hot-path manifest names a function the file no longer defines.
-    pub const HOT_PATH_MANIFEST: &str = "hot-path-manifest";
     /// Panic-site count above the committed budget.
     pub const PANIC_BUDGET: &str = "panic-budget";
     /// Budget higher than the actual count — the ratchet must be lowered.
@@ -33,14 +32,13 @@ pub mod rules {
     /// Policy points at a file that does not exist or declares no such
     /// enum/function.
     pub const POLICY_TARGET: &str = "policy-target";
-    /// Banned allocation pattern anywhere in the `hot_path` *closure* —
-    /// the transitive version of `hot-path-alloc`.
+    /// Banned allocation pattern anywhere in the `hot_path` closure.
     pub const CLOSURE_ALLOC: &str = "closure-alloc";
     /// Real-time clock or hash container in any closure member's body.
     pub const CLOSURE_DETERMINISM: &str = "closure-determinism";
-    /// Panic sites over the `step_loop` closure exceed its budget.
+    /// Panic sites over a budgeted closure exceed its budget.
     pub const CLOSURE_PANIC_BUDGET: &str = "closure-panic-budget";
-    /// The `step_loop` closure budget is above the actual count.
+    /// A closure's budget is above the actual count.
     pub const CLOSURE_PANIC_BUDGET_STALE: &str = "closure-panic-budget-stale";
     /// The `strict_numerics` closure calls a numeric helper outside the
     /// approved list.

@@ -1,5 +1,6 @@
-//! Per-file scanning: test-region detection, the determinism and
-//! hot-path rules, and the panic-site counters behind the ratchet.
+//! Per-file scanning: test-region detection, the determinism rules, the
+//! per-body pattern and panic-site scans the closure rules run, and the
+//! panic-site counters behind the ratchet.
 //!
 //! Everything here operates on the lexed token stream of one file. Test
 //! code — `#[cfg(test)]` modules and `#[test]`/`#[bench]` functions — is
@@ -61,10 +62,6 @@ impl FileScan {
             Some(Tok::Punct(c)) => Some(*c),
             _ => None,
         }
-    }
-
-    fn line(&self, idx: usize) -> u32 {
-        self.tokens.get(idx).map(|t| t.line).unwrap_or(0)
     }
 }
 
@@ -413,69 +410,6 @@ impl PanicCounts {
     }
 }
 
-/// One hot-path hit: `(line, function, pattern spelling)`.
-pub type HotPathHit = (u32, String, String);
-
-/// Scans every function named in `functions` (all occurrences — trait
-/// defaults and impls alike) for the banned allocation patterns.
-///
-/// The scan is *shallow*: only the named function's own body is checked,
-/// not its callees — the dynamic counting-allocator harnesses remain the
-/// end-to-end proof; this rule catches the regressions a reviewer can see
-/// in the diff. Returns the hits plus any manifest entries that matched
-/// no function in the file (stale manifest — itself a violation).
-pub fn scan_hot_paths(
-    scan: &FileScan,
-    functions: &[String],
-    banned: &[BannedPattern],
-) -> (Vec<HotPathHit>, Vec<String>) {
-    let mut hits = Vec::new();
-    let mut found: Vec<bool> = vec![false; functions.len()];
-    let mut i = 0usize;
-    while i < scan.tokens.len() {
-        if scan.ident(i) == Some("fn") && !scan.is_test(i) {
-            if let Some(name) = scan.ident(i + 1) {
-                if let Some(fi) = functions.iter().position(|f| f == name) {
-                    found[fi] = true;
-                    let fname = name.to_string();
-                    // The body is the first brace-balanced block after the
-                    // signature (bounds and return types contain no `{`).
-                    let mut j = i + 2;
-                    while j < scan.tokens.len() && scan.punct(j) != Some('{') {
-                        // A semicolon first means a trait method without a
-                        // default body — nothing to scan.
-                        if scan.punct(j) == Some(';') {
-                            break;
-                        }
-                        j += 1;
-                    }
-                    if scan.punct(j) == Some('{') {
-                        let end = matching_brace(&scan.tokens, j)
-                            .unwrap_or(scan.tokens.len().saturating_sub(1));
-                        for k in j..=end.min(scan.tokens.len().saturating_sub(1)) {
-                            for pat in banned {
-                                if pat.matches_at(scan, k) {
-                                    hits.push((scan.line(k), fname.clone(), pat.display()));
-                                }
-                            }
-                        }
-                        i = end + 1;
-                        continue;
-                    }
-                }
-            }
-        }
-        i += 1;
-    }
-    let stale = functions
-        .iter()
-        .zip(&found)
-        .filter(|(_, f)| !**f)
-        .map(|(n, _)| n.clone())
-        .collect();
-    (hits, stale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,26 +507,12 @@ mod tests {
         "#;
         let banned: Vec<BannedPattern> =
             [".collect", "vec!", "format!", "Vec::new"].iter().map(|s| BannedPattern::parse(s).unwrap()).collect();
-        let (hits, stale) = scan_hot_paths(&scan(src), &["hot".to_string()], &banned);
+        let scan = scan(src);
+        // `hot`'s body: from its opening brace to the matching one.
+        let open = (0..scan.tokens.len()).find(|&i| scan.punct(i) == Some('{')).unwrap();
+        let close = matching_brace(&scan.tokens, open).unwrap();
+        let hits = find_banned_patterns_in(&scan, open, close, &banned);
         assert_eq!(hits.len(), 3, "{hits:?}");
-        assert!(stale.is_empty());
-        assert!(hits.iter().all(|(_, f, _)| f == "hot"));
-    }
-
-    #[test]
-    fn hot_path_scan_reports_stale_manifest_entries() {
-        let (hits, stale) =
-            scan_hot_paths(&scan("fn present() {}"), &["present".into(), "gone".into()], &[]);
-        assert!(hits.is_empty());
-        assert_eq!(stale, ["gone"]);
-    }
-
-    #[test]
-    fn trait_method_without_body_is_not_stale() {
-        let src = "trait T { fn hot(&self); } impl T for U { fn hot(&self) { x.to_vec(); } }";
-        let banned = [BannedPattern::parse(".to_vec").unwrap()];
-        let (hits, stale) = scan_hot_paths(&scan(src), &["hot".to_string()], &banned);
-        assert_eq!(hits.len(), 1);
-        assert!(stale.is_empty());
+        assert!(hits.iter().all(|(line, _)| (3..=5).contains(line)), "{hits:?}");
     }
 }

@@ -3,7 +3,9 @@
 //! quiet on the clean one, be silenced by reasoned suppressions, and
 //! reject defective directives.
 
-use netmax_audit::policy::{DeterminismPolicy, EnumCheck, HotPathEntry, PanicBudget, Policy, RequiredText};
+use netmax_audit::policy::{
+    DeterminismPolicy, EnumCheck, PanicBudget, Policy, RequiredText, RootEntry, RootSet,
+};
 use netmax_audit::{run_audit, AuditReport};
 use netmax_json::ToJson;
 use std::path::PathBuf;
@@ -13,7 +15,8 @@ fn fixture_root(name: &str) -> PathBuf {
 }
 
 /// The shared fixture policy: both fixtures declare `Mode` and a `hot`
-/// function; budgets are zero so any panic site trips the ratchet.
+/// function, the one root of the `hot_path` set; budgets are zero so any
+/// panic site trips the ratchet.
 fn fixture_policy() -> Policy {
     Policy {
         exclude: vec![],
@@ -23,10 +26,6 @@ fn fixture_policy() -> Policy {
             hash_banned: vec!["HashMap".into(), "HashSet".into()],
             hash_allowlist: vec![],
         },
-        hot_paths: vec![HotPathEntry {
-            file: "src/lib.rs".into(),
-            functions: vec!["hot".into()],
-        }],
         hot_path_banned: vec![
             "Vec::new".into(),
             "vec!".into(),
@@ -50,8 +49,12 @@ fn fixture_policy() -> Policy {
             union: vec![],
         }],
         required_text: vec![],
-        root_sets: vec![],
-        step_loop_budget: None,
+        root_sets: vec![RootSet {
+            name: "hot_path".into(),
+            roots: vec![RootEntry { file: "src/lib.rs".into(), functions: vec!["hot".into()] }],
+            prune: vec![],
+            budget: None,
+        }],
         reassociation: None,
     }
 }
@@ -76,7 +79,7 @@ fn clean_fixture_passes_every_rule() {
 fn violating_fixture_trips_every_rule() {
     let report = audit("violating", &fixture_policy());
     let fired = rules_fired(&report);
-    for rule in ["determinism-time", "determinism-hash", "hot-path-alloc", "enum-exhaustive", "panic-budget"] {
+    for rule in ["determinism-time", "determinism-hash", "closure-alloc", "enum-exhaustive", "panic-budget"] {
         assert!(fired.contains(&rule), "expected {rule} to fire, got {fired:?}");
     }
     // `Mode::Off` is the variant the wildcard arm swallowed.
@@ -90,7 +93,7 @@ fn violating_fixture_trips_every_rule() {
     assert!(report
         .violations
         .iter()
-        .filter(|v| v.rule == "determinism-time" || v.rule == "hot-path-alloc")
+        .filter(|v| v.rule == "determinism-time" || v.rule == "closure-alloc")
         .all(|v| v.line > 0));
 }
 
@@ -111,7 +114,7 @@ fn stale_and_malformed_directives_are_violations() {
     // directives themselves are under test.
     let mut policy = fixture_policy();
     policy.enums.clear();
-    policy.hot_paths.clear();
+    policy.root_sets.clear();
     let report = audit("stale", &policy);
     let fired = rules_fired(&report);
     assert_eq!(
@@ -128,10 +131,10 @@ fn stale_and_malformed_directives_are_violations() {
 #[test]
 fn stale_hot_path_manifest_entry_is_a_violation() {
     let mut policy = fixture_policy();
-    policy.hot_paths[0].functions.push("gone".into());
+    policy.root_sets[0].roots[0].functions.push("gone".into());
     let report = audit("clean", &policy);
-    let fired = rules_fired(&report);
-    assert!(fired.contains(&"hot-path-manifest"), "{fired:?}");
+    let stale = report.violations.iter().find(|v| v.rule == "policy-target");
+    assert!(stale.is_some_and(|v| v.message.contains("`gone`")), "{}", report.human());
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! lives in a *transitive* callee, never a root), stay quiet on the
 //! clean tree, honor prunes, honor suppressions written against either
 //! the closure rule or the per-site rule it shadows, and stay entirely
-//! off for v1 policies with no root sets.
+//! off for a policy with no root sets.
 
 use netmax_audit::policy::{
     DeterminismPolicy, PanicBudget, Policy, Reassociation, RootEntry, RootSet,
@@ -30,8 +30,8 @@ fn root_set(name: &str, functions: &[&str], prune: &[&str]) -> RootSet {
 }
 
 /// The shared closure-fixture policy: three root sets anchored at
-/// `hot_root`/`step_root`/`kernel`, a zero step-loop budget, and a
-/// reassociation boundary at `src/math.rs` approving only `axpy`.
+/// `hot_root`/`step_root`/`kernel`, a zero budget on the `step_loop` set,
+/// and a reassociation boundary at `src/math.rs` approving only `axpy`.
 fn closure_policy() -> Policy {
     Policy {
         exclude: vec![],
@@ -41,17 +41,18 @@ fn closure_policy() -> Policy {
             hash_banned: vec!["HashMap".into(), "HashSet".into()],
             hash_allowlist: vec![],
         },
-        hot_paths: vec![],
         hot_path_banned: vec!["vec!".into(), "format!".into(), ".clone".into()],
         panic_budgets: vec![],
         enums: vec![],
         required_text: vec![],
         root_sets: vec![
             root_set("hot_path", &["hot_root"], &[]),
-            root_set("step_loop", &["step_root"], &[]),
+            RootSet {
+                budget: Some(PanicCounts::default()),
+                ..root_set("step_loop", &["step_root"], &[])
+            },
             root_set("strict_numerics", &["kernel"], &[]),
         ],
-        step_loop_budget: Some(PanicCounts::default()),
         reassociation: Some(Reassociation {
             modules: vec!["src/math.rs".into()],
             intrinsics: vec!["exp".into(), "mul_add".into()],
@@ -125,7 +126,10 @@ fn violations_live_in_transitive_callees_not_roots() {
 fn prunes_cut_the_traversal_at_the_named_functions() {
     let mut policy = closure_policy();
     policy.root_sets[0] = root_set("hot_path", &["hot_root"], &["spill"]);
-    policy.root_sets[1] = root_set("step_loop", &["step_root"], &["risky"]);
+    policy.root_sets[1] = RootSet {
+        budget: Some(PanicCounts::default()),
+        ..root_set("step_loop", &["step_root"], &["risky"])
+    };
     let outcome = audit("closure_violating", &closure_policy());
     let pruned = audit("closure_violating", &policy);
     let fired = rules_fired(&pruned);
@@ -139,9 +143,9 @@ fn prunes_cut_the_traversal_at_the_named_functions() {
 #[test]
 fn stale_closure_budget_is_flagged() {
     let mut policy = closure_policy();
-    // Budget far above the fixture's actual two sites — the two-way
-    // ratchet must demand it be lowered.
-    policy.step_loop_budget = Some(PanicCounts {
+    // The set's budget far above the fixture's actual two sites — the
+    // two-way ratchet must demand it be lowered, and only that.
+    policy.root_sets[1].budget = Some(PanicCounts {
         unwrap: 5,
         expect: 0,
         panic: 0,
@@ -151,19 +155,7 @@ fn stale_closure_budget_is_flagged() {
     let outcome = audit("closure_violating", &policy);
     let fired = rules_fired(&outcome);
     assert!(fired.contains(&"closure-panic-budget-stale"), "{fired:?}");
-}
-
-#[test]
-fn per_set_budget_overrides_the_legacy_step_loop_budget() {
-    let mut policy = closure_policy();
-    // The set-level budget (far above actual) must win over the zero
-    // top-level budget: the stale arm fires, not the over-budget arm.
-    policy.root_sets[1].budget =
-        Some(PanicCounts { unwrap: 9, expect: 9, panic: 9, unreachable: 9, index: 9 });
-    let outcome = audit("closure_violating", &policy);
-    let fired = rules_fired(&outcome);
     assert!(!fired.contains(&"closure-panic-budget"), "{fired:?}");
-    assert!(fired.contains(&"closure-panic-budget-stale"), "{fired:?}");
 }
 
 #[test]
@@ -197,8 +189,8 @@ fn suppressions_cover_closure_rules_and_their_per_site_shadows() {
 fn v1_policies_compute_no_closures_and_fire_no_closure_rules() {
     let mut policy = closure_policy();
     policy.root_sets = vec![];
-    // A v1-era crate budget keeps the per-crate ratchet exercised while
-    // the closure machinery stays off.
+    // A crate budget keeps the per-crate ratchet exercised while the
+    // closure machinery stays off.
     policy.panic_budgets = vec![PanicBudget {
         crate_dir: "src".into(),
         unwrap: 1,
@@ -226,7 +218,6 @@ fn tiers_policy() -> Policy {
             hash_banned: vec!["HashMap".into()],
             hash_allowlist: vec![],
         },
-        hot_paths: vec![],
         hot_path_banned: vec![],
         panic_budgets: vec![],
         enums: vec![],
@@ -235,7 +226,6 @@ fn tiers_policy() -> Policy {
             root_set("strict_numerics", &["strict_root"], &[]),
             root_set("fast_numerics", &["fast_root"], &[]),
         ],
-        step_loop_budget: None,
         reassociation: None,
     }
 }

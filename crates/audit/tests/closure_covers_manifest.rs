@@ -1,8 +1,8 @@
-//! Differential guarantee for the v1 → v2 migration: the `hot_path`
-//! closure computed from the committed v2 root sets must cover every
-//! function the retired hand-listed `hot_paths` manifest named. The v2
-//! analyzer may widen coverage (that is the point of the closure), but
-//! it must never silently narrow it.
+//! Differential guarantee kept from the v1 → v2 policy migration: the
+//! `hot_path` closure computed from the committed root sets must cover
+//! every function the retired hand-listed hot-path manifest named. The
+//! closure may widen coverage (that is its point), but it must never
+//! silently narrow it.
 
 use netmax_audit::{load_policy, run_audit_full};
 use std::path::PathBuf;

@@ -11,6 +11,7 @@
 //!                  [--tier strict|fast]
 //! netmax-bench scale [--quick|--tiny] [--repeats R] [--out path]
 //! netmax-bench checkpoint [--quick] [--out path]
+//! netmax-bench sanity [--quick|--tiny] [--out path]
 //! netmax-bench show <artifact.json|checkpoint.bin>
 //! ```
 //!
@@ -29,12 +30,16 @@
 //! any other schema is a typed "unknown schema" error — it doubles as a
 //! schema check in CI. `checkpoint` benchmarks the encode/decode paths
 //! (logical JSON document vs NMXB vs delta) and writes
-//! `BENCH_checkpoint.json`.
+//! `BENCH_checkpoint.json`. `sanity` runs the registry's `sanity` arms
+//! one at a time, each timed alone on one thread, and writes
+//! `BENCH_sanity.json` — the baseline whose simulated fields CI holds
+//! byte-equal. Every JSON artifact goes through [`write_artifact`].
 
-use netmax_bench::registry::{find, registry, registry_json};
+use netmax_bench::registry::{find, registry, registry_json, sanity_spec};
 use netmax_bench::runner::{CellProgress, RunOptions};
 use netmax_bench::{common, runner, Mode};
 use netmax_core::engine::AlgorithmKind;
+use netmax_json::{Json, ToJson};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -67,6 +72,7 @@ const THROUGHPUT_FLAGS: FlagSpec =
     FlagSpec { value: &["--steps", "--repeats", "--out", "--tier"], boolean: &["--quick"] };
 const SCALE_FLAGS: FlagSpec =
     FlagSpec { value: &["--repeats", "--out"], boolean: &["--quick", "--tiny"] };
+const SANITY_FLAGS: FlagSpec = FlagSpec { value: &["--out"], boolean: &["--quick", "--tiny"] };
 
 /// Splits argv into positional arguments under a command's flag spec,
 /// skipping the value each value-taking flag consumes (so `run --seeds 2
@@ -107,7 +113,7 @@ fn main() -> ExitCode {
     // `--json` is the one ambiguous flag (boolean for `list`, value for
     // `run`), so an artifact path literally named after a command must be
     // placed after the command word.
-    let known = ["list", "run", "show", "throughput", "scale", "checkpoint", "help"];
+    let known = ["list", "run", "show", "throughput", "scale", "checkpoint", "sanity", "help"];
     let always_value = [
         "--seeds",
         "--threads",
@@ -138,6 +144,7 @@ fn main() -> ExitCode {
         "throughput" => &THROUGHPUT_FLAGS,
         "scale" => &SCALE_FLAGS,
         "checkpoint" => &CHECKPOINT_FLAGS,
+        "sanity" => &SANITY_FLAGS,
         "help" => {
             usage();
             return ExitCode::SUCCESS;
@@ -158,14 +165,19 @@ fn main() -> ExitCode {
         .position(|p| p == cmd)
         .expect("command is a positional");
     positional.remove(idx);
-    match cmd.as_str() {
+    let outcome = match cmd.as_str() {
         "list" => list(&args),
         "run" => run(&args, positional.first().copied()),
         "show" => show(positional.first().copied()),
         "throughput" => throughput(&args),
         "scale" => scale(&args),
         "checkpoint" => checkpoint_cmd(&args),
+        "sanity" => sanity(&args),
         _ => unreachable!("filtered to known commands"),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(code) => code,
     }
 }
 
@@ -189,10 +201,11 @@ commands:
   checkpoint                benchmark checkpoint encode/decode (logical JSON
                             document vs NMXB vs incremental delta) over
                             fleet sizes and write BENCH_checkpoint.json
+  sanity                    run the sanity arms one at a time, each timed on
+                            one thread, and write BENCH_sanity.json
 
 options:
-  --quick / --tiny          compressed experiment scale (default: full; also
-                            honoured via NETMAX_MODE=quick|tiny)
+  --quick / --tiny          compressed experiment scale (default: full)
   --json                    list: emit the registry as JSON on stdout
   --seeds <N | a,b,c>       N derived seeds, or an explicit seed list
   --json <path>             run: write the versioned JSON run artifact
@@ -211,9 +224,8 @@ options:
                             (default: strict for run, both for throughput)
   --steps <N>               throughput: global steps per repetition
   --repeats <R>             throughput/scale: repetitions per cell (best kept)
-  --out <path>              throughput/scale/checkpoint: output path
-                            (BENCH_throughput.json / BENCH_scale.json /
-                            BENCH_checkpoint.json)"
+  --out <path>              throughput/scale/checkpoint/sanity: output path
+                            (default BENCH_<command>.json)"
     );
 }
 
@@ -221,31 +233,82 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(|s| s.as_str())
 }
 
-/// Parses `--tier`, turning an unknown tier name into a typed usage
-/// error (exit 2) instead of silently running the default tier.
-fn parse_tier(args: &[String]) -> Result<Option<netmax_ml::NumericsTier>, ExitCode> {
-    match flag_value(args, "--tier") {
-        None => Ok(None),
-        Some(name) => match netmax_ml::NumericsTier::from_name(name) {
-            Some(t) => Ok(Some(t)),
-            None => {
-                eprintln!("unknown numerics tier `{name}` (want `strict` or `fast`)");
-                Err(ExitCode::from(2))
-            }
-        },
-    }
-}
-
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn list(args: &[String]) -> ExitCode {
-    let mode = Mode::from_env();
-    let specs = registry(mode);
+/// A usage error: one line on stderr, exit 2.
+fn usage_error(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::from(2)
+}
+
+/// A failed operation (I/O, an unreadable document): one line on stderr,
+/// exit 1.
+fn failure(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// The experiment scale, from the command's own arguments: `--tiny` wins
+/// over `--quick`, neither means full.
+fn mode_of(args: &[String]) -> Mode {
+    if has_flag(args, "--tiny") {
+        Mode::Tiny
+    } else if has_flag(args, "--quick") {
+        Mode::Quick
+    } else {
+        Mode::Full
+    }
+}
+
+/// Parses `text`, the value of `flag`, as a positive integer; anything
+/// else is a usage error.
+fn positive<T>(flag: &str, text: &str) -> Result<T, ExitCode>
+where
+    T: std::str::FromStr + Default + PartialOrd,
+{
+    match text.parse::<T>() {
+        Ok(n) if n > T::default() => Ok(n),
+        _ => Err(usage_error(format!("{flag} needs a positive integer, got `{text}`"))),
+    }
+}
+
+/// [`positive`] over an optional flag: `None` when the flag is absent.
+fn positive_flag<T>(args: &[String], flag: &str) -> Result<Option<T>, ExitCode>
+where
+    T: std::str::FromStr + Default + PartialOrd,
+{
+    flag_value(args, flag).map(|text| positive(flag, text)).transpose()
+}
+
+/// Parses `--tier`, turning an unknown tier name into a usage error
+/// instead of silently running the default tier.
+fn parse_tier(args: &[String]) -> Result<Option<netmax_ml::NumericsTier>, ExitCode> {
+    flag_value(args, "--tier")
+        .map(|name| {
+            netmax_ml::NumericsTier::from_name(name).ok_or_else(|| {
+                usage_error(format!("unknown numerics tier `{name}` (want `strict` or `fast`)"))
+            })
+        })
+        .transpose()
+}
+
+/// The one place a JSON artifact reaches disk: the pretty form (2-space
+/// indent, one trailing newline) through [`runner::write_atomic`], so a
+/// failed write never leaves a truncated document behind.
+fn write_artifact(path: &str, doc: &Json) -> Result<(), ExitCode> {
+    runner::write_atomic(Path::new(path), doc.pretty().as_bytes())
+        .map_err(|e| failure(format!("could not write {path}: {e}")))?;
+    eprintln!("wrote {path}");
+    Ok(())
+}
+
+fn list(args: &[String]) -> Result<(), ExitCode> {
+    let specs = registry(mode_of(args));
     if has_flag(args, "--json") {
         println!("{}", registry_json(&specs).pretty());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     let seeds_heading = "seeds";
     println!(
@@ -266,16 +329,22 @@ fn list(args: &[String]) -> ExitCode {
         );
     }
     println!("\n{} experiments; run one with `netmax-bench run <name|group>`", specs.len());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn parse_seeds(text: &str, base: &[u64]) -> Option<Vec<u64>> {
-    if let Ok(n) = text.parse::<usize>() {
-        // `--seeds N`: the first registered seed plus N-1 successors.
-        let first = base.first().copied().unwrap_or(0);
-        return Some((0..n as u64).map(|i| first + i).collect());
+/// `--seeds N` is the first registered seed plus N-1 successors;
+/// `--seeds a,b,c` is that list.
+fn parse_seeds(text: &str, base: &[u64]) -> Result<Vec<u64>, ExitCode> {
+    if text.contains(',') {
+        return text
+            .split(',')
+            .map(|t| t.trim().parse::<u64>().ok())
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| usage_error(format!("bad --seeds value `{text}` (want N or a,b,c)")));
     }
-    text.split(',').map(|t| t.trim().parse::<u64>().ok()).collect()
+    let n: u64 = positive("--seeds", text)?;
+    let first = base.first().copied().unwrap_or(0);
+    Ok((0..n).map(|i| first + i).collect())
 }
 
 /// One experiment's checkpoint path inside a checkpoint directory.
@@ -283,63 +352,55 @@ fn checkpoint_path(dir: &Path, experiment: &str) -> PathBuf {
     dir.join(format!("{}.checkpoint.bin", experiment.replace('/', "__")))
 }
 
-fn run(args: &[String], query: Option<&str>) -> ExitCode {
+fn run(args: &[String], query: Option<&str>) -> Result<(), ExitCode> {
     let Some(query) = query else {
-        eprintln!("run needs an experiment name or group (see `netmax-bench list`)");
-        return ExitCode::from(2);
+        return Err(usage_error(
+            "run needs an experiment name or group (see `netmax-bench list`)",
+        ));
     };
     let checkpoint_dir = flag_value(args, "--checkpoint-dir").map(PathBuf::from);
     let resume_dir = flag_value(args, "--resume").map(PathBuf::from);
     if checkpoint_dir.is_some() && resume_dir.is_some() {
-        eprintln!("--checkpoint-dir and --resume are mutually exclusive");
-        return ExitCode::from(2);
+        return Err(usage_error("--checkpoint-dir and --resume are mutually exclusive"));
     }
     if flag_value(args, "--suspend-steps").is_some() && checkpoint_dir.is_none() {
-        eprintln!("--suspend-steps only makes sense with --checkpoint-dir");
-        return ExitCode::from(2);
+        return Err(usage_error("--suspend-steps only makes sense with --checkpoint-dir"));
     }
     if resume_dir.is_some() && flag_value(args, "--seeds").is_some() {
-        eprintln!("--seeds cannot be combined with --resume (seeds come from the checkpoint)");
-        return ExitCode::from(2);
+        return Err(usage_error(
+            "--seeds cannot be combined with --resume (seeds come from the checkpoint)",
+        ));
     }
-    let tier = match parse_tier(args) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
+    let tier = parse_tier(args)?;
     if resume_dir.is_some() && tier.is_some() {
-        eprintln!(
+        return Err(usage_error(
             "--tier cannot be combined with --resume (the tier is recorded in the \
-             checkpoint; resuming under a different tier is rejected)"
-        );
-        return ExitCode::from(2);
+             checkpoint; resuming under a different tier is rejected)",
+        ));
     }
     if checkpoint_dir.is_some() && flag_value(args, "--json").is_some() {
-        eprintln!("--json cannot be combined with --checkpoint-dir (no reports are produced)");
-        return ExitCode::from(2);
+        return Err(usage_error(
+            "--json cannot be combined with --checkpoint-dir (no reports are produced)",
+        ));
     }
     if checkpoint_dir.is_some()
         && (has_flag(args, "--progress") || flag_value(args, "--deadline-s").is_some())
     {
-        eprintln!(
+        return Err(usage_error(
             "--progress/--deadline-s cannot be combined with --checkpoint-dir \
-             (suspension is step-bounded, not sample- or time-driven)"
-        );
-        return ExitCode::from(2);
+             (suspension is step-bounded, not sample- or time-driven)",
+        ));
     }
 
-    let mode = Mode::from_env();
-    let mut specs = find(&registry(mode), query);
+    let mut specs = find(&registry(mode_of(args)), query);
     if specs.is_empty() {
-        eprintln!("no experiment matches `{query}` (see `netmax-bench list`)");
-        return ExitCode::from(2);
+        return Err(usage_error(format!(
+            "no experiment matches `{query}` (see `netmax-bench list`)"
+        )));
     }
     if let Some(text) = flag_value(args, "--seeds") {
         for spec in &mut specs {
-            let Some(seeds) = parse_seeds(text, &spec.effective_seeds()) else {
-                eprintln!("bad --seeds value `{text}` (want N or a,b,c)");
-                return ExitCode::from(2);
-            };
-            spec.seeds = seeds;
+            spec.seeds = parse_seeds(text, &spec.effective_seeds())?;
         }
     }
     if let Some(t) = tier {
@@ -350,27 +411,19 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
     let threads = if has_flag(args, "--sequential") {
         1
     } else {
-        match flag_value(args, "--threads") {
-            Some(t) => match t.parse::<usize>() {
-                Ok(n) if n > 0 => n,
-                _ => {
-                    eprintln!("bad --threads value `{t}` (want a positive integer)");
-                    return ExitCode::from(2);
-                }
-            },
-            None => runner::default_threads(),
-        }
+        positive_flag(args, "--threads")?.unwrap_or_else(runner::default_threads)
     };
-    let deadline = match flag_value(args, "--deadline-s") {
-        Some(t) => match t.parse::<f64>() {
-            Ok(s) if s > 0.0 => Some(Duration::from_secs_f64(s)),
-            _ => {
-                eprintln!("bad --deadline-s value `{t}` (want positive seconds)");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
+    let deadline = flag_value(args, "--deadline-s")
+        .map(|t| {
+            t.parse::<f64>()
+                .ok()
+                .filter(|s| *s > 0.0)
+                .and_then(|s| Duration::try_from_secs_f64(s).ok())
+                .ok_or_else(|| {
+                    usage_error(format!("bad --deadline-s value `{t}` (want positive seconds)"))
+                })
+        })
+        .transpose()?;
     let progress_fn = |p: CellProgress<'_>| {
         eprintln!(
             "  [{} {} seed={}] step {} epoch {:.2} t={:.1}s loss {:.4}",
@@ -384,24 +437,12 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
     };
 
     if let Some(dir) = checkpoint_dir {
-        let suspend_steps = match flag_value(args, "--suspend-steps") {
-            Some(t) => match t.parse::<u64>() {
-                Ok(k) if k > 0 => k,
-                _ => {
-                    eprintln!("bad --suspend-steps value `{t}` (want a positive integer)");
-                    return ExitCode::from(2);
-                }
-            },
-            None => 100,
-        };
+        let suspend_steps = positive_flag(args, "--suspend-steps")?.unwrap_or(100);
         return suspend(&specs, &dir, threads, suspend_steps);
     }
 
     let results = if let Some(dir) = resume_dir {
-        match resume_from(&specs, &dir, &opts) {
-            Ok(r) => r,
-            Err(code) => return code,
-        }
+        resume_from(&specs, &dir, &opts)?
     } else {
         let mut results = Vec::new();
         for spec in &specs {
@@ -414,13 +455,8 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
                 if threads == 1 { "" } else { "s" }
             );
             let t0 = Instant::now();
-            let result = match runner::try_execute(spec, &opts) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("{}: {e}", spec.name);
-                    return ExitCode::from(2);
-                }
-            };
+            let result = runner::try_execute(spec, &opts)
+                .map_err(|e| usage_error(format!("{}: {e}", spec.name)))?;
             eprintln!("  done in {:.1}s real time", t0.elapsed().as_secs_f64());
             print_result(&result);
             results.push(result);
@@ -428,17 +464,10 @@ fn run(args: &[String], query: Option<&str>) -> ExitCode {
         results
     };
 
-    if let Some(path) = flag_value(args, "--json") {
-        let doc = runner::artifact(&results);
-        match std::fs::write(path, doc.pretty()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("could not write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    match flag_value(args, "--json") {
+        Some(path) => write_artifact(path, &runner::artifact(&results)),
+        None => Ok(()),
     }
-    ExitCode::SUCCESS
 }
 
 /// `run --checkpoint-dir`: suspend every matching experiment mid-run and
@@ -448,41 +477,25 @@ fn suspend(
     dir: &Path,
     threads: usize,
     suspend_steps: u64,
-) -> ExitCode {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
+) -> Result<(), ExitCode> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| failure(format!("could not create {}: {e}", dir.display())))?;
     for spec in specs {
         eprintln!(
             "suspending {} after {} global steps per cell...",
             spec.name, suspend_steps
         );
-        let suspended = match runner::execute_suspended(spec, threads, suspend_steps) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.name);
-                return ExitCode::from(2);
-            }
-        };
-        let bytes = match runner::checkpoint_bytes(&suspended) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{}: {e}", spec.name);
-                return ExitCode::from(2);
-            }
-        };
+        let suspended = runner::execute_suspended(spec, threads, suspend_steps)
+            .map_err(|e| usage_error(format!("{}: {e}", spec.name)))?;
+        let bytes = runner::checkpoint_bytes(&suspended)
+            .map_err(|e| usage_error(format!("{}: {e}", spec.name)))?;
         let path = checkpoint_path(dir, &spec.name);
-        match runner::write_atomic(&path, &bytes) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("could not write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
+        runner::write_atomic(&path, &bytes)
+            .map_err(|e| failure(format!("could not write {}: {e}", path.display())))?;
+        eprintln!("wrote {}", path.display());
     }
     eprintln!("resume with `netmax-bench run <name> --resume {}`", dir.display());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `run --resume`: load each matching experiment's checkpoint container
@@ -495,32 +508,22 @@ fn resume_from(
     let mut results = Vec::new();
     for spec in specs {
         let path = checkpoint_path(dir, &spec.name);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("no checkpoint for {}: could not read {}: {e}", spec.name, path.display());
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let bytes = std::fs::read(&path).map_err(|e| {
+            failure(format!(
+                "no checkpoint for {}: could not read {}: {e}",
+                spec.name,
+                path.display()
+            ))
+        })?;
         // The checkpoint embeds the exact spec that produced it; resuming
         // uses that spec, not the registry's (they normally agree, but the
         // checkpoint is the ground truth for determinism).
-        let suspended = match runner::parse_checkpoint_bytes(&bytes) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{}: {e}", path.display());
-                return Err(ExitCode::FAILURE);
-            }
-        };
+        let suspended = runner::parse_checkpoint_bytes(&bytes)
+            .map_err(|e| failure(format!("{}: {e}", path.display())))?;
         eprintln!("resuming {} ({} cells)...", suspended.spec.name, suspended.cells.len());
         let t0 = Instant::now();
-        let result = match runner::resume(&suspended, opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{}: {e}", suspended.spec.name);
-                return Err(ExitCode::from(2));
-            }
-        };
+        let result = runner::resume(&suspended, opts)
+            .map_err(|e| usage_error(format!("{}: {e}", suspended.spec.name)))?;
         eprintln!("  done in {:.1}s real time", t0.elapsed().as_secs_f64());
         print_result(&result);
         results.push(result);
@@ -564,18 +567,11 @@ fn print_result(result: &runner::ExperimentResult) {
     }
 }
 
-fn show(path: Option<&str>) -> ExitCode {
+fn show(path: Option<&str>) -> Result<(), ExitCode> {
     let Some(path) = path else {
-        eprintln!("show needs an artifact path");
-        return ExitCode::from(2);
+        return Err(usage_error("show needs an artifact path"));
     };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("could not read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let bytes = std::fs::read(path).map_err(|e| failure(format!("could not read {path}: {e}")))?;
     match runner::summarize_bytes(&bytes) {
         Ok(runner::ShownDoc::RunReport(results)) => {
             println!(
@@ -586,7 +582,7 @@ fn show(path: Option<&str>) -> ExitCode {
             for r in &results {
                 print_result(r);
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         Ok(runner::ShownDoc::Checkpoint(suspended)) => {
             println!(
@@ -609,119 +605,148 @@ fn show(path: Option<&str>) -> ExitCode {
                     c.tier.tier_name()
                 );
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => Err(failure(format!("{path}: {e}"))),
     }
 }
 
-fn scale(args: &[String]) -> ExitCode {
+fn scale(args: &[String]) -> Result<(), ExitCode> {
     use netmax_bench::experiments::scale;
-    let ctx = common::ExpCtx::with_mode(Mode::from_env());
-    let mut p = scale::Params::for_mode(&ctx);
-    if let Some(repeats) = flag_value(args, "--repeats") {
-        match repeats.parse::<usize>() {
-            Ok(n) if n > 0 => p.repeats = n,
-            _ => {
-                eprintln!("--repeats needs a positive integer, got `{repeats}`");
-                return ExitCode::from(2);
-            }
-        }
+    let mut p = scale::Params::for_mode(mode_of(args));
+    if let Some(repeats) = positive_flag(args, "--repeats")? {
+        p.repeats = repeats;
     }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_scale.json");
     eprintln!(
         "scale sweep: {} steps/node x {} repeats over n = {:?}...",
         p.steps_per_node, p.repeats, p.node_counts
     );
     let rows = scale::run(&p);
-    scale::print(&ctx, &p, &rows);
-    let doc = scale::scale_doc(&p, &rows);
-    match std::fs::write(out, doc.pretty() + "\n") {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("could not write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    print!("{}", scale::render_table(&rows));
+    write_artifact(
+        flag_value(args, "--out").unwrap_or("BENCH_scale.json"),
+        &scale::scale_doc(&p, &rows),
+    )
 }
 
-fn checkpoint_cmd(args: &[String]) -> ExitCode {
+fn checkpoint_cmd(args: &[String]) -> Result<(), ExitCode> {
     use netmax_bench::checkpoint_bench;
     let p = if has_flag(args, "--quick") {
         checkpoint_bench::Params::quick()
     } else {
         checkpoint_bench::Params::full()
     };
-    let out = flag_value(args, "--out").unwrap_or("BENCH_checkpoint.json");
     eprintln!(
         "checkpoint I/O benchmark: n = {:?}, {} repeat(s) per point...",
         p.node_counts, p.repeats
     );
     let rows = checkpoint_bench::run(&p);
     print!("{}", checkpoint_bench::render_table(&rows));
-    let doc = checkpoint_bench::checkpoint_bench_doc(&p, &rows);
-    match std::fs::write(out, doc.pretty() + "\n") {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("could not write {out}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    write_artifact(
+        flag_value(args, "--out").unwrap_or("BENCH_checkpoint.json"),
+        &checkpoint_bench::checkpoint_bench_doc(&p, &rows),
+    )
 }
 
-fn throughput(args: &[String]) -> ExitCode {
-    let mut opts = if has_flag(args, "--quick") {
-        netmax_bench::throughput::ThroughputOptions::quick()
-    } else {
-        netmax_bench::throughput::ThroughputOptions::full()
-    };
-    opts.tier = match parse_tier(args) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
-    if let Some(steps) = flag_value(args, "--steps") {
-        match steps.parse::<u64>() {
-            Ok(n) if n > 0 => opts.steps = n,
-            _ => {
-                eprintln!("--steps needs a positive integer, got `{steps}`");
-                return ExitCode::from(2);
-            }
-        }
+fn throughput(args: &[String]) -> Result<(), ExitCode> {
+    use netmax_bench::throughput::{self, ThroughputOptions};
+    let mut opts =
+        if has_flag(args, "--quick") { ThroughputOptions::quick() } else { ThroughputOptions::full() };
+    opts.tier = parse_tier(args)?;
+    if let Some(steps) = positive_flag(args, "--steps")? {
+        opts.steps = steps;
     }
-    if let Some(repeats) = flag_value(args, "--repeats") {
-        match repeats.parse::<usize>() {
-            Ok(n) if n > 0 => opts.repeats = n,
-            _ => {
-                eprintln!("--repeats needs a positive integer, got `{repeats}`");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(repeats) = positive_flag(args, "--repeats")? {
+        opts.repeats = repeats;
     }
-    let out = flag_value(args, "--out").unwrap_or("BENCH_throughput.json");
     eprintln!(
         "measuring sanity-workload throughput: {} steps x {} repeats per (arm, tier, mode)...",
         opts.steps, opts.repeats
     );
-    let rows = netmax_bench::throughput::measure(&opts);
-    print!("{}", netmax_bench::throughput::render_table(&rows));
-    let doc = netmax_bench::throughput::throughput_doc(&opts, &rows);
-    match std::fs::write(out, doc.pretty() + "\n") {
-        Ok(()) => {
-            eprintln!("wrote {out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("could not write {out}: {e}");
-            ExitCode::FAILURE
-        }
+    let rows = throughput::measure(&opts);
+    print!("{}", throughput::render_table(&rows));
+    write_artifact(
+        flag_value(args, "--out").unwrap_or("BENCH_throughput.json"),
+        &throughput::throughput_doc(&opts, &rows),
+    )
+}
+
+/// `x` at `digits` decimals, as the JSON number that text denotes — the
+/// per-field precision `BENCH_sanity.json` is committed at.
+fn rounded(x: f64, digits: usize) -> Json {
+    Json::parse(&format!("{x:.digits$}")).unwrap_or(Json::Null)
+}
+
+/// The headline shape check (not a paper figure): on the heterogeneous
+/// dynamic network NetMax should reach the loss target in less simulated
+/// time than AD-PSGD, Allreduce-SGD and Prague. Same cells as `run
+/// sanity`, but each arm runs alone on one thread inside a real-time
+/// bracket, and the document is the performance baseline later PRs
+/// compare against.
+fn sanity(args: &[String]) -> Result<(), ExitCode> {
+    use netmax_ml::workload::WorkloadKind;
+    use netmax_net::NetworkKind;
+    let spec = sanity_spec(mode_of(args));
+    // The header below names the scenario with fixed strings; these
+    // asserts tie them to the spec so the baseline can never silently
+    // drift from what actually ran.
+    assert_eq!(spec.scenario.workload_spec().kind, WorkloadKind::Resnet18Cifar10);
+    assert_eq!(spec.scenario.network_kind(), NetworkKind::HeterogeneousDynamic);
+    // Datasets instantiated once, outside the timing brackets — the
+    // recorded real_time_s measures training only.
+    let workload = spec.scenario.workload();
+    let alpha = workload.optim.lr;
+
+    println!(
+        "{:<16} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
+        "algorithm", "wall(s)", "epoch_t", "comp/ep", "comm/ep", "loss", "acc", "t@0.40"
+    );
+    let mut results = Vec::new();
+    for arm in &spec.arms {
+        let mut algo = arm.instantiate(alpha);
+        let t0 = Instant::now();
+        let mut env = spec.scenario.build_env_with(workload.clone());
+        let r = algo.run(&mut env);
+        let real_s = t0.elapsed().as_secs_f64();
+        println!(
+            "{:<16} {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>8.4} {:>8.3} {:>10.1?}",
+            arm.label(),
+            r.wall_clock_s,
+            r.epoch_time_avg_s(),
+            r.comp_cost_per_epoch_s(),
+            r.comm_cost_per_epoch_s(),
+            r.final_train_loss,
+            r.final_test_accuracy,
+            r.time_to_loss(0.40)
+        );
+        results.push(Json::obj([
+            ("algorithm", arm.label().to_json()),
+            ("simulated_wall_clock_s", rounded(r.wall_clock_s, 3)),
+            ("epoch_time_avg_s", rounded(r.epoch_time_avg_s(), 4)),
+            ("comp_cost_per_epoch_s", rounded(r.comp_cost_per_epoch_s(), 4)),
+            ("comm_cost_per_epoch_s", rounded(r.comm_cost_per_epoch_s(), 4)),
+            ("final_train_loss", rounded(r.final_train_loss, 6)),
+            ("final_test_accuracy", rounded(r.final_test_accuracy, 4)),
+            ("time_to_loss_0_40_s", r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2))),
+            ("global_steps", r.global_steps.to_json()),
+            ("real_time_s", rounded(real_s, 3)),
+            ("steps_per_real_second", rounded(r.global_steps as f64 / real_s.max(1e-9), 0)),
+        ]));
     }
+    let cfg = spec.scenario.cfg();
+    let doc = Json::obj([
+        ("benchmark", "sanity".to_json()),
+        (
+            "scenario",
+            Json::obj([
+                ("workers", spec.scenario.workers().to_json()),
+                ("network", "heterogeneous_dynamic".to_json()),
+                ("workload", "resnet18/cifar10".to_json()),
+                ("max_epochs", rounded(cfg.max_epochs, 1)),
+                ("seed", cfg.seed.to_json()),
+            ]),
+        ),
+        ("results", Json::Arr(results)),
+    ]);
+    write_artifact(flag_value(args, "--out").unwrap_or("BENCH_sanity.json"), &doc)
 }

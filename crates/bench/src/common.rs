@@ -1,9 +1,7 @@
 //! Shared machinery for the figure/table harnesses.
 
-use netmax_core::engine::{Algorithm, AlgorithmKind, RunReport, TrainConfig};
+use netmax_core::engine::{AlgorithmKind, RunReport, TrainConfig};
 use netmax_net::SlowdownConfig;
-use std::fs;
-use std::path::PathBuf;
 
 /// Compressed Network-Monitor period `Ts` (paper: 120 s — see the crate
 /// docs for the timescale-compression rationale).
@@ -19,28 +17,11 @@ pub enum Mode {
     Full,
     /// ~4× shorter runs; shapes survive, absolute values noisier.
     Quick,
-    /// Minimal runs for criterion benches and smoke tests.
+    /// Minimal runs for smoke tests and CI.
     Tiny,
 }
 
 impl Mode {
-    /// Reads the mode from `--quick` / `--tiny` CLI flags or the
-    /// `NETMAX_MODE` environment variable (default: full).
-    pub fn from_env() -> Mode {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--tiny") {
-            return Mode::Tiny;
-        }
-        if args.iter().any(|a| a == "--quick") {
-            return Mode::Quick;
-        }
-        match std::env::var("NETMAX_MODE").as_deref() {
-            Ok("tiny") => Mode::Tiny,
-            Ok("quick") => Mode::Quick,
-            _ => Mode::Full,
-        }
-    }
-
     /// Scales an epoch budget to the mode.
     pub fn epochs(self, full: f64) -> f64 {
         match self {
@@ -49,64 +30,6 @@ impl Mode {
             Mode::Tiny => 2.0,
         }
     }
-
-    /// Scales a worker-count list to the mode (tiny drops the largest).
-    pub fn nodes<'a>(self, full: &'a [usize], tiny: &'a [usize]) -> &'a [usize] {
-        match self {
-            Mode::Tiny => tiny,
-            _ => full,
-        }
-    }
-}
-
-/// Experiment context: mode + output directory for CSV artefacts.
-pub struct ExpCtx {
-    /// Execution scale.
-    pub mode: Mode,
-    out_dir: PathBuf,
-}
-
-impl Default for ExpCtx {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
-impl ExpCtx {
-    /// Builds the context from CLI/env; CSVs go to `results/`.
-    pub fn from_env() -> Self {
-        Self { mode: Mode::from_env(), out_dir: PathBuf::from("results") }
-    }
-
-    /// Builds a context with an explicit mode (used by benches/tests).
-    pub fn with_mode(mode: Mode) -> Self {
-        Self { mode, out_dir: PathBuf::from("results") }
-    }
-
-    /// Writes a CSV artefact; errors are reported but non-fatal (the
-    /// printed rows are the primary output).
-    pub fn write_csv(&self, name: &str, header: &str, rows: &[String]) {
-        let path = self.out_dir.join(format!("{name}.csv"));
-        let body = std::iter::once(header.to_string())
-            .chain(rows.iter().cloned())
-            .collect::<Vec<_>>()
-            .join("\n");
-        if let Err(e) = fs::create_dir_all(&self.out_dir)
-            .and_then(|()| fs::write(&path, body + "\n"))
-        {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
-    }
-}
-
-/// Instantiates an algorithm with the harness-tuned monitor period
-/// ([`MONITOR_PERIOD_S`]); non-monitor algorithms are unaffected. Thin
-/// wrapper over [`crate::spec::Arm`] — the one place tuning lives — kept
-/// for harness code that starts from a bare [`AlgorithmKind`].
-pub fn tuned_algorithm(kind: AlgorithmKind, alpha: f64) -> Box<dyn Algorithm> {
-    crate::spec::Arm::new(kind).instantiate(alpha)
 }
 
 /// The harness-standard slowdown regime (paper factors 2–100×, compressed
@@ -160,7 +83,7 @@ pub fn common_loss_target_of<'a>(results: impl Iterator<Item = &'a RunReport>) -
     }
 }
 
-/// Prints and returns `(algo, time_to_target, speedup-vs-slowest)` rows.
+/// `(algo, time_to_target, time relative to NetMax)` rows.
 pub fn speedup_rows(results: &[(AlgorithmKind, RunReport)]) -> Vec<(String, f64, f64)> {
     let target = common_loss_target(results);
     let times: Vec<(String, f64)> = results
@@ -181,40 +104,6 @@ pub fn speedup_rows(results: &[(AlgorithmKind, RunReport)]) -> Vec<(String, f64,
         .collect()
 }
 
-/// Writes the full loss/accuracy curves of a comparison to one CSV.
-pub fn write_curves(ctx: &ExpCtx, name: &str, results: &[(AlgorithmKind, RunReport)]) {
-    let mut rows = Vec::new();
-    for (kind, report) in results {
-        for s in &report.samples {
-            rows.push(format!(
-                "{},{:.3},{},{:.4},{:.6},{:.6},{}",
-                kind.label(),
-                s.time_s,
-                s.global_step,
-                s.epoch,
-                s.train_loss,
-                s.consensus_diameter,
-                s.test_accuracy.map_or(String::new(), |a| format!("{a:.4}")),
-            ));
-        }
-    }
-    ctx.write_csv(
-        name,
-        "algorithm,time_s,global_step,epoch,train_loss,consensus_diameter,test_accuracy",
-        &rows,
-    );
-}
-
-/// Formats a fixed-width table row.
-pub fn fmt_row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,16 +115,6 @@ mod tests {
         assert_eq!(Mode::Tiny.epochs(24.0), 2.0);
         // Quick never goes below 3 epochs.
         assert_eq!(Mode::Quick.epochs(4.0), 3.0);
-    }
-
-    #[test]
-    fn tuned_algorithms_have_expected_names() {
-        assert_eq!(tuned_algorithm(AlgorithmKind::NetMax, 0.1).name(), "netmax");
-        assert_eq!(tuned_algorithm(AlgorithmKind::AdPsgd, 0.1).name(), "ad-psgd");
-        assert_eq!(
-            tuned_algorithm(AlgorithmKind::AdPsgdMonitored, 0.1).name(),
-            "ad-psgd+monitor"
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    SAPS-PSGD's initially-fast subgraph against NetMax's re-measured
 //!    policy, on static and dynamic networks.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
@@ -32,9 +32,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -126,7 +126,16 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     out
 }
 
-/// The two static/dynamic specs of ablation 4.
+/// The two static/dynamic specs of ablation 4: SAPS-PSGD (fixed
+/// initially-fast subgraph) vs NetMax — the Fig. 2 story quantified. On
+/// the static network the frozen subgraph is competitive (often faster:
+/// it ignores slow links entirely and pays no Eq. 11 floors); under
+/// dynamics the slow link eventually lands *inside* the frozen subgraph,
+/// which cannot route around it, while NetMax re-measures and
+/// re-optimises. The runs are deliberately long (≥ 48 epochs ⇒ ≥ 10
+/// slow-link windows) and span several network seeds, and the
+/// [`MetricKind::Straggler`] summary reads them by the slowest node's
+/// time per epoch.
 fn static_vs_adaptive_specs(p: &Params) -> Vec<ExperimentSpec> {
     let epochs = p.epochs.max(48.0);
     // Faster re-draws than the harness default so each run sees many
@@ -161,7 +170,7 @@ fn static_vs_adaptive_specs(p: &Params) -> Vec<ExperimentSpec> {
     .collect()
 }
 
-/// Result row shared by the three ablations.
+/// Result row of the single-spec ablations.
 #[derive(Debug, Clone)]
 pub struct Row {
     /// Variant label.
@@ -199,73 +208,6 @@ pub fn weighting(p: &Params) -> Vec<Row> {
 /// Ablation 2: Network Monitor period Ts vs the 120 s link-change period.
 pub fn ts_period(p: &Params) -> Vec<Row> {
     run_abl(&specs(p)[1])
-}
-
-/// Ablation 3: EMA smoothing factor β under dynamic links.
-pub fn ema_beta(p: &Params) -> Vec<Row> {
-    run_abl(&specs(p)[2])
-}
-
-/// Ablation 4: SAPS-PSGD (fixed initially-fast subgraph) vs NetMax on a
-/// static and a dynamic network — the Fig. 2 story quantified. On the
-/// static network the frozen subgraph is competitive (often faster: it
-/// ignores slow links entirely and pays no Eq. 11 floors); under dynamics
-/// the slow link eventually lands *inside* the frozen subgraph, which
-/// cannot route around it, while NetMax re-measures and re-optimises.
-///
-/// The run is deliberately long (≥ 48 epochs ⇒ ≥ 10 slow-link windows)
-/// and averaged over several network seeds, because whether any single
-/// window hits the sparse subgraph is a coin flip.
-pub fn static_vs_adaptive(p: &Params) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for spec in static_vs_adaptive_specs(p) {
-        let net_label =
-            spec.name.rsplit('/').next().expect("ablation 4 spec names end in the net label");
-        let result = runner::execute_with_threads(&spec, runner::default_threads());
-        let n_seeds = spec.effective_seeds().len() as f64;
-        for (arm_idx, arm) in spec.arms.iter().enumerate() {
-            let mut acc = Row {
-                variant: format!("{}/{}", arm.label(), net_label),
-                wall_s: 0.0,
-                loss: 0.0,
-                accuracy: 0.0,
-            };
-            for c in result.arm_cells(arm_idx) {
-                // Straggler view: the slowest node's time per epoch. A
-                // SAPS worker whose (frozen) subgraph edge gets slowed
-                // cannot route around it; NetMax re-routes within Ts.
-                let straggler = c
-                    .report
-                    .per_node
-                    .iter()
-                    .map(|x| if x.epochs > 0.0 { x.clock_s / x.epochs } else { 0.0 })
-                    .fold(0.0f64, f64::max);
-                acc.wall_s += straggler / n_seeds;
-                acc.loss += c.report.final_train_loss / n_seeds;
-                acc.accuracy += c.report.final_test_accuracy / n_seeds;
-            }
-            rows.push(acc);
-        }
-    }
-    rows
-}
-
-/// Prints one ablation's rows and writes its CSV.
-pub fn print(ctx: &ExpCtx, title: &str, csv_name: &str, rows: &[Row]) {
-    println!("{title}");
-    println!("{:<30} {:>12} {:>10} {:>8}", "variant", "wall(s)", "loss", "acc");
-    let mut csv = Vec::new();
-    for r in rows {
-        println!(
-            "{:<30} {:>12.1} {:>10.4} {:>7.2}%",
-            r.variant,
-            r.wall_s,
-            r.loss,
-            100.0 * r.accuracy
-        );
-        csv.push(format!("{},{:.2},{:.5},{:.4}", r.variant, r.wall_s, r.loss, r.accuracy));
-    }
-    ctx.write_csv(csv_name, "variant,wall_s,loss,accuracy", &csv);
 }
 
 #[cfg(test)]

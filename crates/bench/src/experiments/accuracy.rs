@@ -6,7 +6,7 @@
 //! slightly better" (§V-D). Accuracy must *not* be the axis NetMax wins
 //! on — time is.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
@@ -38,10 +38,10 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx, heterogeneous: bool) -> Self {
+    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
         let mut p = Self::full(heterogeneous);
-        p.epochs = ctx.mode.epochs(p.epochs);
-        if ctx.mode == crate::common::Mode::Tiny {
+        p.epochs = mode.epochs(p.epochs);
+        if mode == Mode::Tiny {
             p.node_counts.truncate(1);
         }
         p
@@ -113,49 +113,6 @@ pub fn run(p: &Params) -> Vec<Row> {
             }
         })
         .collect()
-}
-
-/// Prints the table and writes the CSV.
-pub fn print(ctx: &ExpCtx, p: &Params, rows: &[Row]) {
-    let tab = if p.heterogeneous { "Table II" } else { "Table III" };
-    println!(
-        "{tab} — test accuracy over a {} network",
-        if p.heterogeneous { "heterogeneous" } else { "homogeneous" }
-    );
-    println!(
-        "{:<20} {:>6} {:>10} {:>10} {:>10} {:>10}",
-        "workload", "nodes", "Prague", "Allreduce", "AD-PSGD", "NetMax"
-    );
-    let mut csv = Vec::new();
-    for r in rows {
-        let get = |name: &str| {
-            r.accuracy
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, a)| *a)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "{:<20} {:>6} {:>9.2}% {:>9.2}% {:>9.2}% {:>9.2}%",
-            r.model,
-            r.nodes,
-            100.0 * get("Prague"),
-            100.0 * get("Allreduce"),
-            100.0 * get("AD-PSGD"),
-            100.0 * get("NetMax"),
-        );
-        csv.push(format!(
-            "{},{},{:.4},{:.4},{:.4},{:.4}",
-            r.model,
-            r.nodes,
-            get("Prague"),
-            get("Allreduce"),
-            get("AD-PSGD"),
-            get("NetMax")
-        ));
-    }
-    let name = if p.heterogeneous { "tab02_accuracy_hetero" } else { "tab03_accuracy_homo" };
-    ctx.write_csv(name, "workload,nodes,prague,allreduce,ad_psgd,netmax", &csv);
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! algorithms. Homogeneous (Fig. 6): everything compresses, NetMax and
 //! AD-PSGD nearly tie.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
@@ -33,9 +33,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx, heterogeneous: bool) -> Self {
+    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
         let mut p = Self::full(heterogeneous);
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -109,30 +109,6 @@ pub fn run(p: &Params) -> Vec<Row> {
     rows
 }
 
-/// Prints the rows and writes the CSV.
-pub fn print(ctx: &ExpCtx, p: &Params, rows: &[Row]) {
-    let fig = if p.heterogeneous { "Fig. 5" } else { "Fig. 6" };
-    let net = if p.heterogeneous { "heterogeneous" } else { "homogeneous" };
-    println!("{fig} — average epoch time, {} workers, {net} network", p.workers);
-    println!(
-        "{:<20} {:<12} {:>10} {:>10} {:>10}",
-        "workload", "algorithm", "comp(s)", "comm(s)", "epoch(s)"
-    );
-    let mut csv = Vec::new();
-    for r in rows {
-        println!(
-            "{:<20} {:<12} {:>10.2} {:>10.2} {:>10.2}",
-            r.model, r.algorithm, r.comp_s, r.comm_s, r.epoch_s
-        );
-        csv.push(format!(
-            "{},{},{:.3},{:.3},{:.3}",
-            r.model, r.algorithm, r.comp_s, r.comm_s, r.epoch_s
-        ));
-    }
-    let name = if p.heterogeneous { "fig05_epoch_time_hetero" } else { "fig06_epoch_time_homo" };
-    ctx.write_csv(name, "workload,algorithm,comp_s,comm_s,epoch_s", &csv);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,8 +142,7 @@ mod tests {
 
     #[test]
     fn mode_scaling_applies() {
-        let ctx = ExpCtx::with_mode(Mode::Tiny);
-        let p = Params::for_mode(&ctx, true);
+        let p = Params::for_mode(Mode::Tiny, true);
         assert_eq!(p.epochs, 2.0);
     }
 }

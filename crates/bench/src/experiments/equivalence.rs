@@ -11,7 +11,7 @@
 //! those promises are checked as registry experiments, not just unit
 //! tests; the claim tests below are the gate CI runs at tiny scale.
 
-use crate::common::ExpCtx;
+use crate::common::Mode;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario, TrainConfig};
 use netmax_ml::workload::WorkloadSpec;
@@ -34,9 +34,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }

@@ -12,7 +12,7 @@
 //! adaptive selection degrades most gracefully — synchronous collectives
 //! pay for every fault, NetMax routes around them.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
@@ -41,9 +41,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 

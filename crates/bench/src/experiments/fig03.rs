@@ -7,7 +7,6 @@
 //! communication through a fast link can result in reduced iteration
 //! time" (§II-B).
 
-use crate::common::ExpCtx;
 use crate::spec::{ExperimentSpec, MetricKind};
 use netmax_core::engine::{ExecutionMode, Scenario};
 use netmax_ml::profile::ModelProfile;
@@ -68,24 +67,6 @@ pub fn run() -> Vec<Row> {
             }
         })
         .collect()
-}
-
-/// Prints the figure rows and writes the CSV.
-pub fn print(ctx: &ExpCtx, rows: &[Row]) {
-    println!("Fig. 3 — iteration time, intra- vs inter-machine (batch 128)");
-    println!("{:<10} {:>10} {:>10} {:>8}", "model", "intra(s)", "inter(s)", "ratio");
-    let mut csv = Vec::new();
-    for r in rows {
-        println!(
-            "{:<10} {:>10.3} {:>10.3} {:>8.2}",
-            r.model,
-            r.intra_s,
-            r.inter_s,
-            r.ratio()
-        );
-        csv.push(format!("{},{:.4},{:.4},{:.3}", r.model, r.intra_s, r.inter_s, r.ratio()));
-    }
-    ctx.write_csv("fig03_iteration_time", "model,intra_s,inter_s,ratio", &csv);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the gain; the compute/communication overlap is marginal because GPU
 //! compute is much shorter than communication.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, ExecutionMode, Scenario};
@@ -30,9 +30,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -108,21 +108,6 @@ pub fn run(p: &Params) -> Vec<Row> {
         }
     }
     rows
-}
-
-/// Prints the rows and writes the CSV.
-pub fn print(ctx: &ExpCtx, rows: &[Row]) {
-    println!("Fig. 7 — execution/selection ablation (heterogeneous, 8 workers)");
-    println!("{:<20} {:<20} {:>10} {:>12}", "workload", "setting", "epoch(s)", "t@target(s)");
-    let mut csv = Vec::new();
-    for r in rows {
-        println!(
-            "{:<20} {:<20} {:>10.2} {:>12.1}",
-            r.model, r.setting, r.epoch_s, r.t_target_s
-        );
-        csv.push(format!("{},{},{:.3},{:.2}", r.model, r.setting, r.epoch_s, r.t_target_s));
-    }
-    ctx.write_csv("fig07_ablation", "workload,setting,epoch_s,t_target_s", &csv);
 }
 
 #[cfg(test)]

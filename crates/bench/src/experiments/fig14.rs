@@ -7,7 +7,7 @@
 //! central bottleneck), and NetMax leads on time at comparable accuracy
 //! (Table VI: all six approaches within ~1%).
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
@@ -30,9 +30,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -80,39 +80,6 @@ pub fn run(p: &Params) -> Vec<(AlgorithmKind, RunReport)> {
         .into_iter()
         .map(|c| (c.algorithm, c.report))
         .collect()
-}
-
-/// Prints the summary/Table VI row and writes the curves CSV.
-pub fn print(ctx: &ExpCtx, results: &[(AlgorithmKind, RunReport)]) {
-    println!("Fig. 14 — MobileNet on CIFAR100 (8 workers, 2 servers, incl. PS baselines)");
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>10} {:>8}",
-        "algorithm", "epochs", "wall(s)", "t@target(s)", "loss", "acc"
-    );
-    for ((label, t, _), (_, r)) in common::speedup_rows(results).iter().zip(results) {
-        println!(
-            "{:<12} {:>10.1} {:>12.1} {:>12.1} {:>10.4} {:>7.2}%",
-            label,
-            r.epochs_completed,
-            r.wall_clock_s,
-            t,
-            r.final_train_loss,
-            100.0 * r.final_test_accuracy
-        );
-    }
-    common::write_curves(ctx, "fig14_mobilenet_ps", results);
-
-    println!("\nTable VI — accuracy of MobileNet on CIFAR100");
-    let cells: Vec<String> = results
-        .iter()
-        .map(|(k, r)| format!("{}={:.2}%", k.label(), 100.0 * r.final_test_accuracy))
-        .collect();
-    println!("{}", cells.join("  "));
-    let csv: Vec<String> = results
-        .iter()
-        .map(|(k, r)| format!("{},{:.4}", k.label(), r.final_test_accuracy))
-        .collect();
-    ctx.write_csv("tab06_accuracy_mobilenet", "algorithm,accuracy", &csv);
 }
 
 #[cfg(test)]

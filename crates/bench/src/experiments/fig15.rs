@@ -7,7 +7,7 @@
 //! because AD-PSGD keeps the fixed 1/2 averaging weight while NetMax
 //! up-weights rarely-pulled (slow) neighbours.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
@@ -30,9 +30,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -71,22 +71,6 @@ pub fn run(p: &Params) -> Vec<(AlgorithmKind, RunReport)> {
         .into_iter()
         .map(|c| (c.algorithm, c.report))
         .collect()
-}
-
-/// Prints the summary and writes the curves CSV.
-pub fn print(ctx: &ExpCtx, results: &[(AlgorithmKind, RunReport)]) {
-    println!("Fig. 15 — AD-PSGD extended with the Network Monitor (ResNet18/CIFAR100)");
-    println!(
-        "{:<18} {:>10} {:>12} {:>12} {:>10}",
-        "algorithm", "epochs", "wall(s)", "t@target(s)", "loss"
-    );
-    for ((label, t, _), (_, r)) in common::speedup_rows(results).iter().zip(results) {
-        println!(
-            "{:<18} {:>10.1} {:>12.1} {:>12.1} {:>10.4}",
-            label, r.epochs_completed, r.wall_clock_s, t, r.final_train_loss
-        );
-    }
-    common::write_curves(ctx, "fig15_adpsgd_monitor", results);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! Paper finding: NetMax converges 1.9× / 1.9× / 2.1× faster than
 //! AD-PSGD / PS-async / PS-sync over the WAN.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
@@ -28,9 +28,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -95,35 +95,6 @@ pub fn run(p: &Params) -> Vec<Panel> {
 /// Seconds for the averaged model to first reach `target` test accuracy.
 pub fn time_to_accuracy(report: &RunReport, target: f64) -> Option<f64> {
     runner::time_to_accuracy(report, target)
-}
-
-/// Prints per-panel summaries and writes the curve CSVs.
-pub fn print(ctx: &ExpCtx, panels: &[Panel]) {
-    println!("Fig. 19 — cross-cloud training over six EC2 regions (Table VII skew)");
-    for panel in panels {
-        // A target every algorithm reached.
-        let target = panel
-            .results
-            .iter()
-            .map(|(_, r)| r.final_test_accuracy)
-            .fold(f64::INFINITY, f64::min)
-            * 0.98;
-        println!("\n[{}]  (time to {:.1}% accuracy)", panel.model, 100.0 * target);
-        println!("{:<12} {:>12} {:>12} {:>8}", "algorithm", "t@acc(s)", "wall(s)", "acc");
-        for (kind, r) in &panel.results {
-            let t = time_to_accuracy(r, target)
-                .map_or_else(|| "-".to_string(), |t| format!("{t:.1}"));
-            println!(
-                "{:<12} {:>12} {:>12.1} {:>7.2}%",
-                kind.label(),
-                t,
-                r.wall_clock_s,
-                100.0 * r.final_test_accuracy
-            );
-        }
-        let stem = format!("fig19_cross_cloud_{}", panel.model.replace('/', "_"));
-        common::write_curves(ctx, &stem, &panel.results);
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! Prague / Allreduce-SGD / AD-PSGD (§V-D). On the homogeneous network
 //! NetMax and AD-PSGD nearly coincide, and both beat the collectives.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, RunReport, Scenario};
@@ -33,9 +33,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx, heterogeneous: bool) -> Self {
+    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
         let mut p = Self::full(heterogeneous);
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -100,35 +100,6 @@ pub fn run(p: &Params) -> Vec<Panel> {
             }
         })
         .collect()
-}
-
-/// Prints speedup tables and writes the curve CSVs.
-pub fn print(ctx: &ExpCtx, p: &Params, panels: &[Panel]) {
-    let fig = if p.heterogeneous { "Fig. 8" } else { "Fig. 9" };
-    println!("{fig} — training loss vs time ({} network, {} workers)",
-        if p.heterogeneous { "heterogeneous" } else { "homogeneous" }, p.workers);
-    for panel in panels {
-        println!("\n[{}]", panel.model);
-        println!(
-            "{:<12} {:>12} {:>12} {:>10} {:>8}",
-            "algorithm", "t@target(s)", "wall(s)", "loss", "slower×"
-        );
-        for ((label, t, speedup), (_, r)) in
-            common::speedup_rows(&panel.results).iter().zip(&panel.results)
-        {
-            println!(
-                "{:<12} {:>12.1} {:>12.1} {:>10.4} {:>8.2}",
-                label, t, r.wall_clock_s, r.final_train_loss, speedup
-            );
-        }
-        let csv_name = format!(
-            "{}_loss_{}_{}",
-            if p.heterogeneous { "fig08" } else { "fig09" },
-            if p.heterogeneous { "hetero" } else { "homo" },
-            panel.model.replace('/', "_")
-        );
-        common::write_curves(ctx, &csv_name, &panel.results);
-    }
 }
 
 #[cfg(test)]

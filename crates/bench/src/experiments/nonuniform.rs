@@ -11,7 +11,7 @@
 //! * Fig. 17 — ResNet18 / Tiny-ImageNet, 8 workers, segments;
 //! * Fig. 18 — MobileNet / MNIST, 8 workers, Table IV non-IID labels.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
@@ -45,14 +45,14 @@ impl Case {
         }
     }
 
-    /// CSV artefact stem.
-    pub fn csv_stem(&self) -> &'static str {
+    /// Registry group of the case's own figure.
+    pub fn group(&self) -> &'static str {
         match self {
-            Case::Cifar100 => "fig12_cifar100_nonuniform",
-            Case::ImageNet => "fig13_imagenet_nonuniform",
-            Case::Cifar10 => "fig16_cifar10_nonuniform",
-            Case::TinyImageNet => "fig17_tiny_imagenet",
-            Case::MnistNonIid => "fig18_mnist_noniid",
+            Case::Cifar100 => "fig12",
+            Case::ImageNet => "fig13",
+            Case::Cifar10 => "fig16",
+            Case::TinyImageNet => "fig17",
+            Case::MnistNonIid => "fig18",
         }
     }
 
@@ -103,9 +103,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx, case: Case) -> Self {
+    pub fn for_mode(mode: Mode, case: Case) -> Self {
         let mut p = Self::full(case);
-        p.epochs = ctx.mode.epochs(p.epochs);
+        p.epochs = mode.epochs(p.epochs);
         p
     }
 }
@@ -153,7 +153,7 @@ pub fn spec_for(p: &Params, group: &str) -> ExperimentSpec {
 
 /// The registry entry for this case under its own figure group.
 pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    vec![spec_for(p, p.case.csv_stem().split('_').next().unwrap_or("nonuniform"))]
+    vec![spec_for(p, p.case.group())]
 }
 
 /// Runs the case with the four headline algorithms, two GPU servers
@@ -165,34 +165,6 @@ pub fn run(p: &Params) -> Outcome {
         model: result.cells[0].report.workload.clone(),
         results: result.cells.into_iter().map(|c| (c.algorithm, c.report)).collect(),
     }
-}
-
-/// Prints the convergence summary and writes the curve CSV.
-pub fn print(ctx: &ExpCtx, p: &Params, out: &Outcome) {
-    println!(
-        "{} — {} with non-uniform partitioning ({} workers on 2 servers)",
-        p.case.figure(),
-        out.model,
-        p.case.workers()
-    );
-    println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>10} {:>8}",
-        "algorithm", "epochs", "wall(s)", "t@target(s)", "loss", "acc"
-    );
-    for ((label, t, _), (_, r)) in
-        common::speedup_rows(&out.results).iter().zip(&out.results)
-    {
-        println!(
-            "{:<12} {:>10.1} {:>12.1} {:>12.1} {:>10.4} {:>7.2}%",
-            label,
-            r.epochs_completed,
-            r.wall_clock_s,
-            t,
-            r.final_train_loss,
-            100.0 * r.final_test_accuracy
-        );
-    }
-    common::write_curves(ctx, p.case.csv_stem(), &out.results);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! is that time divided by its own time to the same per-node epoch count
 //! (§V-E). Heterogeneous sweeps 4–16 nodes, homogeneous 4–8.
 
-use crate::common::{self, ExpCtx};
+use crate::common::{self, Mode};
 use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
@@ -37,10 +37,10 @@ impl Params {
     }
 
     /// Mode-scaled parameters.
-    pub fn for_mode(ctx: &ExpCtx, heterogeneous: bool) -> Self {
+    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
         let mut p = Self::full(heterogeneous);
-        p.epochs = ctx.mode.epochs(p.epochs);
-        if ctx.mode == crate::common::Mode::Tiny {
+        p.epochs = mode.epochs(p.epochs);
+        if mode == Mode::Tiny {
             p.node_counts.truncate(2);
         }
         p
@@ -139,32 +139,6 @@ pub fn run(p: &Params) -> Vec<Row> {
         }
     }
     rows
-}
-
-/// Prints the rows and writes the CSV.
-pub fn print(ctx: &ExpCtx, p: &Params, rows: &[Row]) {
-    let fig = if p.heterogeneous { "Fig. 10" } else { "Fig. 11" };
-    println!(
-        "{fig} — speedup vs worker count ({}; baseline: Allreduce@4)",
-        if p.heterogeneous { "heterogeneous" } else { "homogeneous" }
-    );
-    println!(
-        "{:<20} {:<12} {:>6} {:>12} {:>9}",
-        "workload", "algorithm", "nodes", "time(s)", "speedup"
-    );
-    let mut csv = Vec::new();
-    for r in rows {
-        println!(
-            "{:<20} {:<12} {:>6} {:>12.1} {:>9.2}",
-            r.model, r.algorithm, r.nodes, r.time_s, r.speedup
-        );
-        csv.push(format!(
-            "{},{},{},{:.2},{:.4}",
-            r.model, r.algorithm, r.nodes, r.time_s, r.speedup
-        ));
-    }
-    let name = if p.heterogeneous { "fig10_scalability_hetero" } else { "fig11_scalability_homo" };
-    ctx.write_csv(name, "workload,algorithm,nodes,time_s,speedup", &csv);
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! real throughput (global steps per real second), and a peak-RSS proxy
 //! per `(n, algorithm)` cell.
 
-use crate::common::{self, ExpCtx, Mode};
+use crate::common::{self, Mode};
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{
     AlgorithmKind, PairCount, Scenario, Session, StopCondition, TopologyKind,
@@ -73,9 +73,9 @@ impl Params {
     }
 
     /// Mode-scaled parameters (tiny is the CI smoke scale: n ≤ 256).
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        match ctx.mode {
+        match mode {
             Mode::Full => {}
             Mode::Quick => p.steps_per_node = 48,
             Mode::Tiny => {
@@ -318,37 +318,6 @@ pub fn render_table(rows: &[Row]) -> String {
         ));
     }
     out
-}
-
-/// Prints the rows and writes the CSV artefact.
-pub fn print(ctx: &ExpCtx, p: &Params, rows: &[Row]) {
-    println!(
-        "Scale sweep — ridge on torus fabrics, {} steps/node, n ∈ {:?}",
-        p.steps_per_node, p.node_counts
-    );
-    print!("{}", render_table(rows));
-    let csv: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{},{},{},{},{:.4},{:.6},{:.4},{:.1},{}",
-                r.algorithm,
-                r.nodes,
-                r.edges,
-                r.global_steps,
-                r.sim_wall_s,
-                r.final_train_loss,
-                r.best_real_s,
-                r.steps_per_sec,
-                r.peak_rss_kb
-            )
-        })
-        .collect();
-    ctx.write_csv(
-        "scale_sweep",
-        "algorithm,nodes,edges,global_steps,sim_wall_s,final_train_loss,best_real_s,steps_per_sec,peak_rss_kb",
-        &csv,
-    );
 }
 
 #[cfg(test)]

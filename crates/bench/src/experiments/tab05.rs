@@ -6,7 +6,7 @@
 //! lands well below the usual ~99% (the label-removal cost), and
 //! Tiny-ImageNet sits lowest overall.
 
-use crate::common::ExpCtx;
+use crate::common::Mode;
 use crate::experiments::nonuniform::{self, Case};
 
 /// Experiment parameters.
@@ -37,12 +37,12 @@ impl Params {
     }
 
     /// Mode-scaled parameters (tiny keeps two cheap datasets).
-    pub fn for_mode(ctx: &ExpCtx) -> Self {
+    pub fn for_mode(mode: Mode) -> Self {
         let mut p = Self::full();
-        match ctx.mode {
+        match mode {
             crate::common::Mode::Full => {}
             crate::common::Mode::Quick => p.epochs = Some(6.0),
-            crate::common::Mode::Tiny => {
+            Mode::Tiny => {
                 p.cases = vec![Case::Cifar10, Case::MnistNonIid];
                 p.epochs = Some(2.0);
             }
@@ -100,42 +100,6 @@ pub fn run(p: &Params) -> Vec<Row> {
             }
         })
         .collect()
-}
-
-/// Prints the table and writes the CSV.
-pub fn print(ctx: &ExpCtx, rows: &[Row]) {
-    println!("Table V — accuracy with non-uniform data partitioning");
-    println!(
-        "{:<24} {:>10} {:>10} {:>10} {:>10}",
-        "workload", "Prague", "Allreduce", "AD-PSGD", "NetMax"
-    );
-    let mut csv = Vec::new();
-    for r in rows {
-        let get = |name: &str| {
-            r.accuracy
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, a)| *a)
-                .unwrap_or(f64::NAN)
-        };
-        println!(
-            "{:<24} {:>9.2}% {:>9.2}% {:>9.2}% {:>9.2}%",
-            r.workload,
-            100.0 * get("Prague"),
-            100.0 * get("Allreduce"),
-            100.0 * get("AD-PSGD"),
-            100.0 * get("NetMax"),
-        );
-        csv.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4}",
-            r.workload,
-            get("Prague"),
-            get("Allreduce"),
-            get("AD-PSGD"),
-            get("NetMax")
-        ));
-    }
-    ctx.write_csv("tab05_accuracy_nonuniform", "workload,prague,allreduce,ad_psgd,netmax", &csv);
 }
 
 #[cfg(test)]

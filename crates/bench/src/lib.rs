@@ -1,17 +1,21 @@
 //! # netmax-bench
 //!
 //! The reproduction harness: one module per table/figure of the paper's
-//! evaluation (§V and Appendices F–G), plus the ablations DESIGN.md calls
-//! out. Each experiment exposes
+//! evaluation (§V and Appendices F–G), plus the ablations, the fault
+//! suite, the fleet-scale sweep and the numerics-tier equivalence gates.
+//! Each experiment module exposes
 //!
-//! * `Params` with `full()` / `quick()` / `tiny()` presets,
-//! * `run(&Params) -> …` returning structured results, and
-//! * a `print` helper producing the same rows/series the paper reports.
+//! * `Params` with `full()` and a mode-scaled `for_mode(Mode)` preset,
+//! * `specs(&Params)` — its declarative [`ExperimentSpec`]s, collected by
+//!   the [`registry`](mod@registry), and
+//! * `run(&Params)` returning the figure's rows, which the module's
+//!   paper-claim tests assert on.
 //!
-//! Binaries in `src/bin/` (one per figure/table) call `run` with the mode
-//! selected by `NETMAX_MODE` (`full` default, `quick`, `tiny`) or the
-//! `--quick` / `--tiny` flags, print the rows, and write CSV under
-//! `results/`. Criterion benches in `benches/` execute the `tiny` presets.
+//! The `netmax-bench` binary is the only executable: `run` executes
+//! registry entries through the [`runner`] and writes the versioned run
+//! artifact, and `sanity`, `throughput`, `scale` and `checkpoint` write
+//! the committed `BENCH_*.json` documents. The experiment scale
+//! ([`Mode`]) comes from its `--quick` / `--tiny` flags.
 //!
 //! ## Timescale compression
 //!
@@ -33,7 +37,7 @@ pub mod runner;
 pub mod spec;
 pub mod throughput;
 
-pub use common::{ExpCtx, Mode, LINK_CHANGE_PERIOD_S, MONITOR_PERIOD_S};
+pub use common::{Mode, LINK_CHANGE_PERIOD_S, MONITOR_PERIOD_S};
 pub use registry::{registry, registry_json};
 pub use runner::{
     checkpoint_bytes, execute, execute_suspended, execute_with_threads, parse_checkpoint_bytes, resume,

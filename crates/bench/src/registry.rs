@@ -7,7 +7,7 @@
 //! docs enumerate. Names are `group/detail` (`fig08/resnet18-cifar10`);
 //! `netmax-bench run fig08` runs a whole group, `run all` runs everything.
 
-use crate::common::{ExpCtx, Mode};
+use crate::common::Mode;
 use crate::experiments::{
     ablations, accuracy, epoch_time, equivalence, faults, fig03, fig07, fig14, fig15, fig19,
     loss_curves, nonuniform, scale, scalability, tab05,
@@ -17,8 +17,8 @@ use netmax_core::engine::{AlgorithmKind, Scenario, TrainConfig};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::{NetworkKind, SlowdownConfig};
 
-/// The `sanity` suite: the PR-1 performance-baseline scenario (also the
-/// suite `BENCH_parallel.json` times the threaded executor on).
+/// The `sanity` suite: the PR-1 performance-baseline scenario
+/// (`netmax-bench sanity` times it arm by arm into `BENCH_sanity.json`).
 pub fn sanity_spec(mode: Mode) -> ExperimentSpec {
     ExperimentSpec {
         name: "sanity/resnet18-cifar10".into(),
@@ -45,18 +45,17 @@ pub fn sanity_spec(mode: Mode) -> ExperimentSpec {
 /// Builds the full registry at the given execution mode. Every entry's
 /// name is unique; entries of one figure/table share a `group`.
 pub fn registry(mode: Mode) -> Vec<ExperimentSpec> {
-    let ctx = ExpCtx::with_mode(mode);
     let mut specs = Vec::new();
     specs.extend(fig03::specs());
-    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(&ctx, true)));
-    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(&ctx, false)));
-    specs.extend(fig07::specs(&fig07::Params::for_mode(&ctx)));
-    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(&ctx, true)));
-    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(&ctx, false)));
-    specs.extend(scalability::specs(&scalability::Params::for_mode(&ctx, true)));
-    specs.extend(scalability::specs(&scalability::Params::for_mode(&ctx, false)));
-    specs.extend(accuracy::specs(&accuracy::Params::for_mode(&ctx, true)));
-    specs.extend(accuracy::specs(&accuracy::Params::for_mode(&ctx, false)));
+    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(mode, true)));
+    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(mode, false)));
+    specs.extend(fig07::specs(&fig07::Params::for_mode(mode)));
+    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(mode, true)));
+    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(mode, false)));
+    specs.extend(scalability::specs(&scalability::Params::for_mode(mode, true)));
+    specs.extend(scalability::specs(&scalability::Params::for_mode(mode, false)));
+    specs.extend(accuracy::specs(&accuracy::Params::for_mode(mode, true)));
+    specs.extend(accuracy::specs(&accuracy::Params::for_mode(mode, false)));
     for case in [
         nonuniform::Case::Cifar100,
         nonuniform::Case::ImageNet,
@@ -64,16 +63,16 @@ pub fn registry(mode: Mode) -> Vec<ExperimentSpec> {
         nonuniform::Case::TinyImageNet,
         nonuniform::Case::MnistNonIid,
     ] {
-        specs.extend(nonuniform::specs(&nonuniform::Params::for_mode(&ctx, case)));
+        specs.extend(nonuniform::specs(&nonuniform::Params::for_mode(mode, case)));
     }
-    specs.extend(tab05::specs(&tab05::Params::for_mode(&ctx)));
-    specs.extend(fig14::specs(&fig14::Params::for_mode(&ctx)));
-    specs.extend(fig15::specs(&fig15::Params::for_mode(&ctx)));
-    specs.extend(fig19::specs(&fig19::Params::for_mode(&ctx)));
-    specs.extend(ablations::specs(&ablations::Params::for_mode(&ctx)));
-    specs.extend(faults::specs(&faults::Params::for_mode(&ctx)));
-    specs.extend(scale::specs(&scale::Params::for_mode(&ctx)));
-    specs.extend(equivalence::specs(&equivalence::Params::for_mode(&ctx)));
+    specs.extend(tab05::specs(&tab05::Params::for_mode(mode)));
+    specs.extend(fig14::specs(&fig14::Params::for_mode(mode)));
+    specs.extend(fig15::specs(&fig15::Params::for_mode(mode)));
+    specs.extend(fig19::specs(&fig19::Params::for_mode(mode)));
+    specs.extend(ablations::specs(&ablations::Params::for_mode(mode)));
+    specs.extend(faults::specs(&faults::Params::for_mode(mode)));
+    specs.extend(scale::specs(&scale::Params::for_mode(mode)));
+    specs.extend(equivalence::specs(&equivalence::Params::for_mode(mode)));
     specs.push(sanity_spec(mode));
     specs
 }

@@ -24,14 +24,13 @@
 //!
 //! [`Environment`]: netmax_core::engine::Environment
 
+use crate::experiments::fig03;
 use crate::spec::{ExperimentSpec, MetricKind};
 use netmax_core::engine::{
-    AlgorithmKind, CheckpointScratch, ExecutionMode, RunReport, Session, SessionError, StepEvent,
+    AlgorithmKind, CheckpointScratch, RunReport, Session, SessionError, StepEvent,
 };
 use netmax_json::{codec, CodecError, FromJson, Json, JsonError, ToJson};
-use netmax_ml::profile::ModelProfile;
 use netmax_ml::NumericsTier;
-use netmax_net::LinkQuality;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -222,24 +221,18 @@ pub fn time_to_accuracy(report: &RunReport, target: f64) -> Option<f64> {
         .map(|s| s.time_s)
 }
 
-/// The Fig. 3 timing identity: intra- vs inter-machine iteration time per
-/// model profile, computed from the calibrated link presets (no training).
+/// The Fig. 3 timing identity ([`fig03::run`]) as the artifact's
+/// `iteration_time` summary.
 pub fn iteration_time_summary() -> Json {
-    let intra = LinkQuality::intra_machine();
-    let inter = LinkQuality::gbit_ethernet();
     Json::Arr(
-        [ModelProfile::resnet18(), ModelProfile::vgg19()]
-            .into_iter()
-            .map(|p| {
-                let c = p.compute_time(128);
-                let bytes = p.param_bytes();
-                let intra_s = ExecutionMode::Parallel.iteration_time(c, intra.transfer_time(bytes));
-                let inter_s = ExecutionMode::Parallel.iteration_time(c, inter.transfer_time(bytes));
+        fig03::run()
+            .iter()
+            .map(|r| {
                 Json::obj([
-                    ("model", p.name.to_json()),
-                    ("intra_s", intra_s.to_json()),
-                    ("inter_s", inter_s.to_json()),
-                    ("ratio", (inter_s / intra_s).to_json()),
+                    ("model", r.model.to_json()),
+                    ("intra_s", r.intra_s.to_json()),
+                    ("inter_s", r.inter_s.to_json()),
+                    ("ratio", r.ratio().to_json()),
                 ])
             })
             .collect(),

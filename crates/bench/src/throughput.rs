@@ -5,8 +5,8 @@
 //!
 //! * **pipeline** — the sanity scenario exactly as benchmarked in
 //!   `BENCH_sanity.json` (metric recording at its configured cadence);
-//!   comparable to the `steps_per_real_second` column the sanity binary
-//!   has recorded since PR 1.
+//!   comparable to the `steps_per_real_second` column `netmax-bench
+//!   sanity` records.
 //! * **engine** — the same training run with the recording cadence pushed
 //!   beyond the step budget, isolating the simulation step loop itself.
 //!

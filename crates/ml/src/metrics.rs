@@ -431,11 +431,11 @@ mod extended_metric_tests {
         let mut m = SoftmaxRegression::new(8, 5, 1);
         let cfg = SgdConfig::plain(0.5);
         let mut st = SgdState::new(m.num_params());
-        let mut grad = vec![0.0f32; m.num_params()];
+        let mut scratch = Scratch::new();
         let all: Vec<usize> = (0..train.len()).collect();
         for _ in 0..100 {
-            m.loss_grad(&train, &all, &mut grad);
-            st.step(&cfg, cfg.lr, m.params_mut(), &grad);
+            m.loss_grad_scratch(&train, &all, &mut scratch);
+            st.step(&cfg, cfg.lr, m.params_mut(), &scratch.grad);
         }
         (m, test)
     }

@@ -268,22 +268,14 @@ pub trait Model: Send {
     fn params_mut(&mut self) -> &mut [f32];
 
     /// Computes the mean loss over `batch` (example indices into `data`)
-    /// and writes the mean gradient into `grad`.
+    /// and leaves the mean gradient in `scratch.grad` (`num_params`
+    /// long). Nothing allocates once `scratch` is warm, and a warm
+    /// scratch gives the same bits as a fresh one.
     ///
     /// # Panics
-    /// Implementations panic if `grad.len() != self.num_params()` or the
-    /// dataset shape does not match the model.
-    fn loss_grad(&self, data: &Dataset, batch: &[usize], grad: &mut [f32]) -> f32;
-
-    /// [`Model::loss_grad`] through a reusable workspace: the mean
-    /// gradient lands in `scratch.grad` and the result is bitwise
-    /// identical to `loss_grad`. The provided implementations allocate
-    /// nothing once `scratch` is warm; the default falls back to
-    /// `loss_grad` (which may use per-call temporaries).
-    fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        scratch.grad.resize(self.num_params(), 0.0);
-        self.loss_grad(data, batch, &mut scratch.grad)
-    }
+    /// Implementations panic on an empty batch or a dataset whose shape
+    /// does not match the model.
+    fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32;
 
     /// Mean loss over `batch` without computing gradients.
     fn loss(&self, data: &Dataset, batch: &[usize]) -> f32;
@@ -404,7 +396,7 @@ impl SoftmaxRegression {
         }));
     }
 
-    /// The gradient kernel behind both `loss_grad` entry points; the
+    /// The strict gradient kernel behind `loss_grad_scratch`; the
     /// forward runs through the batched [`batch_logits`] kernel (bitwise
     /// identical to per-sample dots, but vectorised across samples).
     fn loss_grad_core(
@@ -575,12 +567,6 @@ impl Model for SoftmaxRegression {
         &mut self.params
     }
 
-    fn loss_grad(&self, data: &Dataset, batch: &[usize], grad: &mut [f32]) -> f32 {
-        let (mut xb, mut logits_all) = (Vec::new(), Vec::new());
-        let (mut maxs, mut sums) = (Vec::new(), Vec::new());
-        self.loss_grad_core(data, batch, grad, (&mut xb, &mut logits_all, &mut maxs, &mut sums))
-    }
-
     fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
         if scratch.kernels.tier == NumericsTier::Fast {
             return self.loss_grad_fast(data, batch, scratch);
@@ -709,7 +695,7 @@ impl Mlp {
         }
     }
 
-    /// The gradient kernel behind both `loss_grad` entry points; `h`,
+    /// The strict gradient kernel behind `loss_grad_scratch`; `h`,
     /// `logits`, and `dh` are the only temporaries it needs.
     fn loss_grad_core(
         &self,
@@ -859,11 +845,6 @@ impl Model for Mlp {
         &mut self.params
     }
 
-    fn loss_grad(&self, data: &Dataset, batch: &[usize], grad: &mut [f32]) -> f32 {
-        let (mut h, mut logits, mut dh) = (Vec::new(), Vec::new(), Vec::new());
-        self.loss_grad_core(data, batch, grad, &mut h, &mut logits, &mut dh)
-    }
-
     fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
         if scratch.kernels.tier == NumericsTier::Fast {
             return self.loss_grad_fast(data, batch, scratch);
@@ -962,7 +943,7 @@ impl LeastSquares {
         crate::params::dot(&self.params[..self.dim], x) + self.params[self.dim]
     }
 
-    /// Fast-tier gradient core: [`Model::loss_grad`]'s structure with
+    /// Fast-tier gradient core: the strict body's structure with
     /// every dot/axpy/norm dispatched through the scratch's
     /// [`KernelTable`].
     fn loss_grad_fast(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
@@ -1001,8 +982,12 @@ impl Model for LeastSquares {
         &mut self.params
     }
 
-    fn loss_grad(&self, data: &Dataset, batch: &[usize], grad: &mut [f32]) -> f32 {
-        assert_eq!(grad.len(), self.num_params(), "grad buffer size mismatch");
+    fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
+        if scratch.kernels.tier == NumericsTier::Fast {
+            return self.loss_grad_fast(data, batch, scratch);
+        }
+        let grad = &mut scratch.grad;
+        grad.resize(self.num_params(), 0.0);
         assert!(!batch.is_empty(), "empty batch");
         grad.fill(0.0);
         let inv = 1.0 / batch.len() as f32;
@@ -1020,14 +1005,6 @@ impl Model for LeastSquares {
         loss += 0.5 * self.l2 * crate::params::norm_sq(w) * batch.len() as f32;
         crate::params::axpy(self.l2, w, &mut grad[..self.dim]);
         loss * inv + 0.0 // already averaged data term; reg term below
-    }
-
-    fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        if scratch.kernels.tier == NumericsTier::Fast {
-            return self.loss_grad_fast(data, batch, scratch);
-        }
-        scratch.grad.resize(self.num_params(), 0.0);
-        self.loss_grad(data, batch, &mut scratch.grad)
     }
 
     fn loss(&self, data: &Dataset, batch: &[usize]) -> f32 {
@@ -1089,12 +1066,18 @@ mod tests {
         .0
     }
 
+    /// Loss and gradient through a fresh scratch — what a first call sees.
+    fn loss_grad(model: &dyn Model, data: &Dataset, batch: &[usize]) -> (f32, Vec<f32>) {
+        let mut scratch = Scratch::new();
+        let loss = model.loss_grad_scratch(data, batch, &mut scratch);
+        (loss, scratch.grad)
+    }
+
     /// Central-difference gradient check for any model.
     fn grad_check(model: &mut dyn Model, data: &Dataset, tol: f32) {
         let batch: Vec<usize> = (0..16).collect();
         let n = model.num_params();
-        let mut grad = vec![0.0f32; n];
-        model.loss_grad(data, &batch, &mut grad);
+        let (_, grad) = loss_grad(model, data, &batch);
         let eps = 1e-3f32;
         // Check a spread of parameter coordinates.
         for k in (0..n).step_by((n / 13).max(1)) {
@@ -1139,11 +1122,11 @@ mod tests {
         let data = small_data();
         let mut m = SoftmaxRegression::new(8, 3, 1);
         let batch: Vec<usize> = (0..data.len()).collect();
-        let mut grad = vec![0.0f32; m.num_params()];
+        let mut scratch = Scratch::new();
         let l0 = m.loss(&data, &batch);
         for _ in 0..50 {
-            m.loss_grad(&data, &batch, &mut grad);
-            crate::params::axpy(-0.5, &grad, m.params_mut());
+            m.loss_grad_scratch(&data, &batch, &mut scratch);
+            crate::params::axpy(-0.5, &scratch.grad, m.params_mut());
         }
         let l1 = m.loss(&data, &batch);
         assert!(l1 < 0.5 * l0, "full-batch GD failed to reduce loss: {l0} -> {l1}");
@@ -1164,10 +1147,10 @@ mod tests {
         );
         let mut m = SoftmaxRegression::new(10, 4, 1);
         let batch: Vec<usize> = (0..train.len()).collect();
-        let mut grad = vec![0.0f32; m.num_params()];
+        let mut scratch = Scratch::new();
         for _ in 0..200 {
-            m.loss_grad(&train, &batch, &mut grad);
-            crate::params::axpy(-0.5, &grad, m.params_mut());
+            m.loss_grad_scratch(&train, &batch, &mut scratch);
+            crate::params::axpy(-0.5, &scratch.grad, m.params_mut());
         }
         let correct = (0..test.len())
             .filter(|&i| m.predict(test.feature(i)) == test.label(i))
@@ -1204,13 +1187,14 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(99);
         for m in &models {
+            // One scratch reused across trials against a fresh one per
+            // trial: what a warm buffer holds never reaches the result.
             let mut scratch = Scratch::new();
-            let mut grad = vec![0.0f32; m.num_params()];
             for trial in 0..8 {
                 let len = rng.gen_range(1..=32usize);
                 let batch: Vec<usize> =
                     (0..len).map(|_| rng.gen_range(0..data.len())).collect();
-                let loss = m.loss_grad(&data, &batch, &mut grad);
+                let (loss, grad) = loss_grad(m.as_ref(), &data, &batch);
                 let loss_s = m.loss_grad_scratch(&data, &batch, &mut scratch);
                 assert_eq!(
                     loss.to_bits(),
@@ -1300,8 +1284,7 @@ mod tests {
         let batch: Vec<usize> = (0..16).collect();
         let mut scratch = Scratch::new();
         let _ = big.loss_grad_scratch(&data, &batch, &mut scratch);
-        let mut grad = vec![0.0f32; small.num_params()];
-        let loss = small.loss_grad(&data, &batch, &mut grad);
+        let (loss, grad) = loss_grad(&small, &data, &batch);
         let loss_s = small.loss_grad_scratch(&data, &batch, &mut scratch);
         assert_eq!(loss.to_bits(), loss_s.to_bits());
         assert_eq!(scratch.grad, grad);

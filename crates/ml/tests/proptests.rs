@@ -5,7 +5,7 @@
 use netmax_ml::batch::BatchSampler;
 use netmax_ml::dataset::Dataset;
 use netmax_ml::fast;
-use netmax_ml::model::ModelKind;
+use netmax_ml::model::{ModelKind, Scratch};
 use netmax_ml::optim::{SgdConfig, SgdState};
 use netmax_ml::partition::Partition;
 use proptest::prelude::*;
@@ -39,8 +39,9 @@ proptest! {
         ][kind_idx];
         let mut model = kind.build(6, 3, seed);
         let batch: Vec<usize> = (0..data.len().min(8)).collect();
-        let mut grad = vec![0.0f32; model.num_params()];
-        model.loss_grad(&data, &batch, &mut grad);
+        let mut scratch = Scratch::new();
+        model.loss_grad_scratch(&data, &batch, &mut scratch);
+        let grad = scratch.grad;
 
         let eps = 1e-2f32;
         let n = model.num_params();
@@ -65,11 +66,11 @@ proptest! {
     fn small_step_descends(data in dataset(32, 6, 3), seed in 0u64..1000) {
         let mut model = ModelKind::Softmax.build(6, 3, seed);
         let batch: Vec<usize> = (0..data.len().min(16)).collect();
-        let mut grad = vec![0.0f32; model.num_params()];
-        let before = model.loss_grad(&data, &batch, &mut grad);
+        let mut scratch = Scratch::new();
+        let before = model.loss_grad_scratch(&data, &batch, &mut scratch);
         let cfg = SgdConfig::plain(1e-3);
         let mut st = SgdState::new(model.num_params());
-        st.step(&cfg, cfg.lr, model.params_mut(), &grad);
+        st.step(&cfg, cfg.lr, model.params_mut(), &scratch.grad);
         let after = model.loss(&data, &batch);
         prop_assert!(after <= before + 1e-4, "loss rose: {before} -> {after}");
     }

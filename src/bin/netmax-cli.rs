@@ -22,19 +22,25 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::from(2);
     };
-    let opts = Options::parse(&args[1..]);
-    match cmd.as_str() {
-        "list" => list(),
-        "run" => run(&opts),
-        "compare" => compare(&opts),
-        "policy" => policy(&opts),
+    let command: fn(&Options) -> ExitCode = match cmd.as_str() {
+        "list" => return list(),
+        "run" => run,
+        "compare" => compare,
+        "policy" => policy,
         "--help" | "-h" | "help" => {
             usage();
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
         other => {
             eprintln!("unknown command: {other}");
             usage();
+            return ExitCode::from(2);
+        }
+    };
+    match Options::parse(&args[1..]) {
+        Ok(opts) => command(&opts),
+        Err(message) => {
+            eprintln!("{message}");
             ExitCode::from(2)
         }
     }
@@ -80,8 +86,25 @@ struct Options {
     alpha: f64,
 }
 
+/// Parses `value`, the argument of `flag`, or names both in the error.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str, want: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("{flag} needs {want}, got `{value}`"))
+}
+
+/// A finite number above zero: every time, rate and budget the commands take.
+fn positive(flag: &str, value: &str) -> Result<f64, String> {
+    let want = "a positive finite number";
+    match parsed::<f64>(flag, value, want)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        _ => Err(format!("{flag} needs {want}, got `{value}`")),
+    }
+}
+
 impl Options {
-    fn parse(args: &[String]) -> Self {
+    /// Every malformed invocation is an error here, before any scenario is
+    /// built: an unknown flag, a flag without its value, a value that does
+    /// not parse or lies outside what the engine accepts.
+    fn parse(args: &[String]) -> Result<Self, String> {
         let mut o = Options {
             workload: "resnet18-cifar10".into(),
             algorithm: "netmax".into(),
@@ -96,25 +119,28 @@ impl Options {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            let Some(value) = it.next() else {
-                eprintln!("missing value for {flag}");
-                break;
-            };
+            let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--workload" => o.workload = value.clone(),
-                "--algorithm" => o.algorithm = value.clone(),
-                "--workers" => o.workers = value.parse().unwrap_or(o.workers),
-                "--network" => o.network = value.clone(),
-                "--epochs" => o.epochs = value.parse().unwrap_or(o.epochs),
-                "--seed" => o.seed = value.parse().unwrap_or(o.seed),
-                "--fast" => o.fast = value.parse().unwrap_or(o.fast),
-                "--slow" => o.slow = value.parse().unwrap_or(o.slow),
-                "--slowdown" => o.slowdown = value.parse().unwrap_or(o.slowdown),
-                "--alpha" => o.alpha = value.parse().unwrap_or(o.alpha),
-                other => eprintln!("ignoring unknown flag {other}"),
+                "--workload" => o.workload = value()?.clone(),
+                "--algorithm" => o.algorithm = value()?.clone(),
+                "--network" => o.network = value()?.clone(),
+                "--workers" => {
+                    let (v, want) = (value()?, "an integer of at least 2");
+                    o.workers = parsed(flag, v, want)?;
+                    if o.workers < 2 {
+                        return Err(format!("{flag} needs {want}, got `{v}`"));
+                    }
+                }
+                "--seed" => o.seed = parsed(flag, value()?, "a non-negative integer")?,
+                "--epochs" => o.epochs = positive(flag, value()?)?,
+                "--fast" => o.fast = positive(flag, value()?)?,
+                "--slow" => o.slow = positive(flag, value()?)?,
+                "--slowdown" => o.slowdown = positive(flag, value()?)?,
+                "--alpha" => o.alpha = positive(flag, value()?)?,
+                other => return Err(format!("unknown option `{other}` (see `netmax-cli help`)")),
             }
         }
-        o
+        Ok(o)
     }
 }
 
@@ -169,6 +195,23 @@ fn print_report(r: &netmax::core::engine::RunReport) {
     );
 }
 
+/// Runs one algorithm to completion and prints its summary line. A
+/// configuration the engine rejects is reported as the typed
+/// [`SessionError`], not unwrapped.
+fn run_one(sc: &Scenario, workload: Workload, kind: AlgorithmKind) -> ExitCode {
+    let mut algo = algorithm_for(kind, workload.optim.lr);
+    let mut env = sc.build_env_with(workload);
+    let report = match Session::new(&mut env, algo.driver()) {
+        Ok(mut session) => session.run(),
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    print_report(&report);
+    ExitCode::SUCCESS
+}
+
 fn run(o: &Options) -> ExitCode {
     let Some((sc, workload)) = build_scenario(o) else {
         return ExitCode::from(2);
@@ -177,10 +220,7 @@ fn run(o: &Options) -> ExitCode {
         eprintln!("unknown algorithm '{}' (see `netmax-cli list`)", o.algorithm);
         return ExitCode::from(2);
     };
-    let mut algo = algorithm_for(kind, workload.optim.lr);
-    let mut env = sc.build_env_with(workload);
-    print_report(&algo.run(&mut env));
-    ExitCode::SUCCESS
+    run_one(&sc, workload, kind)
 }
 
 fn compare(o: &Options) -> ExitCode {
@@ -188,16 +228,17 @@ fn compare(o: &Options) -> ExitCode {
         return ExitCode::from(2);
     };
     for kind in AlgorithmKind::headline_four() {
-        let mut algo = algorithm_for(kind, workload.optim.lr);
         // Arc-shared datasets: one instantiation serves all four runs.
-        let mut env = sc.build_env_with(workload.clone());
-        print_report(&algo.run(&mut env));
+        let code = run_one(&sc, workload.clone(), kind);
+        if code != ExitCode::SUCCESS {
+            return code;
+        }
     }
     ExitCode::SUCCESS
 }
 
 fn policy(o: &Options) -> ExitCode {
-    let m = o.workers.max(2);
+    let m = o.workers;
     let per = m.div_ceil(2);
     let topo = Topology::fully_connected(m);
     let times = EdgeTimes::from_fn(&topo, |i, j| {

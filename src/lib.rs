@@ -88,8 +88,8 @@
 //! ```
 //!
 //! Scale up the same scenario (8+ workers, 48-epoch budgets, the paper's
-//! network regimes) with the figure binaries in `crates/bench/src/bin/` —
-//! see the README's figure map.
+//! network regimes) with `netmax-bench run <figure>` from `crates/bench`
+//! — see the README's figure map.
 
 #![forbid(unsafe_code)]
 
