@@ -301,12 +301,11 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
 /// Closure findings are keyed by `(file, line, rule, message)` before
 /// they become violations, so a function belonging to several closures
 /// is reported once per offending site, not once per closure. A closure
-/// finding honors either its own rule's suppression or the matching
-/// per-file rule's (`determinism-time`/`-hash` for closure-determinism,
-/// `hot-path-alloc` for closure-alloc) — one allow-comment covers both
-/// layers. The closure panic budget and the tier-isolation rule are not
-/// suppressible: the committed budget (resp. a reviewed policy `prune`)
-/// is the escape hatch.
+/// finding honors its own rule's suppression, and closure-determinism
+/// the matching per-file rule's too (`determinism-time`/`-hash`) — one
+/// allow-comment covers both layers. The closure panic budget and the
+/// tier-isolation rule are not suppressible: the committed budget
+/// (resp. a reviewed policy `prune`) is the escape hatch.
 fn closure_checks<'a>(
     policy: &Policy,
     scans: &'a BTreeMap<String, FileScan>,
@@ -399,7 +398,7 @@ fn closure_checks<'a>(
                         f.file.clone(),
                         line,
                         rules::CLOSURE_ALLOC,
-                        rules::HOT_PATH_ALLOC,
+                        rules::CLOSURE_ALLOC,
                         format!("`{pat}` in hot_path-closure member `{}`", f.qual()),
                     ));
                 }

@@ -14,9 +14,6 @@ pub mod rules {
     pub const DETERMINISM_TIME: &str = "determinism-time";
     /// Iteration-order-nondeterministic container outside the allowlist.
     pub const DETERMINISM_HASH: &str = "determinism-hash";
-    /// The second name a suppression of [`CLOSURE_ALLOC`] may use; no
-    /// finding is reported under it.
-    pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
     /// Panic-site count above the committed budget.
     pub const PANIC_BUDGET: &str = "panic-budget";
     /// Budget higher than the actual count — the ratchet must be lowered.

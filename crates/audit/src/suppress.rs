@@ -10,16 +10,14 @@
 use crate::lexer::LineComment;
 use std::fmt;
 
-/// The rules a suppression comment may name. The closure rules also
-/// honor the matching per-file rule's suppression at the same line
-/// (`determinism-time`/`-hash` covers `closure-determinism`,
-/// `hot-path-alloc` covers `closure-alloc`) so one allow-comment keeps
-/// silencing both layers; the closure *budget* rules are deliberately
-/// not suppressible — the budget itself is the escape hatch.
+/// The rules a suppression comment may name. `closure-determinism` also
+/// honors the matching per-file rule's suppression at the same line
+/// (`determinism-time`/`-hash`) so one allow-comment keeps silencing both
+/// layers; the closure *budget* rules are deliberately not suppressible —
+/// the budget itself is the escape hatch.
 pub const SUPPRESSIBLE_RULES: &[&str] = &[
     "determinism-time",
     "determinism-hash",
-    "hot-path-alloc",
     "enum-exhaustive",
     "closure-alloc",
     "closure-determinism",
@@ -150,7 +148,7 @@ mod tests {
     fn canonical_form_round_trips() {
         let s = Suppression {
             line: 7,
-            rule: "hot-path-alloc".into(),
+            rule: "closure-alloc".into(),
             reason: "pool refill, amortized".into(),
         };
         let back = parse_comment(&comment(&s.to_string())).unwrap().unwrap();

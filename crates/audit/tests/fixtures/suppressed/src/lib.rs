@@ -14,7 +14,7 @@ pub fn tally(seen: &mut std::collections::HashSet<u32>, v: u32) -> bool { // aud
 }
 
 pub fn hot(xs: &[u32]) -> u32 {
-    // audit: allow(hot-path-alloc) -- fixture: the collect below is the point
+    // audit: allow(closure-alloc) -- fixture: the collect below is the point
     let doubled: Vec<u32> = xs.iter().map(|x| x * 2).collect();
     doubled.iter().sum()
 }

@@ -160,10 +160,11 @@ impl GossipBehavior for AdPsgd {
         ])
     }
 
-    fn restore_state(&mut self, _env: &Environment, state: &Json) -> Result<(), JsonError> {
+    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
+        let n = env.num_nodes();
         self.tracker = match state.field("tracker")? {
             Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t)?),
+            t => Some(EmaTimeTracker::restore(t, n)?),
         };
         if let (Some(monitor), m @ Json::Obj(_)) = (self.monitor.as_mut(), state.field("monitor")?)
         {
@@ -171,7 +172,7 @@ impl GossipBehavior for AdPsgd {
         }
         self.policy = match state.field("policy")? {
             Json::Null => None,
-            p => Some(SparsePolicy::restore(p)?),
+            p => Some(SparsePolicy::restore(p, n)?),
         };
         self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
         Ok(())

@@ -9,7 +9,8 @@ use netmax_baselines::algorithm_for;
 use netmax_core::engine::{
     AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent, StopCondition, TrainConfig,
 };
-use netmax_json::ToJson;
+use netmax_core::monitor::EmaTimeTracker;
+use netmax_json::{Json, ToJson};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -125,6 +126,37 @@ fn restore_rejects_algorithm_mismatch() {
         Ok(_) => panic!("algorithm mismatch must be rejected"),
     };
     assert!(err.to_string().contains("ad-psgd"), "{err}");
+}
+
+#[test]
+fn restore_rejects_monitor_state_of_another_fleet_size() {
+    // AD-PSGD+Monitor restores the tracker and policy NetMax does, through
+    // its own `restore_state`: a tracker sized for three nodes used to
+    // restore into this four-node fleet and assert at the next `record`.
+    let kind = AlgorithmKind::AdPsgdMonitored;
+    let sc = scenario(kind);
+    let mut algo = algorithm_for(kind, ALPHA);
+    let mut env = sc.build_env();
+    let mut ckpt = {
+        let mut session = Session::new(&mut env, algo.driver()).unwrap();
+        for _ in 0..10 {
+            session.step();
+        }
+        session.checkpoint()
+    };
+    let mut at = &mut ckpt;
+    for key in ["driver", "behavior", "tracker"] {
+        let Json::Obj(pairs) = at else { panic!("`{key}` sits in an object") };
+        at = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("checkpoint field").1;
+    }
+    *at = EmaTimeTracker::for_fleet(3, 0.5).checkpoint();
+    let mut other = algorithm_for(kind, ALPHA);
+    let mut env2 = sc.build_env();
+    let err = match Session::restore(&mut env2, other.driver(), &ckpt) {
+        Err(e) => e,
+        Ok(_) => panic!("a three-node tracker must not restore into a four-node fleet"),
+    };
+    assert!(err.to_string().contains("tracker is for 3 nodes, environment has 4"), "{err}");
 }
 
 #[test]

@@ -116,12 +116,18 @@ impl EmaTimeTracker {
         ])
     }
 
-    /// Rebuilds a tracker from [`EmaTimeTracker::checkpoint`] state.
-    /// Values [`EmaTimeTracker::record`] could never have produced — and
+    /// Rebuilds the tracker of a `fleet`-node environment from
+    /// [`EmaTimeTracker::checkpoint`] state. A tracker of any other size,
+    /// values [`EmaTimeTracker::record`] could never have produced — and
     /// the retired `{times, observed}` matrix layout, which has no
     /// `entries` — are schema errors.
-    pub fn restore(state: &Json) -> Result<Self, JsonError> {
+    pub fn restore(state: &Json, fleet: usize) -> Result<Self, JsonError> {
         let n = usize::from_json(state.field("n")?)?;
+        if n != fleet {
+            return Err(JsonError::schema(format!(
+                "tracker is for {n} nodes, environment has {fleet}"
+            )));
+        }
         let beta = f64::from_json(state.field("beta")?)?;
         if !(0.0..1.0).contains(&beta) {
             return Err(JsonError::schema(format!("tracker β {beta} outside [0, 1)")));
@@ -399,7 +405,7 @@ mod tests {
         t.record(0, 1, 2.0);
         t.record(0, 1, 4.0);
         t.record(79, 3, 0.25);
-        let restored = EmaTimeTracker::restore(&t.checkpoint()).expect("restore");
+        let restored = EmaTimeTracker::restore(&t.checkpoint(), 80).expect("restore");
         assert_eq!(restored.get(0, 1), Some(3.0));
         assert_eq!(restored.get(79, 3), Some(0.25));
         assert_eq!(restored.get(1, 0), None);
@@ -430,8 +436,16 @@ mod tests {
         ];
         for (doc, needle) in bad {
             let state = Json::parse(doc).expect("test document parses");
-            let err = EmaTimeTracker::restore(&state).expect_err(doc).to_string();
+            let fleet = usize::from_json(state.field("n").expect("n")).expect("n");
+            let err = EmaTimeTracker::restore(&state, fleet).expect_err(doc).to_string();
             assert!(err.contains(needle), "{doc}: {err}");
+        }
+        // Sound in itself, but another fleet's: the next `record` would
+        // assert on node 3, or the next round on the edge list's shape.
+        let other = EmaTimeTracker::for_fleet(3, 0.5).checkpoint();
+        for fleet in [2, 4] {
+            let err = EmaTimeTracker::restore(&other, fleet).expect_err("size").to_string();
+            assert!(err.contains("tracker is for 3 nodes"), "{err}");
         }
     }
 

@@ -204,15 +204,16 @@ impl GossipBehavior for NetMax {
         ])
     }
 
-    fn restore_state(&mut self, _env: &Environment, state: &Json) -> Result<(), JsonError> {
+    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
+        let n = env.num_nodes();
         self.tracker = match state.field("tracker")? {
             Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t)?),
+            t => Some(EmaTimeTracker::restore(t, n)?),
         };
         self.monitor.restore(state.field("monitor")?)?;
         self.policy = match state.field("policy")? {
             Json::Null => None,
-            p => Some(SparsePolicy::restore(p)?),
+            p => Some(SparsePolicy::restore(p, n)?),
         };
         self.rho = Option::from_json(state.field("rho")?)?;
         self.policies_applied = u64::from_json(state.field("policies_applied")?)?;

@@ -13,10 +13,15 @@
 //!   for bit);
 //! * λ₂ of the candidate's `Y_P` comes from one of two eigensolvers,
 //!   chosen from the node count alone: see [`DENSE_CONTROL_THRESHOLD`].
-//!   Past it the sweep scores candidates a batch at a time in the lanes
-//!   of one power-iteration kernel and drops a candidate as soon as its
-//!   estimate shows it cannot win — same selection, bit for bit, as
-//!   scoring each to the end.
+//!   On either side a candidate that provably cannot beat the incumbent
+//!   is dropped before its score is finished — same selection, bit for
+//!   bit, as scoring each to the end. Up to the threshold a Lanczos
+//!   screen ([`LanczosScreen`]) bounds the true λ₂ from below and only
+//!   the candidates it cannot place above the incumbent's ceiling pay
+//!   for the exact solve, so every incumbent and the winner carry a
+//!   Jacobi λ₂. Past it the sweep scores candidates a batch at a time in
+//!   the lanes of one power-iteration kernel and retires a lane once its
+//!   own, monotone, estimate crosses the ceiling.
 //!
 //! [`crate::policy`] keeps the dense-matrix formulation as the reference
 //! the equivalence suites compare this module against.
@@ -25,19 +30,25 @@ use crate::engine::{Environment, PeerChoice};
 use crate::gossip_matrix::build_y_sparse;
 use crate::policy::{PolicyGenerator, POLICY_MARGIN};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use netmax_linalg::{second_largest_eigenvalue, LaneOutcome, Matrix, PowerLanes};
+use netmax_linalg::{second_largest_eigenvalue, LanczosScreen, LaneOutcome, Matrix, PowerLanes};
 use netmax_lp::{solve_with, LpProblem, LpWorkspace, Relation};
 use netmax_net::Topology;
 use rand::Rng;
 
 /// The eigensolver switch, and the only size-dependent decision in the
-/// control plane: fleets of up to this many nodes score each candidate
+/// control plane: fleets of up to this many nodes score a candidate
 /// with the cyclic Jacobi solver on the densified `Y_P` (exact, O(M³),
 /// and the solver `BENCH_sanity.json`'s bytes were recorded with);
 /// strictly larger fleets use the deflated power iteration, whose
 /// per-iteration cost is the edge count. Everything else — tracker,
 /// sweep bounds, LP, `Y_P` assembly, the policy workers sample from — is
 /// the same edge-list code at every size.
+///
+/// The Lanczos screen runs on the Jacobi side only, and must: its Ritz
+/// values bound the *true* λ₂, which is what Jacobi returns. Past the
+/// threshold the score is the capped power estimate itself — below the
+/// true λ₂ by an amount that differs from candidate to candidate — so a
+/// bound on the true value proves nothing about which estimate wins.
 pub const DENSE_CONTROL_THRESHOLD: usize = 64;
 
 /// Iteration cap for the power-iteration λ₂ inside the candidate sweep.
@@ -60,13 +71,15 @@ pub const SPARSE_L2_TOL: f64 = 1e-12;
 /// 176 ms.
 const SWEEP_LANES: usize = 4;
 
-/// How far above `λ* = exp(t̄·ln ε / T_best)` a candidate's running λ₂
-/// estimate must climb before the sweep abandons it. In exact arithmetic
-/// the estimate never decreases (see [`netmax_linalg::sparse`]), so
-/// crossing `λ*` already means `T_convergence > T_best`; the band absorbs
-/// the quotient's float jitter (≲ 1e-12 at n = 4 096) and the rounding of
-/// `exp`/`ln`, and moves `T_convergence` by parts in 10⁹ — far more than
-/// float rounding could hide.
+/// How far above `λ* = exp(t̄·ln ε / T_best)` a candidate's lower bound
+/// on its score must climb before the sweep drops it. In exact arithmetic
+/// crossing `λ*` already means `T_convergence > T_best`: a lane's running
+/// estimate never decreases (see [`netmax_linalg::sparse`]) and a Ritz
+/// value never exceeds λ₂ (see [`netmax_linalg::lanczos`]). The band
+/// absorbs the float jitter of either bound (≲ 1e-12 at n = 4 096), the
+/// Jacobi solver's own error and the rounding of `exp`/`ln`, and moves
+/// `T_convergence` by parts in 10⁹ — far more than float rounding could
+/// hide.
 const ABANDON_GUARD: f64 = 1e-9;
 
 /// Directed iteration times `t_{i,m}` stored per live topology edge.
@@ -212,11 +225,17 @@ impl SparsePolicy {
         ])
     }
 
-    /// Rebuilds a policy from [`SparsePolicy::checkpoint`] state. Rows
-    /// that break the invariants — and the retired dense-matrix layout,
-    /// which has no `n` — are schema errors.
-    pub fn restore(state: &Json) -> Result<Self, JsonError> {
+    /// Rebuilds the policy of a `fleet`-node environment from
+    /// [`SparsePolicy::checkpoint`] state. A policy of any other size,
+    /// rows that break the invariants — and the retired dense-matrix
+    /// layout, which has no `n` — are schema errors.
+    pub fn restore(state: &Json, fleet: usize) -> Result<Self, JsonError> {
         let n = usize::from_json(state.field("n")?)?;
+        if n != fleet {
+            return Err(JsonError::schema(format!(
+                "policy is for {n} nodes, environment has {fleet}"
+            )));
+        }
         let mut rows = Vec::new();
         for row_json in state.field("rows")?.as_arr()? {
             let mut row = Vec::new();
@@ -333,17 +352,22 @@ pub struct SparsePolicyResult {
     /// (Jacobi) up to [`DENSE_CONTROL_THRESHOLD`] nodes, a bounded-effort
     /// power-iteration estimate above — [`SPARSE_L2_MAX_ITERS`] steps for
     /// this policy and for every candidate that could still have beaten
-    /// it; a candidate whose estimate had already lost was dropped there,
-    /// its λ₂ never computed.
+    /// it. On either side a candidate shown to have lost was dropped
+    /// there, its λ₂ never computed.
     pub lambda2: f64,
     /// The target mean iteration time t̄ the LP was solved for.
     pub t_bar: f64,
     /// Estimated total convergence time `t̄ · ln ε / ln λ₂`.
     pub t_convergence: f64,
-    /// Power-iteration steps the sweep ran, summed over its candidates
-    /// (0 on the Jacobi side of the threshold). A function of the inputs
-    /// alone: the machine-independent measure of what the sweep cost.
+    /// Iterative-solver steps the sweep ran, summed over its candidates:
+    /// Lanczos steps of the screen up to [`DENSE_CONTROL_THRESHOLD`]
+    /// nodes, power-iteration steps above. With [`Self::exact_solves`], a
+    /// function of the inputs alone: the machine-independent record of
+    /// what the sweep cost.
     pub lambda2_iterations: u64,
+    /// Jacobi solves the sweep paid for — the candidates the screen could
+    /// not drop, incumbents and winner among them (0 past the threshold).
+    pub exact_solves: u64,
 }
 
 /// The sweep's incumbent. Scalars only: the row LPs are deterministic,
@@ -588,9 +612,10 @@ impl PolicyGenerator {
         let p_node = vec![1.0 / m as f64; m];
 
         let mut best: Option<Incumbent> = None;
+        let mut screen = LanczosScreen::new();
         let mut lanes: Option<PowerLanes<SWEEP_LANES>> = None;
         let mut batch: Vec<(f64, f64)> = Vec::with_capacity(SWEEP_LANES);
-        let mut lambda2_iterations = 0u64;
+        let (mut lambda2_iterations, mut exact_solves) = (0u64, 0u64);
         for k in 1..=self.cfg.outer_k {
             let rho = k as f64 * delta_rho;
             let Some((lower, upper)) = t_bar_bounds_sparse(alpha, rho, times, topo) else {
@@ -611,7 +636,23 @@ impl PolicyGenerator {
                     }),
                     "feasible policy must give doubly stochastic Y (Lemma 1)"
                 );
+                // The λ₂ at which this candidate's T_convergence would equal
+                // the incumbent's, plus the guard band: a λ₂ above it has lost.
+                let ceiling = best.map(|b| {
+                    (t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
+                });
                 if m <= DENSE_CONTROL_THRESHOLD {
+                    // Only a candidate the screen cannot show above the
+                    // ceiling pays for its exact λ₂ — and every candidate
+                    // while there is no incumbent to lose to.
+                    if let Some(ceiling) = ceiling {
+                        let screened = screen.screen(&y, ceiling);
+                        lambda2_iterations += screened.steps as u64;
+                        if screened.exceeds {
+                            continue;
+                        }
+                    }
+                    exact_solves += 1;
                     self.consider(&mut best, rho, t_bar, second_largest_eigenvalue(&y.to_dense()));
                     continue;
                 }
@@ -619,10 +660,7 @@ impl PolicyGenerator {
                 // lanes are laid out over the first and reused. A lane's
                 // ceiling comes from the incumbent its batch started with.
                 let lanes = lanes.get_or_insert_with(|| PowerLanes::for_pattern(&y));
-                let ceiling = best.map_or(f64::INFINITY, |b| {
-                    (t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
-                });
-                lanes.load_lane(batch.len(), &y, ceiling);
+                lanes.load_lane(batch.len(), &y, ceiling.unwrap_or(f64::INFINITY));
                 drop(y);
                 batch.push((rho, t_bar));
                 if batch.len() == SWEEP_LANES {
@@ -637,7 +675,15 @@ impl PolicyGenerator {
         let Incumbent { rho, t_bar, lambda2, t_convergence } = best?;
         template.stamp(alpha, rho, t_bar, topo);
         let policy = template.solve(topo, &mut ws)?;
-        Some(SparsePolicyResult { policy, rho, lambda2, t_bar, t_convergence, lambda2_iterations })
+        Some(SparsePolicyResult {
+            policy,
+            rho,
+            lambda2,
+            t_bar,
+            t_convergence,
+            lambda2_iterations,
+            exact_solves,
+        })
     }
 
     /// Scores one candidate against the incumbent: the first candidate in
@@ -835,7 +881,7 @@ mod tests {
         let times = EdgeTimes::from_fn(&topo, |i, _| 1.0 + 0.1 * i as f64);
         let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
         let p = gen.generate_sparse(&times, &topo).expect("feasible").policy;
-        assert_eq!(SparsePolicy::restore(&p.checkpoint()).expect("restore"), p);
+        assert_eq!(SparsePolicy::restore(&p.checkpoint(), 5).expect("restore"), p);
     }
 
     #[test]
@@ -856,8 +902,16 @@ mod tests {
         ];
         for (doc, needle) in bad {
             let state = Json::parse(doc).expect("test document parses");
-            let err = SparsePolicy::restore(&state).expect_err(doc).to_string();
+            let fleet = state.get("n").map_or(Ok(2), usize::from_json).expect("test n");
+            let err = SparsePolicy::restore(&state, fleet).expect_err(doc).to_string();
             assert!(err.contains(needle), "{doc}: {err}");
+        }
+        // Sound in itself, but another fleet's: `sample_peer` would index
+        // past its rows, or steer a worker to a node that does not exist.
+        let other = SparsePolicy::identity(3).checkpoint();
+        for fleet in [2, 4] {
+            let err = SparsePolicy::restore(&other, fleet).expect_err("size").to_string();
+            assert!(err.contains("policy is for 3 nodes"), "{err}");
         }
     }
 

@@ -9,7 +9,9 @@ use netmax_core::engine::{
     decode_session_v3, reconstruct_chain, Algorithm, CheckpointScratch, Scenario, Session,
     SessionError, StepEvent, TrainConfig, SESSION_CHECKPOINT_SCHEMA_V3, SESSION_DELTA_SCHEMA,
 };
+use netmax_core::monitor::EmaTimeTracker;
 use netmax_core::netmax::NetMax;
+use netmax_core::SparsePolicy;
 use netmax_json::{codec, Json};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
@@ -115,6 +117,21 @@ fn without_meta_key(base: &[u8], key: &str) -> Vec<u8> {
     )
     .unwrap();
     out
+}
+
+/// `doc` with the value at `path` replaced.
+fn replaced(doc: &Json, path: &[&str], value: Json) -> Json {
+    let mut doc = doc.clone();
+    let mut at = &mut doc;
+    for key in path {
+        let Json::Obj(pairs) = at else {
+            panic!("`{key}` sits in an object")
+        };
+        let slot = pairs.iter_mut().find(|(k, _)| k == key);
+        at = &mut slot.unwrap_or_else(|| panic!("fixture has no `{key}`")).1;
+    }
+    *at = value;
+    doc
 }
 
 /// One hostile input and the entry point it is fed to.
@@ -247,24 +264,40 @@ fn hostile_nmxb_is_always_a_typed_error() {
         }
     }
 
-    // The logical document is only accepted under the v2 tag — the v3 tag
-    // names the container, not the document inside it.
-    let mut retagged = logical.clone();
-    let Json::Obj(pairs) = &mut retagged else {
-        panic!("logical document is an object")
-    };
-    for (k, v) in pairs.iter_mut() {
-        if k == "schema" {
-            *v = Json::Str(SESSION_CHECKPOINT_SCHEMA_V3.into());
+    // Well-formed containers around a logical document that is wrong:
+    // what the error must name.
+    let v3_tag = Json::Str(SESSION_CHECKPOINT_SCHEMA_V3.into());
+    let small_tracker = EmaTimeTracker::for_fleet(WORKERS - 1, 0.5).checkpoint();
+    let large_policy = SparsePolicy::identity(WORKERS + 1).checkpoint();
+    let documents = [
+        // The logical document is only accepted under the v2 tag — the v3
+        // tag names the container, not the document inside it.
+        (
+            "the logical document under the v3 tag",
+            replaced(&logical, &["schema"], v3_tag),
+            SESSION_CHECKPOINT_SCHEMA_V3,
+        ),
+        // Driver state that is sound in itself but another fleet's: it
+        // used to restore, then index past the policy's rows in
+        // `sample_peer` or trip the generator's shape assert at the first
+        // monitor round.
+        (
+            "a tracker smaller than the fleet",
+            replaced(&logical, &["driver", "behavior", "tracker"], small_tracker),
+            "tracker is for 3 nodes, environment has 4",
+        ),
+        (
+            "a policy larger than the fleet",
+            replaced(&logical, &["driver", "behavior", "policy"], large_policy),
+            "policy is for 5 nodes, environment has 4",
+        ),
+    ];
+    for (what, document, needle) in documents {
+        let mut env = sc.build_env();
+        let mut algo = NetMax::paper_default(0.05);
+        match Session::restore(&mut env, algo.driver(), &document).map(|_| ()) {
+            Err(SessionError::BadCheckpoint(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+            other => panic!("{what}: expected BadCheckpoint, got {other:?}"),
         }
-    }
-    let mut env = sc.build_env();
-    let mut algo = NetMax::paper_default(0.05);
-    let outcome = Session::restore(&mut env, algo.driver(), &retagged).map(|_| ());
-    match outcome {
-        Err(SessionError::BadCheckpoint(msg)) => {
-            assert!(msg.contains(SESSION_CHECKPOINT_SCHEMA_V3), "{msg}")
-        }
-        other => panic!("retagged logical document: expected BadCheckpoint, got {other:?}"),
     }
 }

@@ -20,6 +20,10 @@
 //! * [`spectral`] — full eigendecomposition with eigenvectors, used by
 //!   the diagnostics layer to locate communication bottlenecks (the sign
 //!   cut of `Y_P`'s second eigenvector).
+//! * [`lanczos`] — the Lanczos screen ([`LanczosScreen`]): a lower bound
+//!   on λ₂ from the Lanczos recurrence on 1⊥, compared with a ceiling one
+//!   LDLᵀ pivot per step, so the policy search pays for the exact λ₂ only
+//!   of candidates that can still win.
 //! * [`sparse`] — a symmetric sparse matrix ([`SparseSymmetric`]) plus a
 //!   deflated power-iteration λ₂ solver for large sparse fabrics: one
 //!   kernel, [`PowerLanes`], that scores several matrices of one
@@ -37,12 +41,14 @@
 #![forbid(unsafe_code)]
 
 pub mod eig;
+pub mod lanczos;
 pub mod matrix;
 pub mod sparse;
 pub mod spectral;
 pub mod stochastic;
 
 pub use eig::{power_iteration, second_largest_eigenvalue, symmetric_eigenvalues};
+pub use lanczos::{LanczosScreen, Screened};
 pub use matrix::Matrix;
 pub use sparse::{second_largest_eigenvalue_sparse, LaneOutcome, PowerLanes, SparseSymmetric};
 pub use spectral::{symmetric_eigen, SymmetricEigen};

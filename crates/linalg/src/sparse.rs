@@ -53,6 +53,24 @@
 //! lane. Each step applies `B` once: the product that closes step `k`'s
 //! Rayleigh quotient is, operation for operation, the product step
 //! `k + 1` would open with, so it is carried over.
+//!
+//! ## Why not the lanes below the eigensolver threshold
+//!
+//! Up to 64 nodes the policy search scores with Jacobi and screens with
+//! [`crate::lanczos`], although a lane's monotone estimate is a lower
+//! bound on λ₂ just as a Ritz value is. The reason is the spectrum. The
+//! search's `Y_P` is `I` minus a small multiple of a weighted Laplacian:
+//! on the 8×8 torus of the equivalence table `1 − λ₂` runs from 1.4·10⁻⁵
+//! to 1.6·10⁻⁴ over the default grid, so the eigenvalues of `B` next to
+//! its largest sit within 10⁻⁴ of it and one power step shrinks the
+//! unwanted components by a factor that close to 1. Measured on that sweep
+//! (two seeds, 151 dropped candidates): the ceilings the Lanczos screen
+//! crosses after 2–27 steps (median 5–6) take a lane 5 800 to more than
+//! 260 000 steps (median 19 600) — past the sweep's 5 000-step cap, at
+//! which a lane has proved nothing. Lanczos is invariant under the shift
+//! and converges in the *relative* spread of the spectrum; a power
+//! iteration pays for the absolute one. Past the threshold the lanes are
+//! not a screen at all: the capped estimate *is* the score.
 
 use crate::eig::{splitmix_start, PowerIterationResult};
 use crate::matrix::Matrix;
