@@ -7,10 +7,7 @@
 //!                  [--progress] [--deadline-s S]
 //!                  [--checkpoint-dir DIR [--suspend-steps K]]
 //!                  [--resume DIR] [--tier strict|fast]
-//! netmax-bench throughput [--quick] [--steps N] [--repeats R] [--out path]
-//!                  [--tier strict|fast]
 //! netmax-bench scale [--quick|--tiny] [--repeats R] [--out path]
-//! netmax-bench checkpoint [--quick] [--out path]
 //! netmax-bench sanity [--quick|--tiny] [--out path]
 //! netmax-bench show <artifact.json|checkpoint.bin>
 //! ```
@@ -28,16 +25,16 @@
 //! a run artifact back and re-prints its summaries, or summarizes a
 //! checkpoint container per cell (algorithm, seed, global step, tier);
 //! any other schema is a typed "unknown schema" error — it doubles as a
-//! schema check in CI. `checkpoint` benchmarks the encode/decode paths
-//! (logical JSON document vs NMXB vs delta) and writes
-//! `BENCH_checkpoint.json`. `sanity` runs the registry's `sanity` arms
-//! one at a time, each timed alone on one thread, and writes
+//! schema check in CI. `sanity` runs the registry's `sanity` arms one at
+//! a time, each timed alone on one thread, and writes
 //! `BENCH_sanity.json` — the baseline whose simulated fields CI holds
-//! byte-equal. Every JSON artifact goes through [`write_artifact`].
+//! byte-equal; `scale` does the same for the torus fleets of
+//! `BENCH_scale.json`. Every JSON artifact goes through
+//! [`write_artifact`].
 
 use netmax_bench::registry::{find, registry, registry_json, sanity_spec};
 use netmax_bench::runner::{CellProgress, RunOptions};
-use netmax_bench::{common, runner, Mode};
+use netmax_bench::{runner, Mode};
 use netmax_core::engine::AlgorithmKind;
 use netmax_json::{Json, ToJson};
 use std::path::{Path, PathBuf};
@@ -67,9 +64,6 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
     boolean: &["--sequential", "--quick", "--tiny", "--progress"],
 };
 const SHOW_FLAGS: FlagSpec = FlagSpec { value: &[], boolean: &[] };
-const CHECKPOINT_FLAGS: FlagSpec = FlagSpec { value: &["--out"], boolean: &["--quick"] };
-const THROUGHPUT_FLAGS: FlagSpec =
-    FlagSpec { value: &["--steps", "--repeats", "--out", "--tier"], boolean: &["--quick"] };
 const SCALE_FLAGS: FlagSpec =
     FlagSpec { value: &["--repeats", "--out"], boolean: &["--quick", "--tiny"] };
 const SANITY_FLAGS: FlagSpec = FlagSpec { value: &["--out"], boolean: &["--quick", "--tiny"] };
@@ -109,11 +103,11 @@ fn main() -> ExitCode {
     // works): it is the first argument matching a known command name that
     // is not the value of a flag. Flags that take a value in *every*
     // command that accepts them shield their value from command
-    // detection (`throughput --out list` writes to a file named `list`);
+    // detection (`scale --out list` writes to a file named `list`);
     // `--json` is the one ambiguous flag (boolean for `list`, value for
     // `run`), so an artifact path literally named after a command must be
     // placed after the command word.
-    let known = ["list", "run", "show", "throughput", "scale", "checkpoint", "sanity", "help"];
+    let known = ["list", "run", "show", "scale", "sanity", "help"];
     let always_value = [
         "--seeds",
         "--threads",
@@ -121,7 +115,6 @@ fn main() -> ExitCode {
         "--checkpoint-dir",
         "--suspend-steps",
         "--resume",
-        "--steps",
         "--repeats",
         "--out",
         "--tier",
@@ -141,9 +134,7 @@ fn main() -> ExitCode {
         "list" => &LIST_FLAGS,
         "run" => &RUN_FLAGS,
         "show" => &SHOW_FLAGS,
-        "throughput" => &THROUGHPUT_FLAGS,
         "scale" => &SCALE_FLAGS,
-        "checkpoint" => &CHECKPOINT_FLAGS,
         "sanity" => &SANITY_FLAGS,
         "help" => {
             usage();
@@ -169,9 +160,7 @@ fn main() -> ExitCode {
         "list" => list(&args),
         "run" => run(&args, positional.first().copied()),
         "show" => show(positional.first().copied()),
-        "throughput" => throughput(&args),
         "scale" => scale(&args),
-        "checkpoint" => checkpoint_cmd(&args),
         "sanity" => sanity(&args),
         _ => unreachable!("filtered to known commands"),
     };
@@ -191,16 +180,10 @@ commands:
   show <path>               parse a run artifact (re-printing its summaries)
                             or a checkpoint container (per-cell algorithm,
                             seed, global step, tier); unknown schemas fail
-  throughput                measure real global-steps/sec and samples/sec per
-                            algorithm on the sanity workload (pipeline and
-                            engine modes) and write BENCH_throughput.json
   scale                     sweep the headline four over torus fleets (full:
                             32-4096 workers; tiny: 32/256) measuring
                             convergence, steps/sec, and peak RSS, and write
                             BENCH_scale.json
-  checkpoint                benchmark checkpoint encode/decode (logical JSON
-                            document vs NMXB vs incremental delta) over
-                            fleet sizes and write BENCH_checkpoint.json
   sanity                    run the sanity arms one at a time, each timed on
                             one thread, and write BENCH_sanity.json
 
@@ -219,12 +202,10 @@ options:
   --suspend-steps <K>       global steps before suspension (default 100)
   --resume <DIR>            resume the containers written by
                             --checkpoint-dir and run them to completion
-  --tier <strict|fast>      run: numerics tier for every matching experiment;
-                            throughput: restrict the grid to one tier
-                            (default: strict for run, both for throughput)
-  --steps <N>               throughput: global steps per repetition
-  --repeats <R>             throughput/scale: repetitions per cell (best kept)
-  --out <path>              throughput/scale/checkpoint/sanity: output path
+  --tier <strict|fast>      run: numerics tier for every matching experiment
+                            (default: the spec's own tier)
+  --repeats <R>             scale: repetitions per cell (best kept)
+  --out <path>              scale/sanity: output path
                             (default BENCH_<command>.json)"
     );
 }
@@ -537,7 +518,7 @@ fn print_result(result: &runner::ExperimentResult) {
         println!("{}", result.summary().pretty());
         return;
     }
-    let target = common::common_loss_target_of(result.cells.iter().map(|c| &c.report));
+    let target = result.loss_target();
     println!(
         "{:<28} {:>12} {:>10} {:>12} {:>12} {:>10} {:>8}",
         "arm", "seed", "epochs", "wall(s)", "t@target(s)", "loss", "acc"
@@ -559,9 +540,7 @@ fn print_result(result: &runner::ExperimentResult) {
         );
     }
     // The paper's headline ordering, when the headline pair is present.
-    let wall = |kind: AlgorithmKind| {
-        result.cells.iter().find(|c| c.algorithm == kind).map(|c| c.report.wall_clock_s)
-    };
+    let wall = |kind: AlgorithmKind| result.cell(kind).map(|c| c.report.wall_clock_s);
     if let (Some(nm), Some(ad)) = (wall(AlgorithmKind::NetMax), wall(AlgorithmKind::AdPsgd)) {
         println!("NetMax vs AD-PSGD wall-clock: {:.1}s vs {:.1}s", nm, ad);
     }
@@ -626,48 +605,6 @@ fn scale(args: &[String]) -> Result<(), ExitCode> {
     write_artifact(
         flag_value(args, "--out").unwrap_or("BENCH_scale.json"),
         &scale::scale_doc(&p, &rows),
-    )
-}
-
-fn checkpoint_cmd(args: &[String]) -> Result<(), ExitCode> {
-    use netmax_bench::checkpoint_bench;
-    let p = if has_flag(args, "--quick") {
-        checkpoint_bench::Params::quick()
-    } else {
-        checkpoint_bench::Params::full()
-    };
-    eprintln!(
-        "checkpoint I/O benchmark: n = {:?}, {} repeat(s) per point...",
-        p.node_counts, p.repeats
-    );
-    let rows = checkpoint_bench::run(&p);
-    print!("{}", checkpoint_bench::render_table(&rows));
-    write_artifact(
-        flag_value(args, "--out").unwrap_or("BENCH_checkpoint.json"),
-        &checkpoint_bench::checkpoint_bench_doc(&p, &rows),
-    )
-}
-
-fn throughput(args: &[String]) -> Result<(), ExitCode> {
-    use netmax_bench::throughput::{self, ThroughputOptions};
-    let mut opts =
-        if has_flag(args, "--quick") { ThroughputOptions::quick() } else { ThroughputOptions::full() };
-    opts.tier = parse_tier(args)?;
-    if let Some(steps) = positive_flag(args, "--steps")? {
-        opts.steps = steps;
-    }
-    if let Some(repeats) = positive_flag(args, "--repeats")? {
-        opts.repeats = repeats;
-    }
-    eprintln!(
-        "measuring sanity-workload throughput: {} steps x {} repeats per (arm, tier, mode)...",
-        opts.steps, opts.repeats
-    );
-    let rows = throughput::measure(&opts);
-    print!("{}", throughput::render_table(&rows));
-    write_artifact(
-        flag_value(args, "--out").unwrap_or("BENCH_throughput.json"),
-        &throughput::throughput_doc(&opts, &rows),
     )
 }
 

@@ -1,6 +1,6 @@
 //! Shared machinery for the figure/table harnesses.
 
-use netmax_core::engine::{AlgorithmKind, RunReport, TrainConfig};
+use netmax_core::engine::{RunReport, TrainConfig};
 use netmax_net::SlowdownConfig;
 
 /// Compressed Network-Monitor period `Ts` (paper: 120 s — see the crate
@@ -62,11 +62,6 @@ pub fn train_config(epochs: f64, seed: u64) -> TrainConfig {
 /// convergence, high enough to sit clear of plateau noise. (The paper
 /// reads its Fig. 8 speedups off the curves at a common loss level the
 /// same way.)
-pub fn common_loss_target(results: &[(AlgorithmKind, RunReport)]) -> f64 {
-    common_loss_target_of(results.iter().map(|(_, r)| r))
-}
-
-/// [`common_loss_target`] over any collection of reports.
 pub fn common_loss_target_of<'a>(results: impl Iterator<Item = &'a RunReport>) -> f64 {
     let (mut worst_final, mut initial) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for r in results {
@@ -81,27 +76,6 @@ pub fn common_loss_target_of<'a>(results: impl Iterator<Item = &'a RunReport>) -
     } else {
         floor
     }
-}
-
-/// `(algo, time_to_target, time relative to NetMax)` rows.
-pub fn speedup_rows(results: &[(AlgorithmKind, RunReport)]) -> Vec<(String, f64, f64)> {
-    let target = common_loss_target(results);
-    let times: Vec<(String, f64)> = results
-        .iter()
-        .map(|(k, r)| {
-            let t = r.time_to_loss(target).unwrap_or(r.wall_clock_s);
-            (k.label().to_string(), t)
-        })
-        .collect();
-    let netmax_time = times
-        .iter()
-        .find(|(n, _)| n == "NetMax")
-        .map(|(_, t)| *t)
-        .unwrap_or_else(|| times.iter().map(|(_, t)| *t).fold(f64::INFINITY, f64::min));
-    times
-        .into_iter()
-        .map(|(n, t)| (n, t, t / netmax_time))
-        .collect()
 }
 
 #[cfg(test)]
@@ -131,11 +105,8 @@ mod tests {
             final_test_accuracy: 0.5,
             per_node: vec![],
         };
-        let results = vec![
-            (AlgorithmKind::NetMax, mk(0.30)),
-            (AlgorithmKind::AdPsgd, mk(0.35)),
-        ];
-        let t = common_loss_target(&results);
+        let results = [mk(0.30), mk(0.35)];
+        let t = common_loss_target_of(results.iter());
         assert!(t > 0.35);
     }
 }

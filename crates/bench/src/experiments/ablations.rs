@@ -10,9 +10,8 @@
 //!    policy, on static and dynamic networks.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
+use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -170,66 +169,28 @@ fn static_vs_adaptive_specs(p: &Params) -> Vec<ExperimentSpec> {
     .collect()
 }
 
-/// Result row of the single-spec ablations.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Variant label.
-    pub variant: String,
-    /// Wall-clock to the epoch budget (s).
-    pub wall_s: f64,
-    /// Final training loss.
-    pub loss: f64,
-    /// Final test accuracy.
-    pub accuracy: f64,
-}
-
-fn row(variant: String, r: &RunReport) -> Row {
-    Row {
-        variant,
-        wall_s: r.wall_clock_s,
-        loss: r.final_train_loss,
-        accuracy: r.final_test_accuracy,
-    }
-}
-
-fn run_abl(spec: &ExperimentSpec) -> Vec<Row> {
-    runner::execute_with_threads(spec, runner::default_threads())
-        .cells
-        .into_iter()
-        .map(|c| row(c.label, &c.report))
-        .collect()
-}
-
-/// Ablation 1: inverse-probability vs fixed-weight merging, non-IID data.
-pub fn weighting(p: &Params) -> Vec<Row> {
-    run_abl(&specs(p)[0])
-}
-
-/// Ablation 2: Network Monitor period Ts vs the 120 s link-change period.
-pub fn ts_period(p: &Params) -> Vec<Row> {
-    run_abl(&specs(p)[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn weighting_variants_all_train() {
         let p = Params { epochs: 3.0, seed: 29 };
-        let rows = weighting(&p);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(r.loss.is_finite() && r.loss < 2.5, "{}: loss {}", r.variant, r.loss);
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        assert_eq!(result.cells.len(), 3);
+        for c in &result.cells {
+            let loss = c.report.final_train_loss;
+            assert!(loss.is_finite() && loss < 2.5, "{}: loss {}", c.label, loss);
         }
     }
 
     #[test]
     fn ts_sweep_produces_monotone_labels() {
         let p = Params { epochs: 2.0, seed: 29 };
-        let rows = ts_period(&p);
-        assert_eq!(rows.len(), 5);
-        assert!(rows[0].variant.contains("10"));
-        assert!(rows[4].variant.contains("300"));
+        let result = runner::execute_with_threads(&specs(&p)[1], runner::default_threads());
+        assert_eq!(result.cells.len(), 5);
+        assert!(result.cells[0].label.contains("10"));
+        assert!(result.cells[4].label.contains("300"));
     }
 }

@@ -7,7 +7,6 @@
 //! on — time is.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
@@ -48,17 +47,6 @@ impl Params {
     }
 }
 
-/// One table cell group (a row of the paper's table).
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Workload name.
-    pub model: String,
-    /// Worker count.
-    pub nodes: usize,
-    /// `(algorithm label, final test accuracy)`.
-    pub accuracy: Vec<(String, f64)>,
-}
-
 /// The registry entries: one spec per (workload, node count).
 pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     let group = if p.heterogeneous { "tab02" } else { "tab03" };
@@ -96,39 +84,22 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     out
 }
 
-/// Runs the table.
-pub fn run(p: &Params) -> Vec<Row> {
-    specs(p)
-        .iter()
-        .map(|spec| {
-            let result = runner::execute_with_threads(spec, runner::default_threads());
-            Row {
-                model: result.cells[0].report.workload.clone(),
-                nodes: result.spec.scenario.workers(),
-                accuracy: result
-                    .cells
-                    .into_iter()
-                    .map(|c| (c.label, c.report.final_test_accuracy))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn all_algorithms_reach_comparable_accuracy() {
         let p = Params { heterogeneous: true, node_counts: vec![4], epochs: 8.0, seed: 5 };
-        let rows = run(&p);
-        for r in &rows {
-            let accs: Vec<f64> = r.accuracy.iter().map(|(_, a)| *a).collect();
+        for spec in specs(&p) {
+            let result = runner::execute_with_threads(&spec, runner::default_threads());
+            let accs: Vec<f64> =
+                result.cells.iter().map(|c| c.report.final_test_accuracy).collect();
             let lo = accs.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = accs.iter().copied().fold(0.0f64, f64::max);
-            assert!(lo > 0.70, "{}: accuracy too low {accs:?}", r.model);
-            assert!(hi - lo < 0.10, "{}: accuracy spread too wide {accs:?}", r.model);
+            assert!(lo > 0.70, "{}: accuracy too low {accs:?}", spec.name);
+            assert!(hi - lo < 0.10, "{}: accuracy spread too wide {accs:?}", spec.name);
         }
     }
 }

@@ -7,7 +7,6 @@
 //! AD-PSGD nearly tie.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
@@ -38,21 +37,6 @@ impl Params {
         p.epochs = mode.epochs(p.epochs);
         p
     }
-}
-
-/// One bar of the figure.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Workload name ("resnet18/cifar10", …).
-    pub model: String,
-    /// Algorithm label.
-    pub algorithm: String,
-    /// Computation cost per epoch (s).
-    pub comp_s: f64,
-    /// Communication cost per epoch (s).
-    pub comm_s: f64,
-    /// Total epoch time (s).
-    pub epoch_s: f64,
 }
 
 /// The registry entries: one spec per workload panel.
@@ -91,47 +75,28 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
         .collect()
 }
 
-/// Runs the experiment: 2 workloads × 4 algorithms.
-pub fn run(p: &Params) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for spec in specs(p) {
-        let result = runner::execute_with_threads(&spec, runner::default_threads());
-        for c in result.cells {
-            rows.push(Row {
-                model: c.report.workload.clone(),
-                algorithm: c.label,
-                comp_s: c.report.comp_cost_per_epoch_s(),
-                comm_s: c.report.comm_cost_per_epoch_s(),
-                epoch_s: c.report.epoch_time_avg_s(),
-            });
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::Mode;
+    use crate::runner;
 
     #[test]
     fn hetero_ordering_matches_paper() {
         let p = Params { heterogeneous: true, workers: 8, epochs: 6.0, seed: 7 };
-        let rows = run(&p);
+        // The ResNet18 panel.
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let get = |kind: AlgorithmKind| &result.cell(kind).expect("arm present").report;
+        let comm = |kind: AlgorithmKind| get(kind).comm_cost_per_epoch_s();
         // Communication ordering for ResNet18: NetMax < AD-PSGD and
         // Prague the worst (Fig. 5's headline).
-        let get = |algo: &str| {
-            rows.iter()
-                .find(|r| r.model == "resnet18/cifar10" && r.algorithm == algo)
-                .unwrap()
-        };
-        assert!(get("NetMax").comm_s <= get("AD-PSGD").comm_s * 1.05);
-        assert!(get("Prague").comm_s > get("NetMax").comm_s);
-        assert!(get("Allreduce").comm_s > get("AD-PSGD").comm_s);
+        assert_eq!(get(AlgorithmKind::NetMax).workload, "resnet18/cifar10");
+        assert!(comm(AlgorithmKind::NetMax) <= comm(AlgorithmKind::AdPsgd) * 1.05);
+        assert!(comm(AlgorithmKind::Prague) > comm(AlgorithmKind::NetMax));
+        assert!(comm(AlgorithmKind::AllreduceSgd) > comm(AlgorithmKind::AdPsgd));
         // Computation costs nearly identical across algorithms.
-        let comps: Vec<f64> = ["NetMax", "AD-PSGD", "Allreduce", "Prague"]
+        let comps: Vec<f64> = AlgorithmKind::headline_four()
             .iter()
-            .map(|a| get(a).comp_s)
+            .map(|&k| get(k).comp_cost_per_epoch_s())
             .collect();
         let (lo, hi) = (
             comps.iter().copied().fold(f64::INFINITY, f64::min),

@@ -6,7 +6,6 @@
 //! compute is much shorter than communication.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, ExecutionMode, Scenario};
 use netmax_ml::workload::WorkloadSpec;
@@ -35,20 +34,6 @@ impl Params {
         p.epochs = mode.epochs(p.epochs);
         p
     }
-}
-
-/// One bar of the figure.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Workload name.
-    pub model: String,
-    /// Setting label ("serial+uniform", …).
-    pub setting: String,
-    /// Average per-node epoch time (s).
-    pub epoch_s: f64,
-    /// Simulated seconds to the common loss target (the Fig. 8-style
-    /// convergence view of the same four settings).
-    pub t_target_s: f64,
 }
 
 /// The registry entries: one spec per (workload, execution mode), each
@@ -84,44 +69,24 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     out
 }
 
-/// Runs the 4 settings × 2 workloads.
-pub fn run(p: &Params) -> Vec<Row> {
-    let mut rows = Vec::new();
-    // Two specs (serial, parallel) per workload share one loss target.
-    for pair in specs(p).chunks(2) {
-        let results: Vec<_> = pair
-            .iter()
-            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
-            .collect();
-        let target = common::common_loss_target_of(
-            results.iter().flat_map(|r| r.cells.iter().map(|c| &c.report)),
-        );
-        for result in results {
-            for c in result.cells {
-                rows.push(Row {
-                    model: c.report.workload.clone(),
-                    setting: c.label,
-                    epoch_s: c.report.epoch_time_avg_s(),
-                    t_target_s: c.report.time_to_loss(target).unwrap_or(c.report.wall_clock_s),
-                });
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn adaptive_beats_uniform_and_parallel_beats_serial() {
         let p = Params { workers: 8, epochs: 8.0, seed: 11 };
-        let rows = run(&p);
+        let results: Vec<_> = specs(&p)
+            .iter()
+            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .collect();
         let get = |model: &str, setting: &str| {
-            rows.iter()
-                .find(|r| r.model == model && r.setting == setting)
-                .map(|r| r.epoch_s)
+            results
+                .iter()
+                .flat_map(|r| &r.cells)
+                .find(|c| c.report.workload == model && c.label == setting)
+                .map(|c| c.report.epoch_time_avg_s())
                 .unwrap()
         };
         for model in ["resnet18/cifar10", "vgg19/cifar10"] {

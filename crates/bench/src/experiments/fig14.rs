@@ -8,9 +8,8 @@
 //! (Table VI: all six approaches within ~1%).
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
+use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -71,29 +70,18 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     }]
 }
 
-/// Runs MobileNet/CIFAR100 with the §V-F non-uniform setting plus the two
-/// PS baselines.
-pub fn run(p: &Params) -> Vec<(AlgorithmKind, RunReport)> {
-    let spec = &specs(p)[0];
-    runner::execute_with_threads(spec, runner::default_threads())
-        .cells
-        .into_iter()
-        .map(|c| (c.algorithm, c.report))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn six_algorithms_run_and_ps_sync_is_slowest_family() {
         let p = Params { epochs: 3.0, seed: 17 };
-        let results = run(&p);
-        assert_eq!(results.len(), 6);
-        let wall = |kind: AlgorithmKind| {
-            results.iter().find(|(k, _)| *k == kind).unwrap().1.wall_clock_s
-        };
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        assert_eq!(result.cells.len(), 6);
+        let wall =
+            |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;
         // PS-sync pays the central bottleneck *and* slowest-link pacing:
         // it must be slower than NetMax by a clear margin.
         assert!(wall(AlgorithmKind::PsSync) > 1.5 * wall(AlgorithmKind::NetMax));

@@ -8,9 +8,8 @@
 //! up-weights rarely-pulled (slow) neighbours.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
+use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -63,27 +62,17 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     }]
 }
 
-/// Runs the three-way comparison on ResNet18/CIFAR100 (§V-F setting).
-pub fn run(p: &Params) -> Vec<(AlgorithmKind, RunReport)> {
-    let spec = &specs(p)[0];
-    runner::execute_with_threads(spec, runner::default_threads())
-        .cells
-        .into_iter()
-        .map(|c| (c.algorithm, c.report))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn monitor_cuts_adpsgd_wall_clock() {
         let p = Params { epochs: 6.0, seed: 19 };
-        let results = run(&p);
-        let wall = |kind: AlgorithmKind| {
-            results.iter().find(|(k, _)| *k == kind).unwrap().1.wall_clock_s
-        };
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let wall =
+            |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;
         // The §V-H finding: the monitored variant trains faster on the
         // wall clock than plain AD-PSGD.
         assert!(

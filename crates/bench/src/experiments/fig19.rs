@@ -6,9 +6,8 @@
 //! AD-PSGD / PS-async / PS-sync over the WAN.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
+use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -33,14 +32,6 @@ impl Params {
         p.epochs = mode.epochs(p.epochs);
         p
     }
-}
-
-/// One panel (model) of the figure.
-pub struct Panel {
-    /// Workload name.
-    pub model: String,
-    /// Per-algorithm reports (accuracy curves inside).
-    pub results: Vec<(AlgorithmKind, RunReport)>,
 }
 
 /// The registry entries: one spec per model panel.
@@ -78,43 +69,19 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
         .collect()
 }
 
-/// Runs both panels over the 6-region WAN.
-pub fn run(p: &Params) -> Vec<Panel> {
-    specs(p)
-        .iter()
-        .map(|spec| {
-            let result = runner::execute_with_threads(spec, runner::default_threads());
-            Panel {
-                model: result.cells[0].report.workload.clone(),
-                results: result.cells.into_iter().map(|c| (c.algorithm, c.report)).collect(),
-            }
-        })
-        .collect()
-}
-
-/// Seconds for the averaged model to first reach `target` test accuracy.
-pub fn time_to_accuracy(report: &RunReport, target: f64) -> Option<f64> {
-    runner::time_to_accuracy(report, target)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn netmax_reaches_accuracy_before_ps_sync() {
         let p = Params { epochs: 5.0, seed: 23 };
-        let panels = run(&p);
-        let panel = &panels[0];
-        let target = panel
-            .results
-            .iter()
-            .map(|(_, r)| r.final_test_accuracy)
-            .fold(f64::INFINITY, f64::min)
-            * 0.98;
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let target = result.accuracy_target();
         let t = |kind: AlgorithmKind| {
-            let r = &panel.results.iter().find(|(k, _)| *k == kind).unwrap().1;
-            time_to_accuracy(r, target).unwrap_or(r.wall_clock_s)
+            let r = &result.cell(kind).expect("arm present").report;
+            runner::time_to_accuracy(r, target).unwrap_or(r.wall_clock_s)
         };
         assert!(
             t(AlgorithmKind::NetMax) < t(AlgorithmKind::PsSync),
@@ -127,9 +94,13 @@ mod tests {
     #[test]
     fn wan_panels_cover_both_models() {
         let p = Params { epochs: 2.0, seed: 23 };
-        let panels = run(&p);
-        assert_eq!(panels.len(), 2);
-        assert!(panels[0].model.contains("mobilenet"));
-        assert!(panels[1].model.contains("googlenet"));
+        let models: Vec<String> = specs(&p)
+            .iter()
+            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .map(|r| r.cells[0].report.workload.clone())
+            .collect();
+        assert_eq!(models.len(), 2);
+        assert!(models[0].contains("mobilenet"));
+        assert!(models[1].contains("googlenet"));
     }
 }

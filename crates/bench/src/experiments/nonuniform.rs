@@ -12,9 +12,8 @@
 //! * Fig. 18 — MobileNet / MNIST, 8 workers, Table IV non-IID labels.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{AlgorithmKind, PartitionKind, RunReport, Scenario};
+use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
@@ -110,14 +109,6 @@ impl Params {
     }
 }
 
-/// The experiment result: per-algorithm reports (curves inside).
-pub struct Outcome {
-    /// Workload name.
-    pub model: String,
-    /// Per-algorithm reports.
-    pub results: Vec<(AlgorithmKind, RunReport)>,
-}
-
 /// The registry entry for one case (optionally under a different group,
 /// e.g. `tab05` re-registers the same runs as table rows).
 pub fn spec_for(p: &Params, group: &str) -> ExperimentSpec {
@@ -156,38 +147,34 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     vec![spec_for(p, p.case.group())]
 }
 
-/// Runs the case with the four headline algorithms, two GPU servers
-/// hosting the workers (the §V-F deployment).
-pub fn run(p: &Params) -> Outcome {
-    let spec = spec_for(p, "nonuniform");
-    let result = runner::execute_with_threads(&spec, runner::default_threads());
-    Outcome {
-        model: result.cells[0].report.workload.clone(),
-        results: result.cells.into_iter().map(|c| (c.algorithm, c.report)).collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn mnist_noniid_runs_and_netmax_leads_on_time() {
         let p = Params { case: Case::MnistNonIid, epochs: 4.0, seed: 13 };
-        let out = run(&p);
-        let rows = common::speedup_rows(&out.results);
-        let t = |name: &str| rows.iter().find(|(n, _, _)| n == name).unwrap().1;
-        assert!(t("NetMax") <= t("Allreduce"), "NetMax should beat Allreduce on time");
-        assert!(t("NetMax") <= t("Prague"));
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let target = result.loss_target();
+        let t = |kind: AlgorithmKind| {
+            let r = &result.cell(kind).expect("arm present").report;
+            r.time_to_loss(target).unwrap_or(r.wall_clock_s)
+        };
+        assert!(
+            t(AlgorithmKind::NetMax) <= t(AlgorithmKind::AllreduceSgd),
+            "NetMax should beat Allreduce on time"
+        );
+        assert!(t(AlgorithmKind::NetMax) <= t(AlgorithmKind::Prague));
     }
 
     #[test]
     fn segmented_case_loses_no_data() {
         let p = Params { case: Case::Cifar100, epochs: 2.0, seed: 13 };
-        let out = run(&p);
-        for (_, r) in &out.results {
-            assert!(r.final_train_loss.is_finite());
-            assert!(r.epochs_completed >= 2.0);
+        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        for c in &result.cells {
+            assert!(c.report.final_train_loss.is_finite());
+            assert!(c.report.epochs_completed >= 2.0);
         }
     }
 

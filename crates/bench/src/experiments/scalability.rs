@@ -3,10 +3,10 @@
 //! The paper's baseline is "the training time after finishing a specified
 //! epoch in Allreduce-SGD with 4 worker nodes"; every other run's speedup
 //! is that time divided by its own time to the same per-node epoch count
-//! (§V-E). Heterogeneous sweeps 4–16 nodes, homogeneous 4–8.
+//! (§V-E) — each spec's cells carry the wall-clock times the ratio is
+//! read from. Heterogeneous sweeps 4–16 nodes, homogeneous 4–8.
 
 use crate::common::{self, Mode};
-use crate::runner;
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
 use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
@@ -47,21 +47,6 @@ impl Params {
     }
 }
 
-/// One point of the figure.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Workload name.
-    pub model: String,
-    /// Algorithm label.
-    pub algorithm: String,
-    /// Worker count.
-    pub nodes: usize,
-    /// Wall-clock seconds to the epoch target.
-    pub time_s: f64,
-    /// Speedup over Allreduce-SGD with 4 workers.
-    pub speedup: f64,
-}
-
 /// The registry entries: one spec per (workload, node count).
 pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     let group = if p.heterogeneous { "fig10" } else { "fig11" };
@@ -99,51 +84,10 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
     out
 }
 
-/// Runs the sweep for both workloads. The speedup baseline is the
-/// Allreduce-SGD run at 4 workers (§V-E); when 4 is not among the
-/// requested node counts an extra baseline spec is executed unregistered.
-pub fn run(p: &Params) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for make in [WorkloadSpec::resnet18_cifar10 as fn(u64) -> WorkloadSpec, WorkloadSpec::vgg19_cifar10] {
-        let workload_name = make(p.seed).kind.name().to_string();
-        let results: Vec<_> = specs(p)
-            .into_iter()
-            .filter(|s| s.name.contains(&workload_name))
-            .map(|s| runner::execute_with_threads(&s, runner::default_threads()))
-            .collect();
-        let baseline = results
-            .iter()
-            .find(|r| r.spec.scenario.workers() == 4)
-            .and_then(|r| r.cell(AlgorithmKind::AllreduceSgd))
-            .map(|c| c.report.wall_clock_s)
-            .unwrap_or_else(|| {
-                let mut bp = p.clone();
-                bp.node_counts = vec![4];
-                let spec = specs(&bp)
-                    .into_iter()
-                    .find(|s| s.name.contains(&workload_name))
-                    .expect("baseline spec");
-                let r = runner::execute_with_threads(&spec, runner::default_threads());
-                r.cell(AlgorithmKind::AllreduceSgd).expect("allreduce arm").report.wall_clock_s
-            });
-        for result in results {
-            for c in result.cells {
-                rows.push(Row {
-                    model: c.report.workload.clone(),
-                    algorithm: c.label,
-                    nodes: result.spec.scenario.workers(),
-                    time_s: c.report.wall_clock_s,
-                    speedup: baseline / c.report.wall_clock_s,
-                });
-            }
-        }
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn netmax_speedup_dominates_at_every_node_count() {
@@ -153,31 +97,25 @@ mod tests {
             epochs: 5.0,
             seed: 3,
         };
-        let rows = run(&p);
-        for &nodes in &p.node_counts {
-            {
-                let model = "resnet18/cifar10";
-                let get = |algo: &str| {
-                    rows.iter()
-                        .find(|r| r.model == model && r.nodes == nodes && r.algorithm == algo)
-                        .unwrap()
-                        .speedup
-                };
-                let netmax = get("NetMax");
-                assert!(netmax >= get("Prague"), "nodes={nodes}");
-                assert!(netmax >= get("Allreduce"), "nodes={nodes}");
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce4_speedup_is_exactly_one() {
-        let p = Params { heterogeneous: false, node_counts: vec![4], epochs: 3.0, seed: 3 };
-        let rows = run(&p);
-        let base = rows
+        // The ResNet18 sweep; the §V-E baseline is its Allreduce run at
+        // 4 workers.
+        let results: Vec<_> = specs(&p)
             .iter()
-            .find(|r| r.nodes == 4 && r.algorithm == "Allreduce" && r.model == "resnet18/cifar10")
-            .unwrap();
-        assert!((base.speedup - 1.0).abs() < 1e-9);
+            .filter(|s| s.name.contains("resnet18"))
+            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .collect();
+        assert_eq!(results.len(), p.node_counts.len());
+        let wall = |r: &runner::ExperimentResult, kind: AlgorithmKind| {
+            r.cell(kind).expect("arm present").report.wall_clock_s
+        };
+        assert_eq!(results[0].spec.scenario.workers(), 4);
+        let baseline = wall(&results[0], AlgorithmKind::AllreduceSgd);
+        for result in &results {
+            let nodes = result.spec.scenario.workers();
+            let speedup = |kind: AlgorithmKind| baseline / wall(result, kind);
+            let netmax = speedup(AlgorithmKind::NetMax);
+            assert!(netmax >= speedup(AlgorithmKind::Prague), "nodes={nodes}");
+            assert!(netmax >= speedup(AlgorithmKind::AllreduceSgd), "nodes={nodes}");
+        }
     }
 }

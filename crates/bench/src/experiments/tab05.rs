@@ -70,41 +70,10 @@ pub fn specs(p: &Params) -> Vec<crate::spec::ExperimentSpec> {
         .collect()
 }
 
-/// One row of Table V.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Dataset/model label.
-    pub workload: String,
-    /// `(algorithm, accuracy)` cells.
-    pub accuracy: Vec<(String, f64)>,
-}
-
-/// Runs every case and extracts final accuracies.
-pub fn run(p: &Params) -> Vec<Row> {
-    p.cases
-        .iter()
-        .map(|&case| {
-            let mut np = nonuniform::Params::full(case);
-            np.seed = p.seed;
-            if let Some(e) = p.epochs {
-                np.epochs = e;
-            }
-            let out = nonuniform::run(&np);
-            Row {
-                workload: out.model,
-                accuracy: out
-                    .results
-                    .into_iter()
-                    .map(|(k, r)| (k.label().to_string(), r.final_test_accuracy))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     #[test]
     fn produces_one_row_per_case() {
@@ -113,12 +82,13 @@ mod tests {
             epochs: Some(2.0),
             seed: 13,
         };
-        let rows = run(&p);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert_eq!(r.accuracy.len(), 4);
-            for (_, acc) in &r.accuracy {
-                assert!((0.0..=1.0).contains(acc));
+        let specs = specs(&p);
+        assert_eq!(specs.len(), 2);
+        for spec in &specs {
+            let result = runner::execute_with_threads(spec, runner::default_threads());
+            assert_eq!(result.cells.len(), 4);
+            for c in &result.cells {
+                assert!((0.0..=1.0).contains(&c.report.final_test_accuracy));
             }
         }
     }

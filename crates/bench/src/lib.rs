@@ -5,17 +5,19 @@
 //! suite, the fleet-scale sweep and the numerics-tier equivalence gates.
 //! Each experiment module exposes
 //!
-//! * `Params` with `full()` and a mode-scaled `for_mode(Mode)` preset,
+//! * `Params` with `full()` and a mode-scaled `for_mode(Mode)` preset, and
 //! * `specs(&Params)` — its declarative [`ExperimentSpec`]s, collected by
-//!   the [`registry`](mod@registry), and
-//! * `run(&Params)` returning the figure's rows, which the module's
-//!   paper-claim tests assert on.
+//!   the [`registry`](mod@registry);
+//!
+//! its paper-claim tests execute those specs through the [`runner`] and
+//! assert on the [`ExperimentResult`] the run artifact publishes.
 //!
 //! The `netmax-bench` binary is the only executable: `run` executes
 //! registry entries through the [`runner`] and writes the versioned run
-//! artifact, and `sanity`, `throughput`, `scale` and `checkpoint` write
-//! the committed `BENCH_*.json` documents. The experiment scale
-//! ([`Mode`]) comes from its `--quick` / `--tiny` flags.
+//! artifact, and `sanity` and `scale` write the committed `BENCH_*.json`
+//! documents. The experiment scale ([`Mode`]) comes from its `--quick` /
+//! `--tiny` flags. Real time per layer is the business of `benchmark/`
+//! (see `BENCHMARK.json`), not of this crate.
 //!
 //! ## Timescale compression
 //!
@@ -29,13 +31,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checkpoint_bench;
 pub mod common;
 pub mod experiments;
 pub mod registry;
 pub mod runner;
 pub mod spec;
-pub mod throughput;
 
 pub use common::{Mode, LINK_CHANGE_PERIOD_S, MONITOR_PERIOD_S};
 pub use registry::{registry, registry_json};

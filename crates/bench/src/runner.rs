@@ -9,14 +9,14 @@
 //! changes. The datasets are instantiated once per experiment and shared
 //! across cells through the workload's internal `Arc`s.
 //!
-//! Executing through sessions buys the runner three capabilities the old
-//! blocking calls could not offer:
+//! Executing through sessions gives the runner three capabilities a
+//! blocking call cannot offer:
 //!
 //! * **progress callbacks** — [`RunOptions::progress`] fires on every
 //!   recorded sample of every cell, from whichever worker thread runs it;
 //! * **real-time deadlines** — [`RunOptions::cell_deadline`] finishes a
 //!   cell early (with a truthful partial report) when its real wall-clock
-//!   budget expires;
+//!   budget expires; the runner reads the clock, the engine never does;
 //! * **suspend/resume** — [`execute_suspended`] checkpoints every cell
 //!   mid-run into NMXB bytes, [`checkpoint_bytes`] packs them into one
 //!   `netmax-bench/checkpoint/v1` container, and [`resume`] continues
@@ -93,14 +93,24 @@ pub struct ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// The cells of one arm (by index), across seeds.
-    pub fn arm_cells(&self, arm: usize) -> impl Iterator<Item = &CellResult> {
-        self.cells.iter().filter(move |c| c.arm == arm)
-    }
-
-    /// The first cell matching an algorithm (convenience for adapters).
+    /// The first cell matching an algorithm.
     pub fn cell(&self, kind: AlgorithmKind) -> Option<&CellResult> {
         self.cells.iter().find(|c| c.algorithm == kind)
+    }
+
+    /// The loss level the `time_to_target` summary is read at
+    /// ([`common_loss_target_of`](crate::common::common_loss_target_of)
+    /// over every cell).
+    pub fn loss_target(&self) -> f64 {
+        crate::common::common_loss_target_of(self.cells.iter().map(|c| &c.report))
+    }
+
+    /// The test accuracy the `time_to_accuracy` summary is read at: 98 %
+    /// of the worst cell's final accuracy, so every arm reaches it.
+    pub fn accuracy_target(&self) -> f64 {
+        let worst =
+            self.cells.iter().map(|c| c.report.final_test_accuracy).fold(f64::INFINITY, f64::min);
+        worst * 0.98
     }
 
     /// Per-experiment record for the JSON artifact: spec, numerics tier
@@ -121,9 +131,7 @@ impl ExperimentResult {
         for metric in &self.spec.metrics {
             let value = match metric {
                 MetricKind::TimeToTarget => {
-                    let target = crate::common::common_loss_target_of(
-                        self.cells.iter().map(|c| &c.report),
-                    );
+                    let target = self.loss_target();
                     Json::obj([
                         ("loss_target", target.to_json()),
                         (
@@ -161,12 +169,7 @@ impl ExperimentResult {
                         .collect(),
                 ),
                 MetricKind::TimeToAccuracy => {
-                    let target = self
-                        .cells
-                        .iter()
-                        .map(|c| c.report.final_test_accuracy)
-                        .fold(f64::INFINITY, f64::min)
-                        * 0.98;
+                    let target = self.accuracy_target();
                     Json::obj([
                         ("accuracy_target", target.to_json()),
                         (
@@ -380,14 +383,14 @@ fn drive_session(
             });
         }
     };
-    // The deadline is enforced *inside* the session's step loop, before
-    // every driver advance — a round-granular driver can overshoot by at
-    // most the one event in flight when the budget expires, never by
-    // further rounds.
-    if let Some(d) = opts.cell_deadline {
-        session.set_deadline(Instant::now() + d);
-    }
+    // The deadline is checked before every session step, so a
+    // round-granular driver can overshoot by at most the one event in
+    // flight when the budget expires, never by further rounds.
+    let deadline = opts.cell_deadline.map(|d| Instant::now() + d);
     let report = loop {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            break session.finish_now();
+        }
         match session.step() {
             StepEvent::Sampled { sample } => stream(&sample),
             StepEvent::Finished { report } => break report,
@@ -850,7 +853,7 @@ mod tests {
     fn seeds_produce_distinct_runs() {
         let spec = small_spec();
         let result = execute(&spec);
-        let netmax: Vec<_> = result.arm_cells(0).collect();
+        let netmax: Vec<_> = result.cells.iter().filter(|c| c.arm == 0).collect();
         assert_eq!(netmax.len(), 2);
         assert_ne!(
             netmax[0].report.final_train_loss, netmax[1].report.final_train_loss,
@@ -1053,7 +1056,7 @@ mod tests {
     #[test]
     fn expired_cell_deadline_bounds_overshoot_to_zero_driver_advances() {
         // A zero budget expires before the first driver advance: the
-        // deadline check inside the session step loop must finish every
+        // deadline check in front of every session step must finish every
         // cell immediately with a truthful empty partial report — no
         // round-granular driver gets to run "one more round".
         let mut spec = small_spec();

@@ -82,11 +82,15 @@ fn every_artifact_is_whole_newline_terminated_and_the_only_thing_written() {
 fn malformed_counts_are_usage_errors_and_the_mode_variable_is_inert() {
     let dir = scratch_dir("usage");
     // (arguments, what the one-line message must contain)
-    let table: [(&[&str], &str); 4] = [
+    let table: [(&[&str], &str); 6] = [
         (&["run", "sanity", "--tiny", "--seeds", "0"], "--seeds needs a positive integer, got `0`"),
         (&["run", "sanity", "--tiny", "--threads", "0"], "--threads needs a positive integer, got `0`"),
         (&["scale", "--tiny", "--repeats", "x"], "--repeats needs a positive integer, got `x`"),
-        (&["throughput", "--quick", "--steps", "-3"], "--steps needs a positive integer, got `-3`"),
+        (&["scale", "--tiny", "--repeats", "-3"], "--repeats needs a positive integer, got `-3`"),
+        // Real time per layer is measured by `benchmark/`; the two
+        // micro-harness subcommands are not commands.
+        (&["throughput", "--quick"], "unknown command: throughput"),
+        (&["checkpoint", "--quick"], "unknown command: checkpoint"),
     ];
     for (args, message) in table {
         let out = bench(&dir, args);

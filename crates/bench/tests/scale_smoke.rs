@@ -5,7 +5,9 @@
 //! mis-factored torus or an empty shard fails in tests, not mid-sweep.
 
 use netmax_bench::experiments::scale;
+use netmax_bench::runner::{self, RunOptions};
 use netmax_bench::{registry, Mode};
+use netmax_core::engine::AlgorithmKind;
 
 #[test]
 fn every_full_sweep_entry_builds_its_environment_at_declared_n() {
@@ -55,4 +57,34 @@ fn scale_arms_override_the_monitor_period() {
             assert!(period > 0.0 && period < 30.0, "{}: Ts = {period}", spec.name);
         }
     }
+}
+
+/// The acceptance scale point: binary suspend → resume at n = 1024 is
+/// byte-identical to the uninterrupted run, through the same
+/// `scale/*` spec the sweep uses (budget shortened, gossip arm only).
+#[test]
+fn scale_point_binary_suspend_resume_is_byte_identical_at_n_1024() {
+    let p = scale::Params {
+        node_counts: vec![1024],
+        steps_per_node: 2,
+        repeats: 1,
+        seed: 11,
+    };
+    let mut spec = scale::specs(&p).remove(0);
+    spec.arms.retain(|a| a.algorithm == AlgorithmKind::AdPsgd);
+    assert_eq!(spec.arms.len(), 1);
+
+    let direct = runner::execute_with_threads(&spec, 2);
+    let suspended = runner::execute_suspended(&spec, 2, 512).unwrap();
+    let bytes = runner::checkpoint_bytes(&suspended).unwrap();
+    let parsed = runner::parse_checkpoint_bytes(&bytes).unwrap();
+    let resumed =
+        runner::resume(&parsed, &RunOptions { threads: 2, ..Default::default() }).unwrap();
+
+    let (a, b) = (runner::artifact(&[direct]), runner::artifact(&[resumed]));
+    assert_eq!(
+        a.to_string(),
+        b.to_string(),
+        "n=1024 binary suspend + resume must reproduce the uninterrupted artifact"
+    );
 }

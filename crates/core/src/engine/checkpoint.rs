@@ -194,12 +194,6 @@ impl CheckpointScratch {
         !self.base.is_empty() && self.base.len() == num_nodes
     }
 
-    /// Drops the delta base, ending the current chain. The next binary
-    /// snapshot starts a fresh one.
-    pub fn reset_chain(&mut self) {
-        self.base.clear();
-    }
-
     /// Rebuilds every node blob in `cur` from the environment, reusing
     /// buffer capacity. Zero allocations in steady state (same fleet,
     /// same model shapes, warm buffers).

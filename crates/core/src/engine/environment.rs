@@ -623,14 +623,14 @@ fn draw_active(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netmax_net::HomogeneousNetwork;
+    use netmax_net::{ElasticNetwork, LinkQuality};
     use rand::RngCore;
 
     fn tiny_env() -> Environment {
         let workload = Workload::convex_ridge(1);
         let n = 4;
         let topology = Topology::fully_connected(n);
-        let network = Box::new(HomogeneousNetwork::paper_default(n));
+        let network = Box::new(ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()));
         let partition = Partition::uniform(&workload.train, n, 7);
         Environment::new(topology, network, workload, partition, TrainConfig::quick_test())
     }
@@ -725,7 +725,7 @@ mod tests {
         small_workload.train = std::sync::Arc::new(train);
         small_workload.test = std::sync::Arc::new(test);
         let topology = Topology::fully_connected(4);
-        let network = Box::new(HomogeneousNetwork::paper_default(4));
+        let network = Box::new(ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g()));
         let partition = Partition::uniform(&small_workload.train, 4, 7);
         let mut small = Environment::new(
             topology,

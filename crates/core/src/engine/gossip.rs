@@ -55,13 +55,6 @@ pub trait GossipBehavior {
     /// iteration time (drives the EMA of Algorithm 2 line 16).
     fn on_iteration(&mut self, _env: &Environment, _i: usize, _peer: Option<usize>, _t: f64) {}
 
-    /// Called after a membership transition (node crash or rejoin); the
-    /// environment's active flags are already updated. Behaviors that
-    /// hold per-node state (policies, trackers) may react here; the
-    /// default is a no-op — peer selection already consults the active
-    /// set through the environment.
-    fn on_membership_change(&mut self, _env: &mut Environment, _node: usize, _active: bool) {}
-
     /// If `Some(Ts)`, a Network-Monitor event fires every `Ts` simulated
     /// seconds (Algorithm 1's collection period).
     fn monitor_period(&self) -> Option<f64> {
@@ -98,9 +91,6 @@ impl<B: GossipBehavior + ?Sized> GossipBehavior for &mut B {
     }
     fn on_iteration(&mut self, env: &Environment, i: usize, peer: Option<usize>, t: f64) {
         (**self).on_iteration(env, i, peer, t)
-    }
-    fn on_membership_change(&mut self, env: &mut Environment, node: usize, active: bool) {
-        (**self).on_membership_change(env, node, active)
     }
     fn monitor_period(&self) -> Option<f64> {
         (**self).monitor_period()
@@ -374,7 +364,6 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
     }
 
     fn on_membership_change(&mut self, env: &mut Environment, node: usize, active: bool) {
-        self.behavior.on_membership_change(env, node, active);
         if !self.started {
             return;
         }
@@ -490,7 +479,7 @@ mod tests {
     use netmax_json::ToJson;
     use netmax_ml::partition::Partition;
     use netmax_ml::workload::Workload;
-    use netmax_net::{HomogeneousNetwork, Topology};
+    use netmax_net::{ElasticNetwork, LinkQuality, Topology};
     use rand::Rng;
 
     /// Minimal AD-PSGD-like behavior for driver tests: uniform neighbour,
@@ -515,7 +504,7 @@ mod tests {
         let cfg = TrainConfig { seed, ..TrainConfig::quick_test() };
         Environment::new(
             Topology::fully_connected(4),
-            Box::new(HomogeneousNetwork::paper_default(4)),
+            Box::new(ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g())),
             w,
             part,
             cfg,
@@ -663,30 +652,6 @@ mod tests {
             Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "uniform-avg"))).unwrap();
         let report = session.run();
         assert_eq!(report.global_steps, 37);
-    }
-
-    #[test]
-    fn expired_deadline_finishes_without_another_driver_advance() {
-        let mut e = env(21);
-        let mut b = UniformAveraging;
-        let mut session =
-            Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "uniform-avg"))).unwrap();
-        let mut steps = 0;
-        while steps < 10 {
-            if let StepEvent::GlobalStep { .. } = session.step() {
-                steps += 1;
-            }
-        }
-        session.set_deadline(std::time::Instant::now());
-        let before = session.env().global_step;
-        // The overshoot past an expired deadline is bounded at zero driver
-        // advances: the very next step finishes with a truthful partial
-        // report.
-        match session.step() {
-            StepEvent::Finished { report } => assert_eq!(report.global_steps, before),
-            other => panic!("expected immediate finish, got {other:?}"),
-        }
-        assert_eq!(session.env().global_step, before, "driver advanced past the deadline");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (models, shards, network, clocks).
 //! * [`recorder`] — metric sampling and the final [`RunReport`].
 //! * [`session`] — the step-wise execution surface: [`Session`],
-//!   [`SessionDriver`], [`StepEvent`], [`Observer`], checkpoint/resume.
+//!   [`SessionDriver`], [`StepEvent`], checkpoint/resume.
 //! * [`stop`] — serializable [`StopCondition`] expressions.
 //! * [`gossip`] — the asynchronous gossip driver shared by NetMax,
 //!   AD-PSGD, GoSGD, and SAPS-PSGD ([`GossipBehavior`]).
@@ -42,8 +42,7 @@ pub use gossip::{
 pub use recorder::{reference_sample, PairCount, Recorder, RunReport, Sample};
 pub use scenario::{PartitionKind, Scenario, ScenarioBuilder, TopologyKind};
 pub use session::{
-    DriverEvent, Observer, Session, SessionDriver, SessionError, StepEvent,
-    SESSION_CHECKPOINT_SCHEMA,
+    DriverEvent, Session, SessionDriver, SessionError, StepEvent, SESSION_CHECKPOINT_SCHEMA,
 };
 pub use stop::StopCondition;
 

@@ -102,21 +102,6 @@ impl RunReport {
         mean(self.per_node.iter().map(|n| safe_div(n.comm_s, n.epochs)))
     }
 
-    /// Mean over nodes of total gradient-compute seconds.
-    pub fn comp_time_total_s(&self) -> f64 {
-        mean(self.per_node.iter().map(|n| n.comp_s))
-    }
-
-    /// Mean over nodes of total exposed-communication seconds.
-    pub fn comm_time_total_s(&self) -> f64 {
-        mean(self.per_node.iter().map(|n| n.comm_s))
-    }
-
-    /// Slowest node's epoch count — the straggler view of progress.
-    pub fn min_node_epochs(&self) -> f64 {
-        self.per_node.iter().map(|n| n.epochs).fold(f64::INFINITY, f64::min)
-    }
-
     /// Simulated seconds to reach `loss` (first sample at or below it), if
     /// ever reached — the paper's convergence-speedup measure.
     pub fn time_to_loss(&self, loss: f64) -> Option<f64> {
@@ -124,14 +109,6 @@ impl RunReport {
             .iter()
             .find(|s| s.train_loss <= loss)
             .map(|s| s.time_s)
-    }
-
-    /// Mean epochs to reach `loss`, if ever reached.
-    pub fn epochs_to_loss(&self, loss: f64) -> Option<f64> {
-        self.samples
-            .iter()
-            .find(|s| s.train_loss <= loss)
-            .map(|s| s.epoch)
     }
 }
 
@@ -288,14 +265,6 @@ impl Recorder {
     pub fn due(&self, env: &Environment) -> bool {
         env.global_step == 1
             || env.global_step - self.last_recorded_step >= env.cfg.record_every_steps
-    }
-
-    /// Records a sample if the configured cadence says so; call after
-    /// every global step.
-    pub fn maybe_record(&mut self, env: &Environment) {
-        if self.due(env) {
-            self.force_record(env);
-        }
     }
 
     /// Records a sample unconditionally and returns it (the session's
@@ -495,14 +464,14 @@ mod tests {
     use crate::engine::config::TrainConfig;
     use netmax_ml::partition::Partition;
     use netmax_ml::workload::Workload;
-    use netmax_net::{HomogeneousNetwork, Topology};
+    use netmax_net::{ElasticNetwork, LinkQuality, Topology};
 
     fn env() -> Environment {
         let w = Workload::convex_ridge(3);
         let part = Partition::uniform(&w.train, 3, 0);
         Environment::new(
             Topology::fully_connected(3),
-            Box::new(HomogeneousNetwork::paper_default(3)),
+            Box::new(ElasticNetwork::uniform(3, LinkQuality::virtual_switch_10g())),
             w,
             part,
             TrainConfig::quick_test(),
@@ -515,7 +484,9 @@ mod tests {
         let mut rec = Recorder::new();
         for step in 1..=45u64 {
             e.global_step = step;
-            rec.maybe_record(&e);
+            if rec.due(&e) {
+                rec.record_now(&e);
+            }
         }
         // Step 1 and steps 21, 41 (cadence 20).
         assert_eq!(rec.samples.len(), 3);
@@ -533,7 +504,7 @@ mod tests {
         assert_eq!(report.samples.len(), 1);
         assert!(report.final_test_accuracy >= 0.0);
         assert!(report.final_train_loss.is_finite());
-        assert!(report.comp_time_total_s() > 0.0);
+        assert!(report.per_node[0].comp_s > 0.0);
     }
 
     #[test]
@@ -557,7 +528,6 @@ mod tests {
         assert!((r.epoch_time_avg_s() - 15.0).abs() < 1e-12);
         assert!((r.comp_cost_per_epoch_s() - 6.0).abs() < 1e-12);
         assert!((r.comm_cost_per_epoch_s() - 9.0).abs() < 1e-12);
-        assert_eq!(r.min_node_epochs(), 5.0);
     }
 
     #[test]

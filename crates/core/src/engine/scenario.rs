@@ -20,8 +20,8 @@ use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_ml::partition::Partition;
 use netmax_ml::workload::{Workload, WorkloadSpec};
 use netmax_net::{
-    ElasticNetwork, FaultPlan, HomogeneousNetwork, LinkDynamics, LinkQuality, Network,
-    NetworkKind, SlowdownConfig, Topology, WanNetwork,
+    ClusterSpec, ElasticNetwork, FaultPlan, LinkDynamics, LinkQuality, NetworkKind,
+    SlowdownConfig, Topology,
 };
 
 /// Which communication graph shape connects the workers.
@@ -350,11 +350,6 @@ impl Scenario {
         self.network
     }
 
-    /// The link-dynamics override, when one is set.
-    pub fn link_dynamics(&self) -> Option<&LinkDynamics> {
-        self.dynamics.as_ref()
-    }
-
     /// The declarative fault schedule (empty by default).
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
@@ -390,59 +385,31 @@ impl Scenario {
             }
             TopologyKind::Random { p } => Topology::random_connected(n, *p, self.cfg.seed),
         };
-        let elastic = self.dynamics.is_some() || !self.faults.is_empty();
-        let network: Box<dyn Network> = match self.network {
-            NetworkKind::Homogeneous => {
-                if elastic {
-                    let net = ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g())
-                        .with_seed(self.cfg.seed)
-                        .with_dynamics(self.dynamics.clone().unwrap_or(LinkDynamics::Static))
-                        .with_faults(self.faults.clone());
-                    Box::new(net)
-                } else {
-                    Box::new(HomogeneousNetwork::paper_default(n))
-                }
-            }
-            NetworkKind::HeterogeneousDynamic => {
-                let spec = netmax_net::ClusterSpec::paper_default(per_server_counts(
-                    n,
-                    self.servers,
-                ));
-                let dynamics = self
-                    .dynamics
-                    .clone()
-                    .unwrap_or(LinkDynamics::PeriodicRedraw(self.slowdown));
-                Box::new(
-                    ElasticNetwork::cluster(spec, dynamics, self.cfg.seed)
-                        .with_faults(self.faults.clone()),
-                )
-            }
-            NetworkKind::HeterogeneousStatic => {
-                let spec = netmax_net::ClusterSpec::paper_default(per_server_counts(
-                    n,
-                    self.servers,
-                ));
-                let sd = SlowdownConfig { dynamic: false, ..self.slowdown };
-                let dynamics =
-                    self.dynamics.clone().unwrap_or(LinkDynamics::PeriodicRedraw(sd));
-                Box::new(
-                    ElasticNetwork::cluster(spec, dynamics, self.cfg.seed)
-                        .with_faults(self.faults.clone()),
-                )
-            }
+        // One network type for every regime: a base fabric, the regime's
+        // default link dynamics unless the scenario overrides them, and
+        // the (possibly empty) fault plan.
+        let cluster = || ClusterSpec::paper_default(per_server_counts(n, self.servers));
+        let (base, default_dynamics) = match self.network {
+            NetworkKind::Homogeneous => (
+                ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()),
+                LinkDynamics::Static,
+            ),
+            NetworkKind::HeterogeneousDynamic => (
+                ElasticNetwork::cluster(cluster(), LinkDynamics::Static, 0),
+                LinkDynamics::PeriodicRedraw(self.slowdown),
+            ),
+            NetworkKind::HeterogeneousStatic => (
+                ElasticNetwork::cluster(cluster(), LinkDynamics::Static, 0),
+                LinkDynamics::PeriodicRedraw(SlowdownConfig { dynamic: false, ..self.slowdown }),
+            ),
             NetworkKind::Wan => {
-                let regions: Vec<usize> = (0..n).map(|i| i % 6).collect();
-                if elastic {
-                    let net = ElasticNetwork::wan(regions)
-                        .with_seed(self.cfg.seed)
-                        .with_dynamics(self.dynamics.clone().unwrap_or(LinkDynamics::Static))
-                        .with_faults(self.faults.clone());
-                    Box::new(net)
-                } else {
-                    Box::new(WanNetwork::new(regions))
-                }
+                (ElasticNetwork::wan((0..n).map(|i| i % 6).collect()), LinkDynamics::Static)
             }
         };
+        let network = base
+            .with_seed(self.cfg.seed)
+            .with_dynamics(self.dynamics.clone().unwrap_or(default_dynamics))
+            .with_faults(self.faults.clone());
         let partition = match &self.partition {
             PartitionKind::Uniform => {
                 Partition::uniform(&workload.train, n, self.cfg.seed)
@@ -472,7 +439,8 @@ impl Scenario {
                 Partition::paper_table7(&workload.train)
             }
         };
-        let mut env = Environment::new(topology, network, workload, partition, self.cfg.clone());
+        let mut env =
+            Environment::new(topology, Box::new(network), workload, partition, self.cfg.clone());
         env.set_fault_plan(self.faults.clone());
         env
     }

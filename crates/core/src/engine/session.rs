@@ -4,15 +4,14 @@
 //! [`Algorithm::run`](super::Algorithm::run) is a convenience blocking
 //! call; the real execution surface is [`Session`]. A session owns a
 //! borrowed [`Environment`], a boxed [`SessionDriver`] (the
-//! algorithm-specific event source), the metric [`Recorder`] (the
-//! built-in observer), and a [`StopCondition`]. [`Session::step`]
-//! advances exactly one event and
+//! algorithm-specific event source), the metric [`Recorder`], and a
+//! [`StopCondition`]. [`Session::step`] advances exactly one event and
 //! reports it as a [`StepEvent`], so callers can
 //!
-//! * **observe** a run in flight (match on events, or register
-//!   [`Observer`]s for callback-style streaming),
+//! * **observe** a run in flight by matching on the events,
 //! * **stop** it on any serializable [`StopCondition`] — or imperatively
-//!   via [`Session::finish_now`],
+//!   via [`Session::finish_now`] (how a caller enforces a real-time
+//!   budget: the engine itself never reads a clock),
 //! * **checkpoint** the full mid-run state to NMXB bytes and **resume** it later
 //!   with the guarantee that *checkpoint-at-step-k then resume* produces a
 //!   [`RunReport`] byte-identical to an uninterrupted run.
@@ -152,37 +151,6 @@ pub enum StepEvent {
     },
 }
 
-/// Callback-style consumer of session progress. All methods default to
-/// no-ops; implement the ones you need and register with
-/// [`Session::observe`].
-pub trait Observer {
-    /// Called after every completed global step.
-    fn on_step(&mut self, env: &Environment, node: usize, peer: Option<usize>, iteration_s: f64) {
-        let _ = (env, node, peer, iteration_s);
-    }
-
-    /// Called after every synchronous round of a round-structured driver.
-    fn on_round(&mut self, env: &Environment, steps: u64, time_s: f64) {
-        let _ = (env, steps, time_s);
-    }
-
-    /// Called after every Network-Monitor firing.
-    fn on_monitor(&mut self, env: &Environment, time_s: f64) {
-        let _ = (env, time_s);
-    }
-
-    /// Called after every recorded metric sample (including the final one
-    /// taken when the session finishes).
-    fn on_sample(&mut self, env: &Environment, sample: &Sample) {
-        let _ = (env, sample);
-    }
-
-    /// Called after every membership transition (node crash or rejoin).
-    fn on_membership(&mut self, env: &Environment, node: usize, active: bool, time_s: f64) {
-        let _ = (env, node, active, time_s);
-    }
-}
-
 /// What one driver advance produced (the driver-side analogue of
 /// [`StepEvent`]; the session layers sampling, stop conditions, and
 /// finishing on top).
@@ -269,7 +237,6 @@ pub trait SessionDriver {
 pub struct Session<'a> {
     env: &'a mut Environment,
     driver: Box<dyn SessionDriver + 'a>,
-    observers: Vec<&'a mut dyn Observer>,
     recorder: Recorder,
     stop: StopCondition,
     algorithm: String,
@@ -278,14 +245,6 @@ pub struct Session<'a> {
     sample_due: bool,
     /// Most recent recorded sample — the input to metric stop conditions.
     latest: Option<Sample>,
-    /// Optional *real* wall-clock deadline: once it passes, the very next
-    /// [`Session::step`] finishes the session (truthful partial report)
-    /// without another driver advance, bounding the overshoot to at most
-    /// the one event already in flight when the deadline expired.
-    /// Transient — never checkpointed (a resumed session gets a fresh
-    /// budget from its caller).
-    // audit: allow(determinism-time) -- the deadline is the one sanctioned real-clock escape hatch; it never feeds simulated state
-    deadline: Option<std::time::Instant>,
     /// The fault plan's crash/rejoin schedule, sorted by virtual time
     /// (pure data, derived from the environment at construction).
     membership: Vec<MembershipEvent>,
@@ -313,45 +272,15 @@ impl<'a> Session<'a> {
         Ok(Self {
             env,
             driver,
-            observers: Vec::new(),
             recorder: Recorder::new(),
             stop,
             algorithm,
             sample_due: false,
             latest: None,
-            deadline: None,
             membership,
             membership_next: 0,
             finished: None,
         })
-    }
-
-    /// Sets a real wall-clock deadline: after `at`, the next
-    /// [`Session::step`] (and therefore [`Session::run`]) finishes the
-    /// session instead of advancing the driver. A round-granular driver
-    /// can thus overshoot by at most one in-flight event, never by a
-    /// whole monitor round of further work. **Breaks cross-run
-    /// determinism** — the cut point depends on machine speed.
-    // audit: allow(determinism-time) -- deadline entry point; callers opt into real-time cuts explicitly
-    pub fn set_deadline(&mut self, at: std::time::Instant) {
-        self.deadline = Some(at);
-    }
-
-    /// Replaces the stop condition (validated).
-    pub fn set_stop(&mut self, stop: StopCondition) -> Result<(), SessionError> {
-        stop.validate()?;
-        self.stop = stop;
-        Ok(())
-    }
-
-    /// The active stop condition.
-    pub fn stop_condition(&self) -> &StopCondition {
-        &self.stop
-    }
-
-    /// Registers an observer for callback-style progress streaming.
-    pub fn observe(&mut self, observer: &'a mut dyn Observer) {
-        self.observers.push(observer);
     }
 
     /// The algorithm identifier the final report will carry.
@@ -395,9 +324,6 @@ impl<'a> Session<'a> {
         if self.sample_due {
             self.sample_due = false;
             let sample = self.recorder.record_now(self.env);
-            for obs in &mut self.observers {
-                obs.on_sample(self.env, &sample);
-            }
             self.latest = Some(sample);
             return StepEvent::Sampled { sample };
         }
@@ -412,34 +338,19 @@ impl<'a> Session<'a> {
         {
             return self.apply_membership();
         }
-        // audit: allow(determinism-time) -- the only real-clock read in the engine; compares against the caller-set deadline
-        if self.deadline.is_some_and(|d| std::time::Instant::now() >= d) {
-            return self.finish_event();
-        }
         if self.stop.satisfied(self.env, self.latest.as_ref()) {
             return self.finish_event();
         }
         match self.driver.advance(self.env) {
             DriverEvent::Step { node, peer, iteration_s } => {
-                for obs in &mut self.observers {
-                    obs.on_step(self.env, node, peer, iteration_s);
-                }
                 self.sample_due = self.recorder.due(self.env);
                 StepEvent::GlobalStep { node, peer, iteration_s }
             }
             DriverEvent::Round { steps, time_s } => {
-                for obs in &mut self.observers {
-                    obs.on_round(self.env, steps, time_s);
-                }
                 self.sample_due = self.recorder.due(self.env);
                 StepEvent::RoundComplete { steps, time_s }
             }
-            DriverEvent::Monitor { time_s } => {
-                for obs in &mut self.observers {
-                    obs.on_monitor(self.env, time_s);
-                }
-                StepEvent::MonitorRound { time_s }
-            }
+            DriverEvent::Monitor { time_s } => StepEvent::MonitorRound { time_s },
             // An exhausted driver with membership transitions still
             // pending is a fleet-wide outage, not the end of training:
             // the simulation idles until the next scheduled event (a
@@ -461,25 +372,22 @@ impl<'a> Session<'a> {
         }
     }
 
-    /// Finishes immediately (e.g. on an external wall-clock deadline),
-    /// forcing the final sample and report exactly as a condition-driven
-    /// stop would.
+    /// Finishes immediately (e.g. on the caller's real wall-clock
+    /// deadline), forcing the final sample and report exactly as a
+    /// condition-driven stop would.
     pub fn finish_now(&mut self) -> RunReport {
         self.finish_report()
     }
 
     /// Applies the next pending membership transition: flips the active
     /// flag, warm-starts a rejoining node from a live peer, and notifies
-    /// the driver and observers.
+    /// the driver.
     fn apply_membership(&mut self) -> StepEvent {
         let ev = self.membership[self.membership_next];
         self.membership_next += 1;
         self.env.set_active(ev.node, ev.up);
         let donor = if ev.up { self.env.warm_start(ev.node, ev.time_s) } else { None };
         self.driver.on_membership_change(self.env, ev.node, ev.up);
-        for obs in &mut self.observers {
-            obs.on_membership(self.env, ev.node, ev.up, ev.time_s);
-        }
         if ev.up {
             StepEvent::NodeUp { node: ev.node, time_s: ev.time_s, donor }
         } else {
@@ -498,11 +406,6 @@ impl<'a> Session<'a> {
             return report.clone();
         }
         let report = self.recorder.finish(self.env, &self.algorithm);
-        if let Some(sample) = report.samples.last() {
-            for obs in &mut self.observers {
-                obs.on_sample(self.env, sample);
-            }
-        }
         self.finished = Some(report.clone());
         report
     }

@@ -206,13 +206,12 @@ impl MonitorConfig {
 pub struct NetworkMonitor {
     cfg: MonitorConfig,
     rounds: u64,
-    last: Option<SparsePolicyResult>,
 }
 
 impl NetworkMonitor {
     /// Creates a monitor.
     pub fn new(cfg: MonitorConfig) -> Self {
-        Self { cfg, rounds: 0, last: None }
+        Self { cfg, rounds: 0 }
     }
 
     /// The configured period `Ts`.
@@ -228,11 +227,6 @@ impl NetworkMonitor {
     /// Number of completed monitor rounds.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// The most recent successful policy, if any.
-    pub fn last_policy(&self) -> Option<&SparsePolicyResult> {
-        self.last.as_ref()
     }
 
     /// Serializes the monitor's mutable counters for checkpoint/resume
@@ -280,9 +274,7 @@ impl NetworkMonitor {
                 return None;
             }
             let times = tracker.edge_times_for(topo);
-            let result = PolicyGenerator::new(search).generate_sparse(&times, topo)?;
-            self.last = Some(result.clone());
-            return Some(result);
+            return PolicyGenerator::new(search).generate_sparse(&times, topo);
         }
 
         // Masked round: compact the live nodes via neighbour lists,
@@ -325,10 +317,7 @@ impl NetworkMonitor {
             .collect();
         let times = EdgeTimes::from_rows(idx.len(), rows);
         let result = PolicyGenerator::new(search).generate_sparse(&times, &sub)?;
-        let expanded =
-            SparsePolicyResult { policy: result.policy.expanded(&idx, n), ..result };
-        self.last = Some(expanded.clone());
-        Some(expanded)
+        Some(SparsePolicyResult { policy: result.policy.expanded(&idx, n), ..result })
     }
 }
 
@@ -501,7 +490,6 @@ mod tests {
             }
             assert!(fast_sum / 2.0 > slow_sum / 3.0, "node {i}: {:?}", res.policy);
         }
-        assert!(mon.last_policy().is_some());
     }
 
     #[test]

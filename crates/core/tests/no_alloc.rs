@@ -21,7 +21,7 @@ use netmax_core::engine::{
 use netmax_json::Json;
 use netmax_ml::partition::Partition;
 use netmax_ml::workload::Workload;
-use netmax_net::{HomogeneousNetwork, Topology};
+use netmax_net::{ElasticNetwork, LinkQuality, Topology};
 use rand::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,7 +92,7 @@ fn build_env_sampling(workload: Workload, record_every_steps: u64) -> Environmen
     };
     Environment::new(
         Topology::fully_connected(n),
-        Box::new(HomogeneousNetwork::paper_default(n)),
+        Box::new(ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g())),
         workload,
         partition,
         cfg,

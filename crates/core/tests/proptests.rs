@@ -11,7 +11,7 @@ use netmax_core::gossip_matrix::{build_y, node_probabilities};
 use netmax_core::monitor::EmaTimeTracker;
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_core::policy::{PolicyGenerator, PolicySearchConfig};
-use netmax_json::ToJson;
+use netmax_json::{codec, ToJson};
 use netmax_linalg::{
     is_doubly_stochastic, is_irreducible, is_nonnegative, is_symmetric,
     second_largest_eigenvalue, Matrix,
@@ -219,7 +219,10 @@ proptest! {
     /// suspend points:
     /// 1. decoding yields exactly the v2 logical document,
     /// 2. a base + delta chain reconstructs **bit-identically** to a
-    ///    fresh full snapshot taken at the chain's end, and
+    ///    fresh full snapshot taken at the chain's end; a delta taken `g`
+    ///    gossip steps after the previous snapshot re-serializes between
+    ///    1 and `g` nodes, and is smaller than a full snapshot of the
+    ///    same state whenever it leaves a node out, and
     /// 3. restoring from the reconstructed bytes resumes to a report
     ///    byte-identical to the uninterrupted run.
     #[test]
@@ -248,22 +251,36 @@ proptest! {
         // (2) run on, emitting a delta every few steps; the replayed
         // chain must equal a fresh full snapshot bit-for-bit.
         let mut deltas = Vec::new();
+        let mut fresh = Vec::new();
         let mut done = false;
         for _ in 0..3 {
+            let mut gossip_steps = 0usize;
             for _ in 0..7 {
                 if done {
                     break;
                 }
-                if let StepEvent::Finished { .. } = session.step() {
-                    done = true;
+                match session.step() {
+                    StepEvent::GlobalStep { .. } => gossip_steps += 1,
+                    StepEvent::Finished { .. } => done = true,
+                    _ => {}
                 }
             }
             let mut d = Vec::new();
             session.checkpoint_delta(&mut scratch, &mut d).unwrap();
+            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut fresh).unwrap();
+            // The changed-node count is the leading u32 of the delta's
+            // `nodes` section: a gossip step rewrites one node (the
+            // puller), so `g` steps touch between 1 and `g` of them.
+            let doc = codec::read_document(&d).unwrap();
+            let head: [u8; 4] = doc.section("nodes").unwrap()[..4].try_into().unwrap();
+            let changed = u32::from_le_bytes(head) as usize;
+            prop_assert!(changed <= gossip_steps, "{} nodes after {} steps", changed, gossip_steps);
+            prop_assert_eq!(changed == 0, gossip_steps == 0);
+            if changed < sc.workers() {
+                prop_assert!(d.len() < fresh.len(), "delta {} !< full {}", d.len(), fresh.len());
+            }
             deltas.push(d);
         }
-        let mut fresh = Vec::new();
-        session.checkpoint_binary(&mut CheckpointScratch::new(), &mut fresh).unwrap();
         let rebuilt = reconstruct_chain(&base, &deltas).unwrap();
         prop_assert_eq!(&rebuilt, &fresh);
 

@@ -46,11 +46,6 @@ impl LpOutcome {
             _ => None,
         }
     }
-
-    /// `true` if the outcome is [`LpOutcome::Optimal`].
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, LpOutcome::Optimal(_))
-    }
 }
 
 /// Dense simplex tableau in standard form `A y = b, y ≥ 0`.

@@ -5,7 +5,7 @@
 //! [`crate::params`]/[`crate::model`] stays byte-identical to the
 //! committed baselines):
 //!
-//! * **Reductions** ([`dot_fast`], [`norm_sq_fast`], [`mean_into_fast`])
+//! * **Reductions** ([`dot_fast`], [`norm_sq_fast`])
 //!   accumulate across [`FAST_CHUNK`] independent lanes with explicit
 //!   [`f32::mul_add`] bodies and combine the lanes pairwise, so the inner
 //!   loop vectorises (to FMA where available) and the rounding error grows
@@ -125,27 +125,6 @@ pub fn axpy_fast(a: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy_fast: length mismatch");
     for (yi, &xi) in y.iter_mut().zip(x) {
         *yi += a * xi;
-    }
-}
-
-/// Elementwise mean of equally-long vectors into `out`: one running sum
-/// per element (element accumulators are independent, so the loop
-/// vectorises across the vector width), one scale pass at the end.
-///
-/// # Panics
-/// Panics if `vectors` is empty or lengths mismatch.
-pub fn mean_into_fast(vectors: &[&[f32]], out: &mut [f32]) {
-    assert!(!vectors.is_empty(), "mean_into_fast: need at least one vector");
-    out.fill(0.0);
-    for v in vectors {
-        assert_eq!(v.len(), out.len(), "mean_into_fast: length mismatch");
-        for (o, &x) in out.iter_mut().zip(*v) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / vectors.len() as f32;
-    for o in out.iter_mut() {
-        *o *= inv;
     }
 }
 
@@ -575,19 +554,6 @@ mod tests {
             for (a, b) in ya.iter().zip(&yb) {
                 assert_eq!(a.to_bits(), b.to_bits(), "n={n}");
             }
-        }
-    }
-
-    #[test]
-    fn mean_into_fast_tracks_f64_reference() {
-        let vecs: Vec<Vec<f32>> = (0..13).map(|k| pseudo(37, 100 + k)).collect();
-        let views: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
-        let mut out = vec![0.0f32; 37];
-        mean_into_fast(&views, &mut out);
-        for (j, &o) in out.iter().enumerate() {
-            let reference: f64 =
-                vecs.iter().map(|v| v[j] as f64).sum::<f64>() / vecs.len() as f64;
-            assert!((o as f64 - reference).abs() < 1e-6, "elem {j}: {o} vs {reference}");
         }
     }
 

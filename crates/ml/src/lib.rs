@@ -26,10 +26,10 @@
 //!
 //! Gradient numerics run under an explicit [`tier::NumericsTier`]: the
 //! default **strict** tier is bit-stable against the committed baselines,
-//! while the opt-in **fast** tier dispatches through a
-//! [`tier::KernelTable`] to the reassociated kernel family in [`fast`]
-//! (bounded-error polynomial `exp`/`ln`, multi-lane reductions). The two
-//! families never share accumulation code paths.
+//! while the opt-in **fast** tier runs the gradient cores on the
+//! reassociated kernel family in [`fast`] (bounded-error polynomial
+//! `exp`/`ln`, multi-lane reductions). The two families never share
+//! accumulation code paths.
 
 #![forbid(unsafe_code)]
 
@@ -48,7 +48,7 @@ pub mod workload;
 
 pub use dataset::Dataset;
 pub use model::{LeastSquares, Mlp, Model, ModelKind, SoftmaxRegression};
-pub use tier::{KernelTable, NumericsTier};
+pub use tier::NumericsTier;
 pub use optim::{SgdConfig, SgdState};
 pub use partition::Partition;
 pub use profile::ModelProfile;

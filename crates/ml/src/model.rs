@@ -18,9 +18,12 @@
 //!   against a model that satisfies their hypotheses.
 
 use crate::dataset::Dataset;
-use crate::fast::{softmax_xent_grad_fast, transpose_block_fast};
+use crate::fast::{
+    axpy_fast, dot_fast, exp_fast, ln_fast, norm_sq_fast, softmax_xent_grad_fast,
+    transpose_block_fast,
+};
 use crate::params::{dot_lanes, gather_feature_major};
-use crate::tier::{KernelTable, NumericsTier};
+use crate::tier::NumericsTier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,10 +36,10 @@ use rand::{Rng, SeedableRng};
 /// so a scratch can be shared across models of different shapes (the
 /// largest shape wins).
 ///
-/// The scratch also carries the session's [`KernelTable`]: gradient entry
-/// points branch **once** on [`KernelTable::tier`] and dispatch either to
-/// the strict cores (bit-stable, the default) or to the fast-tier cores,
-/// which reach every reassociated kernel through the table. Evaluation
+/// The scratch also carries the session's [`NumericsTier`]: gradient
+/// entry points branch **once** on it and dispatch either to the strict
+/// cores (bit-stable, the default) or to the fast-tier cores, which call
+/// the reassociated kernels of [`crate::fast`] by name. Evaluation
 /// entry points (`loss_block`, `count_correct_scratch`, `predict`) stay
 /// strict under both tiers, so recorded metric curves differ between
 /// tiers only through the trained parameters.
@@ -70,8 +73,9 @@ pub struct Scratch {
     coefs: Vec<f32>,
     /// Per-chunk label buffer for the fast-tier forward.
     labels: Vec<u32>,
-    /// The tier's kernel family; chosen once at construction.
-    pub kernels: &'static KernelTable,
+    /// The numerics tier the gradient entry points run under; chosen
+    /// once at construction.
+    pub tier: NumericsTier,
 }
 
 impl Default for Scratch {
@@ -87,7 +91,7 @@ impl Scratch {
         Self::default()
     }
 
-    /// Creates an empty workspace dispatching through `tier`'s kernels.
+    /// Creates an empty workspace whose gradients run under `tier`.
     pub fn for_tier(tier: NumericsTier) -> Self {
         Self {
             grad: Vec::new(),
@@ -102,7 +106,7 @@ impl Scratch {
             hb: Vec::new(),
             coefs: Vec::new(),
             labels: Vec::new(),
-            kernels: tier.kernels(),
+            tier,
         }
     }
 }
@@ -568,7 +572,7 @@ impl Model for SoftmaxRegression {
     }
 
     fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        if scratch.kernels.tier == NumericsTier::Fast {
+        if scratch.tier == NumericsTier::Fast {
             return self.loss_grad_fast(data, batch, scratch);
         }
         let Scratch { grad, xb, logits_all, maxs, sums, .. } = scratch;
@@ -760,12 +764,10 @@ impl Mlp {
     }
 
     /// Fast-tier gradient core: the per-sample structure of
-    /// [`Self::loss_grad_core`], but every dot/axpy/exp/ln dispatches
-    /// through the scratch's [`KernelTable`] function pointers, so the
-    /// whole pass runs on the reassociated family without touching the
-    /// strict kernels.
+    /// [`Self::loss_grad_core`], but every dot/axpy/exp/ln is the
+    /// [`crate::fast`] kernel, so the whole pass runs on the reassociated
+    /// family without touching the strict kernels.
     fn loss_grad_fast(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        let k = scratch.kernels;
         let Scratch { grad, h, logits, dh, .. } = scratch;
         grad.resize(self.num_params(), 0.0);
         assert_eq!(data.dim(), self.dim, "dataset dim mismatch");
@@ -789,23 +791,23 @@ impl Mlp {
             let y = data.label(i) as usize;
             for (j, hj) in h.iter_mut().enumerate() {
                 let row = &w1[j * self.dim..(j + 1) * self.dim];
-                *hj = ((k.dot)(row, x) + b1[j]).max(0.0);
+                *hj = (dot_fast(row, x) + b1[j]).max(0.0);
             }
             for (c, lc) in logits.iter_mut().enumerate() {
                 let row = &w2[c * self.hidden..(c + 1) * self.hidden];
-                *lc = (k.dot)(row, h) + b2[c];
+                *lc = dot_fast(row, h) + b2[c];
             }
             let maxv = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut sum = 0.0f32;
             for l in logits.iter_mut() {
-                *l = (k.exp)(*l - maxv);
+                *l = exp_fast(*l - maxv);
                 sum += *l;
             }
             let isum = 1.0 / sum;
             for l in logits.iter_mut() {
                 *l *= isum;
             }
-            loss -= (k.ln)(logits[y].max(1e-12));
+            loss -= ln_fast(logits[y].max(1e-12));
 
             dh.fill(0.0);
             for c in 0..self.classes {
@@ -814,17 +816,17 @@ impl Mlp {
                     continue;
                 }
                 let row = &mut gw2[c * self.hidden..(c + 1) * self.hidden];
-                (k.axpy)(d, h, row);
+                axpy_fast(d, h, row);
                 gb2[c] += d;
                 let w2row = &w2[c * self.hidden..(c + 1) * self.hidden];
-                (k.axpy)(d, w2row, dh);
+                axpy_fast(d, w2row, dh);
             }
             for (j, dhj) in dh.iter().enumerate() {
                 if h[j] <= 0.0 || *dhj == 0.0 {
                     continue;
                 }
                 let row = &mut gw1[j * self.dim..(j + 1) * self.dim];
-                (k.axpy)(*dhj, x, row);
+                axpy_fast(*dhj, x, row);
                 gb1[j] += *dhj;
             }
         }
@@ -846,7 +848,7 @@ impl Model for Mlp {
     }
 
     fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        if scratch.kernels.tier == NumericsTier::Fast {
+        if scratch.tier == NumericsTier::Fast {
             return self.loss_grad_fast(data, batch, scratch);
         }
         let Scratch { grad, h, logits, dh, .. } = scratch;
@@ -943,11 +945,9 @@ impl LeastSquares {
         crate::params::dot(&self.params[..self.dim], x) + self.params[self.dim]
     }
 
-    /// Fast-tier gradient core: the strict body's structure with
-    /// every dot/axpy/norm dispatched through the scratch's
-    /// [`KernelTable`].
+    /// Fast-tier gradient core: the strict body's structure with every
+    /// dot/axpy/norm the [`crate::fast`] kernel.
     fn loss_grad_fast(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        let k = scratch.kernels;
         let grad = &mut scratch.grad;
         grad.resize(self.num_params(), 0.0);
         assert!(!batch.is_empty(), "empty batch");
@@ -957,14 +957,14 @@ impl LeastSquares {
         for &i in batch {
             let x = data.feature(i);
             let y = data.label(i) as f32;
-            let r = (k.dot)(&self.params[..self.dim], x) + self.params[self.dim] - y;
+            let r = dot_fast(&self.params[..self.dim], x) + self.params[self.dim] - y;
             loss += 0.5 * r * r;
-            (k.axpy)(r * inv, x, &mut grad[..self.dim]);
+            axpy_fast(r * inv, x, &mut grad[..self.dim]);
             grad[self.dim] += r * inv;
         }
         let w = &self.params[..self.dim];
-        loss += 0.5 * self.l2 * (k.norm_sq)(w) * batch.len() as f32;
-        (k.axpy)(self.l2, w, &mut grad[..self.dim]);
+        loss += 0.5 * self.l2 * norm_sq_fast(w) * batch.len() as f32;
+        axpy_fast(self.l2, w, &mut grad[..self.dim]);
         loss * inv
     }
 }
@@ -983,7 +983,7 @@ impl Model for LeastSquares {
     }
 
     fn loss_grad_scratch(&self, data: &Dataset, batch: &[usize], scratch: &mut Scratch) -> f32 {
-        if scratch.kernels.tier == NumericsTier::Fast {
+        if scratch.tier == NumericsTier::Fast {
             return self.loss_grad_fast(data, batch, scratch);
         }
         let grad = &mut scratch.grad;

@@ -311,56 +311,6 @@ pub fn blend(w: f32, x: &mut [f32], y: &[f32]) {
     }
 }
 
-/// How many vectors [`mean_into`] accumulates sequentially before
-/// switching to a pairwise combination tree. Below the threshold the
-/// result is bitwise-identical to the historical sequential loop.
-const MEAN_PAIRWISE_THRESHOLD: usize = 8;
-
-fn sum_into(vectors: &[&[f32]], out: &mut [f32]) {
-    if vectors.len() <= MEAN_PAIRWISE_THRESHOLD {
-        out.fill(0.0);
-        for v in vectors {
-            for (o, x) in out.iter_mut().zip(*v) {
-                *o += x;
-            }
-        }
-        return;
-    }
-    let mid = vectors.len() / 2;
-    sum_into(&vectors[..mid], out);
-    let mut hi = vec![0.0f32; out.len()];
-    sum_into(&vectors[mid..], &mut hi);
-    for (o, x) in out.iter_mut().zip(&hi) {
-        *o += x;
-    }
-}
-
-/// Elementwise mean of several equally-long parameter vectors, written into
-/// `out` (used by the allreduce collectives). Large fleets accumulate
-/// pairwise so the per-element error grows logarithmically in the vector
-/// count rather than linearly.
-///
-/// # Panics
-/// Panics if `vectors` is empty or lengths mismatch.
-pub fn mean_into(vectors: &[&[f32]], out: &mut [f32]) {
-    assert!(!vectors.is_empty(), "mean_into: need at least one vector");
-    for v in vectors {
-        assert_eq!(v.len(), out.len(), "mean_into: length mismatch");
-    }
-    let inv = 1.0 / vectors.len() as f32;
-    if vectors.len() <= MEAN_PAIRWISE_THRESHOLD {
-        out.fill(0.0);
-        for v in vectors {
-            for (o, x) in out.iter_mut().zip(*v) {
-                *o += x * inv;
-            }
-        }
-        return;
-    }
-    sum_into(vectors, out);
-    scale(inv, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,15 +339,6 @@ mod tests {
         assert_eq!(x, [5.0, 7.0]);
         blend(0.5, &mut x, &[1.0, 1.0]);
         assert_eq!(x, [3.0, 4.0]);
-    }
-
-    #[test]
-    fn mean_into_averages() {
-        let a = [1.0f32, 2.0];
-        let b = [3.0f32, 6.0];
-        let mut out = [0.0f32; 2];
-        mean_into(&[&a, &b], &mut out);
-        assert_eq!(out, [2.0, 4.0]);
     }
 
     #[test]
@@ -539,36 +480,5 @@ mod tests {
         let mut out = [f32::NAN];
         dot_lanes(&w, &x, &mut out, &mut spare);
         assert_eq!(out[0].to_bits(), dot(&w, &x).to_bits());
-    }
-
-    #[test]
-    fn mean_into_pairwise_tracks_f64_reference() {
-        // 64 vectors trip the pairwise tree; compare against an f64 mean.
-        let vecs: Vec<Vec<f32>> = (0..64).map(|k| pseudo(1000, 100 + k)).collect();
-        let refs: Vec<&[f32]> = vecs.iter().map(Vec::as_slice).collect();
-        let mut out = vec![0.0f32; 1000];
-        mean_into(&refs, &mut out);
-        for j in (0..1000).step_by(97) {
-            let reference: f64 =
-                vecs.iter().map(|v| f64::from(v[j])).sum::<f64>() / 64.0;
-            assert!(
-                (f64::from(out[j]) - reference).abs() < 1e-6,
-                "element {j}: {} vs {reference}",
-                out[j]
-            );
-        }
-        // At or below the threshold the historical sequential loop is
-        // reproduced exactly.
-        let small: Vec<&[f32]> = refs[..MEAN_PAIRWISE_THRESHOLD].to_vec();
-        let mut chunked = vec![0.0f32; 1000];
-        mean_into(&small, &mut chunked);
-        let inv = 1.0 / small.len() as f32;
-        let mut seq = vec![0.0f32; 1000];
-        for v in &small {
-            for (o, x) in seq.iter_mut().zip(*v) {
-                *o += x * inv;
-            }
-        }
-        assert_eq!(chunked, seq);
     }
 }

@@ -145,12 +145,6 @@ impl Partition {
     pub fn batch_size(&self, i: usize, base: usize) -> usize {
         ((base as f64 * self.weights[i]).round() as usize).max(1)
     }
-
-    /// Total number of examples across nodes (double-counting overlaps,
-    /// which only occur for label-skew partitions).
-    pub fn total_examples(&self) -> usize {
-        self.per_node.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +174,7 @@ mod tests {
         let n0 = p.node(0).len() as f64;
         let n1 = p.node(1).len() as f64;
         assert!((n1 / n0 - 2.0).abs() < 0.1, "ratio {} should be ~2", n1 / n0);
-        assert_eq!(p.total_examples(), train.len());
+        assert_eq!(p.per_node.iter().map(Vec::len).sum::<usize>(), train.len());
         assert_eq!(p.batch_size(0, 64), 64);
         assert_eq!(p.batch_size(1, 64), 128);
     }

@@ -202,12 +202,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Returns a copy with the communication profile overridden.
-    pub fn with_profile(mut self, p: ModelProfile) -> Self {
-        self.profile = Some(p);
-        self
-    }
-
     /// Instantiates the described [`Workload`] (pure: same spec, same
     /// datasets and hyper-parameters).
     pub fn instantiate(&self) -> Workload {
@@ -509,9 +503,8 @@ mod tests {
 
     #[test]
     fn spec_instantiation_is_pure_and_applies_overrides() {
-        let spec = WorkloadSpec::resnet18_cifar100(9)
-            .time_scaled(0.25)
-            .with_profile(ModelProfile::mobilenet());
+        let mut spec = WorkloadSpec::resnet18_cifar100(9).time_scaled(0.25);
+        spec.profile = Some(ModelProfile::mobilenet());
         let a = spec.instantiate();
         let b = spec.instantiate();
         assert_eq!(a.target_epochs, 30.0, "120-epoch schedule compressed 4x");

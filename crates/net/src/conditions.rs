@@ -1,19 +1,17 @@
-//! Network conditions: base fabrics plus the composable
-//! [`ElasticNetwork`] that layers [`LinkDynamics`] and a [`FaultPlan`]
-//! over any of them.
+//! Network conditions: the composable [`ElasticNetwork`], one of three
+//! base fabrics with [`LinkDynamics`] and a [`FaultPlan`] layered on.
 //!
-//! * [`HomogeneousNetwork`] — all pairs communicate at the same speed
-//!   (the reserved server with a 10 Gbps virtual switch, §V-A).
-//! * [`ElasticNetwork`] — a base fabric (uniform link, cluster placement
-//!   with intra/inter links, or the WAN matrix) composed with per-link
-//!   [`LinkDynamics`] and an optional [`FaultPlan`]. The paper's three
-//!   regimes are special cases: the heterogeneous-dynamic regime is the
-//!   cluster fabric with [`LinkDynamics::PeriodicRedraw`]
-//!   ([`ElasticNetwork::new`]).
-//! * [`WanNetwork`] — a wide-area latency/bandwidth matrix reproducing the
-//!   6-region EC2 deployment of Appendix G.
+//! The base fabric is a uniform link ([`ElasticNetwork::uniform`] — the
+//! reserved server with a 10 Gbps virtual switch, §V-A), a cluster
+//! placement with intra/inter links ([`ElasticNetwork::cluster`]), or the
+//! six-region EC2 latency/bandwidth matrix of Appendix G
+//! ([`ElasticNetwork::wan`]). The paper's regimes are special cases: the
+//! heterogeneous-dynamic one is the cluster fabric with
+//! [`LinkDynamics::PeriodicRedraw`] ([`ElasticNetwork::new`]); the
+//! homogeneous and WAN ones are their fabric with
+//! [`LinkDynamics::Static`] and no faults.
 //!
-//! All of them are **pure in virtual time**: the cost of a link at time
+//! Everything is **pure in virtual time**: the cost of a link at time
 //! `t` is a deterministic function of `(seed, t)`, never of call order.
 //! This keeps every simulation exactly reproducible and lets the engine
 //! query link costs speculatively.
@@ -115,51 +113,9 @@ impl ClusterSpec {
         }
     }
 
-    /// Total workers.
-    pub fn num_workers(&self) -> usize {
-        self.workers_per_server.iter().sum()
-    }
-
     /// The worker→server placement implied by the per-server counts.
     pub fn placement(&self) -> Placement {
         Placement::from_counts(&self.workers_per_server)
-    }
-}
-
-/// Homogeneous network: every distinct pair communicates over the same link.
-#[derive(Debug, Clone)]
-pub struct HomogeneousNetwork {
-    n: usize,
-    link: LinkQuality,
-}
-
-impl HomogeneousNetwork {
-    /// Creates a homogeneous network over `n` nodes with the given link.
-    pub fn new(n: usize, link: LinkQuality) -> Self {
-        assert!(n > 0);
-        Self { n, link }
-    }
-
-    /// The paper's homogeneous setting: 10 Gbps virtual switch.
-    pub fn paper_default(n: usize) -> Self {
-        Self::new(n, LinkQuality::virtual_switch_10g())
-    }
-}
-
-impl Network for HomogeneousNetwork {
-    fn num_nodes(&self) -> usize {
-        self.n
-    }
-
-    fn comm_time(&self, from: usize, to: usize, bytes: u64, _now: f64) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        self.link.transfer_time(bytes)
-    }
-
-    fn link(&self, _from: usize, _to: usize, _now: f64) -> LinkQuality {
-        self.link
     }
 }
 
@@ -226,7 +182,7 @@ enum BaseFabric {
     },
     /// The 6-region WAN matrix of Appendix G (boxed: the latency and
     /// bandwidth tables dwarf the other variants).
-    Wan(Box<WanNetwork>),
+    Wan(Box<WanTables>),
 }
 
 impl BaseFabric {
@@ -234,11 +190,11 @@ impl BaseFabric {
         match self {
             BaseFabric::Uniform { n, .. } => *n,
             BaseFabric::Cluster { placement, .. } => placement.len(),
-            BaseFabric::Wan(w) => w.num_nodes(),
+            BaseFabric::Wan(w) => w.region_of.len(),
         }
     }
 
-    fn link(&self, from: usize, to: usize, now: f64) -> LinkQuality {
+    fn link(&self, from: usize, to: usize) -> LinkQuality {
         match self {
             BaseFabric::Uniform { link, .. } => *link,
             BaseFabric::Cluster { spec, placement } => {
@@ -248,7 +204,7 @@ impl BaseFabric {
                     spec.inter
                 }
             }
-            BaseFabric::Wan(w) => w.link(from, to, now),
+            BaseFabric::Wan(w) => w.link(from, to),
         }
     }
 }
@@ -308,10 +264,18 @@ impl ElasticNetwork {
         }
     }
 
-    /// WAN fabric over an explicit worker→region assignment.
+    /// WAN fabric over an explicit worker→region assignment (region
+    /// order: US-West, US-East, Ireland, Mumbai, Singapore, Tokyo —
+    /// matching Table VII), statically healthy until dynamics or faults
+    /// are layered on.
+    ///
+    /// Bandwidth model: intra-region 1.25 GB/s; inter-region bandwidth
+    /// decays with latency (long fat pipes are throughput-limited by
+    /// congestion control), from ~150 MB/s for near regions down to
+    /// ~30 MB/s for antipodal ones.
     pub fn wan(region_of: Vec<usize>) -> Self {
         Self {
-            base: BaseFabric::Wan(Box::new(WanNetwork::new(region_of))),
+            base: BaseFabric::Wan(Box::new(WanTables::new(region_of))),
             dynamics: LinkDynamics::Static,
             faults: FaultPlan::none(),
             seed: 0,
@@ -393,7 +357,7 @@ impl Network for ElasticNetwork {
     }
 
     fn link(&self, from: usize, to: usize, now: f64) -> LinkQuality {
-        let base = self.base.link(from, to, now);
+        let base = self.base.link(from, to);
         let n = self.base.num_nodes();
         let factor = self.dynamics.factor(self.seed, n, from, to, now)
             * self.faults.link_factor(from, to, now);
@@ -405,13 +369,9 @@ impl Network for ElasticNetwork {
     }
 }
 
-/// Six-region wide-area network (Appendix G deployment).
-///
-/// Region order: US-West, US-East, Ireland, Mumbai, Singapore, Tokyo —
-/// matching Table VII.
+/// The data of the six-region wide-area fabric (Appendix G deployment).
 #[derive(Debug, Clone)]
-pub struct WanNetwork {
-    n: usize,
+struct WanTables {
     /// `region_of[i]` = region index of worker `i`.
     region_of: Vec<usize>,
     /// Upper-triangular one-way latency matrix in seconds, 6×6.
@@ -433,19 +393,8 @@ const WAN_LATENCY_MS: [[f64; 6]; 6] = [
     [55.0, 80.0, 105.0, 60.0, 35.0, 0.5],    // tokyo
 ];
 
-impl WanNetwork {
-    /// One worker per region, in Table VII order.
-    pub fn paper_default() -> Self {
-        Self::new((0..6).collect())
-    }
-
-    /// Creates a WAN with an explicit worker→region assignment.
-    ///
-    /// Bandwidth model: intra-region 1.25 GB/s; inter-region bandwidth
-    /// decays with latency (long fat pipes are throughput-limited by
-    /// congestion control), from ~150 MB/s for near regions down to
-    /// ~30 MB/s for antipodal ones.
-    pub fn new(region_of: Vec<usize>) -> Self {
+impl WanTables {
+    fn new(region_of: Vec<usize>) -> Self {
         assert!(!region_of.is_empty());
         assert!(region_of.iter().all(|&r| r < 6), "region index out of range");
         let mut bandwidth = [[0.0; 6]; 6];
@@ -466,23 +415,10 @@ impl WanNetwork {
                 *l = WAN_LATENCY_MS[r][c] / 1e3;
             }
         }
-        Self { n: region_of.len(), region_of, latency, bandwidth }
-    }
-}
-
-impl Network for WanNetwork {
-    fn num_nodes(&self) -> usize {
-        self.n
+        Self { region_of, latency, bandwidth }
     }
 
-    fn comm_time(&self, from: usize, to: usize, bytes: u64, now: f64) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        self.link(from, to, now).transfer_time(bytes)
-    }
-
-    fn link(&self, from: usize, to: usize, _now: f64) -> LinkQuality {
+    fn link(&self, from: usize, to: usize) -> LinkQuality {
         let (a, b) = (self.region_of[from], self.region_of[to]);
         LinkQuality::new(self.latency[a][b], self.bandwidth[a][b])
     }
@@ -496,7 +432,7 @@ mod tests {
 
     #[test]
     fn homogeneous_is_uniform_and_symmetric() {
-        let net = HomogeneousNetwork::paper_default(8);
+        let net = ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g());
         let t01 = net.comm_time(0, 1, 10 * MB, 0.0);
         let t67 = net.comm_time(6, 7, 10 * MB, 1234.5);
         assert!((t01 - t67).abs() < 1e-12);
@@ -576,21 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn elastic_uniform_matches_homogeneous_network() {
-        let link = LinkQuality::virtual_switch_10g();
-        let plain = HomogeneousNetwork::new(6, link);
-        let elastic = ElasticNetwork::uniform(6, link);
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(
-                    plain.comm_time(i, j, 10 * MB, 3.0).to_bits(),
-                    elastic.comm_time(i, j, 10 * MB, 3.0).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn link_faults_degrade_only_their_window() {
         use crate::faults::{LinkFault, LinkFaultKind};
         let net = ElasticNetwork::uniform(4, LinkQuality::gbit_ethernet()).with_faults(FaultPlan {
@@ -659,7 +580,7 @@ mod tests {
 
     #[test]
     fn wan_heterogeneity_ratio() {
-        let net = WanNetwork::paper_default();
+        let net = ElasticNetwork::wan((0..6).collect());
         // Mumbai↔Singapore (close) vs US-West↔Mumbai (far).
         let near = net.comm_time(3, 4, 4 * MB, 0.0);
         let far = net.comm_time(0, 3, 4 * MB, 0.0);
@@ -669,7 +590,7 @@ mod tests {
 
     #[test]
     fn wan_latency_matrix_is_symmetric() {
-        let net = WanNetwork::paper_default();
+        let net = ElasticNetwork::wan((0..6).collect());
         for i in 0..6 {
             for j in 0..6 {
                 let a = net.comm_time(i, j, MB, 0.0);
@@ -682,8 +603,8 @@ mod tests {
     #[test]
     fn cluster_spec_placement() {
         let spec = ClusterSpec::paper_default(vec![4, 4]);
-        assert_eq!(spec.num_workers(), 8);
         let p = spec.placement();
+        assert_eq!(p.len(), 8);
         assert!(p.same_server(0, 3));
         assert!(!p.same_server(0, 4));
     }

@@ -120,11 +120,6 @@ impl<E> EventQueue<E> {
         Some((time, event))
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.min_bucket().map(|b| self.slots[self.heads[b]].time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -331,15 +326,6 @@ mod tests {
         assert_eq!(q.pop(), Some((1.0, 1)));
         assert_eq!(q.pop(), Some((1.0, 2)));
         assert_eq!(q.pop(), Some((1.0, 3)));
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(5.0, ());
-        assert_eq!(q.peek_time(), Some(5.0));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   parameter-server baselines).
 //! * [`LinkQuality`] — a `latency + bytes/bandwidth` cost model per
 //!   directed pair.
-//! * [`Network`] (trait) and its implementations in [`conditions`]:
-//!   [`conditions::HomogeneousNetwork`] (reserved virtual-switch setup of
-//!   §V-A), [`conditions::ElasticNetwork`] (any base fabric composed with
-//!   per-link [`dynamics::LinkDynamics`] and a [`faults::FaultPlan`] —
-//!   the slowed-link regime above is its
-//!   [`dynamics::LinkDynamics::PeriodicRedraw`] special case), and
-//!   [`conditions::WanNetwork`] (the 6-region EC2 matrix of Appendix G).
+//! * [`Network`] (trait) and its one implementation,
+//!   [`conditions::ElasticNetwork`]: a base fabric (the uniform
+//!   virtual-switch link of §V-A, a cluster placement, or the 6-region
+//!   EC2 matrix of Appendix G) composed with per-link
+//!   [`dynamics::LinkDynamics`] and a [`faults::FaultPlan`] — the
+//!   slowed-link regime above is its
+//!   [`dynamics::LinkDynamics::PeriodicRedraw`] special case.
 //! * [`dynamics`] — composable per-link dynamics: static, the paper's
 //!   periodic redraw, Markov-modulated bandwidth, and trace replay.
 //! * [`faults`] — declarative fault injection: link degradation/outage
@@ -45,10 +45,7 @@ pub mod faults;
 pub mod link;
 pub mod topology;
 
-pub use conditions::{
-    ClusterSpec, ElasticNetwork, HomogeneousNetwork, Network, NetworkKind, SlowdownConfig,
-    WanNetwork,
-};
+pub use conditions::{ClusterSpec, ElasticNetwork, Network, NetworkKind, SlowdownConfig};
 pub use dynamics::{LinkDynamics, MarkovConfig, TraceWindow};
 pub use event::EventQueue;
 pub use faults::{

@@ -4,21 +4,26 @@
 //! JSON round-trips, topology invariants, and event-queue ordering.
 
 use netmax_net::{
-    ClusterSpec, ElasticNetwork, EventQueue, FaultPlan, HomogeneousNetwork, LinkDynamics, LinkFault, LinkFaultKind, LinkQuality, MarkovConfig,
-    Network, NodeFault, SlowdownConfig, Straggler, Topology, TraceWindow, WanNetwork,
+    ClusterSpec, ElasticNetwork, EventQueue, FaultPlan, LinkDynamics, LinkFault, LinkFaultKind,
+    LinkQuality, MarkovConfig, Network, NodeFault, SlowdownConfig, Straggler, Topology,
+    TraceWindow,
 };
 use netmax_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
 
-/// Builds one of every `Network` implementation family for an 8-worker
-/// fleet: the legacy regimes plus each composable dynamics variant, with
-/// an optional fault plan layered on.
+/// Builds one network of every family for an 8-worker fleet: the two
+/// static regimes (homogeneous and WAN, never faulted) plus each
+/// composable dynamics variant with an optional fault plan layered on.
 fn all_networks(seed: u64, faults: FaultPlan) -> Vec<(&'static str, Box<dyn Network>)> {
     let spec = || ClusterSpec::paper_default(vec![3, 3, 2]);
     let with = |net: ElasticNetwork| net.with_faults(faults.clone());
     vec![
-        ("homogeneous", Box::new(HomogeneousNetwork::paper_default(8)) as Box<dyn Network>),
-        ("wan", Box::new(WanNetwork::new((0..8).map(|i| i % 6).collect()))),
+        (
+            "homogeneous",
+            Box::new(ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g()).with_seed(seed))
+                as Box<dyn Network>,
+        ),
+        ("wan", Box::new(ElasticNetwork::wan((0..8).map(|i| i % 6).collect()).with_seed(seed))),
         (
             "periodic-redraw",
             Box::new(with(ElasticNetwork::new(
@@ -171,7 +176,7 @@ proptest! {
     /// Homogeneous network: all distinct pairs cost the same at any time.
     #[test]
     fn homogeneous_is_symmetric_and_uniform(t in 0.0f64..10_000.0, bytes in 1u64..1_000_000_000) {
-        let net = HomogeneousNetwork::paper_default(6);
+        let net = ElasticNetwork::uniform(6, LinkQuality::virtual_switch_10g());
         let base = net.comm_time(0, 1, bytes, t);
         for i in 0..6usize {
             for j in 0..6usize {
@@ -185,7 +190,7 @@ proptest! {
     /// WAN: costs are symmetric and self-communication is free.
     #[test]
     fn wan_symmetric(bytes in 1u64..100_000_000) {
-        let net = WanNetwork::paper_default();
+        let net = ElasticNetwork::wan((0..6).collect());
         for i in 0..6usize {
             prop_assert_eq!(net.comm_time(i, i, bytes, 0.0), 0.0);
             for j in 0..6usize {
@@ -210,10 +215,35 @@ proptest! {
         }
     }
 
-    /// Every `Network` implementation — the legacy regimes and every
-    /// composable dynamics variant, with and without a fault plan — is
-    /// pure in virtual time: identical `comm_time` and `link` answers
-    /// regardless of query order or history.
+    /// The homogeneous and WAN regimes are the uniform and WAN fabrics
+    /// with static links and no faults: whatever the seed, they serve the
+    /// `comm_time` bits the dedicated types they replaced served
+    /// (recorded from those types before they were deleted).
+    #[test]
+    fn static_regimes_serve_the_recorded_bits(seed in 0u64..500) {
+        // (from, to, bytes, t, homogeneous bits, WAN bits)
+        let recorded: [(usize, usize, u64, f64, u64, u64); 4] = [
+            (0, 1, 1, 0.0, 0x3f1a36f0a98c3019, 0x3fa1eb856187d58f),
+            (3, 7, 44_700_000, 123.456, 0x3fa25c3dee781840, 0x3ff09e60f04c756b),
+            (6, 2, 999_999_937, 9_999.5, 0x3fe99a6b35a20621, 0x402d04d5c86f31f0),
+            (5, 5, 1_000, 7.0, 0, 0),
+        ];
+        let nets = all_networks(seed, FaultPlan::none());
+        for (from, to, bytes, t, homogeneous, wan) in recorded {
+            for (name, bits) in [("homogeneous", homogeneous), ("wan", wan)] {
+                let (_, net) = nets.iter().find(|(n, _)| *n == name).unwrap();
+                prop_assert_eq!(
+                    net.comm_time(from, to, bytes, t).to_bits(), bits,
+                    "{} ({}, {}, {} B, t = {})", name, from, to, bytes, t
+                );
+            }
+        }
+    }
+
+    /// Every network family — the static regimes and every composable
+    /// dynamics variant, with and without a fault plan — is pure in
+    /// virtual time: identical `comm_time` and `link` answers regardless
+    /// of query order or history.
     #[test]
     fn every_network_impl_is_pure_in_virtual_time(
         seed in 0u64..500,

@@ -13,7 +13,7 @@
 use netmax::core::diagnostics::audit_policy;
 use netmax::core::policy::{PolicyGenerator, PolicySearchConfig};
 use netmax::core::EdgeTimes;
-use netmax::net::{Network, Topology, WanNetwork};
+use netmax::net::{ElasticNetwork, Network, Topology};
 use netmax::prelude::*;
 
 const REGIONS: [&str; 6] = ["us-west", "us-east", "ireland", "mumbai", "singapore", "tokyo"];
@@ -72,7 +72,7 @@ fn main() {
 
     // Where is the WAN bottleneck? Audit a policy built from the true
     // region-to-region times.
-    let wan = WanNetwork::paper_default();
+    let wan = ElasticNetwork::wan((0..6).collect());
     let bytes = ModelProfile::mobilenet().param_bytes();
     let topo = Topology::fully_connected(6);
     let times = EdgeTimes::from_fn(&topo, |i, j| wan.comm_time(i, j, bytes, 0.0));

@@ -106,8 +106,8 @@ pub mod prelude {
         algorithm_for, AdPsgd, AllreduceSgd, GoSgd, ParameterServer, Prague,
     };
     pub use netmax_core::engine::{
-        Algorithm, AlgorithmKind, Observer, PartitionKind, RunReport, Sample, Scenario,
-        ScenarioBuilder, Session, SessionError, StepEvent, StopCondition, TrainConfig,
+        Algorithm, AlgorithmKind, PartitionKind, RunReport, Sample, Scenario, ScenarioBuilder,
+        Session, SessionError, StepEvent, StopCondition, TrainConfig,
     };
     pub use netmax_core::netmax::{NetMax, NetMaxConfig};
     pub use netmax_core::policy::{PolicyGenerator, PolicySearchConfig};
