@@ -170,7 +170,7 @@ mod tests {
             assert_eq!(env.num_nodes(), spec.scenario.workers(), "{}", spec.name);
             assert!(env.topology.is_connected(), "{}", spec.name);
             for i in 0..env.num_nodes() {
-                assert!(!env.partition.node(i).is_empty(), "{}: empty shard", spec.name);
+                assert!(!env.nodes[i].sampler.indices().is_empty(), "{}: empty shard", spec.name);
             }
         }
     }

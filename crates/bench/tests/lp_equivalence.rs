@@ -14,10 +14,12 @@
 //! whole search is: the production generator (`generate_sparse`: edge
 //! lists, block LP template, sparse `Y_P`, Jacobi on its densification)
 //! must return the dense reference generator's `(P, ρ, t̄, λ₂)` to the
-//! last bit — although production hands Jacobi only the candidates its
-//! Lanczos screen cannot show to have lost. Above the threshold exactly
-//! one thing changes — the eigensolver — and the last tests pin that and
-//! the early exits on either side of it.
+//! last bit — although production visits the grid best first, not
+//! row-major, and hands Jacobi only the candidates its Lanczos screen
+//! cannot show to have lost. Above the threshold exactly one thing
+//! changes — the eigensolver — and the last tests pin that and the early
+//! exits on either side of it. (That the visit order cannot move the
+//! selection is `sparse_policy.rs`'s own test, on this file's fabrics.)
 
 use netmax_bench::{registry, Mode};
 use netmax_core::policy::{rho_upper_bound, solve_policy_lp, t_bar_bounds};
@@ -324,7 +326,8 @@ fn only_the_eigensolver_changes_across_the_threshold() {
     assert_eq!(selected, reference);
     assert_ne!(Some(selected.3), reference_search(&cfg, &times, &at, power).map(|s| s.2 .3));
     // The screen spared some candidates the exact solve and never the
-    // first; what it cost is a count, and a function of the inputs alone.
+    // first visited; what it cost is a count, and a function of the inputs
+    // alone.
     assert!(
         (1..feasible as u64).contains(&res.exact_solves),
         "{} Jacobi solves for {feasible} candidates",
@@ -406,8 +409,8 @@ fn lanes_and_early_abandon_select_what_the_exhaustive_sweep_selects() {
         ("random 96", Topology::random_connected(96, 0.03, 9)),
         ("random 150", Topology::random_connected(150, 0.02, 2)),
     ];
-    // Two landscapes: on the first the winner comes early in the sweep,
-    // on the second (a lax ε, a fine ρ grid) late.
+    // Two landscapes: on the first the winner comes early in the
+    // row-major enumeration, on the second (a lax ε, a fine ρ grid) late.
     let searches = [
         coarse_search(0.05),
         PolicySearchConfig {
@@ -434,19 +437,19 @@ fn lanes_and_early_abandon_select_what_the_exhaustive_sweep_selects() {
             }
         }
     }
-    // The table must exercise what the lanes add. A winner that is not
-    // the first candidate but comes early: it ran beside the incumbent it
-    // replaced, in a batch with no ceiling at all. A winner in the last
-    // third of the sweep: every ceiling before it came from an incumbent
-    // that lost, and its own lane had to survive one. And candidates were
-    // in fact abandoned, or none of this was tested.
+    // The table must exercise what the lanes add, wherever the winner
+    // sits in Algorithm 3's enumeration: at its head, near it, and in its
+    // last third — production opens with the first t̄ column from the top
+    // ρ row, so each of those is met in a different batch, under a
+    // different ceiling. And candidates were in fact abandoned, or none
+    // of this was tested.
     assert!(winners.iter().any(|&(at, _)| at == 0));
     assert!(winners.iter().any(|&(at, _)| (1..4).contains(&at)), "{winners:?}");
     assert!(winners.iter().any(|&(at, of)| 3 * at >= 2 * of), "{winners:?}");
     assert!(steps < exhaustive_steps, "{steps} of {exhaustive_steps} steps");
 
-    // The grid sessions run (10 × 10): two dozen batches, the incumbent
-    // replaced several times over, most of the sweep abandoned.
+    // The grid sessions run (10 × 10): two dozen batches, most of the
+    // sweep abandoned.
     let (cfg, topo) = (PolicySearchConfig::new(0.05), Topology::torus(8, 9));
     let times = synthetic_times(&topo);
     let res = production(&cfg, &topo, &times);
@@ -499,8 +502,8 @@ fn the_screen_selects_what_the_exhaustive_jacobi_sweep_selects() {
         PolicySearchConfig::new(0.1),
         PolicySearchConfig { outer_k: 3, inner_r: 30, ..PolicySearchConfig::new(0.05) },
     ];
-    // Per search: the winner's position among the feasible candidates,
-    // their number, and the Jacobi solves production paid for.
+    // Per search: the winner's row-major position among the feasible
+    // candidates, their number, and the Jacobi solves production paid for.
     let mut table = Vec::new();
     for (label, topo) in &fabrics {
         assert!(topo.is_connected() && topo.len() <= DENSE_CONTROL_THRESHOLD, "{label}");
@@ -518,19 +521,27 @@ fn the_screen_selects_what_the_exhaustive_jacobi_sweep_selects() {
                     cfg.alpha
                 );
                 table.push((position, feasible, res.exact_solves as usize));
+                // Visited best first, the `fleet64` fabric's winner is
+                // among the first candidates scored and nearly all the
+                // rest is screened (row-major: 7–10 solves a search).
+                assert!(
+                    *label != "torus 8x8" || res.exact_solves <= 3,
+                    "{label}, seed {seed}, K = {}: {} Jacobi solves",
+                    cfg.outer_k,
+                    res.exact_solves
+                );
             }
         }
     }
     // The table must exercise what the screen adds. A winner in the last
-    // third of its sweep: every ceiling before it came from an incumbent
-    // that lost, and the screen had to let it through each. A winner with
-    // a long screened tail: the tightest ceiling of the sweep dropped ten
-    // candidates or more (those after the winner, less every exact solve
-    // but the winner's own). And the screen carries the sweep: under a
-    // quarter of the feasible candidates reach Jacobi.
+    // third of the enumeration: a row-major sweep would have built every
+    // ceiling before it from an incumbent that lost. A winner with a long
+    // screened tail: the tightest ceiling of the sweep dropped ten
+    // candidates or more. And the screen carries the sweep: under a tenth
+    // of the feasible candidates reach Jacobi.
     assert!(table.iter().any(|&(at, of, _)| 3 * at >= 2 * of), "{table:?}");
     assert!(table.iter().any(|&(at, of, solves)| of >= at + solves + 10), "{table:?}");
     let (feasible, solves) =
         table.iter().fold((0, 0), |(f, s), &(_, of, solves)| (f + of, s + solves));
-    assert!(4 * solves < feasible, "{solves} Jacobi solves for {feasible} feasible candidates");
+    assert!(10 * solves < feasible, "{solves} Jacobi solves for {feasible} feasible candidates");
 }

@@ -21,7 +21,7 @@ fn every_full_sweep_entry_builds_its_environment_at_declared_n() {
         assert_eq!(env.topology.num_edges(), 2 * n, "{}", spec.name);
         for i in 0..n {
             assert_eq!(env.topology.degree(i), 4, "{}: node {i}", spec.name);
-            assert!(!env.partition.node(i).is_empty(), "{}: empty shard", spec.name);
+            assert!(!env.nodes[i].sampler.indices().is_empty(), "{}: empty shard", spec.name);
         }
     }
 }

@@ -59,9 +59,8 @@ pub struct Environment {
     pub network: Box<dyn Network>,
     /// Dataset + model + hyper-parameters.
     pub workload: Workload,
-    /// Which examples each node owns.
-    pub partition: Partition,
-    /// Per-node state.
+    /// Per-node state. Node `i`'s sampler owns its shard of the
+    /// partition and its batch size.
     pub nodes: Vec<NodeState>,
     /// Engine configuration.
     pub cfg: TrainConfig,
@@ -122,11 +121,15 @@ impl Environment {
         assert_eq!(partition.num_nodes(), n, "partition/topology node count mismatch");
         assert_eq!(network.num_nodes(), n, "network/topology node count mismatch");
 
-        let nodes = (0..n)
-            .map(|i| {
-                let shard = partition.node(i).to_vec();
+        let batches: Vec<usize> =
+            (0..n).map(|i| partition.batch_size(i, workload.batch_size)).collect();
+        let nodes = partition
+            .into_shards()
+            .into_iter()
+            .zip(batches)
+            .enumerate()
+            .map(|(i, (shard, batch))| {
                 assert!(!shard.is_empty(), "node {i} received an empty shard");
-                let batch = partition.batch_size(i, workload.batch_size);
                 let model = workload.build_model(cfg.seed.wrapping_add(i as u64));
                 let num_params = model.num_params();
                 NodeState {
@@ -162,7 +165,6 @@ impl Environment {
             topology,
             network,
             workload,
-            partition,
             nodes,
             cfg,
             rng,
@@ -310,10 +312,11 @@ impl Environment {
     /// schedule basis every event-driven session driver derives at
     /// start/restore.
     pub fn nominal_compute_times(&self) -> Vec<f64> {
-        (0..self.num_nodes())
-            .map(|i| {
-                let b = self.partition.batch_size(i, self.workload.batch_size);
-                self.compute_factors[i] * self.workload.profile.compute_time(b)
+        self.nodes
+            .iter()
+            .zip(&self.compute_factors)
+            .map(|(node, factor)| {
+                factor * self.workload.profile.compute_time(node.sampler.batch_size())
             })
             .collect()
     }

@@ -546,7 +546,7 @@ mod tests {
         let b = mk();
         for i in 0..4 {
             assert_eq!(a.nodes[i].model.params(), b.nodes[i].model.params());
-            assert_eq!(a.partition.node(i), b.partition.node(i));
+            assert_eq!(a.nodes[i].sampler.indices(), b.nodes[i].sampler.indices());
         }
     }
 
@@ -591,7 +591,7 @@ mod tests {
             .partition(PartitionKind::PaperTable4)
             .build();
         let env = sc.build_env();
-        assert_eq!(env.partition.num_nodes(), 8);
+        assert_eq!(env.num_nodes(), 8);
     }
 
     #[test]
@@ -651,7 +651,7 @@ mod tests {
         assert_eq!(a.num_nodes(), b.num_nodes());
         for i in 0..a.num_nodes() {
             assert_eq!(a.nodes[i].model.params(), b.nodes[i].model.params());
-            assert_eq!(a.partition.node(i), b.partition.node(i));
+            assert_eq!(a.nodes[i].sampler.indices(), b.nodes[i].sampler.indices());
         }
     }
 

@@ -21,7 +21,21 @@
 //!   for the exact solve, so every incumbent and the winner carry a
 //!   Jacobi λ₂. Past it the sweep scores candidates a batch at a time in
 //!   the lanes of one power-iteration kernel and retires a lane once its
-//!   own, monotone, estimate crosses the ceiling.
+//!   own, monotone, estimate crosses the ceiling;
+//! * both early exits live on the incumbent's ceiling, so the grid is
+//!   visited **best first**: the first t̄ column from the top ρ row down,
+//!   then the rest row-major (`best_first_order`). `T_convergence` falls
+//!   with ρ and rises with t̄, and in every search logged from n = 8 to
+//!   n = 512 the winner sat in that column — up to the threshold in the
+//!   last feasible ρ row, so the first candidate scored is the winner and
+//!   an 8×8-torus round pays 1–2 exact solves where a row-major walk paid
+//!   7–10 building incumbents it discarded; under the capped power score
+//!   of n = 256 in rows 1 and 6, which is why the column and not the
+//!   reversed rows (those double the power steps there). The order is
+//!   cost only: the incumbent is the minimum under `(T_convergence,
+//!   canonical index (k − 1)·R + (r − 1))`, so the selection is Algorithm
+//!   3's row-major arg-min in whatever order candidates arrive — a tested
+//!   property of the private order-parametrised sweep, not an option.
 //!
 //! [`crate::policy`] keeps the dense-matrix formulation as the reference
 //! the equivalence suites compare this module against.
@@ -67,8 +81,9 @@ pub const SPARSE_L2_TOL: f64 = 1e-12;
 /// 5 000 steps: 7.0, 4.6, 3.3, 2.8 ms per λ₂ at 1, 2, 4, 8 lanes), but a
 /// batch's lanes all run under the incumbent the batch started with —
 /// the first batch under none — and a batch lasts as long as its
-/// slowest lane, so a `fleet256` monitor round takes 172, 149, 128,
-/// 176 ms.
+/// slowest lane, so under the best-first order a `fleet256` monitor
+/// round takes 210, 160, 133, 161 ms (`monitor.round_ms.p50`, seed 3,
+/// the faster of two traced runs each).
 const SWEEP_LANES: usize = 4;
 
 /// How far above `λ* = exp(t̄·ln ε / T_best)` a candidate's lower bound
@@ -370,15 +385,34 @@ pub struct SparsePolicyResult {
     pub exact_solves: u64,
 }
 
+/// One `(ρ, t̄)` point of the K × R grid.
+#[derive(Clone, Copy)]
+struct Candidate {
+    /// Canonical position `(k − 1)·R + (r − 1)`: where Algorithm 3's
+    /// row-major enumeration meets this candidate, whatever order the
+    /// sweep visits it in.
+    index: usize,
+    rho: f64,
+    t_bar: f64,
+}
+
 /// The sweep's incumbent. Scalars only: the row LPs are deterministic,
 /// so the winner's policy is solved again once the sweep is over rather
 /// than carried through it.
 #[derive(Clone, Copy)]
 struct Incumbent {
-    rho: f64,
-    t_bar: f64,
+    candidate: Candidate,
     lambda2: f64,
     t_convergence: f64,
+}
+
+/// The order the production sweep visits the K × R grid in, as 1-based
+/// `(k, r)`: the first t̄ column from the top ρ row down, then everything
+/// else row-major — best first, for the reasons in the module docs.
+fn best_first_order(outer_k: usize, inner_r: usize) -> Vec<(usize, usize)> {
+    let first_column = (1..=outer_k).rev().map(|k| (k, 1));
+    let rest = (1..=outer_k).flat_map(|k| (2..=inner_r).map(move |r| (k, r)));
+    first_column.chain(rest).collect()
 }
 
 /// The Eq. (14) LP for one `(times, topology)` pair as its independent
@@ -579,11 +613,12 @@ pub fn t_bar_bounds_sparse(
 
 impl PolicyGenerator {
     /// Runs `GENERATEPOLICYMATRIX(α, K, R, T)` (Algorithm 3) over the edge
-    /// set: the outer loop sweeps K values of ρ over `(0, U_ρ]`, the inner
-    /// loop R values of t̄ over `(L, U]`; each candidate's LP is solved
-    /// row-wise, its `Y_P` scored by λ₂, and the candidate with minimal
-    /// `T_convergence = t̄ · ln ε / ln λ₂` wins (the first such in sweep
-    /// order).
+    /// set: a grid of K values of ρ over `(0, U_ρ]` by R values of t̄ over
+    /// each row's `(L, U]`; each candidate's LP is solved row-wise, its
+    /// `Y_P` scored by λ₂, and the candidate with minimal
+    /// `T_convergence = t̄ · ln ε / ln λ₂` wins (the first such in the
+    /// algorithm's row-major enumeration — though the grid is visited
+    /// best first, see the module docs).
     ///
     /// Returns `None` when no (ρ, t̄) pair admits a feasible LP — the
     /// caller (Network Monitor) then keeps the previous policy.
@@ -596,13 +631,37 @@ impl PolicyGenerator {
         times: &EdgeTimes,
         topo: &Topology,
     ) -> Option<SparsePolicyResult> {
+        self.sweep(times, topo, &best_first_order(self.cfg.outer_k, self.cfg.inner_r))
+    }
+
+    /// The sweep behind [`Self::generate_sparse`], visiting the grid's
+    /// `(k, r)` candidates (1-based ρ row and t̄ column) in `order`. The
+    /// order decides what the sweep costs and nothing else: the incumbent
+    /// is the minimum under `(T_convergence, canonical index)`, a total
+    /// order on candidates, and a candidate is dropped only once it is
+    /// shown strictly above some incumbent.
+    fn sweep(
+        &self,
+        times: &EdgeTimes,
+        topo: &Topology,
+        order: &[(usize, usize)],
+    ) -> Option<SparsePolicyResult> {
         let m = topo.len();
         assert_eq!(times.len(), m, "iteration-time edge list shape mismatch");
         assert!(topo.is_connected(), "Assumption 1 requires a connected graph");
 
         let alpha = self.cfg.alpha;
+        let (outer_k, inner_r) = (self.cfg.outer_k, self.cfg.inner_r);
         let u_rho = rho_upper_bound_sparse(alpha, times, topo)?;
-        let delta_rho = u_rho / self.cfg.outer_k as f64;
+        let delta_rho = u_rho / outer_k as f64;
+        // Row k's t̄ grid as (L, Δ): the bounds are a pass over the edge
+        // set, taken once per ρ row however the order interleaves rows.
+        let t_bar_grid: Vec<Option<(f64, f64)>> = (1..=outer_k)
+            .map(|k| {
+                let (lower, upper) = t_bar_bounds_sparse(alpha, k as f64 * delta_rho, times, topo)?;
+                Some((lower, (upper - lower) / inner_r as f64))
+            })
+            .collect();
 
         // The K·R candidate LPs share every coefficient row, so the
         // template and solver workspace are built once and re-stamped per
@@ -614,65 +673,66 @@ impl PolicyGenerator {
         let mut best: Option<Incumbent> = None;
         let mut screen = LanczosScreen::new();
         let mut lanes: Option<PowerLanes<SWEEP_LANES>> = None;
-        let mut batch: Vec<(f64, f64)> = Vec::with_capacity(SWEEP_LANES);
+        let mut batch: Vec<Candidate> = Vec::with_capacity(SWEEP_LANES);
         let (mut lambda2_iterations, mut exact_solves) = (0u64, 0u64);
-        for k in 1..=self.cfg.outer_k {
-            let rho = k as f64 * delta_rho;
-            let Some((lower, upper)) = t_bar_bounds_sparse(alpha, rho, times, topo) else {
+        for &(k, r) in order {
+            // A row whose t̄ interval is empty holds no candidate.
+            let Some(&Some((lower, delta))) = t_bar_grid.get(k - 1) else {
                 continue;
             };
-            let delta = (upper - lower) / self.cfg.inner_r as f64;
-            for r in 1..=self.cfg.inner_r {
-                let t_bar = lower + r as f64 * delta;
-                template.stamp(alpha, rho, t_bar, topo);
-                let Some(policy) = template.solve(topo, &mut ws) else {
-                    continue;
-                };
-                let y = build_y_sparse(&policy, topo, &p_node, alpha, rho);
-                drop(policy);
-                debug_assert!(
-                    (0..m).all(|i| {
-                        (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
-                    }),
-                    "feasible policy must give doubly stochastic Y (Lemma 1)"
-                );
-                // The λ₂ at which this candidate's T_convergence would equal
-                // the incumbent's, plus the guard band: a λ₂ above it has lost.
-                let ceiling = best.map(|b| {
-                    (t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
-                });
-                if m <= DENSE_CONTROL_THRESHOLD {
-                    // Only a candidate the screen cannot show above the
-                    // ceiling pays for its exact λ₂ — and every candidate
-                    // while there is no incumbent to lose to.
-                    if let Some(ceiling) = ceiling {
-                        let screened = screen.screen(&y, ceiling);
-                        lambda2_iterations += screened.steps as u64;
-                        if screened.exceeds {
-                            continue;
-                        }
+            let candidate = Candidate {
+                index: (k - 1) * inner_r + (r - 1),
+                rho: k as f64 * delta_rho,
+                t_bar: lower + r as f64 * delta,
+            };
+            template.stamp(alpha, candidate.rho, candidate.t_bar, topo);
+            let Some(policy) = template.solve(topo, &mut ws) else {
+                continue;
+            };
+            let y = build_y_sparse(&policy, topo, &p_node, alpha, candidate.rho);
+            drop(policy);
+            debug_assert!(
+                (0..m).all(|i| {
+                    (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
+                }),
+                "feasible policy must give doubly stochastic Y (Lemma 1)"
+            );
+            // The λ₂ at which this candidate's T_convergence would equal
+            // the incumbent's, plus the guard band: a λ₂ above it has lost.
+            let ceiling = best.map(|b| {
+                (candidate.t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
+            });
+            if m <= DENSE_CONTROL_THRESHOLD {
+                // Only a candidate the screen cannot show above the
+                // ceiling pays for its exact λ₂ — and every candidate
+                // while there is no incumbent to lose to.
+                if let Some(ceiling) = ceiling {
+                    let screened = screen.screen(&y, ceiling);
+                    lambda2_iterations += screened.steps as u64;
+                    if screened.exceeds {
+                        continue;
                     }
-                    exact_solves += 1;
-                    self.consider(&mut best, rho, t_bar, second_largest_eigenvalue(&y.to_dense()));
-                    continue;
                 }
-                // Every candidate's Y_P has the topology's pattern, so the
-                // lanes are laid out over the first and reused. A lane's
-                // ceiling comes from the incumbent its batch started with.
-                let lanes = lanes.get_or_insert_with(|| PowerLanes::for_pattern(&y));
-                lanes.load_lane(batch.len(), &y, ceiling.unwrap_or(f64::INFINITY));
-                drop(y);
-                batch.push((rho, t_bar));
-                if batch.len() == SWEEP_LANES {
-                    lambda2_iterations += self.score_batch(lanes, &mut batch, &mut best);
-                }
+                exact_solves += 1;
+                self.consider(&mut best, candidate, second_largest_eigenvalue(&y.to_dense()));
+                continue;
+            }
+            // Every candidate's Y_P has the topology's pattern, so the
+            // lanes are laid out over the first and reused. A lane's
+            // ceiling comes from the incumbent its batch started with.
+            let lanes = lanes.get_or_insert_with(|| PowerLanes::for_pattern(&y));
+            lanes.load_lane(batch.len(), &y, ceiling.unwrap_or(f64::INFINITY));
+            drop(y);
+            batch.push(candidate);
+            if batch.len() == SWEEP_LANES {
+                lambda2_iterations += self.score_batch(lanes, &mut batch, &mut best);
             }
         }
         if let Some(lanes) = &mut lanes {
             lambda2_iterations += self.score_batch(lanes, &mut batch, &mut best);
         }
 
-        let Incumbent { rho, t_bar, lambda2, t_convergence } = best?;
+        let Incumbent { candidate: Candidate { rho, t_bar, .. }, lambda2, t_convergence } = best?;
         template.stamp(alpha, rho, t_bar, topo);
         let policy = template.solve(topo, &mut ws)?;
         Some(SparsePolicyResult {
@@ -686,33 +746,38 @@ impl PolicyGenerator {
         })
     }
 
-    /// Scores one candidate against the incumbent: the first candidate in
-    /// sweep order with the minimal `T_convergence` wins.
-    fn consider(&self, best: &mut Option<Incumbent>, rho: f64, t_bar: f64, lambda2: f64) {
+    /// Scores one candidate against the incumbent: the minimal
+    /// `T_convergence` wins, and among equals the lowest canonical index —
+    /// the first of them a row-major sweep meets — whichever is offered
+    /// first.
+    fn consider(&self, best: &mut Option<Incumbent>, candidate: Candidate, lambda2: f64) {
         if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
             return;
         }
         // T_convergence = t̄ · ln ε / ln λ₂  (both logs negative).
-        let t_convergence = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
-        if best.is_none_or(|b| t_convergence < b.t_convergence) {
-            *best = Some(Incumbent { rho, t_bar, lambda2, t_convergence });
+        let t_convergence = candidate.t_bar * self.cfg.epsilon.ln() / lambda2.ln();
+        if best.is_none_or(|b| {
+            t_convergence < b.t_convergence
+                || (t_convergence == b.t_convergence && candidate.index < b.candidate.index)
+        }) {
+            *best = Some(Incumbent { candidate, lambda2, t_convergence });
         }
     }
 
-    /// Runs the loaded lanes and scores their candidates in sweep order;
-    /// returns the power-iteration steps the batch took.
+    /// Runs the loaded lanes and scores their candidates; returns the
+    /// power-iteration steps the batch took.
     fn score_batch(
         &self,
         lanes: &mut PowerLanes<SWEEP_LANES>,
-        batch: &mut Vec<(f64, f64)>,
+        batch: &mut Vec<Candidate>,
         best: &mut Option<Incumbent>,
     ) -> u64 {
         let outcomes = lanes.run_lanes(SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL);
         let mut steps = 0;
-        for ((rho, t_bar), outcome) in batch.drain(..).zip(outcomes.into_iter().flatten()) {
+        for (candidate, outcome) in batch.drain(..).zip(outcomes.into_iter().flatten()) {
             steps += match outcome {
                 LaneOutcome::Finished(power) => {
-                    self.consider(best, rho, t_bar, power.eigenvalue);
+                    self.consider(best, candidate, power.eigenvalue);
                     power.iterations
                 }
                 // Its λ₂ would have ended above the ceiling: it had lost.
@@ -727,6 +792,9 @@ impl PolicyGenerator {
 mod tests {
     use super::*;
     use crate::policy::{solve_policy_lp, PolicySearchConfig};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
     fn hetero_times_dense(m: usize, fast: f64, slow: f64) -> Matrix {
         let mut t = Matrix::zeros(m, m);
@@ -873,6 +941,150 @@ mod tests {
             (sparse.rho, sparse.t_bar, sparse.lambda2, sparse.t_convergence),
             (dense.rho, dense.t_bar, dense.lambda2, dense.t_convergence)
         );
+    }
+
+    /// `lp_equivalence.rs`'s link times (the sweep's order-parametrised
+    /// core is private, so its table is rebuilt here): a slow tier on
+    /// about a fifth of the directed edges, jitter on all of them.
+    fn seeded_times(topo: &Topology, seed: u64) -> EdgeTimes {
+        let n = topo.len();
+        EdgeTimes::from_fn(topo, |i, j| {
+            let mut z = (seed << 32 | (i * n + j) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let u = (z >> 11) as f64 / (1u64 << 53) as f64;
+            if z.is_multiple_of(5) {
+                1.0 + 2.0 * u
+            } else {
+                0.1 + 0.3 * u
+            }
+        })
+    }
+
+    fn ring_with_chords(n: usize, stride: usize) -> Topology {
+        let mut topo = Topology::ring(n);
+        for i in (0..n).step_by(stride) {
+            topo.set_edge(i, (i + n / 2) % n, true);
+        }
+        topo
+    }
+
+    fn row_major_order(outer_k: usize, inner_r: usize) -> Vec<(usize, usize)> {
+        (1..=outer_k).flat_map(|k| (1..=inner_r).map(move |r| (k, r))).collect()
+    }
+
+    /// Everything a search selects, as bits.
+    fn selected(res: &SparsePolicyResult) -> (Vec<u64>, [u64; 4]) {
+        let policy = (0..res.policy.len())
+            .flat_map(|i| res.policy.row(i).iter().map(|&(_, p)| p.to_bits()))
+            .collect();
+        (policy, [res.rho, res.t_bar, res.lambda2, res.t_convergence].map(f64::to_bits))
+    }
+
+    #[test]
+    fn production_order_opens_with_the_first_column_from_the_top_row() {
+        assert_eq!(
+            best_first_order(3, 3),
+            [(3, 1), (2, 1), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+        );
+        let mut sorted = best_first_order(10, 10);
+        sorted.sort_unstable();
+        assert_eq!(sorted, row_major_order(10, 10));
+    }
+
+    #[test]
+    fn the_selection_does_not_depend_on_the_visit_order() {
+        // `lp_equivalence.rs`'s fabrics × seeds on either side of the
+        // eigensolver switch. Row-major is Algorithm 3 as written and what
+        // the equivalence suites' reference walks; production, the
+        // enumeration reversed and a seeded shuffle of it must select the
+        // same bits, and production must not cost more than row-major.
+        let fabrics = [
+            Topology::fully_connected(8),
+            Topology::fully_connected(16),
+            Topology::ring(8),
+            Topology::ring(33),
+            Topology::star(9, 0),
+            Topology::torus(4, 4),
+            Topology::torus(6, 6),
+            Topology::torus(8, 8),
+            ring_with_chords(64, 4),
+            Topology::random_connected(20, 0.15, 3),
+            Topology::random_connected(48, 0.06, 7),
+            Topology::random_connected(64, 0.05, 11),
+            // Past the threshold: the lanes.
+            Topology::torus(8, 9),
+            Topology::torus(10, 10),
+            ring_with_chords(70, 7),
+            Topology::random_connected(96, 0.03, 9),
+        ];
+        let lax = PolicySearchConfig {
+            outer_k: 6,
+            inner_r: 2,
+            epsilon: 0.5,
+            ..PolicySearchConfig::new(0.02)
+        };
+        let searches = [PolicySearchConfig::new(0.05), PolicySearchConfig::new(0.1), lax];
+        // (exact solves, lane steps), summed over the table.
+        let (mut row_major_cost, mut production_cost) = ((0, 0), (0, 0));
+        for topo in &fabrics {
+            let lane_side = topo.len() > DENSE_CONTROL_THRESHOLD;
+            for seed in 0..3u64 {
+                let times = seeded_times(topo, seed);
+                for cfg in &searches {
+                    let gen = PolicyGenerator::new(cfg.clone());
+                    let row_major = row_major_order(cfg.outer_k, cfg.inner_r);
+                    let reversed: Vec<_> = row_major.iter().rev().copied().collect();
+                    let mut shuffled = row_major.clone();
+                    shuffled.shuffle(&mut StdRng::seed_from_u64(seed));
+
+                    let reference = gen.sweep(&times, topo, &row_major).expect("feasible");
+                    // Production's order through production's door.
+                    let production = gen.generate_sparse(&times, topo).expect("feasible");
+                    let reversed = gen.sweep(&times, topo, &reversed).expect("feasible");
+                    let shuffled = gen.sweep(&times, topo, &shuffled).expect("feasible");
+                    for res in [&production, &reversed, &shuffled] {
+                        assert_eq!(
+                            selected(res),
+                            selected(&reference),
+                            "n = {}, seed {seed}, K = {}, α = {}",
+                            topo.len(),
+                            cfg.outer_k,
+                            cfg.alpha
+                        );
+                    }
+                    for (cost, res) in
+                        [(&mut row_major_cost, &reference), (&mut production_cost, &production)]
+                    {
+                        cost.0 += res.exact_solves;
+                        cost.1 += if lane_side { res.lambda2_iterations } else { 0 };
+                    }
+                }
+            }
+        }
+        assert!(
+            production_cost.0 <= row_major_cost.0 && production_cost.1 <= row_major_cost.1,
+            "best first cost {production_cost:?}, row-major {row_major_cost:?}"
+        );
+    }
+
+    #[test]
+    fn equal_scores_keep_the_lower_canonical_index() {
+        let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
+        let at = |index| Candidate { index, rho: 0.5, t_bar: 0.2 };
+        for offered in [[7, 3], [3, 7]] {
+            let mut best = None;
+            for index in offered {
+                gen.consider(&mut best, at(index), 0.9);
+            }
+            assert_eq!(best.map(|b| b.candidate.index), Some(3), "offered {offered:?}");
+        }
+        // A strictly better score wins from any index.
+        let mut best = None;
+        gen.consider(&mut best, at(3), 0.9);
+        gen.consider(&mut best, at(7), 0.8);
+        assert_eq!(best.map(|b| b.candidate.index), Some(7));
     }
 
     #[test]

@@ -30,10 +30,10 @@ impl Partition {
         assert!(nodes > 0, "need at least one node");
         let mut idx: Vec<usize> = (0..dataset.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
-        let mut per_node = vec![Vec::new(); nodes];
-        for (k, i) in idx.into_iter().enumerate() {
-            per_node[k % nodes].push(i);
-        }
+        // Shard `j` is every `nodes`-th index from `j`: an exact-size
+        // iterator, so each shard is allocated once at its final length.
+        let per_node =
+            (0..nodes).map(|j| idx.iter().skip(j).step_by(nodes).copied().collect()).collect();
         Self { per_node, weights: vec![1.0; nodes] }
     }
 
@@ -132,6 +132,12 @@ impl Partition {
     /// Example indices owned by node `i`.
     pub fn node(&self, i: usize) -> &[usize] {
         &self.per_node[i]
+    }
+
+    /// Hands the shards over, node by node, to whoever will sample from
+    /// them — the partition's one large allocation moves, not copies.
+    pub fn into_shards(self) -> Vec<Vec<usize>> {
+        self.per_node
     }
 
     /// Relative data weight of node `i` (≥ 0; 1.0 = average share).

@@ -61,10 +61,10 @@ fn segmented_batches_scale_with_data_share() {
         .build();
     let env = sc.build_env();
     // Nodes 4 and 6 hold two segments: double batch and double shard.
-    let b = |i: usize| env.partition.batch_size(i, env.workload.batch_size);
+    let b = |i: usize| env.nodes[i].sampler.batch_size();
     assert_eq!(b(4), 2 * b(0));
     assert_eq!(b(6), 2 * b(1));
-    let shard = |i: usize| env.partition.node(i).len() as f64;
+    let shard = |i: usize| env.nodes[i].sampler.shard_len() as f64;
     let ratio = shard(4) / shard(0);
     assert!((ratio - 2.0).abs() < 0.2, "shard ratio {ratio}");
 }
