@@ -13,7 +13,9 @@ use std::path::PathBuf;
 /// the recorder's per-replica `loss_scratch` became `loss_block`, and the
 /// sample path it served joined the list with it (`force_record` and the
 /// two shared blocks' entry points) — a manifest names what must stay
-/// covered, and the sample path now must.
+/// covered, and the sample path now must. Two left with theirs: the event
+/// queue's `insert` and `link` were the calendar queue's, and the heap's
+/// one insertion path is `restore_entry`, which `push` calls.
 const V1_MANIFEST: &[(&str, &[&str])] = &[
     (
         "crates/ml/src/model.rs",
@@ -34,7 +36,7 @@ const V1_MANIFEST: &[(&str, &[&str])] = &[
         ],
     ),
     ("crates/core/src/engine/gossip.rs", &["advance", "schedule_next"]),
-    ("crates/net/src/event.rs", &["push", "pop", "insert", "link"]),
+    ("crates/net/src/event.rs", &["push", "pop", "restore_entry"]),
 ];
 
 #[test]

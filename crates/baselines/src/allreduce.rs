@@ -115,7 +115,7 @@ impl SessionDriver for AllreduceDriver {
         }
         let c_max = self.compute.iter().copied().fold(0.0, f64::max);
         let ar = if members >= 2 {
-            ring_allreduce_time(env.network.as_ref(), &self.ring, bytes, now + c_max, 1.0)
+            ring_allreduce_time(&env.network, &self.ring, bytes, now + c_max, 1.0)
         } else {
             0.0
         };

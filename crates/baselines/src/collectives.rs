@@ -5,7 +5,7 @@
 //! `bytes/g` per member, with every step paced by the slowest link in the
 //! ring. (The parameter-server star is timed inside `param_server`.)
 
-use netmax_net::Network;
+use netmax_net::ElasticNetwork;
 
 /// Simulated time for a ring allreduce of `bytes` across `members`,
 /// starting at `now`.
@@ -21,7 +21,7 @@ use netmax_net::Network;
 /// # Panics
 /// Panics if fewer than 2 members or `bandwidth_share` is not in (0, 1].
 pub fn ring_allreduce_time(
-    net: &dyn Network,
+    net: &ElasticNetwork,
     members: &[usize],
     bytes: u64,
     now: f64,
@@ -47,7 +47,7 @@ pub fn ring_allreduce_time(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netmax_net::{ElasticNetwork, LinkQuality};
+    use netmax_net::LinkQuality;
 
     fn net(n: usize) -> ElasticNetwork {
         ElasticNetwork::uniform(n, LinkQuality::new(0.001, 1e9))

@@ -108,7 +108,7 @@ impl SessionDriver for PragueDriver {
             let c_max = self.compute.iter().copied().fold(0.0, f64::max);
 
             let comm = if group.len() >= 2 {
-                ring_allreduce_time(env.network.as_ref(), group, bytes, start + c_max, share)
+                ring_allreduce_time(&env.network, group, bytes, start + c_max, share)
             } else {
                 0.0
             };

@@ -7,7 +7,8 @@
 //! trackers, per-row Eq. 14 LPs, sparse `Y_P`), beyond
 //! [`DENSE_CONTROL_THRESHOLD`](netmax_core::DENSE_CONTROL_THRESHOLD)
 //! nodes λ₂ comes from power iteration instead of Jacobi, and the
-//! engine's calendar event queue keeps dispatch O(1) per step.
+//! engine's event queue is a binary heap, so dispatch is O(log n) per
+//! step whatever the spread of the link speeds.
 //!
 //! Unlike the figure reproductions, the sweep is **step-budgeted**: each
 //! run executes a fixed number of global steps *per node* instead of a

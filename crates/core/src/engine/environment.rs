@@ -8,7 +8,7 @@ use netmax_ml::model::{Model, Scratch};
 use netmax_ml::optim::SgdState;
 use netmax_ml::partition::Partition;
 use netmax_ml::workload::Workload;
-use netmax_net::{FaultPlan, Network, Topology};
+use netmax_net::{ElasticNetwork, FaultPlan, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,7 +56,7 @@ pub struct Environment {
     /// Communication graph `G` (who may gossip with whom).
     pub topology: Topology,
     /// Ground-truth link timing.
-    pub network: Box<dyn Network>,
+    pub network: ElasticNetwork,
     /// Dataset + model + hyper-parameters.
     pub workload: Workload,
     /// Per-node state. Node `i`'s sampler owns its shard of the
@@ -112,7 +112,7 @@ impl Environment {
     /// number of nodes, or if any shard is empty.
     pub fn new(
         topology: Topology,
-        network: Box<dyn Network>,
+        network: ElasticNetwork,
         workload: Workload,
         partition: Partition,
         cfg: TrainConfig,
@@ -626,14 +626,14 @@ fn draw_active(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netmax_net::{ElasticNetwork, LinkQuality};
+    use netmax_net::LinkQuality;
     use rand::RngCore;
 
     fn tiny_env() -> Environment {
         let workload = Workload::convex_ridge(1);
         let n = 4;
         let topology = Topology::fully_connected(n);
-        let network = Box::new(ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()));
+        let network = ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g());
         let partition = Partition::uniform(&workload.train, n, 7);
         Environment::new(topology, network, workload, partition, TrainConfig::quick_test())
     }
@@ -728,7 +728,7 @@ mod tests {
         small_workload.train = std::sync::Arc::new(train);
         small_workload.test = std::sync::Arc::new(test);
         let topology = Topology::fully_connected(4);
-        let network = Box::new(ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g()));
+        let network = ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g());
         let partition = Partition::uniform(&small_workload.train, 4, 7);
         let mut small = Environment::new(
             topology,

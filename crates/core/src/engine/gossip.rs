@@ -24,6 +24,7 @@ use super::recorder::RunReport;
 use super::session::{DriverEvent, Session, SessionDriver, SessionError};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_net::EventQueue;
+use std::collections::BTreeSet;
 
 /// A worker's choice at the start of an iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,6 +201,8 @@ pub fn purge_events<E: Clone>(
 
 /// Inverse of [`queue_to_json`].
 pub fn queue_from_json<E: FromJson>(v: &Json) -> Result<EventQueue<E>, JsonError> {
+    let next_seq = u64::from_json(v.field("next_seq")?)?;
+    let mut seqs = BTreeSet::new();
     let mut queue = EventQueue::new();
     for entry in v.field("entries")?.as_arr()? {
         let time = f64::from_json(entry.field("time")?)?;
@@ -210,13 +213,20 @@ pub fn queue_from_json<E: FromJson>(v: &Json) -> Result<EventQueue<E>, JsonError
                 "event time must be finite and non-negative, got {time}"
             )));
         }
-        queue.restore_entry(
-            time,
-            u64::from_json(entry.field("seq")?)?,
-            E::from_json(entry.field("event")?)?,
-        );
+        // FIFO tie-breaking needs unique sequence numbers, all below the
+        // one the next push takes.
+        let seq = u64::from_json(entry.field("seq")?)?;
+        if seq >= next_seq {
+            return Err(JsonError::schema(format!(
+                "event seq {seq} is not below next_seq {next_seq}"
+            )));
+        }
+        if !seqs.insert(seq) {
+            return Err(JsonError::schema(format!("event seq {seq} appears twice")));
+        }
+        queue.restore_entry(time, seq, E::from_json(entry.field("event")?)?);
     }
-    queue.set_next_seq(u64::from_json(v.field("next_seq")?)?);
+    queue.set_next_seq(next_seq);
     Ok(queue)
 }
 
@@ -504,7 +514,7 @@ mod tests {
         let cfg = TrainConfig { seed, ..TrainConfig::quick_test() };
         Environment::new(
             Topology::fully_connected(4),
-            Box::new(ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g())),
+            ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g()),
             w,
             part,
             cfg,

@@ -471,7 +471,7 @@ mod tests {
         let part = Partition::uniform(&w.train, 3, 0);
         Environment::new(
             Topology::fully_connected(3),
-            Box::new(ElasticNetwork::uniform(3, LinkQuality::virtual_switch_10g())),
+            ElasticNetwork::uniform(3, LinkQuality::virtual_switch_10g()),
             w,
             part,
             TrainConfig::quick_test(),

@@ -440,7 +440,7 @@ impl Scenario {
             }
         };
         let mut env =
-            Environment::new(topology, Box::new(network), workload, partition, self.cfg.clone());
+            Environment::new(topology, network, workload, partition, self.cfg.clone());
         env.set_fault_plan(self.faults.clone());
         env
     }

@@ -269,6 +269,16 @@ fn hostile_nmxb_is_always_a_typed_error() {
     let v3_tag = Json::Str(SESSION_CHECKPOINT_SCHEMA_V3.into());
     let small_tracker = EmaTimeTracker::for_fleet(WORKERS - 1, 0.5).checkpoint();
     let large_policy = SparsePolicy::identity(WORKERS + 1).checkpoint();
+    // The restored FIFO order hangs on the queue's sequence numbers.
+    let entries = logical
+        .field("driver")
+        .and_then(|d| d.field("queue")?.field("entries")?.as_arr())
+        .expect("the driver checkpoints its queue");
+    let with_first_seq = |seq: &Json| {
+        let mut entries = entries.to_vec();
+        entries[0] = replaced(&entries[0], &["seq"], seq.clone());
+        replaced(&logical, &["driver", "queue", "entries"], Json::Arr(entries))
+    };
     let documents = [
         // The logical document is only accepted under the v2 tag — the v3
         // tag names the container, not the document inside it.
@@ -290,6 +300,19 @@ fn hostile_nmxb_is_always_a_typed_error() {
             "a policy larger than the fleet",
             replaced(&logical, &["driver", "behavior", "policy"], large_policy),
             "policy is for 5 nodes, environment has 4",
+        ),
+        // `seq + 1` used to overflow: a panic in the dev profile, and in
+        // release a `next_seq` wrapped to 0, after which fresh pushes sort
+        // before restored events at equal times.
+        (
+            "a queue entry whose seq is u64::MAX",
+            with_first_seq(&Json::Int(i128::from(u64::MAX))),
+            "is not below next_seq",
+        ),
+        (
+            "two queue entries with one seq",
+            with_first_seq(entries[1].field("seq").unwrap()),
+            "appears twice",
         ),
     ];
     for (what, document, needle) in documents {

@@ -92,7 +92,7 @@ fn build_env_sampling(workload: Workload, record_every_steps: u64) -> Environmen
     };
     Environment::new(
         Topology::fully_connected(n),
-        Box::new(ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g())),
+        ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()),
         workload,
         partition,
         cfg,

@@ -22,20 +22,6 @@ use crate::link::LinkQuality;
 use crate::topology::Placement;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 
-/// A network: the ground-truth communication cost between worker nodes.
-pub trait Network: Send + Sync {
-    /// Number of worker nodes.
-    fn num_nodes(&self) -> usize;
-
-    /// Seconds to transfer `bytes` from node `from` to node `to`, starting
-    /// at virtual time `now`.
-    fn comm_time(&self, from: usize, to: usize, bytes: u64, now: f64) -> f64;
-
-    /// The link quality between two nodes at time `now` (diagnostics and
-    /// collectives that need bandwidth directly, e.g. ring allreduce).
-    fn link(&self, from: usize, to: usize, now: f64) -> LinkQuality;
-}
-
 /// Which of the paper's network regimes to instantiate (used by the
 /// scenario builder and the figure harnesses).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -325,38 +311,23 @@ impl ElasticNetwork {
         self
     }
 
-    /// The cluster spec, when this network is a cluster fabric.
-    pub fn spec(&self) -> Option<&ClusterSpec> {
-        match &self.base {
-            BaseFabric::Cluster { spec, .. } => Some(spec),
-            _ => None,
-        }
-    }
-
-    /// The active link dynamics.
-    pub fn dynamics(&self) -> &LinkDynamics {
-        &self.dynamics
-    }
-
-    /// The attached fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-}
-
-impl Network for ElasticNetwork {
-    fn num_nodes(&self) -> usize {
+    /// Number of worker nodes.
+    pub fn num_nodes(&self) -> usize {
         self.base.num_nodes()
     }
 
-    fn comm_time(&self, from: usize, to: usize, bytes: u64, now: f64) -> f64 {
+    /// Seconds to transfer `bytes` from node `from` to node `to`, starting
+    /// at virtual time `now`.
+    pub fn comm_time(&self, from: usize, to: usize, bytes: u64, now: f64) -> f64 {
         if from == to {
             return 0.0;
         }
         self.link(from, to, now).transfer_time(bytes)
     }
 
-    fn link(&self, from: usize, to: usize, now: f64) -> LinkQuality {
+    /// The link quality between two nodes at time `now` (diagnostics and
+    /// collectives that need bandwidth directly, e.g. ring allreduce).
+    pub fn link(&self, from: usize, to: usize, now: f64) -> LinkQuality {
         let base = self.base.link(from, to);
         let n = self.base.num_nodes();
         let factor = self.dynamics.factor(self.seed, n, from, to, now)

@@ -5,69 +5,49 @@
 //! (the paper's §IV global-step model). Ties are broken FIFO by insertion
 //! sequence so runs are fully deterministic across platforms.
 //!
-//! ## Calendar-queue internals
-//!
-//! The queue is a classic **calendar queue** (Brown 1988): an array of
-//! "day" buckets of width `w` seconds, cycled through like the pages of a
-//! desk calendar, so an event at time `t` lives in bucket
-//! `⌊t/w⌋ mod num_buckets`. Pops scan forward from the year of the last
-//! popped time; with the width sized to the live event spacing
-//! (re-estimated whenever the queue resizes) both `push` and `pop` are
-//! amortized O(1) regardless of fleet size — the former global
-//! `BinaryHeap`'s O(log n) comparisons per operation disappear at
-//! n = 4096.
-//!
-//! Entries live in a slab recycled through an intrusive free list, and
-//! each bucket is an intrusive sorted list threaded through slab indices,
-//! so steady-state `push`/`pop` performs **zero heap allocations**: the
-//! slab only grows when the pending-event high-water mark does, the same
-//! profile the binary heap had (and the profile the engine's hot-path
-//! allocation tests pin down).
-//!
-//! The observable contract is unchanged and property-tested against the
-//! reference heap: the exact `(time, FIFO seq)` pop order, including
-//! simultaneous events, crash-time purges, and checkpoint
-//! snapshot/restore round-trips.
+//! The queue is a binary min-heap on `(time, seq)`: O(log n) per operation
+//! whatever the spacing of the pending times (the paper's links differ
+//! 2×–100×, so completion times are skewed, not evenly spaced), and the
+//! keys are unique, so the pop order is a total order that does not depend
+//! on the heap's layout. Steady-state `pop`→`push` performs **zero heap
+//! allocations**: capacity only grows when the pending-event high-water
+//! mark does (the engine's hot-path allocation tests pin that down).
 
-/// Sentinel index for "no slot" in the intrusive lists.
-const NIL: usize = usize::MAX;
+use std::{cmp::Ordering, collections::BinaryHeap};
 
-/// Smallest number of calendar buckets kept allocated.
-const MIN_BUCKETS: usize = 4;
-
-/// Bucket width used until the first resize provides a measured spacing,
-/// and whenever every pending event shares one timestamp.
-const DEFAULT_WIDTH: f64 = 1.0;
-
-/// One slab cell: an event with its key, linked into either a bucket
-/// list (occupied, `event` is `Some`) or the free list (`event` is
-/// `None`).
+/// One pending event, ordered *reversed* on `(time, seq)`: `BinaryHeap` is
+/// a max-heap and the earliest entry must sit on top.
 #[derive(Debug)]
-struct Slot<E> {
+struct Entry<E> {
     time: f64,
     seq: u64,
-    event: Option<E>,
-    next: usize,
+    event: E,
 }
 
-/// Min-queue of timestamped events with stable FIFO tie-breaking,
-/// implemented as a calendar queue (see the module docs).
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.time.total_cmp(&self.time).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+/// Min-queue of timestamped events with stable FIFO tie-breaking.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Slab of event slots; freed slots are recycled via `free`.
-    slots: Vec<Slot<E>>,
-    /// Head of the free-slot list.
-    free: usize,
-    /// Calendar days: `heads[b]` starts an intrusive list sorted
-    /// ascending by `(time, seq)`, so the head is the bucket minimum.
-    heads: Vec<usize>,
-    /// Seconds spanned by one bucket.
-    width: f64,
-    /// Total pending events.
-    len: usize,
-    /// Lower bound on every pending event's time: the last popped time,
-    /// lowered whenever an earlier event is pushed.
-    last_time: f64,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
 }
 
@@ -80,15 +60,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        Self {
-            slots: Vec::new(),
-            free: NIL,
-            heads: vec![NIL; MIN_BUCKETS],
-            width: DEFAULT_WIDTH,
-            len: 0,
-            last_time: 0.0,
-            next_seq: 0,
-        }
+        Self { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
     /// Schedules `event` at virtual time `time`.
@@ -96,49 +68,28 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `time` is NaN or negative.
     pub fn push(&mut self, time: f64, event: E) {
-        assert!(time.is_finite() && time >= 0.0, "event time must be finite and non-negative");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.insert(time, seq, event);
+        self.restore_entry(time, self.next_seq, event);
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        let b = self.min_bucket()?;
-        let s = self.heads[b];
-        // Taking the event before unlinking keeps this total: a slot on
-        // a head list is always occupied, but if that invariant ever
-        // broke the queue would report empty instead of panicking.
-        let event = self.slots[s].event.take()?;
-        let time = self.slots[s].time;
-        self.heads[b] = self.slots[s].next;
-        self.slots[s].next = self.free;
-        self.free = s;
-        self.len -= 1;
-        self.last_time = time;
-        self.maybe_shrink();
-        Some((time, event))
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
-    /// The pending entries as `(time, seq, event)` triples in pop order —
-    /// the queue's full state for checkpointing (together with
-    /// [`EventQueue::next_seq`]).
+    /// The pending entries as `(time, seq, event)` triples in pop order: with
+    /// [`EventQueue::next_seq`], the queue's full state for checkpointing.
     pub fn entries(&self) -> Vec<(f64, u64, &E)> {
-        let mut out: Vec<(f64, u64, &E)> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.event.as_ref().map(|e| (s.time, s.seq, e)))
-            .collect();
+        let mut out: Vec<_> = self.heap.iter().map(|e| (e.time, e.seq, &e.event)).collect();
         out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         out
     }
@@ -149,155 +100,21 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
-    /// Re-inserts an entry with an explicit sequence number (checkpoint
-    /// restore). Keeps `next_seq` above every restored sequence.
+    /// Inserts an entry under an explicit sequence number (checkpoint restore;
+    /// `push` passes the next one) and keeps `next_seq` above it.
     ///
     /// # Panics
     /// Panics if `time` is NaN or negative.
     pub fn restore_entry(&mut self, time: f64, seq: u64, event: E) {
         assert!(time.is_finite() && time >= 0.0, "event time must be finite and non-negative");
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.insert(time, seq, event);
+        self.next_seq = self.next_seq.max(seq.saturating_add(1));
+        self.heap.push(Entry { time, seq, event });
     }
 
     /// Overrides the next sequence number (checkpoint restore). Never
     /// lowers it below a value already implied by restored entries.
     pub fn set_next_seq(&mut self, seq: u64) {
         self.next_seq = self.next_seq.max(seq);
-    }
-
-    /// The calendar year an event time falls in: `⌊t/width⌋`, saturating
-    /// for times astronomically beyond the bucket span. Computed the same
-    /// way at insert and scan time so the two can never disagree.
-    fn year_of(&self, time: f64) -> u64 {
-        // `as` saturates on overflow, which keeps far-future events
-        // consistently in one (wrong but stable) year.
-        (time / self.width) as u64
-    }
-
-    /// Takes a slot from the free list, or grows the slab — the only
-    /// allocation path, taken when the pending high-water mark rises.
-    fn alloc_slot(&mut self, time: f64, seq: u64, event: E) -> usize {
-        if self.free != NIL {
-            let s = self.free;
-            self.free = self.slots[s].next;
-            let slot = &mut self.slots[s];
-            slot.time = time;
-            slot.seq = seq;
-            slot.event = Some(event);
-            slot.next = NIL;
-            s
-        } else {
-            self.slots.push(Slot { time, seq, event: Some(event), next: NIL });
-            self.slots.len() - 1
-        }
-    }
-
-    fn insert(&mut self, time: f64, seq: u64, event: E) {
-        if time < self.last_time {
-            // An event scheduled before the current clock re-anchors the
-            // scan start; pending events all sit at or after it.
-            self.last_time = time;
-        }
-        let s = self.alloc_slot(time, seq, event);
-        self.link(s);
-        self.len += 1;
-        self.maybe_grow();
-    }
-
-    /// Splices slot `s` into its bucket's ascending `(time, seq)` list.
-    fn link(&mut self, s: usize) {
-        let (time, seq) = (self.slots[s].time, self.slots[s].seq);
-        let nb = self.heads.len() as u64;
-        let b = (self.year_of(time) % nb) as usize;
-        let mut prev = NIL;
-        let mut cur = self.heads[b];
-        while cur != NIL && (self.slots[cur].time, self.slots[cur].seq) < (time, seq) {
-            prev = cur;
-            cur = self.slots[cur].next;
-        }
-        self.slots[s].next = cur;
-        if prev == NIL {
-            self.heads[b] = s;
-        } else {
-            self.slots[prev].next = s;
-        }
-    }
-
-    /// Index of the bucket whose head is the global minimum, or `None`
-    /// when empty. Scans one calendar year per bucket starting from the
-    /// year of `last_time`; if the minimum lies beyond a full lap (events
-    /// much sparser than the bucket span), falls back to a direct scan of
-    /// every bucket's head.
-    fn min_bucket(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.heads.len() as u64;
-        let y0 = self.year_of(self.last_time);
-        for k in 0..nb {
-            let year = y0.saturating_add(k);
-            let b = (year % nb) as usize;
-            let h = self.heads[b];
-            if h != NIL && self.year_of(self.slots[h].time) == year {
-                return Some(b);
-            }
-        }
-        // Direct search. Equal times always map to the same bucket, so
-        // comparing head times alone is unambiguous; the in-bucket sort
-        // already puts the smallest seq first.
-        self.heads
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h != NIL)
-            .min_by(|&(_, &a), &(_, &b)| self.slots[a].time.total_cmp(&self.slots[b].time))
-            .map(|(b, _)| b)
-    }
-
-    fn maybe_grow(&mut self) {
-        if self.len > 2 * self.heads.len() {
-            let nb = self.heads.len() * 2;
-            self.rebuild(nb);
-        }
-    }
-
-    fn maybe_shrink(&mut self) {
-        if self.heads.len() > MIN_BUCKETS && self.len < self.heads.len() / 2 {
-            let nb = (self.heads.len() / 2).max(MIN_BUCKETS);
-            self.rebuild(nb);
-        }
-    }
-
-    /// Re-threads every pending slot into `nb` buckets, re-estimating the
-    /// bucket width from the live span so one bucket holds O(1) events of
-    /// the current schedule. Deterministic: no sampling, no randomness.
-    /// Runs only when `len` crosses a resize threshold, so its cost (and
-    /// its single `heads` allocation) amortizes away; the slab and free
-    /// list are untouched.
-    fn rebuild(&mut self, nb: usize) {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for s in &self.slots {
-            if s.event.is_some() {
-                lo = lo.min(s.time);
-                hi = hi.max(s.time);
-            }
-        }
-        let span = hi - lo;
-        self.width = if self.len == 0 || span <= 0.0 {
-            DEFAULT_WIDTH
-        } else {
-            // Aim for ~one event per bucket-day across the live span; the
-            // width floor keeps `t/width` finite and the year math sane.
-            (span / self.len as f64).max(1e-9)
-        };
-        self.heads = vec![NIL; nb];
-        // Re-link occupied slots in slab order — deterministic, and the
-        // sorted splice makes the final lists independent of this order.
-        for s in 0..self.slots.len() {
-            if self.slots[s].event.is_some() {
-                self.link(s);
-            }
-        }
     }
 }
 
@@ -360,9 +177,8 @@ mod tests {
     }
 
     #[test]
-    fn grows_shrinks_and_keeps_order_under_load() {
-        // Enough churn to force several grow/shrink rebuilds, with a time
-        // pattern mixing clusters and far-future outliers.
+    fn keeps_order_under_load() {
+        // A time pattern mixing clusters and far-future outliers.
         let mut q = EventQueue::new();
         let mut expect: Vec<(f64, u64)> = Vec::new();
         for i in 0..200u64 {
@@ -397,14 +213,15 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_push_pop_recycles_slots() {
+    fn steady_state_push_pop_keeps_its_capacity() {
         // A gossip-shaped workload: constant population with advancing
-        // times. After warm-up the slab must stop growing — pops feed
-        // pushes through the free list, never the allocator.
+        // times. After warm-up the heap must stop growing — every push
+        // lands in the room the pop before it left.
         let mut q = EventQueue::new();
         for i in 0..8u64 {
             q.push(i as f64 * 0.3, i);
         }
+        let warm = q.heap.capacity();
         let mut clock = 0.0;
         for i in 0..1000u64 {
             let (t, _) = q.pop().expect("non-empty");
@@ -413,6 +230,6 @@ mod tests {
             q.push(t + 2.5, 100 + i);
         }
         assert_eq!(q.len(), 8);
-        assert!(q.slots.len() <= 8, "slab grew past the population high-water mark");
+        assert_eq!(q.heap.capacity(), warm, "capacity moved at a constant population");
     }
 }

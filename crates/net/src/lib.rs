@@ -16,21 +16,20 @@
 //!   parameter-server baselines).
 //! * [`LinkQuality`] — a `latency + bytes/bandwidth` cost model per
 //!   directed pair.
-//! * [`Network`] (trait) and its one implementation,
-//!   [`conditions::ElasticNetwork`]: a base fabric (the uniform
-//!   virtual-switch link of §V-A, a cluster placement, or the 6-region
-//!   EC2 matrix of Appendix G) composed with per-link
-//!   [`dynamics::LinkDynamics`] and a [`faults::FaultPlan`] — the
-//!   slowed-link regime above is its
+//! * [`ElasticNetwork`] — the ground-truth communication cost between
+//!   worker nodes: a base fabric (the uniform virtual-switch link of
+//!   §V-A, a cluster placement, or the 6-region EC2 matrix of Appendix G)
+//!   composed with per-link [`dynamics::LinkDynamics`] and a
+//!   [`faults::FaultPlan`] — the slowed-link regime above is its
 //!   [`dynamics::LinkDynamics::PeriodicRedraw`] special case.
 //! * [`dynamics`] — composable per-link dynamics: static, the paper's
 //!   periodic redraw, Markov-modulated bandwidth, and trace replay.
 //! * [`faults`] — declarative fault injection: link degradation/outage
 //!   windows, node crash/rejoin schedules, straggler compute multipliers.
-//! * [`EventQueue`] — a calendar queue of timestamped events with stable
-//!   FIFO tie-breaking (amortized O(1) push/pop, property-tested to pop
-//!   the exact (time, seq) order of a binary min-heap), used by the
-//!   simulation engine in `netmax-core`.
+//! * [`EventQueue`] — a binary min-heap of timestamped events with stable
+//!   FIFO tie-breaking (property-tested to pop the exact (time, seq) order
+//!   of a naive sorted list), used by the simulation engine in
+//!   `netmax-core`.
 //!
 //! All dynamics are **pure functions of virtual time and the seed**: asking
 //! the network for a link cost at time `t` never mutates it, so simulation
@@ -45,7 +44,7 @@ pub mod faults;
 pub mod link;
 pub mod topology;
 
-pub use conditions::{ClusterSpec, ElasticNetwork, Network, NetworkKind, SlowdownConfig};
+pub use conditions::{ClusterSpec, ElasticNetwork, NetworkKind, SlowdownConfig};
 pub use dynamics::{LinkDynamics, MarkovConfig, TraceWindow};
 pub use event::EventQueue;
 pub use faults::{

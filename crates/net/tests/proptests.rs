@@ -5,8 +5,7 @@
 
 use netmax_net::{
     ClusterSpec, ElasticNetwork, EventQueue, FaultPlan, LinkDynamics, LinkFault, LinkFaultKind,
-    LinkQuality, MarkovConfig, Network, NodeFault, SlowdownConfig, Straggler, Topology,
-    TraceWindow,
+    LinkQuality, MarkovConfig, NodeFault, SlowdownConfig, Straggler, Topology, TraceWindow,
 };
 use netmax_json::{FromJson, Json, ToJson};
 use proptest::prelude::*;
@@ -14,52 +13,45 @@ use proptest::prelude::*;
 /// Builds one network of every family for an 8-worker fleet: the two
 /// static regimes (homogeneous and WAN, never faulted) plus each
 /// composable dynamics variant with an optional fault plan layered on.
-fn all_networks(seed: u64, faults: FaultPlan) -> Vec<(&'static str, Box<dyn Network>)> {
+fn all_networks(seed: u64, faults: FaultPlan) -> Vec<(&'static str, ElasticNetwork)> {
     let spec = || ClusterSpec::paper_default(vec![3, 3, 2]);
     let with = |net: ElasticNetwork| net.with_faults(faults.clone());
     vec![
         (
             "homogeneous",
-            Box::new(ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g()).with_seed(seed))
-                as Box<dyn Network>,
+            ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g()).with_seed(seed),
         ),
-        ("wan", Box::new(ElasticNetwork::wan((0..8).map(|i| i % 6).collect()).with_seed(seed))),
+        ("wan", ElasticNetwork::wan((0..8).map(|i| i % 6).collect()).with_seed(seed)),
         (
             "periodic-redraw",
-            Box::new(with(ElasticNetwork::new(
-                spec(),
-                SlowdownConfig::default(),
-                seed,
-            ))),
+            with(ElasticNetwork::new(spec(), SlowdownConfig::default(), seed)),
         ),
         (
             "static-cluster",
-            Box::new(with(ElasticNetwork::cluster(spec(), LinkDynamics::Static, seed))),
+            with(ElasticNetwork::cluster(spec(), LinkDynamics::Static, seed)),
         ),
         (
             "markov",
-            Box::new(with(ElasticNetwork::cluster(
+            with(ElasticNetwork::cluster(
                 spec(),
                 LinkDynamics::MarkovModulated(MarkovConfig::fast_drift()),
                 seed,
-            ))),
+            )),
         ),
         (
             "trace",
-            Box::new(with(ElasticNetwork::cluster(
+            with(ElasticNetwork::cluster(
                 spec(),
                 LinkDynamics::Trace(vec![
                     TraceWindow { a: 0, b: 4, start_s: 100.0, end_s: 900.0, factor: 7.0 },
                     TraceWindow { a: 2, b: 6, start_s: 0.0, end_s: 2500.0, factor: 3.5 },
                 ]),
                 seed,
-            ))),
+            )),
         ),
         (
             "elastic-uniform",
-            Box::new(with(
-                ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g()).with_seed(seed),
-            )),
+            with(ElasticNetwork::uniform(8, LinkQuality::virtual_switch_10g()).with_seed(seed)),
         ),
     ]
 }

@@ -1,62 +1,36 @@
-//! Drain-order property suite: the calendar [`EventQueue`] must pop the
-//! exact `(time, FIFO-seq)` sequence a binary min-heap would, over
-//! randomized schedules including simultaneous events, crash-time purges
-//! (the `purge_events` rebuild pattern in `netmax-core`), and
-//! suspend/resume checkpoint round-trips.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! Drain-order property suite: [`EventQueue`] must pop the exact
+//! `(time, FIFO-seq)` sequence of a naive sorted list, over randomized
+//! schedules including simultaneous events, the engine's bimodal
+//! fast-link/slow-link delays, crash-time purges (the `purge_events`
+//! rebuild pattern in `netmax-core`), and suspend/resume checkpoint
+//! round-trips.
 
 use netmax_net::EventQueue;
 use proptest::prelude::*;
 
-/// Reference implementation: the binary heap the engine used before the
-/// calendar queue, kept here as the ordering oracle.
-#[derive(Debug)]
-struct RefEntry {
-    time: f64,
-    seq: u64,
-    event: u32,
-}
-
-impl PartialEq for RefEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for RefEntry {}
-
-impl Ord for RefEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the min on top.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event time was NaN")
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for RefEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
+/// The ordering oracle, deliberately not a heap (the implementation is
+/// one): a `Vec` stably re-sorted by `(time, seq)` on every insert and
+/// popped from the front.
 #[derive(Debug, Default)]
 struct RefQueue {
-    heap: BinaryHeap<RefEntry>,
+    entries: Vec<(f64, u64, u32)>,
     next_seq: u64,
 }
 
 impl RefQueue {
     fn push(&mut self, time: f64, event: u32) {
-        let seq = self.next_seq;
+        self.entries.push((time, self.next_seq, event));
         self.next_seq += 1;
-        self.heap.push(RefEntry { time, seq, event });
+        self.entries
+            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("event time was NaN").then(a.1.cmp(&b.1)));
     }
 
     fn pop(&mut self) -> Option<(f64, u32)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        if self.entries.is_empty() {
+            return None;
+        }
+        let (time, _, event) = self.entries.remove(0);
+        Some((time, event))
     }
 }
 
@@ -78,28 +52,41 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Interleaved pushes and pops over a randomized schedule drain in the
-    /// reference heap's exact order. Times come from a coarse grid so
+    /// reference list's exact order. Times come from a coarse grid so
     /// simultaneous events (FIFO ties) occur constantly.
     #[test]
     fn interleaved_ops_match_reference(
-        ops in proptest::collection::vec((0u8..4, 0u32..60), 1..400),
+        ops in proptest::collection::vec((0u8..6, 0u32..60), 1..400),
     ) {
         let mut q = EventQueue::new();
         let mut r = RefQueue::default();
         let mut payload = 0u32;
+        let mut clock = 0.0;
         for &(op, t) in &ops {
             if op == 3 {
-                assert_eq!(q.pop(), r.pop());
+                let popped = q.pop();
+                assert_eq!(popped, r.pop());
+                if let Some((time, _)) = popped {
+                    clock = time;
+                }
             } else {
                 // Coarse grid: many collisions; op skews the scale so
-                // schedules mix sub-second and far-future times.
-                let time = f64::from(t) * if op == 2 { 1e4 } else { 0.25 };
+                // schedules mix sub-second and far-future times. Ops 4
+                // and 5 are the engine's spacing: a completion lands one
+                // delay after the last dispatch, over a fast link or over
+                // one 2–100× slower.
+                let time = match op {
+                    2 => f64::from(t) * 1e4,
+                    4 => clock + 0.25,
+                    5 => clock + 0.25 * f64::from(2 + t * 98 / 59),
+                    _ => f64::from(t) * 0.25,
+                };
                 q.push(time, payload);
                 r.push(time, payload);
                 payload += 1;
             }
-            assert_eq!(q.len(), r.heap.len());
-            assert_eq!(q.is_empty(), r.heap.is_empty());
+            assert_eq!(q.len(), r.entries.len());
+            assert_eq!(q.is_empty(), r.entries.is_empty());
         }
         assert_same_drain(&mut q, &mut r);
     }
@@ -122,8 +109,8 @@ proptest! {
 
     /// The crash-time `purge_events` pattern: snapshot via `entries()`,
     /// rebuild keeping only a predicate's survivors, continue scheduling.
-    /// Order and sequence numbering must match a reference heap given the
-    /// same treatment.
+    /// Order and sequence numbering must match the reference list given
+    /// the same treatment.
     #[test]
     fn purge_rebuild_matches_reference(
         times in proptest::collection::vec(0u32..40, 1..150),
@@ -155,11 +142,8 @@ proptest! {
         }
         q2.set_next_seq(next);
 
-        let mut r2 = RefQueue::default();
-        let mut survivors: Vec<RefEntry> = r.heap.into_vec();
-        survivors.retain(|e| e.event % 2 == keep_parity);
-        r2.heap = survivors.into();
-        r2.next_seq = r.next_seq;
+        let mut r2 = r;
+        r2.entries.retain(|&(_, _, e)| e % 2 == keep_parity);
 
         // Post-purge schedules must still interleave identically.
         for (i, &t) in later.iter().enumerate() {
@@ -224,7 +208,7 @@ fn backward_time_pushes_keep_global_order() {
     let mut r = RefQueue::default();
     let schedule = [500.0, 2.0, 300.0, 1.0, 250.0, 0.0, 275.0];
     for (i, &t) in schedule.iter().enumerate() {
-        // Pop between pushes so `last_time` advances past later pushes.
+        // Pop between pushes so the clock advances past later pushes.
         q.push(t, i as u32);
         r.push(t, i as u32);
         if i % 2 == 1 {

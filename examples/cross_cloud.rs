@@ -13,7 +13,7 @@
 use netmax::core::diagnostics::audit_policy;
 use netmax::core::policy::{PolicyGenerator, PolicySearchConfig};
 use netmax::core::EdgeTimes;
-use netmax::net::{ElasticNetwork, Network, Topology};
+use netmax::net::{ElasticNetwork, Topology};
 use netmax::prelude::*;
 
 const REGIONS: [&str; 6] = ["us-west", "us-east", "ireland", "mumbai", "singapore", "tokyo"];
