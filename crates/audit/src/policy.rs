@@ -443,7 +443,7 @@ mod tests {
                 name: "hot_path".into(),
                 roots: vec![RootEntry {
                     file: "crates/ml/src/model.rs".into(),
-                    functions: vec!["loss_block".into()],
+                    functions: vec!["loss_fleet".into()],
                 }],
                 prune: vec![RootEntry {
                     file: "crates/core/src/engine/gossip.rs".into(),

@@ -10,16 +10,17 @@ use std::path::PathBuf;
 /// The hand-listed manifest as the last v1 policy committed it, frozen
 /// here so a future edit to the live policy cannot rewrite the baseline
 /// this test compares against. One entry was renamed with its function:
-/// the recorder's per-replica `loss_scratch` became `loss_block`, and the
-/// sample path it served joined the list with it (`force_record` and the
-/// two shared blocks' entry points) — a manifest names what must stay
-/// covered, and the sample path now must. Two left with theirs: the event
+/// the recorder's per-replica `loss_scratch` became `loss_block` and then
+/// the fleet-level `loss_fleet`, and the sample path it serves joined the
+/// list with it (`force_record` and the two shared blocks' entry points)
+/// — a manifest names what must stay covered, and the sample path now
+/// must. Two left with theirs: the event
 /// queue's `insert` and `link` were the calendar queue's, and the heap's
 /// one insertion path is `restore_entry`, which `push` calls.
 const V1_MANIFEST: &[(&str, &[&str])] = &[
     (
         "crates/ml/src/model.rs",
-        &["gather", "loss_block", "loss_grad_scratch", "count_correct_scratch"],
+        &["gather", "loss_fleet", "loss_grad_scratch", "count_correct_scratch"],
     ),
     ("crates/ml/src/metrics.rs", &["gather_subsample", "diameter"]),
     ("crates/core/src/engine/recorder.rs", &["force_record"]),

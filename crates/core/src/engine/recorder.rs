@@ -8,9 +8,13 @@
 //! per sample** over two shared blocks it owns, instead of one
 //! evaluation per replica and one distance per pair:
 //!
-//! * the `loss_sample_size` stride-subsample is gathered once into a
-//!   feature-major [`EvalBlock`] and every live replica streams over it
-//!   ([`Model::loss_block`]);
+//! * the `loss_sample_size` stride-subsample is gathered into a
+//!   feature-major [`EvalBlock`] by the first sample of the run — it is a
+//!   pure function of the immutable training set — and each sample is one
+//!   [`Model::loss_fleet`] call over the live fleet: the block is shared,
+//!   each replica contributes its parameter slice, read in place, and gets
+//!   back the float the plain loss returns (why: [`netmax_ml::metrics`]);
+//!   the f64 mean then adds those losses in live order;
 //! * a [`ConsensusBlock`] reads the live replicas' parameters in place
 //!   and returns the maximum pairwise distance as an exact pruned maximum
 //!   (the rule and its guard band are stated in [`netmax_ml::metrics`]).
@@ -218,8 +222,12 @@ impl PairCount {
 struct Workspaces {
     /// Workspace of the models' batched kernels.
     eval: Scratch,
-    /// The loss subsample, gathered once per sample for all replicas.
+    /// The loss subsample: a pure function of the run's immutable
+    /// training set, gathered by the first sample for every later one.
     loss_block: EvalBlock,
+    /// One loss per live replica of the sample being taken, in `live`
+    /// order.
+    losses: Vec<f32>,
     /// The pruned-diameter workspace.
     consensus: ConsensusBlock,
     /// The nodes the sample being taken reads: the active ones, or all
@@ -286,15 +294,20 @@ impl Recorder {
         // honest readout — an empty filter would report loss 0.0, a
         // perfect score for a fleet that entirely crashed.
         let any_active = env.num_active() > 0;
-        let Workspaces { eval, loss_block, consensus, live, .. } = &mut self.work;
+        let Workspaces { eval, loss_block, losses, consensus, live, .. } = &mut self.work;
         live.clear();
         live.extend((0..env.num_nodes()).filter(|&i| !any_active || env.is_active(i)));
-        metrics::gather_subsample(&env.workload.train, env.cfg.loss_sample_size, loss_block);
-        let train_loss = live
-            .iter()
-            .map(|&i| f64::from(env.nodes[i].model.loss_block(loss_block, eval)))
-            .sum::<f64>()
-            / live.len() as f64;
+        if loss_block.is_empty() {
+            metrics::gather_subsample(&env.workload.train, env.cfg.loss_sample_size, loss_block);
+        }
+        // One fleet pass: every live replica is scored in place through
+        // its parameter slice (node 0 lends the fleet's shape); the f64
+        // mean then adds the losses in `live` order.
+        losses.resize(live.len(), 0.0);
+        let mut replicas = live.iter().map(|&i| env.nodes[i].model.params());
+        env.nodes[0].model.loss_fleet(loss_block, &mut replicas, eval, losses);
+        let train_loss =
+            losses.iter().map(|&loss| f64::from(loss)).sum::<f64>() / live.len() as f64;
         let consensus_diameter =
             consensus.diameter(live.len(), |k| env.nodes[live[k]].model.params());
         let read = live.len() as u64;
@@ -351,11 +364,32 @@ impl Recorder {
         ])
     }
 
-    /// Restores state captured by [`Recorder::checkpoint`] in place.
-    pub fn restore(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.samples = Vec::from_json(state.field("samples")?)?;
+    /// Restores state captured by [`Recorder::checkpoint`] in place, for
+    /// the already restored `env`. [`Recorder::force_record`] is the only
+    /// writer of both the sample list and the cadence counter, so a
+    /// recorder whose last sample is not at `last_recorded_step`, or that
+    /// is ahead of its environment (where [`Recorder::due`]'s `u64`
+    /// difference would overflow), was not written by this engine.
+    pub fn restore(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
+        let samples: Vec<Sample> = Vec::from_json(state.field("samples")?)?;
+        let last_recorded_step = u64::from_json(state.field("last_recorded_step")?)?;
+        let last_sampled_step = samples.last().map_or(0, |s| s.global_step);
+        if last_sampled_step != last_recorded_step {
+            return Err(JsonError::schema(format!(
+                "recorder last sampled at step {last_sampled_step} but last_recorded_step is \
+                 {last_recorded_step}"
+            )));
+        }
+        if last_recorded_step > env.global_step {
+            return Err(JsonError::schema(format!(
+                "recorder last_recorded_step {last_recorded_step} is ahead of the environment's \
+                 global step {}",
+                env.global_step
+            )));
+        }
+        self.samples = samples;
         self.records_taken = usize::from_json(state.field("records_taken")?)?;
-        self.last_recorded_step = u64::from_json(state.field("last_recorded_step")?)?;
+        self.last_recorded_step = last_recorded_step;
         Ok(())
     }
 

@@ -575,7 +575,7 @@ impl<'a> Session<'a> {
             )));
         }
         session.membership_next = next;
-        session.recorder.restore(checkpoint.field("recorder")?)?;
+        session.recorder.restore(session.env, checkpoint.field("recorder")?)?;
         session
             .driver
             .restore_state(session.env, checkpoint.field("driver")?)?;

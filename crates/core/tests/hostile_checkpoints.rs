@@ -134,6 +134,13 @@ fn replaced(doc: &Json, path: &[&str], value: Json) -> Json {
     doc
 }
 
+/// The global step a logical session document was taken at.
+fn session_step(doc: &Json) -> u64 {
+    doc.field("env")
+        .and_then(|e| e.field("global_step")?.as_u64())
+        .expect("the environment checkpoints its step")
+}
+
 /// One hostile input and the entry point it is fed to.
 enum Row {
     Restore(Vec<u8>),
@@ -279,6 +286,21 @@ fn hostile_nmxb_is_always_a_typed_error() {
         entries[0] = replaced(&entries[0], &["seq"], seq.clone());
         replaced(&logical, &["driver", "queue", "entries"], Json::Arr(entries))
     };
+    // The recorder's cadence counter and its last sample move together,
+    // and never past the environment's step counter.
+    let samples = logical
+        .field("recorder")
+        .and_then(|r| r.field("samples")?.as_arr())
+        .expect("the recorder checkpoints its samples");
+    let ahead = Json::Int(i128::from(session_step(&logical)) + 1);
+    let mut future_samples = samples.to_vec();
+    let last = future_samples.last_mut().expect("the fixture has sampled");
+    *last = replaced(last, &["global_step"], ahead.clone());
+    let recorder_ahead = replaced(
+        &replaced(&logical, &["recorder", "samples"], Json::Arr(future_samples)),
+        &["recorder", "last_recorded_step"],
+        ahead.clone(),
+    );
     let documents = [
         // The logical document is only accepted under the v2 tag — the v3
         // tag names the container, not the document inside it.
@@ -313,6 +335,19 @@ fn hostile_nmxb_is_always_a_typed_error() {
             "two queue entries with one seq",
             with_first_seq(entries[1].field("seq").unwrap()),
             "appears twice",
+        ),
+        // `Recorder::due` subtracts the counter from the global step in
+        // `u64`: this used to restore, then overflow at the first step
+        // (a panic in the dev profile, a sample on every step in release).
+        (
+            "a recorder ahead of its environment",
+            recorder_ahead,
+            "is ahead of the environment's global step",
+        ),
+        (
+            "a cadence counter that is not the last sample's step",
+            replaced(&logical, &["recorder", "last_recorded_step"], ahead),
+            "but last_recorded_step is",
         ),
     ];
     for (what, document, needle) in documents {

@@ -10,10 +10,10 @@ use netmax_core::netmax::NetMax;
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::{FaultPlan, NetworkKind, NodeFault};
 
-fn torus16(faults: FaultPlan) -> Scenario {
+fn torus(rows: usize, cols: usize, faults: FaultPlan) -> Scenario {
     Scenario::builder()
-        .workers(16)
-        .topology(TopologyKind::Torus { rows: 4, cols: 4 })
+        .workers(rows * cols)
+        .topology(TopologyKind::Torus { rows, cols })
         .network(NetworkKind::HeterogeneousDynamic)
         .workload(WorkloadSpec::convex_ridge(7))
         .train_config(TrainConfig {
@@ -91,7 +91,7 @@ fn run_and_compare(sc: &Scenario) -> (usize, usize, usize) {
 #[test]
 fn every_sample_field_is_the_reference_float_while_the_fleet_dies() {
     // Fault-free first, for the horizon the crash times are placed on.
-    let calm = torus16(FaultPlan::none());
+    let calm = torus(4, 4, FaultPlan::none());
     let horizon = calm.run_with(&mut NetMax::paper_default(0.05)).wall_clock_s;
     let (calm_samples, calm_fewest, calm_final) = run_and_compare(&calm);
     assert!(calm_samples > 20, "only {calm_samples} samples");
@@ -108,10 +108,14 @@ fn every_sample_field_is_the_reference_float_while_the_fleet_dies() {
             rejoin_s: None,
         })
         .collect();
-    let dying = torus16(FaultPlan {
-        node_faults,
-        ..FaultPlan::none()
-    });
+    let dying = torus(
+        4,
+        4,
+        FaultPlan {
+            node_faults,
+            ..FaultPlan::none()
+        },
+    );
     let (samples, fewest, at_final) = run_and_compare(&dying);
     assert!(samples > 10, "only {samples} samples");
     assert_eq!(
@@ -122,4 +126,21 @@ fn every_sample_field_is_the_reference_float_while_the_fleet_dies() {
         at_final, 0,
         "the final sample should read a fleet that is entirely down"
     );
+}
+
+#[test]
+fn an_odd_fleet_with_survivors_matches_the_reference() {
+    // 15 replicas, then 12, then 7 that outlive the run: the fleet pass
+    // over live counts that are not multiples of anything convenient, with
+    // crashed replicas skipped in the middle of the node order.
+    let calm = torus(3, 5, FaultPlan::none());
+    let horizon = calm.run_with(&mut NetMax::paper_default(0.05)).wall_clock_s;
+    let node_faults = [(1usize, 0.33), (6, 0.33), (11, 0.33), (0, 0.7), (2, 0.7), (4, 0.7), (8, 0.7), (13, 0.7)]
+        .into_iter()
+        .map(|(node, at)| NodeFault { node, crash_s: horizon * at, rejoin_s: None })
+        .collect();
+    let thinning = torus(3, 5, FaultPlan { node_faults, ..FaultPlan::none() });
+    let (samples, fewest, at_final) = run_and_compare(&thinning);
+    assert!(samples > 10, "only {samples} samples");
+    assert_eq!((fewest, at_final), (7, 7));
 }

@@ -5,13 +5,21 @@
 //! [`consensus_diameter`], [`accuracy`]) are the definitions — and the
 //! independent references the tests compare against. The metric recorder
 //! samples a whole fleet a hundred times a run, so it goes through two
-//! shared, caller-owned blocks instead, each built **once per sample** and
-//! each returning the *same float* as the plain function:
+//! shared, caller-owned blocks instead, each returning the *same float* as
+//! the plain function:
 //!
 //! * **Loss** — [`gather_subsample`] gathers the `max_n` stride-subsample
-//!   into a feature-major [`EvalBlock`] once; every replica then streams
-//!   over it through [`Model::loss_block`]. Nothing is gathered,
-//!   transposed or allocated per replica.
+//!   into a feature-major [`EvalBlock`] **once per run** (it is a pure
+//!   function of the immutable training set); each sample is then one
+//!   [`Model::loss_fleet`] pass over the live fleet. Shared by all
+//!   replicas: the block. Per replica: its parameters, read in place
+//!   through their slice, and one loss chain. Nothing is gathered,
+//!   transposed, cloned or allocated per replica. The floats are the same
+//!   because every `w·x` accumulates its terms in the plain kernels'
+//!   order from their start value, multiply and add separate, and the
+//!   loss chain adds the examples' terms in the plain order — a kernel
+//!   only changes *where* the accumulators live (registers, a tile of
+//!   examples at a time), never what is added to what.
 //! * **Consensus** — [`ConsensusBlock`] reads the live replicas' flat
 //!   parameters in place and returns the maximum pairwise [`distance`] as an exact
 //!   *pruned* maximum: most of the `n(n−1)/2` pairs are proved unable to
@@ -101,8 +109,9 @@ pub fn subsampled_loss(model: &dyn Model, data: &Dataset, max_n: usize) -> f64 {
 
 /// Gathers the examples [`subsampled_loss`] evaluates — all of `data`, or
 /// `max_n` of them at an even stride — into `block`, once for every
-/// replica that will be scored on them. `model.loss_block(block, …) as
-/// f64` is then the same float as `subsampled_loss(model, data, max_n)`.
+/// replica and every sample that will be scored on them. A
+/// `loss_fleet(block, …)` loss as `f64` is then the same float as
+/// `subsampled_loss(model, data, max_n)` on that replica.
 pub fn gather_subsample(data: &Dataset, max_n: usize, block: &mut EvalBlock) {
     assert!(max_n > 0);
     let (count, stride) =

@@ -22,7 +22,7 @@ use crate::fast::{
     axpy_fast, dot_fast, exp_fast, ln_fast, norm_sq_fast, softmax_xent_grad_fast,
     transpose_block_fast,
 };
-use crate::params::{dot_lanes, gather_feature_major};
+use crate::params::{dot_tile, gather_feature_major, DOT_TILE};
 use crate::tier::NumericsTier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +40,7 @@ use rand::{Rng, SeedableRng};
 /// entry points branch **once** on it and dispatch either to the strict
 /// cores (bit-stable, the default) or to the fast-tier cores, which call
 /// the reassociated kernels of [`crate::fast`] by name. Evaluation
-/// entry points (`loss_block`, `count_correct_scratch`, `predict`) stay
+/// entry points (`loss_fleet`, `count_correct_scratch`, `predict`) stay
 /// strict under both tiers, so recorded metric curves differ between
 /// tiers only through the trained parameters.
 #[derive(Debug, Clone)]
@@ -65,8 +65,7 @@ pub struct Scratch {
     /// Example-index buffer of the batched accuracy kernel.
     idx: Vec<usize>,
     /// Hidden-activation block of the MLP's batched forward
-    /// (`hidden × chunk`), and the tree workspace of
-    /// [`dot_lanes`].
+    /// (`hidden × chunk`).
     hb: Vec<f32>,
     /// Per-sample coefficient row for the fast-tier backward
     /// ([`softmax_xent_grad_fast`]).
@@ -129,10 +128,9 @@ fn transpose_batch(data: &Dataset, batch: &[usize], dim: usize, xb: &mut Vec<f32
 /// with their labels.
 ///
 /// The metric recorder scores every live replica on the same
-/// `loss_sample_size` subsample: the block is filled once a sample by
-/// [`EvalBlock::gather`] and streamed by every replica's
-/// [`Model::loss_block`], instead of each replica re-reading the same
-/// strided dataset rows.
+/// `loss_sample_size` subsample: the block is filled once a run by
+/// [`EvalBlock::gather`] and streamed by [`Model::loss_fleet`], instead of
+/// each replica re-reading the same strided dataset rows.
 #[derive(Debug, Clone, Default)]
 pub struct EvalBlock {
     dim: usize,
@@ -260,6 +258,27 @@ fn batch_logits(w: &[f32], b: &[f32], xb: &[f32], dim: usize, nb: usize, out: &m
 }
 
 
+/// The loop every [`Model::loss_fleet`] runs: checks the block against
+/// the model's shape and each replica's length, scores the replicas in
+/// order with `loss_at`, and checks that there was one per loss slot.
+fn score_fleet(
+    block: &EvalBlock,
+    (dim, num_params): (usize, usize),
+    replicas: &mut dyn Iterator<Item = &[f32]>,
+    losses: &mut [f32],
+    mut loss_at: impl FnMut(&[f32]) -> f32,
+) {
+    assert!(!block.is_empty(), "empty batch");
+    assert_eq!(block.dim(), dim, "dataset dim mismatch");
+    let mut scored = 0;
+    for (loss, params) in losses.iter_mut().zip(&mut *replicas) {
+        assert_eq!(params.len(), num_params, "replica parameter count mismatch");
+        *loss = loss_at(params);
+        scored += 1;
+    }
+    assert!(scored == losses.len() && replicas.next().is_none(), "one loss slot per replica");
+}
+
 /// A supervised model with flat parameters.
 pub trait Model: Send {
     /// Number of parameters.
@@ -284,17 +303,29 @@ pub trait Model: Send {
     /// Mean loss over `batch` without computing gradients.
     fn loss(&self, data: &Dataset, batch: &[usize]) -> f32;
 
-    /// Mean loss over a gathered [`EvalBlock`] — the **same float** as
-    /// [`Model::loss`] over the block's examples, computed by the batched
-    /// kernels straight off the shared feature-major block: nothing is
-    /// gathered or transposed per replica, and nothing allocates once the
-    /// scratch is warm. The metric recorder evaluates loss curves through
-    /// this entry point, one call per live replica per sample.
+    /// Mean loss over a gathered [`EvalBlock`] of every replica of a
+    /// fleet of same-shaped ones, each read in place through its flat
+    /// parameter slice: `losses[r]` is the **same float** as
+    /// [`Model::loss`] over the block's examples on a model of `self`'s
+    /// shape holding the `r`-th of `replicas`. `self` supplies the shape
+    /// and hyper-parameters only; its own parameters are not read.
+    /// Computed by the batched kernels straight off the shared
+    /// feature-major block: nothing is gathered, transposed or cloned per
+    /// replica, and nothing allocates once the scratch is warm. The metric
+    /// recorder evaluates loss curves through this entry point, one call
+    /// per sample over the live fleet.
     ///
     /// # Panics
-    /// Implementations panic on an empty block or one whose feature
-    /// dimension does not match the model.
-    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32;
+    /// Implementations panic on an empty block, one whose feature
+    /// dimension does not match the model, a replica that is not
+    /// `num_params` long, or a replica count other than `losses.len()`.
+    fn loss_fleet(
+        &self,
+        block: &EvalBlock,
+        replicas: &mut dyn Iterator<Item = &[f32]>,
+        scratch: &mut Scratch,
+        losses: &mut [f32],
+    );
 
     /// Number of correctly classified examples over the whole `data` set,
     /// through the reusable workspace — bitwise identical to counting
@@ -454,18 +485,18 @@ impl SoftmaxRegression {
         loss * inv
     }
 
-    /// The loss kernel behind [`Model::loss_block`]; bitwise identical to
-    /// [`Model::loss`] over the block's examples.
+    /// The loss kernel behind [`Model::loss_fleet`], at the parameters
+    /// `params`; bitwise identical to [`Model::loss`] over the block's
+    /// examples.
     fn loss_core(
         &self,
+        params: &[f32],
         block: &EvalBlock,
         logits_all: &mut Vec<f32>,
         maxs: &mut Vec<f32>,
         sums: &mut Vec<f32>,
     ) -> f32 {
-        assert!(!block.is_empty(), "empty batch");
-        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
-        let (w, b) = self.params.split_at(self.dim * self.classes);
+        let (w, b) = params.split_at(self.dim * self.classes);
         let mut loss = 0.0f32;
         for (xb, labels) in block.blocks() {
             let nb = labels.len();
@@ -590,9 +621,17 @@ impl Model for SoftmaxRegression {
         loss / batch.len() as f32
     }
 
-    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
+    fn loss_fleet(
+        &self,
+        block: &EvalBlock,
+        replicas: &mut dyn Iterator<Item = &[f32]>,
+        scratch: &mut Scratch,
+        losses: &mut [f32],
+    ) {
         let Scratch { logits_all, maxs, sums, .. } = scratch;
-        self.loss_core(block, logits_all, maxs, sums)
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
+            self.loss_core(params, block, logits_all, maxs, sums)
+        });
     }
 
     fn count_correct_scratch(&self, data: &Dataset, scratch: &mut Scratch) -> usize {
@@ -670,8 +709,9 @@ impl Mlp {
         Self { dim, hidden, classes, params }
     }
 
-    fn split(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
-        let (w1, rest) = self.params.split_at(self.hidden * self.dim);
+    /// `(W1, b1, W2, b2)` of a flat parameter vector of this shape.
+    fn split<'p>(&self, params: &'p [f32]) -> (&'p [f32], &'p [f32], &'p [f32], &'p [f32]) {
+        let (w1, rest) = params.split_at(self.hidden * self.dim);
         let (b1, rest) = rest.split_at(self.hidden);
         let (w2, b2) = rest.split_at(self.classes * self.hidden);
         (w1, b1, w2, b2)
@@ -688,7 +728,7 @@ impl Mlp {
     /// Forward pass into caller-provided buffers (`h` and `logits` must
     /// already have the right lengths).
     fn forward_into(&self, x: &[f32], h: &mut [f32], logits: &mut [f32]) {
-        let (w1, b1, w2, b2) = self.split();
+        let (w1, b1, w2, b2) = self.split(&self.params);
         for (j, hj) in h.iter_mut().enumerate() {
             let row = &w1[j * self.dim..(j + 1) * self.dim];
             *hj = (crate::params::dot_sequential(row, x) + b1[j]).max(0.0);
@@ -724,7 +764,7 @@ impl Mlp {
             (self.hidden * self.dim, self.hidden, self.classes * self.hidden);
         // `grad` is caller-owned, so the weight views below coexist with
         // it without copies (the old implementation cloned `w2` here).
-        let (_, _, w2, _) = self.split();
+        let (_, _, w2, _) = self.split(&self.params);
         let (gw1, rest) = grad.split_at_mut(w1_len);
         let (gb1, rest) = rest.split_at_mut(b1_len);
         let (gw2, gb2) = rest.split_at_mut(w2_len);
@@ -781,7 +821,7 @@ impl Mlp {
 
         let (w1_len, b1_len, w2_len) =
             (self.hidden * self.dim, self.hidden, self.classes * self.hidden);
-        let (w1, b1, w2, b2) = self.split();
+        let (w1, b1, w2, b2) = self.split(&self.params);
         let (gw1, rest) = grad.split_at_mut(w1_len);
         let (gb1, rest) = rest.split_at_mut(b1_len);
         let (gw2, gb2) = rest.split_at_mut(w2_len);
@@ -867,29 +907,36 @@ impl Model for Mlp {
         loss / batch.len() as f32
     }
 
-    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
-        assert!(!block.is_empty(), "empty batch");
-        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
+    fn loss_fleet(
+        &self,
+        block: &EvalBlock,
+        replicas: &mut dyn Iterator<Item = &[f32]>,
+        scratch: &mut Scratch,
+        losses: &mut [f32],
+    ) {
         let Scratch { hb, logits_all, maxs, sums, .. } = scratch;
-        let (w1, b1, w2, b2) = self.split();
-        let mut loss = 0.0f32;
-        for (xb, labels) in block.blocks() {
-            let nb = labels.len();
-            // Both layers through the batched kernel: every hidden unit
-            // and logit accumulates in the order of `forward_into`.
-            hb.resize(self.hidden * nb, 0.0);
-            batch_logits(w1, b1, xb, self.dim, nb, hb);
-            for h in hb.iter_mut() {
-                *h = h.max(0.0);
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
+            let (w1, b1, w2, b2) = self.split(params);
+            let mut loss = 0.0f32;
+            for (xb, labels) in block.blocks() {
+                let nb = labels.len();
+                // Both layers through the batched kernel: every hidden
+                // unit and logit accumulates in the order of
+                // `forward_into`.
+                hb.resize(self.hidden * nb, 0.0);
+                batch_logits(w1, b1, xb, self.dim, nb, hb);
+                for h in hb.iter_mut() {
+                    *h = h.max(0.0);
+                }
+                logits_all.resize(self.classes * nb, 0.0);
+                batch_logits(w2, b2, hb, self.hidden, nb, logits_all);
+                softmax_block(logits_all, nb, maxs, sums);
+                for (s, &y) in labels.iter().enumerate() {
+                    loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
+                }
             }
-            logits_all.resize(self.classes * nb, 0.0);
-            batch_logits(w2, b2, hb, self.hidden, nb, logits_all);
-            softmax_block(logits_all, nb, maxs, sums);
-            for (s, &y) in labels.iter().enumerate() {
-                loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
-            }
-        }
-        loss / block.len() as f32
+            loss / block.len() as f32
+        });
     }
 
     fn count_correct_scratch(&self, data: &Dataset, scratch: &mut Scratch) -> usize {
@@ -943,6 +990,41 @@ impl LeastSquares {
 
     fn value(&self, x: &[f32]) -> f32 {
         crate::params::dot(&self.params[..self.dim], x) + self.params[self.dim]
+    }
+
+    /// The loss kernel behind [`Model::loss_fleet`], at the parameters
+    /// `params`. Per tile of [`DOT_TILE`] examples, [`dot_tile`] leaves
+    /// every `w·x` — each the float [`Self::value`] computes — in
+    /// registers; the tile's terms `0.5·r·r` are formed side by side, and
+    /// the chain `loss += term` then advances over them in example order,
+    /// so it adds the terms [`Model::loss`] adds, in its order, and the
+    /// adds are the only serial work.
+    ///
+    /// One replica wide, on measurement (`gossip1024`: 1 024 replicas,
+    /// 384 × 32 block). The row-wide lane buffer this replaces took
+    /// 1.26–1.30 ms a fleet pass; this takes 0.87–1.07 ms. Sharing each tile
+    /// load between two or four replicas' accumulators takes 0.69 and
+    /// 0.55–0.62 ms, but the frozen benchmark keeps a 38 KB report per
+    /// pass its 10 s fit, so those read `peak_rss_mb` +7–8 % and
+    /// +13–15 % against a 10 % bound where this reads +4–6 %
+    /// (ROADMAP item 4 records the harness reason).
+    fn loss_at(&self, params: &[f32], block: &EvalBlock) -> f32 {
+        let (w, b) = (&params[..self.dim], params[self.dim]);
+        let mut loss = 0.0f32;
+        for (xb, labels) in block.blocks() {
+            for (tile, ys) in labels.chunks(DOT_TILE).enumerate() {
+                let wx = dot_tile(w, xb, labels.len(), tile * DOT_TILE, ys.len());
+                let mut terms = [0.0f32; DOT_TILE];
+                for ((term, &wx), &y) in terms.iter_mut().zip(&wx).zip(ys) {
+                    let r = wx + b - y as f32;
+                    *term = 0.5 * r * r;
+                }
+                for &term in terms.iter().take(ys.len()) {
+                    loss += term;
+                }
+            }
+        }
+        loss / block.len() as f32 + 0.5 * self.l2 * crate::params::norm_sq(w)
     }
 
     /// Fast-tier gradient core: the strict body's structure with every
@@ -1018,23 +1100,17 @@ impl Model for LeastSquares {
             + 0.5 * self.l2 * crate::params::norm_sq(&self.params[..self.dim])
     }
 
-    fn loss_block(&self, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
-        assert!(!block.is_empty(), "empty batch");
-        assert_eq!(block.dim(), self.dim, "dataset dim mismatch");
-        let Scratch { logits_all, hb, .. } = scratch;
-        let (w, b) = (&self.params[..self.dim], self.params[self.dim]);
-        let mut loss = 0.0f32;
-        for (xb, labels) in block.blocks() {
-            // All of the chunk's `w·x` at once (each the float `value`
-            // computes), then the residual chain in example order.
-            logits_all.resize(labels.len(), 0.0);
-            dot_lanes(w, xb, logits_all, hb);
-            for (&wx, &y) in logits_all.iter().zip(labels) {
-                let r = wx + b - y as f32;
-                loss += 0.5 * r * r;
-            }
-        }
-        loss / block.len() as f32 + 0.5 * self.l2 * crate::params::norm_sq(w)
+    fn loss_fleet(
+        &self,
+        block: &EvalBlock,
+        replicas: &mut dyn Iterator<Item = &[f32]>,
+        scratch: &mut Scratch,
+        losses: &mut [f32],
+    ) {
+        let _ = scratch;
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
+            self.loss_at(params, block)
+        });
     }
 
     fn predict(&self, x: &[f32]) -> u32 {
@@ -1071,6 +1147,13 @@ mod tests {
         let mut scratch = Scratch::new();
         let loss = model.loss_grad_scratch(data, batch, &mut scratch);
         (loss, scratch.grad)
+    }
+
+    /// `loss_fleet` on a fleet of one: the model at its own parameters.
+    fn block_loss(model: &dyn Model, block: &EvalBlock, scratch: &mut Scratch) -> f32 {
+        let mut loss = [f32::NAN];
+        model.loss_fleet(block, &mut std::iter::once(model.params()), scratch, &mut loss);
+        loss[0]
     }
 
     /// Central-difference gradient check for any model.
@@ -1210,28 +1293,74 @@ mod tests {
                     );
                 }
             }
-            // The shared evaluation block gives the same float as the
-            // plain loss: one column, a ragged tile, and batches just
-            // below, at, past and well past one `BATCH_CHUNK` (384 is the
-            // recorder's `loss_sample_size`).
-            let mut block = EvalBlock::new();
-            for len in [1usize, 2, BATCH_CHUNK - 1, BATCH_CHUNK, BATCH_CHUNK + 5, 384] {
-                let batch: Vec<usize> =
-                    (0..len).map(|_| rng.gen_range(0..data.len())).collect();
-                block.gather(&data, batch.iter().copied());
-                assert_eq!((block.len(), block.dim()), (len, data.dim()));
-                let eval = m.loss(&data, &batch);
-                let eval_b = m.loss_block(&block, &mut scratch);
-                assert_eq!(
-                    eval.to_bits(),
-                    eval_b.to_bits(),
-                    "batch of {len}: eval loss mismatch {eval} vs {eval_b}"
-                );
-            }
             let correct = (0..data.len())
                 .filter(|&i| m.predict(data.feature(i)) == data.label(i))
                 .count();
             assert_eq!(m.count_correct_scratch(&data, &mut scratch), correct);
+        }
+    }
+
+    #[test]
+    fn loss_fleet_is_the_plain_loss_of_every_replica_bit_for_bit() {
+        // Fleets of 1–9, blocks around one tile and one `BATCH_CHUNK` plus
+        // the recorder's 384, dims around the registry's 32 and one past
+        // the pairwise block, where `LeastSquares`' `dot` becomes a tree.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut block = EvalBlock::new();
+        let mut scratch = Scratch::new();
+        for dim in [1usize, 31, 32, 33, crate::params::PAIRWISE_BLOCK + 1] {
+            let spec = MixtureSpec {
+                num_classes: 3,
+                dim,
+                train_n: 40,
+                test_n: 3,
+                mean_scale: 1.0,
+                noise: 0.5,
+            };
+            let (data, _) = gaussian_mixture(spec, 5);
+            for kind in [
+                ModelKind::Softmax,
+                ModelKind::Mlp { hidden: 5 },
+                ModelKind::LeastSquares { l2: 0.01 },
+            ] {
+                let fleet: Vec<Box<dyn Model>> =
+                    (0..9).map(|r| kind.build(dim, 3, 100 + r)).collect();
+                for len in [1usize, 15, 16, 17, 255, 256, 257, 384] {
+                    let batch: Vec<usize> =
+                        (0..len).map(|_| rng.gen_range(0..data.len())).collect();
+                    block.gather(&data, batch.iter().copied());
+                    assert_eq!((block.len(), block.dim()), (len, dim));
+                    let want: Vec<u32> =
+                        fleet.iter().map(|m| m.loss(&data, &batch).to_bits()).collect();
+                    for n in 1..=fleet.len() {
+                        let mut got = vec![f32::NAN; n];
+                        // The last replica lends its shape; its own
+                        // parameters are read only where it is in the run.
+                        let mut replicas = fleet[..n].iter().map(|m| m.params());
+                        fleet[8].loss_fleet(&block, &mut replicas, &mut scratch, &mut got);
+                        let got: Vec<u32> = got.iter().map(|l| l.to_bits()).collect();
+                        assert_eq!(got, want[..n], "{kind:?}, dim {dim}, {len} examples, {n} replicas");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn loss_fleet_of_all_negative_zero_terms_is_the_plain_loss() {
+        // Every `w·x` term is -0.0, so every dot is the `-0.0` an f32
+        // `sum` starts from, in a full tile and a narrow one.
+        let (dim, n) = (3usize, 21usize);
+        let data = Dataset::new(vec![1.5; dim * n], vec![0; n], dim, 3);
+        let batch: Vec<usize> = (0..n).collect();
+        let mut block = EvalBlock::new();
+        block.gather(&data, batch.iter().copied());
+        let mut m = LeastSquares::new(dim, 0.01, 1);
+        m.params_mut().fill(-0.0);
+        let mut got = [f32::NAN; 5];
+        m.loss_fleet(&block, &mut [m.params(); 5].into_iter(), &mut Scratch::new(), &mut got);
+        for l in got {
+            assert_eq!(l.to_bits(), m.loss(&data, &batch).to_bits());
         }
     }
 
@@ -1257,7 +1386,7 @@ mod tests {
         block.gather(&data, batch.iter().copied());
         let mut scratch = Scratch::new();
         // `LeastSquares` is the one model whose forward *is* the pairwise
-        // `dot`: its block kernel reproduces the tree instead.
+        // `dot`: its tile kernel reproduces the tree instead.
         let models: Vec<Box<dyn Model>> = vec![
             Box::new(SoftmaxRegression::new(4100, 3, 7)),
             Box::new(Mlp::new(4100, 5, 3, 7)),
@@ -1265,7 +1394,7 @@ mod tests {
         ];
         for m in &models {
             let plain = m.loss(&data, &batch);
-            let blocked = m.loss_block(&block, &mut scratch);
+            let blocked = block_loss(m.as_ref(), &block, &mut scratch);
             assert_eq!(plain.to_bits(), blocked.to_bits(), "{plain} vs {blocked}");
             let correct = (0..data.len())
                 .filter(|&i| m.predict(data.feature(i)) == data.label(i))
@@ -1316,8 +1445,8 @@ mod tests {
             // for identical parameters.
             let mut block = EvalBlock::new();
             block.gather(&data, batch.iter().copied());
-            let es = m.loss_block(&block, &mut strict);
-            let ef = m.loss_block(&block, &mut fast);
+            let es = block_loss(m.as_ref(), &block, &mut strict);
+            let ef = block_loss(m.as_ref(), &block, &mut fast);
             assert_eq!(es.to_bits(), ef.to_bits());
         }
     }

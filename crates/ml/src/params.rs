@@ -5,6 +5,8 @@
 //! line 10). These helpers are the hot loops of the whole simulation, so
 //! they are written as simple slice iterations the compiler auto-vectorises.
 
+use std::ops::Range;
+
 /// Known-length axpy kernel (see [`dot_fixed`] for why the compile-time
 /// trip count matters; bitwise identical to the dynamic loop).
 #[inline]
@@ -52,7 +54,7 @@ pub fn scale(a: f32, y: &mut [f32]) {
 /// [`distance`] grows as `O(log(n/B))` instead of `O(n)` — at 10⁶-element
 /// parameter vectors a naive sequential f32 sum visibly drifts from the
 /// f64 reference, which corrupts the monitor's `‖x_i − x_m‖` distances.
-const PAIRWISE_BLOCK: usize = 4096;
+pub(crate) const PAIRWISE_BLOCK: usize = 4096;
 
 /// Known-length dot kernel: the `[..N]` bounds give LLVM a compile-time
 /// trip count, so the chain is fully unrolled and software-pipelined.
@@ -230,33 +232,82 @@ fn pairwise_lanes(
     }
 }
 
-/// [`dot`] of `w` against every column of a feature-major block at once:
-/// `out[s] = dot(w, column s)` where column `s` is `xb[k·nb + s]` over
-/// `k`, and `nb = out.len()`.
+/// Columns per register tile of [`dot_tile`]: one cache line of `f32`.
+pub const DOT_TILE: usize = 16;
+
+/// One sequential run of [`dot_tile`]: the `features` of the tile's
+/// columns, every lane from the start value of `dot_seq`. With the width
+/// known at compile time the accumulators stay in vector registers for
+/// the whole run; a narrower tile leaves its lanes past `width` at the
+/// start value.
+#[inline(always)]
+fn dot_tile_run(
+    w: &[f32],
+    cols: &[f32],
+    nb: usize,
+    first: usize,
+    width: usize,
+    features: Range<usize>,
+) -> [f32; DOT_TILE] {
+    let mut acc = [sum_start(); DOT_TILE];
+    let rows = cols.chunks_exact(nb).skip(features.start);
+    for (&wk, row) in w[features].iter().zip(rows) {
+        for (a, &xv) in acc.iter_mut().zip(&row[first..first + width]) {
+            *a += wk * xv;
+        }
+    }
+    acc
+}
+
+/// [`dot_tile`] above [`PAIRWISE_BLOCK`] features: the split-at-mid tree
+/// of [`dot_pairwise`], sibling runs added left + right lane by lane.
+fn dot_tile_tree(
+    w: &[f32],
+    cols: &[f32],
+    nb: usize,
+    first: usize,
+    width: usize,
+    features: Range<usize>,
+) -> [f32; DOT_TILE] {
+    if features.len() <= PAIRWISE_BLOCK {
+        return dot_tile_run(w, cols, nb, first, width, features);
+    }
+    let mid = features.start + features.len() / 2;
+    let mut acc = dot_tile_tree(w, cols, nb, first, width, features.start..mid);
+    let right = dot_tile_tree(w, cols, nb, first, width, mid..features.end);
+    for (a, r) in acc.iter_mut().zip(&right) {
+        *a += r;
+    }
+    acc
+}
+
+/// [`dot`] of `w` against `width ≤ DOT_TILE` neighbouring columns of a
+/// feature-major block: `out[j] = dot(w, column first + j)`, where column
+/// `s` is `cols[k·nb + s]` over `k`. Lanes `width..` are unspecified.
 ///
 /// Each lane accumulates its terms in ascending `k` from the start value
-/// of `dot_seq` and combines blocks by the same tree as
-/// `dot_pairwise`, so every output is the **same float** as the
-/// per-column `dot` — the columns are contiguous and their accumulators
-/// independent, so the inner loop vectorises across columns instead of
-/// serialising one latency-bound add chain per dot product. `spare` is
-/// caller-owned workspace (sized here; nothing allocates once warm).
+/// of `dot_seq`, multiply and add kept separate, and combines blocks by
+/// the same tree as `dot_pairwise`, so every output is the **same float**
+/// as the per-column `dot`. The lanes' accumulators are independent, so
+/// the step vectorises across columns instead of serialising one
+/// latency-bound add chain per dot product — and a tile's accumulators
+/// are two vector registers, where a row-wide lane buffer is loaded and
+/// stored once per feature.
 ///
 /// # Panics
-/// Panics if `xb.len() != w.len() * out.len()`.
-pub fn dot_lanes(w: &[f32], xb: &[f32], out: &mut [f32], spare: &mut Vec<f32>) {
-    let nb = out.len();
-    assert_eq!(xb.len(), w.len() * nb, "dot_lanes: block size mismatch");
-    spare.resize(pairwise_depth(w.len()) * nb, 0.0);
-    let start = sum_start();
-    pairwise_lanes(0, w.len(), out, spare, &mut |lo, hi, acc: &mut [f32]| {
-        acc.fill(start);
-        for (&wk, col) in w[lo..hi].iter().zip(xb[lo * nb..hi * nb].chunks_exact(nb)) {
-            for (a, &xv) in acc.iter_mut().zip(col) {
-                *a += wk * xv;
-            }
-        }
-    });
+/// Panics if `cols.len() != w.len() * nb` or the tile reaches past a row
+/// (`width` outside `1..=DOT_TILE`, or `first + width > nb`).
+#[inline]
+pub fn dot_tile(w: &[f32], cols: &[f32], nb: usize, first: usize, width: usize) -> [f32; DOT_TILE] {
+    assert_eq!(cols.len(), w.len() * nb, "dot_tile: block size mismatch");
+    assert!((1..=DOT_TILE).contains(&width) && first + width <= nb, "dot_tile: tile past the row");
+    if w.len() > PAIRWISE_BLOCK {
+        dot_tile_tree(w, cols, nb, first, width, 0..w.len())
+    } else if width == DOT_TILE {
+        dot_tile_run(w, cols, nb, first, DOT_TILE, 0..w.len())
+    } else {
+        dot_tile_run(w, cols, nb, first, width, 0..w.len())
+    }
 }
 
 /// Squared distances from `x` to a run of vectors stored feature-major:
@@ -427,23 +478,28 @@ mod tests {
     const LANE_DIMS: [usize; 5] = [1, 33, PAIRWISE_BLOCK, PAIRWISE_BLOCK + 1, 2 * PAIRWISE_BLOCK + 3];
 
     #[test]
-    fn dot_lanes_is_the_same_float_as_dot_per_column() {
-        let mut spare = Vec::new();
+    fn dot_tile_is_the_same_float_as_dot_per_column() {
         for dim in LANE_DIMS {
-            let nb = 5;
-            let w = pseudo(dim, 7);
-            let vectors: Vec<Vec<f32>> = (0..nb).map(|s| pseudo(dim, 20 + s as u64)).collect();
-            let mut xb = vec![0.0f32; dim * nb];
-            for (s, v) in vectors.iter().enumerate() {
-                for (k, &x) in v.iter().enumerate() {
-                    xb[k * nb + s] = x - 0.5;
+            // A full tile and a ragged one; one full tile; one narrow tile.
+            for nb in [DOT_TILE + 5, DOT_TILE, 3] {
+                let w = pseudo(dim, 7);
+                let columns: Vec<Vec<f32>> = (0..nb)
+                    .map(|s| pseudo(dim, 20 + s as u64).iter().map(|x| x - 0.5).collect())
+                    .collect();
+                let mut cols = vec![0.0f32; dim * nb];
+                for (s, c) in columns.iter().enumerate() {
+                    for (k, &x) in c.iter().enumerate() {
+                        cols[k * nb + s] = x;
+                    }
                 }
-            }
-            let mut out = vec![f32::NAN; nb];
-            dot_lanes(&w, &xb, &mut out, &mut spare);
-            for (s, v) in vectors.iter().enumerate() {
-                let col: Vec<f32> = v.iter().map(|x| x - 0.5).collect();
-                assert_eq!(out[s].to_bits(), dot(&w, &col).to_bits(), "dim {dim}, column {s}");
+                for first in (0..nb).step_by(DOT_TILE) {
+                    let width = DOT_TILE.min(nb - first);
+                    let out = dot_tile(&w, &cols, nb, first, width);
+                    for j in 0..width {
+                        let want = dot(&w, &columns[first + j]);
+                        assert_eq!(out[j].to_bits(), want.to_bits(), "dim {dim}, column {}", first + j);
+                    }
+                }
             }
         }
     }
@@ -472,13 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernels_keep_the_sign_of_an_all_negative_zero_sum() {
+    fn dot_tile_keeps_the_sign_of_an_all_negative_zero_sum() {
         // `Iterator::sum` starts from -0.0, so a dot whose every term is
         // -0.0 is -0.0; a lane seeded with +0.0 would return +0.0.
-        let mut spare = Vec::new();
         let (w, x) = ([-0.0f32, -0.0], [1.0f32, 2.0]);
-        let mut out = [f32::NAN];
-        dot_lanes(&w, &x, &mut out, &mut spare);
+        let out = dot_tile(&w, &x, 1, 0, 1);
         assert_eq!(out[0].to_bits(), dot(&w, &x).to_bits());
     }
 }
