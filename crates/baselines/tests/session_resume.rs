@@ -7,7 +7,8 @@
 
 use netmax_baselines::algorithm_for;
 use netmax_core::engine::{
-    AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent, StopCondition, TrainConfig,
+    decode_session_v3, AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent,
+    StopCondition, TrainConfig,
 };
 use netmax_core::monitor::EmaTimeTracker;
 use netmax_json::{Json, ToJson};
@@ -78,6 +79,40 @@ fn assert_resume_identical(kind: AlgorithmKind, k: u64) {
 fn every_variant_resumes_byte_identically() {
     for kind in AlgorithmKind::all() {
         assert_resume_identical(kind, 60);
+    }
+}
+
+/// Every driver family restores alike through both entry points: the
+/// container's bytes (node blobs decoded one at a time) and the decoded
+/// logical document leave sessions whose next snapshots are identical to
+/// each other and to the bytes restored from.
+#[test]
+fn restore_bytes_equals_restoring_the_decoded_document() {
+    for kind in AlgorithmKind::all() {
+        let sc = scenario(kind);
+        let mut algo = algorithm_for(kind, ALPHA);
+        let mut env = sc.build_env();
+        let mut session = Session::new(&mut env, algo.driver()).expect("valid session");
+        while session.env().global_step < 60 {
+            if let StepEvent::Finished { .. } = session.step() {
+                break;
+            }
+        }
+        let bytes = snapshot(&session);
+
+        let mut algo1 = algorithm_for(kind, ALPHA);
+        let mut env1 = sc.build_env();
+        let from_bytes = snapshot(
+            &Session::restore_bytes(&mut env1, algo1.driver(), &bytes).expect("bytes restore"),
+        );
+        let document = decode_session_v3(&bytes).expect("the snapshot decodes");
+        let mut algo2 = algorithm_for(kind, ALPHA);
+        let mut env2 = sc.build_env();
+        let from_document = snapshot(
+            &Session::restore(&mut env2, algo2.driver(), &document).expect("document restores"),
+        );
+        assert!(from_bytes == from_document, "{kind:?}: the two restore paths disagree");
+        assert!(from_bytes == bytes, "{kind:?}: a restore does not re-snapshot to its bytes");
     }
 }
 

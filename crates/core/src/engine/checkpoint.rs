@@ -8,20 +8,27 @@
 //! length-prefixed blob per node. Decoding a v3 document
 //! ([`decode_session_v3`]) yields exactly the v2 [`Json`] that
 //! [`Session::checkpoint`](super::Session::checkpoint) would have
-//! produced, so [`Session::restore`](super::Session::restore) — with all
-//! its schema/tier/membership validation — is the single restore path.
+//! produced. [`Session::restore_bytes`](super::Session::restore_bytes)
+//! does not build that document: it decodes `meta` alone and hands the
+//! blobs to the one restore sequence
+//! [`Session::restore`](super::Session::restore) runs, which decodes and
+//! applies them one node at a time where it would have read `env.nodes`
+//! — same validation, same typed errors, no fleet-sized [`Json`] tree.
 //!
 //! There is one encoder: the [`CheckpointScratch`] streams node state
 //! straight from the [`Environment`] through the codec's typed writers —
 //! no per-node `Json`, no per-node allocation once the scratch buffers
-//! are warm.
+//! are warm — and a full container is written once, at its exact size.
 //!
 //! Incremental snapshots (`session-delta/v1`) re-serialize only the
 //! nodes whose encoded bytes changed since the previous snapshot taken
 //! through the same scratch. Each delta records FNV-1a fingerprints of
 //! the chain state before and after, and [`reconstruct_chain`] replays
 //! `base + deltas` into bytes **bit-identical** to a full v3 snapshot
-//! taken at the same point.
+//! taken at the same point. Both ends hash each link once: the scratch
+//! remembers its base's fingerprint, and the replay checks link k + 1's
+//! `parent` against link k's already-verified `result`, splicing views
+//! of the input documents rather than copies of the blobs.
 
 use super::environment::{Environment, NodeState};
 use netmax_json::{codec, CodecError, Json};
@@ -96,18 +103,27 @@ fn fingerprint<'a>(blobs: impl Iterator<Item = &'a [u8]>) -> u64 {
     h
 }
 
-/// Assembles a `nodes` section payload: element count, then one
-/// length-prefixed blob per node. Shared by the encoder and
-/// [`reconstruct_chain`], so both frame nodes identically.
-fn write_nodes_payload<'a>(
+/// Writes a full v3 container into `out`: the `meta` section, then the
+/// `nodes` section — element count, one length-prefixed blob per node —
+/// streamed from `blobs` with no intermediate payload buffer, and `out`
+/// reserved at the container's exact size first. Shared by the encoder
+/// and [`reconstruct_chain`], so both frame nodes identically.
+fn write_session_v3<B: AsRef<[u8]>>(
     out: &mut Vec<u8>,
-    count: usize,
-    blobs: impl Iterator<Item = &'a [u8]>,
+    meta: &[u8],
+    blobs: &[B],
 ) -> Result<(), CodecError> {
-    push_u32(out, count)?;
+    let nodes_len = 4 + blobs.iter().map(|b| 8 + b.as_ref().len()).sum::<usize>();
+    let sections = [("meta", meta.len()), ("nodes", nodes_len)];
+    out.reserve(codec::document_len(SESSION_CHECKPOINT_SCHEMA_V3, sections));
+    codec::write_document_header(out, SESSION_CHECKPOINT_SCHEMA_V3, sections.len())?;
+    codec::write_section_header(out, "meta", meta.len())?;
+    out.extend_from_slice(meta);
+    codec::write_section_header(out, "nodes", nodes_len)?;
+    push_u32(out, blobs.len())?;
     for blob in blobs {
-        push_u64(out, blob.len())?;
-        out.extend_from_slice(blob);
+        push_u64(out, blob.as_ref().len())?;
+        out.extend_from_slice(blob.as_ref());
     }
     Ok(())
 }
@@ -115,7 +131,9 @@ fn write_nodes_payload<'a>(
 /// Splits a `nodes` section payload back into per-node blob views.
 fn split_nodes_payload(mut payload: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
     let count = read_u32(&mut payload)? as usize;
-    if count > payload.len() {
+    // Every blob carries an 8-byte length: a count the payload cannot
+    // hold fails before anything is reserved for it.
+    if count > payload.len() / 8 {
         return Err(CodecError::Length);
     }
     let mut blobs = Vec::with_capacity(count);
@@ -164,11 +182,15 @@ fn encode_node_binary(node: &NodeState, out: &mut Vec<u8>) -> Result<(), CodecEr
 ///
 /// The per-node encode path allocates nothing once the buffers are warm:
 /// each node's blob is rebuilt in place (capacity retained across
-/// snapshots), the section payloads reuse their buffers, and emitting a
+/// snapshots), the delta payload reuses its buffer, and emitting a
 /// snapshot swaps the current blobs into the delta base instead of
-/// copying. Only the small `meta` document (recorder samples, driver
-/// state) still passes through `Json` — its cost is bounded per
-/// snapshot, not proportional to fleet or model size.
+/// copying. The `meta` document still passes through `Json`, and it is
+/// not small: besides the recorder's samples it carries one driver
+/// queue entry, one RNG stream and one membership flag per node, so it
+/// grows with the fleet (on the n = 1 024 AD-PSGD torus it is 195 of a
+/// 963 KiB snapshot — 156 KiB of driver queue, 37 KiB of environment
+/// RNG streams — and 715 KiB as a `Json` tree). Only the model size
+/// stays out of it.
 #[derive(Debug, Default)]
 pub struct CheckpointScratch {
     /// Per-node blobs of the snapshot being built.
@@ -176,9 +198,14 @@ pub struct CheckpointScratch {
     /// Per-node blobs of the last emitted snapshot — the state deltas
     /// diff against. Empty until a full binary snapshot seeds the chain.
     base: Vec<Vec<u8>>,
+    /// Fingerprint of `base`, once a delta has needed it: a full snapshot
+    /// clears it (so full and one-shot snapshots hash nothing), the first
+    /// delta after it hashes the base, and every delta's `result`
+    /// replaces it.
+    base_fingerprint: Option<u64>,
     /// Encoded `meta` section.
     meta: Vec<u8>,
-    /// Assembled `nodes` (or delta `nodes`) section payload.
+    /// Assembled delta `nodes` section payload.
     payload: Vec<u8>,
 }
 
@@ -226,19 +253,10 @@ impl CheckpointScratch {
         self.meta.clear();
         codec::encode_value(&mut self.meta, meta)?;
         self.encode_nodes(env)?;
-        self.payload.clear();
-        let count = self.cur.len();
-        {
-            let blobs = self.cur.iter().map(|b| b.as_slice());
-            write_nodes_payload(&mut self.payload, count, blobs)?;
-        }
         out.clear();
-        codec::write_document(
-            out,
-            SESSION_CHECKPOINT_SCHEMA_V3,
-            &[("meta", &self.meta), ("nodes", &self.payload)],
-        )?;
+        write_session_v3(out, &self.meta, &self.cur)?;
         std::mem::swap(&mut self.base, &mut self.cur);
+        self.base_fingerprint = None;
         Ok(())
     }
 
@@ -258,8 +276,14 @@ impl CheckpointScratch {
         self.meta.clear();
         codec::encode_value(&mut self.meta, meta)?;
         self.encode_nodes(env)?;
-        let parent = fingerprint(self.base.iter().map(|b| b.as_slice()));
-        let result = fingerprint(self.cur.iter().map(|b| b.as_slice()));
+        let parent = match self.base_fingerprint {
+            Some(fp) => fp,
+            None => fingerprint(self.base.iter().map(Vec::as_slice)),
+        };
+        // `base` is unchanged until the swap below, so the hash stays
+        // valid even if this delta fails.
+        self.base_fingerprint = Some(parent);
+        let result = fingerprint(self.cur.iter().map(Vec::as_slice));
         self.payload.clear();
         let changed =
             self.base.iter().zip(self.cur.iter()).filter(|(b, c)| b != c).count();
@@ -287,6 +311,7 @@ impl CheckpointScratch {
             ],
         )?;
         std::mem::swap(&mut self.base, &mut self.cur);
+        self.base_fingerprint = Some(result);
         Ok(())
     }
 }
@@ -295,10 +320,13 @@ impl CheckpointScratch {
 // Decoding and chain replay.
 // ---------------------------------------------------------------------
 
-/// Decodes v3 binary bytes back into the wrapped v2 logical [`Json`]
-/// document (node objects spliced back into `env.nodes`). Never panics;
-/// all failures are typed.
-pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
+/// Splits a v3 container into its decoded `meta` document (the v2
+/// logical document minus `env.nodes`) and views of its per-node blobs —
+/// the framing both [`decode_session_v3`] and
+/// [`Session::restore_bytes`](super::Session::restore_bytes) read. A
+/// delta is named as such, not as a foreign schema. Never panics; all
+/// failures are typed.
+pub(crate) fn split_session_v3(bytes: &[u8]) -> Result<(Json, Vec<&[u8]>), CodecError> {
     let doc = codec::read_document(bytes)?;
     if doc.schema == SESSION_DELTA_SCHEMA {
         return Err(CodecError::Schema(
@@ -307,8 +335,19 @@ pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
         ));
     }
     doc.check_schema(SESSION_CHECKPOINT_SCHEMA_V3)?;
-    let mut meta = codec::decode_value(doc.require("meta")?)?;
+    // The framing first: a `nodes` section that cannot hold its count
+    // fails before the `meta` tree is built.
     let blobs = split_nodes_payload(doc.require("nodes")?)?;
+    let meta = codec::decode_value(doc.require("meta")?)?;
+    Ok((meta, blobs))
+}
+
+/// Decodes v3 binary bytes back into the wrapped v2 logical [`Json`]
+/// document (node objects spliced back into `env.nodes`) — what `show`
+/// and the tests read; restoring does not go through it. Never panics;
+/// all failures are typed.
+pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
+    let (mut meta, blobs) = split_session_v3(bytes)?;
     let mut nodes = Vec::with_capacity(blobs.len());
     for blob in blobs {
         nodes.push(codec::decode_value(blob)?);
@@ -335,24 +374,34 @@ pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
 /// Replays a delta chain: `base` (a full v3 snapshot) plus `deltas` in
 /// order, verifying every fingerprint link, and re-emits the final state
 /// as full v3 bytes — **bit-identical** to a full snapshot taken at the
-/// same point (both paths share the same section writers).
+/// same point (both paths share the same container writer).
+///
+/// The chain state is a vector of views into `base` and `deltas`, and
+/// each link is hashed once: link k + 1's `parent` is checked against
+/// link k's already-verified `result`, so only the first link hashes the
+/// base, and an n-delta chain hashes n + 1 times.
 pub fn reconstruct_chain(base: &[u8], deltas: &[Vec<u8>]) -> Result<Vec<u8>, CodecError> {
     let doc = codec::read_document(base)?;
     doc.check_schema(SESSION_CHECKPOINT_SCHEMA_V3)?;
-    let mut meta: Vec<u8> = doc.require("meta")?.to_vec();
-    let mut blobs: Vec<Vec<u8>> =
-        split_nodes_payload(doc.require("nodes")?)?.iter().map(|b| b.to_vec()).collect();
+    let mut meta = doc.require("meta")?;
+    let mut blobs = split_nodes_payload(doc.require("nodes")?)?;
     let link_err = |msg: &str| CodecError::Schema(msg.to_string(), SESSION_DELTA_SCHEMA.to_string());
+    // The fingerprint of `blobs` as the last link verified it; `None`
+    // until a link needs the base's.
+    let mut state: Option<u64> = None;
     for delta in deltas {
         let d = codec::read_document(delta)?;
         d.check_schema(SESSION_DELTA_SCHEMA)?;
         let mut parent_bytes = d.require("parent")?;
         let parent = read_u64(&mut parent_bytes)?;
-        if parent != fingerprint(blobs.iter().map(|b| b.as_slice())) {
+        let expected = match state {
+            Some(fp) => fp,
+            None => fingerprint(blobs.iter().copied()),
+        };
+        if parent != expected {
             return Err(link_err("delta parent fingerprint does not match chain state"));
         }
-        meta.clear();
-        meta.extend_from_slice(d.require("meta")?);
+        meta = d.require("meta")?;
         let mut payload = d.require("nodes")?;
         let changed = read_u32(&mut payload)? as usize;
         if changed > payload.len() {
@@ -366,25 +415,19 @@ pub fn reconstruct_chain(base: &[u8], deltas: &[Vec<u8>]) -> Result<Vec<u8>, Cod
             let slot = blobs
                 .get_mut(idx)
                 .ok_or_else(|| link_err("delta names a node index outside the fleet"))?;
-            slot.clear();
-            slot.extend_from_slice(blob);
+            *slot = blob;
         }
         if !payload.is_empty() {
             return Err(CodecError::Trailing);
         }
         let mut result_bytes = d.require("result")?;
         let result = read_u64(&mut result_bytes)?;
-        if result != fingerprint(blobs.iter().map(|b| b.as_slice())) {
+        if result != fingerprint(blobs.iter().copied()) {
             return Err(link_err("delta result fingerprint does not match spliced state"));
         }
+        state = Some(result);
     }
-    let mut payload = Vec::new();
-    write_nodes_payload(&mut payload, blobs.len(), blobs.iter().map(|b| b.as_slice()))?;
     let mut out = Vec::new();
-    codec::write_document(
-        &mut out,
-        SESSION_CHECKPOINT_SCHEMA_V3,
-        &[("meta", &meta), ("nodes", &payload)],
-    )?;
+    write_session_v3(&mut out, meta, &blobs)?;
     Ok(out)
 }

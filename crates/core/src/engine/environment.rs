@@ -2,7 +2,7 @@
 
 use super::config::TrainConfig;
 use super::session::{rng_from_json, rng_to_json, SessionError};
-use netmax_json::{FromJson, Json, JsonError, ToJson};
+use netmax_json::{codec, FromJson, Json, JsonError, ToJson};
 use netmax_ml::batch::BatchSampler;
 use netmax_ml::model::{Model, Scratch};
 use netmax_ml::optim::SgdState;
@@ -529,11 +529,11 @@ impl Environment {
     }
 
     /// The environment checkpoint *without* the per-node array — the
-    /// fleet-size-independent remainder (`global_step` and the RNG
-    /// streams). The binary fast path serializes this small object
-    /// through [`Json`] and streams the node state separately; the v2
-    /// writer above appends `nodes` last, and the binary decoder relies
-    /// on that ordering to splice the array back in.
+    /// remainder (`global_step`, the global RNG stream and one RNG stream
+    /// per node). The binary fast path serializes this object through
+    /// [`Json`] and streams the node state separately; the v2 writer
+    /// above appends `nodes` last, and the binary decoder relies on that
+    /// ordering to splice the array back in.
     pub(crate) fn checkpoint_meta(&self) -> Json {
         Json::obj([
             ("global_step", self.global_step.to_json()),
@@ -544,57 +544,106 @@ impl Environment {
 
     /// Restores state captured by [`Environment::checkpoint`] onto this
     /// (freshly built, same-scenario) environment.
-    pub fn restore(&mut self, state: &Json) -> Result<(), JsonError> {
-        let nodes = state.field("nodes")?.as_arr()?;
-        if nodes.len() != self.nodes.len() {
+    pub fn restore(&mut self, state: &Json) -> Result<(), SessionError> {
+        self.restore_from(state, NodeSource::Logical)
+    }
+
+    /// The one environment restore sequence, over either source of node
+    /// objects: counts checked against the fleet first, then every node
+    /// through [`restore_node`] in fleet order, then the RNG streams and
+    /// the step counter.
+    pub(crate) fn restore_from(
+        &mut self,
+        state: &Json,
+        nodes: NodeSource<'_>,
+    ) -> Result<(), SessionError> {
+        let count = match nodes {
+            NodeSource::Logical => state.field("nodes")?.as_arr()?.len(),
+            // The container's section is the only node source: a `nodes`
+            // array inside `meta` as well would be a second, ignored one.
+            NodeSource::Blobs(_) if state.get("nodes").is_some() => {
+                return Err(JsonError::schema(
+                    "checkpoint carries env.nodes beside its nodes section".into(),
+                )
+                .into());
+            }
+            NodeSource::Blobs(blobs) => blobs.len(),
+        };
+        if count != self.nodes.len() {
             return Err(JsonError::schema(format!(
-                "checkpoint has {} nodes, environment has {}",
-                nodes.len(),
+                "checkpoint has {count} nodes, environment has {}",
                 self.nodes.len()
-            )));
+            ))
+            .into());
         }
         let node_rngs = state.field("node_rngs")?.as_arr()?;
         if node_rngs.len() != self.node_rngs.len() {
-            return Err(JsonError::schema("node rng stream count mismatch".into()));
+            return Err(JsonError::schema("node rng stream count mismatch".into()).into());
         }
-        for (node, saved) in self.nodes.iter_mut().zip(nodes) {
-            let params: Vec<f32> = Vec::from_json(saved.field("params")?)?;
-            if params.len() != node.model.num_params() {
-                return Err(JsonError::schema(format!(
-                    "checkpoint has {} parameters, model has {}",
-                    params.len(),
-                    node.model.num_params()
-                )));
+        let examples = self.workload.train.len();
+        match nodes {
+            NodeSource::Logical => {
+                for (node, saved) in self.nodes.iter_mut().zip(state.field("nodes")?.as_arr()?) {
+                    restore_node(node, saved, examples)?;
+                }
             }
-            node.model.params_mut().copy_from_slice(&params);
-            let velocity: Vec<f32> = Vec::from_json(saved.field("velocity")?)?;
-            if velocity.len() != node.opt.velocity().len() {
-                return Err(JsonError::schema("optimiser state length mismatch".into()));
+            // One node's `Json` at a time: the fleet is never a tree.
+            NodeSource::Blobs(blobs) => {
+                for (node, blob) in self.nodes.iter_mut().zip(blobs) {
+                    restore_node(node, &codec::decode_value(blob)?, examples)?;
+                }
             }
-            node.opt.velocity_mut().copy_from_slice(&velocity);
-            let sampler = BatchSampler::restore(saved.field("sampler")?)?;
-            // Reject what the gradient step would otherwise panic on —
-            // corrupt checkpoints surface as typed errors, not as
-            // out-of-bounds panics mid-run (same convention as
-            // `check_node_index`).
-            if let Some(&bad) = sampler.indices().iter().find(|&&i| i >= self.workload.train.len())
-            {
-                return Err(JsonError::schema(format!(
-                    "sampler references example {bad}, dataset has {}",
-                    self.workload.train.len()
-                )));
-            }
-            node.sampler = sampler;
-            node.clock = f64::from_json(saved.field("clock")?)?;
-            node.comp_time_total = f64::from_json(saved.field("comp_time_total")?)?;
-            node.comm_exposed_total = f64::from_json(saved.field("comm_exposed_total")?)?;
-            node.local_steps = u64::from_json(saved.field("local_steps")?)?;
         }
         self.rng = rng_from_json(state.field("rng")?)?;
         self.node_rngs = node_rngs.iter().map(rng_from_json).collect::<Result<_, _>>()?;
         self.global_step = u64::from_json(state.field("global_step")?)?;
         Ok(())
     }
+}
+
+/// Where an environment restore reads its per-node objects from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum NodeSource<'a> {
+    /// The logical document's own `env.nodes` array.
+    Logical,
+    /// A v3 container's `nodes` section: one codec-encoded node object
+    /// per node, in fleet order, decoded as its node is restored.
+    Blobs(&'a [&'a [u8]]),
+}
+
+/// Restores one node from its checkpoint object — the single per-node
+/// restore function behind both [`NodeSource`]s. `examples` is the
+/// training set's length, which every sampler index must stay below.
+fn restore_node(node: &mut NodeState, saved: &Json, examples: usize) -> Result<(), JsonError> {
+    let params: Vec<f32> = Vec::from_json(saved.field("params")?)?;
+    if params.len() != node.model.num_params() {
+        return Err(JsonError::schema(format!(
+            "checkpoint has {} parameters, model has {}",
+            params.len(),
+            node.model.num_params()
+        )));
+    }
+    node.model.params_mut().copy_from_slice(&params);
+    let velocity: Vec<f32> = Vec::from_json(saved.field("velocity")?)?;
+    if velocity.len() != node.opt.velocity().len() {
+        return Err(JsonError::schema("optimiser state length mismatch".into()));
+    }
+    node.opt.velocity_mut().copy_from_slice(&velocity);
+    let sampler = BatchSampler::restore(saved.field("sampler")?)?;
+    // Reject what the gradient step would otherwise panic on — corrupt
+    // checkpoints surface as typed errors, not as out-of-bounds panics
+    // mid-run (same convention as `check_node_index`).
+    if let Some(&bad) = sampler.indices().iter().find(|&&i| i >= examples) {
+        return Err(JsonError::schema(format!(
+            "sampler references example {bad}, dataset has {examples}"
+        )));
+    }
+    node.sampler = sampler;
+    node.clock = f64::from_json(saved.field("clock")?)?;
+    node.comp_time_total = f64::from_json(saved.field("comp_time_total")?)?;
+    node.comm_exposed_total = f64::from_json(saved.field("comm_exposed_total")?)?;
+    node.local_steps = u64::from_json(saved.field("local_steps")?)?;
+    Ok(())
 }
 
 /// The shared active-neighbour draw: the classic full-list index when

@@ -25,7 +25,7 @@
 //! [`Scenario`](super::scenario::Scenario).
 
 use super::checkpoint::{self, CheckpointFormat, CheckpointScratch};
-use super::environment::Environment;
+use super::environment::{Environment, NodeSource};
 use super::recorder::{Recorder, RunReport, Sample};
 use super::stop::StopCondition;
 use netmax_json::{CodecError, FromJson, Json, JsonError, ToJson};
@@ -449,7 +449,7 @@ impl<'a> Session<'a> {
     }
 
     /// The checkpoint document minus the per-node array (`env.nodes`) —
-    /// the fleet-size-independent `meta` section of a binary snapshot.
+    /// the `meta` section of a binary snapshot.
     fn checkpoint_meta(&self) -> Json {
         self.checkpoint_with_env(self.env.checkpoint_meta())
     }
@@ -504,15 +504,20 @@ impl<'a> Session<'a> {
 
     /// Restores a session from a `session-checkpoint/v3` NMXB container —
     /// the only serialized form. Anything else (text, a delta, a foreign
-    /// container) is a typed [`SessionError::BadCheckpoint`]; the decoded
-    /// logical document is validated by [`Session::restore`].
+    /// container) is a typed [`SessionError::BadCheckpoint`].
+    ///
+    /// Only the `meta` section is decoded as a document; the node blobs
+    /// are decoded and applied one at a time by the same restore sequence
+    /// [`Session::restore`] runs, where it would read `env.nodes` — so
+    /// the two entry points validate alike and fail alike, and the fleet
+    /// never exists as a [`Json`] tree.
     pub fn restore_bytes(
         env: &'a mut Environment,
         driver: Box<dyn SessionDriver + 'a>,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
-        let doc = checkpoint::decode_session_v3(bytes)?;
-        Session::restore(env, driver, &doc)
+        let (meta, blobs) = checkpoint::split_session_v3(bytes)?;
+        Session::restore_from(env, driver, &meta, NodeSource::Blobs(&blobs))
     }
 
     /// Rebuilds a session from a [`Session::checkpoint`] document.
@@ -526,6 +531,18 @@ impl<'a> Session<'a> {
         env: &'a mut Environment,
         driver: Box<dyn SessionDriver + 'a>,
         checkpoint: &Json,
+    ) -> Result<Self, SessionError> {
+        Session::restore_from(env, driver, checkpoint, NodeSource::Logical)
+    }
+
+    /// The one restore sequence behind [`Session::restore`] and
+    /// [`Session::restore_bytes`]: `nodes` says where the environment's
+    /// node objects come from; everything else is read from `checkpoint`.
+    fn restore_from(
+        env: &'a mut Environment,
+        driver: Box<dyn SessionDriver + 'a>,
+        checkpoint: &Json,
+        nodes: NodeSource<'_>,
     ) -> Result<Self, SessionError> {
         let schema = checkpoint.field("schema")?.as_str()?;
         if schema != SESSION_CHECKPOINT_SCHEMA {
@@ -555,7 +572,7 @@ impl<'a> Session<'a> {
         let stop = StopCondition::from_json(checkpoint.field("stop")?)?;
         stop.validate()?;
         session.stop = stop;
-        session.env.restore(checkpoint.field("env")?)?;
+        session.env.restore_from(checkpoint.field("env")?, nodes)?;
         let active: Vec<bool> = Vec::from_json(checkpoint.field("active")?)?;
         if active.len() != session.env.num_nodes() {
             return Err(SessionError::BadCheckpoint(format!(

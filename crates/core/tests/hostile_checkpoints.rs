@@ -40,7 +40,7 @@ fn step(session: &mut Session<'_>, global_steps: usize) {
     }
 }
 
-/// A full snapshot after 20 steps plus two deltas, 5 steps apart.
+/// A full snapshot after 20 steps plus three deltas, 5 steps apart.
 fn chain(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
     let sc = scenario(seed);
     let mut env = sc.build_env();
@@ -50,7 +50,7 @@ fn chain(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
     step(&mut session, 20);
     let mut base = Vec::new();
     session.checkpoint_binary(&mut scratch, &mut base).unwrap();
-    let deltas = (0..2)
+    let deltas = (0..3)
         .map(|_| {
             step(&mut session, 5);
             let mut d = Vec::new();
@@ -117,6 +117,50 @@ fn without_meta_key(base: &[u8], key: &str) -> Vec<u8> {
     )
     .unwrap();
     out
+}
+
+/// The node blobs of a v3 snapshot's `nodes` section, in fleet order.
+fn node_blobs(base: &[u8]) -> Vec<Vec<u8>> {
+    let doc = codec::read_document(base).unwrap();
+    let payload = doc.require("nodes").unwrap();
+    let count = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+    let mut rest = &payload[4..];
+    let mut blobs = Vec::with_capacity(count);
+    for _ in 0..count {
+        let len = u64::from_le_bytes(rest[..8].try_into().unwrap()) as usize;
+        blobs.push(rest[8..8 + len].to_vec());
+        rest = &rest[8 + len..];
+    }
+    assert!(rest.is_empty(), "the fixture's `nodes` section is exactly its blobs");
+    blobs
+}
+
+/// `base` re-framed around `blobs`: the same `meta`, and a well-formed
+/// `nodes` section holding exactly `blobs`.
+fn with_blobs(base: &[u8], blobs: &[Vec<u8>]) -> Vec<u8> {
+    let doc = codec::read_document(base).unwrap();
+    let mut nodes = (blobs.len() as u32).to_le_bytes().to_vec();
+    for blob in blobs {
+        nodes.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+        nodes.extend_from_slice(blob);
+    }
+    let mut out = Vec::new();
+    codec::write_document(
+        &mut out,
+        SESSION_CHECKPOINT_SCHEMA_V3,
+        &[("meta", doc.require("meta").unwrap()), ("nodes", &nodes)],
+    )
+    .unwrap();
+    out
+}
+
+/// `base` with node 0's blob replaced by `edit` applied to its object.
+fn with_first_node(base: &[u8], edit: impl FnOnce(&Json) -> Json) -> Vec<u8> {
+    let mut blobs = node_blobs(base);
+    let node = codec::decode_value(&blobs[0]).unwrap();
+    blobs[0].clear();
+    codec::encode_value(&mut blobs[0], &edit(&node)).unwrap();
+    with_blobs(base, &blobs)
 }
 
 /// `doc` with the value at `path` replaced.
@@ -239,6 +283,65 @@ fn hostile_nmxb_is_always_a_typed_error() {
     ));
 
     rows.push((
+        "a chain with its middle delta omitted".into(),
+        Row::Chain(base.clone(), vec![deltas[0].clone(), deltas[2].clone()]),
+    ));
+    let second_parent = payload_range(&deltas[1], "parent");
+    rows.push((
+        "a chain whose second delta has a flipped parent byte".into(),
+        Row::Chain(
+            base.clone(),
+            vec![deltas[0].clone(), flipped(&deltas[1], second_parent.start)],
+        ),
+    ));
+
+    // Re-framed snapshots, well-formed as containers, whose node blobs
+    // are wrong: restore decodes and applies them one node at a time.
+    let blobs = node_blobs(&base);
+    assert_eq!(blobs.len(), WORKERS);
+    rows.push((
+        "a `nodes` section one blob short of the fleet".into(),
+        Row::Restore(with_blobs(&base, &blobs[..WORKERS - 1])),
+    ));
+    let mut one_more = blobs.clone();
+    one_more.push(blobs[0].clone());
+    rows.push((
+        "a `nodes` section one blob over the fleet".into(),
+        Row::Restore(with_blobs(&base, &one_more)),
+    ));
+    rows.push((
+        "a node blob that decodes to a number".into(),
+        Row::Restore(with_first_node(&base, |_| Json::Num(1.5))),
+    ));
+    rows.push((
+        "a node blob with a short params vector".into(),
+        Row::Restore(with_first_node(&base, |node| {
+            let params = node.field("params").unwrap().as_arr().unwrap();
+            replaced(node, &["params"], Json::Arr(params[1..].to_vec()))
+        })),
+    ));
+    rows.push((
+        "a node blob whose sampler names an example outside the dataset".into(),
+        Row::Restore(with_first_node(&base, |node| {
+            let sampler = node.field("sampler").unwrap();
+            let mut indices = sampler.field("indices").unwrap().as_arr().unwrap().to_vec();
+            indices[0] = Json::Int(1 << 40);
+            replaced(node, &["sampler", "indices"], Json::Arr(indices))
+        })),
+    ));
+    // A blob count the section's bytes could never hold (each blob
+    // carries an 8-byte length) but its byte length could: it used to be
+    // accepted far enough to reserve 16 bytes per claimed blob.
+    let nodes = payload_range(&base, "nodes");
+    let mut inflated = base.clone();
+    let claimed = (nodes.len() - 4) as u32;
+    inflated[nodes.start..nodes.start + 4].copy_from_slice(&claimed.to_le_bytes());
+    rows.push((
+        "a `nodes` section claiming one blob per byte".into(),
+        Row::Restore(inflated),
+    ));
+
+    rows.push((
         "a delta passed to restore_bytes".into(),
         Row::Restore(deltas[0].clone()),
     ));
@@ -253,6 +356,23 @@ fn hostile_nmxb_is_always_a_typed_error() {
             Row::Restore(without_meta_key(&base, key)),
         ));
     }
+    // The `nodes` section is the container's only node source.
+    let mut logical_meta = Vec::new();
+    codec::encode_value(&mut logical_meta, &logical).unwrap();
+    let mut two_sources = Vec::new();
+    codec::write_document(
+        &mut two_sources,
+        SESSION_CHECKPOINT_SCHEMA_V3,
+        &[
+            ("meta", &logical_meta),
+            ("nodes", codec::read_document(&base).unwrap().require("nodes").unwrap()),
+        ],
+    )
+    .unwrap();
+    rows.push((
+        "a v3 whose meta carries env.nodes beside the `nodes` section".into(),
+        Row::Restore(two_sources),
+    ));
 
     for (what, row) in rows {
         match row {
@@ -301,7 +421,22 @@ fn hostile_nmxb_is_always_a_typed_error() {
         &["recorder", "last_recorded_step"],
         ahead.clone(),
     );
+    let mut without_nodes = logical.clone();
+    if let Json::Obj(pairs) = &mut without_nodes {
+        for (key, env) in pairs {
+            if let (true, Json::Obj(env)) = (key == "env", env) {
+                env.retain(|(k, _)| k != "nodes");
+            }
+        }
+    }
     let documents = [
+        // The logical document is its own node source: without one it is
+        // an error, never a restore that silently skips the fleet.
+        (
+            "a logical document without env.nodes",
+            without_nodes,
+            "missing field `nodes`",
+        ),
         // The logical document is only accepted under the v2 tag — the v3
         // tag names the container, not the document inside it.
         (

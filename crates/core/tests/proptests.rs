@@ -210,6 +210,44 @@ proptest! {
             "resume at k={} diverged for {:?}", k, sc
         );
     }
+
+    /// The two restore entry points are one restore sequence: restoring a
+    /// container's bytes (node blobs decoded one at a time) and restoring
+    /// its decoded logical document leave sessions whose next snapshots
+    /// are identical — and identical to the bytes restored from.
+    #[test]
+    fn restore_bytes_equals_restoring_the_decoded_document(
+        sc in small_scenario(),
+        k in 0u64..200,
+    ) {
+        let mut algo = netmax_algo();
+        let mut env = sc.build_env();
+        let mut session = Session::new(&mut env, algo.driver()).unwrap();
+        while session.env().global_step < k {
+            if let StepEvent::Finished { .. } = session.step() {
+                break;
+            }
+        }
+        let mut bytes = Vec::new();
+        session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
+
+        let mut from_bytes = Vec::new();
+        let mut algo1 = netmax_algo();
+        let mut env1 = sc.build_env();
+        Session::restore_bytes(&mut env1, algo1.driver(), &bytes)
+            .unwrap()
+            .checkpoint_binary(&mut CheckpointScratch::new(), &mut from_bytes)
+            .unwrap();
+        let mut from_document = Vec::new();
+        let mut algo2 = netmax_algo();
+        let mut env2 = sc.build_env();
+        Session::restore(&mut env2, algo2.driver(), &decode_session_v3(&bytes).unwrap())
+            .unwrap()
+            .checkpoint_binary(&mut CheckpointScratch::new(), &mut from_document)
+            .unwrap();
+        prop_assert_eq!(&from_bytes, &from_document);
+        prop_assert_eq!(&from_bytes, &bytes);
+    }
 }
 
 proptest! {

@@ -508,26 +508,56 @@ fn decode_at(r: &mut Reader<'_>, depth: u32) -> Result<Json, CodecError> {
 // Container.
 // ---------------------------------------------------------------------
 
-/// Assembles a complete binary document: magic, version, schema tag, and
-/// the named sections in the given order. Section payloads are opaque
-/// bytes (typically [`encode_value`] output or packed records) built in
-/// their own buffers — assembly is a straight concatenation with no
-/// backpatching.
-pub fn write_document(
+/// The exact number of bytes a document with this schema tag and these
+/// `(name, payload length)` sections occupies — what a writer reserves so
+/// the container is written once, at its final size.
+pub fn document_len<'s>(
+    schema: &str,
+    sections: impl IntoIterator<Item = (&'s str, usize)>,
+) -> usize {
+    let header = MAGIC.len() + 2 + 4 + schema.len() + 4;
+    header + sections.into_iter().map(|(name, len)| 4 + name.len() + 8 + len).sum::<usize>()
+}
+
+/// Writes a document's header: magic, version, schema tag and section
+/// count. Follow with `sections` × ([`write_section_header`] + exactly
+/// the declared payload bytes).
+pub fn write_document_header(
     out: &mut Vec<u8>,
     schema: &str,
-    sections: &[(&str, &[u8])],
+    sections: usize,
 ) -> Result<(), CodecError> {
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     write_len(out, schema.len())?;
     out.extend_from_slice(schema.as_bytes());
-    write_len(out, sections.len())?;
+    write_len(out, sections)
+}
+
+/// Opens a section of `len` payload bytes, which the caller appends next
+/// — how a writer streams a payload it never assembles in a buffer.
+pub fn write_section_header(out: &mut Vec<u8>, name: &str, len: usize) -> Result<(), CodecError> {
+    write_len(out, name.len())?;
+    out.extend_from_slice(name.as_bytes());
+    let len = u64::try_from(len).map_err(|_| CodecError::Length)?;
+    write_u64_raw(out, len);
+    Ok(())
+}
+
+/// Assembles a complete binary document: magic, version, schema tag, and
+/// the named sections in the given order. Section payloads are opaque
+/// bytes (typically [`encode_value`] output or packed records) built in
+/// their own buffers — assembly is a straight concatenation with no
+/// backpatching, into `out` reserved for the whole document up front.
+pub fn write_document(
+    out: &mut Vec<u8>,
+    schema: &str,
+    sections: &[(&str, &[u8])],
+) -> Result<(), CodecError> {
+    out.reserve(document_len(schema, sections.iter().map(|(name, p)| (*name, p.len()))));
+    write_document_header(out, schema, sections.len())?;
     for (name, payload) in sections {
-        write_len(out, name.len())?;
-        out.extend_from_slice(name.as_bytes());
-        let len = u64::try_from(payload.len()).map_err(|_| CodecError::Length)?;
-        write_u64_raw(out, len);
+        write_section_header(out, name, payload.len())?;
         out.extend_from_slice(payload);
     }
     Ok(())
@@ -741,6 +771,7 @@ mod tests {
         write_document(&mut out, "test/doc/v1", &[("meta", &meta), ("raw", b"abc")])
             .unwrap();
         assert!(is_binary(&out));
+        assert_eq!(out.len(), document_len("test/doc/v1", [("meta", meta.len()), ("raw", 3)]));
         let doc = read_document(&out).unwrap();
         assert_eq!(doc.schema, "test/doc/v1");
         doc.check_schema("test/doc/v1").unwrap();
