@@ -180,11 +180,13 @@ pub fn exp_fast(x: f32) -> f32 {
 /// `m ∈ [√½, √2)` by exponent-bit surgery, evaluate a degree-8 Horner
 /// body on `z = m − 1`, and add `e·ln 2` by split constants. Inputs
 /// ≤ 0 clamp to the smallest positive normal (the call sites feed
-/// strictly positive exp-sums). Absolute error ≲ 2·10⁻⁷ near 1,
-/// relative error ≲ 1·10⁻⁶ elsewhere.
+/// strictly positive exp-sums); a NaN returns NaN, so a diverged
+/// replica's loss stays NaN. Absolute error ≲ 2·10⁻⁷ near 1, relative
+/// error ≲ 1·10⁻⁶ elsewhere.
 #[inline(always)]
 pub fn ln_fast(x: f32) -> f32 {
-    let x = x.max(f32::MIN_POSITIVE);
+    let nan = x.is_nan();
+    let x = if x < f32::MIN_POSITIVE { f32::MIN_POSITIVE } else { x };
     let bits = x.to_bits();
     let mut e = ((bits >> 23) as i32) - 126;
     let mut m = f32::from_bits((bits & 0x007F_FFFF) | 0x3F00_0000);
@@ -209,7 +211,12 @@ pub fn ln_fast(x: f32) -> f32 {
     let mut y = (z * z2) * p;
     y = ef.mul_add(LN2_LO, y);
     y = z2.mul_add(-0.5, y);
-    ef.mul_add(LN2_HI, z + y)
+    let y = ef.mul_add(LN2_HI, z + y);
+    if nan {
+        f32::NAN
+    } else {
+        y
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -596,9 +603,11 @@ mod tests {
             assert!((got - reference).abs() < 3e-7, "x={x}: {got} vs {reference}");
             x += 0.003;
         }
-        // Non-positive inputs clamp instead of returning NaN/−∞.
+        // Non-positive inputs clamp instead of returning NaN/−∞; a NaN
+        // stays NaN.
         assert!(ln_fast(0.0).is_finite());
         assert!(ln_fast(-1.0).is_finite());
+        assert!(ln_fast(f32::NAN).is_nan());
     }
 
     #[test]

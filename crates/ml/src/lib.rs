@@ -37,6 +37,7 @@ pub mod batch;
 pub mod dataset;
 pub mod datasets;
 pub mod fast;
+pub mod libm;
 pub mod metrics;
 pub mod model;
 pub mod optim;

@@ -22,6 +22,7 @@ use crate::fast::{
     axpy_fast, dot_fast, exp_fast, ln_fast, norm_sq_fast, softmax_xent_grad_fast,
     transpose_block_fast,
 };
+use crate::libm::{expf, logf};
 use crate::params::{dot_tile, gather_feature_major, DOT_TILE};
 use crate::tier::NumericsTier;
 use rand::rngs::StdRng;
@@ -187,17 +188,23 @@ impl EvalBlock {
     }
 }
 
-/// Logits for a whole batch block at once:
-/// `out[c·B + s] = Σ_d w[c·D + d] · xb[d·B + s] + b[c]`.
-///
-/// Every output accumulates its terms in ascending-`d` order — exactly
-/// the sequential `dot(row, x) + b[c]` it replaces, so each logit is
-/// **bitwise identical** (Rust float semantics permit no reassociation).
-/// The difference is purely mechanical: the batch dimension is contiguous
-/// and its accumulators are independent, so the inner loop vectorises
-/// across samples instead of serialising one latency-bound add chain per
-/// dot product. This kernel is why the simulation's per-step cost is
-/// dominated by `exp`/`ln` rather than by the mat-vecs.
+/// Width of the strict kernels' register tiles: 32 `f32` lanes per class
+/// (four AVX2 vectors), two classes a tile.
+const LANES: usize = 32;
+
+/// The strict loss's clamp of a probability before its log: the same
+/// float as `p.max(1e-12)` for every non-NaN `p`, but a NaN stays NaN, so
+/// a replica with NaN parameters scores a NaN loss instead of
+/// `−ln 1e-12 = 27.63`.
+#[inline(always)]
+fn clamp_prob(p: f32) -> f32 {
+    if p < 1e-12 {
+        1e-12
+    } else {
+        p
+    }
+}
+
 /// In-place softmax over a `classes × nb` logits block, one sample per
 /// column.
 ///
@@ -205,10 +212,11 @@ impl EvalBlock {
 /// [`softmax_inplace`] on its logit column — max-fold over ascending
 /// class index from `NEG_INFINITY`, exp-and-accumulate in class order
 /// from `0.0`, then one divide per class — so every probability is
-/// **bitwise identical**. Laying the loops class-outer makes the
-/// max/sum/divide passes vectorise across the contiguous sample
-/// dimension; only the `exp` calls remain scalar, which is the
-/// irreducible cost of a bit-stable softmax.
+/// **bitwise identical**. Laying the loops class-outer makes every pass
+/// vectorise across the contiguous sample dimension, the exponentials
+/// included: a class row whose shifted logits are all inside
+/// [`expf`]'s domain (finite, `|x| < 88`) runs through that port, which
+/// returns libm's bits there; any other row calls `f32::exp`.
 fn softmax_block(
     block: &mut [f32],
     nb: usize,
@@ -226,9 +234,21 @@ fn softmax_block(
     sums.clear();
     sums.resize(nb, 0.0);
     for row in block.chunks_mut(nb) {
-        for ((l, &m), s) in row.iter_mut().zip(&*maxs).zip(sums.iter_mut()) {
-            *l = (*l - m).exp();
-            *s += *l;
+        let mut in_domain = true;
+        for (l, &m) in row.iter_mut().zip(&*maxs) {
+            *l -= m;
+            in_domain &= l.abs() < 88.0;
+        }
+        if in_domain {
+            for (l, s) in row.iter_mut().zip(sums.iter_mut()) {
+                *l = expf(*l);
+                *s += *l;
+            }
+        } else {
+            for (l, s) in row.iter_mut().zip(sums.iter_mut()) {
+                *l = l.exp();
+                *s += *l;
+            }
         }
     }
     for row in block.chunks_mut(nb) {
@@ -238,25 +258,130 @@ fn softmax_block(
     }
 }
 
+/// Logits for a whole batch block at once:
+/// `out[c·nb + s] = Σ_d w[c·dim + d] · xb[d·nb + s] + b[c]`.
+///
+/// Every logit starts from `0.0`, adds its terms in ascending-`d` order
+/// and then `b[c]` — the sequential `dot(row, x) + b[c]` of the
+/// per-example path, so each is **bitwise identical**. The work runs in
+/// register tiles of a class pair × [`LANES`] samples ([`logit_tile`]):
+/// a tile's accumulators stay in registers across the whole `d` loop, and
+/// each segment of a feature row is loaded once for both classes. An odd
+/// last class is paired with itself.
 fn batch_logits(w: &[f32], b: &[f32], xb: &[f32], dim: usize, nb: usize, out: &mut [f32]) {
     debug_assert_eq!(out.len(), b.len() * nb);
     debug_assert_eq!(xb.len(), dim * nb);
-    for (c, &bc) in b.iter().enumerate() {
-        let row = &w[c * dim..(c + 1) * dim];
-        let acc = &mut out[c * nb..(c + 1) * nb];
-        acc.fill(0.0);
-        for (d, &wcd) in row.iter().enumerate() {
-            let xrow = &xb[d * nb..(d + 1) * nb];
-            for (a, &xv) in acc.iter_mut().zip(xrow) {
-                *a += wcd * xv;
-            }
-        }
-        for a in acc.iter_mut() {
-            *a += bc;
+    let classes = b.len();
+    for c0 in (0..classes).step_by(2) {
+        let pair = [c0, (c0 + 1).min(classes - 1)];
+        let rows = pair.map(|c| &w[c * dim..(c + 1) * dim]);
+        let mut s0 = 0;
+        while s0 < nb {
+            s0 = match nb - s0 {
+                r if r >= LANES => logit_tile::<LANES>(rows, b, xb, nb, out, pair, s0),
+                r if r >= 8 => logit_tile::<8>(rows, b, xb, nb, out, pair, s0),
+                _ => logit_tile::<1>(rows, b, xb, nb, out, pair, s0),
+            };
         }
     }
 }
 
+/// One register tile of [`batch_logits`]: the weight `rows` of the
+/// classes `pair` × samples `s0 .. s0 + W`. Returns `s0 + W`.
+#[inline(always)]
+fn logit_tile<const W: usize>(
+    [r0, r1]: [&[f32]; 2],
+    b: &[f32],
+    xb: &[f32],
+    nb: usize,
+    out: &mut [f32],
+    [c0, c1]: [usize; 2],
+    s0: usize,
+) -> usize {
+    let (mut a0, mut a1) = ([0.0f32; W], [0.0f32; W]);
+    for ((xrow, &w0), &w1) in xb.chunks_exact(nb).zip(r0).zip(r1) {
+        for ((p, q), &x) in a0.iter_mut().zip(&mut a1).zip(&xrow[s0..s0 + W]) {
+            *p += w0 * x;
+            *q += w1 * x;
+        }
+    }
+    for (c, acc) in [(c1, a1), (c0, a0)] {
+        for (o, a) in out[c * nb + s0..c * nb + s0 + W].iter_mut().zip(acc) {
+            *o = a + b[c];
+        }
+    }
+    s0 + W
+}
+
+/// The strict backward of one chunk, off its coefficient block
+/// `coefs[c·nb + s] = (p_cs − 1{c = y_s}) · inv`: for every (class,
+/// sample) whose coefficient is nonzero, `gw[c·dim + d] += coef · x_s[d]`
+/// and `gb[c] += coef`, each in ascending sample order — the adds of the
+/// plain class-outer loop, so every gradient float is the same. Register
+/// tiles of a class pair × [`LANES`] features ([`grad_tile`]) keep the
+/// gradient rows in registers across the chunk instead of loading and
+/// storing them once per sample. An odd last class is paired with itself:
+/// both halves of its tile compute the same floats.
+fn grad_block(coefs: &[f32], data: &Dataset, chunk: &[usize], gw: &mut [f32], gb: &mut [f32]) {
+    let (nb, dim, classes) = (chunk.len(), data.dim(), gb.len());
+    for c0 in (0..classes).step_by(2) {
+        let pair = [c0, (c0 + 1).min(classes - 1)];
+        let rows = pair.map(|c| &coefs[c * nb..(c + 1) * nb]);
+        let mut d0 = 0;
+        while d0 < dim {
+            d0 = match dim - d0 {
+                r if r >= LANES => grad_tile::<LANES>(rows, data, chunk, gw, gb, pair, d0),
+                r if r >= 8 => grad_tile::<8>(rows, data, chunk, gw, gb, pair, d0),
+                _ => grad_tile::<1>(rows, data, chunk, gw, gb, pair, d0),
+            };
+        }
+    }
+}
+
+/// One register tile of [`grad_block`]: the coefficient `rows` of the
+/// classes `pair` × features `d0 .. d0 + W`, plus their `gb` entries
+/// when `d0 == 0`. Returns `d0 + W`.
+#[inline(always)]
+fn grad_tile<const W: usize>(
+    [r0, r1]: [&[f32]; 2],
+    data: &Dataset,
+    chunk: &[usize],
+    gw: &mut [f32],
+    gb: &mut [f32],
+    [c0, c1]: [usize; 2],
+    d0: usize,
+) -> usize {
+    let dim = data.dim();
+    let lanes = |c: usize| c * dim + d0..c * dim + d0 + W;
+    let (mut a0, mut a1) = ([0.0f32; W], [0.0f32; W]);
+    a0.copy_from_slice(&gw[lanes(c0)]);
+    a1.copy_from_slice(&gw[lanes(c1)]);
+    let (mut b0, mut b1) = (gb[c0], gb[c1]);
+    for ((&i, &k0), &k1) in chunk.iter().zip(r0).zip(r1) {
+        let x = &data.feature(i)[d0..d0 + W];
+        skip_axpy(&mut a0, &mut b0, k0, x);
+        skip_axpy(&mut a1, &mut b1, k1, x);
+    }
+    for (c, acc, bias) in [(c1, a1, b1), (c0, a0, b0)] {
+        gw[lanes(c)].copy_from_slice(&acc);
+        if d0 == 0 {
+            gb[c] = bias;
+        }
+    }
+    d0 + W
+}
+
+/// `acc += coef · x` and `bias += coef`, skipped when `coef == 0` (as the
+/// per-sample backward skips it).
+#[inline(always)]
+fn skip_axpy<const W: usize>(acc: &mut [f32; W], bias: &mut f32, coef: f32, x: &[f32]) {
+    if coef != 0.0 {
+        for (a, &xv) in acc.iter_mut().zip(x) {
+            *a += coef * xv;
+        }
+        *bias += coef;
+    }
+}
 
 /// The loop every [`Model::loss_fleet`] runs: checks the block against
 /// the model's shape and each replica's length, scores the replicas in
@@ -425,15 +550,16 @@ impl SoftmaxRegression {
         debug_assert_eq!(x.len(), self.dim);
         let (w, b) = self.params.split_at(self.dim * self.classes);
         out.clear();
-        out.extend((0..self.classes).map(|c| {
-            let row = &w[c * self.dim..(c + 1) * self.dim];
-            crate::params::dot_sequential(row, x) + b[c]
-        }));
+        out.extend(
+            w.chunks_exact(self.dim)
+                .zip(b)
+                .map(|(row, &bc)| crate::params::dot_sequential(row, x) + bc),
+        );
     }
 
-    /// The strict gradient kernel behind `loss_grad_scratch`; the
-    /// forward runs through the batched [`batch_logits`] kernel (bitwise
-    /// identical to per-sample dots, but vectorised across samples).
+    /// The strict gradient kernel behind `loss_grad_scratch`: the batched
+    /// forward ([`batch_logits`], [`softmax_block`]) and backward
+    /// ([`grad_block`]), each bitwise identical to its per-sample loop.
     fn loss_grad_core(
         &self,
         data: &Dataset,
@@ -456,31 +582,18 @@ impl SoftmaxRegression {
             logits_all.resize(self.classes * nb, 0.0);
             batch_logits(w, b, xb, self.dim, nb, logits_all);
             softmax_block(logits_all, nb, maxs, sums);
+            // The loss, then the probabilities become the backward's
+            // coefficients `(p − 1{c = y}) · inv` in place (`p − 0.0` is
+            // `p`, so only the label entries need the subtraction).
             for (s, &i) in chunk.iter().enumerate() {
-                loss -= (logits_all[data.label(i) as usize * nb + s].max(1e-12)).ln();
+                let py = &mut logits_all[data.label(i) as usize * nb + s];
+                loss -= logf(clamp_prob(*py));
+                *py -= 1.0;
             }
-            // Backward, class-outer: every `gw[c][d]` (and `gb[c]`) still
-            // accumulates its per-sample contributions in ascending sample
-            // order — each (c, s) pair contributes exactly once, so the
-            // sums are bitwise identical to the sample-outer loop — but
-            // the probability row is now a contiguous slice and the
-            // gradient row stays resident across the chunk.
-            for c in 0..self.classes {
-                let prow = &logits_all[c * nb..(c + 1) * nb];
-                let row = &mut gw[c * self.dim..(c + 1) * self.dim];
-                for (s, &i) in chunk.iter().enumerate() {
-                    let y = data.label(i) as usize;
-                    let coef = (prow[s] - if c == y { 1.0 } else { 0.0 }) * inv;
-                    if coef == 0.0 {
-                        continue;
-                    }
-                    // Inline axpy: element-independent, vectorises.
-                    for (yi, xi) in row.iter_mut().zip(data.feature(i)) {
-                        *yi += coef * xi;
-                    }
-                    gb[c] += coef;
-                }
+            for p in logits_all.iter_mut() {
+                *p *= inv;
             }
+            grad_block(logits_all, data, chunk, gw, gb);
         }
         loss * inv
     }
@@ -504,7 +617,7 @@ impl SoftmaxRegression {
             batch_logits(w, b, xb, self.dim, nb, logits_all);
             softmax_block(logits_all, nb, maxs, sums);
             for (s, &y) in labels.iter().enumerate() {
-                loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
+                loss -= logf(clamp_prob(logits_all[y as usize * nb + s]));
             }
         }
         loss / block.len() as f32
@@ -616,7 +729,7 @@ impl Model for SoftmaxRegression {
         let mut loss = 0.0f32;
         for &i in batch {
             let p = self.probabilities(data.feature(i));
-            loss -= (p[data.label(i) as usize].max(1e-12)).ln();
+            loss -= clamp_prob(p[data.label(i) as usize]).ln();
         }
         loss / batch.len() as f32
     }
@@ -729,13 +842,11 @@ impl Mlp {
     /// already have the right lengths).
     fn forward_into(&self, x: &[f32], h: &mut [f32], logits: &mut [f32]) {
         let (w1, b1, w2, b2) = self.split(&self.params);
-        for (j, hj) in h.iter_mut().enumerate() {
-            let row = &w1[j * self.dim..(j + 1) * self.dim];
-            *hj = (crate::params::dot_sequential(row, x) + b1[j]).max(0.0);
+        for ((hj, row), &bj) in h.iter_mut().zip(w1.chunks_exact(self.dim)).zip(b1) {
+            *hj = (crate::params::dot_sequential(row, x) + bj).max(0.0);
         }
-        for (c, lc) in logits.iter_mut().enumerate() {
-            let row = &w2[c * self.hidden..(c + 1) * self.hidden];
-            *lc = crate::params::dot_sequential(row, h) + b2[c];
+        for ((lc, row), &bc) in logits.iter_mut().zip(w2.chunks_exact(self.hidden)).zip(b2) {
+            *lc = crate::params::dot_sequential(row, h) + bc;
         }
     }
 
@@ -774,30 +885,32 @@ impl Mlp {
             let y = data.label(i) as usize;
             self.forward_into(x, h, logits);
             softmax_inplace(logits);
-            loss -= (logits[y].max(1e-12)).ln();
+            loss -= logf(clamp_prob(logits[y]));
 
             // dL/dlogit_c = p_c - 1{c=y}; output layer grads + backprop
             // into the hidden layer.
             dh.fill(0.0);
-            for c in 0..self.classes {
-                let d = (logits[c] - if c == y { 1.0 } else { 0.0 }) * inv;
+            let out_layer = gw2
+                .chunks_exact_mut(self.hidden)
+                .zip(&mut *gb2)
+                .zip(w2.chunks_exact(self.hidden));
+            for (c, (&p, ((row, g), w2row))) in logits.iter().zip(out_layer).enumerate() {
+                let d = (p - if c == y { 1.0 } else { 0.0 }) * inv;
                 if d == 0.0 {
                     continue;
                 }
-                let row = &mut gw2[c * self.hidden..(c + 1) * self.hidden];
                 crate::params::axpy(d, h, row);
-                gb2[c] += d;
-                let w2row = &w2[c * self.hidden..(c + 1) * self.hidden];
+                *g += d;
                 crate::params::axpy(d, w2row, dh);
             }
             // ReLU gate, then input layer grads.
-            for (j, dhj) in dh.iter().enumerate() {
-                if h[j] <= 0.0 || *dhj == 0.0 {
+            let in_layer = gw1.chunks_exact_mut(self.dim).zip(&mut *gb1);
+            for ((&hj, &dhj), (row, g)) in h.iter().zip(&*dh).zip(in_layer) {
+                if hj <= 0.0 || dhj == 0.0 {
                     continue;
                 }
-                let row = &mut gw1[j * self.dim..(j + 1) * self.dim];
-                crate::params::axpy(*dhj, x, row);
-                gb1[j] += *dhj;
+                crate::params::axpy(dhj, x, row);
+                *g += dhj;
             }
         }
         loss * inv
@@ -847,7 +960,7 @@ impl Mlp {
             for l in logits.iter_mut() {
                 *l *= isum;
             }
-            loss -= ln_fast(logits[y].max(1e-12));
+            loss -= ln_fast(if logits[y] < 1e-12 { 1e-12 } else { logits[y] });
 
             dh.fill(0.0);
             for c in 0..self.classes {
@@ -902,7 +1015,7 @@ impl Model for Mlp {
         for &i in batch {
             let (_, mut p) = self.forward(data.feature(i));
             softmax_inplace(&mut p);
-            loss -= (p[data.label(i) as usize].max(1e-12)).ln();
+            loss -= clamp_prob(p[data.label(i) as usize]).ln();
         }
         loss / batch.len() as f32
     }
@@ -932,7 +1045,7 @@ impl Model for Mlp {
                 batch_logits(w2, b2, hb, self.hidden, nb, logits_all);
                 softmax_block(logits_all, nb, maxs, sums);
                 for (s, &y) in labels.iter().enumerate() {
-                    loss -= (logits_all[y as usize * nb + s].max(1e-12)).ln();
+                    loss -= logf(clamp_prob(logits_all[y as usize * nb + s]));
                 }
             }
             loss / block.len() as f32
@@ -1482,5 +1595,276 @@ mod tests {
         assert_eq!(a.params(), b.params());
         let c = SoftmaxRegression::new(6, 3, 6);
         assert_ne!(a.params(), c.params());
+    }
+
+    // ------------------------------------------------------------------
+    // Oracles: the plain loops the production kernels replaced, kept
+    // here only, so the tiles and the in-crate `expf`/`logf` are checked
+    // against them bit for bit.
+    // ------------------------------------------------------------------
+
+    /// The class-outer `batch_logits` loop (one accumulator row per
+    /// class, one feature row at a time).
+    fn batch_logits_reference(w: &[f32], b: &[f32], xb: &[f32], dim: usize, nb: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; b.len() * nb];
+        for (c, &bc) in b.iter().enumerate() {
+            let acc = &mut out[c * nb..(c + 1) * nb];
+            for (d, &wcd) in w[c * dim..(c + 1) * dim].iter().enumerate() {
+                for (a, &xv) in acc.iter_mut().zip(&xb[d * nb..(d + 1) * nb]) {
+                    *a += wcd * xv;
+                }
+            }
+            for a in acc.iter_mut() {
+                *a += bc;
+            }
+        }
+        out
+    }
+
+    /// The class-outer softmax with one `f32::exp` call per element.
+    fn softmax_block_reference(block: &mut [f32], nb: usize) {
+        let mut maxs = vec![f32::NEG_INFINITY; nb];
+        for row in block.chunks(nb) {
+            for (m, &v) in maxs.iter_mut().zip(row) {
+                *m = m.max(v);
+            }
+        }
+        let mut sums = vec![0.0f32; nb];
+        for row in block.chunks_mut(nb) {
+            for ((l, &m), s) in row.iter_mut().zip(&maxs).zip(sums.iter_mut()) {
+                *l = (*l - m).exp();
+                *s += *l;
+            }
+        }
+        for row in block.chunks_mut(nb) {
+            for (l, &s) in row.iter_mut().zip(&sums) {
+                *l /= s;
+            }
+        }
+    }
+
+    /// The class-outer backward: one gradient-row axpy per (class,
+    /// sample), off the probabilities.
+    fn backward_reference(
+        probs: &[f32],
+        data: &Dataset,
+        chunk: &[usize],
+        inv: f32,
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) {
+        let (nb, dim) = (chunk.len(), data.dim());
+        for (c, g) in gb.iter_mut().enumerate() {
+            let prow = &probs[c * nb..(c + 1) * nb];
+            let row = &mut gw[c * dim..(c + 1) * dim];
+            for (s, &i) in chunk.iter().enumerate() {
+                let y = data.label(i) as usize;
+                let coef = (prow[s] - if c == y { 1.0 } else { 0.0 }) * inv;
+                if coef == 0.0 {
+                    continue;
+                }
+                for (yi, xi) in row.iter_mut().zip(data.feature(i)) {
+                    *yi += coef * xi;
+                }
+                *g += coef;
+            }
+        }
+    }
+
+    /// `loss_grad_core` as the plain loops wrote it: reference forward,
+    /// `f32::exp`/`f32::ln`, reference backward.
+    fn loss_grad_reference(
+        m: &SoftmaxRegression,
+        data: &Dataset,
+        batch: &[usize],
+    ) -> (f32, Vec<f32>) {
+        let mut grad = vec![0.0f32; m.num_params()];
+        let (w, b) = m.params.split_at(m.dim * m.classes);
+        let (gw, gb) = grad.split_at_mut(m.dim * m.classes);
+        let inv = 1.0 / batch.len() as f32;
+        let mut loss = 0.0f32;
+        let mut xb = Vec::new();
+        for chunk in batch.chunks(BATCH_CHUNK) {
+            let nb = chunk.len();
+            transpose_batch(data, chunk, m.dim, &mut xb);
+            let mut probs = batch_logits_reference(w, b, &xb, m.dim, nb);
+            softmax_block_reference(&mut probs, nb);
+            for (s, &i) in chunk.iter().enumerate() {
+                loss -= (probs[data.label(i) as usize * nb + s].max(1e-12)).ln();
+            }
+            backward_reference(&probs, data, chunk, inv, gw, gb);
+        }
+        (loss * inv, grad)
+    }
+
+    fn assert_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, element {k}: {g} vs {w}");
+        }
+    }
+
+    fn random_dataset(rng: &mut StdRng, n: usize, dim: usize, classes: usize) -> Dataset {
+        let feats = (0..n * dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let labels = (0..n).map(|_| rng.gen_range(0..classes as u32)).collect();
+        Dataset::new(feats, labels, dim, classes)
+    }
+
+    #[test]
+    fn tiles_equal_the_plain_loops_bit_for_bit() {
+        // Dims and batch sizes on both sides of the 32-lane tile and its
+        // 8-lane tail, odd class counts (the self-paired last class).
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut xb, mut maxs, mut sums) = (Vec::new(), Vec::new(), Vec::new());
+        for dim in [1usize, 7, 31, 32, 33, 65] {
+            for classes in [2usize, 3, 10, 11, 100] {
+                let data = random_dataset(&mut rng, 300, dim, classes);
+                let w: Vec<f32> =
+                    (0..classes * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let b: Vec<f32> = (0..classes).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                for nb in [1usize, 31, 32, 33, 128, 256] {
+                    let what = format!("dim {dim}, {classes} classes, batch {nb}");
+                    let chunk: Vec<usize> = (0..nb).map(|_| rng.gen_range(0..data.len())).collect();
+                    transpose_batch(&data, &chunk, dim, &mut xb);
+                    let mut got = vec![f32::NAN; classes * nb];
+                    batch_logits(&w, &b, &xb, dim, nb, &mut got);
+                    let mut want = batch_logits_reference(&w, &b, &xb, dim, nb);
+                    assert_bits(&got, &want, &format!("logits, {what}"));
+
+                    softmax_block(&mut got, nb, &mut maxs, &mut sums);
+                    softmax_block_reference(&mut want, nb);
+                    assert_bits(&got, &want, &format!("probabilities, {what}"));
+
+                    // Accumulate onto a gradient that is already nonzero,
+                    // as every chunk after the first does.
+                    let inv = 1.0 / (nb + 3) as f32;
+                    let gw0: Vec<f32> =
+                        (0..classes * dim).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
+                    let gb0: Vec<f32> = (0..classes).map(|_| rng.gen_range(-0.1f32..0.1)).collect();
+                    let (mut gw_want, mut gb_want) = (gw0.clone(), gb0.clone());
+                    backward_reference(&want, &data, &chunk, inv, &mut gw_want, &mut gb_want);
+                    for (s, &i) in chunk.iter().enumerate() {
+                        got[data.label(i) as usize * nb + s] -= 1.0;
+                    }
+                    for p in got.iter_mut() {
+                        *p *= inv;
+                    }
+                    let (mut gw, mut gb) = (gw0, gb0);
+                    grad_block(&got, &data, &chunk, &mut gw, &mut gb);
+                    assert_bits(&gw, &gw_want, &format!("weight gradient, {what}"));
+                    assert_bits(&gb, &gb_want, &format!("bias gradient, {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_zero_coefficient_skip_keeps_a_negative_zero_gradient() {
+        // Every sample is classified with probability exactly 1, so every
+        // coefficient is 0 and skipped: a −0.0 accumulator stays −0.0,
+        // where adding `0 · x` would make it +0.0.
+        let (dim, classes, nb) = (40usize, 3usize, 37usize);
+        let mut rng = StdRng::seed_from_u64(5);
+        let data = random_dataset(&mut rng, nb, dim, classes);
+        let chunk: Vec<usize> = (0..nb).collect();
+        let mut probs = vec![0.0f32; classes * nb];
+        for (s, &i) in chunk.iter().enumerate() {
+            probs[data.label(i) as usize * nb + s] = 1.0;
+        }
+        let inv = 1.0 / nb as f32;
+        let (mut gw_want, mut gb_want) = (vec![-0.0f32; classes * dim], vec![-0.0f32; classes]);
+        backward_reference(&probs, &data, &chunk, inv, &mut gw_want, &mut gb_want);
+        for (s, &i) in chunk.iter().enumerate() {
+            probs[data.label(i) as usize * nb + s] -= 1.0;
+        }
+        for p in probs.iter_mut() {
+            *p *= inv;
+        }
+        let (mut gw, mut gb) = (vec![-0.0f32; classes * dim], vec![-0.0f32; classes]);
+        grad_block(&probs, &data, &chunk, &mut gw, &mut gb);
+        assert_bits(&gw, &gw_want, "weight gradient");
+        assert_bits(&gb, &gb_want, "bias gradient");
+        assert!(gw.iter().chain(&gb).all(|g| g.to_bits() == (-0.0f32).to_bits()));
+    }
+
+    #[test]
+    fn softmax_rows_outside_the_expf_domain_fall_back_to_libm() {
+        // One sample per column; the rows (classes) mix in-domain values
+        // with NaN, ±∞, exactly −88, below −88 and far below it.
+        let nb = 9;
+        let rows: [[f32; 9]; 4] = [
+            [0.0, 1.0, f32::NAN, 0.0, 0.0, 0.0, 0.0, f32::INFINITY, 3.0],
+            [0.5, 89.0, 0.0, f32::INFINITY, 0.0, 88.0, 0.0, f32::INFINITY, 2.0],
+            [1.0, -0.5, 1.0, 0.0, f32::NEG_INFINITY, 0.0, -87.9, 0.0, 1.0],
+            [-3.0, 0.0, 2.0, 1.0, 0.0, -1.0e30, 0.0, 0.0, f32::NEG_INFINITY],
+        ];
+        let mut got: Vec<f32> = rows.iter().flatten().copied().collect();
+        let mut want = got.clone();
+        let (mut maxs, mut sums) = (Vec::new(), Vec::new());
+        softmax_block(&mut got, nb, &mut maxs, &mut sums);
+        softmax_block_reference(&mut want, nb);
+        assert_bits(&got, &want, "probabilities");
+        // Shifted logits of −89 and −88.1 sit in rows of their own.
+        let mut got = vec![0.0f32, 0.0, -89.0, -88.1, 0.0, -1.0];
+        let mut want = got.clone();
+        softmax_block(&mut got, 2, &mut maxs, &mut sums);
+        softmax_block_reference(&mut want, 2);
+        assert_bits(&got, &want, "probabilities near the edge");
+    }
+
+    #[test]
+    fn loss_grad_equals_the_plain_loops_bit_for_bit() {
+        // Random models, and one whose huge bias drives the other classes'
+        // shifted logits below −88 (the `f32::exp` rows) and the winning
+        // probability to exactly 1 (zero coefficients).
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut scratch = Scratch::new();
+        for (dim, classes) in [(32usize, 10usize), (33, 3), (7, 11), (64, 100)] {
+            let data = random_dataset(&mut rng, 600, dim, classes);
+            for trial in 0..3 {
+                let mut m = SoftmaxRegression::new(dim, classes, 3 + trial);
+                if trial == 2 {
+                    m.params[dim * classes] = 200.0;
+                }
+                for len in [1usize, 33, 128, 300] {
+                    let batch: Vec<usize> =
+                        (0..len).map(|_| rng.gen_range(0..data.len())).collect();
+                    let (loss, grad) = loss_grad_reference(&m, &data, &batch);
+                    let got = m.loss_grad_scratch(&data, &batch, &mut scratch);
+                    let what = format!("dim {dim}, {classes} classes, trial {trial}, batch {len}");
+                    assert_eq!(got.to_bits(), loss.to_bits(), "loss, {what}: {got} vs {loss}");
+                    assert_bits(&scratch.grad, &grad, &format!("gradient, {what}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_weight_gives_a_nan_loss_in_both_tiers() {
+        // A diverged replica must not draw a finite curve: the clamp
+        // before the log used to turn every NaN probability into
+        // −ln 1e-12 = 27.63.
+        let data = small_data();
+        let batch: Vec<usize> = (0..40).collect();
+        let mut block = EvalBlock::new();
+        block.gather(&data, batch.iter().copied());
+        // The MLP's NaN sits in its output layer: a NaN first-layer weight
+        // is zeroed by the ReLU wherever its unit is inactive.
+        let models: Vec<(Box<dyn Model>, usize)> = vec![
+            (Box::new(SoftmaxRegression::new(8, 3, 7)), 0),
+            (Box::new(Mlp::new(8, 12, 3, 7)), 12 * 8 + 12),
+            (Box::new(LeastSquares::new(8, 0.01, 7)), 0),
+        ];
+        for (mut m, k) in models {
+            m.params_mut()[k] = f32::NAN;
+            assert!(m.loss(&data, &batch).is_nan(), "loss");
+            for tier in [NumericsTier::Strict, NumericsTier::Fast] {
+                let mut scratch = Scratch::for_tier(tier);
+                let l = block_loss(m.as_ref(), &block, &mut scratch);
+                assert!(l.is_nan(), "loss_fleet, {tier:?}: {l}");
+                let l = m.loss_grad_scratch(&data, &batch, &mut scratch);
+                assert!(l.is_nan(), "loss_grad_scratch, {tier:?}: {l}");
+            }
+        }
     }
 }

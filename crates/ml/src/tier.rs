@@ -2,7 +2,10 @@
 //!
 //! The reproduction's headline guarantee is *byte-identity*: the strict
 //! tier re-runs the committed `BENCH_sanity.json` bit-for-bit, which pins
-//! scalar `exp`/`ln` and the exact FP accumulation order of every kernel.
+//! glibc's `exp`/`ln` bits and the exact FP accumulation order of every
+//! kernel. The strict softmax kernels compute those bits with the
+//! in-crate ports of [`crate::libm`], which match glibc on every input
+//! they see, rather than calling the platform's libm.
 //! The paper's claims, however, are statistical — loss/accuracy
 //! trajectories and time-to-target orderings — so an opt-in **fast** tier
 //! may reassociate sums and use polynomial `exp`/`ln` with bounded error,
@@ -22,9 +25,10 @@ use netmax_json::{FromJson, Json, JsonError, ToJson};
 /// Which numerics contract the training hot path runs under.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum NumericsTier {
-    /// Bit-stable reference numerics: scalar `exp`/`ln`, strictly
-    /// sequential accumulation order. Re-runs the committed baselines
-    /// byte-for-byte; the CI reference tier.
+    /// Bit-stable reference numerics: glibc's `exp`/`ln` bits (in-crate
+    /// ports in the softmax kernels), strictly sequential accumulation
+    /// order. Re-runs the committed baselines byte-for-byte; the CI
+    /// reference tier.
     #[default]
     Strict,
     /// Reassociated throughput numerics: multi-accumulator reductions and
