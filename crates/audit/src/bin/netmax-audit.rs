@@ -7,14 +7,14 @@
 //!
 //! Scans the workspace against `audit.policy.json`, prints the human
 //! report, and optionally writes the versioned JSON report
-//! (`netmax-audit/report/v1`). `--closure` recomputes the closure
-//! report (`netmax-audit/closure/v1`) and writes it to the committed
-//! location `audit.closure.json` at the root — CI then diffs the
-//! working tree, so any closure growth must be a reviewed commit.
-//! `--dump-graph` prints the whole resolved call graph. Exit status:
-//! 0 when clean (or when violations exist but `--deny` was not passed —
-//! report-only mode), 1 for violations under `--deny`, 2 for usage or
-//! I/O errors.
+//! (`netmax-audit/report/v2`, every closure's full lists included).
+//! `--closure` recomputes the closure digest (`netmax-audit/closure/v2`)
+//! and writes it to the committed location `audit.closure.json` at the
+//! root — CI then diffs the working tree, so any closure growth must be
+//! a reviewed commit. `--dump-graph` prints the whole resolved call
+//! graph. `--help` prints the usage line. Exit status: 0 when clean (or
+//! when violations exist but `--deny` was not passed — report-only
+//! mode), 1 for violations under `--deny`, 2 for usage or I/O errors.
 
 use netmax_audit::{load_policy, run_audit_full};
 use netmax_json::ToJson;
@@ -33,7 +33,8 @@ struct Args {
 const USAGE: &str = "usage: netmax-audit [--deny] [--closure] [--dump-graph] [--json PATH] \
                      [--root DIR] [--policy PATH]";
 
-fn parse_args() -> Result<Args, String> {
+/// The parsed arguments, or `None` for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         deny: false,
         closure: false,
@@ -57,11 +58,11 @@ fn parse_args() -> Result<Args, String> {
             "--policy" => {
                 args.policy = Some(it.next().ok_or("--policy needs a path")?.into());
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown argument `{other}`\n{USAGE}")),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}` (see --help)")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// Walks up from the current directory to the first one containing
@@ -80,9 +81,13 @@ fn find_root() -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let args = match parse_args() {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
-            eprintln!("{msg}");
+            eprintln!("netmax-audit: {msg}");
             return ExitCode::from(2);
         }
     };
@@ -121,13 +126,13 @@ fn main() -> ExitCode {
     }
     if args.closure {
         let closure_path = root.join("audit.closure.json");
-        if let Err(e) = std::fs::write(&closure_path, outcome.closures.pretty_text()) {
+        if let Err(e) = std::fs::write(&closure_path, outcome.report.closures.pretty_text()) {
             eprintln!("netmax-audit: cannot write {}: {e}", closure_path.display());
             return ExitCode::from(2);
         }
         println!(
-            "closure report: {} set(s) written to {}",
-            outcome.closures.closures.len(),
+            "closure digest: {} set(s) written to {}",
+            outcome.report.closures.closures.len(),
             closure_path.display()
         );
     }

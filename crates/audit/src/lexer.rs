@@ -13,9 +13,6 @@
 //! * char literals vs. lifetimes (`'a'` vs. `'a`), including escaped
 //!   quotes (`'\''`);
 //! * raw identifiers (`r#type`).
-//!
-//! Line comments are returned alongside the token stream so the
-//! suppression layer (`// audit: allow(…) -- reason`) can see them.
 
 /// One lexed token.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,35 +35,18 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A `//` line comment (text after the slashes, untrimmed) with its line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LineComment {
-    /// 1-based line number the comment sits on.
-    pub line: u32,
-    /// Everything after the leading `//`.
-    pub text: String,
-}
-
-/// The full output of lexing one file.
-#[derive(Debug, Clone, Default)]
-pub struct Lexed {
-    /// The token stream, noise stripped.
-    pub tokens: Vec<Token>,
-    /// Every `//` line comment, for the suppression parser.
-    pub comments: Vec<LineComment>,
-}
-
-/// Tokenizes Rust source. Total: accepts arbitrary (even invalid) input
-/// and never panics — unterminated constructs simply end at EOF.
-pub fn lex(src: &str) -> Lexed {
-    Lexer { bytes: src.as_bytes(), pos: 0, line: 1, out: Lexed::default() }.run()
+/// Tokenizes Rust source, noise stripped. Total: accepts arbitrary (even
+/// invalid) input and never panics — unterminated constructs simply end
+/// at EOF.
+pub fn lex(src: &str) -> Vec<Token> {
+    Lexer { bytes: src.as_bytes(), pos: 0, line: 1, out: Vec::new() }.run()
 }
 
 struct Lexer<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: u32,
-    out: Lexed,
+    out: Vec<Token>,
 }
 
 fn is_ident_start(b: u8) -> bool {
@@ -89,7 +69,7 @@ fn utf8_len(b: u8) -> usize {
 }
 
 impl Lexer<'_> {
-    fn run(mut self) -> Lexed {
+    fn run(mut self) -> Vec<Token> {
         while let Some(b) = self.peek(0) {
             match b {
                 b'\n' => {
@@ -104,7 +84,7 @@ impl Lexer<'_> {
                 b'0'..=b'9' => self.number(),
                 b if is_ident_start(b) => self.ident_or_prefixed_literal(),
                 _ => {
-                    self.out.tokens.push(Token { tok: Tok::Punct(b as char), line: self.line });
+                    self.out.push(Token { tok: Tok::Punct(b as char), line: self.line });
                     self.pos += 1;
                 }
             }
@@ -125,17 +105,13 @@ impl Lexer<'_> {
     }
 
     fn line_comment(&mut self) {
-        let start_line = self.line;
         self.pos += 2;
-        let text_start = self.pos;
         while let Some(b) = self.peek(0) {
             if b == b'\n' {
                 break;
             }
             self.pos += 1;
         }
-        let text = String::from_utf8_lossy(&self.bytes[text_start..self.pos]).into_owned();
-        self.out.comments.push(LineComment { line: start_line, text });
     }
 
     fn block_comment(&mut self) {
@@ -271,7 +247,7 @@ impl Lexer<'_> {
                 break;
             }
         }
-        self.out.tokens.push(Token { tok: Tok::Num, line });
+        self.out.push(Token { tok: Tok::Num, line });
     }
 
     /// An identifier — or a string literal with an `r`/`b`/`br` prefix, or
@@ -308,13 +284,13 @@ impl Lexer<'_> {
                         }
                         let name =
                             String::from_utf8_lossy(&self.bytes[name_start..self.pos]).into_owned();
-                        self.out.tokens.push(Token { tok: Tok::Ident(name), line });
+                        self.out.push(Token { tok: Tok::Ident(name), line });
                         return;
                     }
                 }
-                self.out.tokens.push(Token { tok: Tok::Ident(ident), line });
+                self.out.push(Token { tok: Tok::Ident(ident), line });
             }
-            _ => self.out.tokens.push(Token { tok: Tok::Ident(ident), line }),
+            _ => self.out.push(Token { tok: Tok::Ident(ident), line }),
         }
     }
 }
@@ -325,7 +301,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter_map(|t| match t.tok {
                 Tok::Ident(s) => Some(s),
@@ -369,27 +344,16 @@ mod tests {
     #[test]
     fn line_numbers_track_through_multiline_constructs() {
         let src = "let a = \"x\ny\";\nlet b = 1;\n/* c\nd */ let e = 2;";
-        let lexed = lex(src);
-        let b = lexed.tokens.iter().find(|t| t.tok == Tok::Ident("b".into())).unwrap();
+        let tokens = lex(src);
+        let b = tokens.iter().find(|t| t.tok == Tok::Ident("b".into())).unwrap();
         assert_eq!(b.line, 3);
-        let e = lexed.tokens.iter().find(|t| t.tok == Tok::Ident("e".into())).unwrap();
+        let e = tokens.iter().find(|t| t.tok == Tok::Ident("e".into())).unwrap();
         assert_eq!(e.line, 5);
     }
 
     #[test]
-    fn comments_are_captured_with_lines() {
-        let lexed = lex("let a = 1; // audit: allow(x) -- y\n// plain\n");
-        assert_eq!(lexed.comments.len(), 2);
-        assert_eq!(lexed.comments[0].line, 1);
-        assert!(lexed.comments[0].text.contains("audit: allow"));
-        assert_eq!(lexed.comments[1].line, 2);
-    }
-
-    #[test]
     fn numbers_do_not_eat_range_operators() {
-        let lexed = lex("for i in 0..n { a[i] = 1.5e-3; }");
-        let puncts: Vec<char> = lexed
-            .tokens
+        let puncts: Vec<char> = lex("for i in 0..n { a[i] = 1.5e-3; }")
             .iter()
             .filter_map(|t| match t.tok {
                 Tok::Punct(c) => Some(c),

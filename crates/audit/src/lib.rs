@@ -24,11 +24,8 @@
 //!   (`StepEvent`, `AlgorithmKind`) must appear, qualified, in the
 //!   dispatch, registry, and test files the policy names.
 //!
-//! Violations are suppressible only with
-//! `// audit: allow(<rule>) -- <reason>` on the offending line (or the
-//! line above); the reason is mandatory and unused suppressions are
-//! errors. Enum-exhaustiveness findings are file-level, so a suppression
-//! for that rule anywhere in the affected file covers them.
+//! Every finding is a violation. The only escapes are reviewed data in
+//! the committed policy: allowlists, budgets and prunes.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +36,6 @@ pub mod lexer;
 pub mod policy;
 pub mod report;
 pub mod scan;
-pub mod suppress;
 
 pub use graph::CallGraph;
 pub use policy::{Policy, POLICY_SCHEMA};
@@ -150,23 +146,18 @@ fn walk(
     Ok(())
 }
 
-/// Everything one audit run produces: the violation report, the closure
-/// report CI diffs against the committed copy, and the resolved call
-/// graph (for `--dump-graph`).
+/// Everything one audit run produces: the report (violations, budgets
+/// and closures) and the resolved call graph (for `--dump-graph`).
 #[derive(Debug, Clone)]
 pub struct AuditOutcome {
-    /// The violation report.
+    /// The report.
     pub report: AuditReport,
-    /// The computed closures (empty when the policy declares no root
-    /// sets).
-    pub closures: ClosureReport,
     /// The workspace call graph.
     pub graph: CallGraph,
 }
 
 /// Runs the full audit of the workspace at `root` under `policy`,
-/// returning only the violation report. See [`run_audit_full`] for the
-/// closure report and call graph.
+/// returning only the report. See [`run_audit_full`] for the call graph.
 pub fn run_audit(root: &Path, policy: &Policy) -> Result<AuditReport, AuditError> {
     run_audit_full(root, policy).map(|o| o.report)
 }
@@ -189,61 +180,29 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
     }
 
     let mut rep = AuditReport { files_scanned: scans.len(), ..AuditReport::default() };
-    // Parallel to each file's suppression list: whether it silenced
-    // anything (unused suppressions become violations at the end).
-    let mut used: BTreeMap<&str, Vec<bool>> = BTreeMap::new();
     let mut actuals: Vec<PanicCounts> = vec![PanicCounts::default(); policy.panic_budgets.len()];
 
     for (path, scan) in &scans {
-        used.insert(path.as_str(), vec![false; scan.suppressions.len()]);
-        for (line, e) in &scan.malformed {
-            rep.violations.push(Violation {
-                rule: rules::BAD_SUPPRESSION,
-                file: path.clone(),
-                line: *line,
-                message: e.to_string(),
-            });
-        }
         if !is_source(path) {
             continue;
         }
-
-        // Suppressible line-level candidates: (rule, line, message).
-        let mut candidates: Vec<(&'static str, u32, String)> = Vec::new();
         if !Policy::allowlisted(&policy.determinism.time_allowlist, path) {
             for (line, ident) in scan::find_banned_idents(scan, &time_banned) {
-                candidates.push((
-                    rules::DETERMINISM_TIME,
+                rep.violations.push(Violation {
+                    rule: rules::DETERMINISM_TIME,
+                    file: path.clone(),
                     line,
-                    format!("real-time clock `{ident}` outside the bench allowlist"),
-                ));
+                    message: format!("real-time clock `{ident}` outside the bench allowlist"),
+                });
             }
         }
-        if !Policy::allowlisted(&policy.determinism.hash_allowlist, path) {
-            for (line, ident) in scan::find_banned_idents(scan, &hash_banned) {
-                candidates.push((
-                    rules::DETERMINISM_HASH,
-                    line,
-                    format!("iteration-order-nondeterministic `{ident}` in library source"),
-                ));
-            }
-        }
-        if let Some(flags) = used.get_mut(path.as_str()) {
-            for (rule, line, message) in candidates {
-                let matched = scan
-                    .suppressions
-                    .iter()
-                    .position(|s| s.rule == rule && s.covers(line));
-                match matched {
-                    Some(si) => flags[si] = true,
-                    None => rep.violations.push(Violation {
-                        rule,
-                        file: path.clone(),
-                        line,
-                        message,
-                    }),
-                }
-            }
+        for (line, ident) in scan::find_banned_idents(scan, &hash_banned) {
+            rep.violations.push(Violation {
+                rule: rules::DETERMINISM_HASH,
+                file: path.clone(),
+                line,
+                message: format!("iteration-order-nondeterministic `{ident}` in library source"),
+            });
         }
 
         if let Some(bi) = policy
@@ -265,34 +224,17 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
         }
     }
     let call_graph = CallGraph::build(fns);
-    let mut closures = ClosureReport::default();
     if !policy.root_sets.is_empty() {
-        closure_checks(policy, &scans, &call_graph, &mut rep, &mut used, &mut closures);
+        closure_checks(policy, &scans, &call_graph, &mut rep);
     }
-    closures.finish();
+    rep.closures.finish();
 
-    check_enums(policy, &scans, &mut rep, &mut used);
+    check_enums(policy, &scans, &mut rep);
     check_required_text(policy, &scans, &mut rep);
     check_budgets(policy, &actuals, &mut rep);
 
-    for (path, flags) in &used {
-        let scan = &scans[*path];
-        for (si, was_used) in flags.iter().enumerate() {
-            if !was_used {
-                let s = &scan.suppressions[si];
-                rep.violations.push(Violation {
-                    rule: rules::STALE_SUPPRESSION,
-                    file: (*path).to_string(),
-                    line: s.line,
-                    message: format!("suppression `allow({})` silences nothing", s.rule),
-                });
-            }
-            rep.suppressions_used += usize::from(*was_used);
-        }
-    }
-
     rep.finish();
-    Ok(AuditOutcome { report: rep, closures, graph: call_graph })
+    Ok(AuditOutcome { report: rep, graph: call_graph })
 }
 
 /// Enforces the per-closure rules for every policy root set and fills
@@ -300,19 +242,12 @@ pub fn run_audit_full(root: &Path, policy: &Policy) -> Result<AuditOutcome, Audi
 ///
 /// Closure findings are keyed by `(file, line, rule, message)` before
 /// they become violations, so a function belonging to several closures
-/// is reported once per offending site, not once per closure. A closure
-/// finding honors its own rule's suppression, and closure-determinism
-/// the matching per-file rule's too (`determinism-time`/`-hash`) — one
-/// allow-comment covers both layers. The closure panic budget and the
-/// tier-isolation rule are not suppressible: the committed budget
-/// (resp. a reviewed policy `prune`) is the escape hatch.
-fn closure_checks<'a>(
+/// is reported once per offending site, not once per closure.
+fn closure_checks(
     policy: &Policy,
-    scans: &'a BTreeMap<String, FileScan>,
+    scans: &BTreeMap<String, FileScan>,
     graph: &CallGraph,
     rep: &mut AuditReport,
-    used: &mut BTreeMap<&'a str, Vec<bool>>,
-    out: &mut ClosureReport,
 ) {
     let time_banned: Vec<&str> =
         policy.determinism.time_banned.iter().map(String::as_str).collect();
@@ -321,9 +256,7 @@ fn closure_checks<'a>(
     let banned_patterns: Vec<BannedPattern> =
         policy.hot_path_banned.iter().filter_map(|s| BannedPattern::parse(s)).collect();
 
-    // (file, line, rule, alternate suppressible rule, message)
-    let mut candidates: BTreeSet<(String, u32, &'static str, &'static str, String)> =
-        BTreeSet::new();
+    let mut findings: BTreeSet<(String, u32, &'static str, String)> = BTreeSet::new();
 
     // Saved for rule 5 (tier isolation) after the per-set loop.
     let mut strict_closure: Option<BTreeSet<usize>> = None;
@@ -351,12 +284,29 @@ fn closure_checks<'a>(
         } else if set.name == "fast_numerics" {
             fast_closure = Some(closure.clone());
         }
-        out.closures.push(ClosureInfo {
+
+        // The closure's panic sites, keyed by token index so nested
+        // bodies never double-count: the digest publishes them, and rule
+        // 3 ratchets them for a set that carries a `budget`.
+        let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
+        let mut actual = PanicCounts::default();
+        for &i in &closure {
+            let f = &graph.fns[i];
+            let Some((open, close)) = f.body else { continue };
+            let Some(scan) = scans.get(&f.file) else { continue };
+            for (idx, category) in scan::panic_sites_in(scan, open, close) {
+                if seen.insert((f.file.as_str(), idx)) {
+                    actual.bump(category);
+                }
+            }
+        }
+        rep.closures.closures.push(ClosureInfo {
             name: set.name.clone(),
             roots: graph.ids(&roots),
             functions: graph.ids(&closure),
             edges: graph.edge_ids(&closure),
             unresolved: graph.unresolved_in(&closure),
+            panic_sites: actual,
         });
 
         // Rule 1 — determinism, in *every* closure: no real-time clocks,
@@ -366,20 +316,18 @@ fn closure_checks<'a>(
             let Some((open, close)) = f.body else { continue };
             let Some(scan) = scans.get(&f.file) else { continue };
             for (line, ident) in scan::find_banned_idents_in(scan, open, close, &time_banned) {
-                candidates.insert((
+                findings.insert((
                     f.file.clone(),
                     line,
                     rules::CLOSURE_DETERMINISM,
-                    rules::DETERMINISM_TIME,
                     format!("real-time clock `{ident}` in closure member `{}`", f.qual()),
                 ));
             }
             for (line, ident) in scan::find_banned_idents_in(scan, open, close, &hash_banned) {
-                candidates.insert((
+                findings.insert((
                     f.file.clone(),
                     line,
                     rules::CLOSURE_DETERMINISM,
-                    rules::DETERMINISM_HASH,
                     format!("nondeterministic container `{ident}` in closure member `{}`", f.qual()),
                 ));
             }
@@ -394,10 +342,9 @@ fn closure_checks<'a>(
                 for (line, pat) in
                     scan::find_banned_patterns_in(scan, open, close, &banned_patterns)
                 {
-                    candidates.insert((
+                    findings.insert((
                         f.file.clone(),
                         line,
-                        rules::CLOSURE_ALLOC,
                         rules::CLOSURE_ALLOC,
                         format!("`{pat}` in hot_path-closure member `{}`", f.qual()),
                     ));
@@ -406,21 +353,8 @@ fn closure_checks<'a>(
         }
 
         // Rule 3 — the panic ratchet over the closure of any set that
-        // carries a `budget`. Sites are keyed by token index so nested
-        // bodies never double-count.
+        // carries a `budget`.
         if let Some(budget) = &set.budget {
-            let mut seen: BTreeSet<(&str, usize)> = BTreeSet::new();
-            let mut actual = PanicCounts::default();
-            for &i in &closure {
-                let f = &graph.fns[i];
-                let Some((open, close)) = f.body else { continue };
-                let Some(scan) = scans.get(&f.file) else { continue };
-                for (idx, category) in scan::panic_sites_in(scan, open, close) {
-                    if seen.insert((f.file.as_str(), idx)) {
-                        actual.bump(category);
-                    }
-                }
-            }
             let crate_dir = format!("closure:{}", set.name);
             rep.budgets.push(BudgetStatus {
                 crate_dir: crate_dir.clone(),
@@ -466,10 +400,9 @@ fn closure_checks<'a>(
                         let numeric = boundary.contains(name)
                             || re.intrinsics.iter().any(|x| x == name);
                         if numeric && !re.approved.iter().any(|a| a == name) {
-                            candidates.insert((
+                            findings.insert((
                                 f.file.clone(),
                                 site.line,
-                                rules::REASSOCIATION_BOUNDARY,
                                 rules::REASSOCIATION_BOUNDARY,
                                 format!(
                                     "`{}` called from strict_numerics member `{}` is not an \
@@ -488,10 +421,9 @@ fn closure_checks<'a>(
     // Rule 5 — tier isolation: the strict and fast numerics closures
     // must be disjoint. A function reachable from both roots is a shared
     // numeric helper, and an edit aimed at the reassociated tier would
-    // silently move strict-tier bits through it. Like the closure panic
-    // budget this is not suppressible: the fix is duplicating the helper
-    // into the fast module or recording a false edge as a reviewed
-    // `prune` entry in the committed policy.
+    // silently move strict-tier bits through it. The fix is duplicating
+    // the helper into the fast module or recording a false edge as a
+    // reviewed `prune` entry in the committed policy.
     if let (Some(strict), Some(fast)) = (&strict_closure, &fast_closure) {
         for &i in strict.intersection(fast) {
             let f = &graph.fns[i];
@@ -508,33 +440,15 @@ fn closure_checks<'a>(
         }
     }
 
-    for (file, line, rule, alt, message) in candidates {
-        let Some(scan) = scans.get(&file) else { continue };
-        let matched = scan
-            .suppressions
-            .iter()
-            .position(|s| (s.rule == rule || s.rule == alt) && s.covers(line));
-        match matched {
-            Some(si) => {
-                if let Some(flags) = used.get_mut(file.as_str()) {
-                    flags[si] = true;
-                }
-            }
-            None => rep.violations.push(Violation { rule, file, line, message }),
-        }
+    for (file, line, rule, message) in findings {
+        rep.violations.push(Violation { rule, file, line, message });
     }
 }
 
 /// Enum exhaustiveness: every variant of each registered enum must appear
 /// qualified in every `each` file, and in at least one `union` file.
-/// Findings are file-level (line 0); an `enum-exhaustive` suppression
-/// anywhere in the affected file covers them.
-fn check_enums<'a>(
-    policy: &Policy,
-    scans: &'a BTreeMap<String, FileScan>,
-    rep: &mut AuditReport,
-    used: &mut BTreeMap<&'a str, Vec<bool>>,
-) {
+/// Findings are file-level (line 0).
+fn check_enums(policy: &Policy, scans: &BTreeMap<String, FileScan>, rep: &mut AuditReport) {
     for check in &policy.enums {
         let Some(decl_scan) = scans.get(&check.decl) else {
             rep.violations.push(Violation {
@@ -598,28 +512,7 @@ fn check_enums<'a>(
             }
         }
         for (file, message) in misses {
-            // File-level suppression: any `enum-exhaustive` allow in the
-            // affected file covers its findings for this rule.
-            let suppressed = scans.get(&file).is_some_and(|s| {
-                s.suppressions.iter().enumerate().any(|(si, sup)| {
-                    if sup.rule == rules::ENUM_EXHAUSTIVE {
-                        if let Some(flags) = used.get_mut(file.as_str()) {
-                            flags[si] = true;
-                        }
-                        true
-                    } else {
-                        false
-                    }
-                })
-            });
-            if !suppressed {
-                rep.violations.push(Violation {
-                    rule: rules::ENUM_EXHAUSTIVE,
-                    file,
-                    line: 0,
-                    message,
-                });
-            }
+            rep.violations.push(Violation { rule: rules::ENUM_EXHAUSTIVE, file, line: 0, message });
         }
     }
 }

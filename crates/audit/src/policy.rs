@@ -10,8 +10,8 @@
 //! the analyzer computes reachability closures, each with an optional
 //! panic budget over its closure, plus the `reassociation` boundary
 //! configuration for the `strict_numerics` closure. This is the only
-//! schema: a document with another tag, or with a top-level field this
-//! module does not define, is rejected.
+//! schema: a document with another tag, or with a top-level or
+//! `determinism` field this module does not define, is rejected.
 
 use crate::scan::PanicCounts;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
@@ -33,6 +33,9 @@ const POLICY_FIELDS: &[&str] = &[
     "reassociation",
 ];
 
+/// Every field of the `determinism` object, held to the same rule.
+const DETERMINISM_FIELDS: &[&str] = &["time_banned", "time_allowlist", "hash_banned"];
+
 /// The determinism rule's configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterminismPolicy {
@@ -41,10 +44,9 @@ pub struct DeterminismPolicy {
     /// Files (exact path) or directories (trailing `/`) where real-time
     /// clocks are legitimate: bench timing, CLI deadlines.
     pub time_allowlist: Vec<String>,
-    /// Identifiers banned as iteration-order-nondeterministic containers.
+    /// Identifiers banned as iteration-order-nondeterministic containers
+    /// in every library source file.
     pub hash_banned: Vec<String>,
-    /// Allowlist for the container ban, same matching rules.
-    pub hash_allowlist: Vec<String>,
 }
 
 /// One root-set (or prune-set) entry: functions named by file.
@@ -194,6 +196,16 @@ fn entry_vec(v: &Json, key: &str) -> Result<Vec<RootEntry>, JsonError> {
         .collect()
 }
 
+/// Rejects an object field outside `known`.
+fn known_fields(v: &Json, known: &[&str], what: &str) -> Result<(), JsonError> {
+    if let Json::Obj(pairs) = v {
+        if let Some((key, _)) = pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            return Err(JsonError::schema(format!("unknown field `{key}` in {what}")));
+        }
+    }
+    Ok(())
+}
+
 fn counts_from(v: &Json) -> Result<PanicCounts, JsonError> {
     Ok(PanicCounts {
         unwrap: v.field("unwrap")?.as_usize()?,
@@ -212,19 +224,15 @@ impl FromJson for Policy {
                 "unsupported policy schema `{schema}` (expected `{POLICY_SCHEMA}`)"
             )));
         }
-        if let Json::Obj(pairs) = v {
-            if let Some((key, _)) = pairs.iter().find(|(k, _)| !POLICY_FIELDS.contains(&k.as_str())) {
-                return Err(JsonError::schema(format!("unknown field `{key}` in policy")));
-            }
-        }
+        known_fields(v, POLICY_FIELDS, "policy")?;
         let det = v.field("determinism")?;
+        known_fields(det, DETERMINISM_FIELDS, "policy determinism")?;
         Ok(Policy {
             exclude: string_vec(v, "exclude")?,
             determinism: DeterminismPolicy {
                 time_banned: string_vec(det, "time_banned")?,
                 time_allowlist: string_vec(det, "time_allowlist")?,
                 hash_banned: string_vec(det, "hash_banned")?,
-                hash_allowlist: string_vec(det, "hash_allowlist")?,
             },
             hot_path_banned: string_vec(v, "hot_path_banned")?,
             panic_budgets: v
@@ -323,7 +331,6 @@ impl ToJson for Policy {
                     ("time_banned", self.determinism.time_banned.to_json()),
                     ("time_allowlist", self.determinism.time_allowlist.to_json()),
                     ("hash_banned", self.determinism.hash_banned.to_json()),
-                    ("hash_allowlist", self.determinism.hash_allowlist.to_json()),
                 ]),
             ),
             ("hot_path_banned", self.hot_path_banned.to_json()),
@@ -421,7 +428,6 @@ mod tests {
                 time_banned: vec!["Instant".into(), "SystemTime".into()],
                 time_allowlist: vec!["crates/bench/src/bin/".into(), "x/y.rs".into()],
                 hash_banned: vec!["HashMap".into(), "HashSet".into()],
-                hash_allowlist: vec![],
             },
             hot_path_banned: vec![".collect".into(), "vec!".into(), "Vec::new".into()],
             panic_budgets: vec![PanicBudget {
@@ -469,15 +475,16 @@ mod tests {
     }
 
     /// A minimal current-schema document with `extra` spliced in as one
-    /// more top-level field.
-    fn minimal_doc(schema: &str, extra: &str) -> Json {
+    /// more top-level field and `det_extra` as one more `determinism`
+    /// field.
+    fn minimal_doc(schema: &str, extra: &str, det_extra: &str) -> Json {
         Json::parse(&format!(
             r#"{{
                 "schema": "{schema}",
                 "exclude": [],
                 "determinism": {{
-                    "time_banned": [], "time_allowlist": [],
-                    "hash_banned": [], "hash_allowlist": []
+                    "time_banned": [], "time_allowlist": [], "hash_banned": []
+                    {det_extra}
                 }},
                 "hot_path_banned": [],
                 "panic_budgets": [],
@@ -497,17 +504,21 @@ mod tests {
         // this schema does not define (which is what the keys only v1
         // defined now are) — nothing loads with defaults or is ignored.
         let v1 = POLICY_SCHEMA.replace("/v2", "/v1");
-        let e = Policy::from_json(&minimal_doc(&v1, "")).unwrap_err();
+        let e = Policy::from_json(&minimal_doc(&v1, "", "")).unwrap_err();
         assert!(e.to_string().contains("unsupported policy schema"), "{e}");
-        let e = Policy::from_json(&minimal_doc(POLICY_SCHEMA, r#", "retired_key": []"#))
+        let e = Policy::from_json(&minimal_doc(POLICY_SCHEMA, r#", "retired_key": []"#, ""))
             .unwrap_err();
         assert!(e.to_string().contains("unknown field `retired_key`"), "{e}");
-        assert!(Policy::from_json(&minimal_doc(POLICY_SCHEMA, "")).is_ok());
+        // The retired container allowlist is refused the same way.
+        let e = Policy::from_json(&minimal_doc(POLICY_SCHEMA, "", r#", "hash_allowlist": []"#))
+            .unwrap_err();
+        assert!(e.to_string().contains("unknown field `hash_allowlist`"), "{e}");
+        assert!(Policy::from_json(&minimal_doc(POLICY_SCHEMA, "", "")).is_ok());
     }
 
     #[test]
     fn prune_may_be_omitted_from_a_root_set() {
-        let p = Policy::from_json(&minimal_doc(POLICY_SCHEMA, "")).unwrap();
+        let p = Policy::from_json(&minimal_doc(POLICY_SCHEMA, "", "")).unwrap();
         assert_eq!(p.root_sets.len(), 1);
         assert!(p.root_sets[0].prune.is_empty());
     }

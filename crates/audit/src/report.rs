@@ -1,14 +1,15 @@
-//! Audit results: the violation list, the human rendering, and the
-//! versioned machine report (`netmax-audit/report/v1`).
+//! Audit results: the violation list, the human rendering, the
+//! versioned machine report (`netmax-audit/report/v2`) and the committed
+//! closure digest (`netmax-audit/closure/v2`).
 
 use crate::scan::PanicCounts;
 use netmax_json::{Json, ToJson};
 use std::fmt::Write as _;
 
 /// Schema tag of the JSON report.
-pub const REPORT_SCHEMA: &str = "netmax-audit/report/v1";
+pub const REPORT_SCHEMA: &str = "netmax-audit/report/v2";
 
-/// Rule identifiers, as they appear in reports and suppression comments.
+/// Rule identifiers, as they appear in reports.
 pub mod rules {
     /// Real-time clock (`Instant`/`SystemTime`) outside the allowlist.
     pub const DETERMINISM_TIME: &str = "determinism-time";
@@ -22,10 +23,6 @@ pub mod rules {
     pub const ENUM_EXHAUSTIVE: &str = "enum-exhaustive";
     /// Required raw text missing from a file.
     pub const REQUIRED_TEXT: &str = "required-text";
-    /// `audit:` comment that does not parse as a valid directive.
-    pub const BAD_SUPPRESSION: &str = "bad-suppression";
-    /// Well-formed suppression that silenced nothing.
-    pub const STALE_SUPPRESSION: &str = "stale-suppression";
     /// Policy points at a file that does not exist or declares no such
     /// enum/function.
     pub const POLICY_TARGET: &str = "policy-target";
@@ -43,9 +40,8 @@ pub mod rules {
     /// A function is reachable from both the `strict_numerics` and
     /// `fast_numerics` roots. The tiers must never share numeric code:
     /// a helper edited for the reassociated tier would silently move
-    /// strict-tier bits. Deliberately not suppressible — disjointness is
-    /// restored by duplicating the helper or pruning a false edge in the
-    /// committed policy, never by an inline allow.
+    /// strict-tier bits. Disjointness is restored by duplicating the
+    /// helper or pruning a false edge in the committed policy.
     pub const TIER_ISOLATION: &str = "tier-isolation";
 }
 
@@ -89,12 +85,13 @@ pub struct BudgetStatus {
 pub struct AuditReport {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Suppressions that silenced at least one violation.
-    pub suppressions_used: usize,
     /// Per-crate ratchet state (always reported, violations or not).
     pub budgets: Vec<BudgetStatus>,
-    /// Unsuppressed violations, sorted by `(file, line, rule)`.
+    /// Violations, sorted by `(file, line, rule)`.
     pub violations: Vec<Violation>,
+    /// Every root set's closure, full lists included (empty when the
+    /// policy declares no root sets).
+    pub closures: ClosureReport,
 }
 
 impl AuditReport {
@@ -125,11 +122,7 @@ impl AuditReport {
     /// The human-readable report.
     pub fn human(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "netmax-audit: {} file(s) scanned, {} suppression(s) in use",
-            self.files_scanned, self.suppressions_used
-        );
+        let _ = writeln!(out, "netmax-audit: {} file(s) scanned", self.files_scanned);
         for b in &self.budgets {
             let _ = writeln!(
                 out,
@@ -175,7 +168,6 @@ impl ToJson for AuditReport {
             ("schema", Json::Str(REPORT_SCHEMA.into())),
             ("pass", self.clean().to_json()),
             ("files_scanned", self.files_scanned.to_json()),
-            ("suppressions_used", self.suppressions_used.to_json()),
             (
                 "budgets",
                 Json::Arr(
@@ -207,12 +199,30 @@ impl ToJson for AuditReport {
                         .collect(),
                 ),
             ),
+            (
+                "closures",
+                Json::Arr(
+                    self.closures
+                        .closures
+                        .iter()
+                        .map(|c| {
+                            Json::obj([
+                                ("name", c.name.to_json()),
+                                ("roots", c.roots.to_json()),
+                                ("functions", c.functions.to_json()),
+                                ("edges", c.edges.to_json()),
+                                ("unresolved", c.unresolved.to_json()),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
         ])
     }
 }
 
-/// Schema tag of the committed closure report (`audit.closure.json`).
-pub const CLOSURE_SCHEMA: &str = "netmax-audit/closure/v1";
+/// Schema tag of the committed closure digest (`audit.closure.json`).
+pub const CLOSURE_SCHEMA: &str = "netmax-audit/closure/v2";
 
 /// One computed closure in the report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -229,11 +239,37 @@ pub struct ClosureInfo {
     /// deduplicated and sorted — published so reviewers see exactly
     /// what the closure proof does *not* cover.
     pub unresolved: Vec<String>,
+    /// Panic sites in the closure's bodies, each counted once.
+    pub panic_sites: PanicCounts,
 }
 
-/// The committed closure report: what each root set actually reaches.
-/// CI diffs this against a fresh run, so closure growth is a reviewed
-/// change to a committed file, never a silent analyzer decision.
+impl ClosureInfo {
+    /// FNV-1a 64 over the sorted function, edge and unresolved lists:
+    /// each item followed by `\n`, each list by a NUL byte, so moving an
+    /// item from one list to the next changes the hash too.
+    fn lists_hash(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for list in [&self.functions, &self.edges, &self.unresolved] {
+            for item in list {
+                eat(item.as_bytes());
+                eat(b"\n");
+            }
+            eat(b"\0");
+        }
+        h
+    }
+}
+
+/// The closures every root set reaches. Its committed form is a digest
+/// (roots, list sizes, panic sites, a hash of the lists) that CI
+/// diffs against a fresh run, so closure growth is a reviewed change to
+/// a committed file, never a silent analyzer decision; the full lists
+/// ride in the JSON report.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClosureReport {
     /// One entry per policy root set, sorted by name.
@@ -258,37 +294,27 @@ impl ClosureReport {
         self.closures.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// The exact text committed to `audit.closure.json` (trailing
+    /// The digest text committed to `audit.closure.json` (trailing
     /// newline included).
     pub fn pretty_text(&self) -> String {
-        let mut text = self.to_json().pretty();
+        let closures = self.closures.iter().map(|c| {
+            Json::obj([
+                ("name", c.name.to_json()),
+                ("roots", c.roots.to_json()),
+                ("functions", c.functions.len().to_json()),
+                ("edges", c.edges.len().to_json()),
+                ("unresolved", c.unresolved.len().to_json()),
+                ("panic_sites", counts_json(&c.panic_sites)),
+                ("fnv1a64", format!("{:016x}", c.lists_hash()).to_json()),
+            ])
+        });
+        let doc = Json::obj([
+            ("schema", Json::Str(CLOSURE_SCHEMA.into())),
+            ("closures", Json::Arr(closures.collect())),
+        ]);
+        let mut text = doc.pretty();
         text.push('\n');
         text
-    }
-}
-
-impl ToJson for ClosureReport {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("schema", Json::Str(CLOSURE_SCHEMA.into())),
-            (
-                "closures",
-                Json::Arr(
-                    self.closures
-                        .iter()
-                        .map(|c| {
-                            Json::obj([
-                                ("name", c.name.to_json()),
-                                ("roots", c.roots.to_json()),
-                                ("functions", c.functions.to_json()),
-                                ("edges", c.edges.to_json()),
-                                ("unresolved", c.unresolved.to_json()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
     }
 }
 
@@ -299,7 +325,6 @@ mod tests {
     fn report() -> AuditReport {
         let mut r = AuditReport {
             files_scanned: 3,
-            suppressions_used: 1,
             budgets: vec![BudgetStatus {
                 crate_dir: "crates/json".into(),
                 actual: PanicCounts { unwrap: 1, ..PanicCounts::default() },
@@ -319,6 +344,7 @@ mod tests {
                     message: "over".into(),
                 },
             ],
+            ..AuditReport::default()
         };
         r.finish();
         r
@@ -379,8 +405,43 @@ mod tests {
         c.finish();
         assert_eq!(c.closures[0].name, "hot_path");
         assert_eq!(c.closures[0].functions, ["a/x.rs#f", "b.rs#g"]);
-        let doc = c.to_json();
+        let doc = Json::parse(&c.pretty_text()).unwrap();
         assert_eq!(doc.field("schema").unwrap().as_str().unwrap(), CLOSURE_SCHEMA);
         assert!(c.pretty_text().ends_with('\n'));
+    }
+
+    #[test]
+    fn the_digest_counts_the_lists_and_hashes_every_item() {
+        let info = ClosureInfo {
+            name: "hot_path".into(),
+            roots: vec!["a.rs#f".into()],
+            functions: vec!["a.rs#f".into(), "a.rs#g".into()],
+            edges: vec!["a.rs#f -> a.rs#g".into()],
+            unresolved: vec![".len".into(), "helper".into()],
+            panic_sites: PanicCounts { index: 3, ..PanicCounts::default() },
+        };
+        let report = ClosureReport { closures: vec![info.clone()] };
+        let doc = Json::parse(&report.pretty_text()).unwrap();
+        let digest = &doc.field("closures").unwrap().as_arr().unwrap()[0];
+        let count = |key: &str| digest.field(key).unwrap().as_usize().unwrap();
+        assert_eq!(count("functions"), info.functions.len());
+        assert_eq!(count("edges"), info.edges.len());
+        assert_eq!(count("unresolved"), info.unresolved.len());
+        let sites = digest.field("panic_sites").unwrap();
+        assert_eq!(sites.field("index").unwrap().as_usize().unwrap(), 3);
+        assert_eq!(digest.field("roots").unwrap().as_arr().unwrap().len(), 1);
+        // The encoding is pinned: this is the same FNV-1a 64 computed
+        // independently over `a.rs#f\na.rs#g\n\0a.rs#f -> a.rs#g\n\0.len\nhelper\n\0`.
+        assert_eq!(digest.field("fnv1a64").unwrap().as_str().unwrap(), "38424977444fd061");
+        let mut edge = info.clone();
+        edge.edges[0] = "a.rs#g -> a.rs#f".into();
+        let mut name = info.clone();
+        name.unresolved[1] = "helper2".into();
+        let mut moved = info.clone();
+        moved.edges.push(".len".into());
+        moved.unresolved.remove(0);
+        for changed in [edge, name, moved] {
+            assert_ne!(changed.lists_hash(), info.lists_hash(), "{changed:?}");
+        }
     }
 }

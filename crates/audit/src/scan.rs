@@ -7,8 +7,7 @@
 //! excluded from every rule: the invariants protect the *shipped* engine,
 //! and tests legitimately panic, allocate, and use hash containers.
 
-use crate::lexer::{Lexed, Tok, Token};
-use crate::suppress::{self, SuppressError, Suppression};
+use crate::lexer::{Tok, Token};
 
 /// One file, lexed and pre-processed for rule scans.
 #[derive(Debug, Clone)]
@@ -22,26 +21,14 @@ pub struct FileScan {
     /// Whether each token sits inside test-only code (parallel to
     /// `tokens`).
     in_test: Vec<bool>,
-    /// Parsed suppression comments.
-    pub suppressions: Vec<Suppression>,
-    /// Malformed `audit:` directives: `(line, error)`.
-    pub malformed: Vec<(u32, SuppressError)>,
 }
 
 impl FileScan {
     /// Lexes and pre-processes one source file.
     pub fn new(path: impl Into<String>, source: &str) -> FileScan {
-        let Lexed { tokens, comments } = crate::lexer::lex(source);
+        let tokens = crate::lexer::lex(source);
         let in_test = test_mask(&tokens);
-        let (suppressions, malformed) = suppress::collect(&comments);
-        FileScan {
-            path: path.into(),
-            raw: source.to_string(),
-            tokens,
-            in_test,
-            suppressions,
-            malformed,
-        }
+        FileScan { path: path.into(), raw: source.to_string(), tokens, in_test }
     }
 
     /// Whether the token at `idx` is inside `#[cfg(test)]` / `#[test]`

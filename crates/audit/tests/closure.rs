@@ -1,9 +1,8 @@
 //! Closure-rule integration tests over the `closure_*` fixture trees:
 //! each rule must fire on the violating tree (where every violation
 //! lives in a *transitive* callee, never a root), stay quiet on the
-//! clean tree, honor prunes, honor suppressions written against either
-//! the closure rule or the per-site rule it shadows, and stay entirely
-//! off for a policy with no root sets.
+//! clean tree, honor prunes, and stay entirely off for a policy with no
+//! root sets.
 
 use netmax_audit::policy::{
     DeterminismPolicy, PanicBudget, Policy, Reassociation, RootEntry, RootSet,
@@ -39,7 +38,6 @@ fn closure_policy() -> Policy {
             time_banned: vec!["Instant".into(), "SystemTime".into()],
             time_allowlist: vec![],
             hash_banned: vec!["HashMap".into(), "HashSet".into()],
-            hash_allowlist: vec![],
         },
         hot_path_banned: vec!["vec!".into(), "format!".into(), ".clone".into()],
         panic_budgets: vec![],
@@ -73,7 +71,7 @@ fn rules_fired(outcome: &AuditOutcome) -> Vec<&'static str> {
 fn clean_tree_passes_every_closure_rule() {
     let outcome = audit("closure_clean", &closure_policy());
     assert!(outcome.report.clean(), "\n{}", outcome.report.human());
-    assert_eq!(outcome.closures.closures.len(), 3);
+    assert_eq!(outcome.report.closures.closures.len(), 3);
 }
 
 #[test]
@@ -105,6 +103,7 @@ fn violating_tree_trips_every_closure_rule() {
 fn violations_live_in_transitive_callees_not_roots() {
     let outcome = audit("closure_violating", &closure_policy());
     let hot = outcome
+        .report
         .closures
         .closures
         .iter()
@@ -173,19 +172,6 @@ fn any_root_set_may_carry_a_panic_budget() {
 }
 
 #[test]
-fn suppressions_cover_closure_rules_and_their_per_site_shadows() {
-    let mut policy = closure_policy();
-    // The suppressed tree only has the hot-path shape.
-    policy.root_sets = vec![root_set("hot_path", &["hot_root"], &[])];
-    let outcome = audit("closure_suppressed", &policy);
-    assert!(outcome.report.clean(), "\n{}", outcome.report.human());
-    // Two directives, both in use: one names the closure rule
-    // (closure-alloc), one names the per-site rule the closure rule
-    // shadows (determinism-time covering closure-determinism).
-    assert_eq!(outcome.report.suppressions_used, 2, "\n{}", outcome.report.human());
-}
-
-#[test]
 fn v1_policies_compute_no_closures_and_fire_no_closure_rules() {
     let mut policy = closure_policy();
     policy.root_sets = vec![];
@@ -200,7 +186,7 @@ fn v1_policies_compute_no_closures_and_fire_no_closure_rules() {
         index: 1,
     }];
     let outcome = audit("closure_violating", &policy);
-    assert!(outcome.closures.closures.is_empty());
+    assert!(outcome.report.closures.closures.is_empty());
     for v in &outcome.report.violations {
         assert!(!v.rule.starts_with("closure-"), "unexpected {} violation", v.rule);
         assert_ne!(v.rule, "reassociation-boundary");
@@ -216,7 +202,6 @@ fn tiers_policy() -> Policy {
             time_banned: vec!["Instant".into()],
             time_allowlist: vec![],
             hash_banned: vec!["HashMap".into()],
-            hash_allowlist: vec![],
         },
         hot_path_banned: vec![],
         panic_budgets: vec![],
@@ -231,7 +216,7 @@ fn tiers_policy() -> Policy {
 }
 
 #[test]
-fn tier_isolation_fires_on_a_shared_helper_and_resists_suppression() {
+fn tier_isolation_fires_on_a_shared_helper() {
     let outcome = audit("closure_tiers", &tiers_policy());
     let fired = rules_fired(&outcome);
     assert!(fired.contains(&"tier-isolation"), "{fired:?}");
@@ -243,11 +228,6 @@ fn tier_isolation_fires_on_a_shared_helper_and_resists_suppression() {
         .map(|v| v.message.as_str())
         .collect();
     assert!(shared.iter().all(|m| m.contains("shared_accum")), "{shared:?}");
-    // The fixture's inline `allow(tier-isolation)` directive must not
-    // silence anything: the rule is not suppressible, so the directive
-    // itself is rejected as naming an unknown rule.
-    assert!(fired.contains(&"bad-suppression"), "{fired:?}");
-    assert_eq!(outcome.report.suppressions_used, 0);
 }
 
 #[test]

@@ -46,6 +46,7 @@ fn hot_path_closure_covers_every_v1_manifest_function() {
     let policy = load_policy(&root.join("audit.policy.json")).expect("committed policy loads");
     let outcome = run_audit_full(&root, &policy).expect("workspace audit runs");
     let hot = outcome
+        .report
         .closures
         .closures
         .iter()

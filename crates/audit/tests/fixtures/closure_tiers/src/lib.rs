@@ -1,8 +1,6 @@
 //! Tier-isolation fixture: a strict root and a fast root that both reach
 //! one shared numeric helper. The `tier-isolation` rule must flag the
-//! helper, a policy `prune` must silence it, and an inline allow-comment
-//! must not (the rule is deliberately not suppressible — the directive
-//! below is itself rejected as naming an unknown rule).
+//! helper, and a policy `prune` must silence it.
 
 /// The `strict_numerics` root.
 pub fn strict_root(xs: &mut [f64]) {
@@ -15,7 +13,6 @@ pub fn fast_root(xs: &mut [f64]) {
 }
 
 /// The helper both tiers reach — the isolation violation.
-// audit: allow(tier-isolation) -- must not parse: the rule is not suppressible
 fn shared_accum(xs: &mut [f64]) {
     for x in xs.iter_mut() {
         *x *= 2.0;

@@ -1,70 +1,29 @@
-//! Property tests for the analyzer front end: the suppression grammar
-//! round-trips through its canonical rendering, and the lexer and scanner
-//! are total — arbitrary byte soup never panics them.
+//! Property tests for the analyzer front end: the lexer, scanner, item
+//! parser and graph are total — arbitrary byte soup never panics them.
 
 use netmax_audit::enums::enum_variants;
 use netmax_audit::graph::CallGraph;
 use netmax_audit::items::parse_items;
-use netmax_audit::lexer::{lex, LineComment};
+use netmax_audit::lexer::lex;
 use netmax_audit::scan::{count_panic_sites, FileScan};
-use netmax_audit::suppress::{parse_comment, Suppression, SUPPRESSIBLE_RULES};
 use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Printable, non-space ASCII — reasons built from this survive the
-/// parser's whitespace trimming unchanged.
-fn reason_char() -> impl Strategy<Value = char> {
-    (33u8..127).prop_map(|b| b as char)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Rendering a suppression through `Display` and re-parsing the
-    /// comment yields the identical suppression, for every rule and any
-    /// printable reason.
-    #[test]
-    fn suppression_round_trips_through_canonical_form(
-        rule_idx in 0usize..SUPPRESSIBLE_RULES.len(),
-        reason_chars in vec(reason_char(), 1..40),
-        line in 1u32..100_000,
-    ) {
-        let reason: String = reason_chars.into_iter().collect();
-        let s = Suppression {
-            line,
-            rule: SUPPRESSIBLE_RULES[rule_idx].to_string(),
-            reason: reason.clone(),
-        };
-        let comment = LineComment { line, text: s.to_string() };
-        let back = parse_comment(&comment);
-        prop_assert_eq!(back, Some(Ok(s)));
-    }
-
     /// The whole front end is total: lexing, test-mask construction,
-    /// panic counting, enum extraction, and suppression parsing accept
-    /// arbitrary (lossily-decoded) byte strings without panicking.
+    /// panic counting, and enum extraction accept arbitrary
+    /// (lossily-decoded) byte strings without panicking.
     #[test]
     fn analyzer_never_panics_on_arbitrary_input(raw in vec(0u16..256, 0..400)) {
         let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
         let text = String::from_utf8_lossy(&bytes).into_owned();
-        let lexed = lex(&text);
-        prop_assert!(lexed.tokens.len() <= text.len() + 1);
+        prop_assert!(lex(&text).len() <= text.len() + 1);
         let scan = FileScan::new("fuzz.rs", &text);
         let counts = count_panic_sites(&scan);
         prop_assert!(counts.total() <= scan.tokens.len());
         let _ = enum_variants(&scan, "E");
-        for c in &lexed.comments {
-            let _ = parse_comment(c);
-        }
-    }
-
-    /// Suppression parsing is total on arbitrary comment text too — every
-    /// input is either not-a-directive, a parse, or a typed error.
-    #[test]
-    fn comment_parsing_never_panics(raw in vec(0u16..256, 0..120)) {
-        let bytes: Vec<u8> = raw.into_iter().map(|b| b as u8).collect();
-        let text = String::from_utf8_lossy(&bytes).into_owned();
-        let _ = parse_comment(&LineComment { line: 1, text });
     }
 
     /// The item parser is total on arbitrary byte soup, and every item it

@@ -1,7 +1,7 @@
 //! The tier-1 gate: the committed `audit.policy.json` must hold over the
 //! entire workspace, so `cargo test` fails the moment a banned pattern,
-//! budget overrun, or stale suppression lands — no separate CI step
-//! needed to notice locally.
+//! budget overrun, or stale budget lands — no separate CI step needed to
+//! notice locally.
 
 use netmax_audit::{load_policy, run_audit_full};
 use std::path::PathBuf;
@@ -12,10 +12,6 @@ fn workspace_is_audit_clean() {
     let policy = load_policy(&root.join("audit.policy.json")).expect("committed policy loads");
     let report = run_audit_full(&root, &policy).expect("workspace audit runs").report;
     assert!(report.clean(), "\n{}", report.human());
-    // The workspace needs no suppression: the engine reads no real clock
-    // (the runner owns the deadline), so an `audit: allow(` comment is an
-    // unreviewed addition and shows up here.
-    assert_eq!(report.suppressions_used, 0, "\n{}", report.human());
 }
 
 #[test]
@@ -24,15 +20,15 @@ fn committed_closure_report_is_current_and_deterministic() {
     let policy = load_policy(&root.join("audit.policy.json")).expect("committed policy loads");
     let first = run_audit_full(&root, &policy).expect("workspace audit runs");
     let second = run_audit_full(&root, &policy).expect("workspace audit runs twice");
-    // Two independent runs render byte-identically — the closure report
-    // is a pure function of the tree and the policy.
-    assert_eq!(first.closures.pretty_text(), second.closures.pretty_text());
-    // And the committed `audit.closure.json` matches, so closure growth
-    // is always a reviewed diff, never a silent drift.
+    // Two independent runs produce identical closures — the lists are a
+    // pure function of the tree and the policy.
+    assert_eq!(first.report.closures, second.report.closures);
+    // And the committed `audit.closure.json` digest matches, so closure
+    // growth is always a reviewed diff, never a silent drift.
     let committed = std::fs::read_to_string(root.join("audit.closure.json"))
-        .expect("committed closure report exists (run `netmax-audit --closure`)");
+        .expect("committed closure digest exists (run `netmax-audit --closure`)");
     assert_eq!(
-        first.closures.pretty_text(),
+        first.report.closures.pretty_text(),
         committed,
         "audit.closure.json is stale — regenerate with `netmax-audit --closure`"
     );
