@@ -7,13 +7,14 @@
 
 use netmax_baselines::algorithm_for;
 use netmax_core::engine::{
-    decode_session_v3, AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent,
-    StopCondition, TrainConfig,
+    Algorithm, AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent, StopCondition,
+    TrainConfig,
 };
+use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_core::monitor::EmaTimeTracker;
-use netmax_json::{Json, ToJson};
+use netmax_json::{codec, Json, ToJson};
 use netmax_ml::workload::WorkloadSpec;
-use netmax_net::NetworkKind;
+use netmax_net::{FaultPlan, NetworkKind, NodeFault};
 
 const ALPHA: f64 = 0.05;
 
@@ -82,10 +83,8 @@ fn every_variant_resumes_byte_identically() {
     }
 }
 
-/// Every driver family restores alike through both entry points: the
-/// container's bytes (node blobs decoded one at a time) and the decoded
-/// logical document leave sessions whose next snapshots are identical to
-/// each other and to the bytes restored from.
+/// Every driver family restores to exactly the state it snapshotted: a
+/// restored session's next snapshot is the bytes it was restored from.
 #[test]
 fn restore_bytes_equals_restoring_the_decoded_document() {
     for kind in AlgorithmKind::all() {
@@ -105,14 +104,95 @@ fn restore_bytes_equals_restoring_the_decoded_document() {
         let from_bytes = snapshot(
             &Session::restore_bytes(&mut env1, algo1.driver(), &bytes).expect("bytes restore"),
         );
-        let document = decode_session_v3(&bytes).expect("the snapshot decodes");
-        let mut algo2 = algorithm_for(kind, ALPHA);
-        let mut env2 = sc.build_env();
-        let from_document = snapshot(
-            &Session::restore(&mut env2, algo2.driver(), &document).expect("document restores"),
-        );
-        assert!(from_bytes == from_document, "{kind:?}: the two restore paths disagree");
         assert!(from_bytes == bytes, "{kind:?}: a restore does not re-snapshot to its bytes");
+    }
+}
+
+/// Resume after *every* event of a small faulted run: gossip steps and
+/// monitor rounds (NetMax), synchronous rounds (Allreduce) and the
+/// server's own event queue (PS-async), each through a crash, a rejoin
+/// and the recorder's samples. Every snapshot must restore to a session
+/// that re-snapshots to the same bytes and finishes with the
+/// uninterrupted run's report.
+#[test]
+fn resume_after_every_event_is_byte_identical() {
+    type MakeAlgo = fn() -> Box<dyn Algorithm>;
+    let cases: [(&str, MakeAlgo, &[&str]); 3] = [
+        (
+            "netmax",
+            || {
+                let mut cfg = NetMaxConfig::paper_default(ALPHA);
+                cfg.monitor.period_s = 1.0;
+                Box::new(NetMax::new(cfg))
+            },
+            &["step", "sampled", "monitor", "down", "up"],
+        ),
+        (
+            "allreduce",
+            || algorithm_for(AlgorithmKind::AllreduceSgd, ALPHA),
+            &["round", "sampled", "down", "up"],
+        ),
+        (
+            "ps-async",
+            || algorithm_for(AlgorithmKind::PsAsync, ALPHA),
+            &["step", "sampled", "down", "up"],
+        ),
+    ];
+    let sc = Scenario::builder()
+        .workers(4)
+        .network(NetworkKind::HeterogeneousDynamic)
+        .workload(WorkloadSpec::convex_ridge(7))
+        .train_config(TrainConfig {
+            seed: 41,
+            stop: Some(StopCondition::MaxGlobalSteps(150)),
+            ..TrainConfig::quick_test()
+        })
+        .faults(FaultPlan {
+            node_faults: vec![NodeFault { node: 1, crash_s: 1.0, rejoin_s: Some(2.0) }],
+            ..FaultPlan::none()
+        })
+        .build();
+    let workload = sc.workload();
+    for (name, make, kinds) in cases {
+        let full = {
+            let mut env = sc.build_env_with(workload.clone());
+            let mut algo = make();
+            let mut session = Session::new(&mut env, algo.driver()).expect("valid session");
+            session.run().to_json().to_string()
+        };
+        let mut env = sc.build_env_with(workload.clone());
+        let mut algo = make();
+        let mut session = Session::new(&mut env, algo.driver()).expect("valid session");
+        let mut seen = Vec::new();
+        for at in 0.. {
+            let event = session.step();
+            seen.push(match event {
+                StepEvent::GlobalStep { .. } => "step",
+                StepEvent::RoundComplete { .. } => "round",
+                StepEvent::Sampled { .. } => "sampled",
+                StepEvent::MonitorRound { .. } => "monitor",
+                StepEvent::NodeDown { .. } => "down",
+                StepEvent::NodeUp { .. } => "up",
+                StepEvent::Finished { .. } => break,
+            });
+            let bytes = snapshot(&session);
+            let mut env2 = sc.build_env_with(workload.clone());
+            let mut algo2 = make();
+            let mut resumed = Session::restore_bytes(&mut env2, algo2.driver(), &bytes)
+                .unwrap_or_else(|e| panic!("{name}: restore after event {at} failed: {e}"));
+            assert!(
+                snapshot(&resumed) == bytes,
+                "{name}: the restore after event {at} ({event:?}) does not re-snapshot to its bytes"
+            );
+            assert_eq!(
+                resumed.run().to_json().to_string(),
+                full,
+                "{name}: resume after event {at} ({event:?}) diverged"
+            );
+        }
+        for kind in kinds {
+            assert!(seen.contains(kind), "{name}: the run never produced a `{kind}` event");
+        }
     }
 }
 
@@ -147,16 +227,16 @@ fn restore_rejects_algorithm_mismatch() {
     let sc = scenario(AlgorithmKind::AdPsgd);
     let mut algo = algorithm_for(AlgorithmKind::AdPsgd, ALPHA);
     let mut env = sc.build_env();
-    let ckpt = {
+    let bytes = {
         let mut session = Session::new(&mut env, algo.driver()).unwrap();
         for _ in 0..10 {
             session.step();
         }
-        session.checkpoint()
+        snapshot(&session)
     };
     let mut other = algorithm_for(AlgorithmKind::GoSgd, ALPHA);
     let mut env2 = sc.build_env();
-    let err = match Session::restore(&mut env2, other.driver(), &ckpt) {
+    let err = match Session::restore_bytes(&mut env2, other.driver(), &bytes) {
         Err(e) => e,
         Ok(_) => panic!("algorithm mismatch must be rejected"),
     };
@@ -172,22 +252,34 @@ fn restore_rejects_monitor_state_of_another_fleet_size() {
     let sc = scenario(kind);
     let mut algo = algorithm_for(kind, ALPHA);
     let mut env = sc.build_env();
-    let mut ckpt = {
+    let bytes = {
         let mut session = Session::new(&mut env, algo.driver()).unwrap();
         for _ in 0..10 {
             session.step();
         }
-        session.checkpoint()
+        snapshot(&session)
     };
-    let mut at = &mut ckpt;
+    // The same container with the tracker in its `meta` section swapped.
+    let doc = codec::read_document(&bytes).unwrap();
+    let mut meta = codec::decode_value(doc.require("meta").unwrap()).unwrap();
+    let mut at = &mut meta;
     for key in ["driver", "behavior", "tracker"] {
         let Json::Obj(pairs) = at else { panic!("`{key}` sits in an object") };
         at = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("checkpoint field").1;
     }
     *at = EmaTimeTracker::for_fleet(3, 0.5).checkpoint();
+    let mut meta_bytes = Vec::new();
+    codec::encode_value(&mut meta_bytes, &meta).unwrap();
+    let mut foreign = Vec::new();
+    codec::write_document(
+        &mut foreign,
+        doc.schema,
+        &[("meta", &meta_bytes), ("nodes", doc.require("nodes").unwrap())],
+    )
+    .unwrap();
     let mut other = algorithm_for(kind, ALPHA);
     let mut env2 = sc.build_env();
-    let err = match Session::restore(&mut env2, other.driver(), &ckpt) {
+    let err = match Session::restore_bytes(&mut env2, other.driver(), &foreign) {
         Err(e) => e,
         Ok(_) => panic!("a three-node tracker must not restore into a four-node fleet"),
     };

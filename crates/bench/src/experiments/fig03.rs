@@ -9,27 +9,10 @@
 
 use crate::spec::{ExperimentSpec, MetricKind};
 use netmax_core::engine::{ExecutionMode, Scenario};
+use netmax_json::{Json, ToJson};
 use netmax_ml::profile::ModelProfile;
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::LinkQuality;
-
-/// One bar pair of the figure.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Model name.
-    pub model: String,
-    /// Iteration time over an intra-machine link (s).
-    pub intra_s: f64,
-    /// Iteration time over an inter-machine link (s).
-    pub inter_s: f64,
-}
-
-impl Row {
-    /// Inter/intra slowdown factor.
-    pub fn ratio(&self) -> f64 {
-        self.inter_s / self.intra_s
-    }
-}
 
 /// The registry entry. Fig. 3 is a timing identity computed from the
 /// calibrated profiles, so the spec declares no arms — the executor runs
@@ -51,44 +34,57 @@ pub fn specs() -> Vec<ExperimentSpec> {
     }]
 }
 
-/// Computes the figure (no training needed — this is a timing identity).
-pub fn run() -> Vec<Row> {
+/// The figure as the artifact's `iteration_time` summary: one object per
+/// model with its intra- and inter-machine iteration times (s) and their
+/// ratio. No training needed — this is a timing identity.
+pub fn iteration_time_summary() -> Json {
     let intra = LinkQuality::intra_machine();
     let inter = LinkQuality::gbit_ethernet();
-    [ModelProfile::resnet18(), ModelProfile::vgg19()]
-        .into_iter()
-        .map(|p| {
-            let c = p.compute_time(128);
-            let bytes = p.param_bytes();
-            Row {
-                model: p.name.clone(),
-                intra_s: ExecutionMode::Parallel.iteration_time(c, intra.transfer_time(bytes)),
-                inter_s: ExecutionMode::Parallel.iteration_time(c, inter.transfer_time(bytes)),
-            }
-        })
-        .collect()
+    Json::Arr(
+        [ModelProfile::resnet18(), ModelProfile::vgg19()]
+            .into_iter()
+            .map(|p| {
+                let c = p.compute_time(128);
+                let bytes = p.param_bytes();
+                let intra_s = ExecutionMode::Parallel.iteration_time(c, intra.transfer_time(bytes));
+                let inter_s = ExecutionMode::Parallel.iteration_time(c, inter.transfer_time(bytes));
+                Json::obj([
+                    ("model", p.name.to_json()),
+                    ("intra_s", intra_s.to_json()),
+                    ("inter_s", inter_s.to_json()),
+                    ("ratio", (inter_s / intra_s).to_json()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The summary's `key` for each model, in figure order.
+    fn column(key: &str) -> Vec<f64> {
+        let summary = iteration_time_summary();
+        let rows = summary.as_arr().unwrap();
+        assert_eq!(rows.len(), 2);
+        rows.iter().map(|r| r.field(key).unwrap().as_f64().unwrap()).collect()
+    }
+
     #[test]
     fn inter_is_severalfold_slower() {
-        let rows = run();
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.ratio() > 2.0, "{}: ratio {} too small", r.model, r.ratio());
+        let ratios = column("ratio");
+        for r in &ratios {
+            assert!(*r > 2.0, "ratio {r} too small");
         }
         // ResNet18's ratio lands near the paper's "up to 4×".
-        let resnet = &rows[0];
-        assert!(resnet.ratio() > 3.0 && resnet.ratio() < 5.0, "ratio {}", resnet.ratio());
+        assert!(ratios[0] > 3.0 && ratios[0] < 5.0, "ratio {}", ratios[0]);
     }
 
     #[test]
     fn vgg_is_slower_than_resnet_on_both_links() {
-        let rows = run();
-        assert!(rows[1].intra_s > rows[0].intra_s);
-        assert!(rows[1].inter_s > rows[0].inter_s);
+        let (intra, inter) = (column("intra_s"), column("inter_s"));
+        assert!(intra[1] > intra[0]);
+        assert!(inter[1] > inter[0]);
     }
 }

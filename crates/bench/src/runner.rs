@@ -199,7 +199,7 @@ impl ExperimentResult {
                         })
                         .collect(),
                 ),
-                MetricKind::IterationTime => iteration_time_summary(),
+                MetricKind::IterationTime => fig03::iteration_time_summary(),
             };
             entries.push((metric.name().to_string(), value));
         }
@@ -222,24 +222,6 @@ pub fn time_to_accuracy(report: &RunReport, target: f64) -> Option<f64> {
         .iter()
         .find(|s| s.test_accuracy.is_some_and(|a| a >= target))
         .map(|s| s.time_s)
-}
-
-/// The Fig. 3 timing identity ([`fig03::run`]) as the artifact's
-/// `iteration_time` summary.
-pub fn iteration_time_summary() -> Json {
-    Json::Arr(
-        fig03::run()
-            .iter()
-            .map(|r| {
-                Json::obj([
-                    ("model", r.model.to_json()),
-                    ("intra_s", r.intra_s.to_json()),
-                    ("inter_s", r.inter_s.to_json()),
-                    ("ratio", r.ratio().to_json()),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// Default worker-thread count: the machine's parallelism, capped by the

@@ -1,19 +1,18 @@
-//! The serialized checkpoint form: `session-checkpoint/v3` containers and
-//! node-granular incremental deltas.
+//! The checkpoint form: `session-checkpoint/v3` containers and
+//! node-granular incremental deltas — the only form the engine writes or
+//! restores.
 //!
 //! A v3 document is a [`netmax_json::codec`] container
-//! (`NMXB` magic + schema tag) **wrapping the v2 logical document**: a
-//! `meta` section holding every v2 field except `env.nodes`
-//! (generic-value-encoded), and a `nodes` section holding one
-//! length-prefixed blob per node. Decoding a v3 document
-//! ([`decode_session_v3`]) yields exactly the v2 [`Json`] that
-//! [`Session::checkpoint`](super::Session::checkpoint) would have
-//! produced. [`Session::restore_bytes`](super::Session::restore_bytes)
-//! does not build that document: it decodes `meta` alone and hands the
-//! blobs to the one restore sequence
-//! [`Session::restore`](super::Session::restore) runs, which decodes and
-//! applies them one node at a time where it would have read `env.nodes`
-//! — same validation, same typed errors, no fleet-sized [`Json`] tree.
+//! (`NMXB` magic + schema tag) with two sections: `meta`, the session
+//! state except the per-node objects (generic-value-encoded), and
+//! `nodes`, one length-prefixed blob per node.
+//! [`Session::restore_bytes`](super::Session::restore_bytes) is the one
+//! restore: it decodes `meta`, then decodes and applies the blobs one
+//! node at a time — no fleet-sized [`Json`] tree — and derives the
+//! membership flags from the fault plan's applied transitions, rejecting
+//! a stored copy that disagrees. [`decode_session_v3`] splices the
+//! blobs back into `env.nodes` to give the whole state as one readable
+//! document, for the tests and the benchmark; restoring never builds it.
 //!
 //! There is one encoder: the [`CheckpointScratch`] streams node state
 //! straight from the [`Environment`] through the codec's typed writers —
@@ -33,8 +32,7 @@
 use super::environment::{Environment, NodeState};
 use netmax_json::{codec, CodecError, Json};
 
-/// Schema tag of binary full-session checkpoint containers. The wrapped
-/// content is the v2 logical document.
+/// Schema tag of binary full-session checkpoint containers.
 pub const SESSION_CHECKPOINT_SCHEMA_V3: &str = "netmax-core/session-checkpoint/v3";
 
 /// Schema tag of binary incremental (delta) checkpoint containers.
@@ -152,9 +150,9 @@ fn split_nodes_payload(mut payload: &[u8]) -> Result<Vec<&[u8]>, CodecError> {
 // Node encoding (the fast direct-from-environment path).
 // ---------------------------------------------------------------------
 
-/// Streams one node's checkpoint state in the binary codec's wire form —
-/// byte-identical to `codec::encode_value` on the node object that
-/// [`Environment::checkpoint`] builds, but straight from the typed state.
+/// Streams one node's checkpoint state in the binary codec's wire form,
+/// straight from the typed state: the object [`decode_session_v3`] puts
+/// in `env.nodes` and the session restore decodes one node at a time.
 fn encode_node_binary(node: &NodeState, out: &mut Vec<u8>) -> Result<(), CodecError> {
     codec::write_obj_header(out, 7)?;
     codec::write_key(out, "params")?;
@@ -320,8 +318,8 @@ impl CheckpointScratch {
 // Decoding and chain replay.
 // ---------------------------------------------------------------------
 
-/// Splits a v3 container into its decoded `meta` document (the v2
-/// logical document minus `env.nodes`) and views of its per-node blobs —
+/// Splits a v3 container into its decoded `meta` document and views of
+/// its per-node blobs —
 /// the framing both [`decode_session_v3`] and
 /// [`Session::restore_bytes`](super::Session::restore_bytes) read. A
 /// delta is named as such, not as a foreign schema. Never panics; all
@@ -342,10 +340,10 @@ pub(crate) fn split_session_v3(bytes: &[u8]) -> Result<(Json, Vec<&[u8]>), Codec
     Ok((meta, blobs))
 }
 
-/// Decodes v3 binary bytes back into the wrapped v2 logical [`Json`]
-/// document (node objects spliced back into `env.nodes`) — what `show`
-/// and the tests read; restoring does not go through it. Never panics;
-/// all failures are typed.
+/// Decodes v3 binary bytes into the whole session state as one [`Json`]
+/// document (`meta` with the node objects spliced into `env.nodes`) —
+/// what the tests and the benchmark's decode probe read; restoring does
+/// not go through it. Never panics; all failures are typed.
 pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
     let (mut meta, blobs) = split_session_v3(bytes)?;
     let mut nodes = Vec::with_capacity(blobs.len());
@@ -365,8 +363,8 @@ pub fn decode_session_v3(bytes: &[u8]) -> Result<Json, CodecError> {
     let Json::Obj(env_entries) = env else {
         return Err(not_v2());
     };
-    // The v2 writer puts `nodes` last in the env object; splicing it back
-    // at the end reproduces the v2 field order exactly.
+    // `nodes` goes last in the env object, after the fields
+    // `Environment::checkpoint_meta` writes.
     env_entries.push(("nodes".to_string(), Json::Arr(nodes)));
     Ok(meta)
 }

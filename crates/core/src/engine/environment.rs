@@ -500,40 +500,13 @@ impl Environment {
         node.comm_exposed_total += (iteration_s - compute_s).max(0.0);
     }
 
-    /// Serializes the environment's *mutable* state — replicas, optimiser
-    /// buffers, samplers, clocks, cost accumulators, RNG streams, and the
-    /// global step counter. The immutable parts (topology, network,
-    /// datasets, config) are pure data reconstructed from the scenario at
-    /// restore time.
-    pub fn checkpoint(&self) -> Json {
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|n| {
-                Json::obj([
-                    ("params", n.model.params().to_json()),
-                    ("velocity", n.opt.velocity().to_json()),
-                    ("sampler", n.sampler.checkpoint()),
-                    ("clock", n.clock.to_json()),
-                    ("comp_time_total", n.comp_time_total.to_json()),
-                    ("comm_exposed_total", n.comm_exposed_total.to_json()),
-                    ("local_steps", n.local_steps.to_json()),
-                ])
-            })
-            .collect();
-        let mut doc = self.checkpoint_meta();
-        if let Json::Obj(entries) = &mut doc {
-            entries.push(("nodes".to_string(), Json::Arr(nodes)));
-        }
-        doc
-    }
-
-    /// The environment checkpoint *without* the per-node array — the
-    /// remainder (`global_step`, the global RNG stream and one RNG stream
-    /// per node). The binary fast path serializes this object through
-    /// [`Json`] and streams the node state separately; the v2 writer
-    /// above appends `nodes` last, and the binary decoder relies on that
-    /// ordering to splice the array back in.
+    /// The environment's checkpoint *without* the per-node state —
+    /// `global_step`, the global RNG stream and one RNG stream per node.
+    /// The node state (replicas, optimiser buffers, samplers, clocks,
+    /// cost accumulators) is streamed separately into the container's
+    /// `nodes` section; the immutable parts (topology, network, datasets,
+    /// config) are pure data reconstructed from the scenario at restore
+    /// time.
     pub(crate) fn checkpoint_meta(&self) -> Json {
         Json::obj([
             ("global_step", self.global_step.to_json()),
@@ -542,36 +515,29 @@ impl Environment {
         ])
     }
 
-    /// Restores state captured by [`Environment::checkpoint`] onto this
-    /// (freshly built, same-scenario) environment.
-    pub fn restore(&mut self, state: &Json) -> Result<(), SessionError> {
-        self.restore_from(state, NodeSource::Logical)
-    }
-
-    /// The one environment restore sequence, over either source of node
-    /// objects: counts checked against the fleet first, then every node
-    /// through [`restore_node`] in fleet order, then the RNG streams and
-    /// the step counter.
+    /// Restores this (freshly built, same-scenario) environment from a
+    /// checkpoint's `env` object and its `nodes` section: counts checked
+    /// against the fleet first, then every node blob decoded and applied
+    /// through [`restore_node`] in fleet order — one node's [`Json`] at a
+    /// time, the fleet is never a tree — then the RNG streams and the
+    /// step counter.
     pub(crate) fn restore_from(
         &mut self,
         state: &Json,
-        nodes: NodeSource<'_>,
+        blobs: &[&[u8]],
     ) -> Result<(), SessionError> {
-        let count = match nodes {
-            NodeSource::Logical => state.field("nodes")?.as_arr()?.len(),
-            // The container's section is the only node source: a `nodes`
-            // array inside `meta` as well would be a second, ignored one.
-            NodeSource::Blobs(_) if state.get("nodes").is_some() => {
-                return Err(JsonError::schema(
-                    "checkpoint carries env.nodes beside its nodes section".into(),
-                )
-                .into());
-            }
-            NodeSource::Blobs(blobs) => blobs.len(),
-        };
-        if count != self.nodes.len() {
+        // The container's section is the only node source: a `nodes`
+        // array inside `meta` as well would be a second, ignored one.
+        if state.get("nodes").is_some() {
+            return Err(JsonError::schema(
+                "checkpoint carries env.nodes beside its nodes section".into(),
+            )
+            .into());
+        }
+        if blobs.len() != self.nodes.len() {
             return Err(JsonError::schema(format!(
-                "checkpoint has {count} nodes, environment has {}",
+                "checkpoint has {} nodes, environment has {}",
+                blobs.len(),
                 self.nodes.len()
             ))
             .into());
@@ -581,18 +547,8 @@ impl Environment {
             return Err(JsonError::schema("node rng stream count mismatch".into()).into());
         }
         let examples = self.workload.train.len();
-        match nodes {
-            NodeSource::Logical => {
-                for (node, saved) in self.nodes.iter_mut().zip(state.field("nodes")?.as_arr()?) {
-                    restore_node(node, saved, examples)?;
-                }
-            }
-            // One node's `Json` at a time: the fleet is never a tree.
-            NodeSource::Blobs(blobs) => {
-                for (node, blob) in self.nodes.iter_mut().zip(blobs) {
-                    restore_node(node, &codec::decode_value(blob)?, examples)?;
-                }
-            }
+        for (node, blob) in self.nodes.iter_mut().zip(blobs) {
+            restore_node(node, &codec::decode_value(blob)?, examples)?;
         }
         self.rng = rng_from_json(state.field("rng")?)?;
         self.node_rngs = node_rngs.iter().map(rng_from_json).collect::<Result<_, _>>()?;
@@ -601,18 +557,7 @@ impl Environment {
     }
 }
 
-/// Where an environment restore reads its per-node objects from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum NodeSource<'a> {
-    /// The logical document's own `env.nodes` array.
-    Logical,
-    /// A v3 container's `nodes` section: one codec-encoded node object
-    /// per node, in fleet order, decoded as its node is restored.
-    Blobs(&'a [&'a [u8]]),
-}
-
-/// Restores one node from its checkpoint object — the single per-node
-/// restore function behind both [`NodeSource`]s. `examples` is the
+/// Restores one node from its decoded checkpoint object. `examples` is the
 /// training set's length, which every sampler index must stay below.
 fn restore_node(node: &mut NodeState, saved: &Json, examples: usize) -> Result<(), JsonError> {
     let params: Vec<f32> = Vec::from_json(saved.field("params")?)?;
@@ -676,7 +621,6 @@ fn draw_active(
 mod tests {
     use super::*;
     use netmax_net::LinkQuality;
-    use rand::RngCore;
 
     fn tiny_env() -> Environment {
         let workload = Workload::convex_ridge(1);
@@ -726,70 +670,6 @@ mod tests {
         assert!(!stop.satisfied(&env, None));
         env.book_iteration(0, 0.5, 2.0);
         assert!(stop.satisfied(&env, None));
-    }
-
-    #[test]
-    fn checkpoint_restore_round_trips_mutable_state() {
-        let mut env = tiny_env();
-        let _ = env.gradient_step(0);
-        let _ = env.gradient_step(1);
-        env.book_iteration(0, 0.2, 0.5);
-        env.global_step = 2;
-        let _ = env.node_rng(3).next_u64();
-        let state = env.checkpoint();
-        let text = state.pretty();
-
-        let mut fresh = tiny_env();
-        fresh.restore(&netmax_json::Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(fresh.global_step, 2);
-        assert_eq!(fresh.nodes[0].model.params(), env.nodes[0].model.params());
-        assert_eq!(fresh.nodes[0].clock, env.nodes[0].clock);
-        assert_eq!(fresh.nodes[1].local_steps, 1);
-        // RNG streams resume where the original left off.
-        assert_eq!(fresh.node_rng(3).next_u64(), env.node_rng(3).next_u64());
-        assert_eq!(fresh.rng.next_u64(), env.rng.next_u64());
-        // The next batches drawn match.
-        assert_eq!(fresh.nodes[0].sampler.next_batch(), env.nodes[0].sampler.next_batch());
-    }
-
-    #[test]
-    fn restore_rejects_sampler_indices_outside_the_dataset() {
-        // A checkpoint from a 20k-example workload restored onto an
-        // environment whose dataset is far smaller must fail with a typed
-        // error, not panic out-of-bounds on the next gradient step.
-        let mut env = tiny_env();
-        let _ = env.gradient_step(0);
-        let state = env.checkpoint();
-        let text = state.pretty();
-
-        let (train, test) = netmax_ml::datasets::gaussian_mixture(
-            netmax_ml::datasets::MixtureSpec {
-                num_classes: 10,
-                dim: 32,
-                train_n: 100,
-                test_n: 20,
-                mean_scale: 1.0,
-                noise: 0.5,
-            },
-            3,
-        );
-        let mut small_workload = Workload::convex_ridge(1);
-        small_workload.train = std::sync::Arc::new(train);
-        small_workload.test = std::sync::Arc::new(test);
-        let topology = Topology::fully_connected(4);
-        let network = ElasticNetwork::uniform(4, LinkQuality::virtual_switch_10g());
-        let partition = Partition::uniform(&small_workload.train, 4, 7);
-        let mut small = Environment::new(
-            topology,
-            network,
-            small_workload,
-            partition,
-            TrainConfig::quick_test(),
-        );
-        let err = small
-            .restore(&netmax_json::Json::parse(&text).unwrap())
-            .expect_err("out-of-range sampler indices must be rejected");
-        assert!(err.to_string().contains("sampler references example"), "{err}");
     }
 
     /// The lr schedule must be read *before* the batch draw, identically

@@ -25,7 +25,7 @@
 //! [`Scenario`](super::scenario::Scenario).
 
 use super::checkpoint::{self, CheckpointFormat, CheckpointScratch};
-use super::environment::{Environment, NodeSource};
+use super::environment::Environment;
 use super::recorder::{Recorder, RunReport, Sample};
 use super::stop::StopCondition;
 use netmax_json::{CodecError, FromJson, Json, JsonError, ToJson};
@@ -33,9 +33,10 @@ use netmax_ml::NumericsTier;
 use netmax_net::MembershipEvent;
 use std::fmt;
 
-/// Schema tag of the logical [`Session::checkpoint`] document — the one
-/// [`Session::restore`] accepts and every NMXB `session-checkpoint/v3`
-/// container wraps; bump on breaking changes.
+/// Schema tag carried in the `meta` section of every NMXB
+/// `session-checkpoint/v3` container (and in the document
+/// [`decode_session_v3`](super::decode_session_v3) rebuilds from one);
+/// [`Session::restore_bytes`] rejects any other; bump on breaking changes.
 pub const SESSION_CHECKPOINT_SCHEMA: &str = "netmax-core/session-checkpoint/v2";
 
 /// Typed errors surfaced at session construction or restore — before any
@@ -410,28 +411,22 @@ impl<'a> Session<'a> {
         report
     }
 
-    /// The complete mid-run state as the versioned *logical* document —
-    /// what [`Session::restore`] validates and what a v3 container decodes
-    /// to. The serialized form is [`Session::checkpoint_binary`].
+    /// The checkpoint's `meta` section: the complete mid-run state except
+    /// the per-node objects, which the encoder streams from the
+    /// environment into the `nodes` section. The single home of the
+    /// document's field order.
     ///
     /// The checkpoint holds only *mutable* state — everything derivable
     /// from the scenario (datasets, topology, network timing, config) is
     /// reconstructed by building a fresh session and calling
-    /// [`Session::restore`].
-    pub fn checkpoint(&self) -> Json {
-        self.checkpoint_with_env(self.env.checkpoint())
-    }
-
-    /// The single home of the v2 field order: builds the session document
-    /// around a caller-supplied `env` value, so the logical document and
-    /// the binary `meta` section can never drift apart.
-    fn checkpoint_with_env(&self, env_state: Json) -> Json {
+    /// [`Session::restore_bytes`].
+    fn checkpoint_meta(&self) -> Json {
         Json::obj([
             ("schema", Json::Str(SESSION_CHECKPOINT_SCHEMA.into())),
             ("algorithm", self.algorithm.to_json()),
             ("tier", self.env.cfg.tier.to_json()),
             ("stop", self.stop.to_json()),
-            ("env", env_state),
+            ("env", self.env.checkpoint_meta()),
             ("recorder", self.recorder.checkpoint()),
             ("driver", self.driver.checkpoint_state()),
             ("sample_due", self.sample_due.to_json()),
@@ -446,12 +441,6 @@ impl<'a> Session<'a> {
                 },
             ),
         ])
-    }
-
-    /// The checkpoint document minus the per-node array (`env.nodes`) —
-    /// the `meta` section of a binary snapshot.
-    fn checkpoint_meta(&self) -> Json {
-        self.checkpoint_with_env(self.env.checkpoint_meta())
     }
 
     /// Encodes a full binary (`session-checkpoint/v3`) snapshot into
@@ -503,46 +492,36 @@ impl<'a> Session<'a> {
     }
 
     /// Restores a session from a `session-checkpoint/v3` NMXB container —
-    /// the only serialized form. Anything else (text, a delta, a foreign
-    /// container) is a typed [`SessionError::BadCheckpoint`].
+    /// the only serialized form and the only restore. Anything else
+    /// (text, a delta, a foreign container) is a typed
+    /// [`SessionError::BadCheckpoint`].
     ///
-    /// Only the `meta` section is decoded as a document; the node blobs
-    /// are decoded and applied one at a time by the same restore sequence
-    /// [`Session::restore`] runs, where it would read `env.nodes` — so
-    /// the two entry points validate alike and fail alike, and the fleet
-    /// never exists as a [`Json`] tree.
+    /// `env` and `driver` must be *freshly constructed* from the same
+    /// scenario and algorithm configuration that produced the checkpoint
+    /// (the checkpoint's `algorithm` and `tier` tags are verified). The
+    /// restored session continues byte-identically to the one that was
+    /// checkpointed. Only the `meta` section is decoded as a document;
+    /// the node blobs are decoded and applied one at a time, so the fleet
+    /// never exists as a [`Json`] tree. The membership flags are derived
+    /// from the fault plan's transitions the checkpoint says were
+    /// applied; stored flags that disagree are rejected.
     pub fn restore_bytes(
         env: &'a mut Environment,
         driver: Box<dyn SessionDriver + 'a>,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
         let (meta, blobs) = checkpoint::split_session_v3(bytes)?;
-        Session::restore_from(env, driver, &meta, NodeSource::Blobs(&blobs))
+        Session::restore_from(env, driver, &meta, &blobs)
     }
 
-    /// Rebuilds a session from a [`Session::checkpoint`] document.
-    ///
-    /// `env` and `driver` must be *freshly constructed* from the same
-    /// scenario and algorithm configuration that produced the checkpoint
-    /// (the checkpoint's `algorithm` tag is verified). The restored
-    /// session continues byte-identically to the one that was
-    /// checkpointed.
-    pub fn restore(
-        env: &'a mut Environment,
-        driver: Box<dyn SessionDriver + 'a>,
-        checkpoint: &Json,
-    ) -> Result<Self, SessionError> {
-        Session::restore_from(env, driver, checkpoint, NodeSource::Logical)
-    }
-
-    /// The one restore sequence behind [`Session::restore`] and
-    /// [`Session::restore_bytes`]: `nodes` says where the environment's
-    /// node objects come from; everything else is read from `checkpoint`.
+    /// The restore sequence behind [`Session::restore_bytes`]: the
+    /// environment's node objects come from `blobs`, everything else is
+    /// read from `checkpoint` (the container's `meta`).
     fn restore_from(
         env: &'a mut Environment,
         driver: Box<dyn SessionDriver + 'a>,
         checkpoint: &Json,
-        nodes: NodeSource<'_>,
+        blobs: &[&[u8]],
     ) -> Result<Self, SessionError> {
         let schema = checkpoint.field("schema")?.as_str()?;
         if schema != SESSION_CHECKPOINT_SCHEMA {
@@ -572,23 +551,36 @@ impl<'a> Session<'a> {
         let stop = StopCondition::from_json(checkpoint.field("stop")?)?;
         stop.validate()?;
         session.stop = stop;
-        session.env.restore_from(checkpoint.field("env")?, nodes)?;
-        let active: Vec<bool> = Vec::from_json(checkpoint.field("active")?)?;
-        if active.len() != session.env.num_nodes() {
-            return Err(SessionError::BadCheckpoint(format!(
-                "checkpoint has {} membership flags, environment has {} nodes",
-                active.len(),
-                session.env.num_nodes()
-            )));
-        }
-        for (i, a) in active.into_iter().enumerate() {
-            session.env.set_active(i, a);
-        }
+        session.env.restore_from(checkpoint.field("env")?, blobs)?;
         let next = usize::from_json(checkpoint.field("membership_next")?)?;
-        if next > session.membership.len() {
+        let Some(applied) = session.membership.get(..next) else {
             return Err(SessionError::BadCheckpoint(format!(
                 "checkpoint applied {next} membership events, plan has {}",
                 session.membership.len()
+            )));
+        };
+        // `apply_membership` is the flags' only writer, so they are the
+        // applied transitions replayed onto an all-active fleet; the
+        // stored copy is checked against that, never trusted.
+        for ev in applied {
+            session.env.set_active(ev.node, ev.up);
+        }
+        let stored: Vec<bool> = Vec::from_json(checkpoint.field("active")?)?;
+        if stored.len() != session.env.num_nodes() {
+            return Err(SessionError::BadCheckpoint(format!(
+                "checkpoint has {} membership flags, environment has {} nodes",
+                stored.len(),
+                session.env.num_nodes()
+            )));
+        }
+        let mut flags = stored.iter().zip(session.env.active_flags()).enumerate();
+        if let Some((i, (&stored, &derived))) = flags.find(|(_, (s, d))| s != d) {
+            let state = |up: bool| if up { "up" } else { "down" };
+            return Err(SessionError::BadCheckpoint(format!(
+                "checkpoint marks node {i} {}, but its {next} applied membership events leave \
+                 it {}",
+                state(stored),
+                state(derived)
             )));
         }
         session.membership_next = next;

@@ -7,7 +7,7 @@ use netmax_core::engine::{
     TrainConfig,
 };
 use netmax_core::netmax::{NetMax, NetMaxConfig};
-use netmax_json::{FromJson, Json, ToJson};
+use netmax_json::{codec, FromJson, Json, ToJson};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::{FaultPlan, NetworkKind, NodeFault, Straggler};
 
@@ -224,15 +224,9 @@ fn faulted_checkpoint_resume_is_byte_identical_mid_churn() {
     );
 }
 
-#[test]
-fn cross_tier_resume_is_rejected() {
-    use netmax_ml::NumericsTier;
-    // Record a strict-tier checkpoint, then try to resume it into a
-    // session configured for the fast tier (and vice versa): both must
-    // fail with a typed error naming the two tiers, because the resumed
-    // trajectory would belong to neither.
-    let strict_sc = scenario(31, FaultPlan::none());
-    let mut env = strict_sc.build_env();
+/// A v3 snapshot of `sc`'s NetMax session after 10 global steps.
+fn snapshot_after_ten_steps(sc: &Scenario) -> Vec<u8> {
+    let mut env = sc.build_env();
     let mut algo = netmax();
     let mut session = Session::new(&mut env, algo.driver()).unwrap();
     let mut steps = 0;
@@ -241,48 +235,55 @@ fn cross_tier_resume_is_rejected() {
             steps += 1;
         }
     }
-    let doc = session.checkpoint();
-    assert!(doc.pretty().contains("\"strict\""), "checkpoint must record its tier");
-    drop(session);
+    let mut bytes = Vec::new();
+    session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
+    bytes
+}
 
+#[test]
+fn cross_tier_resume_is_rejected() {
+    use netmax_ml::NumericsTier;
+    // A checkpoint resumed into a session configured for the other
+    // numerics tier must fail, in both directions, with a typed error
+    // naming the two tiers, because the resumed trajectory would belong
+    // to neither.
+    let strict_sc = scenario(31, FaultPlan::none());
     let mut fast_sc = scenario(31, FaultPlan::none());
     fast_sc.cfg_mut().tier = NumericsTier::Fast;
-    let mut env2 = fast_sc.build_env();
-    let mut algo2 = netmax();
-    let err = match Session::restore(&mut env2, algo2.driver(), &doc) {
-        Err(e) => e,
-        Ok(_) => panic!("strict checkpoint into a fast session must be rejected"),
+    let strict = snapshot_after_ten_steps(&strict_sc);
+    let fast = snapshot_after_ten_steps(&fast_sc);
+    let restore = |sc: &Scenario, bytes: &[u8]| {
+        let mut env = sc.build_env();
+        let mut algo = netmax();
+        Session::restore_bytes(&mut env, algo.driver(), bytes).map(|_| ())
     };
-    assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
-    assert!(err.to_string().contains("strict") && err.to_string().contains("fast"), "{err}");
-
-    // A fast-tier checkpoint resumes fine into a fast session; a
-    // document with no `tier` at all is rejected, never assumed strict.
-    let mut env3 = fast_sc.build_env();
-    let mut algo3 = netmax();
-    let mut session = Session::new(&mut env3, algo3.driver()).unwrap();
-    let mut steps = 0;
-    while steps < 10 {
-        if let StepEvent::GlobalStep { .. } = session.step() {
-            steps += 1;
-        }
+    for (sc, bytes) in [(&fast_sc, &strict), (&strict_sc, &fast)] {
+        let err = restore(sc, bytes).expect_err("a cross-tier resume must be rejected");
+        assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
+        assert!(err.to_string().contains("strict") && err.to_string().contains("fast"), "{err}");
     }
-    let fast_doc = session.checkpoint();
-    drop(session);
-    let mut env4 = fast_sc.build_env();
-    let mut algo4 = netmax();
-    assert!(Session::restore(&mut env4, algo4.driver(), &fast_doc).is_ok());
+    // Each resumes fine into its own tier.
+    restore(&strict_sc, &strict).expect("strict into strict");
+    restore(&fast_sc, &fast).expect("fast into fast");
 
-    let mut untiered = doc.clone();
-    if let Json::Obj(pairs) = &mut untiered {
+    // A container whose `meta` has no `tier` is rejected, never assumed
+    // strict.
+    let doc = codec::read_document(&strict).unwrap();
+    let mut meta = codec::decode_value(doc.require("meta").unwrap()).unwrap();
+    assert_eq!(meta.field("tier").unwrap().as_str().unwrap(), "strict");
+    if let Json::Obj(pairs) = &mut meta {
         pairs.retain(|(k, _)| k != "tier");
     }
-    let mut env5 = strict_sc.build_env();
-    let mut algo5 = netmax();
-    let err = match Session::restore(&mut env5, algo5.driver(), &untiered) {
-        Err(e) => e,
-        Ok(_) => panic!("a document without `tier` must be rejected"),
-    };
+    let mut meta_bytes = Vec::new();
+    codec::encode_value(&mut meta_bytes, &meta).unwrap();
+    let mut untiered = Vec::new();
+    codec::write_document(
+        &mut untiered,
+        doc.schema,
+        &[("meta", &meta_bytes), ("nodes", doc.require("nodes").unwrap())],
+    )
+    .unwrap();
+    let err = restore(&strict_sc, &untiered).expect_err("a checkpoint without `tier`");
     assert!(matches!(err, SessionError::BadCheckpoint(_)), "{err}");
     assert!(err.to_string().contains("tier"), "{err}");
 }

@@ -94,29 +94,39 @@ fn truncations(bytes: &[u8], sections: &[&str]) -> Vec<(String, Vec<u8>)> {
         .collect()
 }
 
-/// `base` with `key` dropped from its `meta` object.
-fn without_meta_key(base: &[u8], key: &str) -> Vec<u8> {
-    let doc = codec::read_document(base).unwrap();
-    let mut meta = codec::decode_value(doc.require("meta").unwrap()).unwrap();
-    let Json::Obj(pairs) = &mut meta else {
-        panic!("meta is an object")
-    };
-    let before = pairs.len();
-    pairs.retain(|(k, _)| k != key);
-    assert_eq!(pairs.len(), before - 1, "fixture has no `{key}`");
+/// The decoded `meta` section of a v3 snapshot.
+fn meta_of(base: &[u8]) -> Json {
+    codec::decode_value(codec::read_document(base).unwrap().require("meta").unwrap()).unwrap()
+}
+
+/// `base` with its `meta` section re-encoded from `meta`, and its
+/// `nodes` section kept.
+fn with_meta(base: &[u8], meta: &Json) -> Vec<u8> {
     let mut meta_bytes = Vec::new();
-    codec::encode_value(&mut meta_bytes, &meta).unwrap();
+    codec::encode_value(&mut meta_bytes, meta).unwrap();
     let mut out = Vec::new();
     codec::write_document(
         &mut out,
         SESSION_CHECKPOINT_SCHEMA_V3,
         &[
             ("meta", &meta_bytes),
-            ("nodes", doc.require("nodes").unwrap()),
+            ("nodes", codec::read_document(base).unwrap().require("nodes").unwrap()),
         ],
     )
     .unwrap();
     out
+}
+
+/// `base` with `key` dropped from its `meta` object.
+fn without_meta_key(base: &[u8], key: &str) -> Vec<u8> {
+    let mut meta = meta_of(base);
+    let Json::Obj(pairs) = &mut meta else {
+        panic!("meta is an object")
+    };
+    let before = pairs.len();
+    pairs.retain(|(k, _)| k != key);
+    assert_eq!(pairs.len(), before - 1, "fixture has no `{key}`");
+    with_meta(base, &meta)
 }
 
 /// The node blobs of a v3 snapshot's `nodes` section, in fleet order.
@@ -178,7 +188,7 @@ fn replaced(doc: &Json, path: &[&str], value: Json) -> Json {
     doc
 }
 
-/// The global step a logical session document was taken at.
+/// The global step a snapshot's `meta` was taken at.
 fn session_step(doc: &Json) -> u64 {
     doc.field("env")
         .and_then(|e| e.field("global_step")?.as_u64())
@@ -357,21 +367,9 @@ fn hostile_nmxb_is_always_a_typed_error() {
         ));
     }
     // The `nodes` section is the container's only node source.
-    let mut logical_meta = Vec::new();
-    codec::encode_value(&mut logical_meta, &logical).unwrap();
-    let mut two_sources = Vec::new();
-    codec::write_document(
-        &mut two_sources,
-        SESSION_CHECKPOINT_SCHEMA_V3,
-        &[
-            ("meta", &logical_meta),
-            ("nodes", codec::read_document(&base).unwrap().require("nodes").unwrap()),
-        ],
-    )
-    .unwrap();
     rows.push((
         "a v3 whose meta carries env.nodes beside the `nodes` section".into(),
-        Row::Restore(two_sources),
+        Row::Restore(with_meta(&base, &logical)),
     ));
 
     for (what, row) in rows {
@@ -391,71 +389,50 @@ fn hostile_nmxb_is_always_a_typed_error() {
         }
     }
 
-    // Well-formed containers around a logical document that is wrong:
-    // what the error must name.
-    let v3_tag = Json::Str(SESSION_CHECKPOINT_SCHEMA_V3.into());
+    // Well-formed containers whose `meta` is wrong: what the error must
+    // name.
+    let meta = meta_of(&base);
     let small_tracker = EmaTimeTracker::for_fleet(WORKERS - 1, 0.5).checkpoint();
     let large_policy = SparsePolicy::identity(WORKERS + 1).checkpoint();
     // The restored FIFO order hangs on the queue's sequence numbers.
-    let entries = logical
+    let entries = meta
         .field("driver")
         .and_then(|d| d.field("queue")?.field("entries")?.as_arr())
         .expect("the driver checkpoints its queue");
     let with_first_seq = |seq: &Json| {
         let mut entries = entries.to_vec();
         entries[0] = replaced(&entries[0], &["seq"], seq.clone());
-        replaced(&logical, &["driver", "queue", "entries"], Json::Arr(entries))
+        replaced(&meta, &["driver", "queue", "entries"], Json::Arr(entries))
     };
     // The recorder's cadence counter and its last sample move together,
     // and never past the environment's step counter.
-    let samples = logical
+    let samples = meta
         .field("recorder")
         .and_then(|r| r.field("samples")?.as_arr())
         .expect("the recorder checkpoints its samples");
-    let ahead = Json::Int(i128::from(session_step(&logical)) + 1);
+    let ahead = Json::Int(i128::from(session_step(&meta)) + 1);
     let mut future_samples = samples.to_vec();
     let last = future_samples.last_mut().expect("the fixture has sampled");
     *last = replaced(last, &["global_step"], ahead.clone());
     let recorder_ahead = replaced(
-        &replaced(&logical, &["recorder", "samples"], Json::Arr(future_samples)),
+        &replaced(&meta, &["recorder", "samples"], Json::Arr(future_samples)),
         &["recorder", "last_recorded_step"],
         ahead.clone(),
     );
-    let mut without_nodes = logical.clone();
-    if let Json::Obj(pairs) = &mut without_nodes {
-        for (key, env) in pairs {
-            if let (true, Json::Obj(env)) = (key == "env", env) {
-                env.retain(|(k, _)| k != "nodes");
-            }
-        }
-    }
-    let documents = [
-        // The logical document is its own node source: without one it is
-        // an error, never a restore that silently skips the fleet.
-        (
-            "a logical document without env.nodes",
-            without_nodes,
-            "missing field `nodes`",
-        ),
-        // The logical document is only accepted under the v2 tag — the v3
-        // tag names the container, not the document inside it.
-        (
-            "the logical document under the v3 tag",
-            replaced(&logical, &["schema"], v3_tag),
-            SESSION_CHECKPOINT_SCHEMA_V3,
-        ),
+    let one_down = Json::Arr([true, false, true, true].map(Json::Bool).to_vec());
+    let metas = [
         // Driver state that is sound in itself but another fleet's: it
         // used to restore, then index past the policy's rows in
         // `sample_peer` or trip the generator's shape assert at the first
         // monitor round.
         (
             "a tracker smaller than the fleet",
-            replaced(&logical, &["driver", "behavior", "tracker"], small_tracker),
+            replaced(&meta, &["driver", "behavior", "tracker"], small_tracker),
             "tracker is for 3 nodes, environment has 4",
         ),
         (
             "a policy larger than the fleet",
-            replaced(&logical, &["driver", "behavior", "policy"], large_policy),
+            replaced(&meta, &["driver", "behavior", "policy"], large_policy),
             "policy is for 5 nodes, environment has 4",
         ),
         // `seq + 1` used to overflow: a panic in the dev profile, and in
@@ -481,14 +458,24 @@ fn hostile_nmxb_is_always_a_typed_error() {
         ),
         (
             "a cadence counter that is not the last sample's step",
-            replaced(&logical, &["recorder", "last_recorded_step"], ahead),
+            replaced(&meta, &["recorder", "last_recorded_step"], ahead),
             "but last_recorded_step is",
         ),
+        // The flags are what the applied membership events leave: these
+        // used to be applied as stored, so the resumed run silently
+        // trained a three-node fleet.
+        (
+            "a node down that no applied membership event took down",
+            replaced(
+                &replaced(&meta, &["active"], one_down),
+                &["membership_next"],
+                Json::Int(0),
+            ),
+            "checkpoint marks node 1 down, but its 0 applied membership events leave it up",
+        ),
     ];
-    for (what, document, needle) in documents {
-        let mut env = sc.build_env();
-        let mut algo = NetMax::paper_default(0.05);
-        match Session::restore(&mut env, algo.driver(), &document).map(|_| ()) {
+    for (what, meta, needle) in metas {
+        match restore(&with_meta(&base, &meta)) {
             Err(SessionError::BadCheckpoint(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
             other => panic!("{what}: expected BadCheckpoint, got {other:?}"),
         }

@@ -4,7 +4,7 @@
 //! determinism guarantee over random scenarios.
 
 use netmax_core::engine::{
-    decode_session_v3, reconstruct_chain, Algorithm, CheckpointScratch,
+    reconstruct_chain, Algorithm, CheckpointScratch,
     Scenario, Session, StepEvent, TrainConfig,
 };
 use netmax_core::gossip_matrix::{build_y, node_probabilities};
@@ -211,10 +211,8 @@ proptest! {
         );
     }
 
-    /// The two restore entry points are one restore sequence: restoring a
-    /// container's bytes (node blobs decoded one at a time) and restoring
-    /// its decoded logical document leave sessions whose next snapshots
-    /// are identical — and identical to the bytes restored from.
+    /// A restore leaves exactly the state that was snapshotted: the
+    /// restored session's next snapshot is the bytes it was restored from.
     #[test]
     fn restore_bytes_equals_restoring_the_decoded_document(
         sc in small_scenario(),
@@ -238,14 +236,6 @@ proptest! {
             .unwrap()
             .checkpoint_binary(&mut CheckpointScratch::new(), &mut from_bytes)
             .unwrap();
-        let mut from_document = Vec::new();
-        let mut algo2 = netmax_algo();
-        let mut env2 = sc.build_env();
-        Session::restore(&mut env2, algo2.driver(), &decode_session_v3(&bytes).unwrap())
-            .unwrap()
-            .checkpoint_binary(&mut CheckpointScratch::new(), &mut from_document)
-            .unwrap();
-        prop_assert_eq!(&from_bytes, &from_document);
         prop_assert_eq!(&from_bytes, &bytes);
     }
 }
@@ -255,13 +245,12 @@ proptest! {
 
     /// The binary checkpoint guarantees, over random scenarios and
     /// suspend points:
-    /// 1. decoding yields exactly the v2 logical document,
-    /// 2. a base + delta chain reconstructs **bit-identically** to a
+    /// 1. a base + delta chain reconstructs **bit-identically** to a
     ///    fresh full snapshot taken at the chain's end; a delta taken `g`
     ///    gossip steps after the previous snapshot re-serializes between
     ///    1 and `g` nodes, and is smaller than a full snapshot of the
     ///    same state whenever it leaves a node out, and
-    /// 3. restoring from the reconstructed bytes resumes to a report
+    /// 2. restoring from the reconstructed bytes resumes to a report
     ///    byte-identical to the uninterrupted run.
     #[test]
     fn binary_checkpoints_and_delta_chains_are_bit_exact(
@@ -277,16 +266,11 @@ proptest! {
             }
         }
 
-        // (1) decode ≡ logical v2 document.
         let mut scratch = CheckpointScratch::new();
         let mut base = Vec::new();
         session.checkpoint_binary(&mut scratch, &mut base).unwrap();
-        prop_assert_eq!(
-            decode_session_v3(&base).unwrap().to_string(),
-            session.checkpoint().to_string()
-        );
 
-        // (2) run on, emitting a delta every few steps; the replayed
+        // (1) run on, emitting a delta every few steps; the replayed
         // chain must equal a fresh full snapshot bit-for-bit.
         let mut deltas = Vec::new();
         let mut fresh = Vec::new();
@@ -322,7 +306,7 @@ proptest! {
         let rebuilt = reconstruct_chain(&base, &deltas).unwrap();
         prop_assert_eq!(&rebuilt, &fresh);
 
-        // (3) the reconstructed bytes restore and finish identically to
+        // (2) the reconstructed bytes restore and finish identically to
         // the uninterrupted run.
         let full_report = session.run();
         let mut algo2 = netmax_algo();

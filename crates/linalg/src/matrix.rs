@@ -45,15 +45,6 @@ impl Matrix {
         Self { rows: rows.len(), cols, data }
     }
 
-    /// Creates a matrix from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "from_vec: length mismatch");
-        Self { rows, cols, data }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

@@ -5,7 +5,7 @@
 //! each epoch boundary, which is both what the reference PyTorch loaders
 //! do and what keeps epoch accounting exact.
 
-use netmax_json::{codec, CodecError, FromJson, Json, JsonError, ToJson};
+use netmax_json::{codec, CodecError, FromJson, Json, JsonError};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -77,27 +77,13 @@ impl BatchSampler {
         self.batch_size
     }
 
-    /// Serializes the sampler's full state — the current shuffle order,
-    /// cursor, epoch counters, and RNG stream — for checkpoint/resume.
-    /// [`BatchSampler::restore`] rebuilds a sampler whose future draws are
-    /// byte-identical to this one's.
-    pub fn checkpoint(&self) -> Json {
-        Json::obj([
-            ("indices", self.indices.to_json()),
-            ("batch_size", self.batch_size.to_json()),
-            ("cursor", self.cursor.to_json()),
-            ("epoch", self.epoch.to_json()),
-            ("samples_drawn", self.samples_drawn.to_json()),
-            ("rng", self.rng.state().to_vec().to_json()),
-        ])
-    }
-
-    /// Streams the sampler's checkpoint state into `out` in the binary
-    /// codec's wire form — byte-identical to
-    /// `codec::encode_value(out, &self.checkpoint())` but without
-    /// materializing the intermediate [`Json`] (no per-snapshot
-    /// allocation beyond `out`'s own growth). The field layout knowledge
-    /// stays here, next to [`BatchSampler::checkpoint`].
+    /// Streams the sampler's full state — the current shuffle order,
+    /// cursor, epoch counters, and RNG stream — into `out` in the binary
+    /// codec's wire form, for checkpoint/resume: one object, straight from
+    /// the typed state (no intermediate [`Json`], no allocation beyond
+    /// `out`'s own growth). [`BatchSampler::restore`] rebuilds, from the
+    /// decoded object, a sampler whose future draws are byte-identical to
+    /// this one's.
     pub fn encode_checkpoint_into(&self, out: &mut Vec<u8>) -> Result<(), CodecError> {
         codec::write_obj_header(out, 6)?;
         codec::write_key(out, "indices")?;
@@ -114,7 +100,8 @@ impl BatchSampler {
         codec::write_u64_slice(out, &self.rng.state())
     }
 
-    /// Rebuilds a sampler from [`BatchSampler::checkpoint`] state.
+    /// Rebuilds a sampler from the decoded object
+    /// [`BatchSampler::encode_checkpoint_into`] writes.
     pub fn restore(state: &Json) -> Result<Self, JsonError> {
         let indices: Vec<usize> = Vec::from_json(state.field("indices")?)?;
         if indices.is_empty() {
@@ -184,10 +171,9 @@ mod tests {
         for _ in 0..9 {
             a.next_batch();
         }
-        let state = a.checkpoint();
-        let text = state.to_string();
-        let mut b =
-            BatchSampler::restore(&netmax_json::Json::parse(&text).unwrap()).unwrap();
+        let mut bytes = Vec::new();
+        a.encode_checkpoint_into(&mut bytes).unwrap();
+        let mut b = BatchSampler::restore(&codec::decode_value(&bytes).unwrap()).unwrap();
         assert_eq!(b.epochs_elapsed(), a.epochs_elapsed());
         for _ in 0..20 {
             assert_eq!(a.next_batch(), b.next_batch());
@@ -196,14 +182,24 @@ mod tests {
 
     #[test]
     fn binary_encode_matches_generic_codec_on_checkpoint_json() {
+        use netmax_json::ToJson;
         let mut s = BatchSampler::new((0..23).collect(), 4, 7);
         for _ in 0..9 {
             s.next_batch();
         }
         let mut typed = Vec::new();
         s.encode_checkpoint_into(&mut typed).unwrap();
+        // The same state, spelled out as the Json object `restore` reads.
+        let document = Json::obj([
+            ("indices", s.indices.to_json()),
+            ("batch_size", s.batch_size.to_json()),
+            ("cursor", s.cursor.to_json()),
+            ("epoch", s.epoch.to_json()),
+            ("samples_drawn", s.samples_drawn.to_json()),
+            ("rng", s.rng.state().to_vec().to_json()),
+        ]);
         let mut generic = Vec::new();
-        codec::encode_value(&mut generic, &s.checkpoint()).unwrap();
+        codec::encode_value(&mut generic, &document).unwrap();
         assert_eq!(typed, generic);
         // And the decoded bytes restore an identical sampler.
         let mut back = BatchSampler::restore(&codec::decode_value(&typed).unwrap()).unwrap();

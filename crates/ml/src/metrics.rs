@@ -389,35 +389,6 @@ pub fn top_k_accuracy_softmax(
     correct as f64 / data.len() as f64
 }
 
-/// Confusion matrix: `confusion[(true, predicted)]` counts.
-pub fn confusion_matrix(model: &dyn Model, data: &Dataset) -> Vec<Vec<usize>> {
-    let c = data.num_classes();
-    let mut m = vec![vec![0usize; c]; c];
-    for i in 0..data.len() {
-        let t = data.label(i) as usize;
-        let p = (model.predict(data.feature(i)) as usize).min(c - 1);
-        m[t][p] += 1;
-    }
-    m
-}
-
-/// Per-class recall from a confusion matrix (NaN-free: classes with no
-/// examples report 0).
-pub fn per_class_recall(confusion: &[Vec<usize>]) -> Vec<f64> {
-    confusion
-        .iter()
-        .enumerate()
-        .map(|(t, row)| {
-            let total: usize = row.iter().sum();
-            if total == 0 {
-                0.0
-            } else {
-                row[t] as f64 / total as f64
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod extended_metric_tests {
     use super::*;
@@ -460,27 +431,5 @@ mod extended_metric_tests {
         // And top-1 must agree with the generic accuracy.
         let a1 = accuracy(&m, &test);
         assert!((t1 - a1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn confusion_matrix_row_sums_match_class_counts() {
-        let (m, test) = trained();
-        let conf = confusion_matrix(&m, &test);
-        let hist = test.class_histogram();
-        for (t, row) in conf.iter().enumerate() {
-            assert_eq!(row.iter().sum::<usize>(), hist[t]);
-        }
-        // Diagonal dominance after training (better than chance).
-        let diag: usize = (0..5).map(|c| conf[c][c]).sum();
-        assert!(diag as f64 / test.len() as f64 > 0.4);
-    }
-
-    #[test]
-    fn per_class_recall_bounds() {
-        let (m, test) = trained();
-        let conf = confusion_matrix(&m, &test);
-        for r in per_class_recall(&conf) {
-            assert!((0.0..=1.0).contains(&r));
-        }
     }
 }
