@@ -117,12 +117,25 @@ fn restore_bytes_equals_restoring_the_decoded_document() {
 #[test]
 fn resume_after_every_event_is_byte_identical() {
     type MakeAlgo = fn() -> Box<dyn Algorithm>;
-    let cases: [(&str, MakeAlgo, &[&str]); 3] = [
+    let cases: [(&str, MakeAlgo, &[&str]); 4] = [
         (
             "netmax",
             || {
                 let mut cfg = NetMaxConfig::paper_default(ALPHA);
                 cfg.monitor.period_s = 1.0;
+                Box::new(NetMax::new(cfg))
+            },
+            &["step", "sampled", "monitor", "down", "up"],
+        ),
+        (
+            // Four rounds a second: node 1's outage spans masked rounds
+            // whose inputs repeat, and a round that reuses the last solve
+            // is not checkpointed, so resumes land before, between and
+            // after reused masked rounds.
+            "netmax-reused-masked",
+            || {
+                let mut cfg = NetMaxConfig::paper_default(ALPHA);
+                cfg.monitor.period_s = 0.25;
                 Box::new(NetMax::new(cfg))
             },
             &["step", "sampled", "monitor", "down", "up"],

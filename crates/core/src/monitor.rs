@@ -206,12 +206,31 @@ impl MonitorConfig {
 pub struct NetworkMonitor {
     cfg: MonitorConfig,
     rounds: u64,
+    last: Option<LastSolve>,
+}
+
+/// The inputs and output of the last generator call: everything the pure
+/// search reads besides the monitor's fixed config.
+#[derive(Debug, Clone)]
+struct LastSolve {
+    alpha: f64,
+    active: Vec<bool>,
+    times: EdgeTimes,
+    result: Option<SparsePolicyResult>,
+}
+
+impl LastSolve {
+    fn solved(&self, alpha: f64, active: &[bool], times: &EdgeTimes) -> bool {
+        self.alpha.to_bits() == alpha.to_bits()
+            && self.active == active
+            && self.times.bit_eq(times)
+    }
 }
 
 impl NetworkMonitor {
     /// Creates a monitor.
     pub fn new(cfg: MonitorConfig) -> Self {
-        Self { cfg, rounds: 0 }
+        Self { cfg, rounds: 0, last: None }
     }
 
     /// The configured period `Ts`.
@@ -258,6 +277,12 @@ impl NetworkMonitor {
     /// Returns `None` (keeping the previous policy) when coverage is too
     /// poor, fewer than two live nodes remain, the live subgraph is
     /// disconnected, or the search finds no feasible candidate.
+    ///
+    /// A round past those gates whose α, mask and edge times equal the
+    /// previous generator call's bit for bit returns that call's output
+    /// again: the search is a pure function of them and of the fixed
+    /// config, so the reuse is exact, and the cache is not checkpointed —
+    /// a restored monitor re-solves to the same bits.
     pub fn round(
         &mut self,
         tracker: &EmaTimeTracker,
@@ -266,58 +291,77 @@ impl NetworkMonitor {
         active: &[bool],
     ) -> Option<SparsePolicyResult> {
         self.rounds += 1;
-        let search = PolicySearchConfig { alpha: current_alpha, ..self.cfg.search.clone() };
-        if active.iter().all(|&a| a) {
-            // Until workers have touched a reasonable share of their links
-            // the pessimistic fill dominates and the LP would chase noise.
-            if tracker.coverage(topo) < 0.5 {
-                return None;
-            }
-            let times = tracker.edge_times_for(topo);
-            return PolicyGenerator::new(search).generate_sparse(&times, topo);
-        }
-
-        // Masked round: compact the live nodes via neighbour lists,
+        let n = topo.len();
+        // Masked rounds compact the live nodes via neighbour lists,
         // optimise over their subgraph, and expand back to fleet indices
         // with identity rows for the dead.
-        let n = topo.len();
-        assert_eq!(active.len(), n, "active mask/topology node count mismatch");
-        let idx: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
-        if idx.len() < 2 {
-            return None;
-        }
-        let mut pos = vec![usize::MAX; n];
-        for (a, &i) in idx.iter().enumerate() {
-            pos[i] = a;
-        }
-        let mut sub = Topology::empty(idx.len());
-        for (a, &i) in idx.iter().enumerate() {
-            for &j in topo.neighbors(i) {
-                if j > i && active[j] {
-                    sub.set_edge(a, pos[j], true);
+        let live = if active.iter().all(|&a| a) {
+            None
+        } else {
+            assert_eq!(active.len(), n, "active mask/topology node count mismatch");
+            let idx: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
+            if idx.len() < 2 {
+                return None;
+            }
+            let mut pos = vec![usize::MAX; n];
+            for (a, &i) in idx.iter().enumerate() {
+                pos[i] = a;
+            }
+            let mut sub = Topology::empty(idx.len());
+            for (a, &i) in idx.iter().enumerate() {
+                for &j in topo.neighbors(i) {
+                    if j > i && active[j] {
+                        sub.set_edge(a, pos[j], true);
+                    }
                 }
             }
-        }
-        if !sub.is_connected() {
+            if !sub.is_connected() {
+                return None;
+            }
+            Some((idx, pos, sub))
+        };
+        // Until workers have touched a reasonable share of their links
+        // the pessimistic fill dominates and the LP would chase noise.
+        if tracker.coverage_over(topo, live.is_some().then_some(active)) < 0.5 {
             return None;
         }
-        if tracker.coverage_over(topo, Some(active)) < 0.5 {
-            return None;
+        let times = tracker.edge_times_for(topo);
+        if let Some(last) = self.last.as_ref().filter(|l| l.solved(current_alpha, active, &times))
+        {
+            return last.result.clone();
         }
-        let full = tracker.edge_times_for(topo);
-        let rows: Vec<Vec<(usize, f64)>> = idx
-            .iter()
-            .map(|&i| {
-                full.row(i)
+        let generator = PolicyGenerator::new(PolicySearchConfig {
+            alpha: current_alpha,
+            ..self.cfg.search.clone()
+        });
+        let result = match &live {
+            None => generator.generate_sparse(&times, topo),
+            Some((idx, pos, sub)) => {
+                let rows = idx
                     .iter()
-                    .filter(|&&(j, _)| active[j])
-                    .map(|&(j, t)| (pos[j], t))
-                    .collect()
-            })
-            .collect();
-        let times = EdgeTimes::from_rows(idx.len(), rows);
-        let result = PolicyGenerator::new(search).generate_sparse(&times, &sub)?;
-        Some(SparsePolicyResult { policy: result.policy.expanded(&idx, n), ..result })
+                    .map(|&i| {
+                        times
+                            .row(i)
+                            .iter()
+                            .filter(|&&(j, _)| active[j])
+                            .map(|&(j, t)| (pos[j], t))
+                            .collect()
+                    })
+                    .collect();
+                let compact = EdgeTimes::from_rows(idx.len(), rows);
+                generator.generate_sparse(&compact, sub).map(|result| SparsePolicyResult {
+                    policy: result.policy.expanded(idx, n),
+                    ..result
+                })
+            }
+        };
+        self.last = Some(LastSolve {
+            alpha: current_alpha,
+            active: active.to_vec(),
+            times,
+            result: result.clone(),
+        });
+        result
     }
 }
 
@@ -569,5 +613,143 @@ mod tests {
         assert!(mon
             .round(&tracker, &Topology::ring(4), 0.1, &[true, false, true, false])
             .is_none());
+    }
+
+    /// Every field of two round results, floats compared by bits.
+    fn assert_same_bits(a: &SparsePolicyResult, b: &SparsePolicyResult) {
+        let bits = |r: &SparsePolicyResult| {
+            let rows: Vec<Vec<(usize, u64)>> = (0..r.policy.len())
+                .map(|i| r.policy.row(i).iter().map(|&(j, p)| (j, p.to_bits())).collect())
+                .collect();
+            let floats = [r.rho, r.lambda2, r.t_bar, r.t_convergence].map(f64::to_bits);
+            (rows, floats, r.lambda2_iterations, r.exact_solves)
+        };
+        assert_eq!(bits(a), bits(b));
+    }
+
+    /// Runs a round with a marker planted in the cached result: `true`
+    /// when the round handed the cached result back instead of solving.
+    fn reuses(
+        mon: &mut NetworkMonitor,
+        tracker: &EmaTimeTracker,
+        topo: &Topology,
+        alpha: f64,
+        active: &[bool],
+    ) -> bool {
+        let cached = mon.last.as_mut().and_then(|l| l.result.as_mut()).expect("a cached policy");
+        let rho = std::mem::replace(&mut cached.rho, -1.0);
+        let reused = mon.round(tracker, topo, alpha, active).expect("a policy").rho == -1.0;
+        if reused {
+            mon.last.as_mut().and_then(|l| l.result.as_mut()).expect("kept").rho = rho;
+        }
+        reused
+    }
+
+    #[test]
+    fn repeated_round_returns_the_fresh_round_bit_for_bit() {
+        let topo = Topology::fully_connected(6);
+        let tracker = two_triad_tracker();
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("policy");
+        assert!(reuses(&mut mon, &tracker, &topo, 0.1, &[true; 6]));
+        let again = mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("reused policy");
+        assert_eq!(mon.rounds(), 3);
+        let fresh = NetworkMonitor::new(MonitorConfig::paper_default(0.1))
+            .round(&tracker, &topo, 0.1, &[true; 6])
+            .expect("fresh policy");
+        assert_same_bits(&again, &fresh);
+    }
+
+    #[test]
+    fn every_input_of_the_search_invalidates_the_reuse() {
+        let topo = Topology::fully_connected(6);
+        let all = [true; 6];
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+
+        // One edge time one ulp away.
+        let mut tracker = two_triad_tracker();
+        mon.round(&tracker, &topo, 0.1, &all).expect("policy");
+        let t = tracker.times.get_mut(&(0, 1)).expect("observed");
+        *t = f64::from_bits(t.to_bits() + 1);
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.1, &all));
+        assert!(reuses(&mut mon, &tracker, &topo, 0.1, &all));
+
+        // A new learning rate.
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.05, &all));
+        assert!(reuses(&mut mon, &tracker, &topo, 0.05, &all));
+
+        // Node 5 down, then back up.
+        let mut down = all;
+        down[5] = false;
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.05, &down));
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.05, &all));
+        assert!(reuses(&mut mon, &tracker, &topo, 0.05, &all));
+
+        // A link first observed after the last solve: its pessimistic
+        // fill (the worst time, 1.0) gives way to its fast time.
+        let mut tracker = EmaTimeTracker::for_fleet(6, 0.5);
+        for i in 0..6 {
+            for m in (0..6).filter(|&m| m != i && (i, m) != (0, 1) && (i, m) != (1, 0)) {
+                tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
+            }
+        }
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.1, &all));
+        assert!(reuses(&mut mon, &tracker, &topo, 0.1, &all));
+        tracker.record(0, 1, 0.1);
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.1, &all));
+    }
+
+    #[test]
+    fn the_coverage_gate_runs_before_the_reuse() {
+        // Uniform times: the pessimistic fill equals every observed time,
+        // so the edge list is the same below and above the gate.
+        let topo = Topology::fully_connected(4);
+        let pairs: Vec<(usize, usize)> =
+            (0..4).flat_map(|i| (0..4).filter(move |&m| m != i).map(move |m| (i, m))).collect();
+        let observed = |k: usize| {
+            let mut tracker = EmaTimeTracker::for_fleet(4, 0.5);
+            for &(i, m) in &pairs[..k] {
+                tracker.record(i, m, 1.0);
+            }
+            tracker
+        };
+        let (below, above, full) = (observed(5), observed(7), observed(12));
+        assert!(below.edge_times_for(&topo).bit_eq(&full.edge_times_for(&topo)));
+
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        assert!(mon.round(&below, &topo, 0.1, &[true; 4]).is_none());
+        assert!(mon.last.is_none(), "a gated round must not be cached");
+        mon.round(&above, &topo, 0.1, &[true; 4]).expect("policy above the gate");
+        // A cached solve on the same edge list must not lift the gate.
+        assert!(mon.round(&below, &topo, 0.1, &[true; 4]).is_none());
+        assert!(reuses(&mut mon, &full, &topo, 0.1, &[true; 4]));
+    }
+
+    #[test]
+    fn masked_round_reuses_only_under_the_same_mask() {
+        let topo = Topology::fully_connected(6);
+        let tracker = two_triad_tracker();
+        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
+        let mut down5 = [true; 6];
+        down5[5] = false;
+        let mut down4 = [true; 6];
+        down4[4] = false;
+        mon.round(&tracker, &topo, 0.1, &down5).expect("masked policy");
+        assert!(reuses(&mut mon, &tracker, &topo, 0.1, &down5));
+        let again = mon.round(&tracker, &topo, 0.1, &down5).expect("reused policy");
+        let fresh = NetworkMonitor::new(MonitorConfig::paper_default(0.1))
+            .round(&tracker, &topo, 0.1, &down5)
+            .expect("fresh policy");
+        assert_same_bits(&again, &fresh);
+        assert!(!reuses(&mut mon, &tracker, &topo, 0.1, &down4));
+        assert_eq!(mon.last.as_ref().map(|l| l.active.as_slice()), Some(&down4[..]));
+    }
+
+    #[test]
+    fn edge_times_compare_by_bits() {
+        let zero = EdgeTimes::from_rows(2, vec![vec![(1, 0.0)], vec![(0, 1.0)]]);
+        let neg = EdgeTimes::from_rows(2, vec![vec![(1, -0.0)], vec![(0, 1.0)]]);
+        assert!(zero.bit_eq(&zero.clone()));
+        assert!(!zero.bit_eq(&neg), "−0.0 and 0.0 are different inputs");
     }
 }

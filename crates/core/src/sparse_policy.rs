@@ -166,6 +166,18 @@ impl EdgeTimes {
     pub fn row(&self, i: usize) -> &[(usize, f64)] {
         &self.rows[i]
     }
+
+    /// Same edges and the same time bits on each: unlike `==` on `f64`,
+    /// −0.0 and 0.0 differ.
+    pub(crate) fn bit_eq(&self, other: &Self) -> bool {
+        let same = |&(j, s): &(usize, f64), &(k, t): &(usize, f64)| {
+            j == k && s.to_bits() == t.to_bits()
+        };
+        self.n == other.n
+            && self.rows.iter().zip(&other.rows).all(|(a, b)| {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y))
+            })
+    }
 }
 
 /// A row-stochastic communication policy stored over the edge set — the
