@@ -8,7 +8,6 @@
 //!   monitored variant ([`AdPsgd::monitored`]) steers its selection
 //!   probabilities with a NetMax Network Monitor, reproducing §III-D and
 //!   the §V-H experiment.
-//! * [`GoSgd`] — gossip SGD with weighted averaging \[12, 17\].
 //! * [`AllreduceSgd`] — synchronous ring-allreduce SGD \[8\].
 //! * [`Prague`] — randomized partial-allreduce groups \[14\].
 //! * [`ParameterServer`] — centralized PSGD in synchronous
@@ -16,8 +15,6 @@
 //!   ([`ParameterServer::asynchronous`]) flavours (§V-G).
 //! * [`SapsPsgd`] — the fixed initially-fast-subgraph strategy of
 //!   SAPS-PSGD \[15\], the §I foil for NetMax's dynamic adaptation.
-//! * [`BoundedStaleness`] — Hop/Gaia-style staleness-bounded gossip
-//!   \[3, 25\], whose fleet-wide stalls under slow links §VI criticises.
 //!
 //! All of them run on the same engine, network simulator, and workloads
 //! as NetMax, so every comparison in the figure harnesses is apples to
@@ -27,17 +24,13 @@
 
 pub mod ad_psgd;
 pub mod allreduce;
-pub mod bounded_staleness;
 pub mod collectives;
-pub mod gosgd;
 pub mod param_server;
 pub mod prague;
 pub mod saps;
 
 pub use ad_psgd::AdPsgd;
 pub use allreduce::AllreduceSgd;
-pub use bounded_staleness::BoundedStaleness;
-pub use gosgd::GoSgd;
 pub use param_server::ParameterServer;
 pub use prague::Prague;
 pub use saps::SapsPsgd;
@@ -55,13 +48,11 @@ pub fn algorithm_for(kind: AlgorithmKind, alpha: f64) -> Box<dyn Algorithm> {
         AlgorithmKind::NetMaxUniform => Box::new(NetMax::new(NetMaxConfig::uniform(alpha))),
         AlgorithmKind::AdPsgd => Box::new(AdPsgd::new()),
         AlgorithmKind::AdPsgdMonitored => Box::new(AdPsgd::monitored(alpha)),
-        AlgorithmKind::GoSgd => Box::new(GoSgd::new(0.5)),
         AlgorithmKind::AllreduceSgd => Box::new(AllreduceSgd::new()),
         AlgorithmKind::Prague => Box::new(Prague::new(4)),
         AlgorithmKind::PsSync => Box::new(ParameterServer::synchronous()),
         AlgorithmKind::PsAsync => Box::new(ParameterServer::asynchronous()),
         AlgorithmKind::SapsPsgd => Box::new(SapsPsgd::paper_default()),
-        AlgorithmKind::BoundedStaleness => Box::new(BoundedStaleness::new(8)),
     }
 }
 
@@ -71,19 +62,7 @@ mod tests {
 
     #[test]
     fn all_kinds_instantiate() {
-        for kind in [
-            AlgorithmKind::NetMax,
-            AlgorithmKind::NetMaxUniform,
-            AlgorithmKind::AdPsgd,
-            AlgorithmKind::AdPsgdMonitored,
-            AlgorithmKind::GoSgd,
-            AlgorithmKind::AllreduceSgd,
-            AlgorithmKind::Prague,
-            AlgorithmKind::PsSync,
-            AlgorithmKind::PsAsync,
-            AlgorithmKind::SapsPsgd,
-            AlgorithmKind::BoundedStaleness,
-        ] {
+        for kind in AlgorithmKind::all() {
             let algo = algorithm_for(kind, 0.1);
             assert!(!algo.name().is_empty());
         }

@@ -11,9 +11,7 @@
 //! in uniform (monitor-off) mode — monitor rounds allocate by design,
 //! bounded per round, not per step.
 
-use netmax_baselines::{
-    AdPsgd, AllreduceSgd, BoundedStaleness, GoSgd, ParameterServer, Prague, SapsPsgd,
-};
+use netmax_baselines::{AdPsgd, AllreduceSgd, ParameterServer, Prague, SapsPsgd};
 use netmax_core::engine::{Algorithm, Scenario, Session, StepEvent, StopCondition, TrainConfig};
 use netmax_core::{NetMax, NetMaxConfig};
 use netmax_ml::workload::WorkloadSpec;
@@ -103,11 +101,6 @@ fn ad_psgd_steady_state_is_allocation_free() {
 }
 
 #[test]
-fn gosgd_steady_state_is_allocation_free() {
-    assert_driver_alloc_free(&mut GoSgd::new(0.5), 100, 400);
-}
-
-#[test]
 fn saps_steady_state_is_allocation_free() {
     assert_driver_alloc_free(&mut SapsPsgd::paper_default(), 100, 400);
 }
@@ -115,11 +108,6 @@ fn saps_steady_state_is_allocation_free() {
 #[test]
 fn netmax_uniform_steady_state_is_allocation_free() {
     assert_driver_alloc_free(&mut NetMax::new(NetMaxConfig::uniform(0.05)), 100, 400);
-}
-
-#[test]
-fn bounded_staleness_steady_state_is_allocation_free() {
-    assert_driver_alloc_free(&mut BoundedStaleness::new(4), 100, 400);
 }
 
 #[test]

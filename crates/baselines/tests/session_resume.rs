@@ -247,7 +247,7 @@ fn restore_rejects_algorithm_mismatch() {
         }
         snapshot(&session)
     };
-    let mut other = algorithm_for(AlgorithmKind::GoSgd, ALPHA);
+    let mut other = algorithm_for(AlgorithmKind::SapsPsgd, ALPHA);
     let mut env2 = sc.build_env();
     let err = match Session::restore_bytes(&mut env2, other.driver(), &bytes) {
         Err(e) => e,

@@ -196,6 +196,20 @@ mod tests {
     }
 
     #[test]
+    fn every_algorithm_kind_is_run_by_some_spec() {
+        let run: BTreeSet<_> = registry(Mode::Tiny)
+            .iter()
+            .flat_map(|s| s.arms.iter().map(|a| a.algorithm.name()))
+            .collect();
+        let missing: Vec<_> = AlgorithmKind::all()
+            .into_iter()
+            .map(|k| k.name())
+            .filter(|n| !run.contains(n))
+            .collect();
+        assert!(missing.is_empty(), "no registry spec runs {missing:?}");
+    }
+
+    #[test]
     fn per_server_counts_hold_for_registered_worker_counts() {
         use netmax_core::engine::scenario::per_server_counts;
         let counts: BTreeSet<usize> =

@@ -1,6 +1,6 @@
 //! The asynchronous gossip driver.
 //!
-//! NetMax, AD-PSGD, GoSGD, and SAPS-PSGD share the same execution
+//! NetMax, AD-PSGD, and SAPS-PSGD share the same execution
 //! skeleton (§III-B): every worker loops { pick a peer, pull its model
 //! while computing local gradients, apply the two-step update }, entirely
 //! asynchronously. [`GossipDriver`] implements that skeleton once over the
@@ -15,13 +15,11 @@
 //! Scheduling of a worker's *next* iteration is deferred to the driver
 //! advance that follows its completion event. That keeps the RNG draw for
 //! peer selection on the far side of the session's stop check — exactly
-//! where the classic blocking loop made it — so step-wise execution,
-//! checkpoint/resume, and the old `run_gossip` all consume byte-identical
-//! random streams.
+//! where the classic blocking loop made it — so step-wise execution and
+//! checkpoint/resume consume byte-identical random streams.
 
 use super::environment::Environment;
-use super::recorder::RunReport;
-use super::session::{DriverEvent, Session, SessionDriver, SessionError};
+use super::session::{DriverEvent, SessionDriver, SessionError};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_net::EventQueue;
 use std::collections::BTreeSet;
@@ -73,8 +71,9 @@ pub trait GossipBehavior {
     }
 
     /// Restores state captured by [`GossipBehavior::checkpoint_state`].
-    /// Runs after [`GossipBehavior::on_start`] rebuilt derived state, so
-    /// stateless behaviors need no override. Default: no-op.
+    /// Runs after [`GossipBehavior::on_start`] rebuilt derived state, so a
+    /// behavior whose state `on_start` rebuilds (SAPS-PSGD's subgraph)
+    /// needs no override. Default: no-op.
     fn restore_state(&mut self, _env: &Environment, _state: &Json) -> Result<(), JsonError> {
         Ok(())
     }
@@ -259,11 +258,6 @@ impl<B: GossipBehavior> GossipDriver<B> {
             pending_next: None,
             started: false,
         }
-    }
-
-    /// The wrapped behavior.
-    pub fn behavior(&self) -> &B {
-        &self.behavior
     }
 
     /// Starts node `i`'s next iteration: selects a peer at the node's
@@ -462,35 +456,27 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
     }
 }
 
-/// Runs an asynchronous gossip algorithm to completion and returns its
-/// report — the blocking convenience over [`Session`] +
-/// [`GossipDriver`].
-///
-/// # Panics
-/// Panics if the behavior/config combination fails session validation
-/// (use [`Session::new`] directly for a typed error).
-pub fn run_gossip<B: GossipBehavior>(
-    behavior: &mut B,
-    env: &mut Environment,
-    name: &str,
-) -> RunReport {
-    let driver = GossipDriver::new(behavior, name);
-    let mut session = Session::new(env, Box::new(driver))
-        .unwrap_or_else(|e| panic!("invalid gossip session: {e}"));
-    session.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::config::TrainConfig;
-    use crate::engine::session::StepEvent;
+    use crate::engine::recorder::RunReport;
+    use crate::engine::session::{Session, StepEvent};
     use crate::engine::stop::StopCondition;
     use netmax_json::ToJson;
     use netmax_ml::partition::Partition;
     use netmax_ml::workload::Workload;
     use netmax_net::{ElasticNetwork, LinkQuality, Topology};
     use rand::Rng;
+
+    fn run_gossip<B: GossipBehavior>(
+        behavior: &mut B,
+        env: &mut Environment,
+        name: &str,
+    ) -> RunReport {
+        let driver = GossipDriver::new(behavior, name);
+        Session::new(env, Box::new(driver)).unwrap().run()
+    }
 
     /// Minimal AD-PSGD-like behavior for driver tests: uniform neighbour,
     /// half-half averaging.

@@ -16,7 +16,7 @@
 //!   [`SessionDriver`], [`StepEvent`], checkpoint/resume.
 //! * [`stop`] — serializable [`StopCondition`] expressions.
 //! * [`gossip`] — the asynchronous gossip driver shared by NetMax,
-//!   AD-PSGD, GoSGD, and SAPS-PSGD ([`GossipBehavior`]).
+//!   AD-PSGD, and SAPS-PSGD ([`GossipBehavior`]).
 //! * [`scenario`] — declarative experiment construction
 //!   ([`ScenarioBuilder`]).
 
@@ -36,8 +36,8 @@ pub use checkpoint::{
 pub use config::{ExecutionMode, TrainConfig};
 pub use environment::{Environment, NodeState};
 pub use gossip::{
-    check_node_index, purge_events, queue_from_json, queue_to_json, run_gossip, GossipBehavior,
-    GossipDriver, PeerChoice,
+    check_node_index, purge_events, queue_from_json, queue_to_json, GossipBehavior, GossipDriver,
+    PeerChoice,
 };
 pub use recorder::{reference_sample, PairCount, Recorder, RunReport, Sample};
 pub use scenario::{PartitionKind, Scenario, ScenarioBuilder, TopologyKind};
@@ -90,8 +90,6 @@ pub enum AlgorithmKind {
     AdPsgd,
     /// AD-PSGD steered by a NetMax Network Monitor (§III-D / §V-H).
     AdPsgdMonitored,
-    /// Gossip SGD with weighted push-pull averaging \[12, 17\].
-    GoSgd,
     /// Synchronous ring-allreduce SGD \[8\].
     AllreduceSgd,
     /// Prague: randomized partial-allreduce groups \[14\].
@@ -102,8 +100,6 @@ pub enum AlgorithmKind {
     PsAsync,
     /// SAPS-PSGD: fixed initially-fast-subgraph gossip \[15\].
     SapsPsgd,
-    /// Hop/Gaia-style staleness-bounded gossip \[3, 25\].
-    BoundedStaleness,
 }
 
 impl AlgorithmKind {
@@ -114,13 +110,11 @@ impl AlgorithmKind {
             AlgorithmKind::NetMaxUniform => "NetMax-uniform",
             AlgorithmKind::AdPsgd => "AD-PSGD",
             AlgorithmKind::AdPsgdMonitored => "AD-PSGD+Monitor",
-            AlgorithmKind::GoSgd => "GoSGD",
             AlgorithmKind::AllreduceSgd => "Allreduce",
             AlgorithmKind::Prague => "Prague",
             AlgorithmKind::PsSync => "PS-syn",
             AlgorithmKind::PsAsync => "PS-asyn",
             AlgorithmKind::SapsPsgd => "SAPS-PSGD",
-            AlgorithmKind::BoundedStaleness => "Bounded-staleness",
         }
     }
 
@@ -135,19 +129,17 @@ impl AlgorithmKind {
     }
 
     /// Every algorithm kind, in paper order.
-    pub fn all() -> [AlgorithmKind; 11] {
+    pub fn all() -> [AlgorithmKind; 9] {
         [
             AlgorithmKind::NetMax,
             AlgorithmKind::NetMaxUniform,
             AlgorithmKind::AdPsgd,
             AlgorithmKind::AdPsgdMonitored,
-            AlgorithmKind::GoSgd,
             AlgorithmKind::AllreduceSgd,
             AlgorithmKind::Prague,
             AlgorithmKind::PsSync,
             AlgorithmKind::PsAsync,
             AlgorithmKind::SapsPsgd,
-            AlgorithmKind::BoundedStaleness,
         ]
     }
 
@@ -158,13 +150,11 @@ impl AlgorithmKind {
             AlgorithmKind::NetMaxUniform => "netmax-uniform",
             AlgorithmKind::AdPsgd => "ad-psgd",
             AlgorithmKind::AdPsgdMonitored => "ad-psgd-monitor",
-            AlgorithmKind::GoSgd => "gosgd",
             AlgorithmKind::AllreduceSgd => "allreduce",
             AlgorithmKind::Prague => "prague",
             AlgorithmKind::PsSync => "ps-sync",
             AlgorithmKind::PsAsync => "ps-async",
             AlgorithmKind::SapsPsgd => "saps-psgd",
-            AlgorithmKind::BoundedStaleness => "bounded-staleness",
         }
     }
 
@@ -185,5 +175,23 @@ impl FromJson for AlgorithmKind {
         let name = v.as_str()?;
         AlgorithmKind::by_name(name)
             .ok_or_else(|| JsonError::schema(format!("unknown algorithm `{name}`")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn algorithm_kinds_round_trip_and_old_names_are_schema_errors() {
+        for kind in AlgorithmKind::all() {
+            assert_eq!(AlgorithmKind::by_name(kind.name()), Some(kind));
+            assert_eq!(AlgorithmKind::from_json(&kind.to_json()).unwrap(), kind);
+        }
+        for name in ["gosgd", "bounded-staleness"] {
+            assert_eq!(AlgorithmKind::by_name(name), None);
+            let err = AlgorithmKind::from_json(&Json::Str(name.into())).unwrap_err();
+            assert_eq!(err.to_string(), format!("json schema error: unknown algorithm `{name}`"));
+        }
     }
 }

@@ -361,75 +361,3 @@ mod tests {
         assert!((mean - (la + lb) / 2.0).abs() < 1e-9);
     }
 }
-
-/// Top-k classification accuracy (the standard ImageNet-style metric):
-/// a prediction counts if the true label is among the k highest-scoring
-/// classes.
-///
-/// Requires a scoring model: implemented for [`crate::model::SoftmaxRegression`]
-/// (probabilities) via [`top_k_accuracy_softmax`]; generic models fall
-/// back to top-1 through [`accuracy`].
-pub fn top_k_accuracy_softmax(
-    model: &crate::model::SoftmaxRegression,
-    data: &Dataset,
-    k: usize,
-) -> f64 {
-    assert!(k >= 1 && k <= data.num_classes(), "k out of range");
-    assert!(!data.is_empty(), "top-k over empty dataset");
-    let mut correct = 0usize;
-    for i in 0..data.len() {
-        let probs = model.probabilities(data.feature(i));
-        let y = data.label(i) as usize;
-        // Rank of the true class: count strictly-greater scores.
-        let rank = probs.iter().filter(|&&p| p > probs[y]).count();
-        if rank < k {
-            correct += 1;
-        }
-    }
-    correct as f64 / data.len() as f64
-}
-
-#[cfg(test)]
-mod extended_metric_tests {
-    use super::*;
-    use crate::datasets::{gaussian_mixture, MixtureSpec};
-    use crate::model::SoftmaxRegression;
-    use crate::optim::{SgdConfig, SgdState};
-
-    fn trained() -> (SoftmaxRegression, Dataset) {
-        let (train, test) = gaussian_mixture(
-            MixtureSpec {
-                num_classes: 5,
-                dim: 8,
-                train_n: 300,
-                test_n: 150,
-                mean_scale: 1.2,
-                noise: 0.8,
-            },
-            9,
-        );
-        let mut m = SoftmaxRegression::new(8, 5, 1);
-        let cfg = SgdConfig::plain(0.5);
-        let mut st = SgdState::new(m.num_params());
-        let mut scratch = Scratch::new();
-        let all: Vec<usize> = (0..train.len()).collect();
-        for _ in 0..100 {
-            m.loss_grad_scratch(&train, &all, &mut scratch);
-            st.step(&cfg, cfg.lr, m.params_mut(), &scratch.grad);
-        }
-        (m, test)
-    }
-
-    #[test]
-    fn top_k_is_monotone_in_k() {
-        let (m, test) = trained();
-        let t1 = top_k_accuracy_softmax(&m, &test, 1);
-        let t2 = top_k_accuracy_softmax(&m, &test, 2);
-        let t5 = top_k_accuracy_softmax(&m, &test, 5);
-        assert!(t1 <= t2 && t2 <= t5, "{t1} {t2} {t5}");
-        assert!((t5 - 1.0).abs() < 1e-12, "top-C accuracy must be exactly 1");
-        // And top-1 must agree with the generic accuracy.
-        let a1 = accuracy(&m, &test);
-        assert!((t1 - a1).abs() < 1e-12);
-    }
-}

@@ -350,7 +350,7 @@ pub fn dist_sq_lanes(
 }
 
 /// In-place convex blend `x = (1 - w) * x + w * y` — the gossip averaging
-/// step used by AD-PSGD/GoSGD and NetMax's second update.
+/// step used by AD-PSGD, SAPS-PSGD and NetMax's second update.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.

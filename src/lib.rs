@@ -13,7 +13,7 @@
 //! * [`ml`] — models, optimisers, synthetic datasets, and partitioners.
 //! * [`core`] — NetMax itself: consensus SGD, the Network Monitor, the
 //!   communication-policy generator, and the simulation engine.
-//! * [`baselines`] — AD-PSGD, Allreduce-SGD, Prague, GoSGD, and
+//! * [`baselines`] — AD-PSGD, Allreduce-SGD, Prague, SAPS-PSGD, and
 //!   parameter-server baselines.
 //!
 //! ## Quickstart
@@ -102,9 +102,7 @@ pub use netmax_net as net;
 
 /// Convenience re-exports covering the common experiment-driving surface.
 pub mod prelude {
-    pub use netmax_baselines::{
-        algorithm_for, AdPsgd, AllreduceSgd, GoSgd, ParameterServer, Prague,
-    };
+    pub use netmax_baselines::{algorithm_for, AdPsgd, AllreduceSgd, ParameterServer, Prague};
     pub use netmax_core::engine::{
         Algorithm, AlgorithmKind, PartitionKind, RunReport, Sample, Scenario, ScenarioBuilder,
         Session, SessionError, StepEvent, StopCondition, TrainConfig,

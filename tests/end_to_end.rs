@@ -82,7 +82,6 @@ fn all_algorithms_converge_to_similar_accuracy() {
         AlgorithmKind::NetMax,
         AlgorithmKind::AdPsgd,
         AlgorithmKind::AdPsgdMonitored,
-        AlgorithmKind::GoSgd,
         AlgorithmKind::AllreduceSgd,
         AlgorithmKind::Prague,
         AlgorithmKind::PsSync,
@@ -110,7 +109,7 @@ fn consensus_diameter_contracts_after_transient() {
     // gossip terms contract them again (Theorem 1's consensus claim).
     // The check: the final diameter sits well below the mid-run peak.
     let sc = hetero_scenario(8.0, 11);
-    for kind in [AlgorithmKind::NetMax, AlgorithmKind::AdPsgd, AlgorithmKind::GoSgd] {
+    for kind in [AlgorithmKind::NetMax, AlgorithmKind::AdPsgd] {
         let mut algo = algorithm_for(kind, 0.1);
         let r = sc.run_with(algo.as_mut());
         let peak = r
