@@ -7,72 +7,37 @@
 //!
 //! AD-PSGD+Monitor (§V-H): the same averaging rule, but neighbour
 //! selection follows the probabilities produced by a NetMax Network
-//! Monitor. The paper finds this cuts wall-clock time below plain AD-PSGD
-//! but converges slightly slower per epoch than NetMax because the merge
+//! Monitor — the same [`Steering`] NetMax owns, run by the gossip driver.
+//! The paper finds this cuts wall-clock time below plain AD-PSGD but
+//! converges slightly slower per epoch than NetMax because the merge
 //! weight stays at 1/2 instead of NetMax's `αργ_{i,m}` compensation —
 //! this implementation reproduces exactly that difference.
 
 use netmax_core::engine::{
     Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver,
 };
-use netmax_core::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
-use netmax_core::SparsePolicy;
-use netmax_json::{FromJson, Json, JsonError, ToJson};
+use netmax_core::monitor::{MonitorConfig, Steering};
 
 /// AD-PSGD, optionally steered by a Network Monitor.
 pub struct AdPsgd {
-    monitored: bool,
-    monitor_cfg: Option<MonitorConfig>,
-    monitor: Option<NetworkMonitor>,
-    tracker: Option<EmaTimeTracker>,
-    policy: Option<SparsePolicy>,
-    policies_applied: u64,
+    steering: Option<Steering>,
 }
 
 impl AdPsgd {
     /// Plain AD-PSGD: uniform neighbour selection.
     pub fn new() -> Self {
-        Self {
-            monitored: false,
-            monitor_cfg: None,
-            monitor: None,
-            tracker: None,
-            policy: None,
-            policies_applied: 0,
-        }
+        Self { steering: None }
     }
 
     /// AD-PSGD with a NetMax Network Monitor steering neighbour selection
-    /// (§III-D); `alpha` seeds the policy search.
-    pub fn monitored(alpha: f64) -> Self {
-        Self::monitored_with(MonitorConfig::paper_default(alpha))
-    }
-
-    /// Monitored AD-PSGD with an explicit monitor configuration.
+    /// (§III-D).
     pub fn monitored_with(cfg: MonitorConfig) -> Self {
-        Self {
-            monitored: true,
-            monitor_cfg: Some(cfg),
-            monitor: None,
-            tracker: None,
-            policy: None,
-            policies_applied: 0,
-        }
+        Self { steering: Some(Steering::new(cfg)) }
     }
 
     /// Number of policies applied in the last run (monitored mode).
     pub fn policies_applied(&self) -> u64 {
-        self.policies_applied
-    }
-
-    fn reset(&mut self, n: usize) {
-        if self.monitored {
-            let cfg = self.monitor_cfg.clone().expect("monitored without config");
-            self.tracker = Some(EmaTimeTracker::for_fleet(n, cfg.beta));
-            self.monitor = Some(NetworkMonitor::new(cfg));
-        }
-        self.policy = None;
-        self.policies_applied = 0;
+        self.steering.as_ref().map_or(0, Steering::policies_applied)
     }
 }
 
@@ -83,20 +48,11 @@ impl Default for AdPsgd {
 }
 
 impl GossipBehavior for AdPsgd {
-    fn on_start(&mut self, env: &mut Environment) {
-        self.reset(env.num_nodes());
-    }
-
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
-        if let Some(policy) = &self.policy {
-            // Monitor-steered selection: the sampler NetMax uses.
-            policy.sample_peer(env, i)
-        } else {
-            match env.sample_active_neighbor(i) {
-                Some(m) => PeerChoice::Peer(m),
-                // Every neighbour is down: a gradient-only iteration.
-                None => PeerChoice::SelfStep,
-            }
+        match env.sample_active_neighbor(i) {
+            Some(m) => PeerChoice::Peer(m),
+            // Every neighbour is down: a gradient-only iteration.
+            None => PeerChoice::SelfStep,
         }
     }
 
@@ -107,81 +63,18 @@ impl GossipBehavior for AdPsgd {
         netmax_ml::params::blend(0.5, env.nodes[i].model.params_mut(), pulled);
     }
 
-    fn on_iteration(&mut self, _env: &Environment, i: usize, peer: Option<usize>, t: f64) {
-        if let (Some(tracker), Some(m)) = (self.tracker.as_mut(), peer) {
-            tracker.record(i, m, t);
-        }
+    fn steering(&self) -> Option<&Steering> {
+        self.steering.as_ref()
     }
 
-    fn monitor_period(&self) -> Option<f64> {
-        if self.monitored {
-            self.monitor_cfg.as_ref().map(|c| c.period_s)
-        } else {
-            None
-        }
-    }
-
-    fn on_monitor(&mut self, env: &mut Environment, _now: f64) {
-        let (Some(monitor), Some(tracker)) = (self.monitor.as_mut(), self.tracker.as_ref())
-        else {
-            return;
-        };
-        let alpha = env.workload.optim.lr_at(env.mean_epoch());
-        if let Some(res) = monitor.round(tracker, &env.topology, alpha, env.active_flags()) {
-            self.policy = Some(res.policy);
-            self.policies_applied += 1;
-        }
-    }
-
-    fn checkpoint_state(&self) -> Json {
-        Json::obj([
-            (
-                "tracker",
-                match &self.tracker {
-                    Some(t) => t.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "monitor",
-                match &self.monitor {
-                    Some(m) => m.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "policy",
-                match &self.policy {
-                    Some(p) => p.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            ("policies_applied", self.policies_applied.to_json()),
-        ])
-    }
-
-    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
-        let n = env.num_nodes();
-        self.tracker = match state.field("tracker")? {
-            Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t, n)?),
-        };
-        if let (Some(monitor), m @ Json::Obj(_)) = (self.monitor.as_mut(), state.field("monitor")?)
-        {
-            monitor.restore(m)?;
-        }
-        self.policy = match state.field("policy")? {
-            Json::Null => None,
-            p => Some(SparsePolicy::restore(p, n)?),
-        };
-        self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
-        Ok(())
+    fn steering_mut(&mut self) -> Option<&mut Steering> {
+        self.steering.as_mut()
     }
 }
 
 impl Algorithm for AdPsgd {
     fn name(&self) -> &'static str {
-        if self.monitored {
+        if self.steering.is_some() {
             "ad-psgd+monitor"
         } else {
             "ad-psgd"
@@ -221,10 +114,10 @@ mod tests {
 
     #[test]
     fn monitored_variant_applies_policies() {
-        let mut algo = AdPsgd::monitored(0.05);
-        if let Some(cfg) = algo.monitor_cfg.as_mut() {
-            cfg.period_s = 2.0;
-        }
+        let mut algo = AdPsgd::monitored_with(MonitorConfig {
+            period_s: 2.0,
+            ..MonitorConfig::paper_default(0.05)
+        });
         let _ = scenario(2).run_with(&mut algo);
         assert!(algo.policies_applied() > 0, "monitor never produced a policy");
     }

@@ -5,7 +5,7 @@
 //!
 //! * [`AdPsgd`] — asynchronous decentralized PSGD (Lian et al. \[11\]):
 //!   uniform random neighbour selection, half-half model averaging. The
-//!   monitored variant ([`AdPsgd::monitored`]) steers its selection
+//!   monitored variant ([`AdPsgd::monitored_with`]) steers its selection
 //!   probabilities with a NetMax Network Monitor, reproducing §III-D and
 //!   the §V-H experiment.
 //! * [`AllreduceSgd`] — synchronous ring-allreduce SGD \[8\].
@@ -36,6 +36,7 @@ pub use prague::Prague;
 pub use saps::SapsPsgd;
 
 use netmax_core::engine::{Algorithm, AlgorithmKind};
+use netmax_core::monitor::MonitorConfig;
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 
 /// Instantiates any of the paper's algorithms by kind.
@@ -45,9 +46,9 @@ use netmax_core::netmax::{NetMax, NetMaxConfig};
 pub fn algorithm_for(kind: AlgorithmKind, alpha: f64) -> Box<dyn Algorithm> {
     match kind {
         AlgorithmKind::NetMax => Box::new(NetMax::new(NetMaxConfig::paper_default(alpha))),
-        AlgorithmKind::NetMaxUniform => Box::new(NetMax::new(NetMaxConfig::uniform(alpha))),
+        AlgorithmKind::NetMaxUniform => Box::new(NetMax::new(NetMaxConfig::uniform())),
         AlgorithmKind::AdPsgd => Box::new(AdPsgd::new()),
-        AlgorithmKind::AdPsgdMonitored => Box::new(AdPsgd::monitored(alpha)),
+        AlgorithmKind::AdPsgdMonitored => Box::new(AdPsgd::monitored_with(MonitorConfig::paper_default(alpha))),
         AlgorithmKind::AllreduceSgd => Box::new(AllreduceSgd::new()),
         AlgorithmKind::Prague => Box::new(Prague::new(4)),
         AlgorithmKind::PsSync => Box::new(ParameterServer::synchronous()),

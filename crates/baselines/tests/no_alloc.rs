@@ -107,7 +107,7 @@ fn saps_steady_state_is_allocation_free() {
 
 #[test]
 fn netmax_uniform_steady_state_is_allocation_free() {
-    assert_driver_alloc_free(&mut NetMax::new(NetMaxConfig::uniform(0.05)), 100, 400);
+    assert_driver_alloc_free(&mut NetMax::new(NetMaxConfig::uniform()), 100, 400);
 }
 
 #[test]

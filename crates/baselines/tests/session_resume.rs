@@ -5,18 +5,23 @@
 //! run. Checkpoints travel as NMXB bytes — what the CLI writes to disk is
 //! what must restore.
 
-use netmax_baselines::algorithm_for;
+use netmax_baselines::{algorithm_for, AdPsgd};
 use netmax_core::engine::{
-    Algorithm, AlgorithmKind, CheckpointScratch, Scenario, Session, StepEvent, StopCondition,
-    TrainConfig,
+    Algorithm, AlgorithmKind, CheckpointScratch, Scenario, Session, SessionError, StepEvent,
+    StopCondition, TrainConfig,
 };
 use netmax_core::netmax::{NetMax, NetMaxConfig};
-use netmax_core::monitor::EmaTimeTracker;
+use netmax_core::monitor::{EmaTimeTracker, MonitorConfig};
 use netmax_json::{codec, Json, ToJson};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::{FaultPlan, NetworkKind, NodeFault};
 
 const ALPHA: f64 = 0.05;
+
+/// The paper's monitor, run every `period_s` simulated seconds.
+fn monitor_every(period_s: f64) -> MonitorConfig {
+    MonitorConfig { period_s, ..MonitorConfig::paper_default(ALPHA) }
+}
 
 fn scenario(kind: AlgorithmKind) -> Scenario {
     // Heterogeneous dynamic network: the hardest regime (time-varying
@@ -109,7 +114,7 @@ fn restore_bytes_equals_restoring_the_decoded_document() {
 }
 
 /// Resume after *every* event of a small faulted run: gossip steps and
-/// monitor rounds (NetMax), synchronous rounds (Allreduce) and the
+/// monitor rounds (NetMax, AD-PSGD+Monitor), synchronous rounds (Allreduce) and the
 /// server's own event queue (PS-async), each through a crash, a rejoin
 /// and the recorder's samples. Every snapshot must restore to a session
 /// that re-snapshots to the same bytes and finishes with the
@@ -117,13 +122,14 @@ fn restore_bytes_equals_restoring_the_decoded_document() {
 #[test]
 fn resume_after_every_event_is_byte_identical() {
     type MakeAlgo = fn() -> Box<dyn Algorithm>;
-    let cases: [(&str, MakeAlgo, &[&str]); 4] = [
+    let cases: [(&str, MakeAlgo, &[&str]); 5] = [
         (
             "netmax",
             || {
-                let mut cfg = NetMaxConfig::paper_default(ALPHA);
-                cfg.monitor.period_s = 1.0;
-                Box::new(NetMax::new(cfg))
+                Box::new(NetMax::new(NetMaxConfig {
+                    monitor: Some(monitor_every(1.0)),
+                    ..NetMaxConfig::paper_default(ALPHA)
+                }))
             },
             &["step", "sampled", "monitor", "down", "up"],
         ),
@@ -134,10 +140,16 @@ fn resume_after_every_event_is_byte_identical() {
             // after reused masked rounds.
             "netmax-reused-masked",
             || {
-                let mut cfg = NetMaxConfig::paper_default(ALPHA);
-                cfg.monitor.period_s = 0.25;
-                Box::new(NetMax::new(cfg))
+                Box::new(NetMax::new(NetMaxConfig {
+                    monitor: Some(monitor_every(0.25)),
+                    ..NetMaxConfig::paper_default(ALPHA)
+                }))
             },
+            &["step", "sampled", "monitor", "down", "up"],
+        ),
+        (
+            "ad-psgd-monitor",
+            || Box::new(AdPsgd::monitored_with(monitor_every(1.0))),
             &["step", "sampled", "monitor", "down", "up"],
         ),
         (
@@ -256,47 +268,76 @@ fn restore_rejects_algorithm_mismatch() {
     assert!(err.to_string().contains("ad-psgd"), "{err}");
 }
 
-#[test]
-fn restore_rejects_monitor_state_of_another_fleet_size() {
-    // AD-PSGD+Monitor restores the tracker and policy NetMax does, through
-    // its own `restore_state`: a tracker sized for three nodes used to
-    // restore into this four-node fleet and assert at the next `record`.
+/// An AD-PSGD+Monitor checkpoint after ten events.
+fn monitored_adpsgd_checkpoint() -> Vec<u8> {
     let kind = AlgorithmKind::AdPsgdMonitored;
-    let sc = scenario(kind);
     let mut algo = algorithm_for(kind, ALPHA);
-    let mut env = sc.build_env();
-    let bytes = {
-        let mut session = Session::new(&mut env, algo.driver()).unwrap();
-        for _ in 0..10 {
-            session.step();
-        }
-        snapshot(&session)
-    };
-    // The same container with the tracker in its `meta` section swapped.
-    let doc = codec::read_document(&bytes).unwrap();
+    let mut env = scenario(kind).build_env();
+    let mut session = Session::new(&mut env, algo.driver()).unwrap();
+    for _ in 0..10 {
+        session.step();
+    }
+    snapshot(&session)
+}
+
+/// `bytes` with the value at `path` in its `meta` section replaced.
+fn with_meta_value(bytes: &[u8], path: &[&str], value: Json) -> Vec<u8> {
+    let doc = codec::read_document(bytes).unwrap();
     let mut meta = codec::decode_value(doc.require("meta").unwrap()).unwrap();
     let mut at = &mut meta;
-    for key in ["driver", "behavior", "tracker"] {
+    for key in path {
         let Json::Obj(pairs) = at else { panic!("`{key}` sits in an object") };
         at = &mut pairs.iter_mut().find(|(k, _)| k == key).expect("checkpoint field").1;
     }
-    *at = EmaTimeTracker::for_fleet(3, 0.5).checkpoint();
+    *at = value;
     let mut meta_bytes = Vec::new();
     codec::encode_value(&mut meta_bytes, &meta).unwrap();
-    let mut foreign = Vec::new();
+    let mut out = Vec::new();
     codec::write_document(
-        &mut foreign,
+        &mut out,
         doc.schema,
         &[("meta", &meta_bytes), ("nodes", doc.require("nodes").unwrap())],
     )
     .unwrap();
-    let mut other = algorithm_for(kind, ALPHA);
-    let mut env2 = sc.build_env();
-    let err = match Session::restore_bytes(&mut env2, other.driver(), &foreign) {
-        Err(e) => e,
-        Ok(_) => panic!("a three-node tracker must not restore into a four-node fleet"),
-    };
+    out
+}
+
+/// Restores `bytes` into a fresh AD-PSGD+Monitor session.
+fn restore_monitored_adpsgd(bytes: &[u8]) -> Result<(), SessionError> {
+    let kind = AlgorithmKind::AdPsgdMonitored;
+    let mut algo = algorithm_for(kind, ALPHA);
+    let mut env = scenario(kind).build_env();
+    Session::restore_bytes(&mut env, algo.driver(), bytes).map(|_| ())
+}
+
+#[test]
+fn restore_rejects_monitor_state_of_another_fleet_size() {
+    // AD-PSGD+Monitor restores the tracker and policy NetMax does: a
+    // tracker sized for three nodes used to restore into this four-node
+    // fleet and assert at the next `record`.
+    let foreign = with_meta_value(
+        &monitored_adpsgd_checkpoint(),
+        &["driver", "steering", "tracker"],
+        EmaTimeTracker::for_fleet(3, 0.5).checkpoint(),
+    );
+    let err = restore_monitored_adpsgd(&foreign)
+        .expect_err("a three-node tracker must not restore into a four-node fleet");
     assert!(err.to_string().contains("tracker is for 3 nodes, environment has 4"), "{err}");
+}
+
+#[test]
+fn restore_rejects_a_monitored_adpsgd_checkpoint_without_its_monitor() {
+    // A `null` monitor used to be skipped, so the resumed run counted its
+    // monitor rounds from zero again.
+    let bytes = monitored_adpsgd_checkpoint();
+    restore_monitored_adpsgd(&bytes).expect("the intact checkpoint restores");
+    let headless = with_meta_value(&bytes, &["driver", "steering", "monitor"], Json::Null);
+    match restore_monitored_adpsgd(&headless) {
+        Err(SessionError::BadCheckpoint(msg)) => {
+            assert!(msg.contains("missing field `rounds`"), "{msg}")
+        }
+        other => panic!("expected BadCheckpoint, got {other:?}"),
+    }
 }
 
 #[test]

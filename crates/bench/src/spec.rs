@@ -91,14 +91,14 @@ impl Arm {
                 Some(w) => MergeWeighting::Fixed(w),
                 None => base.weighting,
             };
-            NetMaxConfig { monitor: monitor.clone(), weighting, ..base }
+            NetMaxConfig { monitor: base.monitor.map(|_| monitor.clone()), weighting }
         };
         match self.algorithm {
             AlgorithmKind::NetMax => {
                 Box::new(NetMax::new(netmax_cfg(NetMaxConfig::paper_default(alpha))))
             }
             AlgorithmKind::NetMaxUniform => {
-                Box::new(NetMax::new(netmax_cfg(NetMaxConfig::uniform(alpha))))
+                Box::new(NetMax::new(netmax_cfg(NetMaxConfig::uniform())))
             }
             AlgorithmKind::AdPsgdMonitored => Box::new(AdPsgd::monitored_with(monitor)),
             other => algorithm_for(other, alpha),

@@ -6,7 +6,9 @@
 //! asynchronously. [`GossipDriver`] implements that skeleton once over the
 //! virtual clock as a step-wise [`SessionDriver`]; the algorithms differ
 //! only in *how peers are selected* and *how pulled parameters are
-//! merged* — the two required methods of [`GossipBehavior`].
+//! merged* — the two required methods of [`GossipBehavior`] — and in
+//! whether a Network Monitor ([`Steering`]) steers the selection, which
+//! the driver then runs for them.
 //!
 //! Staleness is modelled faithfully: the parameters a worker merges are
 //! whatever its peer holds at the *completion* time of the pull, exactly
@@ -20,6 +22,7 @@
 
 use super::environment::Environment;
 use super::session::{DriverEvent, SessionDriver, SessionError};
+use crate::monitor::Steering;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_net::EventQueue;
 use std::collections::BTreeSet;
@@ -37,45 +40,31 @@ pub enum PeerChoice {
 /// Algorithm-specific hooks plugged into the gossip driver.
 pub trait GossipBehavior {
     /// Chooses the peer node `i` communicates with this iteration
-    /// (Algorithm 2 line 9).
+    /// (Algorithm 2 line 9) while the arm has no monitor policy; once its
+    /// [`Steering`] holds one, the driver samples from that instead.
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice;
 
     /// Merges the pulled parameters into node `i`'s replica
     /// (Algorithm 2 lines 13–15 for NetMax; plain averaging for AD-PSGD).
     fn merge(&mut self, env: &mut Environment, i: usize, m: usize, pulled: &[f32]);
 
-    /// Called once before the first iteration is scheduled; the place for
-    /// warm-up work (probing links, resetting trackers). Must not draw
-    /// from the environment's RNG streams — restore re-runs it to rebuild
-    /// derived state before overwriting with the checkpoint.
+    /// Called once before the first iteration is scheduled, and again on
+    /// restore; the place for warm-up work (SAPS-PSGD's link probe). Must
+    /// not draw from the environment's RNG streams, and what it builds
+    /// must be a function of the scenario alone: nothing of it is
+    /// checkpointed.
     fn on_start(&mut self, _env: &mut Environment) {}
 
-    /// Called after node `i` completes an iteration, with the realised
-    /// iteration time (drives the EMA of Algorithm 2 line 16).
-    fn on_iteration(&mut self, _env: &Environment, _i: usize, _peer: Option<usize>, _t: f64) {}
-
-    /// If `Some(Ts)`, a Network-Monitor event fires every `Ts` simulated
-    /// seconds (Algorithm 1's collection period).
-    fn monitor_period(&self) -> Option<f64> {
+    /// The arm's Network Monitor, if it has one. The driver feeds it every
+    /// realised iteration time, runs a round every `Ts` simulated seconds,
+    /// samples peers from its policy once one exists, and checkpoints it.
+    fn steering(&self) -> Option<&Steering> {
         None
     }
 
-    /// Handles a Network-Monitor firing (collect times, regenerate and
-    /// disseminate the policy).
-    fn on_monitor(&mut self, _env: &mut Environment, _now: f64) {}
-
-    /// Serializes algorithm-internal mutable state (policies, trackers,
-    /// counters) for checkpointing. Default: no state (`Json::Null`).
-    fn checkpoint_state(&self) -> Json {
-        Json::Null
-    }
-
-    /// Restores state captured by [`GossipBehavior::checkpoint_state`].
-    /// Runs after [`GossipBehavior::on_start`] rebuilt derived state, so a
-    /// behavior whose state `on_start` rebuilds (SAPS-PSGD's subgraph)
-    /// needs no override. Default: no-op.
-    fn restore_state(&mut self, _env: &Environment, _state: &Json) -> Result<(), JsonError> {
-        Ok(())
+    /// Mutable access to [`GossipBehavior::steering`].
+    fn steering_mut(&mut self) -> Option<&mut Steering> {
+        None
     }
 }
 
@@ -89,20 +78,11 @@ impl<B: GossipBehavior + ?Sized> GossipBehavior for &mut B {
     fn on_start(&mut self, env: &mut Environment) {
         (**self).on_start(env)
     }
-    fn on_iteration(&mut self, env: &Environment, i: usize, peer: Option<usize>, t: f64) {
-        (**self).on_iteration(env, i, peer, t)
+    fn steering(&self) -> Option<&Steering> {
+        (**self).steering()
     }
-    fn monitor_period(&self) -> Option<f64> {
-        (**self).monitor_period()
-    }
-    fn on_monitor(&mut self, env: &mut Environment, now: f64) {
-        (**self).on_monitor(env, now)
-    }
-    fn checkpoint_state(&self) -> Json {
-        (**self).checkpoint_state()
-    }
-    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
-        (**self).restore_state(env, state)
+    fn steering_mut(&mut self) -> Option<&mut Steering> {
+        (**self).steering_mut()
     }
 }
 
@@ -264,7 +244,11 @@ impl<B: GossipBehavior> GossipDriver<B> {
     /// current clock and schedules the completion event.
     fn schedule_next(&mut self, env: &mut Environment, i: usize, compute_s: f64) {
         let start = env.nodes[i].clock;
-        let (peer, comm_s) = match self.behavior.select_peer(env, i) {
+        let choice = match self.behavior.steering().and_then(Steering::policy) {
+            Some(policy) => policy.sample_peer(env, i),
+            None => self.behavior.select_peer(env, i),
+        };
+        let (peer, comm_s) = match choice {
             PeerChoice::Peer(m) => {
                 debug_assert!(
                     env.topology.is_edge(i, m),
@@ -281,10 +265,19 @@ impl<B: GossipBehavior> GossipDriver<B> {
         );
     }
 
+    /// Derives what a start builds from the environment alone: the
+    /// behavior's warm-up, a fresh monitor and the nominal compute times.
+    fn prepare(&mut self, env: &mut Environment) {
+        self.behavior.on_start(env);
+        if let Some(steering) = self.behavior.steering_mut() {
+            steering.start(env.num_nodes());
+        }
+        self.compute = env.nominal_compute_times();
+    }
+
     fn start(&mut self, env: &mut Environment) {
         self.started = true;
-        self.behavior.on_start(env);
-        self.compute = env.nominal_compute_times();
+        self.prepare(env);
         for i in 0..env.num_nodes() {
             if !env.is_active(i) {
                 continue;
@@ -292,8 +285,8 @@ impl<B: GossipBehavior> GossipDriver<B> {
             let c = self.compute[i];
             self.schedule_next(env, i, c);
         }
-        if let Some(ts) = self.behavior.monitor_period() {
-            self.queue.push(ts, Ev::Monitor);
+        if let Some(steering) = self.behavior.steering() {
+            self.queue.push(steering.period_s(), Ev::Monitor);
         }
     }
 }
@@ -304,14 +297,12 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
     }
 
     fn validate(&self, _env: &Environment) -> Result<(), SessionError> {
-        if let Some(ts) = self.behavior.monitor_period() {
-            if !(ts.is_finite() && ts > 0.0) {
-                return Err(SessionError::InvalidConfig(format!(
-                    "monitor period must be finite and positive, got {ts}"
-                )));
-            }
+        match self.behavior.steering().map(Steering::period_s) {
+            Some(ts) if !(ts.is_finite() && ts > 0.0) => Err(SessionError::InvalidConfig(
+                format!("monitor period must be finite and positive, got {ts}"),
+            )),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     fn advance(&mut self, env: &mut Environment) -> DriverEvent {
@@ -331,9 +322,10 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
                 // against a frozen simulation. Let the queue drain.
                 Some((_, Ev::Monitor)) if env.num_active() == 0 => continue,
                 Some((now, Ev::Monitor)) => {
-                    self.behavior.on_monitor(env, now);
-                    if let Some(ts) = self.behavior.monitor_period() {
-                        self.queue.push(now + ts, Ev::Monitor);
+                    if let Some(steering) = self.behavior.steering_mut() {
+                        let alpha = env.workload.optim.lr_at(env.mean_epoch());
+                        steering.round(&env.topology, alpha, env.active_flags());
+                        self.queue.push(now + steering.period_s(), Ev::Monitor);
                     }
                     DriverEvent::Monitor { time_s: now }
                 }
@@ -359,7 +351,9 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
                     }
                     env.book_iteration(node, compute_s, iteration_s);
                     env.global_step += 1;
-                    self.behavior.on_iteration(env, node, peer, iteration_s);
+                    if let (Some(steering), Some(m)) = (self.behavior.steering_mut(), peer) {
+                        steering.record(node, m, iteration_s);
+                    }
                     self.pending_next = Some((node, compute_s));
                     DriverEvent::Step { node, peer, iteration_s }
                 }
@@ -381,7 +375,7 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
             // are dropped rather than re-armed against a frozen clock);
             // the first rejoin restarts it so the policy resumes
             // adapting.
-            if let Some(ts) = self.behavior.monitor_period() {
+            if let Some(ts) = self.behavior.steering().map(Steering::period_s) {
                 let armed = self
                     .queue
                     .entries()
@@ -421,7 +415,13 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
                     None => Json::Null,
                 },
             ),
-            ("behavior", self.behavior.checkpoint_state()),
+            (
+                "steering",
+                match self.behavior.steering() {
+                    Some(steering) if self.started => steering.checkpoint(),
+                    _ => Json::Null,
+                },
+            ),
         ])
     }
 
@@ -429,10 +429,9 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
         let n = env.num_nodes();
         self.started = bool::from_json(state.field("started")?)?;
         if self.started {
-            // Rebuild derived state the same way a fresh start would, then
-            // let the behavior overwrite it from the checkpoint.
-            self.behavior.on_start(env);
-            self.compute = env.nominal_compute_times();
+            // Rebuild derived state the same way a fresh start would; the
+            // steering is then overwritten from the checkpoint.
+            self.prepare(env);
         }
         self.queue = queue_from_json(state.field("queue")?)?;
         for (_, _, ev) in self.queue.entries() {
@@ -451,7 +450,11 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
                 Some((node, f64::from_json(p.field("compute_s")?)?))
             }
         };
-        self.behavior.restore_state(env, state.field("behavior")?)?;
+        // Only a started monitored arm has steering state to restore.
+        let doc = state.field("steering")?;
+        if let Some(steering) = self.behavior.steering_mut().filter(|_| self.started) {
+            steering.restore(doc, n)?;
+        }
         Ok(())
     }
 }
@@ -463,6 +466,7 @@ mod tests {
     use crate::engine::recorder::RunReport;
     use crate::engine::session::{Session, StepEvent};
     use crate::engine::stop::StopCondition;
+    use crate::monitor::MonitorConfig;
     use netmax_json::ToJson;
     use netmax_ml::partition::Partition;
     use netmax_ml::workload::Workload;
@@ -547,35 +551,55 @@ mod tests {
         assert_ne!(r1.final_train_loss, r2.final_train_loss);
     }
 
+    /// [`UniformAveraging`] steered by a Network Monitor with period
+    /// `period_s`.
+    struct Monitored(Steering);
+
+    impl Monitored {
+        fn every(period_s: f64) -> Self {
+            Self(Steering::new(MonitorConfig { period_s, ..MonitorConfig::paper_default(0.05) }))
+        }
+    }
+
+    impl GossipBehavior for Monitored {
+        fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
+            UniformAveraging.select_peer(env, i)
+        }
+        fn merge(&mut self, env: &mut Environment, i: usize, m: usize, pulled: &[f32]) {
+            UniformAveraging.merge(env, i, m, pulled);
+        }
+        fn steering(&self) -> Option<&Steering> {
+            Some(&self.0)
+        }
+        fn steering_mut(&mut self) -> Option<&mut Steering> {
+            Some(&mut self.0)
+        }
+    }
+
     #[test]
     fn monitor_hook_fires_on_schedule() {
-        struct Monitored {
-            inner: UniformAveraging,
-            fires: Vec<f64>,
-        }
-        impl GossipBehavior for Monitored {
-            fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
-                self.inner.select_peer(env, i)
-            }
-            fn merge(&mut self, env: &mut Environment, i: usize, m: usize, pulled: &[f32]) {
-                self.inner.merge(env, i, m, pulled);
-            }
-            fn monitor_period(&self) -> Option<f64> {
-                Some(0.5)
-            }
-            fn on_monitor(&mut self, _env: &mut Environment, now: f64) {
-                self.fires.push(now);
-            }
-        }
-        let mut b = Monitored { inner: UniformAveraging, fires: Vec::new() };
+        let mut b = Monitored::every(0.5);
         let mut e = env(14);
-        let report = run_gossip(&mut b, &mut e, "monitored");
-        assert!(!b.fires.is_empty(), "monitor never fired");
+        let mut session =
+            Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "monitored"))).unwrap();
+        let mut fires = Vec::new();
+        let report = loop {
+            match session.step() {
+                StepEvent::MonitorRound { time_s } => fires.push(time_s),
+                StepEvent::Finished { report } => break report,
+                _ => {}
+            }
+        };
+        drop(session);
+        assert!(!fires.is_empty(), "monitor never fired");
+        // Every firing ran one round of the steering.
+        let rounds = b.0.checkpoint().field("monitor").and_then(|m| m.field("rounds")?.as_u64());
+        assert_eq!(rounds.unwrap(), fires.len() as u64);
         // Fires at 0.5, 1.0, 1.5, ... while the run lasted.
-        for (k, t) in b.fires.iter().enumerate() {
+        for (k, t) in fires.iter().enumerate() {
             assert!((t - 0.5 * (k + 1) as f64).abs() < 1e-9);
         }
-        assert!(*b.fires.last().unwrap() <= report.wall_clock_s + 0.5);
+        assert!(*fires.last().unwrap() <= report.wall_clock_s + 0.5);
     }
 
     #[test]
@@ -592,18 +616,8 @@ mod tests {
 
     #[test]
     fn bad_monitor_period_is_a_typed_construction_error() {
-        struct BadPeriod;
-        impl GossipBehavior for BadPeriod {
-            fn select_peer(&mut self, _env: &mut Environment, _i: usize) -> PeerChoice {
-                PeerChoice::SelfStep
-            }
-            fn merge(&mut self, _env: &mut Environment, _i: usize, _m: usize, _p: &[f32]) {}
-            fn monitor_period(&self) -> Option<f64> {
-                Some(0.0)
-            }
-        }
         let mut e = env(16);
-        let mut b = BadPeriod;
+        let mut b = Monitored::every(0.0);
         let err = Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "bad")))
             .err()
             .expect("zero monitor period must fail construction");

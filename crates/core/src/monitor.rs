@@ -11,9 +11,13 @@
 //! procedure (Algorithm 2 lines 19–22): an exponential moving average per
 //! (node, neighbour) pair whose smoothing factor β trades recency against
 //! stability.
+//!
+//! [`Steering`] is the monitor as a gossip arm carries it (§III-D): the
+//! tracker, the monitor and the `(P, ρ)` it last disseminated. NetMax and
+//! AD-PSGD+Monitor hold one each; the gossip driver feeds and runs it.
 
 use crate::policy::{PolicyGenerator, PolicySearchConfig};
-use crate::sparse_policy::{EdgeTimes, SparsePolicyResult};
+use crate::sparse_policy::{EdgeTimes, SparsePolicy, SparsePolicyResult};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::Matrix;
 use netmax_net::Topology;
@@ -233,31 +237,9 @@ impl NetworkMonitor {
         Self { cfg, rounds: 0, last: None }
     }
 
-    /// The configured period `Ts`.
-    pub fn period_s(&self) -> f64 {
-        self.cfg.period_s
-    }
-
-    /// The configured EMA β.
-    pub fn beta(&self) -> f64 {
-        self.cfg.beta
-    }
-
     /// Number of completed monitor rounds.
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Serializes the monitor's mutable counters for checkpoint/resume
-    /// (the last produced policy lives with the behavior that applies it).
-    pub fn checkpoint(&self) -> Json {
-        Json::obj([("rounds", self.rounds.to_json())])
-    }
-
-    /// Restores counters captured by [`NetworkMonitor::checkpoint`].
-    pub fn restore(&mut self, state: &Json) -> Result<(), JsonError> {
-        self.rounds = u64::from_json(state.field("rounds")?)?;
-        Ok(())
     }
 
     /// One monitor round (Algorithm 1 lines 3–6): collect the iteration
@@ -362,6 +344,104 @@ impl NetworkMonitor {
             result: result.clone(),
         });
         result
+    }
+}
+
+/// The Network Monitor one gossip arm carries: the workers' EMA time
+/// vectors, the monitor, and the `(P, ρ)` of its last applied round with
+/// the count of such rounds. Until a round applies, the arm's own peer
+/// choice and merge weight stand in for the policy. Only the gossip
+/// driver feeds, runs and checkpoints it; an arm just owns it and
+/// returns it from
+/// [`GossipBehavior::steering`](crate::engine::GossipBehavior::steering).
+#[derive(Debug)]
+pub struct Steering {
+    tracker: EmaTimeTracker,
+    monitor: NetworkMonitor,
+    policy: Option<SparsePolicy>,
+    rho: Option<f64>,
+    policies_applied: u64,
+}
+
+impl Steering {
+    /// A monitor with configuration `cfg`; the gossip driver sizes it to
+    /// the fleet when the run starts.
+    pub fn new(cfg: MonitorConfig) -> Self {
+        let tracker = EmaTimeTracker { times: BTreeMap::new(), beta: cfg.beta, n: 0 };
+        let monitor = NetworkMonitor::new(cfg);
+        Self { tracker, monitor, policy: None, rho: None, policies_applied: 0 }
+    }
+
+    /// The configured period `Ts`.
+    pub(crate) fn period_s(&self) -> f64 {
+        self.monitor.cfg.period_s
+    }
+
+    /// The policy `P` of the last applied round.
+    pub(crate) fn policy(&self) -> Option<&SparsePolicy> {
+        self.policy.as_ref()
+    }
+
+    /// ρ of the last applied round.
+    pub(crate) fn rho(&self) -> Option<f64> {
+        self.rho
+    }
+
+    /// Number of rounds that applied a policy since the run started.
+    pub fn policies_applied(&self) -> u64 {
+        self.policies_applied
+    }
+
+    /// Resets everything for a fresh run over `n` workers.
+    pub(crate) fn start(&mut self, n: usize) {
+        self.tracker = EmaTimeTracker::for_fleet(n, self.tracker.beta);
+        self.monitor.rounds = 0;
+        self.monitor.last = None;
+        self.policy = None;
+        self.rho = None;
+        self.policies_applied = 0;
+    }
+
+    /// Feeds worker `i`'s `t`-second iteration with neighbour `m` to the
+    /// EMA (Algorithm 2 line 16).
+    pub(crate) fn record(&mut self, i: usize, m: usize, t: f64) {
+        self.tracker.record(i, m, t);
+    }
+
+    /// One [`NetworkMonitor::round`] at learning rate `alpha`; a round
+    /// that produces a policy replaces `(P, ρ)`, any other keeps them.
+    pub(crate) fn round(&mut self, topo: &Topology, alpha: f64, active: &[bool]) {
+        if let Some(res) = self.monitor.round(&self.tracker, topo, alpha, active) {
+            self.policy = Some(res.policy);
+            self.rho = Some(res.rho);
+            self.policies_applied += 1;
+        }
+    }
+
+    /// Serializes the mutable state. The monitor's reuse cache is left
+    /// out: a restored monitor re-solves to the same bits.
+    pub(crate) fn checkpoint(&self) -> Json {
+        Json::obj([
+            ("tracker", self.tracker.checkpoint()),
+            ("monitor", Json::obj([("rounds", self.monitor.rounds.to_json())])),
+            ("policy", self.policy.as_ref().map_or(Json::Null, SparsePolicy::checkpoint)),
+            ("rho", self.rho.to_json()),
+            ("policies_applied", self.policies_applied.to_json()),
+        ])
+    }
+
+    /// Restores [`Steering::checkpoint`] state into a steering started
+    /// for an `n`-worker fleet. The tracker and the monitor are required.
+    pub(crate) fn restore(&mut self, state: &Json, n: usize) -> Result<(), JsonError> {
+        self.tracker = EmaTimeTracker::restore(state.field("tracker")?, n)?;
+        self.monitor.rounds = u64::from_json(state.field("monitor")?.field("rounds")?)?;
+        self.policy = match state.field("policy")? {
+            Json::Null => None,
+            p => Some(SparsePolicy::restore(p, n)?),
+        };
+        self.rho = Option::from_json(state.field("rho")?)?;
+        self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
+        Ok(())
     }
 }
 

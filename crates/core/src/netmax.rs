@@ -12,13 +12,23 @@
 //! 4. EMA-updates its iteration-time vector (line 16).
 //!
 //! Every `Ts` the Network Monitor collects the EMA matrix and disseminates
-//! a freshly optimised `(P, ρ)`.
+//! a freshly optimised `(P, ρ)`. Steps 1 and 4 and the monitor rounds are
+//! the gossip driver's work on the [`Steering`] NetMax owns; NetMax itself
+//! supplies the initial uniform draw and the step-3 merge.
 
 use crate::engine::{Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver};
-use crate::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
+use crate::monitor::{MonitorConfig, Steering};
 use crate::sparse_policy::SparsePolicy;
-use netmax_json::{FromJson, Json, JsonError, ToJson};
 use rand::Rng;
+
+/// Merge weight before the first policy arrives (and forever without a
+/// monitor). Plays the role of `αρ/p` with the uniform policy; 0.4
+/// behaves like slightly-damped AD-PSGD averaging.
+const INITIAL_MERGE_WEIGHT: f64 = 0.4;
+
+/// Upper clamp on the merge weight `αρ(d+d)/(2p)` for numerical safety
+/// under stale policies (feasible policies keep it < 0.5).
+const MAX_MERGE_WEIGHT: f64 = 0.9;
 
 /// How the second-step update weights the pulled model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,17 +46,9 @@ pub enum MergeWeighting {
 #[derive(Debug, Clone)]
 pub struct NetMaxConfig {
     /// Network Monitor settings (period `Ts`, EMA β, search resolution).
-    pub monitor: MonitorConfig,
-    /// When `false` the monitor never runs and the initial uniform policy
-    /// is kept — the "uniform" arm of the Fig. 7 ablation.
-    pub adaptive: bool,
-    /// Merge weight used before the first policy arrives (and forever in
-    /// uniform mode). Plays the role of `αρ/p` with the uniform policy;
-    /// 0.4 behaves like slightly-damped AD-PSGD averaging.
-    pub initial_merge_weight: f64,
-    /// Upper clamp on the merge weight `αρ(d+d)/(2p)` for numerical
-    /// safety under stale policies (feasible policies keep it < 0.5).
-    pub max_merge_weight: f64,
+    /// `None` never runs a monitor and keeps the initial uniform policy —
+    /// the "uniform" arm of the Fig. 7 ablation.
+    pub monitor: Option<MonitorConfig>,
     /// Second-step weighting rule (paper default: inverse probability).
     pub weighting: MergeWeighting,
 }
@@ -56,35 +58,27 @@ impl NetMaxConfig {
     /// rate `alpha`.
     pub fn paper_default(alpha: f64) -> Self {
         Self {
-            monitor: MonitorConfig::paper_default(alpha),
-            adaptive: true,
-            initial_merge_weight: 0.4,
-            max_merge_weight: 0.9,
+            monitor: Some(MonitorConfig::paper_default(alpha)),
             weighting: MergeWeighting::InverseProbability,
         }
     }
 
     /// The non-adaptive (fixed uniform policy) variant.
-    pub fn uniform(alpha: f64) -> Self {
-        Self { adaptive: false, ..Self::paper_default(alpha) }
+    pub fn uniform() -> Self {
+        Self { monitor: None, weighting: MergeWeighting::InverseProbability }
     }
 }
 
 /// The NetMax algorithm.
 pub struct NetMax {
-    cfg: NetMaxConfig,
-    monitor: NetworkMonitor,
-    tracker: Option<EmaTimeTracker>,
-    policy: Option<SparsePolicy>,
-    rho: Option<f64>,
-    policies_applied: u64,
+    weighting: MergeWeighting,
+    steering: Option<Steering>,
 }
 
 impl NetMax {
     /// Creates a NetMax instance.
     pub fn new(cfg: NetMaxConfig) -> Self {
-        let monitor = NetworkMonitor::new(cfg.monitor.clone());
-        Self { cfg, monitor, tracker: None, policy: None, rho: None, policies_applied: 0 }
+        Self { weighting: cfg.weighting, steering: cfg.monitor.map(Steering::new) }
     }
 
     /// Convenience constructor with paper defaults.
@@ -94,136 +88,63 @@ impl NetMax {
 
     /// Number of policy updates applied during the last run.
     pub fn policies_applied(&self) -> u64 {
-        self.policies_applied
+        self.steering.as_ref().map_or(0, Steering::policies_applied)
     }
 
     /// The currently active policy, if the monitor has produced one.
     pub fn current_policy(&self) -> Option<&SparsePolicy> {
-        self.policy.as_ref()
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.tracker = Some(EmaTimeTracker::for_fleet(n, self.cfg.monitor.beta));
-        self.monitor = NetworkMonitor::new(self.cfg.monitor.clone());
-        self.policy = None;
-        self.rho = None;
-        self.policies_applied = 0;
+        self.steering.as_ref()?.policy()
     }
 }
 
 impl GossipBehavior for NetMax {
-    fn on_start(&mut self, env: &mut Environment) {
-        self.reset(env.num_nodes());
-    }
-
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
-        if let Some(policy) = &self.policy {
-            policy.sample_peer(env, i)
+        // Initial uniform policy of Algorithm 2 line 2: each of the M
+        // entries (self included) gets equal probability; on sparse
+        // graphs the mass is spread over {self} ∪ active neighbours
+        // (with everyone alive this is the classic full-degree draw).
+        let degree = env.active_degree(i);
+        let k = env.node_rng(i).gen_range(0..=degree);
+        if k == degree {
+            PeerChoice::SelfStep
         } else {
-            // Initial uniform policy of Algorithm 2 line 2: each of the M
-            // entries (self included) gets equal probability; on sparse
-            // graphs the mass is spread over {self} ∪ active neighbours
-            // (with everyone alive this is the classic full-degree draw).
-            let degree = env.active_degree(i);
-            let k = env.node_rng(i).gen_range(0..=degree);
-            if k == degree {
-                PeerChoice::SelfStep
-            } else {
-                PeerChoice::Peer(env.nth_active_neighbor(i, k))
-            }
+            PeerChoice::Peer(env.nth_active_neighbor(i, k))
         }
     }
 
     fn merge(&mut self, env: &mut Environment, i: usize, m: usize, pulled: &[f32]) {
-        let w = match self.cfg.weighting {
-            MergeWeighting::Fixed(w) => w,
-            MergeWeighting::InverseProbability => match (&self.policy, self.rho) {
-                (Some(policy), Some(rho)) => {
-                    let p_im = policy.get(i, m);
-                    let d_sum = env.topology.d(i, m) + env.topology.d(m, i);
-                    if p_im > 0.0 {
-                        let alpha = env.lr(i);
-                        (alpha * rho * d_sum / (2.0 * p_im)).min(self.cfg.max_merge_weight)
-                    } else {
-                        // Selected despite zero probability (cannot happen
-                        // via sampling); merge conservatively.
-                        self.cfg.initial_merge_weight
-                    }
+        let steered = self.steering.as_ref().and_then(|s| s.policy().zip(s.rho()));
+        let w = match (self.weighting, steered) {
+            (MergeWeighting::Fixed(w), _) => w,
+            (MergeWeighting::InverseProbability, Some((policy, rho))) => {
+                let p_im = policy.get(i, m);
+                let d_sum = env.topology.d(i, m) + env.topology.d(m, i);
+                if p_im > 0.0 {
+                    let alpha = env.lr(i);
+                    (alpha * rho * d_sum / (2.0 * p_im)).min(MAX_MERGE_WEIGHT)
+                } else {
+                    // Selected despite zero probability (cannot happen
+                    // via sampling); merge conservatively.
+                    INITIAL_MERGE_WEIGHT
                 }
-                _ => self.cfg.initial_merge_weight,
-            },
+            }
+            (MergeWeighting::InverseProbability, None) => INITIAL_MERGE_WEIGHT,
         };
         netmax_ml::params::blend(w as f32, env.nodes[i].model.params_mut(), pulled);
     }
 
-    fn on_iteration(&mut self, _env: &Environment, i: usize, peer: Option<usize>, t: f64) {
-        if let (Some(tracker), Some(m)) = (self.tracker.as_mut(), peer) {
-            tracker.record(i, m, t);
-        }
+    fn steering(&self) -> Option<&Steering> {
+        self.steering.as_ref()
     }
 
-    fn monitor_period(&self) -> Option<f64> {
-        if self.cfg.adaptive {
-            Some(self.cfg.monitor.period_s)
-        } else {
-            None
-        }
-    }
-
-    fn on_monitor(&mut self, env: &mut Environment, _now: f64) {
-        let Some(tracker) = self.tracker.as_ref() else {
-            return;
-        };
-        let alpha = env.workload.optim.lr_at(env.mean_epoch());
-        if let Some(res) = self.monitor.round(tracker, &env.topology, alpha, env.active_flags()) {
-            self.policy = Some(res.policy);
-            self.rho = Some(res.rho);
-            self.policies_applied += 1;
-        }
-    }
-
-    fn checkpoint_state(&self) -> Json {
-        Json::obj([
-            (
-                "tracker",
-                match &self.tracker {
-                    Some(t) => t.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            ("monitor", self.monitor.checkpoint()),
-            (
-                "policy",
-                match &self.policy {
-                    Some(p) => p.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            ("rho", self.rho.to_json()),
-            ("policies_applied", self.policies_applied.to_json()),
-        ])
-    }
-
-    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
-        let n = env.num_nodes();
-        self.tracker = match state.field("tracker")? {
-            Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t, n)?),
-        };
-        self.monitor.restore(state.field("monitor")?)?;
-        self.policy = match state.field("policy")? {
-            Json::Null => None,
-            p => Some(SparsePolicy::restore(p, n)?),
-        };
-        self.rho = Option::from_json(state.field("rho")?)?;
-        self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
-        Ok(())
+    fn steering_mut(&mut self) -> Option<&mut Steering> {
+        self.steering.as_mut()
     }
 }
 
 impl Algorithm for NetMax {
     fn name(&self) -> &'static str {
-        if self.cfg.adaptive {
+        if self.steering.is_some() {
             "netmax"
         } else {
             "netmax-uniform"
@@ -239,7 +160,8 @@ impl Algorithm for NetMax {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Scenario, TrainConfig};
+    use crate::engine::{decode_session_v3, CheckpointScratch, Scenario, Session, TrainConfig};
+    use netmax_json::Json;
     use netmax_ml::workload::WorkloadSpec;
     use netmax_net::NetworkKind;
 
@@ -276,9 +198,10 @@ mod tests {
     fn adaptive_policy_kicks_in_on_heterogeneous_network() {
         // Short monitor period so policies fire within the test run.
         let sc = scenario(3, NetworkKind::HeterogeneousDynamic);
-        let mut cfg = NetMaxConfig::paper_default(0.05);
-        cfg.monitor.period_s = 2.0;
-        let mut algo = NetMax::new(cfg);
+        let mut algo = NetMax::new(NetMaxConfig {
+            monitor: Some(MonitorConfig { period_s: 2.0, ..MonitorConfig::paper_default(0.05) }),
+            ..NetMaxConfig::paper_default(0.05)
+        });
         let _ = sc.run_with(&mut algo);
         assert!(
             algo.policies_applied() > 0,
@@ -293,11 +216,28 @@ mod tests {
     #[test]
     fn uniform_variant_never_updates_policy() {
         let sc = scenario(3, NetworkKind::HeterogeneousDynamic);
-        let mut algo = NetMax::new(NetMaxConfig::uniform(0.05));
+        let mut algo = NetMax::new(NetMaxConfig::uniform());
         let _ = sc.run_with(&mut algo);
         assert_eq!(algo.policies_applied(), 0);
         assert!(algo.current_policy().is_none());
         assert_eq!(algo.name(), "netmax-uniform");
+    }
+
+    #[test]
+    fn uniform_checkpoint_has_no_steering() {
+        let steering = |mut algo: NetMax| {
+            let mut env = scenario(3, NetworkKind::HeterogeneousDynamic).build_env();
+            let mut session = Session::new(&mut env, algo.driver()).unwrap();
+            for _ in 0..50 {
+                session.step();
+            }
+            let mut bytes = Vec::new();
+            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes).unwrap();
+            let doc = decode_session_v3(&bytes).unwrap();
+            doc.field("driver").and_then(|d| d.field("steering")).unwrap().clone()
+        };
+        assert_eq!(steering(NetMax::new(NetMaxConfig::uniform())), Json::Null);
+        assert!(steering(NetMax::paper_default(0.05)).field("tracker").is_ok());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use netmax_core::engine::{
     Algorithm, CheckpointScratch, Scenario, Session, SessionError, StepEvent, StopCondition,
     TrainConfig,
 };
+use netmax_core::monitor::MonitorConfig;
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_json::{codec, FromJson, Json, ToJson};
 use netmax_ml::workload::WorkloadSpec;
@@ -30,6 +31,14 @@ fn scenario(seed: u64, faults: FaultPlan) -> Scenario {
 
 fn netmax() -> NetMax {
     NetMax::paper_default(0.05)
+}
+
+/// NetMax whose monitor runs every `period_s` simulated seconds.
+fn netmax_every(period_s: f64) -> NetMax {
+    NetMax::new(NetMaxConfig {
+        monitor: Some(MonitorConfig { period_s, ..MonitorConfig::paper_default(0.05) }),
+        ..NetMaxConfig::paper_default(0.05)
+    })
 }
 
 #[test]
@@ -164,9 +173,7 @@ fn netmax_policy_masks_the_dead_node_after_a_monitor_round() {
         .train_config(TrainConfig { seed: 6, max_epochs: 6.0, ..TrainConfig::quick_test() })
         .faults(crash_plan(3, 1.0, None))
         .build();
-    let mut cfg = NetMaxConfig::paper_default(0.05);
-    cfg.monitor.period_s = 1.5;
-    let mut algo = NetMax::new(cfg);
+    let mut algo = netmax_every(1.5);
     let mut env = sc.build_env();
     let _ = {
         let mut session = Session::new(&mut env, algo.driver()).unwrap();
@@ -416,9 +423,7 @@ fn monitor_chain_restarts_after_a_whole_fleet_outage() {
         ..FaultPlan::none()
     };
     let sc = scenario(22, faults);
-    let mut cfg = NetMaxConfig::paper_default(0.05);
-    cfg.monitor.period_s = 0.5;
-    let mut algo = NetMax::new(cfg);
+    let mut algo = netmax_every(0.5);
     let mut env = sc.build_env();
     let mut session = Session::new(&mut env, algo.driver()).unwrap();
     let mut last_up: Option<f64> = None;

@@ -420,6 +420,13 @@ fn hostile_nmxb_is_always_a_typed_error() {
         ahead.clone(),
     );
     let one_down = Json::Arr([true, false, true, true].map(Json::Bool).to_vec());
+    // The driver document of a release that kept the monitor state under
+    // the behavior's own `behavior` key.
+    let Some(Json::Obj(mut driver)) = meta.get("driver").cloned() else {
+        panic!("the driver checkpoints an object")
+    };
+    let steering = driver.iter_mut().find(|(k, _)| k == "steering").expect("monitored fixture");
+    steering.0 = "behavior".into();
     let metas = [
         // Driver state that is sound in itself but another fleet's: it
         // used to restore, then index past the policy's rows in
@@ -427,13 +434,25 @@ fn hostile_nmxb_is_always_a_typed_error() {
         // monitor round.
         (
             "a tracker smaller than the fleet",
-            replaced(&meta, &["driver", "behavior", "tracker"], small_tracker),
+            replaced(&meta, &["driver", "steering", "tracker"], small_tracker),
             "tracker is for 3 nodes, environment has 4",
         ),
         (
             "a policy larger than the fleet",
-            replaced(&meta, &["driver", "behavior", "policy"], large_policy),
+            replaced(&meta, &["driver", "steering", "policy"], large_policy),
             "policy is for 5 nodes, environment has 4",
+        ),
+        // A NetMax run without a tracker used to restore, and then never
+        // adapt again: every later monitor round skipped for coverage.
+        (
+            "a NetMax steering whose tracker is null",
+            replaced(&meta, &["driver", "steering", "tracker"], Json::Null),
+            "missing field `n`",
+        ),
+        (
+            "monitor state under the retired `behavior` key",
+            replaced(&meta, &["driver"], Json::Obj(driver)),
+            "missing field `steering`",
         ),
         // `seq + 1` used to overflow: a panic in the dev profile, and in
         // release a `next_seq` wrapped to 0, after which fresh pushes sort

@@ -8,7 +8,7 @@ use netmax_core::engine::{
     Scenario, Session, StepEvent, TrainConfig,
 };
 use netmax_core::gossip_matrix::{build_y, node_probabilities};
-use netmax_core::monitor::EmaTimeTracker;
+use netmax_core::monitor::{EmaTimeTracker, MonitorConfig};
 use netmax_core::netmax::{NetMax, NetMaxConfig};
 use netmax_core::policy::{PolicyGenerator, PolicySearchConfig};
 use netmax_json::{codec, ToJson};
@@ -160,9 +160,10 @@ fn small_scenario() -> impl Strategy<Value = Scenario> {
 /// NetMax with a monitor period short enough to fire within the tiny runs,
 /// so checkpoints capture mid-run policy/tracker state too.
 fn netmax_algo() -> NetMax {
-    let mut cfg = NetMaxConfig::paper_default(0.05);
-    cfg.monitor.period_s = 2.0;
-    NetMax::new(cfg)
+    NetMax::new(NetMaxConfig {
+        monitor: Some(MonitorConfig { period_s: 2.0, ..MonitorConfig::paper_default(0.05) }),
+        ..NetMaxConfig::paper_default(0.05)
+    })
 }
 
 proptest! {

@@ -32,20 +32,17 @@ fn main() {
     };
 
     // 1. Full NetMax: monitor fires every 30 simulated seconds.
-    let mut cfg = NetMaxConfig::paper_default(alpha);
-    cfg.monitor = MonitorConfig { period_s: 30.0, ..MonitorConfig::paper_default(alpha) };
-    let mut adaptive = NetMax::new(cfg.clone());
+    let every = |period_s| NetMaxConfig {
+        monitor: Some(MonitorConfig { period_s, ..MonitorConfig::paper_default(alpha) }),
+        ..NetMaxConfig::paper_default(alpha)
+    };
+    let mut adaptive = NetMax::new(every(30.0));
     let r_adaptive = adaptive.run(&mut scenario(3).build_env_with(workload.clone()));
 
     // 2. "Static subgraph": one early policy, then the monitor stops.
     //    Emulated with a very long period — the first policy lands and is
     //    never revised while the slow link keeps moving underneath it.
-    let mut frozen_cfg = cfg.clone();
-    frozen_cfg.monitor.period_s = 40.0; // one early round...
-    let mut frozen = NetMax::new(NetMaxConfig {
-        monitor: MonitorConfig { period_s: 1e9, ..frozen_cfg.monitor.clone() },
-        ..frozen_cfg
-    });
+    let mut frozen = NetMax::new(every(1e9));
     // A single warm-up round never fires with period 1e9, so instead run
     // the uniform variant against a *frozen* network draw for contrast:
     let r_frozen = {
@@ -60,7 +57,7 @@ fn main() {
     };
 
     // 3. Uniform selection on the dynamic network.
-    let mut uniform = NetMax::new(NetMaxConfig::uniform(alpha));
+    let mut uniform = NetMax::new(NetMaxConfig::uniform());
     let r_uniform = uniform.run(&mut scenario(3).build_env_with(workload.clone()));
 
     println!("dynamic heterogeneous network, 8 workers, 20 epochs\n");
