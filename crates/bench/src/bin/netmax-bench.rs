@@ -27,16 +27,16 @@
 //! any other schema is a typed "unknown schema" error — it doubles as a
 //! schema check in CI. `sanity` runs the registry's `sanity` arms one at
 //! a time, each timed alone on one thread, and writes
-//! `BENCH_sanity.json` — the baseline whose simulated fields CI holds
-//! byte-equal; `scale` does the same for the torus fleets of
-//! `BENCH_scale.json`. Every JSON artifact goes through
+//! `BENCH_sanity.json`; `scale` does the same for the torus fleets of
+//! `BENCH_scale.json`. `tests/contract.rs` holds both documents' simulated
+//! fields equal to the committed files. Every JSON artifact goes through
 //! [`write_artifact`].
 
-use netmax_bench::registry::{find, registry, registry_json, sanity_spec};
+use netmax_bench::registry::{find, registry, registry_json};
 use netmax_bench::runner::{CellProgress, RunOptions};
 use netmax_bench::{runner, Mode};
 use netmax_core::engine::AlgorithmKind;
-use netmax_json::{Json, ToJson};
+use netmax_json::Json;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -608,46 +608,17 @@ fn scale(args: &[String]) -> Result<(), ExitCode> {
     )
 }
 
-/// `x` at `digits` decimals, as the JSON number that text denotes — the
-/// per-field precision `BENCH_sanity.json` is committed at.
-fn rounded(x: f64, digits: usize) -> Json {
-    Json::parse(&format!("{x:.digits$}")).unwrap_or(Json::Null)
-}
-
-/// The headline shape check (not a paper figure): on the heterogeneous
-/// dynamic network NetMax should reach the loss target in less simulated
-/// time than AD-PSGD, Allreduce-SGD and Prague. Same cells as `run
-/// sanity`, but each arm runs alone on one thread inside a real-time
-/// bracket, and the document is the performance baseline later PRs
-/// compare against.
+/// `sanity`: prints one table row per arm as it finishes and writes
+/// [`runner::sanity_doc`].
 fn sanity(args: &[String]) -> Result<(), ExitCode> {
-    use netmax_ml::workload::WorkloadKind;
-    use netmax_net::NetworkKind;
-    let spec = sanity_spec(mode_of(args));
-    // The header below names the scenario with fixed strings; these
-    // asserts tie them to the spec so the baseline can never silently
-    // drift from what actually ran.
-    assert_eq!(spec.scenario.workload_spec().kind, WorkloadKind::Resnet18Cifar10);
-    assert_eq!(spec.scenario.network_kind(), NetworkKind::HeterogeneousDynamic);
-    // Datasets instantiated once, outside the timing brackets — the
-    // recorded real_time_s measures training only.
-    let workload = spec.scenario.workload();
-    let alpha = workload.optim.lr;
-
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10} {:>8} {:>8} {:>10}",
         "algorithm", "wall(s)", "epoch_t", "comp/ep", "comm/ep", "loss", "acc", "t@0.40"
     );
-    let mut results = Vec::new();
-    for arm in &spec.arms {
-        let mut algo = arm.instantiate(alpha);
-        let t0 = Instant::now();
-        let mut env = spec.scenario.build_env_with(workload.clone());
-        let r = algo.run(&mut env);
-        let real_s = t0.elapsed().as_secs_f64();
+    let doc = runner::sanity_doc(mode_of(args), |label, r| {
         println!(
             "{:<16} {:>10.1} {:>10.2} {:>10.2} {:>10.2} {:>8.4} {:>8.3} {:>10.1?}",
-            arm.label(),
+            label,
             r.wall_clock_s,
             r.epoch_time_avg_s(),
             r.comp_cost_per_epoch_s(),
@@ -656,34 +627,9 @@ fn sanity(args: &[String]) -> Result<(), ExitCode> {
             r.final_test_accuracy,
             r.time_to_loss(0.40)
         );
-        results.push(Json::obj([
-            ("algorithm", arm.label().to_json()),
-            ("simulated_wall_clock_s", rounded(r.wall_clock_s, 3)),
-            ("epoch_time_avg_s", rounded(r.epoch_time_avg_s(), 4)),
-            ("comp_cost_per_epoch_s", rounded(r.comp_cost_per_epoch_s(), 4)),
-            ("comm_cost_per_epoch_s", rounded(r.comm_cost_per_epoch_s(), 4)),
-            ("final_train_loss", rounded(r.final_train_loss, 6)),
-            ("final_test_accuracy", rounded(r.final_test_accuracy, 4)),
-            ("time_to_loss_0_40_s", r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2))),
-            ("global_steps", r.global_steps.to_json()),
-            ("real_time_s", rounded(real_s, 3)),
-            ("steps_per_real_second", rounded(r.global_steps as f64 / real_s.max(1e-9), 0)),
-        ]));
-    }
-    let cfg = spec.scenario.cfg();
-    let doc = Json::obj([
-        ("benchmark", "sanity".to_json()),
-        (
-            "scenario",
-            Json::obj([
-                ("workers", spec.scenario.workers().to_json()),
-                ("network", "heterogeneous_dynamic".to_json()),
-                ("workload", "resnet18/cifar10".to_json()),
-                ("max_epochs", rounded(cfg.max_epochs, 1)),
-                ("seed", cfg.seed.to_json()),
-            ]),
-        ),
-        ("results", Json::Arr(results)),
-    ]);
-    write_artifact(flag_value(args, "--out").unwrap_or("BENCH_sanity.json"), &doc)
+    });
+    write_artifact(
+        flag_value(args, "--out").unwrap_or("BENCH_sanity.json"),
+        &doc,
+    )
 }

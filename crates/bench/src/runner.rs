@@ -22,9 +22,14 @@
 //!   `netmax-bench/checkpoint/v1` container, and [`resume`] continues
 //!   it, byte-identical to an uninterrupted run.
 //!
+//! [`sanity_doc`] assembles `BENCH_sanity.json` here as well: it times
+//! each arm with the real-time clock, which the engine never reads.
+//!
 //! [`Environment`]: netmax_core::engine::Environment
 
+use crate::common::Mode;
 use crate::experiments::fig03;
+use crate::registry::sanity_spec;
 use crate::spec::{ExperimentSpec, MetricKind};
 use netmax_core::engine::{
     AlgorithmKind, CheckpointScratch, RunReport, Session, SessionError, StepEvent,
@@ -266,15 +271,6 @@ pub struct RunOptions<'p> {
     /// cross-run determinism** (the cut point depends on machine speed) —
     /// off by default, meant for smoke runs under CI time limits.
     pub cell_deadline: Option<Duration>,
-}
-
-/// Runs every `(arm, seed)` cell of the spec on one thread, in grid order.
-///
-/// # Panics
-/// Panics if the spec fails session validation; [`try_execute`] surfaces
-/// the typed error instead.
-pub fn execute(spec: &ExperimentSpec) -> ExperimentResult {
-    execute_with_threads(spec, 1)
 }
 
 /// Runs the spec's cells over `threads` scoped worker threads.
@@ -760,6 +756,90 @@ pub fn parse_artifact(doc: &Json) -> Result<Vec<ExperimentResult>, JsonError> {
         .collect()
 }
 
+/// `x` at `digits` decimals, as the JSON number that text denotes — the
+/// per-field precision `BENCH_sanity.json` is committed at.
+fn rounded(x: f64, digits: usize) -> Json {
+    Json::parse(&format!("{x:.digits$}")).unwrap_or(Json::Null)
+}
+
+/// The `BENCH_sanity.json` document at `mode` — the headline shape check
+/// (not a paper figure): on the heterogeneous dynamic network NetMax
+/// should reach the loss target in less simulated time than AD-PSGD,
+/// Allreduce-SGD and Prague. Same cells as `run sanity`, but each arm
+/// runs alone on this thread inside a real-time bracket, so the document
+/// doubles as a performance record; `on_arm` sees every arm's label and
+/// report as it finishes.
+pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json {
+    use netmax_ml::workload::WorkloadKind;
+    use netmax_net::NetworkKind;
+    let spec = sanity_spec(mode);
+    // The header below names the scenario with fixed strings; these
+    // asserts tie them to the spec so the baseline can never silently
+    // drift from what actually ran.
+    assert_eq!(
+        spec.scenario.workload_spec().kind,
+        WorkloadKind::Resnet18Cifar10
+    );
+    assert_eq!(
+        spec.scenario.network_kind(),
+        NetworkKind::HeterogeneousDynamic
+    );
+    // Datasets instantiated once, outside the timing brackets — the
+    // recorded real_time_s measures training only.
+    let workload = spec.scenario.workload();
+    let alpha = workload.optim.lr;
+    let mut results = Vec::new();
+    for arm in &spec.arms {
+        let mut algo = arm.instantiate(alpha);
+        let t0 = Instant::now();
+        let mut env = spec.scenario.build_env_with(workload.clone());
+        let r = algo.run(&mut env);
+        let real_s = t0.elapsed().as_secs_f64();
+        let label = arm.label();
+        on_arm(&label, &r);
+        results.push(Json::obj([
+            ("algorithm", label.to_json()),
+            ("simulated_wall_clock_s", rounded(r.wall_clock_s, 3)),
+            ("epoch_time_avg_s", rounded(r.epoch_time_avg_s(), 4)),
+            (
+                "comp_cost_per_epoch_s",
+                rounded(r.comp_cost_per_epoch_s(), 4),
+            ),
+            (
+                "comm_cost_per_epoch_s",
+                rounded(r.comm_cost_per_epoch_s(), 4),
+            ),
+            ("final_train_loss", rounded(r.final_train_loss, 6)),
+            ("final_test_accuracy", rounded(r.final_test_accuracy, 4)),
+            (
+                "time_to_loss_0_40_s",
+                r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2)),
+            ),
+            ("global_steps", r.global_steps.to_json()),
+            ("real_time_s", rounded(real_s, 3)),
+            (
+                "steps_per_real_second",
+                rounded(r.global_steps as f64 / real_s.max(1e-9), 0),
+            ),
+        ]));
+    }
+    let cfg = spec.scenario.cfg();
+    Json::obj([
+        ("benchmark", "sanity".to_json()),
+        (
+            "scenario",
+            Json::obj([
+                ("workers", spec.scenario.workers().to_json()),
+                ("network", "heterogeneous_dynamic".to_json()),
+                ("workload", "resnet18/cifar10".to_json()),
+                ("max_epochs", rounded(cfg.max_epochs, 1)),
+                ("seed", cfg.seed.to_json()),
+            ]),
+        ),
+        ("results", Json::Arr(results)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,7 +914,7 @@ mod tests {
     #[test]
     fn seeds_produce_distinct_runs() {
         let spec = small_spec();
-        let result = execute(&spec);
+        let result = execute_with_threads(&spec, 1);
         let netmax: Vec<_> = result.cells.iter().filter(|c| c.arm == 0).collect();
         assert_eq!(netmax.len(), 2);
         assert_ne!(
@@ -990,7 +1070,7 @@ mod tests {
         spec.seeds.truncate(1);
 
         // A run artifact dispatches to RunReport.
-        let result = execute(&spec);
+        let result = execute_with_threads(&spec, 1);
         let doc = artifact(std::slice::from_ref(&result));
         match summarize_bytes(doc.pretty().as_bytes()).unwrap() {
             ShownDoc::RunReport(results) => assert_eq!(results.len(), 1),
@@ -1071,7 +1151,7 @@ mod tests {
         spec.seeds.truncate(1);
         // A simulated-time budget far below what the epoch target needs.
         spec.scenario.cfg_mut().max_wall_clock_s = 2.0;
-        let result = execute(&spec);
+        let result = execute_with_threads(&spec, 1);
         let report = &result.cells[0].report;
         assert!(
             report.wall_clock_s >= 2.0,
@@ -1085,7 +1165,7 @@ mod tests {
         // And the safety net composes with explicit stop conditions too.
         spec.scenario.cfg_mut().stop =
             Some(netmax_core::engine::StopCondition::LossBelow(-1.0));
-        let report = &execute(&spec).cells[0].report;
+        let report = &execute_with_threads(&spec, 1).cells[0].report;
         assert!(report.wall_clock_s >= 2.0, "unreachable loss target must hit the net");
     }
 

@@ -313,6 +313,39 @@ mod tests {
     }
 
     #[test]
+    fn monitor_beta_outside_the_unit_interval_is_a_typed_construction_error() {
+        use netmax_core::engine::{Session, SessionError};
+        for kind in [AlgorithmKind::NetMax, AlgorithmKind::AdPsgdMonitored] {
+            for beta in [1.0, f64::NAN] {
+                let s = spec();
+                let mut algo = Arm::new(kind).beta(beta).instantiate(0.1);
+                let mut env = s.scenario.build_env();
+                match Session::new(&mut env, algo.driver()) {
+                    Err(err) => {
+                        assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
+                        assert!(err.to_string().contains("β"), "{kind:?} β = {beta}: {err}");
+                    }
+                    Ok(mut session) => {
+                        session.step();
+                        panic!("{kind:?} with β = {beta} passed construction");
+                    }
+                }
+                // The runner's pre-flight check refuses the spec before
+                // any cell trains.
+                let bad = ExperimentSpec {
+                    arms: vec![Arm::new(kind).beta(beta)],
+                    ..s
+                };
+                let opts = crate::runner::RunOptions::default();
+                assert!(
+                    crate::runner::try_execute(&bad, &opts).is_err(),
+                    "{kind:?} β = {beta}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn cell_count_and_seed_defaults() {
         let mut s = spec();
         assert_eq!(s.num_cells(), 6);

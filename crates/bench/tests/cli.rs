@@ -1,5 +1,6 @@
 //! `netmax-bench` at the process boundary: every subcommand that writes
-//! a document writes it whole, newline-terminated and nowhere else; the
+//! a document writes it whole, newline-terminated and nowhere else; a run
+//! suspended to a checkpoint directory resumes to the same artifact; the
 //! mode comes from the arguments alone; malformed counts are usage
 //! errors. Tiny mode throughout, each run in its own temp directory.
 
@@ -27,14 +28,6 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Keys of a JSON object, in document order.
-fn keys(v: &Json) -> Vec<&str> {
-    match v {
-        Json::Obj(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
-        other => panic!("expected an object, got {}", other.kind()),
-    }
-}
-
 #[test]
 fn every_artifact_is_whole_newline_terminated_and_the_only_thing_written() {
     let dir = scratch_dir("artifacts");
@@ -59,22 +52,39 @@ fn every_artifact_is_whole_newline_terminated_and_the_only_thing_written() {
         .collect();
     left.sort();
     assert_eq!(left, ["run.json", "sanity.json", "scale.json"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // The sanity document carries exactly the committed baseline's keys.
-    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sanity.json");
-    let committed = Json::parse(&std::fs::read_to_string(committed).unwrap()).unwrap();
-    let fresh = Json::parse(&std::fs::read_to_string(dir.join("sanity.json")).unwrap()).unwrap();
-    assert_eq!(keys(&fresh), keys(&committed));
-    assert_eq!(keys(fresh.field("scenario").unwrap()), keys(committed.field("scenario").unwrap()));
-    let rows = |doc: &Json| -> Vec<Vec<String>> {
-        doc.field("results")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .map(|row| keys(row).into_iter().map(str::to_owned).collect())
-            .collect()
+#[test]
+fn a_suspended_run_resumes_through_the_cli_to_the_same_artifact() {
+    let dir = scratch_dir("resume");
+    let run = |extra: &[&str]| {
+        let args = [
+            &["run", "fig05/resnet18-cifar10", "--tiny", "--sequential"],
+            extra,
+        ]
+        .concat();
+        let out = bench(&dir, &args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
     };
-    assert_eq!(rows(&fresh), rows(&committed), "per-row key sets, in order");
+    run(&["--json", "full.json"]);
+    run(&["--checkpoint-dir", "ckpt", "--suspend-steps", "200"]);
+    let shown = bench(
+        &dir,
+        &["show", "ckpt/fig05__resnet18-cifar10.checkpoint.bin"],
+    );
+    assert!(shown.status.success(), "{}", stderr(&shown));
+    let shown = String::from_utf8_lossy(&shown.stdout);
+    assert!(
+        shown.contains("valid netmax-bench/checkpoint/v1 container"),
+        "{shown}"
+    );
+    run(&["--resume", "ckpt", "--json", "resumed.json"]);
+    let read = |name: &str| std::fs::read(dir.join(name)).expect(name);
+    assert!(
+        read("full.json") == read("resumed.json"),
+        "the resumed artifact differs"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -297,12 +297,7 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
     }
 
     fn validate(&self, _env: &Environment) -> Result<(), SessionError> {
-        match self.behavior.steering().map(Steering::period_s) {
-            Some(ts) if !(ts.is_finite() && ts > 0.0) => Err(SessionError::InvalidConfig(
-                format!("monitor period must be finite and positive, got {ts}"),
-            )),
-            _ => Ok(()),
-        }
+        self.behavior.steering().map_or(Ok(()), Steering::validate)
     }
 
     fn advance(&mut self, env: &mut Environment) -> DriverEvent {

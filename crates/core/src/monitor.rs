@@ -16,6 +16,7 @@
 //! tracker, the monitor and the `(P, ρ)` it last disseminated. NetMax and
 //! AD-PSGD+Monitor hold one each; the gossip driver feeds and runs it.
 
+use crate::engine::SessionError;
 use crate::policy::{PolicyGenerator, PolicySearchConfig};
 use crate::sparse_policy::{EdgeTimes, SparsePolicy, SparsePolicyResult};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
@@ -375,6 +376,23 @@ impl Steering {
     /// The configured period `Ts`.
     pub(crate) fn period_s(&self) -> f64 {
         self.monitor.cfg.period_s
+    }
+
+    /// Checks the configuration before a run: `Ts` finite and positive,
+    /// β in [0, 1) (the range [`EmaTimeTracker::for_fleet`] asserts).
+    pub(crate) fn validate(&self) -> Result<(), SessionError> {
+        let MonitorConfig { period_s, beta, .. } = self.monitor.cfg;
+        if !(period_s.is_finite() && period_s > 0.0) {
+            return Err(SessionError::InvalidConfig(format!(
+                "monitor period must be finite and positive, got {period_s}"
+            )));
+        }
+        if !(0.0..1.0).contains(&beta) {
+            return Err(SessionError::InvalidConfig(format!(
+                "monitor EMA β must be in [0, 1), got {beta}"
+            )));
+        }
+        Ok(())
     }
 
     /// The policy `P` of the last applied round.
