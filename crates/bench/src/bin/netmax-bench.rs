@@ -3,7 +3,7 @@
 //! ```text
 //! netmax-bench list [--json] [--quick|--tiny]
 //! netmax-bench run <name|group|all> [--quick|--tiny] [--seeds N|a,b,c]
-//!                  [--json out.json] [--threads N] [--sequential]
+//!                  [--json out.json] [--threads N]
 //!                  [--progress] [--deadline-s S]
 //!                  [--checkpoint-dir DIR [--suspend-steps K]]
 //!                  [--resume DIR] [--tier strict|fast]
@@ -61,7 +61,7 @@ const RUN_FLAGS: FlagSpec = FlagSpec {
         "--resume",
         "--tier",
     ],
-    boolean: &["--sequential", "--quick", "--tiny", "--progress"],
+    boolean: &["--quick", "--tiny", "--progress"],
 };
 const SHOW_FLAGS: FlagSpec = FlagSpec { value: &[], boolean: &[] };
 const SCALE_FLAGS: FlagSpec =
@@ -192,8 +192,8 @@ options:
   --json                    list: emit the registry as JSON on stdout
   --seeds <N | a,b,c>       N derived seeds, or an explicit seed list
   --json <path>             run: write the versioned JSON run artifact
-  --threads <N>             worker threads (default: all cores)
-  --sequential              force one thread (same results, longer wall-clock)
+  --threads <N>             worker threads (default: all cores; any count
+                            gives the same results)
   --progress                stream per-sample progress lines to stderr
   --deadline-s <S>          real-time budget per cell; expiry finishes the
                             cell early (partial report; non-deterministic)
@@ -389,11 +389,7 @@ fn run(args: &[String], query: Option<&str>) -> Result<(), ExitCode> {
             spec.scenario.cfg_mut().tier = t;
         }
     }
-    let threads = if has_flag(args, "--sequential") {
-        1
-    } else {
-        positive_flag(args, "--threads")?.unwrap_or_else(runner::default_threads)
-    };
+    let threads = positive_flag(args, "--threads")?.unwrap_or_else(runner::default_threads);
     let deadline = flag_value(args, "--deadline-s")
         .map(|t| {
             t.parse::<f64>()

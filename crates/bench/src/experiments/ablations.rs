@@ -177,7 +177,7 @@ mod tests {
     #[test]
     fn weighting_variants_all_train() {
         let p = Params { epochs: 3.0, seed: 29 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 3);
         for c in &result.cells {
             let loss = c.report.final_train_loss;
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn ts_sweep_produces_monotone_labels() {
         let p = Params { epochs: 2.0, seed: 29 };
-        let result = runner::execute_with_threads(&specs(&p)[1], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[1], &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 5);
         assert!(result.cells[0].label.contains("10"));
         assert!(result.cells[4].label.contains("300"));

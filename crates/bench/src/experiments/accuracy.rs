@@ -93,7 +93,7 @@ mod tests {
     fn all_algorithms_reach_comparable_accuracy() {
         let p = Params { heterogeneous: true, node_counts: vec![4], epochs: 8.0, seed: 5 };
         for spec in specs(&p) {
-            let result = runner::execute_with_threads(&spec, runner::default_threads());
+            let result = runner::try_execute(&spec, &Default::default()).unwrap();
             let accs: Vec<f64> =
                 result.cells.iter().map(|c| c.report.final_test_accuracy).collect();
             let lo = accs.iter().copied().fold(f64::INFINITY, f64::min);

@@ -84,7 +84,7 @@ mod tests {
     fn hetero_ordering_matches_paper() {
         let p = Params { heterogeneous: true, workers: 8, epochs: 6.0, seed: 7 };
         // The ResNet18 panel.
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         let get = |kind: AlgorithmKind| &result.cell(kind).expect("arm present").report;
         let comm = |kind: AlgorithmKind| get(kind).comm_cost_per_epoch_s();
         // Communication ordering for ResNet18: NetMax < AD-PSGD and

@@ -95,7 +95,7 @@ mod tests {
             .into_iter()
             .find(|s| s.name.ends_with(tier.tier_name()))
             .expect("registered experiment");
-        runner::execute_with_threads(&spec, runner::default_threads())
+        runner::try_execute(&spec, &Default::default()).unwrap()
     }
 
     /// The simulated schedule must be *independent* of numerics: peer

@@ -165,7 +165,7 @@ mod tests {
             .into_iter()
             .find(|s| s.name.ends_with(name))
             .expect("registered experiment");
-        runner::execute_with_threads(&spec, runner::default_threads())
+        runner::try_execute(&spec, &Default::default()).unwrap()
     }
 
     fn wall(result: &runner::ExperimentResult, kind: AlgorithmKind) -> f64 {
@@ -268,7 +268,7 @@ mod tests {
             scenario: base(&p, None, FaultPlan::none()),
             ..specs(&p).into_iter().find(|s| s.name.ends_with("straggler")).unwrap()
         };
-        let clean = runner::execute_with_threads(&clean_spec, runner::default_threads());
+        let clean = runner::try_execute(&clean_spec, &Default::default()).unwrap();
         let ratio = |k: AlgorithmKind| wall(&strag, k) / wall(&clean, k);
         // Allreduce pays the 4x straggler in every round; NetMax only
         // when it visits the straggler.

@@ -79,7 +79,7 @@ mod tests {
         let p = Params { workers: 8, epochs: 8.0, seed: 11 };
         let results: Vec<_> = specs(&p)
             .iter()
-            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .map(|s| runner::try_execute(s, &Default::default()).unwrap())
             .collect();
         let get = |model: &str, setting: &str| {
             results

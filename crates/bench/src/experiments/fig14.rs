@@ -78,7 +78,7 @@ mod tests {
     #[test]
     fn six_algorithms_run_and_ps_sync_is_slowest_family() {
         let p = Params { epochs: 3.0, seed: 17 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 6);
         let wall =
             |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;

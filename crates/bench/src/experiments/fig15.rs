@@ -70,7 +70,7 @@ mod tests {
     #[test]
     fn monitor_cuts_adpsgd_wall_clock() {
         let p = Params { epochs: 6.0, seed: 19 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         let wall =
             |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;
         // The §V-H finding: the monitored variant trains faster on the

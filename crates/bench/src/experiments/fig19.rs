@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn netmax_reaches_accuracy_before_ps_sync() {
         let p = Params { epochs: 5.0, seed: 23 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         let target = result.accuracy_target();
         let t = |kind: AlgorithmKind| {
             let r = &result.cell(kind).expect("arm present").report;
@@ -96,7 +96,7 @@ mod tests {
         let p = Params { epochs: 2.0, seed: 23 };
         let models: Vec<String> = specs(&p)
             .iter()
-            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .map(|s| runner::try_execute(s, &Default::default()).unwrap())
             .map(|r| r.cells[0].report.workload.clone())
             .collect();
         assert_eq!(models.len(), 2);

@@ -95,7 +95,7 @@ mod tests {
     fn netmax_fastest_to_target_on_heterogeneous() {
         let p = Params { heterogeneous: true, workers: 8, epochs: 12.0, seed: 7 };
         for spec in specs(&p) {
-            let panel = runner::execute_with_threads(&spec, runner::default_threads());
+            let panel = runner::try_execute(&spec, &Default::default()).unwrap();
             // Claim 1 (Fig. 8): among the asynchronous gossip family,
             // NetMax reaches the common loss target first. (Allreduce can
             // win *shallow* targets in the early transient through its
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn homogeneous_netmax_and_adpsgd_comparable() {
         let p = Params { heterogeneous: false, workers: 8, epochs: 8.0, seed: 7 };
-        let panel = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let panel = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         // Within 40% of each other (the paper's curves nearly coincide).
         let (nm, ad) = (
             time_to_target(&panel, AlgorithmKind::NetMax),

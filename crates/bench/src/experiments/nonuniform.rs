@@ -155,7 +155,7 @@ mod tests {
     #[test]
     fn mnist_noniid_runs_and_netmax_leads_on_time() {
         let p = Params { case: Case::MnistNonIid, epochs: 4.0, seed: 13 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         let target = result.loss_target();
         let t = |kind: AlgorithmKind| {
             let r = &result.cell(kind).expect("arm present").report;
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn segmented_case_loses_no_data() {
         let p = Params { case: Case::Cifar100, epochs: 2.0, seed: 13 };
-        let result = runner::execute_with_threads(&specs(&p)[0], runner::default_threads());
+        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
         for c in &result.cells {
             assert!(c.report.final_train_loss.is_finite());
             assert!(c.report.epochs_completed >= 2.0);

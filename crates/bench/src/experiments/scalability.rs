@@ -102,7 +102,7 @@ mod tests {
         let results: Vec<_> = specs(&p)
             .iter()
             .filter(|s| s.name.contains("resnet18"))
-            .map(|s| runner::execute_with_threads(s, runner::default_threads()))
+            .map(|s| runner::try_execute(s, &Default::default()).unwrap())
             .collect();
         assert_eq!(results.len(), p.node_counts.len());
         let wall = |r: &runner::ExperimentResult, kind: AlgorithmKind| {

@@ -15,19 +15,17 @@
 //! fixed epoch count, so the simulated work per worker — and therefore
 //! the monitor-round count — stays comparable while n grows and per-node
 //! shards shrink. The report records convergence (final training loss),
-//! real throughput (global steps per real second), and a peak-RSS proxy
-//! per `(n, algorithm)` cell.
+//! real throughput (global steps per real second of the step loop), and
+//! a peak-RSS proxy per fleet size.
 
 use crate::common::{self, Mode};
+use crate::runner::{self, RunOptions};
 use crate::spec::{Arm, ExperimentSpec, MetricKind};
-use netmax_core::engine::{
-    AlgorithmKind, PairCount, Scenario, Session, StopCondition, TopologyKind,
-};
+use netmax_core::engine::{AlgorithmKind, Scenario, StopCondition, TopologyKind};
 use netmax_json::{Json, ToJson};
 use netmax_ml::profile::ModelProfile;
 use netmax_ml::workload::WorkloadSpec;
-use netmax_net::NetworkKind;
-use std::time::Instant;
+use netmax_net::{NetworkKind, Topology};
 
 /// Schema tag of `BENCH_scale.json`; bump on breaking changes.
 pub const SCALE_SCHEMA: &str = "netmax-bench/scale-report/v1";
@@ -183,13 +181,13 @@ pub struct Row {
     pub sim_wall_s: f64,
     /// Final training loss (the convergence column).
     pub final_train_loss: f64,
-    /// Best (minimum) real seconds across repetitions.
+    /// Best (minimum) real seconds of the step loop across repetitions.
     pub best_real_s: f64,
     /// Global steps per real second (best repetition).
     pub steps_per_sec: f64,
-    /// `VmHWM` from `/proc/self/status` after the cell, in KiB (0 when
-    /// unavailable). Process-wide high-water mark: monotone within the
-    /// ascending sweep, so each value reflects the largest fleet so far.
+    /// `VmHWM` from `/proc/self/status` after this fleet size's cells, in
+    /// KiB (0 when unavailable): monotone within the ascending sweep, so
+    /// each value reflects the largest fleet so far.
     pub peak_rss_kb: u64,
 }
 
@@ -200,34 +198,35 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Runs the sweep cell by cell (sequentially, so per-cell real-time and
-/// RSS measurements are not polluted by sibling runs).
+/// Runs the sweep through the runner on one thread, so a cell's real
+/// seconds (its step loop) and RSS are not polluted by sibling runs;
+/// each cell keeps its fastest of `repeats`.
 pub fn run(p: &Params) -> Vec<Row> {
     assert!(p.repeats > 0, "need at least one repetition");
+    let one_thread = RunOptions { threads: 1, ..RunOptions::default() };
     let mut rows = Vec::new();
     for spec in specs(p) {
         let n = spec.scenario.workers();
-        let workload = spec.scenario.workload();
-        let alpha = workload.optim.lr;
-        for arm in &spec.arms {
-            let mut edges = 0;
-            let mut best: Option<(f64, netmax_core::engine::RunReport, PairCount)> = None;
-            for _ in 0..p.repeats {
-                let mut algo = arm.instantiate(alpha);
-                let mut env = spec.scenario.build_env_with(workload.clone());
-                edges = env.topology.num_edges();
-                let t0 = Instant::now();
-                let mut session = Session::new(&mut env, algo.driver())
-                    .unwrap_or_else(|e| panic!("invalid session: {e}"));
-                let report = session.run();
-                let dt = t0.elapsed().as_secs_f64().max(1e-9);
-                if best.as_ref().is_none_or(|(b, ..)| dt < *b) {
-                    best = Some((dt, report, session.recorder().pairs_total()));
+        let (r, c) = torus_dims(n);
+        let edges = Topology::torus(r, c).num_edges();
+        let timed = || {
+            runner::execute_timed(&spec, &one_thread)
+                .unwrap_or_else(|e| panic!("{}: invalid session: {e}", spec.name))
+        };
+        let mut best = timed();
+        for _ in 1..p.repeats {
+            for (kept, cell) in best.iter_mut().zip(timed()) {
+                if cell.1 < kept.1 {
+                    *kept = cell;
                 }
             }
-            let (dt, report, pairs) = best.expect("at least one repetition");
+        }
+        let peak_rss_kb = peak_rss_kb().unwrap_or(0);
+        for (cell, real_s) in best {
+            let report = cell.report;
+            let dt = real_s.max(1e-9);
             let row = Row {
-                algorithm: arm.label(),
+                algorithm: cell.label,
                 nodes: n,
                 edges,
                 global_steps: report.global_steps,
@@ -235,15 +234,12 @@ pub fn run(p: &Params) -> Vec<Row> {
                 final_train_loss: report.final_train_loss,
                 best_real_s: dt,
                 steps_per_sec: report.global_steps as f64 / dt,
-                peak_rss_kb: peak_rss_kb().unwrap_or(0),
+                peak_rss_kb,
             };
-            // The recorder's pruning count goes to the log line only: the
-            // report's columns are a contract.
             eprintln!(
-                "  {} n={} [{}]: {} steps in {:.2}s real ({:.0} steps/s), loss {:.4}, \
-                 pairs_evaluated {} of {} ({:.2} %)",
+                "  {} n={} [{}]: {} steps in {:.2}s real ({:.0} steps/s), loss {:.4}",
                 spec.name, n, row.algorithm, row.global_steps, dt, row.steps_per_sec,
-                row.final_train_loss, pairs.evaluated, pairs.all_pairs, 100.0 * pairs.share()
+                row.final_train_loss
             );
             rows.push(row);
         }

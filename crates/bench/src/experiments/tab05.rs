@@ -85,7 +85,7 @@ mod tests {
         let specs = specs(&p);
         assert_eq!(specs.len(), 2);
         for spec in &specs {
-            let result = runner::execute_with_threads(spec, runner::default_threads());
+            let result = runner::try_execute(spec, &Default::default()).unwrap();
             assert_eq!(result.cells.len(), 4);
             for c in &result.cells {
                 assert!((0.0..=1.0).contains(&c.report.final_test_accuracy));

@@ -40,8 +40,7 @@ pub mod spec;
 pub use common::{Mode, LINK_CHANGE_PERIOD_S, MONITOR_PERIOD_S};
 pub use registry::{registry, registry_json};
 pub use runner::{
-    checkpoint_bytes, execute_suspended, execute_with_threads, parse_checkpoint_bytes, resume,
-    try_execute, CellProgress, CellResult, ExperimentResult, RunOptions, SuspendedCell,
-    SuspendedExperiment,
+    checkpoint_bytes, execute_suspended, parse_checkpoint_bytes, resume, try_execute, CellProgress,
+    CellResult, ExperimentResult, RunOptions, SuspendedCell, SuspendedExperiment,
 };
 pub use spec::{Arm, ExperimentSpec, MetricKind};

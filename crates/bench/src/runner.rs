@@ -22,8 +22,9 @@
 //!   `netmax-bench/checkpoint/v1` container, and [`resume`] continues
 //!   it, byte-identical to an uninterrupted run.
 //!
-//! [`sanity_doc`] assembles `BENCH_sanity.json` here as well: it times
-//! each arm with the real-time clock, which the engine never reads.
+//! All three, the up-front validation, [`sanity_doc`] and
+//! `experiments::scale::run` open and step their sessions in one
+//! function, `run_cell`, which also times its step loop.
 //!
 //! [`Environment`]: netmax_core::engine::Environment
 
@@ -35,12 +36,13 @@ use netmax_core::engine::{
     AlgorithmKind, CheckpointScratch, RunReport, Session, SessionError, StepEvent,
 };
 use netmax_json::{codec, CodecError, FromJson, Json, JsonError, ToJson};
+use netmax_ml::workload::Workload;
 use netmax_ml::NumericsTier;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Schema tag written into every artifact; bump on breaking changes.
@@ -273,21 +275,6 @@ pub struct RunOptions<'p> {
     pub cell_deadline: Option<Duration>,
 }
 
-/// Runs the spec's cells over `threads` scoped worker threads.
-///
-/// Determinism: each cell builds a fresh environment from the pure-data
-/// scenario and owns its algorithm instance, so the result is independent
-/// of scheduling; `threads = 1` and `threads = N` produce byte-identical
-/// reports, in the same grid order.
-///
-/// # Panics
-/// Panics if the spec fails session validation; [`try_execute`] surfaces
-/// the typed error instead.
-pub fn execute_with_threads(spec: &ExperimentSpec, threads: usize) -> ExperimentResult {
-    try_execute(spec, &RunOptions { threads, ..RunOptions::default() })
-        .unwrap_or_else(|e| panic!("experiment `{}` failed validation: {e}", spec.name))
-}
-
 /// The `(arm, seed)` grid of a spec, arms outermost.
 fn grid(spec: &ExperimentSpec) -> Vec<(usize, u64)> {
     let seeds = spec.effective_seeds();
@@ -298,61 +285,88 @@ fn grid(spec: &ExperimentSpec) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Fans `tasks` out over `threads` scoped workers, preserving task order
-/// in the result vector. `run` must be deterministic per task for the
-/// executor's byte-identity guarantee to hold.
+/// Fans `tasks` out over `threads` scoped workers (0 ⇒
+/// [`default_threads`]); results come back in task order. `run` must be
+/// deterministic per task for the executor's byte-identity guarantee to
+/// hold.
 fn fan_out<T: Sync, R: Send>(tasks: &[T], threads: usize, run: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = threads.clamp(1, tasks.len().max(1));
-    if threads == 1 {
+    let threads = if threads == 0 { default_threads() } else { threads };
+    let threads = threads.min(tasks.len());
+    if threads <= 1 {
         return tasks.iter().map(run).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..tasks.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= tasks.len() {
-                    break;
-                }
-                let result = run(&tasks[i]);
-                // Poisoning can only mean another worker panicked; the
-                // slot writes are independent, so recover the guard and
-                // keep filling — `scope` re-raises the panic afterwards.
-                let mut guard =
-                    slots.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                guard[i] = Some(result);
-            });
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else { return done };
+            done.push((i, run(task)));
         }
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        // A worker's panic is re-raised here, on the calling thread.
+        workers.into_iter().flat_map(|w| w.join().unwrap_or_else(|e| resume_unwind(e))).collect()
     });
-    let out: Vec<R> = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        .flatten()
-        .collect();
-    // Every index < tasks.len() is claimed exactly once and a panicking
-    // worker propagates through `scope`, so all slots are filled; the
-    // assert keeps a silent result/task misalignment impossible.
-    assert_eq!(out.len(), tasks.len(), "fan_out lost a task result");
-    out
+    done.sort_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Drives one session to completion, streaming every recorded sample —
-/// including the forced final one — to `progress` and honouring the
-/// optional real-time deadline.
-fn drive_session(
-    session: &mut Session<'_>,
-    experiment: &str,
-    label: &str,
-    seed: u64,
+/// How far [`run_cell`] takes a cell's session: opened and never stepped
+/// (the up-front validation), to the end of the run or the cell
+/// deadline, or until its global step count reaches the given one (or
+/// the run ends first), then checkpointed.
+#[derive(Clone, Copy)]
+enum Until {
+    Opened,
+    Finished,
+    Suspended(u64),
+}
+
+/// A cell's session as [`run_cell`] left it, one variant per [`Until`].
+enum CellEnd {
+    Opened,
+    Finished(CellResult),
+    Suspended(SuspendedCell),
+}
+
+/// The one path from a cell to a session: builds the cell's environment
+/// around the shared `workload`, opens its session — fresh, or from
+/// `checkpoint` bytes — and steps it as far as `until` says, streaming
+/// every recorded sample to `opts.progress` and finishing early when
+/// `opts.cell_deadline` passes. Also returns the real seconds of the
+/// step loop alone.
+fn run_cell(
+    spec: &ExperimentSpec,
+    workload: &Workload,
+    (arm_idx, seed): (usize, u64),
+    checkpoint: Option<&[u8]>,
+    until: Until,
     opts: &RunOptions<'_>,
-) -> RunReport {
+) -> Result<(CellEnd, f64), SessionError> {
+    let arm = spec.arms.get(arm_idx).ok_or_else(|| {
+        SessionError::BadCheckpoint(format!("cell references arm {arm_idx} not in spec"))
+    })?;
+    let mut scenario = spec.scenario.clone();
+    scenario.cfg_mut().seed = seed;
+    let mut algo = arm.instantiate(workload.optim.lr);
+    let mut env = scenario.build_env_with(workload.clone());
+    let mut session = match checkpoint {
+        None => Session::new(&mut env, algo.driver())?,
+        Some(bytes) => Session::restore_bytes(&mut env, algo.driver(), bytes)?,
+    };
+    let suspend_at = match until {
+        Until::Opened => return Ok((CellEnd::Opened, 0.0)),
+        Until::Finished => None,
+        Until::Suspended(steps) => Some(steps),
+    };
+    let (label, algorithm) = (arm.label(), arm.algorithm);
     let stream = |sample: &netmax_core::engine::Sample| {
         if let Some(progress) = opts.progress {
             progress(CellProgress {
-                experiment,
-                label,
+                experiment: &spec.name,
+                label: &label,
                 seed,
                 global_step: sample.global_step,
                 epoch: sample.epoch,
@@ -364,81 +378,99 @@ fn drive_session(
     // The deadline is checked before every session step, so a
     // round-granular driver can overshoot by at most the one event in
     // flight when the budget expires, never by further rounds.
-    let deadline = opts.cell_deadline.map(|d| Instant::now() + d);
+    let t0 = Instant::now();
+    let deadline = opts.cell_deadline.map(|d| t0 + d);
     let report = loop {
+        if suspend_at.is_some_and(|steps| session.env().global_step >= steps) {
+            break None;
+        }
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            break session.finish_now();
+            break Some(session.finish_now());
         }
         match session.step() {
             StepEvent::Sampled { sample } => stream(&sample),
-            StepEvent::Finished { report } => break report,
+            StepEvent::Finished { report } => break Some(report),
             _ => {}
         }
     };
-    // The finishing sample is taken inside `finish` (it carries the final
-    // test evaluation) and is not delivered as a `Sampled` event.
-    if let Some(last) = report.samples.last() {
-        stream(last);
+    let real_s = t0.elapsed().as_secs_f64();
+    if let (None, Some(report)) = (suspend_at, report) {
+        // The finishing sample is taken inside `finish` (it carries the
+        // final test evaluation) and is not delivered as a `Sampled`
+        // event.
+        if let Some(last) = report.samples.last() {
+            stream(last);
+        }
+        let cell = CellResult { arm: arm_idx, label, algorithm, seed, report };
+        return Ok((CellEnd::Finished(cell), real_s));
     }
-    report
+    // A cell that finished before the suspension count is checkpointed
+    // finished; resuming it reproduces the same report.
+    let mut bytes = Vec::new();
+    session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes)?;
+    let (global_step, tier) = (session.env().global_step, session.env().cfg.tier);
+    let cell =
+        SuspendedCell { arm: arm_idx, label, algorithm, seed, global_step, tier, session: bytes };
+    Ok((CellEnd::Suspended(cell), real_s))
+}
+
+/// Opens the first seed's session of every arm through [`run_cell`], so
+/// a spec whose sessions cannot open fails before any training work.
+fn validate(spec: &ExperimentSpec, workload: &Workload) -> Result<(), SessionError> {
+    let Some(&seed) = spec.effective_seeds().first() else { return Ok(()) };
+    for arm in 0..spec.arms.len() {
+        run_cell(spec, workload, (arm, seed), None, Until::Opened, &RunOptions::default())?;
+    }
+    Ok(())
+}
+
+/// Validates `spec`, then runs `cells` — `(arm, seed)`, each with the
+/// checkpoint bytes to restore it from or `None` — to the end, each with
+/// the real seconds of its step loop.
+fn finish_cells(
+    spec: &ExperimentSpec,
+    cells: &[(usize, u64, Option<&[u8]>)],
+    opts: &RunOptions<'_>,
+) -> Result<Vec<(CellResult, f64)>, SessionError> {
+    if cells.is_empty() {
+        return Ok(Vec::new());
+    }
+    // Materialise the datasets once; cells share them via internal Arcs.
+    let workload = spec.scenario.workload();
+    validate(spec, &workload)?;
+    let results = fan_out(cells, opts.threads, |&(arm, seed, checkpoint)| {
+        match run_cell(spec, &workload, (arm, seed), checkpoint, Until::Finished, opts)? {
+            (CellEnd::Finished(result), real_s) => Ok((result, real_s)),
+            _ => unreachable!("a cell run until finished ends finished"),
+        }
+    });
+    results.into_iter().collect()
+}
+
+/// [`try_execute`] with each cell's real seconds of its step loop, which
+/// `sanity` and `scale` report from a run on one thread.
+pub(crate) fn execute_timed(
+    spec: &ExperimentSpec,
+    opts: &RunOptions<'_>,
+) -> Result<Vec<(CellResult, f64)>, SessionError> {
+    let cells: Vec<_> = grid(spec).into_iter().map(|(arm, seed)| (arm, seed, None)).collect();
+    finish_cells(spec, &cells, opts)
 }
 
 /// Runs the spec's cells through step-wise sessions with the given
 /// options, surfacing configuration problems as typed errors before any
 /// cell starts.
+///
+/// Determinism: each cell builds a fresh environment from the pure-data
+/// scenario and owns its algorithm instance, so the result is independent
+/// of scheduling; `threads = 1` and `threads = N` produce byte-identical
+/// reports, in the same grid order.
 pub fn try_execute(
     spec: &ExperimentSpec,
     opts: &RunOptions<'_>,
 ) -> Result<ExperimentResult, SessionError> {
-    let cells = grid(spec);
-    if cells.is_empty() {
-        return Ok(ExperimentResult { spec: spec.clone(), cells: Vec::new() });
-    }
-    // Materialise the datasets once; cells share them via internal Arcs.
-    let workload = spec.scenario.workload();
-    let alpha = workload.optim.lr;
-    validate_cells(spec, &cells, &workload, alpha)?;
-
-    let threads = if opts.threads == 0 { default_threads() } else { opts.threads };
-    // Construction was validated up front, but the error stays typed all
-    // the way through rather than being unwrapped on a worker thread.
-    let results = fan_out(&cells, threads, |&(arm_idx, seed)| -> Result<CellResult, SessionError> {
-        let arm = &spec.arms[arm_idx];
-        let mut scenario = spec.scenario.clone();
-        scenario.cfg_mut().seed = seed;
-        let mut algo = arm.instantiate(alpha);
-        let mut env = scenario.build_env_with(workload.clone());
-        let mut session = Session::new(&mut env, algo.driver())?;
-        let label = arm.label();
-        let report = drive_session(&mut session, &spec.name, &label, seed, opts);
-        Ok(CellResult { arm: arm_idx, label, algorithm: arm.algorithm, seed, report })
-    });
-    let cells = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let cells = execute_timed(spec, opts)?.into_iter().map(|(cell, _)| cell).collect();
     Ok(ExperimentResult { spec: spec.clone(), cells })
-}
-
-/// Validates every cell's session construction up front — one cheap env
-/// build, every arm instantiated once — so a bad spec fails before any
-/// training work.
-fn validate_cells(
-    spec: &ExperimentSpec,
-    cells: &[(usize, u64)],
-    workload: &netmax_ml::workload::Workload,
-    alpha: f64,
-) -> Result<(), SessionError> {
-    let Some(&(_, first_seed)) = cells.first() else {
-        return Ok(());
-    };
-    let mut scenario = spec.scenario.clone();
-    scenario.cfg_mut().seed = first_seed;
-    let env = scenario.build_env_with(workload.clone());
-    env.cfg.validate()?;
-    env.cfg.effective_stop().validate()?;
-    for arm in &spec.arms {
-        let mut algo = arm.instantiate(alpha);
-        algo.driver().validate(&env)?;
-    }
-    Ok(())
 }
 
 /// One cell of a suspended experiment: its grid coordinates, how far it
@@ -475,42 +507,22 @@ pub struct SuspendedExperiment {
 /// Runs every cell until it has taken at least `suspend_after_steps`
 /// global steps (or finished first), then checkpoints it. The returned
 /// experiment, resumed with [`resume`], yields reports byte-identical to
-/// an uninterrupted [`execute_with_threads`] run.
+/// an uninterrupted [`try_execute`] run.
 pub fn execute_suspended(
     spec: &ExperimentSpec,
     threads: usize,
     suspend_after_steps: u64,
 ) -> Result<SuspendedExperiment, SessionError> {
-    let cells = grid(spec);
     let workload = spec.scenario.workload();
-    let alpha = workload.optim.lr;
-    validate_cells(spec, &cells, &workload, alpha)?;
-
-    let threads = if threads == 0 { default_threads() } else { threads };
-    let suspended =
-        fan_out(&cells, threads, |&(arm_idx, seed)| -> Result<SuspendedCell, SessionError> {
-            let arm = &spec.arms[arm_idx];
-            let mut scenario = spec.scenario.clone();
-            scenario.cfg_mut().seed = seed;
-            let mut algo = arm.instantiate(alpha);
-            let mut env = scenario.build_env_with(workload.clone());
-            let mut session = Session::new(&mut env, algo.driver())?;
-            while session.env().global_step < suspend_after_steps && !session.is_finished() {
-                session.step();
-            }
-            let mut bytes = Vec::new();
-            session.checkpoint_binary(&mut CheckpointScratch::new(), &mut bytes)?;
-            Ok(SuspendedCell {
-                arm: arm_idx,
-                label: arm.label(),
-                algorithm: arm.algorithm,
-                seed,
-                global_step: session.env().global_step,
-                tier: session.env().cfg.tier,
-                session: bytes,
-            })
-        });
-    let cells = suspended.into_iter().collect::<Result<Vec<_>, _>>()?;
+    validate(spec, &workload)?;
+    let until = Until::Suspended(suspend_after_steps);
+    let cells = fan_out(&grid(spec), threads, |&cell| {
+        match run_cell(spec, &workload, cell, None, until, &RunOptions::default())? {
+            (CellEnd::Suspended(cell), _) => Ok(cell),
+            _ => unreachable!("a cell run until suspended ends suspended"),
+        }
+    });
+    let cells = cells.into_iter().collect::<Result<_, SessionError>>()?;
     Ok(SuspendedExperiment { spec: spec.clone(), cells })
 }
 
@@ -520,39 +532,9 @@ pub fn resume(
     opts: &RunOptions<'_>,
 ) -> Result<ExperimentResult, SessionError> {
     let spec = &suspended.spec;
-    let workload = spec.scenario.workload();
-    let alpha = workload.optim.lr;
-
-    let threads = if opts.threads == 0 { default_threads() } else { opts.threads };
-    // Each cell restores its own session (driver-state shapes differ per
-    // arm), so defects are surfaced per cell as typed errors — never as a
-    // worker-thread panic.
-    let results = fan_out(
-        &suspended.cells,
-        threads,
-        |cell| -> Result<CellResult, SessionError> {
-            let arm = spec.arms.get(cell.arm).ok_or_else(|| {
-                SessionError::BadCheckpoint(format!(
-                    "cell references arm {} not in spec",
-                    cell.arm
-                ))
-            })?;
-            let mut scenario = spec.scenario.clone();
-            scenario.cfg_mut().seed = cell.seed;
-            let mut algo = arm.instantiate(alpha);
-            let mut env = scenario.build_env_with(workload.clone());
-            let mut session = Session::restore_bytes(&mut env, algo.driver(), &cell.session)?;
-            let report = drive_session(&mut session, &spec.name, &cell.label, cell.seed, opts);
-            Ok(CellResult {
-                arm: cell.arm,
-                label: cell.label.clone(),
-                algorithm: cell.algorithm,
-                seed: cell.seed,
-                report,
-            })
-        },
-    );
-    let cells = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let cells: Vec<_> =
+        suspended.cells.iter().map(|c| (c.arm, c.seed, Some(&c.session[..]))).collect();
+    let cells = finish_cells(spec, &cells, opts)?.into_iter().map(|(cell, _)| cell).collect();
     Ok(ExperimentResult { spec: spec.clone(), cells })
 }
 
@@ -596,9 +578,10 @@ pub fn checkpoint_bytes(suspended: &SuspendedExperiment) -> Result<Vec<u8>, Json
 }
 
 /// Parses a container written by [`checkpoint_bytes`]. Session payloads
-/// are copied out undecoded — [`resume`] hands them to
-/// [`Session::restore_bytes`], which owns their validation. Anything that
-/// is not an NMXB container under [`CHECKPOINT_SCHEMA`] is a typed error.
+/// are copied out undecoded — [`resume`] restores each cell's session
+/// from them, and the session restore owns their validation; the spec is
+/// checked against its own fleet as it parses. Anything that is not an
+/// NMXB container under [`CHECKPOINT_SCHEMA`] is a typed error.
 pub fn parse_checkpoint_bytes(bytes: &[u8]) -> Result<SuspendedExperiment, JsonError> {
     let doc = codec::read_document(bytes).map_err(codec_err)?;
     doc.check_schema(CHECKPOINT_SCHEMA).map_err(codec_err)?;
@@ -765,10 +748,10 @@ fn rounded(x: f64, digits: usize) -> Json {
 /// The `BENCH_sanity.json` document at `mode` — the headline shape check
 /// (not a paper figure): on the heterogeneous dynamic network NetMax
 /// should reach the loss target in less simulated time than AD-PSGD,
-/// Allreduce-SGD and Prague. Same cells as `run sanity`, but each arm
-/// runs alone on this thread inside a real-time bracket, so the document
-/// doubles as a performance record; `on_arm` sees every arm's label and
-/// report as it finishes.
+/// Allreduce-SGD and Prague. Same cells as `run sanity`, but run one at
+/// a time on this thread, so each arm's real seconds (its session's
+/// step loop) make the document a performance record too; `on_arm` sees
+/// every arm's label and report, in arm order.
 pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json {
     use netmax_ml::workload::WorkloadKind;
     use netmax_net::NetworkKind;
@@ -776,53 +759,30 @@ pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json 
     // The header below names the scenario with fixed strings; these
     // asserts tie them to the spec so the baseline can never silently
     // drift from what actually ran.
-    assert_eq!(
-        spec.scenario.workload_spec().kind,
-        WorkloadKind::Resnet18Cifar10
-    );
-    assert_eq!(
-        spec.scenario.network_kind(),
-        NetworkKind::HeterogeneousDynamic
-    );
-    // Datasets instantiated once, outside the timing brackets — the
-    // recorded real_time_s measures training only.
-    let workload = spec.scenario.workload();
-    let alpha = workload.optim.lr;
-    let mut results = Vec::new();
-    for arm in &spec.arms {
-        let mut algo = arm.instantiate(alpha);
-        let t0 = Instant::now();
-        let mut env = spec.scenario.build_env_with(workload.clone());
-        let r = algo.run(&mut env);
-        let real_s = t0.elapsed().as_secs_f64();
-        let label = arm.label();
-        on_arm(&label, &r);
-        results.push(Json::obj([
+    assert_eq!(spec.scenario.workload_spec().kind, WorkloadKind::Resnet18Cifar10);
+    assert_eq!(spec.scenario.network_kind(), NetworkKind::HeterogeneousDynamic);
+    // One cell at a time on this thread, so each cell's real seconds
+    // (its step loop alone) are not shared with a sibling.
+    let cells = execute_timed(&spec, &RunOptions { threads: 1, ..RunOptions::default() })
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+    let results = cells.iter().map(|(cell, real_s)| {
+        let (label, r) = (&cell.label, &cell.report);
+        on_arm(label, r);
+        Json::obj([
             ("algorithm", label.to_json()),
             ("simulated_wall_clock_s", rounded(r.wall_clock_s, 3)),
             ("epoch_time_avg_s", rounded(r.epoch_time_avg_s(), 4)),
-            (
-                "comp_cost_per_epoch_s",
-                rounded(r.comp_cost_per_epoch_s(), 4),
-            ),
-            (
-                "comm_cost_per_epoch_s",
-                rounded(r.comm_cost_per_epoch_s(), 4),
-            ),
+            ("comp_cost_per_epoch_s", rounded(r.comp_cost_per_epoch_s(), 4)),
+            ("comm_cost_per_epoch_s", rounded(r.comm_cost_per_epoch_s(), 4)),
             ("final_train_loss", rounded(r.final_train_loss, 6)),
             ("final_test_accuracy", rounded(r.final_test_accuracy, 4)),
-            (
-                "time_to_loss_0_40_s",
-                r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2)),
-            ),
+            ("time_to_loss_0_40_s", r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2))),
             ("global_steps", r.global_steps.to_json()),
-            ("real_time_s", rounded(real_s, 3)),
-            (
-                "steps_per_real_second",
-                rounded(r.global_steps as f64 / real_s.max(1e-9), 0),
-            ),
-        ]));
-    }
+            ("real_time_s", rounded(*real_s, 3)),
+            ("steps_per_real_second", rounded(r.global_steps as f64 / real_s.max(1e-9), 0)),
+        ])
+    });
+    let results = results.collect();
     let cfg = spec.scenario.cfg();
     Json::obj([
         ("benchmark", "sanity".to_json()),
@@ -868,6 +828,11 @@ mod tests {
         }
     }
 
+    /// [`try_execute`] of a valid spec on `threads` workers.
+    fn run_on(spec: &ExperimentSpec, threads: usize) -> ExperimentResult {
+        try_execute(spec, &RunOptions { threads, ..RunOptions::default() }).unwrap()
+    }
+
     /// A fresh per-test directory (tests run on parallel threads).
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -880,8 +845,8 @@ mod tests {
     #[test]
     fn parallel_execution_is_byte_identical_to_sequential() {
         let spec = small_spec();
-        let sequential = execute_with_threads(&spec, 1);
-        let parallel = execute_with_threads(&spec, 4);
+        let sequential = run_on(&spec, 1);
+        let parallel = run_on(&spec, 4);
         assert_eq!(sequential.cells.len(), 6);
         let (a, b) = (artifact(&[sequential]), artifact(&[parallel]));
         assert_eq!(a.to_string(), b.to_string(), "thread count must not change results");
@@ -890,7 +855,7 @@ mod tests {
     #[test]
     fn artifact_round_trips_through_json() {
         let spec = small_spec();
-        let result = execute_with_threads(&spec, 2);
+        let result = run_on(&spec, 2);
         let doc = artifact(std::slice::from_ref(&result));
         let text = doc.pretty();
         let back = parse_artifact(&Json::parse(&text).unwrap()).unwrap();
@@ -914,7 +879,7 @@ mod tests {
     #[test]
     fn seeds_produce_distinct_runs() {
         let spec = small_spec();
-        let result = execute_with_threads(&spec, 1);
+        let result = run_on(&spec, 1);
         let netmax: Vec<_> = result.cells.iter().filter(|c| c.arm == 0).collect();
         assert_eq!(netmax.len(), 2);
         assert_ne!(
@@ -949,7 +914,7 @@ mod tests {
     #[test]
     fn suspend_resume_is_byte_identical_through_the_checkpoint_file() {
         let spec = small_spec();
-        let direct = execute_with_threads(&spec, 2);
+        let direct = run_on(&spec, 2);
 
         let suspended = execute_suspended(&spec, 2, 40).unwrap();
         let dir = scratch_dir("resume");
@@ -992,7 +957,7 @@ mod tests {
         let mut spec = small_spec();
         spec.arms.push(Arm::new(AlgorithmKind::PsAsync));
         spec.seeds.truncate(1);
-        let direct = execute_with_threads(&spec, 2);
+        let direct = run_on(&spec, 2);
 
         let suspended = execute_suspended(&spec, 2, 40).unwrap();
         let bytes = checkpoint_bytes(&suspended).unwrap();
@@ -1070,7 +1035,7 @@ mod tests {
         spec.seeds.truncate(1);
 
         // A run artifact dispatches to RunReport.
-        let result = execute_with_threads(&spec, 1);
+        let result = run_on(&spec, 1);
         let doc = artifact(std::slice::from_ref(&result));
         match summarize_bytes(doc.pretty().as_bytes()).unwrap() {
             ShownDoc::RunReport(results) => assert_eq!(results.len(), 1),
@@ -1151,7 +1116,7 @@ mod tests {
         spec.seeds.truncate(1);
         // A simulated-time budget far below what the epoch target needs.
         spec.scenario.cfg_mut().max_wall_clock_s = 2.0;
-        let result = execute_with_threads(&spec, 1);
+        let result = run_on(&spec, 1);
         let report = &result.cells[0].report;
         assert!(
             report.wall_clock_s >= 2.0,
@@ -1165,7 +1130,7 @@ mod tests {
         // And the safety net composes with explicit stop conditions too.
         spec.scenario.cfg_mut().stop =
             Some(netmax_core::engine::StopCondition::LossBelow(-1.0));
-        let report = &execute_with_threads(&spec, 1).cells[0].report;
+        let report = &run_on(&spec, 1).cells[0].report;
         assert!(report.wall_clock_s >= 2.0, "unreachable loss target must hit the net");
     }
 

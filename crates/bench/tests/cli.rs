@@ -59,11 +59,7 @@ fn every_artifact_is_whole_newline_terminated_and_the_only_thing_written() {
 fn a_suspended_run_resumes_through_the_cli_to_the_same_artifact() {
     let dir = scratch_dir("resume");
     let run = |extra: &[&str]| {
-        let args = [
-            &["run", "fig05/resnet18-cifar10", "--tiny", "--sequential"],
-            extra,
-        ]
-        .concat();
+        let args = [&["run", "fig05/resnet18-cifar10", "--tiny", "--threads", "1"], extra].concat();
         let out = bench(&dir, &args);
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
     };
@@ -92,7 +88,7 @@ fn a_suspended_run_resumes_through_the_cli_to_the_same_artifact() {
 fn malformed_counts_are_usage_errors_and_the_mode_variable_is_inert() {
     let dir = scratch_dir("usage");
     // (arguments, what the one-line message must contain)
-    let table: [(&[&str], &str); 6] = [
+    let table: [(&[&str], &str); 7] = [
         (&["run", "sanity", "--tiny", "--seeds", "0"], "--seeds needs a positive integer, got `0`"),
         (&["run", "sanity", "--tiny", "--threads", "0"], "--threads needs a positive integer, got `0`"),
         (&["scale", "--tiny", "--repeats", "x"], "--repeats needs a positive integer, got `x`"),
@@ -101,6 +97,8 @@ fn malformed_counts_are_usage_errors_and_the_mode_variable_is_inert() {
         // micro-harness subcommands are not commands.
         (&["throughput", "--quick"], "unknown command: throughput"),
         (&["checkpoint", "--quick"], "unknown command: checkpoint"),
+        // One thread is `--threads 1`; there is no second spelling.
+        (&["run", "sanity", "--tiny", "--sequential"], "unknown option `--sequential`"),
     ];
     for (args, message) in table {
         let out = bench(&dir, args);

@@ -85,6 +85,8 @@ fn scale_tiny_n256_cell_samples_are_the_reference_floats_and_the_pruning_is_pinn
         let (samples, pairs) = run_arm(&spec, kind);
         assert!(samples >= 20, "{kind:?}: only {samples} samples");
         assert_eq!(pairs.all_pairs, samples as u64 * 256 * 255 / 2);
+        // Every arm's pruned diameter evaluates at most a quarter of all pairs.
+        assert!(pairs.share() <= 0.25, "{kind:?}: share {:.4}", pairs.share());
         if kind == AlgorithmKind::AdPsgd {
             // The deterministic count behind the speed-up: strict f32
             // arithmetic, so the same on every machine and every run.

@@ -74,7 +74,8 @@ fn scale_point_binary_suspend_resume_is_byte_identical_at_n_1024() {
     spec.arms.retain(|a| a.algorithm == AlgorithmKind::AdPsgd);
     assert_eq!(spec.arms.len(), 1);
 
-    let direct = runner::execute_with_threads(&spec, 2);
+    let direct =
+        runner::try_execute(&spec, &RunOptions { threads: 2, ..Default::default() }).unwrap();
     let suspended = runner::execute_suspended(&spec, 2, 512).unwrap();
     let bytes = runner::checkpoint_bytes(&suspended).unwrap();
     let parsed = runner::parse_checkpoint_bytes(&bytes).unwrap();

@@ -477,8 +477,11 @@ impl ToJson for Scenario {
 }
 
 impl FromJson for Scenario {
+    /// Parses a scenario document. Fewer than two workers, no server, or
+    /// faults or link dynamics outside the fleet are a typed error here,
+    /// not a panic later in [`Scenario::build_env_with`].
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
+        let scenario = Self {
             workers: usize::from_json(v.field("workers")?)?,
             servers: usize::from_json(v.field("servers")?)?,
             network: NetworkKind::from_json(v.field("network")?)?,
@@ -496,7 +499,16 @@ impl FromJson for Scenario {
                 None | Some(Json::Null) => FaultPlan::none(),
                 Some(f) => FaultPlan::from_json(f)?,
             },
-        })
+        };
+        let n = scenario.workers;
+        if n < 2 || scenario.servers < 1 {
+            let servers = scenario.servers;
+            let e = format!("a scenario needs two workers and a server, got {n} and {servers}");
+            return Err(JsonError::schema(e));
+        }
+        let dynamics = scenario.dynamics.as_ref().map_or(Ok(()), |d| d.validate(n));
+        dynamics.and_then(|()| scenario.faults.validate(n)).map_err(JsonError::schema)?;
+        Ok(scenario)
     }
 }
 
@@ -652,6 +664,34 @@ mod tests {
         for i in 0..a.num_nodes() {
             assert_eq!(a.nodes[i].model.params(), b.nodes[i].model.params());
             assert_eq!(a.nodes[i].sampler.indices(), b.nodes[i].sampler.indices());
+        }
+    }
+
+    #[test]
+    fn a_scenario_document_the_fleet_cannot_build_is_a_parse_error() {
+        // A 4-worker scenario whose fault plan crashes `node`, or whose
+        // trace slows the link {0, `node`}.
+        let docs = |node| {
+            let plan = FaultPlan {
+                node_faults: vec![netmax_net::NodeFault { node, crash_s: 1.0, rejoin_s: None }],
+                ..FaultPlan::none()
+            };
+            let w = netmax_net::TraceWindow { a: 0, b: node, start_s: 0.0, end_s: 1.0, factor: 2.0 };
+            let sc = || Scenario::builder().workers(4).workload(WorkloadSpec::convex_ridge(1));
+            [sc().faults(plan).build(), sc().dynamics(LinkDynamics::Trace(vec![w])).build()]
+                .map(|sc| sc.to_json())
+        };
+        assert!(docs(3).iter().all(|doc| Scenario::from_json(doc).is_ok()));
+        let Json::Obj(mut one_worker) = docs(3)[0].clone() else { panic!("not an object") };
+        one_worker[0].1 = 1usize.to_json();
+        let [faults, trace] = docs(9);
+        for (doc, needle) in [
+            (Json::Obj(one_worker), "needs two workers and a server, got 1 and"),
+            (faults, "node fault names node 9 of 4"),
+            (trace, "trace window names link {0, 9} of a 4-node fabric"),
+        ] {
+            let err = Scenario::from_json(&doc).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
         }
     }
 
