@@ -374,75 +374,112 @@ impl Scenario {
     /// `self.workload()`; the executor uses this to instantiate the
     /// datasets once per experiment and share them (via their internal
     /// `Arc`s) across `(arm, seed)` cells.
+    ///
+    /// # Panics
+    /// Panics if the fleet cannot be built: too few workers or servers,
+    /// link dynamics or a fault plan that fail validation, or a topology
+    /// or partition of another shape. A parsed scenario never does.
     pub fn build_env_with(&self, workload: Workload) -> Environment {
+        let valid = self.validate();
+        assert!(valid.is_ok(), "invalid scenario: {}", valid.err().unwrap_or_default());
         let n = self.workers;
         let topology = match &self.topology {
             TopologyKind::FullyConnected => Topology::fully_connected(n),
             TopologyKind::Ring => Topology::ring(n),
-            TopologyKind::Torus { rows, cols } => {
-                assert_eq!(rows * cols, n, "torus dimensions must cover the worker count");
-                Topology::torus(*rows, *cols)
-            }
+            TopologyKind::Torus { rows, cols } => Topology::torus(*rows, *cols),
             TopologyKind::Random { p } => Topology::random_connected(n, *p, self.cfg.seed),
         };
-        // One network type for every regime: a base fabric, the regime's
-        // default link dynamics unless the scenario overrides them, and
-        // the (possibly empty) fault plan.
+        // One network type for every regime: a base fabric, the link
+        // dynamics in force, and the (possibly empty) fault plan.
         let cluster = || ClusterSpec::paper_default(per_server_counts(n, self.servers));
-        let (base, default_dynamics) = match self.network {
-            NetworkKind::Homogeneous => (
-                ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()),
-                LinkDynamics::Static,
-            ),
-            NetworkKind::HeterogeneousDynamic => (
-                ElasticNetwork::cluster(cluster(), LinkDynamics::Static, 0),
-                LinkDynamics::PeriodicRedraw(self.slowdown),
-            ),
-            NetworkKind::HeterogeneousStatic => (
-                ElasticNetwork::cluster(cluster(), LinkDynamics::Static, 0),
-                LinkDynamics::PeriodicRedraw(SlowdownConfig { dynamic: false, ..self.slowdown }),
-            ),
-            NetworkKind::Wan => {
-                (ElasticNetwork::wan((0..n).map(|i| i % 6).collect()), LinkDynamics::Static)
+        let base = match self.network {
+            NetworkKind::Homogeneous => ElasticNetwork::uniform(n, LinkQuality::virtual_switch_10g()),
+            NetworkKind::HeterogeneousDynamic | NetworkKind::HeterogeneousStatic => {
+                ElasticNetwork::cluster(cluster(), LinkDynamics::Static, 0)
             }
+            NetworkKind::Wan => ElasticNetwork::wan((0..n).map(|i| i % 6).collect()),
         };
         let network = base
             .with_seed(self.cfg.seed)
-            .with_dynamics(self.dynamics.clone().unwrap_or(default_dynamics))
+            .with_dynamics(self.link_dynamics())
             .with_faults(self.faults.clone());
         let partition = match &self.partition {
             PartitionKind::Uniform => {
                 Partition::uniform(&workload.train, n, self.cfg.seed)
             }
             PartitionKind::Segments(segs) => {
-                assert_eq!(segs.len(), n, "segment list must match worker count");
                 Partition::segmented(&workload.train, segs, self.cfg.seed)
             }
             PartitionKind::Paper8Segments => {
-                assert_eq!(n, 8, "Paper8Segments requires 8 workers");
                 Partition::paper_8node_segments(&workload.train, self.cfg.seed)
             }
             PartitionKind::Paper16Segments => {
-                assert_eq!(n, 16, "Paper16Segments requires 16 workers");
                 Partition::paper_16node_segments(&workload.train, self.cfg.seed)
             }
-            PartitionKind::LabelSkew(lost) => {
-                assert_eq!(lost.len(), n, "lost-label list must match worker count");
-                Partition::label_skew(&workload.train, lost)
-            }
-            PartitionKind::PaperTable4 => {
-                assert_eq!(n, 8, "Table IV requires 8 workers");
-                Partition::paper_table4(&workload.train)
-            }
-            PartitionKind::PaperTable7 => {
-                assert_eq!(n, 6, "Table VII requires 6 workers");
-                Partition::paper_table7(&workload.train)
-            }
+            PartitionKind::LabelSkew(lost) => Partition::label_skew(&workload.train, lost),
+            PartitionKind::PaperTable4 => Partition::paper_table4(&workload.train),
+            PartitionKind::PaperTable7 => Partition::paper_table7(&workload.train),
         };
         let mut env =
             Environment::new(topology, network, workload, partition, self.cfg.clone());
         env.set_fault_plan(self.faults.clone());
         env
+    }
+
+    /// The link dynamics in force: the scenario's override, or else the
+    /// regime its network kind implies (the paper's periodic slow-link
+    /// redraw for the heterogeneous kinds, static links otherwise).
+    fn link_dynamics(&self) -> LinkDynamics {
+        self.dynamics.clone().unwrap_or(match self.network {
+            NetworkKind::Homogeneous | NetworkKind::Wan => LinkDynamics::Static,
+            NetworkKind::HeterogeneousDynamic => LinkDynamics::PeriodicRedraw(self.slowdown),
+            NetworkKind::HeterogeneousStatic => {
+                LinkDynamics::PeriodicRedraw(SlowdownConfig { dynamic: false, ..self.slowdown })
+            }
+        })
+    }
+
+    /// Checks that the fleet can be built: at least two workers and a
+    /// server, link dynamics in force and a fault plan valid for the
+    /// worker count, and a topology and partition of the fleet's shape.
+    /// [`Scenario::build_env_with`] asserts it, and a document that fails
+    /// it does not parse.
+    fn validate(&self) -> Result<(), String> {
+        let (n, servers) = (self.workers, self.servers);
+        if n < 2 || servers < 1 {
+            return Err(format!("a scenario needs two workers and a server, got {n} and {servers}"));
+        }
+        self.link_dynamics().validate(n)?;
+        self.faults.validate(n)?;
+        match self.topology {
+            TopologyKind::Torus { rows, cols } if rows < 2 || cols < 2 || rows * cols != n => {
+                return Err(format!("a {rows}×{cols} torus does not cover {n} workers"));
+            }
+            TopologyKind::Random { p } if !(0.0..=1.0).contains(&p) => {
+                return Err(format!("random topology edge probability {p} is outside [0, 1]"));
+            }
+            _ => {}
+        }
+        let entries = |what: &str, len: usize| match len {
+            len if len == n => Ok(()),
+            len => Err(format!("{what} has {len} entries for {n} workers")),
+        };
+        let fixed = |what: &str, len: usize| match len {
+            len if len == n => Ok(()),
+            len => Err(format!("{what} requires {len} workers, got {n}")),
+        };
+        match &self.partition {
+            PartitionKind::Uniform => Ok(()),
+            PartitionKind::Segments(segs) if segs.contains(&0) => {
+                Err("every worker needs at least one segment".into())
+            }
+            PartitionKind::Segments(segs) => entries("segment list", segs.len()),
+            PartitionKind::LabelSkew(lost) => entries("lost-label list", lost.len()),
+            PartitionKind::Paper8Segments => fixed("Paper8Segments", 8),
+            PartitionKind::Paper16Segments => fixed("Paper16Segments", 16),
+            PartitionKind::PaperTable4 => fixed("Table IV", 8),
+            PartitionKind::PaperTable7 => fixed("Table VII", 6),
+        }
     }
 
     /// Builds an environment and runs `algorithm` on it.
@@ -477,9 +514,9 @@ impl ToJson for Scenario {
 }
 
 impl FromJson for Scenario {
-    /// Parses a scenario document. Fewer than two workers, no server, or
-    /// faults or link dynamics outside the fleet are a typed error here,
-    /// not a panic later in [`Scenario::build_env_with`].
+    /// Parses a scenario document. One whose fleet cannot be built is a
+    /// typed error here, not a panic later in
+    /// [`Scenario::build_env_with`].
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let scenario = Self {
             workers: usize::from_json(v.field("workers")?)?,
@@ -500,14 +537,7 @@ impl FromJson for Scenario {
                 Some(f) => FaultPlan::from_json(f)?,
             },
         };
-        let n = scenario.workers;
-        if n < 2 || scenario.servers < 1 {
-            let servers = scenario.servers;
-            let e = format!("a scenario needs two workers and a server, got {n} and {servers}");
-            return Err(JsonError::schema(e));
-        }
-        let dynamics = scenario.dynamics.as_ref().map_or(Ok(()), |d| d.validate(n));
-        dynamics.and_then(|()| scenario.faults.validate(n)).map_err(JsonError::schema)?;
+        scenario.validate().map_err(JsonError::schema)?;
         Ok(scenario)
     }
 }
@@ -691,6 +721,38 @@ mod tests {
             (trace, "trace window names link {0, 9} of a 4-node fabric"),
         ] {
             let err = Scenario::from_json(&doc).unwrap_err();
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_scenario_document_of_the_wrong_shape_is_a_parse_error() {
+        // Each document is the heterogeneous 4-worker cell with one field
+        // its fleet cannot be built from: the redraw period of the slow
+        // links the network kind implies, the torus, or the partition.
+        let sc = || {
+            Scenario::builder()
+                .workers(4)
+                .network(NetworkKind::HeterogeneousDynamic)
+                .workload(WorkloadSpec::convex_ridge(1))
+        };
+        let no_period = SlowdownConfig { change_period_s: 0.0, ..SlowdownConfig::default() };
+        assert!(Scenario::from_json(&sc().build().to_json()).is_ok());
+        for (bad, needle) in [
+            (sc().slowdown(no_period).build(), "redraw period must be finite and positive, got 0"),
+            (
+                sc().network(NetworkKind::HeterogeneousStatic).slowdown(no_period).build(),
+                "redraw period must be finite and positive, got 0",
+            ),
+            (sc().topology(TopologyKind::Torus { rows: 2, cols: 3 }).build(), "2×3 torus does not cover 4"),
+            (sc().topology(TopologyKind::Random { p: 1.5 }).build(), "probability 1.5 is outside"),
+            (sc().partition(PartitionKind::Segments(vec![1, 2])).build(), "segment list has 2 entries for 4"),
+            (sc().partition(PartitionKind::Segments(vec![1, 0, 1, 1])).build(), "at least one segment"),
+            (sc().partition(PartitionKind::LabelSkew(vec![vec![1]; 5])).build(), "lost-label list has 5 entries"),
+            (sc().partition(PartitionKind::Paper8Segments).build(), "Paper8Segments requires 8 workers, got 4"),
+            (sc().partition(PartitionKind::PaperTable7).build(), "Table VII requires 6 workers, got 4"),
+        ] {
+            let err = Scenario::from_json(&bad.to_json()).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
     }

@@ -23,7 +23,9 @@ use crate::fast::{
     transpose_block_fast,
 };
 use crate::libm::{expf, logf};
-use crate::params::{dot_tile, gather_feature_major, DOT_TILE};
+use crate::params::{
+    axpy_rows, dot_group_tile, dot_rows, gather_feature_major, DOT_GROUP, DOT_ROWS, DOT_TILE,
+};
 use crate::tier::NumericsTier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,6 +75,9 @@ pub struct Scratch {
     coefs: Vec<f32>,
     /// Per-chunk label buffer for the fast-tier forward.
     labels: Vec<u32>,
+    /// Feature-major weights of one replica group of the ridge fleet
+    /// loss ([`dot_group_tile`]).
+    wt: Vec<f32>,
     /// The numerics tier the gradient entry points run under; chosen
     /// once at construction.
     pub tier: NumericsTier,
@@ -106,6 +111,7 @@ impl Scratch {
             hb: Vec::new(),
             coefs: Vec::new(),
             labels: Vec::new(),
+            wt: Vec::new(),
             tier,
         }
     }
@@ -383,25 +389,48 @@ fn skip_axpy<const W: usize>(acc: &mut [f32; W], bias: &mut f32, coef: f32, x: &
     }
 }
 
+/// The first `G` slices of `items`, and how many there were: a shorter
+/// run is padded with its last slice (with empty slices if there is
+/// none), so every lane of a group kernel reads a real vector.
+fn padded_group<'a, const G: usize>(
+    items: impl Iterator<Item = &'a [f32]>,
+) -> ([&'a [f32]; G], usize) {
+    let mut group = [&[][..]; G];
+    let (mut items, mut taken, mut last) = (items.take(G), 0, &[][..]);
+    for member in group.iter_mut() {
+        if let Some(item) = items.next() {
+            (last, taken) = (item, taken + 1);
+        }
+        *member = last;
+    }
+    (group, taken)
+}
+
 /// The loop every [`Model::loss_fleet`] runs: checks the block against
 /// the model's shape and each replica's length, scores the replicas in
-/// order with `loss_at`, and checks that there was one per loss slot.
-fn score_fleet(
+/// order `G` at a time with `score`, and checks that there was one per
+/// loss slot. The losses of a short last group's padded lanes are
+/// dropped.
+fn score_fleet<const G: usize>(
     block: &EvalBlock,
     (dim, num_params): (usize, usize),
     replicas: &mut dyn Iterator<Item = &[f32]>,
     losses: &mut [f32],
-    mut loss_at: impl FnMut(&[f32]) -> f32,
+    mut score: impl FnMut(&[&[f32]; G]) -> [f32; G],
 ) {
     assert!(!block.is_empty(), "empty batch");
     assert_eq!(block.dim(), dim, "dataset dim mismatch");
-    let mut scored = 0;
-    for (loss, params) in losses.iter_mut().zip(&mut *replicas) {
-        assert_eq!(params.len(), num_params, "replica parameter count mismatch");
-        *loss = loss_at(params);
-        scored += 1;
+    for slots in losses.chunks_mut(G) {
+        let (group, taken) = padded_group(replicas.take(slots.len()));
+        assert!(taken == slots.len(), "one loss slot per replica");
+        for params in &group {
+            assert_eq!(params.len(), num_params, "replica parameter count mismatch");
+        }
+        for (slot, loss) in slots.iter_mut().zip(score(&group)) {
+            *slot = loss;
+        }
     }
-    assert!(scored == losses.len() && replicas.next().is_none(), "one loss slot per replica");
+    assert!(replicas.next().is_none(), "one loss slot per replica");
 }
 
 /// A supervised model with flat parameters.
@@ -742,8 +771,8 @@ impl Model for SoftmaxRegression {
         losses: &mut [f32],
     ) {
         let Scratch { logits_all, maxs, sums, .. } = scratch;
-        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
-            self.loss_core(params, block, logits_all, maxs, sums)
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |&[params]| {
+            [self.loss_core(params, block, logits_all, maxs, sums)]
         });
     }
 
@@ -1028,7 +1057,7 @@ impl Model for Mlp {
         losses: &mut [f32],
     ) {
         let Scratch { hb, logits_all, maxs, sums, .. } = scratch;
-        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |&[params]| {
             let (w1, b1, w2, b2) = self.split(params);
             let mut loss = 0.0f32;
             for (xb, labels) in block.blocks() {
@@ -1048,7 +1077,7 @@ impl Model for Mlp {
                     loss -= logf(clamp_prob(logits_all[y as usize * nb + s]));
                 }
             }
-            loss / block.len() as f32
+            [loss / block.len() as f32]
         });
     }
 
@@ -1105,39 +1134,47 @@ impl LeastSquares {
         crate::params::dot(&self.params[..self.dim], x) + self.params[self.dim]
     }
 
-    /// The loss kernel behind [`Model::loss_fleet`], at the parameters
-    /// `params`. Per tile of [`DOT_TILE`] examples, [`dot_tile`] leaves
-    /// every `w·x` — each the float [`Self::value`] computes — in
-    /// registers; the tile's terms `0.5·r·r` are formed side by side, and
-    /// the chain `loss += term` then advances over them in example order,
-    /// so it adds the terms [`Model::loss`] adds, in its order, and the
-    /// adds are the only serial work.
-    ///
-    /// One replica wide, on measurement (`gossip1024`: 1 024 replicas,
-    /// 384 × 32 block). The row-wide lane buffer this replaces took
-    /// 1.26–1.30 ms a fleet pass; this takes 0.87–1.07 ms. Sharing each tile
-    /// load between two or four replicas' accumulators takes 0.69 and
-    /// 0.55–0.62 ms, but the frozen benchmark keeps a 38 KB report per
-    /// pass its 10 s fit, so those read `peak_rss_mb` +7–8 % and
-    /// +13–15 % against a 10 % bound where this reads +4–6 %
-    /// (ROADMAP item 4 records the harness reason).
-    fn loss_at(&self, params: &[f32], block: &EvalBlock) -> f32 {
-        let (w, b) = (&params[..self.dim], params[self.dim]);
-        let mut loss = 0.0f32;
+    /// The loss kernel behind [`Model::loss_fleet`]: the losses of a
+    /// group of [`DOT_GROUP`] replicas, `wt` their weights laid out
+    /// feature-major. Per tile of [`DOT_TILE`] examples,
+    /// [`dot_group_tile`] leaves every replica's `w·x` (each the float
+    /// [`Self::value`] computes) in registers, reading each feature row
+    /// of the tile once for the whole group. Each replica's terms
+    /// `0.5·r·r` are formed side by side and its own chain `loss += term`
+    /// advances over them in example order, so it adds the terms
+    /// [`Model::loss`] adds, in its order; the group's chains are
+    /// independent, and the adds are the only serial work.
+    fn loss_group(
+        &self,
+        group: &[&[f32]; DOT_GROUP],
+        block: &EvalBlock,
+        wt: &mut Vec<f32>,
+    ) -> [f32; DOT_GROUP] {
+        // Row `dim` of the gathered block is the group's biases.
+        wt.resize(DOT_GROUP * (self.dim + 1), 0.0);
+        gather_feature_major(DOT_GROUP, self.dim + 1, |r| group[r], wt);
+        let (wt, biases) = wt.split_at(DOT_GROUP * self.dim);
+        let mut losses = [0.0f32; DOT_GROUP];
         for (xb, labels) in block.blocks() {
             for (tile, ys) in labels.chunks(DOT_TILE).enumerate() {
-                let wx = dot_tile(w, xb, labels.len(), tile * DOT_TILE, ys.len());
-                let mut terms = [0.0f32; DOT_TILE];
-                for ((term, &wx), &y) in terms.iter_mut().zip(&wx).zip(ys) {
-                    let r = wx + b - y as f32;
-                    *term = 0.5 * r * r;
-                }
-                for &term in terms.iter().take(ys.len()) {
-                    loss += term;
+                let wx = dot_group_tile(wt, xb, labels.len(), tile * DOT_TILE, ys.len());
+                for ((loss, wx), &b) in losses.iter_mut().zip(wx.chunks_exact(DOT_TILE)).zip(biases) {
+                    let mut terms = [0.0f32; DOT_TILE];
+                    for ((term, &wx), &y) in terms.iter_mut().zip(wx).zip(ys) {
+                        let r = wx + b - y as f32;
+                        *term = 0.5 * r * r;
+                    }
+                    for &term in terms.iter().take(ys.len()) {
+                        *loss += term;
+                    }
                 }
             }
         }
-        loss / block.len() as f32 + 0.5 * self.l2 * crate::params::norm_sq(w)
+        for (loss, params) in losses.iter_mut().zip(group) {
+            let w = &params[..self.dim];
+            *loss = *loss / block.len() as f32 + 0.5 * self.l2 * crate::params::norm_sq(w);
+        }
+        losses
     }
 
     /// Fast-tier gradient core: the strict body's structure with every
@@ -1185,21 +1222,37 @@ impl Model for LeastSquares {
         grad.resize(self.num_params(), 0.0);
         assert!(!batch.is_empty(), "empty batch");
         grad.fill(0.0);
+        let (w, b) = self.params.split_at(self.dim);
+        let (gw, gb) = grad.split_at_mut(self.dim);
         let inv = 1.0 / batch.len() as f32;
         let mut loss = 0.0f32;
-        for &i in batch {
-            let x = data.feature(i);
-            let y = data.label(i) as f32;
-            let r = self.value(x) - y;
-            loss += 0.5 * r * r;
-            crate::params::axpy(r * inv, x, &mut grad[..self.dim]);
-            grad[self.dim] += r * inv;
+        // The examples' dots advance `DOT_ROWS` at a time; then the
+        // group's `loss +=`, axpy and bias adds run in batch order, each
+        // accumulator receiving the adds of the per-example loop in its
+        // order. A short last group pads its dots with its last example.
+        for group in batch.chunks(DOT_ROWS) {
+            let (xs, _) = padded_group(group.iter().map(|&i| data.feature(i)));
+            let mut coefs = [0.0f32; DOT_ROWS];
+            for ((coef, wx), &i) in coefs.iter_mut().zip(dot_rows(w, &xs)).zip(group) {
+                let r = (wx + b[0]) - data.label(i) as f32;
+                loss += 0.5 * r * r;
+                *coef = r * inv;
+            }
+            if group.len() == DOT_ROWS {
+                axpy_rows(&coefs, &xs, gw);
+            } else {
+                for (&coef, x) in coefs.iter().zip(&xs).take(group.len()) {
+                    crate::params::axpy(coef, x, gw);
+                }
+            }
+            for &coef in coefs.iter().take(group.len()) {
+                gb[0] += coef;
+            }
         }
         // L2 term on weights (not bias).
-        let w = &self.params[..self.dim];
         loss += 0.5 * self.l2 * crate::params::norm_sq(w) * batch.len() as f32;
-        crate::params::axpy(self.l2, w, &mut grad[..self.dim]);
-        loss * inv + 0.0 // already averaged data term; reg term below
+        crate::params::axpy(self.l2, w, gw);
+        loss * inv
     }
 
     fn loss(&self, data: &Dataset, batch: &[usize]) -> f32 {
@@ -1220,9 +1273,8 @@ impl Model for LeastSquares {
         scratch: &mut Scratch,
         losses: &mut [f32],
     ) {
-        let _ = scratch;
-        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |params| {
-            self.loss_at(params, block)
+        score_fleet(block, (self.dim, self.num_params()), replicas, losses, |group| {
+            self.loss_group(group, block, &mut scratch.wt)
         });
     }
 
@@ -1837,6 +1889,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `LeastSquares`' strict gradient as the per-example loop wrote it:
+    /// one `dot`, loss add, `axpy` and bias add per example.
+    fn ridge_grad_reference(m: &LeastSquares, data: &Dataset, batch: &[usize]) -> (f32, Vec<f32>) {
+        let mut grad = vec![0.0f32; m.num_params()];
+        let inv = 1.0 / batch.len() as f32;
+        let mut loss = 0.0f32;
+        for &i in batch {
+            let x = data.feature(i);
+            let r = crate::params::dot(&m.params[..m.dim], x) + m.params[m.dim] - data.label(i) as f32;
+            loss += 0.5 * r * r;
+            crate::params::axpy(r * inv, x, &mut grad[..m.dim]);
+            grad[m.dim] += r * inv;
+        }
+        let w = &m.params[..m.dim];
+        loss += 0.5 * m.l2 * crate::params::norm_sq(w) * batch.len() as f32;
+        crate::params::axpy(m.l2, w, &mut grad[..m.dim]);
+        (loss * inv, grad)
+    }
+
+    #[test]
+    fn ridge_kernels_equal_the_plain_loops_at_their_edges() {
+        // Dims around the registry's 32 and on both sides of the pairwise
+        // block; gradient batches of every length up to two example
+        // groups and one past; fleets of 1–9 replicas (replica groups of
+        // four, then a last group of one to three), blocks that are not a
+        // multiple of the 16-example tile.
+        let pb = crate::params::PAIRWISE_BLOCK;
+        let mut rng = StdRng::seed_from_u64(45);
+        let mut scratch = Scratch::new();
+        let mut block = EvalBlock::new();
+        for dim in [1usize, 31, 33, pb, pb + 1] {
+            let data = random_dataset(&mut rng, 300, dim, 5);
+            let fleet: Vec<LeastSquares> = (0..9).map(|r| LeastSquares::new(dim, 0.01, 200 + r)).collect();
+            for len in (1..=17).chain([32, 33]) {
+                let batch: Vec<usize> = (0..len).map(|_| rng.gen_range(0..data.len())).collect();
+                let m = &fleet[len % fleet.len()];
+                let (loss, grad) = ridge_grad_reference(m, &data, &batch);
+                let got = m.loss_grad_scratch(&data, &batch, &mut scratch);
+                let what = format!("dim {dim}, batch {len}");
+                assert_eq!(got.to_bits(), loss.to_bits(), "loss, {what}: {got} vs {loss}");
+                assert_bits(&scratch.grad, &grad, &format!("gradient, {what}"));
+            }
+            for len in [1usize, 7, 17, 40, 257] {
+                let batch: Vec<usize> = (0..len).map(|_| rng.gen_range(0..data.len())).collect();
+                block.gather(&data, batch.iter().copied());
+                let want: Vec<f32> = fleet.iter().map(|m| m.loss(&data, &batch)).collect();
+                for n in 1..=fleet.len() {
+                    let mut got = vec![f32::NAN; n];
+                    let mut replicas = fleet[..n].iter().map(|m| m.params());
+                    fleet[0].loss_fleet(&block, &mut replicas, &mut scratch, &mut got);
+                    assert_bits(&got, &want[..n], &format!("fleet loss, dim {dim}, {len} examples, {n} replicas"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_replica_scores_nan_and_leaves_its_group_mates_alone() {
+        // Seven replicas: a full group of four, then three padded with the
+        // first of them. The NaN replicas are one inside the full group
+        // and the one that pads the short group.
+        let mut rng = StdRng::seed_from_u64(46);
+        let data = random_dataset(&mut rng, 50, 32, 5);
+        let batch: Vec<usize> = (0..37).collect();
+        let mut block = EvalBlock::new();
+        block.gather(&data, batch.iter().copied());
+        let mut fleet: Vec<LeastSquares> = (0..7).map(|r| LeastSquares::new(32, 0.01, 300 + r)).collect();
+        fleet[2].params[3] = f32::NAN;
+        fleet[4].params[32] = f32::NAN;
+        let mut got = [0.0f32; 7];
+        fleet[0].loss_fleet(&block, &mut fleet.iter().map(|m| m.params()), &mut Scratch::new(), &mut got);
+        for (r, (l, m)) in got.iter().zip(&fleet).enumerate() {
+            if r == 2 || r == 4 {
+                assert!(l.is_nan(), "replica {r}: {l}");
+            } else {
+                assert_eq!(l.to_bits(), m.loss(&data, &batch).to_bits(), "replica {r}");
+            }
+        }
+    }
+
+    #[test]
+    fn ridge_gradient_of_all_negative_zero_terms_is_the_plain_loop() {
+        // Every `w·x` term is -0.0, in two full example groups and a
+        // short one.
+        let (dim, n) = (3usize, 21usize);
+        let data = Dataset::new(vec![1.5; dim * n], vec![0; n], dim, 3);
+        let batch: Vec<usize> = (0..n).collect();
+        let mut m = LeastSquares::new(dim, 0.01, 1);
+        m.params_mut().fill(-0.0);
+        let mut scratch = Scratch::new();
+        let (loss, grad) = ridge_grad_reference(&m, &data, &batch);
+        let got = m.loss_grad_scratch(&data, &batch, &mut scratch);
+        assert_eq!(got.to_bits(), loss.to_bits());
+        assert_bits(&scratch.grad, &grad, "gradient");
     }
 
     #[test]

@@ -232,81 +232,162 @@ fn pairwise_lanes(
     }
 }
 
-/// Columns per register tile of [`dot_tile`]: one cache line of `f32`.
-pub const DOT_TILE: usize = 16;
-
-/// One sequential run of [`dot_tile`]: the `features` of the tile's
-/// columns, every lane from the start value of `dot_seq`. With the width
-/// known at compile time the accumulators stay in vector registers for
-/// the whole run; a narrower tile leaves its lanes past `width` at the
-/// start value.
-#[inline(always)]
-fn dot_tile_run(
-    w: &[f32],
-    cols: &[f32],
-    nb: usize,
-    first: usize,
-    width: usize,
+/// The split-at-mid tree of [`dot_pairwise`] over `features`, for a
+/// kernel with `L` independent lanes: `leaf` reduces a block of at most
+/// [`PAIRWISE_BLOCK`] features sequentially, sibling blocks add left +
+/// right lane by lane.
+fn pairwise_tree<const L: usize>(
     features: Range<usize>,
-) -> [f32; DOT_TILE] {
-    let mut acc = [sum_start(); DOT_TILE];
-    let rows = cols.chunks_exact(nb).skip(features.start);
-    for (&wk, row) in w[features].iter().zip(rows) {
-        for (a, &xv) in acc.iter_mut().zip(&row[first..first + width]) {
-            *a += wk * xv;
-        }
-    }
-    acc
-}
-
-/// [`dot_tile`] above [`PAIRWISE_BLOCK`] features: the split-at-mid tree
-/// of [`dot_pairwise`], sibling runs added left + right lane by lane.
-fn dot_tile_tree(
-    w: &[f32],
-    cols: &[f32],
-    nb: usize,
-    first: usize,
-    width: usize,
-    features: Range<usize>,
-) -> [f32; DOT_TILE] {
+    leaf: &mut impl FnMut(Range<usize>) -> [f32; L],
+) -> [f32; L] {
     if features.len() <= PAIRWISE_BLOCK {
-        return dot_tile_run(w, cols, nb, first, width, features);
+        return leaf(features);
     }
     let mid = features.start + features.len() / 2;
-    let mut acc = dot_tile_tree(w, cols, nb, first, width, features.start..mid);
-    let right = dot_tile_tree(w, cols, nb, first, width, mid..features.end);
+    let mut acc = pairwise_tree(features.start..mid, leaf);
+    let right = pairwise_tree(mid..features.end, leaf);
     for (a, r) in acc.iter_mut().zip(&right) {
         *a += r;
     }
     acc
 }
 
-/// [`dot`] of `w` against `width ≤ DOT_TILE` neighbouring columns of a
-/// feature-major block: `out[j] = dot(w, column first + j)`, where column
-/// `s` is `cols[k·nb + s]` over `k`. Lanes `width..` are unspecified.
+/// Columns per register tile of [`dot_group_tile`]: one cache line of `f32`.
+pub(crate) const DOT_TILE: usize = 16;
+
+/// Weight vectors per register tile of [`dot_group_tile`]: four
+/// replicas' accumulators for one tile are eight AVX2 registers.
+pub(crate) const DOT_GROUP: usize = 4;
+
+/// The accumulators of one [`dot_group_tile`]: weight vector `r`'s dot
+/// with column `j` of the tile is lane `r·DOT_TILE + j`.
+pub(crate) type GroupTile = [f32; DOT_GROUP * DOT_TILE];
+
+/// One sequential run of [`dot_group_tile`] over `features`, every lane
+/// from the start value of `dot_seq`. Each feature row of the tile is
+/// loaded once and multiplied into all [`DOT_GROUP`] weight vectors'
+/// accumulators; with the width known at compile time they stay in
+/// vector registers for the whole run. A narrower tile leaves its lanes
+/// past `width` at the start value.
+#[inline(always)]
+fn dot_group_run(
+    wt: &[f32],
+    cols: &[f32],
+    nb: usize,
+    first: usize,
+    width: usize,
+    features: Range<usize>,
+) -> GroupTile {
+    let mut acc = [sum_start(); DOT_GROUP * DOT_TILE];
+    let weights = wt.chunks_exact(DOT_GROUP).skip(features.start).take(features.len());
+    let rows = cols.chunks_exact(nb).skip(features.start);
+    for (wk, row) in weights.zip(rows) {
+        let row = &row[first..first + width];
+        for (lanes, &w) in acc.chunks_exact_mut(DOT_TILE).zip(wk) {
+            for (a, &xv) in lanes.iter_mut().zip(row) {
+                *a += w * xv;
+            }
+        }
+    }
+    acc
+}
+
+/// [`dot`] of each of [`DOT_GROUP`] weight vectors against `width ≤
+/// DOT_TILE` neighbouring columns of a feature-major block: lane
+/// `r·DOT_TILE + j` is `dot(w_r, column first + j)`, where column `s` is
+/// `cols[k·nb + s]` over `k` and the weights are laid out feature-major
+/// too, `wt[k·DOT_GROUP + r] = w_r[k]` (as [`gather_feature_major`]
+/// writes them). Lanes `width..` of each weight vector are unspecified.
 ///
 /// Each lane accumulates its terms in ascending `k` from the start value
 /// of `dot_seq`, multiply and add kept separate, and combines blocks by
 /// the same tree as `dot_pairwise`, so every output is the **same float**
-/// as the per-column `dot`. The lanes' accumulators are independent, so
-/// the step vectorises across columns instead of serialising one
-/// latency-bound add chain per dot product — and a tile's accumulators
-/// are two vector registers, where a row-wide lane buffer is loaded and
-/// stored once per feature.
+/// as the per-column `dot`. The lanes are independent, so the step
+/// vectorises across columns instead of serialising one latency-bound
+/// add chain per dot product, and each feature row is read once for the
+/// whole group instead of once per weight vector.
 ///
 /// # Panics
-/// Panics if `cols.len() != w.len() * nb` or the tile reaches past a row
-/// (`width` outside `1..=DOT_TILE`, or `first + width > nb`).
+/// Panics if `wt` is not `DOT_GROUP` vectors of one length `dim`, if
+/// `cols.len() != dim * nb`, or if the tile reaches past a row (`width`
+/// outside `1..=DOT_TILE`, or `first + width > nb`).
 #[inline]
-pub fn dot_tile(w: &[f32], cols: &[f32], nb: usize, first: usize, width: usize) -> [f32; DOT_TILE] {
-    assert_eq!(cols.len(), w.len() * nb, "dot_tile: block size mismatch");
-    assert!((1..=DOT_TILE).contains(&width) && first + width <= nb, "dot_tile: tile past the row");
-    if w.len() > PAIRWISE_BLOCK {
-        dot_tile_tree(w, cols, nb, first, width, 0..w.len())
+pub(crate) fn dot_group_tile(wt: &[f32], cols: &[f32], nb: usize, first: usize, width: usize) -> GroupTile {
+    let dim = wt.len() / DOT_GROUP;
+    assert_eq!(wt.len(), dim * DOT_GROUP, "dot_group_tile: weight block size mismatch");
+    assert_eq!(cols.len(), dim * nb, "dot_group_tile: block size mismatch");
+    assert!((1..=DOT_TILE).contains(&width) && first + width <= nb, "dot_group_tile: tile past the row");
+    if dim > PAIRWISE_BLOCK {
+        pairwise_tree(0..dim, &mut |f| dot_group_run(wt, cols, nb, first, width, f))
     } else if width == DOT_TILE {
-        dot_tile_run(w, cols, nb, first, DOT_TILE, 0..w.len())
+        dot_group_run(wt, cols, nb, first, DOT_TILE, 0..dim)
     } else {
-        dot_tile_run(w, cols, nb, first, width, 0..w.len())
+        dot_group_run(wt, cols, nb, first, width, 0..dim)
+    }
+}
+
+/// Row vectors per interleaved group of [`dot_rows`] and [`axpy_rows`].
+pub(crate) const DOT_ROWS: usize = 8;
+
+/// Element `k` of every row: one column of a row group.
+#[inline(always)]
+fn rows_at(xs: &[&[f32]; DOT_ROWS], k: usize) -> [f32; DOT_ROWS] {
+    xs.map(|x| x[k])
+}
+
+/// Panics unless every row is `len` long.
+#[inline(always)]
+fn assert_rows(xs: &[&[f32]; DOT_ROWS], len: usize, what: &str) {
+    for x in xs {
+        assert_eq!(x.len(), len, "{what}: length mismatch");
+    }
+}
+
+/// One sequential run of [`dot_rows`] over `features`.
+#[inline(always)]
+fn dot_rows_run(w: &[f32], xs: &[&[f32]; DOT_ROWS], features: Range<usize>) -> [f32; DOT_ROWS] {
+    let mut acc = [sum_start(); DOT_ROWS];
+    for (k, &wk) in w.iter().enumerate().skip(features.start).take(features.len()) {
+        for (a, x) in acc.iter_mut().zip(rows_at(xs, k)) {
+            *a += wk * x;
+        }
+    }
+    acc
+}
+
+/// `out[g] = dot(w, xs[g])` for [`DOT_ROWS`] vectors, advanced side by
+/// side: each dot adds its terms in ascending `k` from the start value
+/// of `dot_seq`, multiply and add kept separate, with the tree of
+/// `dot_pairwise` above [`PAIRWISE_BLOCK`], so each output is the **same
+/// float** as [`dot`]. The add chains are independent, so their
+/// latencies overlap instead of following one another.
+///
+/// # Panics
+/// Panics if a vector's length differs from `w`'s.
+pub(crate) fn dot_rows(w: &[f32], xs: &[&[f32]; DOT_ROWS]) -> [f32; DOT_ROWS] {
+    assert_rows(xs, w.len(), "dot_rows");
+    if w.len() > PAIRWISE_BLOCK {
+        pairwise_tree(0..w.len(), &mut |f| dot_rows_run(w, xs, f))
+    } else {
+        dot_rows_run(w, xs, 0..w.len())
+    }
+}
+
+/// `axpy(a[g], xs[g], y)` for `g` in `0..DOT_ROWS`, in that order: each
+/// `y[k]` receives the same adds in the same order as the row-by-row
+/// axpys, so it is the **same float**, but it is held in a register
+/// across the group instead of stored and reloaded once per row.
+///
+/// # Panics
+/// Panics if a vector's length differs from `y`'s.
+pub(crate) fn axpy_rows(a: &[f32; DOT_ROWS], xs: &[&[f32]; DOT_ROWS], y: &mut [f32]) {
+    assert_rows(xs, y.len(), "axpy_rows");
+    for (k, yk) in y.iter_mut().enumerate() {
+        let mut v = *yk;
+        for (&ag, x) in a.iter().zip(rows_at(xs, k)) {
+            v += ag * x;
+        }
+        *yk = v;
     }
 }
 
@@ -477,29 +558,70 @@ mod tests {
     /// one block, and past two (a three-leaf tree with uneven halves).
     const LANE_DIMS: [usize; 5] = [1, 33, PAIRWISE_BLOCK, PAIRWISE_BLOCK + 1, 2 * PAIRWISE_BLOCK + 3];
 
+    /// `columns` laid out feature-major: `out[k·n + s] = columns[s][k]`.
+    fn feature_major(columns: &[Vec<f32>]) -> Vec<f32> {
+        let mut out = vec![0.0f32; columns.first().map_or(0, Vec::len) * columns.len()];
+        gather_feature_major(columns.len(), out.len() / columns.len(), |s| &columns[s], &mut out);
+        out
+    }
+
     #[test]
-    fn dot_tile_is_the_same_float_as_dot_per_column() {
+    fn dot_group_tile_is_the_same_float_as_dot_per_column() {
         for dim in LANE_DIMS {
+            let ws: Vec<Vec<f32>> = (0..DOT_GROUP).map(|r| pseudo(dim, 7 + r as u64)).collect();
+            let wt = feature_major(&ws);
             // A full tile and a ragged one; one full tile; one narrow tile.
             for nb in [DOT_TILE + 5, DOT_TILE, 3] {
-                let w = pseudo(dim, 7);
                 let columns: Vec<Vec<f32>> = (0..nb)
                     .map(|s| pseudo(dim, 20 + s as u64).iter().map(|x| x - 0.5).collect())
                     .collect();
-                let mut cols = vec![0.0f32; dim * nb];
-                for (s, c) in columns.iter().enumerate() {
-                    for (k, &x) in c.iter().enumerate() {
-                        cols[k * nb + s] = x;
-                    }
-                }
+                let cols = feature_major(&columns);
                 for first in (0..nb).step_by(DOT_TILE) {
                     let width = DOT_TILE.min(nb - first);
-                    let out = dot_tile(&w, &cols, nb, first, width);
-                    for j in 0..width {
-                        let want = dot(&w, &columns[first + j]);
-                        assert_eq!(out[j].to_bits(), want.to_bits(), "dim {dim}, column {}", first + j);
+                    let out = dot_group_tile(&wt, &cols, nb, first, width);
+                    for (r, w) in ws.iter().enumerate() {
+                        for j in 0..width {
+                            let want = dot(w, &columns[first + j]);
+                            let got = out[r * DOT_TILE + j];
+                            assert_eq!(got.to_bits(), want.to_bits(), "dim {dim}, weights {r}, column {}", first + j);
+                        }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn dot_rows_is_the_same_float_as_dot_per_row() {
+        for dim in LANE_DIMS {
+            let w: Vec<f32> = pseudo(dim, 8).iter().map(|x| x - 0.5).collect();
+            let rows: Vec<Vec<f32>> = (0..DOT_ROWS).map(|g| pseudo(dim, 60 + g as u64)).collect();
+            let xs: [&[f32]; DOT_ROWS] = std::array::from_fn(|g| rows[g].as_slice());
+            let out = dot_rows(&w, &xs);
+            for (g, x) in xs.iter().enumerate() {
+                assert_eq!(out[g].to_bits(), dot(&w, x).to_bits(), "dim {dim}, row {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_rows_is_the_same_float_as_one_axpy_per_row() {
+        // Registry widths with and without a fixed-length axpy, onto a
+        // nonzero `y`, with coefficients of both signs and a zero of each.
+        for dim in [1usize, 31, 32, 33, 96, 129] {
+            let rows: Vec<Vec<f32>> =
+                (0..DOT_ROWS).map(|g| pseudo(dim, 80 + g as u64).iter().map(|x| x - 0.5).collect()).collect();
+            let xs: [&[f32]; DOT_ROWS] = std::array::from_fn(|g| rows[g].as_slice());
+            let a = [0.3f32, -1.7, 0.0, -0.0, 2.5e-3, -8.0, 1.0, 0.125];
+            let y0: Vec<f32> = pseudo(dim, 99).iter().map(|x| 1e3 * (x - 0.5)).collect();
+            let mut want = y0.clone();
+            for (&ag, x) in a.iter().zip(&xs) {
+                axpy(ag, x, &mut want);
+            }
+            let mut got = y0;
+            axpy_rows(&a, &xs, &mut got);
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "dim {dim}, element {k}");
             }
         }
     }
@@ -528,11 +650,17 @@ mod tests {
     }
 
     #[test]
-    fn dot_tile_keeps_the_sign_of_an_all_negative_zero_sum() {
+    fn the_lane_dots_keep_the_sign_of_an_all_negative_zero_sum() {
         // `Iterator::sum` starts from -0.0, so a dot whose every term is
         // -0.0 is -0.0; a lane seeded with +0.0 would return +0.0.
         let (w, x) = ([-0.0f32, -0.0], [1.0f32, 2.0]);
-        let out = dot_tile(&w, &x, 1, 0, 1);
-        assert_eq!(out[0].to_bits(), dot(&w, &x).to_bits());
+        let want = dot(&w, &x).to_bits();
+        let out = dot_group_tile(&[-0.0; 2 * DOT_GROUP], &x, 1, 0, 1);
+        for r in 0..DOT_GROUP {
+            assert_eq!(out[r * DOT_TILE].to_bits(), want, "weights {r}");
+        }
+        for g in dot_rows(&w, &[&x[..]; DOT_ROWS]) {
+            assert_eq!(g.to_bits(), want);
+        }
     }
 }

@@ -232,8 +232,11 @@ impl ToJson for WorkloadSpec {
 }
 
 impl FromJson for WorkloadSpec {
+    /// Parses a workload spec. A `time_scale` or `lr_scale` that is not
+    /// finite and positive is a typed error: the builders assert it, and
+    /// a zero rate would reach the policy generator as α = 0.
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
+        let spec = Self {
             kind: WorkloadKind::from_json(v.field("kind")?)?,
             seed: u64::from_json(v.field("seed")?)?,
             time_scale: f64::from_json(v.field("time_scale")?)?,
@@ -244,7 +247,13 @@ impl FromJson for WorkloadSpec {
                 Err(_) => 1.0,
             },
             profile: Option::from_json(v.field("profile")?)?,
-        })
+        };
+        for (name, f) in [("time_scale", spec.time_scale), ("lr_scale", spec.lr_scale)] {
+            if !(f.is_finite() && f > 0.0) {
+                return Err(JsonError::schema(format!("{name} must be finite and positive, got {f}")));
+            }
+        }
+        Ok(spec)
     }
 }
 
@@ -526,6 +535,24 @@ mod tests {
             WorkloadSpec::convex_ridge(11).to_json().to_string().replace("lr_scale", "lr_scale_v0");
         let back = WorkloadSpec::from_json(&Json::parse(&legacy).unwrap()).unwrap();
         assert_eq!(back, WorkloadSpec::convex_ridge(11));
+    }
+
+    #[test]
+    fn a_scale_that_is_not_finite_and_positive_does_not_parse() {
+        for name in ["time_scale", "lr_scale"] {
+            for bad in [0.0, -0.5, f64::INFINITY] {
+                let Json::Obj(mut fields) = WorkloadSpec::convex_ridge(11).to_json() else {
+                    panic!("not an object")
+                };
+                for (key, value) in fields.iter_mut() {
+                    if key == name {
+                        *value = Json::Num(bad);
+                    }
+                }
+                let err = WorkloadSpec::from_json(&Json::Obj(fields)).unwrap_err();
+                assert!(err.to_string().contains(&format!("{name} must be finite and positive")), "{err}");
+            }
+        }
     }
 
     #[test]
