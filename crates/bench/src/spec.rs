@@ -346,6 +346,45 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_merge_weight_outside_the_unit_interval_is_a_typed_construction_error() {
+        use netmax_core::engine::{Session, SessionError};
+        let opens = |arm: &Arm| {
+            let s = spec();
+            let mut env = s.scenario.build_env();
+            let mut algo = arm.instantiate(0.1);
+            Session::new(&mut env, algo.driver()).map(drop)
+        };
+        // A spec document — a suspended run's, say — can carry any finite
+        // number; 7.0 used to blend every replica into a NaN curve.
+        let parsed = |kind: AlgorithmKind, w: f64| {
+            let text = Arm::new(kind).to_json().pretty();
+            let text = text.replace("\"merge_weight\": null", &format!("\"merge_weight\": {w:?}"));
+            let arm = Arm::from_json(&Json::parse(&text).expect("the document parses"));
+            let arm = arm.expect("an arm document");
+            assert_eq!(arm.merge_weight, Some(w), "{text}");
+            arm
+        };
+        for kind in [AlgorithmKind::NetMax, AlgorithmKind::NetMaxUniform] {
+            for w in [f64::NAN, f64::INFINITY, -0.1, 1.5, 7.0] {
+                let from_document = w.is_finite().then(|| parsed(kind, w));
+                for arm in [Some(Arm::new(kind).fixed_weight(w)), from_document].iter().flatten() {
+                    let err = opens(arm).expect_err("an out-of-range weight opens no session");
+                    assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
+                    assert!(err.to_string().contains("merge weight"), "{kind:?} w = {w}: {err}");
+                }
+                let bad = ExperimentSpec { arms: vec![Arm::new(kind).fixed_weight(w)], ..spec() };
+                let opts = crate::runner::RunOptions::default();
+                assert!(crate::runner::try_execute(&bad, &opts).is_err(), "{kind:?} w = {w}");
+            }
+            // The ablation's weights, and the ends of the interval.
+            for w in [0.0, 0.25, 0.5, 1.0] {
+                assert!(opens(&Arm::new(kind).fixed_weight(w)).is_ok(), "{kind:?} w = {w}");
+                assert!(opens(&parsed(kind, w)).is_ok(), "{kind:?} w = {w} from a document");
+            }
+        }
+    }
+
+    #[test]
     fn cell_count_and_seed_defaults() {
         let mut s = spec();
         assert_eq!(s.num_cells(), 6);

@@ -55,6 +55,13 @@ pub trait GossipBehavior {
     /// checkpointed.
     fn on_start(&mut self, _env: &mut Environment) {}
 
+    /// Checks the behaviour's own settings; the driver's
+    /// [`SessionDriver::validate`] runs it, so a bad setting fails
+    /// [`Session::new`](super::Session::new) before any work is done.
+    fn validate(&self) -> Result<(), SessionError> {
+        Ok(())
+    }
+
     /// The arm's Network Monitor, if it has one. The driver feeds it every
     /// realised iteration time, runs a round every `Ts` simulated seconds,
     /// samples peers from its policy once one exists, and checkpoints it.
@@ -77,6 +84,9 @@ impl<B: GossipBehavior + ?Sized> GossipBehavior for &mut B {
     }
     fn on_start(&mut self, env: &mut Environment) {
         (**self).on_start(env)
+    }
+    fn validate(&self) -> Result<(), SessionError> {
+        (**self).validate()
     }
     fn steering(&self) -> Option<&Steering> {
         (**self).steering()
@@ -297,6 +307,7 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
     }
 
     fn validate(&self, _env: &Environment) -> Result<(), SessionError> {
+        self.behavior.validate()?;
         self.behavior.steering().map_or(Ok(()), Steering::validate)
     }
 

@@ -110,10 +110,10 @@ pub fn build_y(
 
 /// Assembles `Y_P` (Eq. 22) for the policy generator as a
 /// [`SparseSymmetric`] whose pattern is the topology's edges plus the
-/// diagonal. Every stored entry is float-identical to the dense
-/// [`build_y`] output (both iterate the support in ascending column
-/// order; absent pairs are exactly zero), so either eigensolver sees the
-/// matrix the dense formulation defines.
+/// diagonal: the entries of `y_entries`, row by row. Every stored entry
+/// is float-identical to the dense [`build_y`] output (both iterate the
+/// support in ascending column order; absent pairs are exactly zero), so
+/// either eigensolver sees the matrix the dense formulation defines.
 ///
 /// # Panics
 /// Panics if shapes disagree.
@@ -127,22 +127,32 @@ pub fn build_y_sparse(
     let m = topo.len();
     assert_eq!(policy.len(), m, "policy shape mismatch");
     assert_eq!(p_node.len(), m, "p_node length mismatch");
-    let ar = alpha * rho;
-    let half_d = |i: usize, j: usize| (topo.d(i, j) + topo.d(j, i)) / 2.0;
-
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-    for i in 0..m {
-        let nbrs = topo.neighbors(i);
-        let mut row: Vec<(usize, f64)> = Vec::with_capacity(nbrs.len() + 1);
-        // Off-diagonals in ascending order (the dense loop's j order).
-        for &j in nbrs {
-            let (pij, pji) = (policy.get(i, j), policy.get(j, i));
-            let lin = p_node[i] * half_d(i, j) * ind(pij)
-                + p_node[j] * half_d(j, i) * ind(pji);
-            let quad = p_node[i] * sq(half_d(i, j)) * safe_div(pij)
-                + p_node[j] * sq(half_d(j, i)) * safe_div(pji);
-            row.push((j, ar * lin - ar * ar * quad));
+    let mut rows: Vec<Vec<(usize, f64)>> =
+        (0..m).map(|i| Vec::with_capacity(topo.degree(i) + 1)).collect();
+    for (i, j, v) in y_entries(policy, topo, p_node, alpha, rho) {
+        if let Some(row) = rows.get_mut(i) {
+            row.push((j, v));
         }
+    }
+    SparseSymmetric::from_rows(rows)
+}
+
+/// The one place Eq. (22) is evaluated over the edge set: `Y_P`'s entries
+/// as `(i, j, y_ij)`, row by row, each row's columns ascending with the
+/// diagonal in its sorted place. [`build_y_sparse`] collects them; the
+/// policy search past the eigensolver threshold writes them straight into
+/// a power lane.
+pub(crate) fn y_entries<'a>(
+    policy: &'a SparsePolicy,
+    topo: &'a Topology,
+    p_node: &'a [f64],
+    alpha: f64,
+    rho: f64,
+) -> impl Iterator<Item = (usize, usize, f64)> + 'a {
+    let ar = alpha * rho;
+    let half_d = move |i: usize, j: usize| (topo.d(i, j) + topo.d(j, i)) / 2.0;
+    (0..topo.len()).flat_map(move |i| {
+        let nbrs = topo.neighbors(i);
         // Diagonal, accumulated over neighbours in the same ascending
         // order the dense loop uses.
         let mut lin = 0.0;
@@ -152,11 +162,17 @@ pub fn build_y_sparse(
             quad += p_node[i] * sq(half_d(i, j)) * safe_div(policy.get(i, j))
                 + p_node[j] * sq(half_d(j, i)) * safe_div(policy.get(j, i));
         }
-        let at = row.partition_point(|&(j, _)| j < i);
-        row.insert(at, (i, 1.0 - 2.0 * ar * lin + ar * ar * quad));
-        rows.push(row);
-    }
-    SparseSymmetric::from_rows(rows)
+        let diagonal = (i, i, 1.0 - 2.0 * ar * lin + ar * ar * quad);
+        let off_diagonal = move |&j: &usize| {
+            let (pij, pji) = (policy.get(i, j), policy.get(j, i));
+            let lin = p_node[i] * half_d(i, j) * ind(pij) + p_node[j] * half_d(j, i) * ind(pji);
+            let quad = p_node[i] * sq(half_d(i, j)) * safe_div(pij)
+                + p_node[j] * sq(half_d(j, i)) * safe_div(pji);
+            (i, j, ar * lin - ar * ar * quad)
+        };
+        let (below, above) = nbrs.split_at(nbrs.partition_point(|&j| j < i));
+        below.iter().map(off_diagonal).chain([diagonal]).chain(above.iter().map(off_diagonal))
+    })
 }
 
 /// Indicator that the probability is positive (a worker that never selects

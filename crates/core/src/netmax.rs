@@ -16,7 +16,9 @@
 //! the gossip driver's work on the [`Steering`] NetMax owns; NetMax itself
 //! supplies the initial uniform draw and the step-3 merge.
 
-use crate::engine::{Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver};
+use crate::engine::{
+    Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver, SessionError,
+};
 use crate::monitor::{MonitorConfig, Steering};
 use crate::sparse_policy::SparsePolicy;
 use rand::Rng;
@@ -38,7 +40,8 @@ pub enum MergeWeighting {
     InverseProbability,
     /// Fixed weight regardless of selection probability (what AD-PSGD
     /// does with 0.5); exists for the weighting ablation that isolates
-    /// the §V-H effect.
+    /// the §V-H effect. A blend weight, so in [0, 1]: anything else fails
+    /// [`Session::new`](crate::engine::Session::new).
     Fixed(f64),
 }
 
@@ -131,6 +134,15 @@ impl GossipBehavior for NetMax {
             (MergeWeighting::InverseProbability, None) => INITIAL_MERGE_WEIGHT,
         };
         netmax_ml::params::blend(w as f32, env.nodes[i].model.params_mut(), pulled);
+    }
+
+    fn validate(&self) -> Result<(), SessionError> {
+        match self.weighting {
+            MergeWeighting::Fixed(w) if !(0.0..=1.0).contains(&w) => Err(
+                SessionError::InvalidConfig(format!("fixed merge weight must be in [0, 1], got {w}")),
+            ),
+            _ => Ok(()),
+        }
     }
 
     fn steering(&self) -> Option<&Steering> {

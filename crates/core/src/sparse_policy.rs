@@ -19,9 +19,11 @@
 //!   screen ([`LanczosScreen`]) bounds the true λ₂ from below and only
 //!   the candidates it cannot place above the incumbent's ceiling pay
 //!   for the exact solve, so every incumbent and the winner carry a
-//!   Jacobi λ₂. Past it the sweep scores candidates a batch at a time in
-//!   the lanes of one power-iteration kernel and retires a lane once its
-//!   own, monotone, estimate crosses the ceiling;
+//!   Jacobi λ₂. Past it the sweep streams candidates through the lanes of
+//!   one power-iteration kernel — each into the lane the last one left,
+//!   the step it left — and retires a lane once its own, monotone,
+//!   estimate crosses its ceiling, which moves down whenever a finished
+//!   lane becomes the incumbent;
 //! * both early exits live on the incumbent's ceiling, so the grid is
 //!   visited **best first**: the first t̄ column from the top ρ row down,
 //!   then the rest row-major (`best_first_order`). `T_convergence` falls
@@ -41,7 +43,7 @@
 //! the equivalence suites compare this module against.
 
 use crate::engine::{Environment, PeerChoice};
-use crate::gossip_matrix::build_y_sparse;
+use crate::gossip_matrix::{build_y_sparse, y_entries};
 use crate::policy::{PolicyGenerator, POLICY_MARGIN};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::{second_largest_eigenvalue, LanczosScreen, LaneOutcome, Matrix, PowerLanes};
@@ -75,15 +77,13 @@ pub const SPARSE_L2_MAX_ITERS: usize = 5_000;
 /// Convergence tolerance for the power-iteration λ₂.
 pub const SPARSE_L2_TOL: f64 = 1e-12;
 
-/// Candidates the power-iteration sweep scores in lock step
+/// Candidates the power-iteration sweep scores side by side
 /// ([`PowerLanes`]). A measured constant, not an option. Wider lanes
-/// amortise the kernel's sequential reductions further (16×16 torus,
-/// 5 000 steps: 7.0, 4.6, 3.3, 2.8 ms per λ₂ at 1, 2, 4, 8 lanes), but a
-/// batch's lanes all run under the incumbent the batch started with —
-/// the first batch under none — and a batch lasts as long as its
-/// slowest lane, so under the best-first order a `fleet256` monitor
-/// round takes 210, 160, 133, 161 ms (`monitor.round_ms.p50`, seed 3,
-/// the faster of two traced runs each).
+/// amortise the kernel's sequential reductions further, but a lane loaded
+/// beside the incumbent-to-be runs under an older, looser ceiling: on the
+/// 16×16 torus, default grid, the search took 155–180, 110–130, 82–111 and
+/// 98–127 ms at 1, 2, 4 and 8 lanes, the last with 6 % more power steps
+/// (two link-time seeds, two runs each, one 2-vCPU x86-64-v3 host).
 const SWEEP_LANES: usize = 4;
 
 /// How far above `λ* = exp(t̄·ln ε / T_best)` a candidate's lower bound
@@ -684,8 +684,7 @@ impl PolicyGenerator {
 
         let mut best: Option<Incumbent> = None;
         let mut screen = LanczosScreen::new();
-        let mut lanes: Option<PowerLanes<SWEEP_LANES>> = None;
-        let mut batch: Vec<Candidate> = Vec::with_capacity(SWEEP_LANES);
+        let mut lanes: Option<LaneSweep> = None;
         let (mut lambda2_iterations, mut exact_solves) = (0u64, 0u64);
         for &(k, r) in order {
             // A row whose t̄ interval is empty holds no candidate.
@@ -701,24 +700,17 @@ impl PolicyGenerator {
             let Some(policy) = template.solve(topo, &mut ws) else {
                 continue;
             };
-            let y = build_y_sparse(&policy, topo, &p_node, alpha, candidate.rho);
-            drop(policy);
+            let y_p = || y_entries(&policy, topo, &p_node, alpha, candidate.rho);
             debug_assert!(
-                (0..m).all(|i| {
-                    (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
-                }),
+                rows_sum_to_one(m, y_p()),
                 "feasible policy must give doubly stochastic Y (Lemma 1)"
             );
-            // The λ₂ at which this candidate's T_convergence would equal
-            // the incumbent's, plus the guard band: a λ₂ above it has lost.
-            let ceiling = best.map(|b| {
-                (candidate.t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
-            });
             if m <= DENSE_CONTROL_THRESHOLD {
+                let y = build_y_sparse(&policy, topo, &p_node, alpha, candidate.rho);
                 // Only a candidate the screen cannot show above the
                 // ceiling pays for its exact λ₂ — and every candidate
                 // while there is no incumbent to lose to.
-                if let Some(ceiling) = ceiling {
+                if let Some(ceiling) = self.ceiling(&candidate, best) {
                     let screened = screen.screen(&y, ceiling);
                     lambda2_iterations += screened.steps as u64;
                     if screened.exceeds {
@@ -730,18 +722,34 @@ impl PolicyGenerator {
                 continue;
             }
             // Every candidate's Y_P has the topology's pattern, so the
-            // lanes are laid out over the first and reused. A lane's
-            // ceiling comes from the incumbent its batch started with.
-            let lanes = lanes.get_or_insert_with(|| PowerLanes::for_pattern(&y));
-            lanes.load_lane(batch.len(), &y, ceiling.unwrap_or(f64::INFINITY));
-            drop(y);
-            batch.push(candidate);
-            if batch.len() == SWEEP_LANES {
-                lambda2_iterations += self.score_batch(lanes, &mut batch, &mut best);
+            // lanes are laid out over the first and kept for the sweep.
+            let sweep = lanes.get_or_insert_with(|| LaneSweep {
+                lanes: PowerLanes::for_pattern(
+                    m,
+                    y_p().map(|(i, j, _)| (i, j)),
+                    SPARSE_L2_MAX_ITERS,
+                    SPARSE_L2_TOL,
+                ),
+                held: [None; SWEEP_LANES],
+            });
+            // The candidate takes the first lane to free up, under the
+            // incumbent of that step.
+            let lane = loop {
+                if let Some(lane) = sweep.lanes.free_lane() {
+                    break lane;
+                }
+                lambda2_iterations += self.retire(sweep, &mut best);
+            };
+            let ceiling = self.ceiling(&candidate, best).unwrap_or(f64::INFINITY);
+            sweep.lanes.load_lane(lane, y_p(), ceiling);
+            if let Some(held) = sweep.held.get_mut(lane) {
+                *held = Some(candidate);
             }
         }
-        if let Some(lanes) = &mut lanes {
-            lambda2_iterations += self.score_batch(lanes, &mut batch, &mut best);
+        if let Some(sweep) = &mut lanes {
+            while sweep.held.iter().any(Option::is_some) {
+                lambda2_iterations += self.retire(sweep, &mut best);
+            }
         }
 
         let Incumbent { candidate: Candidate { rho, t_bar, .. }, lambda2, t_convergence } = best?;
@@ -776,17 +784,27 @@ impl PolicyGenerator {
         }
     }
 
-    /// Runs the loaded lanes and scores their candidates; returns the
-    /// power-iteration steps the batch took.
-    fn score_batch(
-        &self,
-        lanes: &mut PowerLanes<SWEEP_LANES>,
-        batch: &mut Vec<Candidate>,
-        best: &mut Option<Incumbent>,
-    ) -> u64 {
-        let outcomes = lanes.run_lanes(SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL);
+    /// The λ₂ at which `candidate`'s `T_convergence` would equal the
+    /// incumbent's, plus the guard band: a λ₂ above it has lost. `None`
+    /// while there is no incumbent to lose to.
+    fn ceiling(&self, candidate: &Candidate, best: Option<Incumbent>) -> Option<f64> {
+        best.map(|b| {
+            (candidate.t_bar * self.cfg.epsilon.ln() / b.t_convergence).exp() + ABANDON_GUARD
+        })
+    }
+
+    /// Steps the lanes until one stops and scores what stopped: a finished
+    /// lane is offered to the incumbent, and a new incumbent moves every
+    /// running lane's ceiling down to it. Returns the power steps the
+    /// stopped lanes took.
+    fn retire(&self, sweep: &mut LaneSweep, best: &mut Option<Incumbent>) -> u64 {
+        let before = best.map(|b| b.candidate.index);
         let mut steps = 0;
-        for (candidate, outcome) in batch.drain(..).zip(outcomes.into_iter().flatten()) {
+        for (outcome, held) in sweep.lanes.advance().into_iter().zip(&mut sweep.held) {
+            let (Some(outcome), Some(candidate)) = (outcome, *held) else {
+                continue;
+            };
+            *held = None;
             steps += match outcome {
                 LaneOutcome::Finished(power) => {
                     self.consider(best, candidate, power.eigenvalue);
@@ -796,8 +814,33 @@ impl PolicyGenerator {
                 LaneOutcome::Abandoned { iterations } => iterations,
             } as u64;
         }
+        if best.map(|b| b.candidate.index) != before {
+            for (lane, held) in sweep.held.iter().enumerate() {
+                if let Some(ceiling) = held.and_then(|c| self.ceiling(&c, *best)) {
+                    sweep.lanes.set_ceiling(lane, ceiling);
+                }
+            }
+        }
         steps
     }
+}
+
+/// The power lanes of a sweep past the eigensolver threshold and the
+/// candidate each lane is scoring.
+struct LaneSweep {
+    lanes: PowerLanes<SWEEP_LANES>,
+    held: [Option<Candidate>; SWEEP_LANES],
+}
+
+/// Whether every row of the `m`-row matrix `entries` lists sums to 1.
+fn rows_sum_to_one(m: usize, entries: impl Iterator<Item = (usize, usize, f64)>) -> bool {
+    let mut sums = vec![0.0; m];
+    for (i, _, v) in entries {
+        if let Some(sum) = sums.get_mut(i) {
+            *sum += v;
+        }
+    }
+    sums.iter().all(|s: &f64| (s - 1.0).abs() < 1e-6)
 }
 
 #[cfg(test)]

@@ -26,8 +26,8 @@
 //!   of candidates that can still win.
 //! * [`sparse`] — a symmetric sparse matrix ([`SparseSymmetric`]) plus a
 //!   deflated power-iteration λ₂ solver for large sparse fabrics: one
-//!   kernel, [`PowerLanes`], that scores several matrices of one
-//!   sparsity pattern in lock step, and its single-matrix face
+//!   kernel, [`PowerLanes`], that scores a stream of matrices of one
+//!   sparsity pattern several at a time, and its single-matrix face
 //!   [`second_largest_eigenvalue_sparse`], pinned to the dense Jacobi
 //!   reference by the parity test suite.
 //!

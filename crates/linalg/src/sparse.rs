@@ -43,16 +43,40 @@
 //! overlap, so a single iteration is bound by add latency, not by
 //! arithmetic. The policy search scores many `Y_P` over **one** sparsity
 //! pattern (the topology's edges plus the diagonal), so [`PowerLanes`]
-//! advances `L` of them in lock step: columns stored once in flat CSR
+//! advances `L` of them side by side: columns stored once in flat CSR
 //! form, values and iterates lane-major (`[f64; L]` per entry), every
-//! reduction `L` independent chains side by side in one vector register.
-//! Lanes never mix — lane `l` of every sum sees exactly the terms, in
-//! exactly the order, a single iteration on that matrix would — so the
-//! result of a lane is bit-identical whatever its neighbours hold, and
+//! reduction `L` independent chains in one vector register. Lanes never
+//! mix — lane `l` of every sum sees exactly the terms, in exactly the
+//! order, a single iteration on that matrix would — so the result of a
+//! lane is bit-identical whatever its neighbours hold, and
 //! [`second_largest_eigenvalue_sparse`] is simply the kernel with one
 //! lane. Each step applies `B` once: the product that closes step `k`'s
 //! Rayleigh quotient is, operation for operation, the product step
 //! `k + 1` would open with, so it is carried over.
+//!
+//! ## Why the lanes stream
+//!
+//! Every lane keeps its own step counter and stops on its own — at the
+//! tolerance, at the cap, or on crossing its ceiling — so the candidates
+//! of one search end thousands of steps apart. The kernel therefore holds
+//! its iterates for the whole search and hands a lane back the step it
+//! stops ([`PowerLanes::advance`]): the caller loads the next candidate
+//! into it there ([`PowerLanes::load_lane`]), and the new lane starts
+//! from the shared start vector while its neighbours run on. A lane's
+//! ceiling can also move down while it runs ([`PowerLanes::set_ceiling`]):
+//! the estimate only climbs, so the lane is retired at the first step it
+//! exceeds the new value, exactly as if it had been loaded under it. No
+//! lane waits for a slower one, and none runs under a ceiling older than
+//! the caller's best.
+//!
+//! ## Why rows of one length are unrolled
+//!
+//! Every row of a ring has 3 stored entries and every row of a torus 5.
+//! When all rows share one of those lengths — a property of the pattern,
+//! read once when the lanes are built — the product walks fixed-size rows
+//! whose inner loop the compiler unrolls, instead of a loop whose length
+//! is read per row. Each row's terms are still added in ascending column
+//! order from the same start, so the two paths produce the same floats.
 //!
 //! ## Why not the lanes below the eigensolver threshold
 //!
@@ -161,6 +185,12 @@ impl SparseSymmetric {
         &self.rows[i]
     }
 
+    /// Every stored entry as `(row, column, value)`, row by row, columns
+    /// ascending: the order [`PowerLanes`] takes a matrix in.
+    pub fn entries(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        self.rows.iter().enumerate().flat_map(|(i, row)| row.iter().map(move |&(j, v)| (i, j, v)))
+    }
+
     /// Extracts the sparse pattern-and-values of a dense symmetric matrix
     /// (entries exactly equal to `0.0` are dropped).
     pub fn from_dense(a: &Matrix) -> Self {
@@ -190,7 +220,7 @@ impl SparseSymmetric {
     }
 }
 
-/// What became of one lane of a [`PowerLanes::run_lanes`] batch.
+/// What became of a lane of [`PowerLanes`] that stopped.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LaneOutcome {
     /// The lane met its tolerance or the iteration cap: exactly what
@@ -209,210 +239,335 @@ pub enum LaneOutcome {
 /// `.sum()` calls of the textbook loop.
 const SUM_START: f64 = -0.0;
 
-/// One lane's bookkeeping: what it is doing and, once it has stopped,
-/// where it stood.
+/// One lane's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
     state: LaneState,
     ceiling: f64,
-    /// The Rayleigh quotient of `B` at the last step.
+    /// The Rayleigh quotient of `B` at the last counted step.
     mu: f64,
-    /// Meaningful once `state` is `Finished` or `Abandoned`.
-    end: PowerIterationResult,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LaneState {
-    Idle,
-    Running,
-    Finished,
-    Abandoned,
+    /// Holds no matrix. Its iterate column is zero and stays zero.
+    Free,
+    /// Loaded with the start vector: the next step normalises it and
+    /// applies `B`, the product the lane's first counted step opens with.
+    Priming,
+    /// `steps` counted steps done.
+    Running { steps: usize },
 }
 
 impl Lane {
-    const IDLE: Self = Self {
-        state: LaneState::Idle,
-        ceiling: f64::INFINITY,
-        mu: 0.0,
-        end: PowerIterationResult { eigenvalue: -1.0, iterations: 0, converged: false },
-    };
-
-    fn is_running(&self) -> bool {
-        self.state == LaneState::Running
-    }
-
-    fn stop(&mut self, state: LaneState, eigenvalue: f64, iterations: usize, converged: bool) {
-        self.state = state;
-        self.end = PowerIterationResult { eigenvalue, iterations, converged };
-    }
+    const FREE: Self = Self { state: LaneState::Free, ceiling: f64::INFINITY, mu: 0.0 };
 }
 
-/// `L` deflated power iterations advanced in lock step over one shared
-/// sparsity pattern (see the module docs). Built once per policy search
-/// with [`PowerLanes::for_pattern`], then filled and run batch by batch.
+/// `L` deflated power iterations over one shared sparsity pattern,
+/// advanced a step at a time, each lane with its own matrix, ceiling and
+/// step counter (see the module docs). Built once per policy search with
+/// [`PowerLanes::for_pattern`]; a lane is loaded whenever it is free and
+/// freed the step it stops.
 #[derive(Debug)]
 pub struct PowerLanes<const L: usize> {
     /// Stored entries per row.
     row_len: Vec<u32>,
+    /// The length every row shares, when it is one the matvec unrolls.
+    unrolled: Option<usize>,
     /// Flat CSR columns, ascending within each row.
     cols: Vec<u32>,
     /// Lane-major values in `cols` order.
     vals: Vec<[f64; L]>,
+    /// The unit iterates.
+    x: Vec<[f64; L]>,
+    /// `B·x`: the Rayleigh quotient's second factor and — because the next
+    /// step would compute exactly it again — the next step's raw iterate.
+    bx: Vec<[f64; L]>,
+    /// `Σᵢ bxᵢ`, the sum the next deflation divides by `n`.
+    sum: [f64; L],
     lanes: [Lane; L],
+    max_iters: usize,
+    tol: f64,
 }
 
 impl<const L: usize> PowerLanes<L> {
-    /// Empty lanes over `y`'s sparsity pattern.
+    /// Free lanes over the `n × n` pattern whose stored `(row, column)`
+    /// positions `pattern` lists row by row, columns ascending within a
+    /// row. Every lane stops at `max_iters` steps, or earlier once two
+    /// consecutive Rayleigh quotients differ by less than `tol`.
     ///
     /// # Panics
-    /// Panics on an empty matrix.
-    pub fn for_pattern(y: &SparseSymmetric) -> Self {
-        let n = y.len();
+    /// Panics on `n = 0` or a position out of range or out of order.
+    pub fn for_pattern(
+        n: usize,
+        pattern: impl IntoIterator<Item = (usize, usize)>,
+        max_iters: usize,
+        tol: f64,
+    ) -> Self {
         assert!(n > 0, "PowerLanes: empty matrix");
         assert!(u32::try_from(n).is_ok(), "PowerLanes: dimension exceeds u32");
-        let cols: Vec<u32> = y.rows.iter().flatten().map(|&(j, _)| j as u32).collect();
+        let (mut row_len, mut cols) = (vec![0u32; n], Vec::new());
+        let mut last: Option<(usize, usize)> = None;
+        for (i, j) in pattern {
+            assert!(i < n && j < n, "PowerLanes: position ({i}, {j}) out of range");
+            assert!(last < Some((i, j)), "PowerLanes: position ({i}, {j}) out of order");
+            last = Some((i, j));
+            if let Some(len) = row_len.get_mut(i) {
+                *len += 1;
+            }
+            cols.push(j as u32);
+        }
+        let unrolled = row_len
+            .first()
+            .map(|&len| len as usize)
+            .filter(|&len| matches!(len, 3 | 5) && row_len.iter().all(|&l| l as usize == len));
         Self {
-            row_len: y.rows.iter().map(|row| row.len() as u32).collect(),
+            row_len,
+            unrolled,
             vals: vec![[0.0; L]; cols.len()],
             cols,
-            lanes: [Lane::IDLE; L],
+            x: vec![[0.0; L]; n],
+            bx: vec![[0.0; L]; n],
+            sum: [0.0; L],
+            lanes: [Lane::FREE; L],
+            max_iters,
+            tol,
         }
     }
 
-    /// Copies `y`'s values into lane `lane`. The next
-    /// [`run_lanes`](Self::run_lanes) retires the lane as soon as its λ₂
-    /// estimate exceeds `ceiling` (`f64::INFINITY`: never).
+    /// The lowest free lane, if any.
+    pub fn free_lane(&self) -> Option<usize> {
+        self.lanes.iter().position(|lane| lane.state == LaneState::Free)
+    }
+
+    /// Loads a matrix into the free lane `lane`: `entries` are its
+    /// `(row, column, value)` triples in the lanes' pattern order. From the
+    /// next step on the lane iterates from the start vector, and is retired
+    /// as soon as its λ₂ estimate exceeds `ceiling` (`f64::INFINITY`:
+    /// never).
     ///
     /// # Panics
-    /// Panics if `lane ≥ L` or `y`'s pattern is not the one the lanes
-    /// were built over.
-    pub fn load_lane(&mut self, lane: usize, y: &SparseSymmetric, ceiling: f64) {
-        assert!(lane < L, "load_lane: lane {lane} of {L}");
-        let entries = || y.rows.iter().flatten();
+    /// Panics if `lane` is not a free lane or `entries` do not follow the
+    /// lanes' sparsity pattern.
+    pub fn load_lane(
+        &mut self,
+        lane: usize,
+        entries: impl IntoIterator<Item = (usize, usize, f64)>,
+        ceiling: f64,
+    ) {
         assert!(
-            y.rows.iter().map(Vec::len).eq(self.row_len.iter().map(|&len| len as usize))
-                && entries().map(|&(j, _)| j).eq(self.cols.iter().map(|&j| j as usize)),
+            self.lanes.get(lane).is_some_and(|l| l.state == LaneState::Free),
+            "load_lane: lane {lane} of {L} is not free"
+        );
+        let mut entries = entries.into_iter();
+        let mut slots = self.vals.iter_mut().zip(&self.cols);
+        let mut same_pattern = true;
+        for (i, &len) in self.row_len.iter().enumerate() {
+            for (slot, &j) in slots.by_ref().take(len as usize) {
+                match (entries.next(), slot.get_mut(lane)) {
+                    (Some((r, c, v)), Some(slot)) if (r, c) == (i, j as usize) => *slot = v,
+                    _ => same_pattern = false,
+                }
+            }
+        }
+        assert!(
+            same_pattern && entries.next().is_none(),
             "load_lane: matrix does not have the lanes' sparsity pattern"
         );
-        let column = self.vals.iter_mut().filter_map(|slot| slot.get_mut(lane));
-        for (slot, &(_, v)) in column.zip(entries()) {
-            *slot = v;
+        // The dense `power_iteration`'s start vector, deflated and
+        // normalised by the next step as every later iterate is.
+        let mut sum = SUM_START;
+        for (w, v) in self.bx.iter_mut().zip((0u64..).map(splitmix_start)) {
+            sum += v;
+            if let Some(w) = w.get_mut(lane) {
+                *w = v;
+            }
         }
-        if let Some(state) = self.lanes.get_mut(lane) {
-            *state = Lane { state: LaneState::Running, ceiling, ..Lane::IDLE };
+        if let (Some(s), Some(state)) = (self.sum.get_mut(lane), self.lanes.get_mut(lane)) {
+            *s = sum;
+            *state = Lane { state: LaneState::Priming, ceiling, mu: 0.0 };
         }
     }
 
-    /// Runs every loaded lane to its end — tolerance, iteration cap or
-    /// ceiling — and empties the lanes. Entry `l` is `None` when lane `l`
-    /// was not loaded.
+    /// Moves a loaded lane's ceiling. A lane's estimate only climbs, so a
+    /// lower ceiling retires it at the first step its estimate exceeds
+    /// the new value, and never earlier.
+    pub fn set_ceiling(&mut self, lane: usize, ceiling: f64) {
+        if let Some(lane) = self.lanes.get_mut(lane) {
+            lane.ceiling = ceiling;
+        }
+    }
+
+    /// Steps every lane until at least one stops — tolerance, iteration
+    /// cap or ceiling — and frees the lanes that did. Entry `l` is lane
+    /// `l`'s outcome if it stopped on that step; all entries are `None`
+    /// only when no lane was loaded.
     ///
     /// Lanes never interact: each performs the float operations of
     /// [`second_largest_eigenvalue_sparse`] on its own matrix, in that
-    /// order, whatever its neighbours hold or however early they retire.
-    pub fn run_lanes(&mut self, max_iters: usize, tol: f64) -> [Option<LaneOutcome>; L] {
-        self.advance_lanes(max_iters, tol);
-        let mut outcomes = [None; L];
-        for (out, lane) in outcomes.iter_mut().zip(&mut self.lanes) {
-            *out = match lane.state {
-                LaneState::Idle | LaneState::Running => None,
-                LaneState::Finished => Some(LaneOutcome::Finished(lane.end)),
-                LaneState::Abandoned => {
-                    Some(LaneOutcome::Abandoned { iterations: lane.end.iterations })
-                }
-            };
-            *lane = Lane::IDLE;
+    /// order, whatever its neighbours hold and whenever it was loaded.
+    pub fn advance(&mut self) -> [Option<LaneOutcome>; L] {
+        let mut stopped = [None; L];
+        while self.lanes.iter().any(|lane| lane.state != LaneState::Free) {
+            self.step_lanes(&mut stopped);
+            if stopped.iter().any(Option::is_some) {
+                self.free(&stopped);
+                break;
+            }
         }
-        outcomes
+        stopped
     }
 
-    /// The iteration itself: on return no lane is `Running`.
-    fn advance_lanes(&mut self, max_iters: usize, tol: f64) {
-        // The unit iterates `x` and `bx = B·x`. The product is the Rayleigh
-        // quotient's second factor and — because the next step would
-        // compute exactly it again — the next step's raw iterate. They live
-        // for this call only: between batches the caller is assembling the
-        // next candidates, and the round's peak memory is there.
-        let n = self.row_len.len();
-        let (mut x, mut bx) = (vec![[0.0; L]; n], vec![[0.0; L]; n]);
+    /// Frees the lanes that stopped and zeroes their iterates, which stay
+    /// zero until the lane is loaded again: an idle lane left to iterate
+    /// unnormalised would decay into subnormals, and a subnormal in one
+    /// lane slows the vector instructions its neighbours share.
+    fn free(&mut self, stopped: &[Option<LaneOutcome>; L]) {
+        for w in self.bx.iter_mut().chain([&mut self.sum]) {
+            for (w, stop) in w.iter_mut().zip(stopped) {
+                if stop.is_some() {
+                    *w = 0.0;
+                }
+            }
+        }
+        for (lane, stop) in self.lanes.iter_mut().zip(stopped) {
+            if stop.is_some() {
+                *lane = Lane::FREE;
+            }
+        }
+    }
 
-        // Every lane starts from the dense `power_iteration`'s start vector,
-        // deflated and normalised by the passes every later iterate goes
-        // through.
-        let mut sum = SUM_START;
-        for (w, v) in bx.iter_mut().zip((0u64..).map(splitmix_start)) {
-            sum += v;
-            *w = [v; L];
-        }
-        let norm = deflate_and_measure(&mut bx, [sum; L]);
-        if norm.iter().all(|&norm| norm > 0.0) {
-            rescale_into_iterate(&mut x, &bx, norm);
-        } else {
-            // n = 1: nothing survives the deflation.
-            x.copy_from_slice(&bx);
-        }
-
-        let (mut sum, _) = self.shifted_matvec(&x, &mut bx);
-        for it in 0..max_iters {
-            if !self.lanes.iter().any(Lane::is_running) {
-                return;
-            }
-            let norm = deflate_and_measure(&mut bx, sum);
-            for (lane, &norm) in self.lanes.iter_mut().zip(&norm) {
-                if lane.is_running() && norm < 1e-300 {
-                    // The deflated shifted operator annihilated the iterate: the
-                    // deflated spectrum of B is 0, i.e. λ₂ = −1.
-                    lane.stop(LaneState::Finished, -1.0, it, true);
+    /// One step of every lane; a lane that stops on it gets its outcome.
+    fn step_lanes(&mut self, stopped: &mut [Option<LaneOutcome>; L]) {
+        let norm = deflate_and_measure(&mut self.bx, self.sum);
+        let mut divisor = [1.0; L];
+        for ((lane, divisor), (&norm, stop)) in
+            self.lanes.iter().zip(&mut divisor).zip(norm.iter().zip(stopped.iter_mut()))
+        {
+            match lane.state {
+                LaneState::Free => {}
+                // n = 1: nothing survives the deflation of the start
+                // vector, which is then used as it is.
+                LaneState::Priming => {
+                    if norm > 0.0 {
+                        *divisor = norm;
+                    }
                 }
-            }
-            rescale_into_iterate(&mut x, &bx, norm);
-            let (next_sum, rayleigh) = self.shifted_matvec(&x, &mut bx);
-            sum = next_sum;
-            for (lane, &mu) in self.lanes.iter_mut().zip(&rayleigh) {
-                if !lane.is_running() {
-                    continue;
+                // The deflated shifted operator annihilated the iterate:
+                // the deflated spectrum of B is 0, i.e. λ₂ = −1.
+                LaneState::Running { steps } if norm < 1e-300 => {
+                    *stop = finished(-1.0, steps, true);
                 }
-                let delta = (mu - lane.mu).abs();
-                lane.mu = mu;
-                let eigenvalue = 2.0 * mu - 1.0;
-                if it > 0 && delta < tol {
-                    lane.stop(LaneState::Finished, eigenvalue, it + 1, true);
-                } else if eigenvalue > lane.ceiling {
-                    lane.stop(LaneState::Abandoned, eigenvalue, it + 1, false);
-                }
+                LaneState::Running { .. } => *divisor = norm,
             }
         }
-        for lane in self.lanes.iter_mut().filter(|lane| lane.is_running()) {
-            lane.stop(LaneState::Finished, 2.0 * lane.mu - 1.0, max_iters, false);
+        rescale_into_iterate(&mut self.x, &self.bx, divisor);
+        let (sum, rayleigh) = self.shifted_matvec();
+        self.sum = sum;
+        for (lane, (&mu, stop)) in self.lanes.iter_mut().zip(rayleigh.iter().zip(stopped)) {
+            let steps = match lane.state {
+                LaneState::Free => continue,
+                _ if stop.is_some() => continue,
+                // The start vector's product: not a step of the count.
+                LaneState::Priming => 0,
+                LaneState::Running { steps } => {
+                    let delta = (mu - lane.mu).abs();
+                    lane.mu = mu;
+                    let eigenvalue = 2.0 * mu - 1.0;
+                    if steps > 0 && delta < self.tol {
+                        *stop = finished(eigenvalue, steps + 1, true);
+                        continue;
+                    }
+                    if eigenvalue > lane.ceiling {
+                        *stop = Some(LaneOutcome::Abandoned { iterations: steps + 1 });
+                        continue;
+                    }
+                    steps + 1
+                }
+            };
+            if steps == self.max_iters {
+                *stop = finished(2.0 * lane.mu - 1.0, steps, false);
+            } else {
+                lane.state = LaneState::Running { steps };
+            }
         }
     }
 
     /// `bx ← (Y·x + x)/2` in every lane, each row's terms accumulated in
     /// ascending column order. Returns `(Σᵢ bxᵢ, Σᵢ xᵢ·bxᵢ)`: the sum the
     /// next deflation divides by `n`, and the Rayleigh quotient of `x`.
-    fn shifted_matvec(&self, x: &[[f64; L]], bx: &mut [[f64; L]]) -> ([f64; L], [f64; L]) {
-        let (mut vals, mut cols): (&[[f64; L]], &[u32]) = (&self.vals, &self.cols);
-        let mut sum = [SUM_START; L];
-        let mut dot = [SUM_START; L];
-        for ((&len, xi), out) in self.row_len.iter().zip(x).zip(bx) {
-            let (row_vals, rest_vals) = vals.split_at(len as usize);
-            let (row_cols, rest_cols) = cols.split_at(len as usize);
-            (vals, cols) = (rest_vals, rest_cols);
-            let mut yx = [SUM_START; L];
-            for (a, &j) in row_vals.iter().zip(row_cols) {
-                for ((acc, &a), &xj) in yx.iter_mut().zip(a).zip(&x[j as usize]) {
-                    *acc += a * xj;
+    /// Rows of one shared length 3 or 5 (every ring and torus row) take an
+    /// unrolled loop; the floats are the same either way.
+    fn shifted_matvec(&mut self) -> ([f64; L], [f64; L]) {
+        let (x, bx) = (&self.x, &mut self.bx);
+        match self.unrolled {
+            Some(3) => equal_rows::<L, 3>(&self.vals, &self.cols, x, bx),
+            Some(5) => equal_rows::<L, 5>(&self.vals, &self.cols, x, bx),
+            _ => {
+                let mut entries = self.vals.iter().zip(&self.cols);
+                let mut totals = ([SUM_START; L], [SUM_START; L]);
+                for ((&len, xi), out) in self.row_len.iter().zip(x).zip(bx) {
+                    *out = shifted_row(entries.by_ref().take(len as usize), x, xi);
+                    add_to_totals(&mut totals, out, xi);
                 }
-            }
-            for ((out, &yx), &xi) in out.iter_mut().zip(&yx).zip(xi) {
-                *out = 0.5 * (yx + xi);
-            }
-            for ((sum, dot), (&b, &xi)) in sum.iter_mut().zip(&mut dot).zip(out.iter().zip(xi)) {
-                *sum += b;
-                *dot += xi * b;
+                totals
             }
         }
-        (sum, dot)
+    }
+}
+
+/// A lane that ran to its end.
+fn finished(eigenvalue: f64, iterations: usize, converged: bool) -> Option<LaneOutcome> {
+    Some(LaneOutcome::Finished(PowerIterationResult { eigenvalue, iterations, converged }))
+}
+
+/// [`PowerLanes::shifted_matvec`] over rows of `D` entries each.
+fn equal_rows<const L: usize, const D: usize>(
+    vals: &[[f64; L]],
+    cols: &[u32],
+    x: &[[f64; L]],
+    bx: &mut [[f64; L]],
+) -> ([f64; L], [f64; L]) {
+    let rows = vals.chunks_exact(D).zip(cols.chunks_exact(D));
+    let mut totals = ([SUM_START; L], [SUM_START; L]);
+    for (((row_vals, row_cols), xi), out) in rows.zip(x).zip(bx) {
+        *out = shifted_row(row_vals.iter().zip(row_cols), x, xi);
+        add_to_totals(&mut totals, out, xi);
+    }
+    totals
+}
+
+/// Row `i` of `(Y·x + x)/2` in every lane: the row's `(value, column)`
+/// terms summed in their order from [`SUM_START`], then the shift.
+#[inline(always)]
+fn shifted_row<'a, const L: usize>(
+    row: impl Iterator<Item = (&'a [f64; L], &'a u32)>,
+    x: &[[f64; L]],
+    xi: &[f64; L],
+) -> [f64; L] {
+    let mut yx = [SUM_START; L];
+    for (a, &j) in row {
+        for ((acc, &a), &xj) in yx.iter_mut().zip(a).zip(&x[j as usize]) {
+            *acc += a * xj;
+        }
+    }
+    for (yx, &xi) in yx.iter_mut().zip(xi) {
+        *yx = 0.5 * (*yx + xi);
+    }
+    yx
+}
+
+/// Adds row `i`'s `bxᵢ` and `xᵢ·bxᵢ` to the matvec's two running sums,
+/// which run in row order.
+#[inline(always)]
+fn add_to_totals<const L: usize>(
+    (sum, dot): &mut ([f64; L], [f64; L]),
+    b: &[f64; L],
+    xi: &[f64; L],
+) {
+    for ((sum, dot), (&b, &xi)) in sum.iter_mut().zip(dot.iter_mut()).zip(b.iter().zip(xi)) {
+        *sum += b;
+        *dot += xi * b;
     }
 }
 
@@ -431,11 +586,11 @@ fn deflate_and_measure<const L: usize>(bx: &mut [[f64; L]], sum: [f64; L]) -> [f
     sq.map(f64::sqrt)
 }
 
-/// `x ← bx / norm`, lane by lane.
-fn rescale_into_iterate<const L: usize>(x: &mut [[f64; L]], bx: &[[f64; L]], norm: [f64; L]) {
+/// `x ← bx / divisor`, lane by lane.
+fn rescale_into_iterate<const L: usize>(x: &mut [[f64; L]], bx: &[[f64; L]], divisor: [f64; L]) {
     for (x, w) in x.iter_mut().zip(bx) {
-        for ((x, &w), &norm) in x.iter_mut().zip(w).zip(&norm) {
-            *x = w / norm;
+        for ((x, &w), &divisor) in x.iter_mut().zip(w).zip(&divisor) {
+            *x = w / divisor;
         }
     }
 }
@@ -457,12 +612,15 @@ pub fn second_largest_eigenvalue_sparse(
     max_iters: usize,
     tol: f64,
 ) -> PowerIterationResult {
-    let mut lanes = PowerLanes::<1>::for_pattern(y);
-    lanes.load_lane(0, y, f64::INFINITY);
-    lanes.advance_lanes(max_iters, tol);
-    // Nothing exceeds an infinite ceiling, so the lane ran to its end.
-    let [lane] = lanes.lanes;
-    lane.end
+    let pattern = y.entries().map(|(i, j, _)| (i, j));
+    let mut lanes = PowerLanes::<1>::for_pattern(y.len(), pattern, max_iters, tol);
+    lanes.load_lane(0, y.entries(), f64::INFINITY);
+    loop {
+        // Nothing exceeds an infinite ceiling, so the lane runs to its end.
+        if let [Some(LaneOutcome::Finished(end))] = lanes.advance() {
+            return end;
+        }
+    }
 }
 
 #[cfg(test)]
