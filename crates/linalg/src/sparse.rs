@@ -69,14 +69,16 @@
 //! lane waits for a slower one, and none runs under a ceiling older than
 //! the caller's best.
 //!
-//! ## Why rows of one length are unrolled
+//! ## Why torus rows are unrolled
 //!
-//! Every row of a ring has 3 stored entries and every row of a torus 5.
-//! When all rows share one of those lengths — a property of the pattern,
-//! read once when the lanes are built — the product walks fixed-size rows
-//! whose inner loop the compiler unrolls, instead of a loop whose length
-//! is read per row. Each row's terms are still added in ascending column
-//! order from the same start, so the two paths produce the same floats.
+//! Every row of a torus holds 5 stored entries (four neighbours and the
+//! diagonal), and every fabric the sweep scores above 64 nodes is a
+//! torus. When all rows hold 5 — a property of the pattern, read once
+//! when the lanes are built — the product walks fixed-size rows whose
+//! inner loop the compiler unrolls, instead of a loop whose length is
+//! read per row. Any other pattern, rings included, takes that loop.
+//! Each row's terms are added in ascending column order from the same
+//! start either way, so the two paths produce the same floats.
 //!
 //! ## Why not the lanes below the eigensolver threshold
 //!
@@ -239,6 +241,10 @@ pub enum LaneOutcome {
 /// `.sum()` calls of the textbook loop.
 const SUM_START: f64 = -0.0;
 
+/// Stored entries in every row of a torus pattern: four neighbours and
+/// the diagonal.
+const TORUS_ROW: usize = 5;
+
 /// One lane's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct Lane {
@@ -250,7 +256,9 @@ struct Lane {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum LaneState {
-    /// Holds no matrix. Its iterate column is zero and stays zero.
+    /// Holds no matrix. Its columns keep whatever the last matrix left,
+    /// stepped along unnormalised and never read, until the lane is
+    /// loaded again and every one of them is overwritten.
     Free,
     /// Loaded with the start vector: the next step normalises it and
     /// applies `B`, the product the lane's first counted step opens with.
@@ -272,8 +280,8 @@ impl Lane {
 pub struct PowerLanes<const L: usize> {
     /// Stored entries per row.
     row_len: Vec<u32>,
-    /// The length every row shares, when it is one the matvec unrolls.
-    unrolled: Option<usize>,
+    /// Every row holds [`TORUS_ROW`] entries: the matvec unrolls them.
+    torus_rows: bool,
     /// Flat CSR columns, ascending within each row.
     cols: Vec<u32>,
     /// Lane-major values in `cols` order.
@@ -317,13 +325,10 @@ impl<const L: usize> PowerLanes<L> {
             }
             cols.push(j as u32);
         }
-        let unrolled = row_len
-            .first()
-            .map(|&len| len as usize)
-            .filter(|&len| matches!(len, 3 | 5) && row_len.iter().all(|&l| l as usize == len));
+        let torus_rows = row_len.iter().all(|&len| len as usize == TORUS_ROW);
         Self {
             row_len,
-            unrolled,
+            torus_rows,
             vals: vec![[0.0; L]; cols.len()],
             cols,
             x: vec![[0.0; L]; n],
@@ -411,30 +416,15 @@ impl<const L: usize> PowerLanes<L> {
         while self.lanes.iter().any(|lane| lane.state != LaneState::Free) {
             self.step_lanes(&mut stopped);
             if stopped.iter().any(Option::is_some) {
-                self.free(&stopped);
+                for (lane, stop) in self.lanes.iter_mut().zip(&stopped) {
+                    if stop.is_some() {
+                        *lane = Lane::FREE;
+                    }
+                }
                 break;
             }
         }
         stopped
-    }
-
-    /// Frees the lanes that stopped and zeroes their iterates, which stay
-    /// zero until the lane is loaded again: an idle lane left to iterate
-    /// unnormalised would decay into subnormals, and a subnormal in one
-    /// lane slows the vector instructions its neighbours share.
-    fn free(&mut self, stopped: &[Option<LaneOutcome>; L]) {
-        for w in self.bx.iter_mut().chain([&mut self.sum]) {
-            for (w, stop) in w.iter_mut().zip(stopped) {
-                if stop.is_some() {
-                    *w = 0.0;
-                }
-            }
-        }
-        for (lane, stop) in self.lanes.iter_mut().zip(stopped) {
-            if stop.is_some() {
-                *lane = Lane::FREE;
-            }
-        }
     }
 
     /// One step of every lane; a lane that stops on it gets its outcome.
@@ -496,23 +486,20 @@ impl<const L: usize> PowerLanes<L> {
     /// `bx ← (Y·x + x)/2` in every lane, each row's terms accumulated in
     /// ascending column order. Returns `(Σᵢ bxᵢ, Σᵢ xᵢ·bxᵢ)`: the sum the
     /// next deflation divides by `n`, and the Rayleigh quotient of `x`.
-    /// Rows of one shared length 3 or 5 (every ring and torus row) take an
-    /// unrolled loop; the floats are the same either way.
+    /// Torus rows take an unrolled loop; the floats are the same either
+    /// way.
     fn shifted_matvec(&mut self) -> ([f64; L], [f64; L]) {
         let (x, bx) = (&self.x, &mut self.bx);
-        match self.unrolled {
-            Some(3) => equal_rows::<L, 3>(&self.vals, &self.cols, x, bx),
-            Some(5) => equal_rows::<L, 5>(&self.vals, &self.cols, x, bx),
-            _ => {
-                let mut entries = self.vals.iter().zip(&self.cols);
-                let mut totals = ([SUM_START; L], [SUM_START; L]);
-                for ((&len, xi), out) in self.row_len.iter().zip(x).zip(bx) {
-                    *out = shifted_row(entries.by_ref().take(len as usize), x, xi);
-                    add_to_totals(&mut totals, out, xi);
-                }
-                totals
-            }
+        if self.torus_rows {
+            return equal_rows::<L, TORUS_ROW>(&self.vals, &self.cols, x, bx);
         }
+        let mut entries = self.vals.iter().zip(&self.cols);
+        let mut totals = ([SUM_START; L], [SUM_START; L]);
+        for ((&len, xi), out) in self.row_len.iter().zip(x).zip(bx) {
+            *out = shifted_row(entries.by_ref().take(len as usize), x, xi);
+            add_to_totals(&mut totals, out, xi);
+        }
+        totals
     }
 }
 

@@ -6,7 +6,7 @@
 //! [`second_largest_eigenvalue_sparse`] returns for that matrix alone —
 //! and that function, one lane of the same kernel, still performs the
 //! float operations of the two-products-per-step loop written out below,
-//! on rows of one shared length (unrolled) and on ragged rows alike. A
+//! on torus rows (unrolled) and on rows of any other length alike. A
 //! ceiling, set at load or moved down later, retires a lane at the first
 //! step its estimate exceeds it. The last test writes down the premise of
 //! early abandonment, that the estimate never decreases, where it can
@@ -18,6 +18,7 @@ use common::{connected_edges, metropolis};
 use netmax_linalg::eig::PowerIterationResult;
 use netmax_linalg::{second_largest_eigenvalue_sparse, LaneOutcome, PowerLanes, SparseSymmetric};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// The sweep's settings, with a cap small enough to bind on the rings.
 const MAX_ITERS: usize = 300;
@@ -241,9 +242,9 @@ fn one_lane_is_the_textbook_loop_bit_for_bit() {
 
 #[test]
 fn equal_length_and_ragged_rows_are_both_the_textbook_loop() {
-    // Every row of a ring has 3 entries and every row of a torus 5: the
-    // unrolled rows. A stored zero makes two rows one longer — the same
-    // matrix through the row-by-row loop.
+    // Every row of a torus has 5 entries, the unrolled rows; a ring's 3
+    // take the row-by-row loop. A stored zero makes two rows one longer —
+    // the same matrix through that loop.
     let equal: Vec<SparseSymmetric> = weighted_family(12, &ring(12), 3)
         .into_iter()
         .chain(weighted_family(20, &torus(4, 5), 3))
@@ -417,21 +418,39 @@ fn a_busy_lane_is_not_reloaded() {
     kernel.load_lane(0, ring[1].entries(), f64::INFINITY);
 }
 
+/// The streaming property's matrices, each with its estimate after every
+/// step count up to the cap and its solo result: fixed, so computed once
+/// for all cases.
+struct StreamFixture {
+    ring: Vec<SparseSymmetric>,
+    trajectories: Vec<Vec<f64>>,
+    solo: Vec<PowerIterationResult>,
+}
+
+fn stream_fixture() -> &'static StreamFixture {
+    static FIXTURE: OnceLock<StreamFixture> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let n = 12;
+        let ring = weighted_family(n, &ring_with_chords(n), 6);
+        let trajectories =
+            ring.iter().map(|y| (0..=MAX_ITERS).map(|k| estimate(y, k)).collect()).collect();
+        let solo = ring.iter().map(solo).collect();
+        StreamFixture { ring, trajectories, solo }
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Any mix of matrices that run to the cap (`at` = 0) and matrices
     /// under a ceiling their estimate crosses near step `at`, through 3 or
-    /// 4 lanes: every lane ends where it would have
-    /// ended alone, whatever was loaded around it and when.
+    /// 4 lanes: every lane ends where it would have ended alone, whatever
+    /// was loaded around it and when.
     #[test]
     fn any_stream_ends_every_lane_where_it_ends_alone(
         jobs in proptest::collection::vec((0usize..6, 0usize..MAX_ITERS), 1..14),
     ) {
-        let n = 12;
-        let ring = weighted_family(n, &ring_with_chords(n), 6);
-        let trajectories: Vec<Vec<f64>> =
-            ring.iter().map(|y| (0..=MAX_ITERS).map(|k| estimate(y, k)).collect()).collect();
+        let StreamFixture { ring, trajectories, solo } = stream_fixture();
         let ceilings: Vec<(usize, f64)> = jobs
             .iter()
             .map(|&(m, at)| (m, if at == 0 { f64::INFINITY } else { trajectories[m][at - 1] }))
@@ -440,7 +459,7 @@ proptest! {
             .iter()
             .map(|&(m, ceiling)| match (1..=MAX_ITERS).find(|&k| trajectories[m][k] > ceiling) {
                 Some(iterations) => LaneOutcome::Abandoned { iterations },
-                None => LaneOutcome::Finished(solo(&ring[m])),
+                None => LaneOutcome::Finished(solo[m]),
             })
             .collect();
         let jobs: Vec<(&SparseSymmetric, f64)> =
@@ -448,6 +467,10 @@ proptest! {
         prop_assert_eq!(&stream::<3>(&jobs), &expected);
         prop_assert_eq!(&stream::<4>(&jobs), &expected);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Power iteration on a positive-semidefinite operator never lowers
     /// its Rayleigh quotient, and `B = (Y + I)/2` is one whenever `Y`'s
