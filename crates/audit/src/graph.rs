@@ -11,6 +11,10 @@
 //!   workspace `fn foo`, whatever its owner;
 //! * a path call `A::foo(…)` links to the workspace functions whose
 //!   owner is `A` — precise, because both segments are known;
+//! * a module-path call `m::foo(…)` (also `crate::m::foo(…)`) links to
+//!   the free `fn foo`s of every file that defines a module `m`
+//!   (`m.rs` or `m/mod.rs`), and `self::foo(…)` / `super::foo(…)` to
+//!   those of the caller's own or parent module file;
 //! * anything that matches no workspace definition (std/core methods,
 //!   `Vec::new`, float intrinsics) lands in the **unresolved** bucket,
 //!   which the closure report publishes so reviewers see exactly what
@@ -49,24 +53,50 @@ impl CallGraph {
                 by_owner.entry((owner.as_str(), f.name.as_str())).or_default().push(i);
             }
         }
+        // Free functions, with their module path, by (module name, name):
+        // `params.rs` and `params/mod.rs` both define the module `params`.
+        let mut free: BTreeMap<(&str, &str), Vec<(usize, &str)>> = BTreeMap::new();
+        for (i, f) in fns.iter().enumerate().filter(|(_, f)| f.owner.is_none()) {
+            let module = module_of(&f.file);
+            let key = (module_name(module), f.name.as_str());
+            free.entry(key).or_default().push((i, module));
+        }
         let mut edges = BTreeSet::new();
         let mut unresolved: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
         for (i, f) in fns.iter().enumerate() {
             for site in &f.calls {
                 let call = &site.call;
-                let targets: &[usize] = match call {
+                let targets: Vec<usize> = match call {
                     Call::Free(name) | Call::Method(name) => {
-                        by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+                        by_name.get(name).into_iter().flatten().copied().collect()
                     }
-                    Call::Path(owner, name) => by_owner
-                        .get(&(owner.as_str(), name.as_str()))
-                        .map(Vec::as_slice)
-                        .unwrap_or(&[]),
+                    Call::Path(owner, name) => {
+                        // `self::` and `super::` name one module file.
+                        let module = match owner.as_str() {
+                            "self" => Some(module_of(&f.file)),
+                            "super" => module_of(&f.file).rsplit_once('/').map(|(m, _)| m),
+                            _ => None,
+                        };
+                        let key = (module.map_or(owner.as_str(), module_name), name.as_str());
+                        let in_module = free
+                            .get(&key)
+                            .into_iter()
+                            .flatten()
+                            .filter(|(_, m)| module.is_none_or(|want| want == *m))
+                            .map(|&(t, _)| t);
+                        let owned = by_owner.get(&(owner.as_str(), name.as_str()));
+                        owned
+                            .into_iter()
+                            .flatten()
+                            .copied()
+                            .chain(in_module)
+                            .collect()
+                    }
                 };
                 if targets.is_empty() {
                     unresolved.entry(i).or_default().insert(call.display());
                 } else {
-                    for &t in targets {
+                    for t in targets {
                         edges.insert((i, t));
                     }
                 }
@@ -167,6 +197,22 @@ impl CallGraph {
     }
 }
 
+/// The module a file defines, as a path: `crates/ml/src/params.rs` and
+/// `crates/ml/src/params/mod.rs` are both `crates/ml/src/params`, and a
+/// crate root (`lib.rs`, `main.rs`) is its directory.
+fn module_of(file: &str) -> &str {
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    ["/mod", "/lib", "/main"]
+        .iter()
+        .find_map(|root| stem.strip_suffix(root))
+        .unwrap_or(stem)
+}
+
+/// The last segment of a module path: `crates/ml/src/params` is `params`.
+fn module_name(module: &str) -> &str {
+    module.rsplit('/').next().unwrap_or(module)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,6 +249,49 @@ mod tests {
         let m2 = g.fns.iter().position(|f| f.name == "m2").unwrap();
         assert_eq!(g.edges.iter().filter(|(a, _)| *a == m1).count(), 2, "method fans out");
         assert_eq!(g.edges.iter().filter(|(a, _)| *a == m2).count(), 1, "path is precise");
+    }
+
+    #[test]
+    fn module_paths_link_to_that_modules_free_fns() {
+        let g = graph(&[
+            (
+                "crates/m/src/params.rs",
+                "fn axpy() {} fn norm_sq() {} impl P { fn axpy(&self) {} }",
+            ),
+            ("crates/m/src/kernels/mod.rs", "fn dot() {} fn helper() {}"),
+            (
+                "crates/m/src/kernels/step.rs",
+                "fn run() { params::axpy(); crate::params::norm_sq(); kernels::dot();
+                            super::helper(); self::local(); }
+                 fn local() {}",
+            ),
+            (
+                "crates/m/src/other.rs",
+                "fn axpy() {} fn helper() {} fn local() {}",
+            ),
+        ]);
+        let run = g.fns.iter().position(|f| f.name == "run").unwrap();
+        let callees: Vec<String> = g
+            .edges
+            .iter()
+            .filter(|(a, _)| *a == run)
+            .map(|&(_, b)| g.fns[b].id())
+            .collect();
+        assert_eq!(
+            callees,
+            [
+                "crates/m/src/params.rs#axpy",
+                "crates/m/src/params.rs#norm_sq",
+                "crates/m/src/kernels/mod.rs#dot",
+                "crates/m/src/kernels/mod.rs#helper",
+                "crates/m/src/kernels/step.rs#local",
+            ]
+        );
+        assert!(
+            !g.unresolved.contains_key(&run),
+            "{:?}",
+            g.unresolved.get(&run)
+        );
     }
 
     #[test]

@@ -473,6 +473,7 @@ mod tests {
     use crate::engine::session::{Session, StepEvent};
     use crate::engine::stop::StopCondition;
     use crate::monitor::MonitorConfig;
+    use crate::policy::PolicySearchConfig;
     use netmax_json::ToJson;
     use netmax_ml::partition::Partition;
     use netmax_ml::workload::Workload;
@@ -629,6 +630,29 @@ mod tests {
             .expect("zero monitor period must fail construction");
         assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("monitor period"), "{err}");
+    }
+
+    #[test]
+    fn bad_monitor_search_is_a_typed_construction_error() {
+        let bad = [(0, 10, 0.01, "K = 0"), (10, 0, 0.01, "R = 0")]
+            .into_iter()
+            .chain([0.0, 1.0, f64::NAN].map(|epsilon| (10, 10, epsilon, "ε")));
+        for (outer_k, inner_r, epsilon, needle) in bad {
+            let mut cfg = MonitorConfig::paper_default(0.05);
+            cfg.search = PolicySearchConfig {
+                outer_k,
+                inner_r,
+                epsilon,
+                ..cfg.search
+            };
+            let mut b = Monitored(Steering::new(cfg));
+            let mut e = env(16);
+            let err = Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "bad")))
+                .err()
+                .expect("an invalid search must fail construction");
+            assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        }
     }
 
     #[test]

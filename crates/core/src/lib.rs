@@ -7,8 +7,9 @@
 //!   the convergence-bound arithmetic of Theorems 1–2.
 //! * [`sparse_policy`] — the communication-policy generation of
 //!   Algorithm 3 as every session runs it: the nested (ρ, t̄) search over
-//!   an edge list, per-row Eq. (14) LPs solved with `netmax-lp`, sparse
-//!   `Y_P` assembly, and λ₂ from `netmax-linalg` — Jacobi up to
+//!   an edge list, per-row Eq. (14) LPs solved by the crate's private
+//!   equality-form simplex, sparse `Y_P` assembly, and λ₂ from
+//!   `netmax-linalg` — Jacobi up to
 //!   [`sparse_policy::DENSE_CONTROL_THRESHOLD`] nodes, power iteration
 //!   above, the control plane's one size-dependent choice.
 //! * [`policy`] — the search configuration and generator type, plus the
@@ -37,6 +38,7 @@
 pub mod diagnostics;
 pub mod engine;
 pub mod gossip_matrix;
+mod lp;
 pub mod monitor;
 pub mod netmax;
 pub mod policy;

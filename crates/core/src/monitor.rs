@@ -379,9 +379,12 @@ impl Steering {
     }
 
     /// Checks the configuration before a run: `Ts` finite and positive,
-    /// β in [0, 1) (the range [`EmaTimeTracker::for_fleet`] asserts).
+    /// β in [0, 1) (the range [`EmaTimeTracker::for_fleet`] asserts), and
+    /// the search's K, R positive and ε in (0, 1) (what
+    /// [`PolicyGenerator::new`] asserts at the first round that solves).
     pub(crate) fn validate(&self) -> Result<(), SessionError> {
         let MonitorConfig { period_s, beta, .. } = self.monitor.cfg;
+        let search = &self.monitor.cfg.search;
         if !(period_s.is_finite() && period_s > 0.0) {
             return Err(SessionError::InvalidConfig(format!(
                 "monitor period must be finite and positive, got {period_s}"
@@ -390,6 +393,18 @@ impl Steering {
         if !(0.0..1.0).contains(&beta) {
             return Err(SessionError::InvalidConfig(format!(
                 "monitor EMA β must be in [0, 1), got {beta}"
+            )));
+        }
+        if search.outer_k == 0 || search.inner_r == 0 {
+            return Err(SessionError::InvalidConfig(format!(
+                "monitor search resolutions K and R must be positive, got K = {}, R = {}",
+                search.outer_k, search.inner_r
+            )));
+        }
+        let epsilon = search.epsilon;
+        if !(epsilon > 0.0 && epsilon < 1.0) {
+            return Err(SessionError::InvalidConfig(format!(
+                "monitor search ε must be in (0, 1), got {epsilon}"
             )));
         }
         Ok(())

@@ -14,8 +14,8 @@
 //!   t̄ over `[L, U]` with
 //!   `L = maxᵢ (αρ/M) Σₘ t_{i,m}(d_{i,m}+d_{m,i})` and
 //!   `U = minᵢ (1/M) maxₘ t_{i,m} d_{i,m}` (Eq. 26/28);
-//! * for each (ρ, t̄) the LP of Eq. (14) is solved with `netmax-lp`, the
-//!   resulting `Y_P`'s λ₂ is computed with `netmax-linalg`, and the
+//! * for each (ρ, t̄) the LP of Eq. (14) is solved by the crate's simplex,
+//!   the resulting `Y_P`'s λ₂ is computed with `netmax-linalg`, and the
 //!   candidate with minimal `T_convergence` wins.
 //!
 //! Sessions run [`PolicyGenerator::generate_sparse`] (in
@@ -148,6 +148,8 @@ impl PolicyGenerator {
     /// Creates a generator with the given search configuration.
     pub fn new(cfg: PolicySearchConfig) -> Self {
         assert!(cfg.alpha > 0.0, "α must be positive");
+        // No session config reaches these two: `Steering::validate`
+        // rejects K, R = 0 and ε outside (0, 1) at construction.
         assert!(cfg.outer_k > 0 && cfg.inner_r > 0, "search resolutions must be positive");
         assert!((0.0..1.0).contains(&cfg.epsilon) && cfg.epsilon > 0.0, "ε must lie in (0,1)");
         Self { cfg }

@@ -44,10 +44,10 @@
 
 use crate::engine::{Environment, PeerChoice};
 use crate::gossip_matrix::{build_y_sparse, y_entries};
+use crate::lp::{solve_with, LpProblem, LpWorkspace};
 use crate::policy::{PolicyGenerator, POLICY_MARGIN};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::{second_largest_eigenvalue, LanczosScreen, LaneOutcome, Matrix, PowerLanes};
-use netmax_lp::{solve_with, LpProblem, LpWorkspace, Relation};
 use netmax_net::Topology;
 use rand::Rng;
 
@@ -461,9 +461,9 @@ impl PolicyLpTemplate {
                     time_row.push((v, times.get(i, j)));
                 }
                 // Eq. (13): Σₘ p_{i,m} = 1.
-                lp.add_constraint(sum_row, Relation::Eq, 1.0);
+                lp.add_constraint(sum_row, 1.0);
                 // Eq. (10): Σₘ t_{i,m} p_{i,m} d_{i,m} = M t̄ (rhs stamped).
-                lp.add_constraint(time_row, Relation::Eq, 0.0);
+                lp.add_constraint(time_row, 0.0);
                 lp
             })
             .collect();
@@ -527,7 +527,7 @@ impl PolicyLpTemplate {
 /// * Bland's rule picks the smallest eligible index, which within a block
 ///   is the block's own smallest — the same choice the per-row solve
 ///   makes, because the relative variable order (edges ascending, then
-///   the diagonal last, then slacks/artificials) is preserved;
+///   the diagonal last, then the artificials) is preserved;
 /// * ratio-test ties break on basis-variable index, and only same-block
 ///   rows can tie (other blocks have zero pivot-column entries);
 /// * the phase-2 artificial price is `1 + max|c|·10⁶` with `max|c| = 1`
@@ -892,10 +892,10 @@ mod tests {
                     time_row.push((v, times[(i, j)]));
                 }
             }
-            lp.add_constraint(sum_row, Relation::Eq, 1.0);
-            lp.add_constraint(time_row, Relation::Eq, m as f64 * t_bar);
+            lp.add_constraint(sum_row, 1.0);
+            lp.add_constraint(time_row, m as f64 * t_bar);
         }
-        let sol = netmax_lp::solve(&lp).optimal()?;
+        let sol = crate::lp::solve(&lp).optimal()?;
         let mut p = Matrix::zeros(m, m);
         for (v, &(i, j)) in edges.iter().enumerate() {
             p[(i, j)] = sol.x[v].max(0.0);

@@ -53,6 +53,3 @@ pub use matrix::Matrix;
 pub use sparse::{second_largest_eigenvalue_sparse, LaneOutcome, PowerLanes, SparseSymmetric};
 pub use spectral::{symmetric_eigen, SymmetricEigen};
 pub use stochastic::{is_doubly_stochastic, is_irreducible, is_nonnegative, is_symmetric};
-
-/// Default absolute tolerance used by the structural validators.
-pub const DEFAULT_TOL: f64 = 1e-9;

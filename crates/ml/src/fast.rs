@@ -20,7 +20,7 @@
 //!   absolute error ≲ 2·10⁻⁷ near 1 and relative error ≲ 1·10⁻⁶
 //!   elsewhere).
 //! * **Blocked model kernels** ([`batch_logits_fast`],
-//!   [`softmax_block_fast`], [`softmax_xent_grad_fast`]) restructure the
+//!   [`softmax_xent_grad_fast`]) restructure the
 //!   softmax forward/backward as contiguous sample-major sweeps: logits
 //!   accumulate two feature rows per pass, and the backward is a
 //!   (class, feature)-outer matrix product over a precomputed coefficient
@@ -349,9 +349,8 @@ pub fn batch_logits_fast(w: &[f32], b: &[f32], xb: &[f32], dim: usize, nb: usize
 /// Shared softmax body: turns a `classes × nb` logits block into
 /// **unnormalised** shifted exponentials, filling `maxs[s]` with sample
 /// `s`'s logit maximum and `sums[s]` with the **reciprocal** of its
-/// exp-sum. Callers either normalise the block ([`softmax_block_fast`])
-/// or fold the reciprocal into downstream coefficients
-/// ([`softmax_xent_grad_fast`]), saving the normalise pass.
+/// exp-sum. [`softmax_xent_grad_fast`] folds the reciprocal into its
+/// downstream coefficients, saving a normalise pass.
 fn exp_block_fast(block: &mut [f32], nb: usize, maxs: &mut Vec<f32>, sums: &mut Vec<f32>) {
     debug_assert_eq!(block.len() % nb, 0);
     maxs.clear();
@@ -371,20 +370,6 @@ fn exp_block_fast(block: &mut [f32], nb: usize, maxs: &mut Vec<f32>, sums: &mut 
     }
     for s in sums.iter_mut() {
         *s = 1.0 / *s;
-    }
-}
-
-/// Fast-tier in-place softmax over a `classes × nb` logits block, one
-/// sample per column: vectorised max fold, [`exp_fast`] rows, and a
-/// reciprocal-multiply normalise. On return `sums[s]` holds the
-/// **reciprocal** of sample `s`'s exp-sum (so the caller's loss term
-/// `ln Σ exp` is `−ln_fast(sums[s])`).
-pub fn softmax_block_fast(block: &mut [f32], nb: usize, maxs: &mut Vec<f32>, sums: &mut Vec<f32>) {
-    exp_block_fast(block, nb, maxs, sums);
-    for row in block.chunks_mut(nb) {
-        for (l, &is) in row.iter_mut().zip(&*sums) {
-            *l *= is;
-        }
     }
 }
 
@@ -626,22 +611,6 @@ mod tests {
                     + b[c] as f64;
                 let got = out[c * nb + s] as f64;
                 assert!((got - reference).abs() < 1e-5, "({c},{s}): {got} vs {reference}");
-            }
-        }
-    }
-
-    #[test]
-    fn softmax_block_fast_produces_normalised_rows() {
-        let (classes, nb) = (10usize, 17usize);
-        let mut block = pseudo(classes * nb, 11);
-        let (mut maxs, mut sums) = (Vec::new(), Vec::new());
-        softmax_block_fast(&mut block, nb, &mut maxs, &mut sums);
-        for s in 0..nb {
-            let total: f64 = (0..classes).map(|c| block[c * nb + s] as f64).sum();
-            assert!((total - 1.0).abs() < 1e-5, "sample {s} sums to {total}");
-            for c in 0..classes {
-                let p = block[c * nb + s];
-                assert!(p > 0.0 && p < 1.0 + 1e-6, "p[{c},{s}] = {p}");
             }
         }
     }

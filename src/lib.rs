@@ -8,11 +8,11 @@
 //! depend on a single crate:
 //!
 //! * [`linalg`] — dense matrices and the symmetric eigensolver behind λ₂.
-//! * [`lp`] — the two-phase simplex solver behind the policy LP (Eq. 14).
 //! * [`net`] — the discrete-event heterogeneous network simulator.
 //! * [`ml`] — models, optimisers, synthetic datasets, and partitioners.
 //! * [`core`] — NetMax itself: consensus SGD, the Network Monitor, the
-//!   communication-policy generator, and the simulation engine.
+//!   communication-policy generator (with its LP solver), and the
+//!   simulation engine.
 //! * [`baselines`] — AD-PSGD, Allreduce-SGD, Prague, SAPS-PSGD, and
 //!   parameter-server baselines.
 //!
@@ -96,7 +96,6 @@
 pub use netmax_baselines as baselines;
 pub use netmax_core as core;
 pub use netmax_linalg as linalg;
-pub use netmax_lp as lp;
 pub use netmax_ml as ml;
 pub use netmax_net as net;
 

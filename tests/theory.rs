@@ -1,8 +1,8 @@
 //! Cross-crate validation of the paper's theory (Section IV).
 //!
-//! These tests exercise the policy generator (`netmax-core`), the LP
-//! solver (`netmax-lp`), and the eigensolver (`netmax-linalg`) together,
-//! and check the *quantitative* convergence claims — not just types.
+//! These tests exercise the policy generator (`netmax-core`, LP solver
+//! included) and the eigensolver (`netmax-linalg`) together, and check
+//! the *quantitative* convergence claims — not just types.
 
 use netmax::core::gossip_matrix::{build_y, convergence_bound};
 use netmax::core::policy::{PolicyGenerator, PolicySearchConfig};
