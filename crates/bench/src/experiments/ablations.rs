@@ -15,50 +15,27 @@ use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full() -> Self {
-        Self { epochs: 16.0, seed: 29 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// Non-IID scenario used by the weighting ablation (Table IV labels).
-fn noniid_scenario(p: &Params) -> Scenario {
+fn noniid_scenario(epochs: f64, seed: u64) -> Scenario {
     Scenario::builder()
         .workers(8)
         .servers(2)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(WorkloadSpec::mobilenet_mnist(p.seed))
+        .workload(WorkloadSpec::mobilenet_mnist(seed))
         .partition(PartitionKind::PaperTable4)
         .slowdown(common::slowdown())
-        .train_config(common::train_config(p.epochs, p.seed))
+        .train_config(common::train_config(epochs, seed))
         .build()
 }
 
 /// Heterogeneous uniform-data scenario used by the Ts and β sweeps.
-fn hetero_scenario(p: &Params) -> Scenario {
+fn hetero_scenario(epochs: f64, seed: u64) -> Scenario {
     Scenario::builder()
         .workers(8)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(WorkloadSpec::resnet18_cifar10(p.seed))
+        .workload(WorkloadSpec::resnet18_cifar10(seed))
         .slowdown(common::slowdown())
-        .train_config(common::train_config(p.epochs, p.seed))
+        .train_config(common::train_config(epochs, seed))
         .build()
 }
 
@@ -82,46 +59,48 @@ fn abl_spec(
 }
 
 /// The registry entries for all four design-choice ablations.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(16.0);
+    let seed = 29;
     let mut out = vec![
         abl_spec(
             "weighting",
             "Ablation 1 — second-step merge weighting (non-IID MNIST, Table IV)",
-            noniid_scenario(p),
+            noniid_scenario(epochs, seed),
             vec![
                 Arm::new(AlgorithmKind::NetMax).labeled("inverse-probability (paper)"),
                 Arm::new(AlgorithmKind::NetMax).fixed_weight(0.5).labeled("fixed 0.5 (AD-PSGD style)"),
                 Arm::new(AlgorithmKind::NetMax).fixed_weight(0.25).labeled("fixed 0.25"),
             ],
-            vec![p.seed],
+            vec![seed],
             vec![MetricKind::Accuracy],
         ),
         abl_spec(
             "ts-period",
             "Ablation 2 — Network Monitor period Ts (link change every 120 s)",
-            hetero_scenario(p),
+            hetero_scenario(epochs, seed),
             [10.0, 30.0, 60.0, 120.0, 300.0]
                 .into_iter()
                 .map(|ts| {
                     Arm::new(AlgorithmKind::NetMax).monitor_period(ts).labeled(format!("Ts={ts}s"))
                 })
                 .collect(),
-            vec![p.seed],
+            vec![seed],
             vec![MetricKind::Accuracy],
         ),
         abl_spec(
             "ema-beta",
             "Ablation 3 — EMA smoothing factor β",
-            hetero_scenario(p),
+            hetero_scenario(epochs, seed),
             [0.1, 0.3, 0.5, 0.7, 0.9]
                 .into_iter()
                 .map(|b| Arm::new(AlgorithmKind::NetMax).beta(b).labeled(format!("beta={b}")))
                 .collect(),
-            vec![p.seed],
+            vec![seed],
             vec![MetricKind::Accuracy],
         ),
     ];
-    out.extend(static_vs_adaptive_specs(p));
+    out.extend(static_vs_adaptive_specs(epochs.max(48.0), seed));
     out
 }
 
@@ -135,8 +114,7 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
 /// slow-link windows) and span several network seeds, and the
 /// [`MetricKind::Straggler`] summary reads them by the slowest node's
 /// time per epoch.
-fn static_vs_adaptive_specs(p: &Params) -> Vec<ExperimentSpec> {
-    let epochs = p.epochs.max(48.0);
+fn static_vs_adaptive_specs(epochs: f64, seed: u64) -> Vec<ExperimentSpec> {
     // Faster re-draws than the harness default so each run sees many
     // windows; whether any one window lands on the sparse subgraph is a
     // coin flip, and the straggler metric surfaces the hits.
@@ -153,16 +131,16 @@ fn static_vs_adaptive_specs(p: &Params) -> Vec<ExperimentSpec> {
         let scenario = Scenario::builder()
             .workers(8)
             .network(kind)
-            .workload(WorkloadSpec::resnet18_cifar10(p.seed))
+            .workload(WorkloadSpec::resnet18_cifar10(seed))
             .slowdown(slowdown)
-            .train_config(common::train_config(epochs, p.seed))
+            .train_config(common::train_config(epochs, seed))
             .build();
         abl_spec(
             &format!("static-vs-adaptive/{net_label}"),
             "Ablation 4 — static subgraph (SAPS-PSGD) vs adaptive NetMax (Fig. 2 narrative)",
             scenario,
             vec![Arm::new(AlgorithmKind::SapsPsgd), Arm::new(AlgorithmKind::NetMax)],
-            vec![p.seed, p.seed + 1, p.seed + 2],
+            vec![seed, seed + 1, seed + 2],
             vec![MetricKind::Straggler, MetricKind::Accuracy],
         )
     })
@@ -176,8 +154,9 @@ mod tests {
 
     #[test]
     fn weighting_variants_all_train() {
-        let p = Params { epochs: 3.0, seed: 29 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let mut spec = specs(Mode::Full).swap_remove(0);
+        spec.scenario.cfg_mut().max_epochs = 3.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 3);
         for c in &result.cells {
             let loss = c.report.final_train_loss;
@@ -187,8 +166,7 @@ mod tests {
 
     #[test]
     fn ts_sweep_produces_monotone_labels() {
-        let p = Params { epochs: 2.0, seed: 29 };
-        let result = runner::try_execute(&specs(&p)[1], &Default::default()).unwrap();
+        let result = runner::try_execute(&specs(Mode::Tiny)[1], &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 5);
         assert!(result.cells[0].label.contains("10"));
         assert!(result.cells[4].label.contains("300"));

@@ -12,73 +12,50 @@ use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Heterogeneous (Table II) or homogeneous (Table III).
-    pub heterogeneous: bool,
-    /// Worker counts (paper: 4/8/16 heterogeneous, 4/6/8 homogeneous).
-    pub node_counts: Vec<usize>,
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full(heterogeneous: bool) -> Self {
-        Self {
-            heterogeneous,
-            node_counts: if heterogeneous { vec![4, 8, 16] } else { vec![4, 6, 8] },
-            epochs: 24.0,
-            seed: 5,
-        }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
-        let mut p = Self::full(heterogeneous);
-        p.epochs = mode.epochs(p.epochs);
-        if mode == Mode::Tiny {
-            p.node_counts.truncate(1);
-        }
-        p
-    }
-}
-
-/// The registry entries: one spec per (workload, node count).
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    let group = if p.heterogeneous { "tab02" } else { "tab03" };
+/// The registry entries: one spec per (table, workload, node count),
+/// Table II (heterogeneous: 4/8/16 workers) before Table III
+/// (homogeneous: 4/6/8); tiny mode keeps each table's smallest count.
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(24.0);
+    let seed = 5;
     let mut out = Vec::new();
-    for make in [WorkloadSpec::resnet18_cifar10 as fn(u64) -> WorkloadSpec, WorkloadSpec::vgg19_cifar10] {
-        for &nodes in &p.node_counts {
-            let workload = make(p.seed);
-            let name = format!("{group}/{}/n{nodes}", workload.kind.name());
-            let scenario = Scenario::builder()
-                .workers(nodes)
-                .network(if p.heterogeneous {
-                    NetworkKind::HeterogeneousDynamic
-                } else {
-                    NetworkKind::Homogeneous
-                })
-                .workload(workload)
-                .slowdown(common::slowdown())
-                .train_config(common::train_config(p.epochs, p.seed))
-                .build();
-            out.push(ExperimentSpec {
-                name,
-                group: group.into(),
-                title: format!(
-                    "{} — test accuracy over a {} network",
-                    if p.heterogeneous { "Table II" } else { "Table III" },
-                    if p.heterogeneous { "heterogeneous" } else { "homogeneous" }
-                ),
-                scenario,
-                arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-                seeds: vec![p.seed],
-                metrics: vec![MetricKind::Accuracy],
-            });
+    for (heterogeneous, mut node_counts) in [(true, vec![4, 8, 16]), (false, vec![4, 6, 8])] {
+        if mode == Mode::Tiny {
+            node_counts.truncate(1);
+        }
+        let group = if heterogeneous { "tab02" } else { "tab03" };
+        for make in [
+            WorkloadSpec::resnet18_cifar10 as fn(u64) -> WorkloadSpec,
+            WorkloadSpec::vgg19_cifar10,
+        ] {
+            for &nodes in &node_counts {
+                let workload = make(seed);
+                let name = format!("{group}/{}/n{nodes}", workload.kind.name());
+                let scenario = Scenario::builder()
+                    .workers(nodes)
+                    .network(if heterogeneous {
+                        NetworkKind::HeterogeneousDynamic
+                    } else {
+                        NetworkKind::Homogeneous
+                    })
+                    .workload(workload)
+                    .slowdown(common::slowdown())
+                    .train_config(common::train_config(epochs, seed))
+                    .build();
+                out.push(ExperimentSpec {
+                    name,
+                    group: group.into(),
+                    title: format!(
+                        "{} — test accuracy over a {} network",
+                        if heterogeneous { "Table II" } else { "Table III" },
+                        if heterogeneous { "heterogeneous" } else { "homogeneous" }
+                    ),
+                    scenario,
+                    arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
+                    seeds: vec![seed],
+                    metrics: vec![MetricKind::Accuracy],
+                });
+            }
         }
     }
     out
@@ -91,8 +68,11 @@ mod tests {
 
     #[test]
     fn all_algorithms_reach_comparable_accuracy() {
-        let p = Params { heterogeneous: true, node_counts: vec![4], epochs: 8.0, seed: 5 };
-        for spec in specs(&p) {
+        let panel = specs(Mode::Full)
+            .into_iter()
+            .filter(|s| s.group == "tab02" && s.scenario.workers() == 4);
+        for mut spec in panel {
+            spec.scenario.cfg_mut().max_epochs = 8.0;
             let result = runner::try_execute(&spec, &Default::default()).unwrap();
             let accs: Vec<f64> =
                 result.cells.iter().map(|c| c.report.final_test_accuracy).collect();

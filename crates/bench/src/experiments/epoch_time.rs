@@ -12,67 +12,44 @@ use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Heterogeneous (Fig. 5) or homogeneous (Fig. 6).
-    pub heterogeneous: bool,
-    /// Worker count (paper: 8).
-    pub workers: usize,
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full(heterogeneous: bool) -> Self {
-        Self { heterogeneous, workers: 8, epochs: 24.0, seed: 7 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
-        let mut p = Self::full(heterogeneous);
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
-/// The registry entries: one spec per workload panel.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    let group = if p.heterogeneous { "fig05" } else { "fig06" };
-    [WorkloadSpec::resnet18_cifar10(p.seed), WorkloadSpec::vgg19_cifar10(p.seed)]
-        .into_iter()
-        .map(|workload| {
+/// The registry entries: one spec per (figure, workload panel), Fig. 5
+/// (heterogeneous) before Fig. 6 (homogeneous).
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let workers = 8;
+    let epochs = mode.epochs(24.0);
+    let seed = 7;
+    let mut out = Vec::new();
+    for heterogeneous in [true, false] {
+        let group = if heterogeneous { "fig05" } else { "fig06" };
+        for workload in [WorkloadSpec::resnet18_cifar10(seed), WorkloadSpec::vgg19_cifar10(seed)] {
             let name = format!("{group}/{}", workload.kind.name());
             let scenario = Scenario::builder()
-                .workers(p.workers)
-                .network(if p.heterogeneous {
+                .workers(workers)
+                .network(if heterogeneous {
                     NetworkKind::HeterogeneousDynamic
                 } else {
                     NetworkKind::Homogeneous
                 })
                 .workload(workload)
                 .slowdown(common::slowdown())
-                .train_config(common::train_config(p.epochs, p.seed))
+                .train_config(common::train_config(epochs, seed))
                 .build();
-            ExperimentSpec {
+            out.push(ExperimentSpec {
                 name,
                 group: group.into(),
                 title: format!(
-                    "{} — average epoch time split, {} workers, {} network",
-                    if p.heterogeneous { "Fig. 5" } else { "Fig. 6" },
-                    p.workers,
-                    if p.heterogeneous { "heterogeneous" } else { "homogeneous" }
+                    "{} — average epoch time split, {workers} workers, {} network",
+                    if heterogeneous { "Fig. 5" } else { "Fig. 6" },
+                    if heterogeneous { "heterogeneous" } else { "homogeneous" }
                 ),
                 scenario,
                 arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-                seeds: vec![p.seed],
+                seeds: vec![seed],
                 metrics: vec![MetricKind::EpochCost],
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -82,9 +59,10 @@ mod tests {
 
     #[test]
     fn hetero_ordering_matches_paper() {
-        let p = Params { heterogeneous: true, workers: 8, epochs: 6.0, seed: 7 };
-        // The ResNet18 panel.
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        // The heterogeneous ResNet18 panel.
+        let mut spec = specs(Mode::Full).swap_remove(0);
+        spec.scenario.cfg_mut().max_epochs = 6.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         let get = |kind: AlgorithmKind| &result.cell(kind).expect("arm present").report;
         let comm = |kind: AlgorithmKind| get(kind).comm_cost_per_epoch_s();
         // Communication ordering for ResNet18: NetMax < AD-PSGD and
@@ -107,7 +85,8 @@ mod tests {
 
     #[test]
     fn mode_scaling_applies() {
-        let p = Params::for_mode(Mode::Tiny, true);
-        assert_eq!(p.epochs, 2.0);
+        for spec in specs(Mode::Tiny) {
+            assert_eq!(spec.scenario.cfg().max_epochs, 2.0, "{}", spec.name);
+        }
     }
 }

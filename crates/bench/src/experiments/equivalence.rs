@@ -18,49 +18,26 @@ use netmax_ml::workload::WorkloadSpec;
 use netmax_ml::NumericsTier;
 use netmax_net::{NetworkKind, SlowdownConfig};
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full() -> Self {
-        Self { epochs: 12.0, seed: 7 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// The sanity scenario pinned to one numerics tier. Everything except the
 /// tier matches `sanity/resnet18-cifar10`, so the strict cell doubles as
 /// a scaled-down sanity rerun.
-fn scenario(p: &Params, tier: NumericsTier) -> Scenario {
+fn scenario(epochs: f64, seed: u64, tier: NumericsTier) -> Scenario {
     Scenario::builder()
         .workers(8)
         .network(NetworkKind::HeterogeneousDynamic)
         .workload(WorkloadSpec::resnet18_cifar10(42))
         .slowdown(SlowdownConfig { change_period_s: 120.0, ..SlowdownConfig::default() })
         .train_config(TrainConfig {
-            max_epochs: p.epochs,
+            max_epochs: epochs,
             record_every_steps: 40,
-            seed: p.seed,
+            seed,
             tier,
             ..TrainConfig::default()
         })
         .build()
 }
 
-fn spec(p: &Params, tier: NumericsTier) -> ExperimentSpec {
+fn spec(epochs: f64, seed: u64, tier: NumericsTier) -> ExperimentSpec {
     ExperimentSpec {
         name: format!("equivalence/{}", tier.tier_name()),
         group: "equivalence".into(),
@@ -68,16 +45,18 @@ fn spec(p: &Params, tier: NumericsTier) -> ExperimentSpec {
             "Equivalence — headline four on the sanity workload, {} numerics tier",
             tier.tier_name()
         ),
-        scenario: scenario(p, tier),
+        scenario: scenario(epochs, seed, tier),
         arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-        seeds: vec![p.seed],
+        seeds: vec![seed],
         metrics: vec![MetricKind::TimeToTarget, MetricKind::EpochCost, MetricKind::Accuracy],
     }
 }
 
 /// The registry entries: one sanity-shaped run per numerics tier.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    vec![spec(p, NumericsTier::Strict), spec(p, NumericsTier::Fast)]
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(12.0);
+    let seed = 7;
+    vec![spec(epochs, seed, NumericsTier::Strict), spec(epochs, seed, NumericsTier::Fast)]
 }
 
 #[cfg(test)]
@@ -85,13 +64,8 @@ mod tests {
     use super::*;
     use crate::runner;
 
-    fn tiny() -> Params {
-        Params { epochs: 2.0, seed: 7 }
-    }
-
     fn run_tier(tier: NumericsTier) -> runner::ExperimentResult {
-        let p = tiny();
-        let spec = specs(&p)
+        let spec = specs(Mode::Tiny)
             .into_iter()
             .find(|s| s.name.ends_with(tier.tier_name()))
             .expect("registered experiment");
@@ -177,7 +151,7 @@ mod tests {
     #[test]
     fn equivalence_specs_round_trip_through_json() {
         use netmax_json::{FromJson, Json, ToJson};
-        for s in specs(&tiny()) {
+        for s in specs(Mode::Tiny) {
             let text = s.to_json().pretty();
             let back = ExperimentSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, s, "{}", s.name);

@@ -20,46 +20,18 @@ use netmax_net::{
     FaultPlan, LinkDynamics, MarkovConfig, NetworkKind, NodeFault, Straggler,
 };
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
 /// Rough simulated seconds per epoch of the scaled ResNet18 workload on
 /// the heterogeneous fabric for the *fastest* arm (NetMax; the
 /// synchronous arms take longer) — used to place fault times mid-run.
 const SEC_PER_EPOCH_EST: f64 = 15.0;
 
-impl Params {
-    /// Full reproduction scale.
-    pub fn full() -> Self {
-        Self { epochs: 12.0, seed: 23 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-
-    /// Virtual time roughly `frac` of the way through the run.
-    fn at(&self, frac: f64) -> f64 {
-        frac * self.epochs * SEC_PER_EPOCH_EST
-    }
-}
-
-fn base(p: &Params, dynamics: Option<LinkDynamics>, faults: FaultPlan) -> Scenario {
+fn base(epochs: f64, seed: u64, dynamics: Option<LinkDynamics>, faults: FaultPlan) -> Scenario {
     let mut b = Scenario::builder()
         .workers(8)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(WorkloadSpec::resnet18_cifar10(p.seed).time_scaled(0.25))
+        .workload(WorkloadSpec::resnet18_cifar10(seed).time_scaled(0.25))
         .slowdown(common::slowdown())
-        .train_config(common::train_config(p.epochs, p.seed))
+        .train_config(common::train_config(epochs, seed))
         .faults(faults);
     if let Some(d) = dynamics {
         b = b.dynamics(d);
@@ -67,78 +39,70 @@ fn base(p: &Params, dynamics: Option<LinkDynamics>, faults: FaultPlan) -> Scenar
     b.build()
 }
 
-fn spec(
-    p: &Params,
-    name: &str,
-    title: &str,
-    dynamics: Option<LinkDynamics>,
-    faults: FaultPlan,
-) -> ExperimentSpec {
-    ExperimentSpec {
-        name: format!("faults/{name}"),
-        group: "faults".into(),
-        title: title.into(),
-        scenario: base(p, dynamics, faults),
-        arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-        seeds: vec![p.seed],
-        metrics: vec![MetricKind::TimeToTarget, MetricKind::EpochCost],
-    }
-}
-
 /// The crash experiment's victim worker (exposed for the claim tests).
 pub const CRASHED_NODE: usize = 5;
 
 /// The registry entries: slow-drift and fast-drift Markov links, a
 /// single mid-run crash, rolling churn, and a permanent straggler.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(12.0);
+    let seed = 23;
+    // Virtual time roughly `frac` of the way through the run.
+    let at = |frac: f64| frac * epochs * SEC_PER_EPOCH_EST;
+    let spec = |name: &str, title: &str, dynamics: Option<LinkDynamics>, faults: FaultPlan| {
+        ExperimentSpec {
+            name: format!("faults/{name}"),
+            group: "faults".into(),
+            title: title.into(),
+            scenario: base(epochs, seed, dynamics, faults),
+            arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
+            seeds: vec![seed],
+            metrics: vec![MetricKind::TimeToTarget, MetricKind::EpochCost],
+        }
+    };
     let churn = FaultPlan {
         node_faults: (0..3)
             .map(|k| NodeFault {
                 node: 1 + 2 * k,
-                crash_s: p.at(0.25) + k as f64 * p.at(0.15),
-                rejoin_s: Some(p.at(0.25) + k as f64 * p.at(0.15) + p.at(0.2)),
+                crash_s: at(0.25) + k as f64 * at(0.15),
+                rejoin_s: Some(at(0.25) + k as f64 * at(0.15) + at(0.2)),
             })
             .collect(),
         ..FaultPlan::none()
     };
     vec![
         spec(
-            p,
             "slow-drift",
             "Faults — Markov-modulated links drifting slower than the Monitor period",
             Some(LinkDynamics::MarkovModulated(MarkovConfig::slow_drift())),
             FaultPlan::none(),
         ),
         spec(
-            p,
             "fast-drift",
             "Faults — Markov-modulated links drifting faster than the Monitor period",
             Some(LinkDynamics::MarkovModulated(MarkovConfig::fast_drift())),
             FaultPlan::none(),
         ),
         spec(
-            p,
             "crash",
             "Faults — one worker crashes mid-run and never returns",
             None,
             FaultPlan {
                 node_faults: vec![NodeFault {
                     node: CRASHED_NODE,
-                    crash_s: p.at(0.4),
+                    crash_s: at(0.4),
                     rejoin_s: None,
                 }],
                 ..FaultPlan::none()
             },
         ),
         spec(
-            p,
             "churn",
             "Faults — rolling churn: three workers crash and rejoin in sequence",
             None,
             churn,
         ),
         spec(
-            p,
             "straggler",
             "Faults — one worker computes 4x slower for the whole run",
             None,
@@ -155,17 +119,15 @@ mod tests {
     use super::*;
     use crate::runner;
 
-    fn tiny() -> Params {
-        Params { epochs: 2.0, seed: 23 }
+    fn tiny_spec(name: &str) -> ExperimentSpec {
+        specs(Mode::Tiny)
+            .into_iter()
+            .find(|s| s.name.ends_with(name))
+            .expect("registered experiment")
     }
 
     fn run_named(name: &str) -> runner::ExperimentResult {
-        let p = tiny();
-        let spec = specs(&p)
-            .into_iter()
-            .find(|s| s.name.ends_with(name))
-            .expect("registered experiment");
-        runner::try_execute(&spec, &Default::default()).unwrap()
+        runner::try_execute(&tiny_spec(name), &Default::default()).unwrap()
     }
 
     fn wall(result: &runner::ExperimentResult, kind: AlgorithmKind) -> f64 {
@@ -261,12 +223,13 @@ mod tests {
 
     #[test]
     fn straggler_slows_the_synchronous_round_most() {
-        let p = tiny();
-        let strag = run_named("straggler");
+        let strag_spec = tiny_spec("straggler");
+        let strag = runner::try_execute(&strag_spec, &Default::default()).unwrap();
         // Same scenario without the straggler.
+        let cfg = strag_spec.scenario.cfg();
         let clean_spec = ExperimentSpec {
-            scenario: base(&p, None, FaultPlan::none()),
-            ..specs(&p).into_iter().find(|s| s.name.ends_with("straggler")).unwrap()
+            scenario: base(cfg.max_epochs, cfg.seed, None, FaultPlan::none()),
+            ..strag_spec.clone()
         };
         let clean = runner::try_execute(&clean_spec, &Default::default()).unwrap();
         let ratio = |k: AlgorithmKind| wall(&strag, k) / wall(&clean, k);
@@ -284,7 +247,7 @@ mod tests {
     #[test]
     fn fault_specs_round_trip_through_json() {
         use netmax_json::{FromJson, Json, ToJson};
-        for s in specs(&tiny()) {
+        for s in specs(Mode::Tiny) {
             let text = s.to_json().pretty();
             let back = ExperimentSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, s, "{}", s.name);

@@ -11,41 +11,19 @@ use netmax_core::engine::{AlgorithmKind, ExecutionMode, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Worker count (paper: 8).
-    pub workers: usize,
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full() -> Self {
-        Self { workers: 8, epochs: 24.0, seed: 11 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// The registry entries: one spec per (workload, execution mode), each
 /// with the uniform and adaptive arms.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let workers = 8;
+    let epochs = mode.epochs(24.0);
+    let seed = 11;
     let mut out = Vec::new();
-    for workload in [WorkloadSpec::resnet18_cifar10(p.seed), WorkloadSpec::vgg19_cifar10(p.seed)] {
+    for workload in [WorkloadSpec::resnet18_cifar10(seed), WorkloadSpec::vgg19_cifar10(seed)] {
         for exec in [ExecutionMode::Serial, ExecutionMode::Parallel] {
-            let mut cfg = common::train_config(p.epochs, p.seed);
+            let mut cfg = common::train_config(epochs, seed);
             cfg.execution = exec;
             let scenario = Scenario::builder()
-                .workers(p.workers)
+                .workers(workers)
                 .network(NetworkKind::HeterogeneousDynamic)
                 .workload(workload.clone())
                 .slowdown(common::slowdown())
@@ -61,7 +39,7 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
                         .labeled(format!("{}+uniform", exec.name())),
                     Arm::new(AlgorithmKind::NetMax).labeled(format!("{}+adaptive", exec.name())),
                 ],
-                seeds: vec![p.seed],
+                seeds: vec![seed],
                 metrics: vec![MetricKind::EpochCost, MetricKind::TimeToTarget],
             });
         }
@@ -76,10 +54,12 @@ mod tests {
 
     #[test]
     fn adaptive_beats_uniform_and_parallel_beats_serial() {
-        let p = Params { workers: 8, epochs: 8.0, seed: 11 };
-        let results: Vec<_> = specs(&p)
-            .iter()
-            .map(|s| runner::try_execute(s, &Default::default()).unwrap())
+        let results: Vec<_> = specs(Mode::Full)
+            .into_iter()
+            .map(|mut s| {
+                s.scenario.cfg_mut().max_epochs = 8.0;
+                runner::try_execute(&s, &Default::default()).unwrap()
+            })
             .collect();
         let get = |model: &str, setting: &str| {
             results

@@ -13,31 +13,8 @@ use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale (paper's 120-epoch schedule compressed 4×).
-    pub fn full() -> Self {
-        Self { epochs: 30.0, seed: 17 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// The six algorithms of Fig. 14.
-pub fn algorithms() -> [AlgorithmKind; 6] {
+fn algorithms() -> [AlgorithmKind; 6] {
     [
         AlgorithmKind::Prague,
         AlgorithmKind::AllreduceSgd,
@@ -49,15 +26,18 @@ pub fn algorithms() -> [AlgorithmKind; 6] {
 }
 
 /// The registry entry.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    // The paper's 120-epoch schedule compressed 4×.
+    let epochs = mode.epochs(30.0);
+    let seed = 17;
     let scenario = Scenario::builder()
         .workers(8)
         .servers(2)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(WorkloadSpec::mobilenet_cifar100(p.seed).time_scaled(0.25))
+        .workload(WorkloadSpec::mobilenet_cifar100(seed).time_scaled(0.25))
         .partition(PartitionKind::Paper8Segments)
         .slowdown(common::slowdown())
-        .train_config(common::train_config(p.epochs, p.seed))
+        .train_config(common::train_config(epochs, seed))
         .build();
     vec![ExperimentSpec {
         name: "fig14/mobilenet-cifar100".into(),
@@ -65,7 +45,7 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
         title: "Fig. 14 + Table VI — MobileNet on CIFAR100 incl. PS baselines (§V-G)".into(),
         scenario,
         arms: algorithms().map(Arm::new).to_vec(),
-        seeds: vec![p.seed],
+        seeds: vec![seed],
         metrics: vec![MetricKind::TimeToTarget, MetricKind::Accuracy],
     }]
 }
@@ -77,8 +57,9 @@ mod tests {
 
     #[test]
     fn six_algorithms_run_and_ps_sync_is_slowest_family() {
-        let p = Params { epochs: 3.0, seed: 17 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let mut spec = specs(Mode::Full).swap_remove(0);
+        spec.scenario.cfg_mut().max_epochs = 3.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         assert_eq!(result.cells.len(), 6);
         let wall =
             |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;

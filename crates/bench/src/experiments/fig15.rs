@@ -13,39 +13,19 @@ use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale (the §V-F CIFAR100 setting).
-    pub fn full() -> Self {
-        Self { epochs: 30.0, seed: 19 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// The registry entry.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    // The §V-F CIFAR100 setting.
+    let epochs = mode.epochs(30.0);
+    let seed = 19;
     let scenario = Scenario::builder()
         .workers(8)
         .servers(2)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(WorkloadSpec::resnet18_cifar100(p.seed).time_scaled(0.25))
+        .workload(WorkloadSpec::resnet18_cifar100(seed).time_scaled(0.25))
         .partition(PartitionKind::Paper8Segments)
         .slowdown(common::slowdown())
-        .train_config(common::train_config(p.epochs, p.seed))
+        .train_config(common::train_config(epochs, seed))
         .build();
     vec![ExperimentSpec {
         name: "fig15/resnet18-cifar100".into(),
@@ -57,7 +37,7 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
             Arm::new(AlgorithmKind::AdPsgdMonitored),
             Arm::new(AlgorithmKind::NetMax),
         ],
-        seeds: vec![p.seed],
+        seeds: vec![seed],
         metrics: vec![MetricKind::TimeToTarget],
     }]
 }
@@ -69,8 +49,9 @@ mod tests {
 
     #[test]
     fn monitor_cuts_adpsgd_wall_clock() {
-        let p = Params { epochs: 6.0, seed: 19 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let mut spec = specs(Mode::Full).swap_remove(0);
+        spec.scenario.cfg_mut().max_epochs = 6.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         let wall =
             |kind: AlgorithmKind| result.cell(kind).expect("arm present").report.wall_clock_s;
         // The §V-H finding: the monitored variant trains faster on the

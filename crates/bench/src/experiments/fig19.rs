@@ -11,35 +11,14 @@ use netmax_core::engine::{AlgorithmKind, PartitionKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full() -> Self {
-        Self { epochs: 20.0, seed: 23 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
 /// The registry entries: one spec per model panel.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    [WorkloadSpec::mobilenet_mnist(p.seed), WorkloadSpec::googlenet_mnist(p.seed)]
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(20.0);
+    let seed = 23;
+    [WorkloadSpec::mobilenet_mnist(seed), WorkloadSpec::googlenet_mnist(seed)]
         .into_iter()
         .map(|workload| {
-            let mut cfg = common::train_config(p.epochs, p.seed);
+            let mut cfg = common::train_config(epochs, seed);
             // Accuracy-vs-time curves need dense test evaluation.
             cfg.test_eval_every_records = 1;
             let name = format!("fig19/{}", workload.kind.name());
@@ -62,7 +41,7 @@ pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
                     Arm::new(AlgorithmKind::PsAsync),
                     Arm::new(AlgorithmKind::PsSync),
                 ],
-                seeds: vec![p.seed],
+                seeds: vec![seed],
                 metrics: vec![MetricKind::TimeToAccuracy, MetricKind::Accuracy],
             }
         })
@@ -76,8 +55,9 @@ mod tests {
 
     #[test]
     fn netmax_reaches_accuracy_before_ps_sync() {
-        let p = Params { epochs: 5.0, seed: 23 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let mut spec = specs(Mode::Full).swap_remove(0);
+        spec.scenario.cfg_mut().max_epochs = 5.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         let target = result.accuracy_target();
         let t = |kind: AlgorithmKind| {
             let r = &result.cell(kind).expect("arm present").report;
@@ -93,8 +73,7 @@ mod tests {
 
     #[test]
     fn wan_panels_cover_both_models() {
-        let p = Params { epochs: 2.0, seed: 23 };
-        let models: Vec<String> = specs(&p)
+        let models: Vec<String> = specs(Mode::Tiny)
             .iter()
             .map(|s| runner::try_execute(s, &Default::default()).unwrap())
             .map(|r| r.cells[0].report.workload.clone())

@@ -12,67 +12,44 @@ use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Heterogeneous (Fig. 8) or homogeneous (Fig. 9).
-    pub heterogeneous: bool,
-    /// Worker count (paper: 8).
-    pub workers: usize,
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full(heterogeneous: bool) -> Self {
-        Self { heterogeneous, workers: 8, epochs: 48.0, seed: 7 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
-        let mut p = Self::full(heterogeneous);
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
-/// The registry entries: one spec per workload panel.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    let group = if p.heterogeneous { "fig08" } else { "fig09" };
-    [WorkloadSpec::resnet18_cifar10(p.seed), WorkloadSpec::vgg19_cifar10(p.seed)]
-        .into_iter()
-        .map(|workload| {
+/// The registry entries: one spec per (figure, workload panel), Fig. 8
+/// (heterogeneous) before Fig. 9 (homogeneous).
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let workers = 8;
+    let epochs = mode.epochs(48.0);
+    let seed = 7;
+    let mut out = Vec::new();
+    for heterogeneous in [true, false] {
+        let group = if heterogeneous { "fig08" } else { "fig09" };
+        for workload in [WorkloadSpec::resnet18_cifar10(seed), WorkloadSpec::vgg19_cifar10(seed)] {
             let name = format!("{group}/{}", workload.kind.name());
             let scenario = Scenario::builder()
-                .workers(p.workers)
-                .network(if p.heterogeneous {
+                .workers(workers)
+                .network(if heterogeneous {
                     NetworkKind::HeterogeneousDynamic
                 } else {
                     NetworkKind::Homogeneous
                 })
                 .workload(workload)
                 .slowdown(common::slowdown())
-                .train_config(common::train_config(p.epochs, p.seed))
+                .train_config(common::train_config(epochs, seed))
                 .build();
-            ExperimentSpec {
+            out.push(ExperimentSpec {
                 name,
                 group: group.into(),
                 title: format!(
-                    "{} — training loss vs time ({} network, {} workers)",
-                    if p.heterogeneous { "Fig. 8" } else { "Fig. 9" },
-                    if p.heterogeneous { "heterogeneous" } else { "homogeneous" },
-                    p.workers
+                    "{} — training loss vs time ({} network, {workers} workers)",
+                    if heterogeneous { "Fig. 8" } else { "Fig. 9" },
+                    if heterogeneous { "heterogeneous" } else { "homogeneous" }
                 ),
                 scenario,
                 arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-                seeds: vec![p.seed],
+                seeds: vec![seed],
                 metrics: vec![MetricKind::TimeToTarget, MetricKind::EpochCost, MetricKind::Accuracy],
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -93,8 +70,8 @@ mod tests {
 
     #[test]
     fn netmax_fastest_to_target_on_heterogeneous() {
-        let p = Params { heterogeneous: true, workers: 8, epochs: 12.0, seed: 7 };
-        for spec in specs(&p) {
+        for mut spec in specs(Mode::Full).into_iter().filter(|s| s.group == "fig08") {
+            spec.scenario.cfg_mut().max_epochs = 12.0;
             let panel = runner::try_execute(&spec, &Default::default()).unwrap();
             // Claim 1 (Fig. 8): among the asynchronous gossip family,
             // NetMax reaches the common loss target first. (Allreduce can
@@ -121,8 +98,10 @@ mod tests {
 
     #[test]
     fn homogeneous_netmax_and_adpsgd_comparable() {
-        let p = Params { heterogeneous: false, workers: 8, epochs: 8.0, seed: 7 };
-        let panel = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        // The homogeneous ResNet18 panel.
+        let mut spec = specs(Mode::Full).into_iter().find(|s| s.group == "fig09").unwrap();
+        spec.scenario.cfg_mut().max_epochs = 8.0;
+        let panel = runner::try_execute(&spec, &Default::default()).unwrap();
         // Within 40% of each other (the paper's curves nearly coincide).
         let (nm, ad) = (
             time_to_target(&panel, AlgorithmKind::NetMax),

@@ -19,7 +19,7 @@ use netmax_net::NetworkKind;
 
 /// Which paper figure to reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Case {
+pub(crate) enum Case {
     /// Fig. 12: ResNet18 on CIFAR100.
     Cifar100,
     /// Fig. 13: ResNet50 on ImageNet (16 workers).
@@ -34,7 +34,7 @@ pub enum Case {
 
 impl Case {
     /// Figure number in the paper.
-    pub fn figure(&self) -> &'static str {
+    fn figure(&self) -> &'static str {
         match self {
             Case::Cifar100 => "Fig. 12",
             Case::ImageNet => "Fig. 13",
@@ -45,7 +45,7 @@ impl Case {
     }
 
     /// Registry group of the case's own figure.
-    pub fn group(&self) -> &'static str {
+    fn group(&self) -> &'static str {
         match self {
             Case::Cifar100 => "fig12",
             Case::ImageNet => "fig13",
@@ -83,68 +83,55 @@ impl Case {
     }
 }
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Which figure.
-    pub case: Case,
-    /// Epoch budget (defaults to the case workload's scaled target).
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale.
-    pub fn full(case: Case) -> Self {
-        let epochs = case.workload(1).instantiate().target_epochs;
-        Self { case, epochs, seed: 13 }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode, case: Case) -> Self {
-        let mut p = Self::full(case);
-        p.epochs = mode.epochs(p.epochs);
-        p
-    }
-}
-
-/// The registry entry for one case (optionally under a different group,
-/// e.g. `tab05` re-registers the same runs as table rows).
-pub fn spec_for(p: &Params, group: &str) -> ExperimentSpec {
-    let mut cfg = common::train_config(p.epochs, p.seed);
-    if p.case == Case::ImageNet {
+/// The registry entry for one case under `group`: the case's own figure
+/// group, or `tab05`, which re-registers the same runs as table rows.
+pub(crate) fn case_spec(case: Case, mode: Mode, group: &str) -> ExperimentSpec {
+    // The case workload's own scaled epoch target.
+    let epochs = mode.epochs(case.workload(1).instantiate().target_epochs);
+    let seed = 13;
+    let mut cfg = common::train_config(epochs, seed);
+    if case == Case::ImageNet {
         // 16-node ImageNet runs are the most expensive; sample lighter.
         cfg.record_every_steps = 100;
         cfg.loss_sample_size = 256;
     }
     let scenario = Scenario::builder()
-        .workers(p.case.workers())
+        .workers(case.workers())
         .servers(2)
         .network(NetworkKind::HeterogeneousDynamic)
-        .workload(p.case.workload(p.seed))
-        .partition(p.case.partition())
+        .workload(case.workload(seed))
+        .partition(case.partition())
         .slowdown(common::slowdown())
         .train_config(cfg)
         .build();
     ExperimentSpec {
-        name: format!("{group}/{}", p.case.workload(p.seed).kind.name()),
+        name: format!("{group}/{}", case.workload(seed).kind.name()),
         group: group.into(),
         title: format!(
             "{} — non-uniform partitioning, {} workers on 2 servers",
-            p.case.figure(),
-            p.case.workers()
+            case.figure(),
+            case.workers()
         ),
         scenario,
         arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-        seeds: vec![p.seed],
+        seeds: vec![seed],
         metrics: vec![MetricKind::TimeToTarget, MetricKind::Accuracy],
     }
 }
 
-/// The registry entry for this case under its own figure group.
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    vec![spec_for(p, p.case.group())]
+/// The registry entries: every case under its own figure group, in
+/// figure order.
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    [
+        Case::Cifar100,
+        Case::ImageNet,
+        Case::Cifar10,
+        Case::TinyImageNet,
+        Case::MnistNonIid,
+    ]
+    .into_iter()
+    .map(|case| case_spec(case, mode, case.group()))
+    .collect()
 }
 
 #[cfg(test)]
@@ -154,8 +141,9 @@ mod tests {
 
     #[test]
     fn mnist_noniid_runs_and_netmax_leads_on_time() {
-        let p = Params { case: Case::MnistNonIid, epochs: 4.0, seed: 13 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let mut spec = case_spec(Case::MnistNonIid, Mode::Full, "fig18");
+        spec.scenario.cfg_mut().max_epochs = 4.0;
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         let target = result.loss_target();
         let t = |kind: AlgorithmKind| {
             let r = &result.cell(kind).expect("arm present").report;
@@ -170,8 +158,8 @@ mod tests {
 
     #[test]
     fn segmented_case_loses_no_data() {
-        let p = Params { case: Case::Cifar100, epochs: 2.0, seed: 13 };
-        let result = runner::try_execute(&specs(&p)[0], &Default::default()).unwrap();
+        let spec = case_spec(Case::Cifar100, Mode::Tiny, "fig12");
+        let result = runner::try_execute(&spec, &Default::default()).unwrap();
         for c in &result.cells {
             assert!(c.report.final_train_loss.is_finite());
             assert!(c.report.epochs_completed >= 2.0);

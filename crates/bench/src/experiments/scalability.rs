@@ -12,73 +12,50 @@ use netmax_core::engine::{AlgorithmKind, Scenario};
 use netmax_ml::workload::WorkloadSpec;
 use netmax_net::NetworkKind;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Heterogeneous (Fig. 10) or homogeneous (Fig. 11).
-    pub heterogeneous: bool,
-    /// Worker counts to sweep.
-    pub node_counts: Vec<usize>,
-    /// Epoch budget per run.
-    pub epochs: f64,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale (paper's node counts).
-    pub fn full(heterogeneous: bool) -> Self {
-        Self {
-            heterogeneous,
-            node_counts: if heterogeneous { vec![4, 8, 12, 16] } else { vec![4, 6, 8] },
-            epochs: 16.0,
-            seed: 3,
-        }
-    }
-
-    /// Mode-scaled parameters.
-    pub fn for_mode(mode: Mode, heterogeneous: bool) -> Self {
-        let mut p = Self::full(heterogeneous);
-        p.epochs = mode.epochs(p.epochs);
-        if mode == Mode::Tiny {
-            p.node_counts.truncate(2);
-        }
-        p
-    }
-}
-
-/// The registry entries: one spec per (workload, node count).
-pub fn specs(p: &Params) -> Vec<ExperimentSpec> {
-    let group = if p.heterogeneous { "fig10" } else { "fig11" };
+/// The registry entries: one spec per (figure, workload, node count),
+/// Fig. 10 (heterogeneous: 4–16 workers) before Fig. 11 (homogeneous:
+/// 4–8); tiny mode keeps each figure's two smallest counts.
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    let epochs = mode.epochs(16.0);
+    let seed = 3;
     let mut out = Vec::new();
-    for make in [WorkloadSpec::resnet18_cifar10 as fn(u64) -> WorkloadSpec, WorkloadSpec::vgg19_cifar10] {
-        for &nodes in &p.node_counts {
-            let workload = make(p.seed);
-            let name = format!("{group}/{}/n{nodes}", workload.kind.name());
-            let scenario = Scenario::builder()
-                .workers(nodes)
-                .network(if p.heterogeneous {
-                    NetworkKind::HeterogeneousDynamic
-                } else {
-                    NetworkKind::Homogeneous
-                })
-                .workload(workload)
-                .slowdown(common::slowdown())
-                .train_config(common::train_config(p.epochs, p.seed))
-                .build();
-            out.push(ExperimentSpec {
-                name,
-                group: group.into(),
-                title: format!(
-                    "{} — speedup vs worker count ({}; baseline: Allreduce@4)",
-                    if p.heterogeneous { "Fig. 10" } else { "Fig. 11" },
-                    if p.heterogeneous { "heterogeneous" } else { "homogeneous" }
-                ),
-                scenario,
-                arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
-                seeds: vec![p.seed],
-                metrics: vec![MetricKind::TimeToTarget],
-            });
+    for (heterogeneous, mut node_counts) in [(true, vec![4, 8, 12, 16]), (false, vec![4, 6, 8])] {
+        if mode == Mode::Tiny {
+            node_counts.truncate(2);
+        }
+        let group = if heterogeneous { "fig10" } else { "fig11" };
+        for make in [
+            WorkloadSpec::resnet18_cifar10 as fn(u64) -> WorkloadSpec,
+            WorkloadSpec::vgg19_cifar10,
+        ] {
+            for &nodes in &node_counts {
+                let workload = make(seed);
+                let name = format!("{group}/{}/n{nodes}", workload.kind.name());
+                let scenario = Scenario::builder()
+                    .workers(nodes)
+                    .network(if heterogeneous {
+                        NetworkKind::HeterogeneousDynamic
+                    } else {
+                        NetworkKind::Homogeneous
+                    })
+                    .workload(workload)
+                    .slowdown(common::slowdown())
+                    .train_config(common::train_config(epochs, seed))
+                    .build();
+                out.push(ExperimentSpec {
+                    name,
+                    group: group.into(),
+                    title: format!(
+                        "{} — speedup vs worker count ({}; baseline: Allreduce@4)",
+                        if heterogeneous { "Fig. 10" } else { "Fig. 11" },
+                        if heterogeneous { "heterogeneous" } else { "homogeneous" }
+                    ),
+                    scenario,
+                    arms: AlgorithmKind::headline_four().map(Arm::new).to_vec(),
+                    seeds: vec![seed],
+                    metrics: vec![MetricKind::TimeToTarget],
+                });
+            }
         }
     }
     out
@@ -91,20 +68,19 @@ mod tests {
 
     #[test]
     fn netmax_speedup_dominates_at_every_node_count() {
-        let p = Params {
-            heterogeneous: true,
-            node_counts: vec![4, 8],
-            epochs: 5.0,
-            seed: 3,
-        };
-        // The ResNet18 sweep; the §V-E baseline is its Allreduce run at
-        // 4 workers.
-        let results: Vec<_> = specs(&p)
-            .iter()
-            .filter(|s| s.name.contains("resnet18"))
-            .map(|s| runner::try_execute(s, &Default::default()).unwrap())
+        let node_counts = [4, 8];
+        // The heterogeneous ResNet18 sweep; the §V-E baseline is its
+        // Allreduce run at 4 workers.
+        let results: Vec<_> = specs(Mode::Full)
+            .into_iter()
+            .filter(|s| s.group == "fig10" && s.name.contains("resnet18"))
+            .filter(|s| node_counts.contains(&s.scenario.workers()))
+            .map(|mut s| {
+                s.scenario.cfg_mut().max_epochs = 5.0;
+                runner::try_execute(&s, &Default::default()).unwrap()
+            })
             .collect();
-        assert_eq!(results.len(), p.node_counts.len());
+        assert_eq!(results.len(), node_counts.len());
         let wall = |r: &runner::ExperimentResult, kind: AlgorithmKind| {
             r.cell(kind).expect("arm present").report.wall_clock_s
         };

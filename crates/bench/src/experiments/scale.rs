@@ -14,9 +14,10 @@
 //! run executes a fixed number of global steps *per node* instead of a
 //! fixed epoch count, so the simulated work per worker — and therefore
 //! the monitor-round count — stays comparable while n grows and per-node
-//! shards shrink. The report records convergence (final training loss),
-//! real throughput (global steps per real second of the step loop), and
-//! a peak-RSS proxy per fleet size.
+//! shards shrink. The document records simulated values only (steps,
+//! simulated seconds, final training loss); the CLI's table and stderr
+//! lines add real throughput (global steps per real second of the step
+//! loop) and a peak-RSS proxy per fleet size.
 
 use crate::common::{self, Mode};
 use crate::runner::{self, RunOptions};
@@ -247,7 +248,8 @@ pub fn run(p: &Params) -> Vec<Row> {
     rows
 }
 
-/// Assembles the versioned `netmax-bench/scale-report/v1` document.
+/// Assembles the versioned `netmax-bench/scale-report/v1` document: the
+/// rows' simulated columns, none of their real time or memory.
 pub fn scale_doc(p: &Params, rows: &[Row]) -> Json {
     Json::obj([
         ("schema", Json::Str(SCALE_SCHEMA.into())),
@@ -264,14 +266,6 @@ pub fn scale_doc(p: &Params, rows: &[Row]) -> Json {
             ]),
         ),
         (
-            "peak_rss_note",
-            Json::Str(
-                "peak_rss_kb is the process VmHWM high-water mark: monotone across the \
-                 ascending sweep, so each cell reflects the largest fleet run so far."
-                    .into(),
-            ),
-        ),
-        (
             "results",
             Json::Arr(
                 rows.iter()
@@ -283,9 +277,6 @@ pub fn scale_doc(p: &Params, rows: &[Row]) -> Json {
                             ("global_steps", r.global_steps.to_json()),
                             ("sim_wall_s", r.sim_wall_s.to_json()),
                             ("final_train_loss", r.final_train_loss.to_json()),
-                            ("best_real_s", r.best_real_s.to_json()),
-                            ("steps_per_sec", r.steps_per_sec.to_json()),
-                            ("peak_rss_kb", r.peak_rss_kb.to_json()),
                         ])
                     })
                     .collect(),

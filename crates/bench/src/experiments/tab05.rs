@@ -8,62 +8,36 @@
 
 use crate::common::Mode;
 use crate::experiments::nonuniform::{self, Case};
+use crate::spec::ExperimentSpec;
 
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct Params {
-    /// Which dataset rows to produce (all five by default).
-    pub cases: Vec<Case>,
-    /// Epoch budget override; `None` keeps each case's own budget.
-    pub epochs: Option<f64>,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Params {
-    /// Full reproduction scale: all five datasets.
-    pub fn full() -> Self {
-        Self {
-            cases: vec![
-                Case::Cifar10,
-                Case::Cifar100,
-                Case::MnistNonIid,
-                Case::TinyImageNet,
-                Case::ImageNet,
-            ],
-            epochs: None,
-            seed: 13,
-        }
-    }
-
-    /// Mode-scaled parameters (tiny keeps two cheap datasets).
-    pub fn for_mode(mode: Mode) -> Self {
-        let mut p = Self::full();
-        match mode {
-            crate::common::Mode::Full => {}
-            crate::common::Mode::Quick => p.epochs = Some(6.0),
-            Mode::Tiny => {
-                p.cases = vec![Case::Cifar10, Case::MnistNonIid];
-                p.epochs = Some(2.0);
-            }
-        }
-        p
-    }
-}
-
-/// The registry entries: the five non-uniform cases re-registered as
-/// Table V rows (same scenarios as the per-figure `nonuniform` entries,
-/// but under each case's own Table V budget/seed).
-pub fn specs(p: &Params) -> Vec<crate::spec::ExperimentSpec> {
-    p.cases
+/// The registry entries: the non-uniform cases re-registered as Table V
+/// rows (same scenarios as the per-figure `nonuniform` entries, but under
+/// Table V's own budgets); tiny mode keeps two cheap datasets.
+pub fn specs(mode: Mode) -> Vec<ExperimentSpec> {
+    // Each case's own budget in full mode, one shared budget otherwise.
+    let epochs = match mode {
+        Mode::Full => None,
+        Mode::Quick => Some(6.0),
+        Mode::Tiny => Some(2.0),
+    };
+    let cases: &[Case] = if mode == Mode::Tiny {
+        &[Case::Cifar10, Case::MnistNonIid]
+    } else {
+        &[
+            Case::Cifar10,
+            Case::Cifar100,
+            Case::MnistNonIid,
+            Case::TinyImageNet,
+            Case::ImageNet,
+        ]
+    };
+    cases
         .iter()
         .map(|&case| {
-            let mut np = nonuniform::Params::full(case);
-            np.seed = p.seed;
-            if let Some(e) = p.epochs {
-                np.epochs = e;
+            let mut spec = nonuniform::case_spec(case, mode, "tab05");
+            if let Some(e) = epochs {
+                spec.scenario.cfg_mut().max_epochs = e;
             }
-            let mut spec = nonuniform::spec_for(&np, "tab05");
             spec.title = "Table V — accuracy with non-uniform data partitioning".into();
             spec
         })
@@ -77,12 +51,7 @@ mod tests {
 
     #[test]
     fn produces_one_row_per_case() {
-        let p = Params {
-            cases: vec![Case::Cifar10, Case::MnistNonIid],
-            epochs: Some(2.0),
-            seed: 13,
-        };
-        let specs = specs(&p);
+        let specs = specs(Mode::Tiny);
         assert_eq!(specs.len(), 2);
         for spec in &specs {
             let result = runner::try_execute(spec, &Default::default()).unwrap();

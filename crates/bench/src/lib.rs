@@ -3,14 +3,12 @@
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation (§V and Appendices F–G), plus the ablations, the fault
 //! suite, the fleet-scale sweep and the numerics-tier equivalence gates.
-//! Each experiment module exposes
-//!
-//! * `Params` with `full()` and a mode-scaled `for_mode(Mode)` preset, and
-//! * `specs(&Params)` — its declarative [`ExperimentSpec`]s, collected by
-//!   the [`registry`](mod@registry);
-//!
-//! its paper-claim tests execute those specs through the [`runner`] and
-//! assert on the [`ExperimentResult`] the run artifact publishes.
+//! Each experiment module exposes `specs(Mode)`: its declarative
+//! [`ExperimentSpec`]s at that scale, collected by the
+//! [`registry`](mod@registry). `fig03` has no scale, and `scale` takes a
+//! `scale::Params`, the one preset whose callers choose other values. A
+//! module's paper-claim tests execute its specs through the [`runner`]
+//! and assert on the [`ExperimentResult`] the run artifact publishes.
 //!
 //! The `netmax-bench` binary is the only executable: `run` executes
 //! registry entries through the [`runner`] and writes the versioned run

@@ -45,34 +45,25 @@ pub fn sanity_spec(mode: Mode) -> ExperimentSpec {
 /// Builds the full registry at the given execution mode. Every entry's
 /// name is unique; entries of one figure/table share a `group`.
 pub fn registry(mode: Mode) -> Vec<ExperimentSpec> {
-    let mut specs = Vec::new();
-    specs.extend(fig03::specs());
-    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(mode, true)));
-    specs.extend(epoch_time::specs(&epoch_time::Params::for_mode(mode, false)));
-    specs.extend(fig07::specs(&fig07::Params::for_mode(mode)));
-    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(mode, true)));
-    specs.extend(loss_curves::specs(&loss_curves::Params::for_mode(mode, false)));
-    specs.extend(scalability::specs(&scalability::Params::for_mode(mode, true)));
-    specs.extend(scalability::specs(&scalability::Params::for_mode(mode, false)));
-    specs.extend(accuracy::specs(&accuracy::Params::for_mode(mode, true)));
-    specs.extend(accuracy::specs(&accuracy::Params::for_mode(mode, false)));
-    for case in [
-        nonuniform::Case::Cifar100,
-        nonuniform::Case::ImageNet,
-        nonuniform::Case::Cifar10,
-        nonuniform::Case::TinyImageNet,
-        nonuniform::Case::MnistNonIid,
+    let mut specs = fig03::specs();
+    for module in [
+        epoch_time::specs,
+        fig07::specs,
+        loss_curves::specs,
+        scalability::specs,
+        accuracy::specs,
+        nonuniform::specs,
+        tab05::specs,
+        fig14::specs,
+        fig15::specs,
+        fig19::specs,
+        ablations::specs,
+        faults::specs,
     ] {
-        specs.extend(nonuniform::specs(&nonuniform::Params::for_mode(mode, case)));
+        specs.extend(module(mode));
     }
-    specs.extend(tab05::specs(&tab05::Params::for_mode(mode)));
-    specs.extend(fig14::specs(&fig14::Params::for_mode(mode)));
-    specs.extend(fig15::specs(&fig15::Params::for_mode(mode)));
-    specs.extend(fig19::specs(&fig19::Params::for_mode(mode)));
-    specs.extend(ablations::specs(&ablations::Params::for_mode(mode)));
-    specs.extend(faults::specs(&faults::Params::for_mode(mode)));
     specs.extend(scale::specs(&scale::Params::for_mode(mode)));
-    specs.extend(equivalence::specs(&equivalence::Params::for_mode(mode)));
+    specs.extend(equivalence::specs(mode));
     specs.push(sanity_spec(mode));
     specs
 }
@@ -136,28 +127,41 @@ pub fn find(specs: &[ExperimentSpec], query: &str) -> Vec<ExperimentSpec> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::sync::OnceLock;
+
+    const MODES: [Mode; 3] = [Mode::Full, Mode::Quick, Mode::Tiny];
+
+    /// The registry at `mode`, built once for all of this module's tests:
+    /// a build instantiates every non-uniform case's workload.
+    fn built(mode: Mode) -> &'static [ExperimentSpec] {
+        static BUILT: OnceLock<[Vec<ExperimentSpec>; 3]> = OnceLock::new();
+        let all = BUILT.get_or_init(|| MODES.map(registry));
+        &all[MODES.iter().position(|&m| m == mode).expect("one of MODES")]
+    }
 
     #[test]
     fn names_are_unique_and_grouped() {
-        let specs = registry(Mode::Tiny);
-        let names: BTreeSet<_> = specs.iter().map(|s| s.name.clone()).collect();
-        assert_eq!(names.len(), specs.len(), "duplicate experiment names");
-        for s in &specs {
-            assert!(
-                s.name == s.group || s.name.starts_with(&format!("{}/", s.group)),
-                "{}: name must extend its group `{}`",
-                s.name,
-                s.group
-            );
-        }
-        // Every figure/table of the paper's evaluation is declared.
-        let groups: BTreeSet<_> = specs.iter().map(|s| s.group.as_str()).collect();
-        for g in [
-            "fig03", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-            "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "tab02", "tab03",
-            "tab05", "abl", "sanity", "scale", "equivalence",
-        ] {
-            assert!(groups.contains(g), "missing group {g}");
+        for mode in MODES {
+            let specs = built(mode);
+            let names: BTreeSet<_> = specs.iter().map(|s| s.name.clone()).collect();
+            assert_eq!(names.len(), specs.len(), "{mode:?}: duplicate experiment names");
+            for s in specs {
+                assert!(
+                    s.name == s.group || s.name.starts_with(&format!("{}/", s.group)),
+                    "{}: name must extend its group `{}`",
+                    s.name,
+                    s.group
+                );
+            }
+            // Every figure/table of the paper's evaluation is declared.
+            let groups: BTreeSet<_> = specs.iter().map(|s| s.group.as_str()).collect();
+            for g in [
+                "fig03", "fig05", "fig06", "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
+                "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "tab02", "tab03",
+                "tab05", "abl", "sanity", "scale", "equivalence",
+            ] {
+                assert!(groups.contains(g), "{mode:?}: missing group {g}");
+            }
         }
     }
 
@@ -165,7 +169,7 @@ mod tests {
     fn every_entry_builds_its_environment() {
         // Tiny mode keeps the datasets smallest; build_env materialises
         // topology, network, partition, and models for every entry.
-        for spec in registry(Mode::Tiny) {
+        for spec in built(Mode::Tiny) {
             let env = spec.scenario.build_env();
             assert_eq!(env.num_nodes(), spec.scenario.workers(), "{}", spec.name);
             assert!(env.topology.is_connected(), "{}", spec.name);
@@ -178,13 +182,13 @@ mod tests {
     #[test]
     fn registry_json_lists_every_experiment() {
         use netmax_json::{FromJson, Json};
-        let specs = registry(Mode::Tiny);
-        let doc = registry_json(&specs);
+        let specs = built(Mode::Tiny);
+        let doc = registry_json(specs);
         let reparsed = Json::parse(&doc.pretty()).unwrap();
         assert_eq!(reparsed.field("schema").unwrap().as_str().unwrap(), REGISTRY_SCHEMA);
         let entries = reparsed.field("experiments").unwrap().as_arr().unwrap();
         assert_eq!(entries.len(), specs.len());
-        for (entry, spec) in entries.iter().zip(&specs) {
+        for (entry, spec) in entries.iter().zip(specs) {
             assert_eq!(String::from_json(entry.field("name").unwrap()).unwrap(), spec.name);
             let arms = entry.field("arms").unwrap().as_arr().unwrap();
             assert_eq!(arms.len(), spec.arms.len());
@@ -197,23 +201,25 @@ mod tests {
 
     #[test]
     fn every_algorithm_kind_is_run_by_some_spec() {
-        let run: BTreeSet<_> = registry(Mode::Tiny)
-            .iter()
-            .flat_map(|s| s.arms.iter().map(|a| a.algorithm.name()))
-            .collect();
-        let missing: Vec<_> = AlgorithmKind::all()
-            .into_iter()
-            .map(|k| k.name())
-            .filter(|n| !run.contains(n))
-            .collect();
-        assert!(missing.is_empty(), "no registry spec runs {missing:?}");
+        for mode in MODES {
+            let run: BTreeSet<_> = built(mode)
+                .iter()
+                .flat_map(|s| s.arms.iter().map(|a| a.algorithm.name()))
+                .collect();
+            let missing: Vec<_> = AlgorithmKind::all()
+                .into_iter()
+                .map(|k| k.name())
+                .filter(|n| !run.contains(n))
+                .collect();
+            assert!(missing.is_empty(), "{mode:?}: no registry spec runs {missing:?}");
+        }
     }
 
     #[test]
     fn per_server_counts_hold_for_registered_worker_counts() {
         use netmax_core::engine::scenario::per_server_counts;
         let counts: BTreeSet<usize> =
-            registry(Mode::Full).iter().map(|s| s.scenario.workers()).collect();
+            built(Mode::Full).iter().map(|s| s.scenario.workers()).collect();
         for &n in &counts {
             for servers in 1..=4 {
                 let per = per_server_counts(n, servers);
@@ -227,22 +233,22 @@ mod tests {
 
     #[test]
     fn find_matches_names_groups_and_all() {
-        let specs = registry(Mode::Tiny);
-        assert_eq!(find(&specs, "all").len(), specs.len());
-        let fig08 = find(&specs, "fig08");
+        let specs = built(Mode::Tiny);
+        assert_eq!(find(specs, "all").len(), specs.len());
+        let fig08 = find(specs, "fig08");
         assert_eq!(fig08.len(), 2, "fig08 has two workload panels");
-        let one = find(&specs, "fig08/resnet18-cifar10");
+        let one = find(specs, "fig08/resnet18-cifar10");
         assert_eq!(one.len(), 1);
-        assert!(find(&specs, "nope").is_empty());
+        assert!(find(specs, "nope").is_empty());
     }
 
     #[test]
     fn registry_specs_round_trip_through_json() {
         use netmax_json::{FromJson, Json, ToJson};
-        for spec in registry(Mode::Tiny) {
+        for spec in MODES.into_iter().flat_map(built) {
             let text = spec.to_json().to_string();
             let back = ExperimentSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, spec, "{} must round-trip", spec.name);
+            assert_eq!(&back, spec, "{} must round-trip", spec.name);
         }
     }
 }

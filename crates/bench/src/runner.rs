@@ -448,7 +448,7 @@ fn finish_cells(
 }
 
 /// [`try_execute`] with each cell's real seconds of its step loop, which
-/// `sanity` and `scale` report from a run on one thread.
+/// `scale` prints from a run on one thread.
 pub(crate) fn execute_timed(
     spec: &ExperimentSpec,
     opts: &RunOptions<'_>,
@@ -748,9 +748,8 @@ fn rounded(x: f64, digits: usize) -> Json {
 /// The `BENCH_sanity.json` document at `mode` — the headline shape check
 /// (not a paper figure): on the heterogeneous dynamic network NetMax
 /// should reach the loss target in less simulated time than AD-PSGD,
-/// Allreduce-SGD and Prague. Same cells as `run sanity`, but run one at
-/// a time on this thread, so each arm's real seconds (its session's
-/// step loop) make the document a performance record too; `on_arm` sees
+/// Allreduce-SGD and Prague. Same cells as `run sanity`, and like every
+/// committed document it holds simulated values only; `on_arm` sees
 /// every arm's label and report, in arm order.
 pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json {
     use netmax_ml::workload::WorkloadKind;
@@ -761,11 +760,9 @@ pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json 
     // drift from what actually ran.
     assert_eq!(spec.scenario.workload_spec().kind, WorkloadKind::Resnet18Cifar10);
     assert_eq!(spec.scenario.network_kind(), NetworkKind::HeterogeneousDynamic);
-    // One cell at a time on this thread, so each cell's real seconds
-    // (its step loop alone) are not shared with a sibling.
-    let cells = execute_timed(&spec, &RunOptions { threads: 1, ..RunOptions::default() })
+    let result = try_execute(&spec, &RunOptions::default())
         .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
-    let results = cells.iter().map(|(cell, real_s)| {
+    let results = result.cells.iter().map(|cell| {
         let (label, r) = (&cell.label, &cell.report);
         on_arm(label, r);
         Json::obj([
@@ -778,8 +775,6 @@ pub fn sanity_doc(mode: Mode, mut on_arm: impl FnMut(&str, &RunReport)) -> Json 
             ("final_test_accuracy", rounded(r.final_test_accuracy, 4)),
             ("time_to_loss_0_40_s", r.time_to_loss(0.40).map_or(Json::Null, |t| rounded(t, 2))),
             ("global_steps", r.global_steps.to_json()),
-            ("real_time_s", rounded(*real_s, 3)),
-            ("steps_per_real_second", rounded(r.global_steps as f64 / real_s.max(1e-9), 0)),
         ])
     });
     let results = results.collect();

@@ -3,8 +3,8 @@
 //!
 //! * `BENCH_sanity.json` (the paper's 8-worker heterogeneous cell) and
 //!   `BENCH_scale_tiny.json` / `BENCH_scale.json` (the 32 → 4 096-worker
-//!   extension) must match a fresh document on every field except the
-//!   ones in [`REAL_TIME_FIELDS`], and on every object's key list. A
+//!   extension) hold simulated values only and must match a fresh
+//!   document whole: every field, and every object's key list. A
 //!   mismatch names the row and the field.
 //! * `BENCH_registry_tiny.json` maps every `registry(Mode::Tiny)`
 //!   experiment, in registry order, to the FNV-1a 64 digest of its run
@@ -22,16 +22,6 @@ use netmax_bench::{registry, Mode};
 use netmax_json::Json;
 use std::path::Path;
 
-/// Fields that measure the host, not the simulation. Their keys must be
-/// present; their values are never compared.
-const REAL_TIME_FIELDS: [&str; 5] = [
-    "real_time_s",
-    "steps_per_real_second",
-    "best_real_s",
-    "steps_per_sec",
-    "peak_rss_kb",
-];
-
 /// Worker threads for every runner call.
 const THREADS: usize = 2;
 
@@ -45,8 +35,7 @@ fn committed(name: &str) -> Json {
 }
 
 /// Appends to `out` every difference between `want` and `got` at path
-/// `at`, skipping the values of [`REAL_TIME_FIELDS`]. An array element
-/// that has an `algorithm` is named by it too.
+/// `at`. An array element that has an `algorithm` is named by it too.
 fn diff(at: &str, want: &Json, got: &Json, out: &mut Vec<String>) {
     let keys = |pairs: &[(String, Json)]| pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
     match (want, got) {
@@ -55,9 +44,7 @@ fn diff(at: &str, want: &Json, got: &Json, out: &mut Vec<String>) {
         }
         (Json::Obj(w), Json::Obj(g)) => {
             for ((key, wv), (_, gv)) in w.iter().zip(g) {
-                if !REAL_TIME_FIELDS.contains(&key.as_str()) {
-                    diff(&format!("{at}.{key}"), wv, gv, out);
-                }
+                diff(&format!("{at}.{key}"), wv, gv, out);
             }
         }
         (Json::Arr(w), Json::Arr(g)) if w.len() != g.len() => {

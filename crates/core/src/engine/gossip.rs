@@ -306,9 +306,27 @@ impl<B: GossipBehavior> SessionDriver for GossipDriver<B> {
         &self.name
     }
 
-    fn validate(&self, _env: &Environment) -> Result<(), SessionError> {
+    fn validate(&self, env: &Environment) -> Result<(), SessionError> {
         self.behavior.validate()?;
-        self.behavior.steering().map_or(Ok(()), Steering::validate)
+        let Some(steering) = self.behavior.steering() else {
+            return Ok(());
+        };
+        steering.validate()?;
+        // Every monitor round hands the learning rate in effect to the
+        // policy LP as its α, so each rate the schedule reaches
+        // (`SgdConfig::lr_at`: one per number of milestones passed)
+        // must be positive.
+        let optim = &env.workload.optim;
+        for passed in 0..=optim.lr_milestones.len() {
+            let lr = optim.lr * optim.lr_decay.powi(passed as i32);
+            if !(lr.is_finite() && lr > 0.0) {
+                return Err(SessionError::InvalidConfig(format!(
+                    "a monitored arm needs a positive learning rate; after {passed} \
+                     milestone(s) the schedule reaches {lr}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn advance(&mut self, env: &mut Environment) -> DriverEvent {
@@ -653,6 +671,28 @@ mod tests {
             assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
             assert!(err.to_string().contains(needle), "{needle}: {err}");
         }
+    }
+
+    #[test]
+    fn vanishing_learning_rate_is_a_typed_construction_error_for_monitored_arms() {
+        let zero_after_milestone = || {
+            let mut e = env(16);
+            e.workload.optim.lr_milestones = vec![1.0];
+            e.workload.optim.lr_decay = 0.0;
+            e
+        };
+        // Plain gossip averaging (AD-PSGD's shape) never hands the rate
+        // to a policy LP; a monitored arm (NetMax's shape) does.
+        let mut e = zero_after_milestone();
+        let mut plain = UniformAveraging;
+        assert!(Session::new(&mut e, Box::new(GossipDriver::new(&mut plain, "plain"))).is_ok());
+        let mut e = zero_after_milestone();
+        let mut b = Monitored::every(0.5);
+        let err = Session::new(&mut e, Box::new(GossipDriver::new(&mut b, "bad")))
+            .err()
+            .expect("a rate that reaches 0 must fail construction of a monitored arm");
+        assert!(matches!(err, SessionError::InvalidConfig(_)), "{err}");
+        assert!(err.to_string().contains("learning rate"), "{err}");
     }
 
     #[test]

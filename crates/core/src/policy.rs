@@ -147,9 +147,11 @@ pub fn t_bar_bounds(alpha: f64, rho: f64, times: &Matrix, topo: &Topology) -> Op
 impl PolicyGenerator {
     /// Creates a generator with the given search configuration.
     pub fn new(cfg: PolicySearchConfig) -> Self {
+        // No session config reaches these three: `Steering::validate`
+        // rejects K, R = 0 and ε outside (0, 1) at construction, and the
+        // gossip driver's `validate` a learning-rate schedule (the α of
+        // every monitor round) that reaches a non-positive rate.
         assert!(cfg.alpha > 0.0, "α must be positive");
-        // No session config reaches these two: `Steering::validate`
-        // rejects K, R = 0 and ε outside (0, 1) at construction.
         assert!(cfg.outer_k > 0 && cfg.inner_r > 0, "search resolutions must be positive");
         assert!((0.0..1.0).contains(&cfg.epsilon) && cfg.epsilon > 0.0, "ε must lie in (0,1)");
         Self { cfg }
